@@ -1,9 +1,8 @@
-"""Kernel-tier pricing bench (``t15``): reference vs legacy vs jit per op.
+"""Kernel-tier pricing bench (``t15``): reference vs jit per op.
 
-Prices the four refactored kernel paths — batched insert, search, delete,
-and the snapshot delta merge — under each selectable kernel tier, plus the
-pre-refactor per-round re-sort insert schedule (``_resort_every_round``),
-and proves the tiers interchangeable:
+Prices the four kernel paths behind :mod:`repro.kernels` — batched insert,
+search, delete, and the snapshot delta merge — under each selectable kernel
+tier, and proves the tiers interchangeable:
 
 - ``t15/<op>/<tier>_wall_ms`` — wall-clock per op per tier.  Host-dependent;
   the baseline gives them a loose band (see
@@ -18,9 +17,6 @@ and proves the tiers interchangeable:
   pool mutations, *and* :mod:`repro.gpusim` counter deltas bit-for-bit.
   Gated at zero tolerance; this is the counter-parity proof the baseline
   carries.
-- ``t15/insert/resort_parity`` — 1.0 iff the hoisted group-order schedule
-  matches the legacy per-round re-sort bit-for-bit (the satellite-1 fix's
-  regression guard, priced right next to what the hoist saves).
 
 Usage::
 
@@ -115,7 +111,7 @@ def _merge_inputs(cfg: dict, seed: int):
     return base, ups, uw, dels
 
 
-def _run_op(op: str, cfg: dict, seed: int, resort: bool = False):
+def _run_op(op: str, cfg: dict, seed: int):
     """Run one seeded op; return comparable outputs + the counter delta.
 
     Setup (arena construction, pre-population, delta generation) happens
@@ -127,7 +123,7 @@ def _run_op(op: str, cfg: dict, seed: int, resort: bool = False):
         arena = _fresh_arena(cfg)
         before = _counter_state()
         t0 = perf_counter()
-        out = insert_batch(arena, t, k, v, _resort_every_round=resort)
+        out = insert_batch(arena, t, k, v)
         seconds = perf_counter() - t0
         state = (out, arena.pool.keys.copy(), arena.pool.values.copy(), arena.pool.next_slab.copy())
     elif op == "search":
@@ -160,11 +156,9 @@ def _run_op(op: str, cfg: dict, seed: int, resort: bool = False):
     return state, delta, seconds
 
 
-def time_op(op: str, cfg: dict, seed: int, resort: bool = False) -> float:
+def time_op(op: str, cfg: dict, seed: int) -> float:
     """Best-of-repeats wall milliseconds for one op under the active tier."""
-    best = min(
-        _run_op(op, cfg, seed + r, resort=resort)[2] for r in range(cfg["repeats"])
-    )
+    best = min(_run_op(op, cfg, seed + r)[2] for r in range(cfg["repeats"]))
     return best * 1e3
 
 
@@ -191,24 +185,12 @@ def op_parity(op: str, seed: int) -> float:
     return 1.0 if _states_equal(ref_state, jit_state) and ref_delta == jit_delta else 0.0
 
 
-def _resort_parity(seed: int) -> float:
-    """1.0 iff the hoisted insert schedule matches the legacy re-sort."""
-    hoisted_state, hoisted_delta, _ = _run_op("insert", _PARITY, seed)
-    legacy_state, legacy_delta, _ = _run_op("insert", _PARITY, seed, resort=True)
-    return (
-        1.0
-        if _states_equal(hoisted_state, legacy_state) and hoisted_delta == legacy_delta
-        else 0.0
-    )
-
-
 def kernel_artifact(seed: int = 0, quick: bool = False) -> ArtifactResult:
     """Build the ``t15`` artifact: per-op tier pricing + parity proofs."""
     cfg = _QUICK if quick else _FULL
     out = ArtifactBuilder(
         "t15",
-        "Kernel tiers: wall-clock per op (reference / legacy re-sort / jit) "
-        "+ bit-parity proofs",
+        "Kernel tiers: wall-clock per op (reference / jit) + bit-parity proofs",
         ["op", "variant", "wall ms", "parity"],
     )
     have_jit = jit_available()
@@ -216,13 +198,6 @@ def kernel_artifact(seed: int = 0, quick: bool = False) -> ArtifactResult:
         ref_ms = time_op(op, cfg, seed)
         out.add_row([op, "reference", ref_ms, "—"])
         out.metric(ref_ms, "ms", op, "reference_wall_ms", items=cfg["batch"])
-
-        if op == "insert":
-            legacy_ms = time_op(op, cfg, seed, resort=True)
-            resort_ok = _resort_parity(seed)
-            out.add_row([op, "resort(legacy)", legacy_ms, resort_ok])
-            out.metric(legacy_ms, "ms", op, "resort_wall_ms", items=cfg["batch"])
-            out.metric(resort_ok, "ok", op, "resort_parity")
 
         parity = op_parity(op, seed)
         out.metric(parity, "ok", op, "jit_parity")

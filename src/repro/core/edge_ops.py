@@ -18,7 +18,7 @@ The vectorized pipeline per batch:
 Complexity contract: every step above is **O(batch + touched slabs)**,
 never O(|V|) — the paper's central claim that batched updates cost
 proportional to the batch, not the graph.  Counter updates are scatter-adds
-over the batch's unique sources (via
+over the batch's sources (via
 :meth:`repro.core.vertex_dict.VertexDictionary.add_edge_counts` /
 ``sub_edge_counts``), which also keep the dictionary's aggregate
 ``total_edges`` / ``num_active`` counters current so size queries stay

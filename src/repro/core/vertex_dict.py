@@ -22,8 +22,9 @@ incrementally by the same calls, so :meth:`total_edges` and
 through the methods below; writing ``edge_count`` / ``active`` directly
 desynchronizes the aggregates.  Setting :attr:`debug_invariants` (or the
 ``REPRO_DEBUG_COUNTERS`` environment variable) re-verifies the aggregates
-against the full-array sums after every mutation — an O(capacity) check
-reserved for tests and debugging.
+against the full-array sums, and the arena's structural invariants
+(:meth:`repro.slabhash.arena.SlabArena.check_invariants`), after every
+mutation — O(capacity + pool) checks reserved for tests and debugging.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.util.errors import ValidationError
 
 __all__ = ["VertexDictionary"]
 
-#: Environment switch for the O(capacity) post-mutation invariant check.
+#: Environment switch for the O(capacity + pool) post-mutation invariant checks.
 DEBUG_ENV_VAR = "REPRO_DEBUG_COUNTERS"
 
 
@@ -115,13 +116,12 @@ class VertexDictionary:
         """Credit one edge to each occurrence of ``sources`` (dups allowed).
 
         The vectorized ``popc(ballot(success))`` of Algorithm 1 lines 9-10:
-        a scatter-add over the batch's unique sources, O(batch log batch),
+        an unbuffered scatter-add over the batch's sources, O(batch),
         independent of capacity.
         """
         if sources.size == 0:
             return
-        uniq, cnt = np.unique(sources, return_counts=True)
-        self.edge_count[uniq] += cnt
+        np.add.at(self.edge_count, sources, 1)
         self._total_edges += int(sources.size)
         self._check()
 
@@ -129,8 +129,7 @@ class VertexDictionary:
         """Debit one edge per occurrence of ``sources`` (dups allowed)."""
         if sources.size == 0:
             return
-        uniq, cnt = np.unique(sources, return_counts=True)
-        self.edge_count[uniq] -= cnt
+        np.subtract.at(self.edge_count, sources, 1)
         self._total_edges -= int(sources.size)
         self._check()
 
@@ -208,3 +207,4 @@ class VertexDictionary:
     def _check(self) -> None:
         if self.debug_invariants:
             self.check_invariants()
+            self.arena.check_invariants()

@@ -1,11 +1,12 @@
 """Tiered kernel dispatch: reference NumPy kernels + an optional jit tier.
 
-The slab-hash probe rounds (:mod:`repro.slabhash.insert` / ``search`` /
+The slab-hash operations (:mod:`repro.slabhash.insert` / ``search`` /
 ``delete`` / ``iterate``) and the snapshot delta merge
-(:mod:`repro.api.snapshot`) are *drivers*: they validate, schedule rounds,
-allocate slabs, and charge the :mod:`repro.gpusim` device model.  The
-per-round data movement lives behind this dispatch layer, in one of two
-interchangeable tiers:
+(:mod:`repro.api.snapshot`) are *drivers*: they validate, schedule the
+work (probe rounds for search/delete; one chain walk, one hit pass and
+one tail placement per insert launch), allocate slabs, and charge the
+:mod:`repro.gpusim` device model.  The data movement over the slab pool
+lives behind this dispatch layer, in one of two interchangeable tiers:
 
 - ``reference`` — fused pure-NumPy passes (:mod:`repro.kernels.reference`),
   always available; the executable specification.
@@ -15,9 +16,9 @@ interchangeable tiers:
 Both tiers implement the same pure functions over the same SoA arrays and
 are required to be **bit-identical**: same mutations, same return values,
 and — because all device-model charging happens in the drivers from
-tier-independent quantities (pending sizes, hit/placement counts) — the
-same :mod:`repro.gpusim` counters.  ``tests/test_kernels.py`` pins that
-contract.
+tier-independent quantities (pending sizes, resolve depths, hit/placement
+counts) — the same :mod:`repro.gpusim` counters.  ``tests/test_kernels.py``
+pins that contract.
 
 Selection:
 

@@ -3,9 +3,9 @@
 Each public function mirrors a :mod:`repro.kernels.reference` kernel with
 the same signature, the same mutations, and bit-identical outputs; the
 inner loops are ``@numba.njit``-compiled single passes that fuse the
-gather, hit scan, empty-lane scan, rank-in-group lane claim, and scatter
-into one traversal of the pending items — no NumPy temporaries, no
-per-round boolean matrices.
+gather and the hit / empty-lane scans into one traversal of the items —
+no NumPy temporaries, no boolean matrices, and for insert no (item,
+chain-slab) pair expansion to chunk: each item just walks its chain.
 
 When numba is not installed the ``@njit`` decorator degrades to the
 identity, leaving plain-Python loop implementations: far too slow for real
@@ -53,12 +53,14 @@ __all__ = [
     "NUMBA_AVAILABLE",
     "TIER_NAME",
     "delete_round",
+    "fill_lanes",
     "insert_round_map",
     "insert_round_set",
     "merge_sorted_csr",
     "search_round_map",
     "search_round_set",
     "sort_window_last",
+    "tail_empties",
     "walk_chains",
 ]
 
@@ -75,92 +77,64 @@ _STATUS_ADVANCE = np.uint8(STATUS_ADVANCE)
 
 
 @njit(cache=True)
-def _insert_round_map(pool_keys, pool_values, cur, k, v, status):
+def _insert_hits(pool_keys, chain_slabs, chain_ptr, group, k, depth, hit_lanes):
     bc = pool_keys.shape[1]
-    m = cur.shape[0]
-    empty_lanes = np.empty(bc, dtype=np.int64)
-    i = 0
-    while i < m:
-        slab = cur[i]
-        j = i
-        while j < m and cur[j] == slab:
-            j += 1
-        # Scan the slab once at group entry: pre-round empty lanes in
-        # ascending order (the rank-th unplaced item takes the rank-th).
-        n_empty = 0
-        for lane in range(bc):
-            if pool_keys[slab, lane] == _EMPTY32:
-                empty_lanes[n_empty] = lane
-                n_empty += 1
-        used = 0
-        for t in range(i, j):
-            key = k[t]
-            hit_lane = -1
+    for i in range(k.shape[0]):
+        key = k[i]
+        first_slot = chain_ptr[group[i]]
+        depth[i] = 0
+        for slot in range(first_slot, chain_ptr[group[i] + 1]):
+            slab = chain_slabs[slot]
             for lane in range(bc):
                 if pool_keys[slab, lane] == key:
-                    hit_lane = lane
+                    depth[i] = slot - first_slot + 1
+                    hit_lanes[i] = lane
                     break
-            if hit_lane >= 0:
-                pool_values[slab, hit_lane] = v[t]
-                status[t] = _STATUS_HIT
-            elif used < n_empty:
-                lane = empty_lanes[used]
-                used += 1
-                pool_keys[slab, lane] = key
-                pool_values[slab, lane] = v[t]
-                status[t] = _STATUS_DONE
-            else:
-                status[t] = _STATUS_ADVANCE
-        i = j
+            if depth[i] > 0:
+                break
+
+
+def insert_round_map(pool_keys, pool_values, chain_slabs, chain_ptr, group, k, v):
+    """The insert hit/replace pass (map variant); see the reference contract."""
+    depth = np.empty(k.shape[0], dtype=np.int64)
+    hit_lanes = np.empty(k.shape[0], dtype=np.int64)
+    _insert_hits(pool_keys, chain_slabs, chain_ptr, group, k, depth, hit_lanes)
+    hits = np.flatnonzero(depth)
+    hit_slabs = chain_slabs[chain_ptr[group[hits]] + depth[hits] - 1]
+    pool_values[hit_slabs, hit_lanes[hits]] = v[hits]
+    return depth
+
+
+def insert_round_set(pool_keys, chain_slabs, chain_ptr, group, k):
+    """The insert hit pass (set variant); see the reference contract."""
+    depth = np.empty(k.shape[0], dtype=np.int64)
+    hit_lanes = np.empty(k.shape[0], dtype=np.int64)
+    _insert_hits(pool_keys, chain_slabs, chain_ptr, group, k, depth, hit_lanes)
+    return depth
 
 
 @njit(cache=True)
-def _insert_round_set(pool_keys, cur, k, status):
-    bc = pool_keys.shape[1]
-    m = cur.shape[0]
-    empty_lanes = np.empty(bc, dtype=np.int64)
-    i = 0
-    while i < m:
-        slab = cur[i]
-        j = i
-        while j < m and cur[j] == slab:
-            j += 1
-        n_empty = 0
-        for lane in range(bc):
-            if pool_keys[slab, lane] == _EMPTY32:
-                empty_lanes[n_empty] = lane
-                n_empty += 1
-        used = 0
-        for t in range(i, j):
-            key = k[t]
-            hit_lane = -1
-            for lane in range(bc):
-                if pool_keys[slab, lane] == key:
-                    hit_lane = lane
-                    break
-            if hit_lane >= 0:
-                status[t] = _STATUS_HIT
-            elif used < n_empty:
-                pool_keys[slab, empty_lanes[used]] = key
-                used += 1
-                status[t] = _STATUS_DONE
-            else:
-                status[t] = _STATUS_ADVANCE
-        i = j
+def _tail_empties(pool_keys, tails, n_empty):
+    for g in range(tails.shape[0]):
+        count = 0
+        for lane in range(pool_keys.shape[1]):
+            if pool_keys[tails[g], lane] == _EMPTY32:
+                count += 1
+        n_empty[g] = count
 
 
-def insert_round_map(pool_keys, pool_values, cur, k, v):
-    """One insert round (map variant); see the reference tier's contract."""
-    status = np.empty(cur.shape[0], dtype=np.uint8)
-    _insert_round_map(pool_keys, pool_values, cur, k, v, status)
-    return status
+def tail_empties(pool_keys, tails):
+    """Empty-lane count of each chain's tail slab, for insert placement."""
+    n_empty = np.empty(tails.shape[0], dtype=np.int64)
+    _tail_empties(pool_keys, tails, n_empty)
+    return n_empty
 
 
-def insert_round_set(pool_keys, cur, k):
-    """One insert round (set variant); see the reference tier's contract."""
-    status = np.empty(cur.shape[0], dtype=np.uint8)
-    _insert_round_set(pool_keys, cur, k, status)
-    return status
+@njit(cache=True)
+def fill_lanes(lane_matrix, slabs, lanes, vals):
+    """Scatter ``vals`` into ``lane_matrix[slabs, lanes]`` (distinct lanes)."""
+    for i in range(slabs.shape[0]):
+        lane_matrix[slabs[i], lanes[i]] = vals[i]
 
 
 @njit(cache=True)

@@ -1,24 +1,25 @@
 """The always-on pure-NumPy kernel tier (the executable specification).
 
-Each function is one *fused* whole-round (or whole-walk) pass over the
-structure-of-arrays slab arena or a sorted CSR: a single gather feeds hit
-detection, the empty-lane scan, rank-in-group lane claiming, and the
-scatter writes, with no per-item Python and no re-sorting between rounds
-(the insert driver maintains group contiguity across rounds instead — see
-:mod:`repro.slabhash.insert`).
+Each function is one *fused* pass over the structure-of-arrays slab arena
+or a sorted CSR, with no per-item Python: a probe round for search and
+delete (a single gather feeds hit detection and the empty-lane scan), a
+level-order walk of whole chains, and for insert one hit/replace pass over
+every (item, chain-slab) pair of the launch plus the two small passes its
+tail placement needs (:func:`tail_empties`, :func:`fill_lanes`) — see
+:mod:`repro.slabhash.insert` for the schedule.
 
 Kernels here are **pure with respect to the device model**: they never
 touch :mod:`repro.gpusim` counters.  Drivers charge the model from the
 tier-independent quantities these functions return (pending sizes, status
-counts, walk levels), which is what makes the optional jit tier
-(:mod:`repro.kernels.jit`) bit-identical in modeled cost by construction.
+counts, resolve depths, walk levels), which is what makes the optional jit
+tier (:mod:`repro.kernels.jit`) bit-identical in modeled cost by
+construction.
 
-Status codes shared by both tiers:
+Status codes of the search/delete probe rounds, shared by both tiers:
 
-- ``STATUS_HIT`` (0) — the probe found its key this round (insert:
-  replaced; search: found; delete: tombstoned);
-- ``STATUS_DONE`` (1) — the item resolved without a hit (insert: claimed
-  an empty lane; search/delete: an empty lane proved the key absent);
+- ``STATUS_HIT`` (0) — the probe found its key this round (search: found;
+  delete: tombstoned);
+- ``STATUS_DONE`` (1) — an empty lane proved the key absent;
 - ``STATUS_ADVANCE`` (2) — unresolved; the driver moves the item to the
   next slab in its chain.
 """
@@ -28,20 +29,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.slabhash.constants import EMPTY_KEY, KEY_DTYPE, NULL_SLAB, TOMBSTONE_KEY
-from repro.util.groupby import rank_within_group
 
 __all__ = [
     "STATUS_ADVANCE",
     "STATUS_DONE",
     "STATUS_HIT",
     "TIER_NAME",
+    "PAIR_LANE_BUDGET",
     "delete_round",
+    "fill_lanes",
     "insert_round_map",
     "insert_round_set",
     "merge_sorted_csr",
     "search_round_map",
     "search_round_set",
     "sort_window_last",
+    "tail_empties",
     "walk_chains",
 ]
 
@@ -50,71 +53,103 @@ TIER_NAME = "reference"
 
 #: Probe resolved by finding its key this round.
 STATUS_HIT = 0
-#: Probe resolved without a key hit (lane claimed / provably absent).
+#: Probe resolved without a key hit (provably absent).
 STATUS_DONE = 1
 #: Probe unresolved; advance to the next slab in the chain.
 STATUS_ADVANCE = 2
+
+#: Lane comparisons one chunk of the insert hit pass may materialise
+#: (pairs x lanes per slab), whatever the batch size and chain lengths.
+PAIR_LANE_BUDGET = 1 << 21
 
 _EMPTY32 = KEY_DTYPE(EMPTY_KEY)
 _TOMBSTONE32 = KEY_DTYPE(TOMBSTONE_KEY)
 _MASK32 = np.int64(0xFFFFFFFF)
 
 
-def _insert_round(pool_keys, pool_values, cur, k, v):
-    """Shared map/set insert round over group-contiguous pending items."""
-    m = cur.shape[0]
-    rows = pool_keys[cur]  # (m, Bc) gather = m slab reads (driver charges)
-    hit = rows == k[:, None]
-    hit_any = hit.any(axis=1)
-    status = np.full(m, STATUS_ADVANCE, dtype=np.uint8)
+def _replace_hits(pool_keys, pool_values, slabs, items, k, v):
+    """Match one chunk of (item, chain-slab) pairs; overwrite hit values.
 
-    # (1) replace existing keys (value update only; not "added").
-    if hit_any.any():
-        repl = np.flatnonzero(hit_any)
-        status[repl] = STATUS_HIT
-        if pool_values is not None:
-            lanes = hit[repl].argmax(axis=1)
-            pool_values[cur[repl], lanes] = v[repl]
-
-    rest = np.flatnonzero(~hit_any)
-    if rest.size:
-        # Equal slabs are contiguous (driver invariant), so rank-in-group
-        # needs no sort.  Reuse this round's gathered rows for the
-        # empty-lane scan instead of re-reading the pool.
-        rest_slabs = cur[rest]
-        rank = rank_within_group(rest_slabs)
-        empty = rows[rest] == _EMPTY32  # (r, Bc)
-        n_empty = empty.sum(axis=1)
-        fits = rank < n_empty
-
-        # (2) claim the rank-th empty lane of the shared slab.  The cumsum
-        # lane selection runs only over the rows that actually fit.
-        if fits.any():
-            empty_f = empty[fits]
-            csum = np.cumsum(empty_f, axis=1)
-            lane_match = empty_f & (csum == (rank[fits] + 1)[:, None])
-            lanes = lane_match.argmax(axis=1)
-            fit_rows = rest[fits]
-            pool_keys[rest_slabs[fits], lanes] = k[fit_rows]
-            if pool_values is not None:
-                pool_values[rest_slabs[fits], lanes] = v[fit_rows]
-            status[fit_rows] = STATUS_DONE
-    return status
-
-
-def insert_round_map(pool_keys, pool_values, cur, k, v):
-    """One insert round (map variant): replace / claim lane / advance.
-
-    ``cur`` / ``k`` / ``v`` are the pending items' current slab, key, and
-    value, with equal slabs contiguous.  Mutates the pool in place and
-    returns a per-item status array (see module docstring).
+    ``slabs`` / ``items`` are the pairs, item-major in chain order.
+    Returns ``(hit_items, hit_pairs)``: each item holding a key already
+    stored in its chain, and the pair (= first chain slab) that has it.
     """
-    return _insert_round(pool_keys, pool_values, cur, k, v)
+    matches = np.flatnonzero(pool_keys[slabs] == k[items][:, None])
+    pairs, lanes = np.divmod(matches, pool_keys.shape[1])
+    hit_items = items[pairs]
+    if hit_items.shape[0] > 1:
+        # Pairs run in chain order, so an item's first match is its hit.
+        first = np.empty(hit_items.shape[0], dtype=bool)
+        first[0] = True
+        np.not_equal(hit_items[1:], hit_items[:-1], out=first[1:])
+        pairs, lanes, hit_items = pairs[first], lanes[first], hit_items[first]
+    if pool_values is not None and hit_items.shape[0]:
+        pool_values[slabs[pairs], lanes] = v[hit_items]
+    return hit_items, pairs
 
 
-def insert_round_set(pool_keys, cur, k):
-    """One insert round (set variant): like the map but with no values."""
-    return _insert_round(pool_keys, None, cur, k, None)
+def _insert_round(pool_keys, pool_values, chain_slabs, chain_ptr, group, k, v):
+    """Shared map/set hit pass over every (item, chain-slab) pair."""
+    m = k.shape[0]
+    depth = np.zeros(m, dtype=np.int64)
+    max_pairs = max(PAIR_LANE_BUDGET // pool_keys.shape[1], 1)
+    if chain_slabs.shape[0] == chain_ptr.shape[0] - 1:
+        # No chain has a second slab: every item is its own single pair.
+        for lo in range(0, m, max_pairs):
+            items = np.arange(lo, min(lo + max_pairs, m), dtype=np.int64)
+            hit_items, _ = _replace_hits(
+                pool_keys, pool_values, chain_slabs[group[items]], items, k, v
+            )
+            depth[hit_items] = 1
+        return depth
+    first_slot = chain_ptr[group]
+    pairs_through = np.cumsum(chain_ptr[group + 1] - first_slot)
+    lo = 0
+    while lo < m:
+        done = int(pairs_through[lo - 1]) if lo else 0
+        # Whole items per chunk; one item alone may exceed the budget, but
+        # only by its own chain length.
+        hi = max(int(np.searchsorted(pairs_through, done + max_pairs, side="right")), lo + 1)
+        ends = pairs_through[lo:hi] - done
+        counts = np.diff(ends, prepend=0)
+        items = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
+        pos = np.arange(ends[-1], dtype=np.int64) - np.repeat(ends - counts, counts)
+        hit_items, pairs = _replace_hits(
+            pool_keys, pool_values, chain_slabs[first_slot[items] + pos], items, k, v
+        )
+        depth[hit_items] = pos[pairs] + 1
+        lo = hi
+    return depth
+
+
+def insert_round_map(pool_keys, pool_values, chain_slabs, chain_ptr, group, k, v):
+    """The insert hit/replace pass (map variant); one call spans the chains.
+
+    A "round" here is the whole launch's walk, not one chain step:
+    ``chain_slabs[chain_ptr[g]:chain_ptr[g + 1]]`` is group ``g``'s chain
+    in order, and ``group`` / ``k`` / ``v`` are the items' group, key, and
+    value.  Each item is matched against every slab of its chain; where
+    its key is already stored the value lane is overwritten.  Returns the
+    per-item resolve depth of the hits — chain position + 1 of the first
+    slab holding the key — and 0 for the misses the driver places at the
+    tail.  Temporaries are bounded by :data:`PAIR_LANE_BUDGET`.
+    """
+    return _insert_round(pool_keys, pool_values, chain_slabs, chain_ptr, group, k, v)
+
+
+def insert_round_set(pool_keys, chain_slabs, chain_ptr, group, k):
+    """The insert hit pass (set variant): like the map but with no values."""
+    return _insert_round(pool_keys, None, chain_slabs, chain_ptr, group, k, None)
+
+
+def tail_empties(pool_keys, tails):
+    """Empty-lane count of each chain's tail slab, for insert placement."""
+    return np.count_nonzero(pool_keys[tails] == _EMPTY32, axis=1)
+
+
+def fill_lanes(lane_matrix, slabs, lanes, vals):
+    """Scatter ``vals`` into ``lane_matrix[slabs, lanes]`` (distinct lanes)."""
+    lane_matrix[slabs, lanes] = vals
 
 
 def _probe_round(pool_keys, cur, k):

@@ -180,7 +180,7 @@ class SlabArena:
     - ``table_buckets[t]`` — bucket count.
 
     All operations are *batched*: they take parallel arrays of table ids and
-    keys and execute in vectorized probe rounds (see
+    keys and run as vectorized passes over the touched chains (see
     :mod:`repro.slabhash.insert` etc. for the kernel mechanics).
     """
 
@@ -315,6 +315,60 @@ class SlabArena:
         from repro.slabhash.iterate import collect_table_slabs
 
         return collect_table_slabs(self, table_ids)
+
+    # -- debug invariants ------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Verify the structure the batched kernels take for granted.
+
+        - every chain stays inside the pool and ends (no cycle), and no
+          slab is reachable from two buckets;
+        - empty lanes are the *end* of a chain: only its last slab has
+          any, and there they sit above every occupied lane — which is
+          what lets searches stop at an empty lane and inserts place
+          misses arithmetically behind the tail's occupied lanes;
+        - the free list holds no slab twice and none that a table owns.
+
+        O(pool) and charges nothing to the device model; raises
+        :class:`AssertionError`.  Runs after every
+        :class:`~repro.core.vertex_dict.VertexDictionary` mutation when
+        its debug switch is on.
+        """
+        from repro.slabhash.iterate import _ragged_arange
+
+        pool = self.pool
+        bump = pool._bump
+        tables = np.flatnonzero(self.table_base != NULL_SLAB)
+        buckets = self.table_buckets[tables]
+        frontier = np.repeat(self.table_base[tables], buckets) + _ragged_arange(buckets)
+        levels = []
+        visited = 0
+        while frontier.size:
+            if frontier.min() < 0 or frontier.max() >= bump:
+                raise AssertionError("a chain points outside the pool")
+            levels.append(frontier)
+            visited += frontier.size
+            if visited > bump:
+                break  # more visits than slabs: a cycle, caught below
+            nxt = pool.next_slab[frontier]
+            frontier = nxt[nxt != NULL_SLAB]
+        slabs = np.concatenate(levels) if levels else np.empty(0, dtype=np.int64)
+        if np.unique(slabs).size != slabs.size:
+            raise AssertionError("a slab is reachable twice (shared between chains, or a cycle)")
+
+        empty = pool.keys[slabs] == KEY_DTYPE(EMPTY_KEY)
+        n_empty = empty.sum(axis=1)
+        lanes = np.arange(pool.lane_capacity)
+        misplaced = (empty != (lanes >= (pool.lane_capacity - n_empty)[:, None])).any(axis=1)
+        misplaced |= (n_empty > 0) & (pool.next_slab[slabs] != NULL_SLAB)
+        if misplaced.any():
+            raise AssertionError(
+                f"empty lane before the end of a chain (slabs {slabs[misplaced][:8].tolist()})"
+            )
+
+        free = pool._free
+        if np.unique(free).size != free.size or np.isin(free, slabs).any():
+            raise AssertionError("free list holds a slab twice or one a table still owns")
 
     # -- scalar reference implementations (the executable specification) ------
 

@@ -1,9 +1,9 @@
 """Batched insert-with-replace kernel driver.
 
 This is the vectorized counterpart of the paper's slab-hash ``replace``
-operation as scheduled by Algorithm 1.  One *probe round* corresponds to
-one warp-synchronous chain step on the device: every pending item gathers
-its current slab, checks for its key, and either
+operation as scheduled by Algorithm 1.  On the device every item walks its
+bucket chain one slab per warp-synchronous *probe round* and at each slab
+either
 
 1. **replaces** — the key already exists; the value lane is overwritten and
    the item reports "not newly added" (uniqueness is preserved, the most
@@ -16,18 +16,36 @@ its current slab, checks for its key, and either
    simulated atomic CAS per chain extension), and the leftovers move to the
    next slab.
 
-The per-round work is dispatched through :mod:`repro.kernels` (reference
-NumPy tier or the optional jit tier); this driver owns scheduling, chain
-extension, and all device-model charging, so both tiers charge the
-:mod:`repro.gpusim` counters identically.
+The host does not replay those rounds.  Items sharing a head slab form a
+*group* that stays together for the whole walk (chains from different
+buckets never share slabs), and empty lanes exist only in a chain's last
+slab, so where every item ends up follows from one look at each chain.
+A launch is three steps:
 
-Group ordering is **hoisted out of the round loop**: one stable sort by
-head slab up front, and group contiguity is maintained for free across
-rounds — every member of a group advances to the same next slab, chains
-from different buckets never share slabs (groups can shrink but never
-merge or split), and mask-filtering preserves order.  The pre-refactor
-per-round re-sort is kept behind ``_resort_every_round`` for the
-equivalence regression test and the kernel bench.
+1. **walk once** — enumerate the chain behind every group's head slab
+   (``walk_chains`` over the unique heads, regrouped chain by chain);
+2. **hit pass** — match every item against every slab of its chain in one
+   kernel call (``insert_round_map`` / ``insert_round_set``); a hit at
+   chain position ``p`` is what the device resolves in round ``p + 1``;
+3. **tail placement** — rank each group's misses in launch order.  A
+   tail's occupied lanes are a prefix (claims take the lowest empty lane
+   and nothing ever empties one), so with ``used`` of its ``Bc`` lanes
+   occupied, miss ``rank`` lands ``(used + rank) // Bc`` slabs past the
+   tail, in lane ``(used + rank) % Bc`` — the tail itself, or new slab
+   ``q`` = that quotient - 1.
+
+The device model is charged from each item's *resolve depth* ``d`` — hit
+position + 1, chain length ``L`` for a miss placed in the tail, ``L + q +
+1`` for a spilled one: ``slab_reads`` grows by the sum of the depths and
+``probe_rounds`` by their maximum, exactly what the rounds would have
+counted.  New slabs are allocated in the device's order too — slab ``q``
+of a chain is linked in round ``L + q``, one allocation per such round,
+ascending tail-slab id within it — so slab ids, recycling, pool-growth
+copies and atomics are those of the round-by-round schedule.  The data
+movement is dispatched through :mod:`repro.kernels` (reference NumPy tier
+or the optional jit tier); this driver owns scheduling, chain extension,
+and all charging, so both tiers charge the :mod:`repro.gpusim` counters
+identically.
 
 Intra-batch duplicates of the same (table, key) are resolved *before* the
 walk by keeping the last occurrence — the serialization the paper specifies
@@ -45,22 +63,13 @@ import numpy as np
 
 from repro.gpusim.counters import get_counters
 from repro.kernels import get_kernels
-from repro.kernels.reference import STATUS_ADVANCE, STATUS_DONE, STATUS_HIT
-from repro.slabhash.constants import (
-    EMPTY_KEY,
-    KEY_DTYPE,
-    MAX_KEY,
-    NULL_SLAB,
-    VALUE_DTYPE,
-)
+from repro.slabhash.constants import KEY_DTYPE, MAX_KEY, NULL_SLAB, VALUE_DTYPE
 from repro.util.errors import ValidationError
-from repro.util.groupby import last_occurrence_mask
+from repro.slabhash.iterate import _ragged_arange
+from repro.util.groupby import group_starts, last_occurrence_mask, segment_lengths_from_starts
 from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
 __all__ = ["insert_batch"]
-
-# Re-exported for the empty-lane invariant tests (pre-refactor surface).
-_ = EMPTY_KEY
 
 
 def _composite(table_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -68,7 +77,34 @@ def _composite(table_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return (table_ids.astype(np.int64) << 32) | keys.astype(np.int64)
 
 
-def insert_batch(arena, table_ids, keys, values=None, _resort_every_round=False) -> np.ndarray:
+def _extend_chains(pool, tails, lengths, n_new) -> np.ndarray:
+    """Allocate and link ``n_new[g]`` slabs behind ``tails[g]``.
+
+    Returns the new slab ids chain by chain, each chain's in link order
+    (``q`` = 0, 1, ...).  Allocation follows the device's
+    rounds: slab ``q`` of a chain of length ``L`` is linked in round ``L +
+    q`` by the chain's then-tail; each round with links is one
+    ``pool.allocate`` handing ids out in ascending tail-slab order.
+    """
+    chain = np.repeat(np.arange(tails.shape[0], dtype=np.int64), n_new)
+    q = _ragged_arange(n_new)
+    link_round = lengths[chain] + q
+    by_round = np.argsort(link_round, kind="stable")
+    bounds = np.append(group_starts(link_round[by_round]), chain.shape[0])
+    new_ids = np.empty(chain.shape[0], dtype=np.int64)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        slots = by_round[lo:hi]
+        # A chain's slab q - 1 was linked one round earlier and sits one
+        # slot before slab q.
+        prev = np.where(q[slots] == 0, tails[chain[slots]], new_ids[slots - 1])
+        order = np.argsort(prev)
+        ids = pool.allocate(hi - lo)
+        new_ids[slots[order]] = ids
+        pool.next_slab[prev[order]] = ids
+    return new_ids
+
+
+def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
     """Insert (table, key[, value]) items; return per-item "newly added".
 
     Parameters
@@ -78,11 +114,6 @@ def insert_batch(arena, table_ids, keys, values=None, _resort_every_round=False)
     table_ids, keys, values:
         Parallel arrays.  ``values`` is required for weighted (map) arenas
         and ignored for set arenas.
-    _resort_every_round:
-        Re-sort the pending set by slab id each round (the pre-refactor
-        schedule).  Bit-identical results and counters — maintained group
-        contiguity makes the re-sort a no-op permutation of groups — kept
-        only so tests and the kernel bench can prove/price exactly that.
 
     Returns
     -------
@@ -95,9 +126,7 @@ def insert_batch(arena, table_ids, keys, values=None, _resort_every_round=False)
     table_ids = as_int_array(table_ids, "table_ids")
     keys = as_int_array(keys, "keys")
     n = check_equal_length(("table_ids", table_ids), ("keys", keys))
-    if values is None:
-        values = np.zeros(n, dtype=np.int64)
-    else:
+    if values is not None:
         values = as_int_array(values, "values")
         check_equal_length(("keys", keys), ("values", values))
     if n == 0:
@@ -111,58 +140,76 @@ def insert_batch(arena, table_ids, keys, values=None, _resort_every_round=False)
     counters.kernel_launches += 1
     pool = arena.pool
     weighted = pool.weighted
+    lane_capacity = pool.lane_capacity
     kern = get_kernels()
 
     # Intra-batch replace semantics: keep the last occurrence per (table, key).
-    keep = last_occurrence_mask(_composite(table_ids, keys))
-    live_idx = np.flatnonzero(keep)
-    t = table_ids[live_idx]
+    live_idx = np.flatnonzero(last_occurrence_mask(_composite(table_ids, keys)))
     keys_live = keys[live_idx]
-    k = keys_live.astype(KEY_DTYPE)
-    v = values[live_idx].astype(VALUE_DTYPE)
+    heads = arena.bucket_heads(table_ids[live_idx], keys_live)
 
-    cur = arena.bucket_heads(t, keys_live)
+    # Group-major item order; the stable sort keeps launch order in a group.
+    order = np.argsort(heads, kind="stable")
+    heads = heads[order]
+    k = keys_live[order].astype(KEY_DTYPE)
+    if not weighted:
+        v = None
+    elif values is None:
+        v = np.zeros(k.shape[0], dtype=VALUE_DTYPE)
+    else:
+        v = values[live_idx[order]].astype(VALUE_DTYPE)
+    starts = group_starts(heads)
+    group_heads = heads[starts]
+    num_groups = group_heads.shape[0]
+    group = np.repeat(
+        np.arange(num_groups, dtype=np.int64),
+        segment_lengths_from_starts(starts, heads.shape[0]),
+    )
+
+    # (1) Walk every touched chain once and regroup it chain by chain.
+    chain_slabs, owner, _, _, _ = kern.walk_chains(pool.next_slab, group_heads)
+    if chain_slabs.shape[0] == num_groups:
+        lengths = np.ones(num_groups, dtype=np.int64)
+    else:
+        chain_slabs = chain_slabs[np.argsort(owner, kind="stable")]
+        lengths = np.bincount(owner, minlength=num_groups)
+    chain_ptr = np.concatenate([[0], np.cumsum(lengths)])
+
+    # (2) One hit/replace pass over the (item, chain-slab) pairs.
+    if weighted:
+        depth = kern.insert_round_map(pool.keys, pool.values, chain_slabs, chain_ptr, group, k, v)
+    else:
+        depth = kern.insert_round_set(pool.keys, chain_slabs, chain_ptr, group, k)
+    misses = np.flatnonzero(depth == 0)
+    writes = int(misses.shape[0])
+    if weighted:
+        writes += int(depth.shape[0] - misses.shape[0])
+
+    # (3) Place the misses behind each tail's occupied lanes, spilling
+    # into new slabs every ``lane_capacity`` lanes.
+    if misses.size:
+        tails = chain_slabs[chain_ptr[1:] - 1]
+        occupied = lane_capacity - kern.tail_empties(pool.keys, tails)
+        miss_group = group[misses]
+        miss_count = np.bincount(miss_group, minlength=num_groups)
+        rank = _ragged_arange(miss_count)  # misses are group-major
+        beyond, lanes = np.divmod(occupied[miss_group] + rank, lane_capacity)
+        n_new = np.maximum(occupied + miss_count - 1, 0) // lane_capacity
+        slabs = tails[miss_group]
+        if n_new.any():
+            new_ids = _extend_chains(pool, tails, lengths, n_new)
+            writes += int(new_ids.shape[0])  # link writes
+            first_new = np.cumsum(n_new) - n_new
+            spilled = np.flatnonzero(beyond)
+            slabs[spilled] = new_ids[first_new[miss_group[spilled]] + beyond[spilled] - 1]
+        depth[misses] = lengths[miss_group] + beyond
+        kern.fill_lanes(pool.keys, slabs, lanes, k[misses])
+        if weighted:
+            kern.fill_lanes(pool.values, slabs, lanes, v[misses])
+
+    counters.probe_rounds += int(depth.max())
+    counters.slab_reads += int(depth.sum())
+    counters.slab_writes += writes
     added = np.zeros(n, dtype=bool)
-
-    # One stable sort for the whole walk (hoisted out of the round loop):
-    # items sharing a slab stay contiguous across rounds because a group
-    # advances to one shared next slab and groups never merge.
-    pending = np.argsort(cur, kind="stable")
-
-    while pending.size:
-        if _resort_every_round:
-            pending = pending[np.argsort(cur[pending], kind="stable")]
-        counters.probe_rounds += 1
-        cur_p = cur[pending]
-        if weighted:
-            status = kern.insert_round_map(pool.keys, pool.values, cur_p, k[pending], v[pending])
-        else:
-            status = kern.insert_round_set(pool.keys, cur_p, k[pending])
-        counters.slab_reads += int(pending.size)
-
-        placed = pending[status == STATUS_DONE]
-        writes = int(placed.size)
-        if weighted:
-            writes += int(np.count_nonzero(status == STATUS_HIT))
-        counters.slab_writes += writes
-        if placed.size:
-            added[live_idx[placed]] = True
-
-        # Advance overflow items, extending chains where necessary.
-        over = pending[status == STATUS_ADVANCE]
-        if over.size:
-            over_slabs = cur[over]
-            nxt = pool.next_slab[over_slabs]
-            need = nxt == NULL_SLAB
-            if need.any():
-                tails = np.unique(over_slabs[need])
-                new_ids = pool.allocate(tails.size)
-                pool.next_slab[tails] = new_ids
-                counters.slab_writes += int(tails.size)  # link writes
-                # tails is sorted, so each needing item finds its freshly
-                # linked slab by position — no second next_slab gather.
-                nxt[need] = new_ids[np.searchsorted(tails, over_slabs[need])]
-            cur[over] = nxt
-        pending = over
-
+    added[live_idx[order[misses]]] = True
     return added

@@ -1,0 +1,208 @@
+"""The one-walk insert schedule: golden long chains, scalar spec, chunking.
+
+``insert_batch`` walks each touched chain once per launch (hit pass + tail
+placement) instead of replaying the device's probe rounds, and derives the
+device-model charges from resolve depths.  These tests pin that the result
+is the round-by-round schedule's, bit for bit:
+
+- a golden long-chain scenario whose counters and pool digest were recorded
+  with the round-loop driver of the parent commit (293969f);
+- a hypothesis property against the scalar ``reference_insert_one`` spec;
+- a chunked hit pass (tiny pair budget) equal to the unchunked one.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.gpusim.counters import get_counters
+from repro.kernels import reference, use_tier
+from repro.slabhash.arena import SlabArena
+
+
+def counters_dict():
+    return {k: v for k, v in vars(get_counters()).items() if k != "_extra"}
+
+
+def pool_digest(arena, *extra):
+    """SHA-256 of the allocated pool rows (+ any result arrays)."""
+    pool = arena.pool
+    bump = pool._bump
+    h = hashlib.sha256()
+    h.update(pool.keys[:bump].tobytes())
+    h.update(pool.next_slab[:bump].tobytes())
+    if pool.weighted:
+        h.update(pool.values[:bump].tobytes())
+    for arr in extra:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def long_chain_scenario(weighted):
+    """Single-bucket tables driven through every shape the schedule handles.
+
+    In order: one launch growing the pool across two doublings (16 -> 32
+    -> 64 slabs) while six chains spill five slabs each; a launch building
+    a 40+-slab chain; a launch mixing replace hits at every depth of that
+    chain, in-batch duplicates, misses that fit a tail, and a fresh tail
+    overflowing by four slabs; tombstones; vertex deletion recycling
+    overflow slabs; a launch whose chains of different lengths link new
+    slabs in the same rounds out of the recycled ids; a flush that
+    rebuilds the long chain from recycled slabs.
+    """
+    rng = np.random.default_rng(2020)
+    arena = SlabArena(6, weighted=weighted, initial_slab_capacity=16)
+    arena.create_tables(np.arange(6), np.ones(6, dtype=np.int64))
+    bc = arena.pool.lane_capacity
+    get_counters().reset()
+    added = []
+
+    def insert(t, k):
+        v = rng.integers(1, 1000, len(k)) if weighted else None
+        added.append(arena.insert(np.asarray(t), np.asarray(k), v))
+
+    # Pool growth across two doublings in one launch (6 -> 36 slabs).
+    per_table = 5 * bc + 3
+    insert(np.repeat(np.arange(6), per_table), np.tile(np.arange(per_table), 6))
+    # A >= 40-slab chain in table 0.
+    long_keys = 1000 + rng.permutation(41 * bc)
+    insert(np.zeros(long_keys.size, dtype=np.int64), long_keys)
+    assert int(np.count_nonzero(arena.table_slabs(np.array([0]))[1] == 0)) >= 40
+    # Hits at varied depths + duplicates + tail fits + a 4-slab overflow.
+    hit_keys = long_keys[:: max(long_keys.size // 40, 1)]
+    dup_keys = np.concatenate([hit_keys[:10], hit_keys[:10], [5000, 5000, 5001]])
+    fresh = 6000 + np.arange(4 * bc + 2)
+    t = np.concatenate(
+        [
+            np.zeros(hit_keys.size + dup_keys.size, dtype=np.int64),
+            np.full(fresh.size, 1),
+            np.full(4, 2),
+        ]
+    )
+    k = np.concatenate([hit_keys, dup_keys, fresh, [7000, 7001, 2, 7000]])
+    shuffle = rng.permutation(t.size)
+    insert(t[shuffle], k[shuffle])
+    # Tombstones, then vertex deletion frees overflow slabs for recycling.
+    arena.delete(np.zeros(60, dtype=np.int64), long_keys[100:160])
+    arena.delete(np.full(20, 4), np.arange(20))
+    arena.clear_tables(np.array([2, 3]))
+    # Chains of lengths 1, 1, 6, 6 and 10+ link new slabs in shared rounds.
+    sizes = {2: 3 * bc + 1, 3: 2 * bc, 4: 3 * bc, 5: bc + 5, 1: 2 * bc + 7}
+    t = np.concatenate([np.full(n, tid) for tid, n in sizes.items()])
+    k = np.concatenate([9000 + np.arange(n) for n in sizes.values()])
+    shuffle = rng.permutation(t.size)
+    insert(t[shuffle], k[shuffle])
+    # Reinsert tombstoned keys (misses now) next to live ones (hits).
+    insert(np.zeros(80, dtype=np.int64), long_keys[90:170])
+    arena.flush_tombstones(np.array([0, 4]))
+    return counters_dict(), pool_digest(arena, arena.pool._free, *added)
+
+
+#: Recorded at the parent commit (round-loop driver), reference tier.
+GOLDEN = {
+    False: (
+        {
+            "slab_reads": 76389,
+            "slab_writes": 4509,
+            "probe_rounds": 371,
+            "atomics": 206,
+            "slabs_allocated": 140,
+            "slabs_freed": 66,
+            "sorted_elements": 0,
+            "scanned_elements": 0,
+            "kernel_launches": 8,
+            "bytes_copied": 14336,
+        },
+        "f31f08581e8484506f7884bb5027c160019705fe7706fdb6c2cbef09063e415c",
+    ),
+    True: (
+        {
+            "slab_reads": 41426,
+            "slab_writes": 2472,
+            "probe_rounds": 383,
+            "atomics": 209,
+            "slabs_allocated": 141,
+            "slabs_freed": 68,
+            "sorted_elements": 0,
+            "scanned_elements": 0,
+            "kernel_launches": 8,
+            "bytes_copied": 14336,
+        },
+        "836a0f1911cb4e3c50b77754d6d689ceba549f5f885035c97ebb2a898dd3a6db",
+    ),
+}
+
+
+class TestGoldenLongChains:
+    @pytest.mark.parametrize("tier", ["reference", "jit"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_counters_and_pool_match_round_loop(self, weighted, tier):
+        with use_tier(tier, force=True):
+            counters, digest = long_chain_scenario(weighted)
+        want_counters, want_digest = GOLDEN[weighted]
+        assert counters == want_counters
+        assert digest == want_digest
+
+
+def table_content(arena, num_tables):
+    owners, keys, values = arena.iterate(np.arange(num_tables))
+    return sorted(zip(owners.tolist(), keys.tolist(), values.tolist()))
+
+
+launches = st.lists(
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 120), st.integers(0, 9)),
+        min_size=1,
+        max_size=90,
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestScalarSpec:
+    @given(launches, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_reference_insert_one(self, batches, weighted):
+        """Same ``added`` mask and per-table key -> value content as the
+        scalar chain walk, feeding it each batch's surviving occurrences."""
+        batched = SlabArena(3, weighted=weighted)
+        scalar = SlabArena(3, weighted=weighted)
+        for arena in (batched, scalar):
+            arena.create_tables(np.arange(3), np.ones(3, dtype=np.int64))
+        for items in batches:
+            t, k, v = (np.array(col) for col in zip(*items))
+            added = batched.insert(t, k, v if weighted else None)
+            last = {(ti, ki): i for i, (ti, ki, _) in enumerate(items)}
+            want = np.zeros(len(items), dtype=bool)
+            for i, (ti, ki, vi) in enumerate(items):
+                if last[(ti, ki)] == i:
+                    want[i] = scalar.reference_insert_one(ti, ki, vi)
+            assert np.array_equal(added, want)
+            assert table_content(batched, 3) == table_content(scalar, 3)
+
+
+class TestChunkedHitPass:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_small_pair_budget_equals_unchunked(self, weighted, monkeypatch):
+        def run():
+            rng = np.random.default_rng(77)
+            arena = SlabArena(5, weighted=weighted)
+            arena.create_tables(np.arange(5), np.ones(5, dtype=np.int64))
+            get_counters().reset()
+            masks = []
+            for _ in range(4):
+                t = np.minimum(rng.geometric(0.5, 600) - 1, 4)
+                k = rng.integers(0, 400, 600)
+                v = rng.integers(1, 50, 600) if weighted else None
+                masks.append(arena.insert(t, k, v))
+            return counters_dict(), pool_digest(arena, *masks)
+
+        whole = run()
+        # ~2 pairs per chunk: every launch spans hundreds of chunks, and
+        # single items whose chain alone exceeds the budget.
+        monkeypatch.setattr(reference, "PAIR_LANE_BUDGET", 64)
+        assert run() == whole

@@ -1,4 +1,4 @@
-"""Kernel-tier dispatch, counter parity, and the hoisted-sort regression.
+"""Kernel-tier dispatch and counter parity.
 
 Pins the contracts the ``repro.kernels`` refactor introduced:
 
@@ -6,8 +6,6 @@ Pins the contracts the ``repro.kernels`` refactor introduced:
 - the jit tier is **bit-identical** to the reference tier — outputs, pool
   mutations, device-model counters, and the t2-family bench metrics built
   from them — even when it runs as the uncompiled Python fallback;
-- the hoisted insert group ordering matches the legacy per-round re-sort
-  bit-for-bit (satellite fix for the old ``np.argsort`` per probe round);
 - the committed quick baseline carries the ``t15`` parity proofs.
 """
 
@@ -36,8 +34,6 @@ from repro.kernels import (
     set_tier,
     use_tier,
 )
-from repro.slabhash.arena import SlabArena
-from repro.slabhash.insert import insert_batch
 from repro.util.errors import ValidationError
 
 BASELINE = Path(__file__).resolve().parent.parent / "benchmarks/baselines/BENCH_baseline_quick.json"
@@ -220,31 +216,6 @@ class TestCounterParity:
         assert ref  # sanity: the table actually produced metrics
 
 
-class TestHoistedSortRegression:
-    """Satellite fix: one up-front stable sort instead of one per round."""
-
-    @pytest.mark.parametrize("weighted", [True, False])
-    def test_hoisted_matches_legacy_resort(self, weighted):
-        def run(resort):
-            rng = np.random.default_rng(99)
-            arena = SlabArena(num_tables=32, weighted=weighted)
-            arena.create_tables(np.arange(32), np.full(32, 2))
-            t = rng.integers(0, 32, 3000)
-            k = rng.integers(0, 800, 3000)
-            v = rng.integers(1, 50, 3000) if weighted else None
-            get_counters().reset()
-            added = insert_batch(arena, t, k, v, _resort_every_round=resort)
-            return (
-                added,
-                arena.pool.keys.copy(),
-                arena.pool.values.copy() if weighted else None,
-                arena.pool.next_slab.copy(),
-                counters_dict(),
-            )
-
-        assert_state_equal(run(False), run(True))
-
-
 class TestKernelBenchArtifact:
     def test_op_parity_all_ops(self):
         for op in OPS:
@@ -256,8 +227,6 @@ class TestKernelBenchArtifact:
         for op in OPS:
             assert f"t15/{op}/reference_wall_ms" in keys
             assert f"t15/{op}/jit_parity" in keys
-        assert "t15/insert/resort_wall_ms" in keys
-        assert "t15/insert/resort_parity" in keys
         parities = [r.value for r in art.results if r.metric.endswith("_parity")]
         assert parities and all(v == 1.0 for v in parities)
 
@@ -277,7 +246,6 @@ class TestBaselineGates:
         doc, metrics = self.baseline_metrics()
         for op in OPS:
             assert metrics.get(f"t15/{op}/jit_parity") == 1.0
-        assert metrics.get("t15/insert/resort_parity") == 1.0
         assert doc["environment"].get("kernel_tier") in KERNEL_TIERS
 
     def test_baseline_jit_speedup_gate_when_present(self):

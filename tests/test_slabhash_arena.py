@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.vertex_dict import DEBUG_ENV_VAR, VertexDictionary
 from repro.gpusim.counters import counting
 from repro.slabhash.arena import SlabArena
 from repro.slabhash.constants import (
@@ -253,3 +254,89 @@ class TestTailInvariant:
             kd = rng.integers(0, 200, 150)
             arena.delete(td, kd)
             check_tail_invariant(arena, np.arange(6))
+
+
+def break_arena(weighted=False):
+    """A small valid arena with one two-slab chain and a freed slab."""
+    arena = SlabArena(3, weighted=weighted)
+    arena.create_tables(np.arange(3), np.ones(3, dtype=np.int64))
+    bc = arena.pool.lane_capacity
+    arena.insert(np.zeros(bc + 2, dtype=np.int64), np.arange(bc + 2))
+    arena.insert(np.ones(bc + 1, dtype=np.int64), np.arange(bc + 1))
+    arena.clear_tables(np.array([1]))
+    arena.check_invariants()
+    return arena
+
+
+class TestArenaInvariants:
+    def test_valid_after_mixed_workload(self):
+        rng = np.random.default_rng(3)
+        arena = SlabArena(8, weighted=True)
+        arena.create_tables(np.arange(8), rng.integers(1, 3, 8))
+        for _ in range(6):
+            t, k, v = (rng.integers(0, hi, 400) for hi in (8, 300, 9))
+            arena.insert(t, k, v)
+            arena.delete(rng.integers(0, 8, 100), rng.integers(0, 300, 100))
+            arena.clear_tables(rng.integers(0, 8, 1))
+            arena.check_invariants()
+        arena.flush_tombstones(np.arange(8))
+        arena.check_invariants()
+
+    def test_empty_lane_before_the_last_slab_trips(self):
+        arena = break_arena()
+        arena.pool.keys[arena.table_base[0], 3] = EMPTY_KEY
+        with pytest.raises(AssertionError, match="empty lane"):
+            arena.check_invariants()
+
+    def test_empty_lane_below_an_occupied_one_trips(self):
+        arena = break_arena()
+        tail = arena.pool.next_slab[arena.table_base[0]]
+        arena.pool.keys[tail, 0] = EMPTY_KEY
+        with pytest.raises(AssertionError, match="empty lane"):
+            arena.check_invariants()
+
+    def test_tombstones_are_not_empties(self):
+        arena = break_arena()
+        arena.pool.keys[arena.table_base[0], 3] = TOMBSTONE_KEY
+        arena.check_invariants()
+
+    def test_cycle_trips(self):
+        arena = break_arena()
+        head = arena.table_base[0]
+        arena.pool.next_slab[arena.pool.next_slab[head]] = head
+        with pytest.raises(AssertionError, match="reachable twice"):
+            arena.check_invariants()
+
+    def test_shared_slab_trips(self):
+        arena = break_arena()
+        arena.pool.next_slab[arena.table_base[2]] = arena.pool.next_slab[arena.table_base[0]]
+        with pytest.raises(AssertionError, match="reachable twice"):
+            arena.check_invariants()
+
+    def test_dangling_next_pointer_trips(self):
+        arena = break_arena()
+        arena.pool.next_slab[arena.table_base[2]] = arena.pool._bump + 5
+        with pytest.raises(AssertionError, match="outside the pool"):
+            arena.check_invariants()
+
+    def test_duplicate_free_slab_trips(self):
+        arena = break_arena()
+        arena.pool._free = np.concatenate([arena.pool._free, arena.pool._free[:1]])
+        with pytest.raises(AssertionError, match="free list"):
+            arena.check_invariants()
+
+    def test_reachable_slab_on_free_list_trips(self):
+        arena = break_arena()
+        arena.pool._free = np.append(arena.pool._free, arena.pool.next_slab[arena.table_base[0]])
+        with pytest.raises(AssertionError, match="free list"):
+            arena.check_invariants()
+
+    def test_vertex_dictionary_debug_switch_runs_it(self, monkeypatch):
+        monkeypatch.setenv(DEBUG_ENV_VAR, "1")
+        vd = VertexDictionary(4, weighted=False)
+        vd.ensure_tables(np.arange(4))
+        vd.arena.insert(np.zeros(5, dtype=np.int64), np.arange(5))
+        vd.add_edge_counts(np.zeros(5, dtype=np.int64))
+        vd.arena.pool.keys[vd.arena.table_base[0], 0] = EMPTY_KEY
+        with pytest.raises(AssertionError, match="empty lane"):
+            vd.add_edge_counts(np.array([1]))

@@ -42,7 +42,7 @@ def main() -> None:
             f"  phase {p.index}: full {p.model_seconds * 1e3:7.4f} ms "
             f"({p.detail['pr_sweeps']} cold sweeps)   "
             f"incremental {q.model_seconds * 1e3:7.4f} ms "
-            f"({q.detail['pr_sweeps']} warm sweeps, CC {q.detail['cc_mode']})"
+            f"({q.detail['pr_sweeps']} warm sweeps, CC {q.detail['modes']['cc']})"
         )
     speedup = full.mean_compute_model_seconds() / incr.mean_compute_model_seconds()
     print(f"incremental vs full-recompute speedup: {speedup:.2f}x\n")

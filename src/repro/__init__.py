@@ -35,8 +35,7 @@ Quickstart (the unified API)::
     api.backend_names()              # ('btree', 'faimgraph', 'gpma', 'hornet', 'slabhash')
     api.create("hornet", num_vertices=1000)   # raw backend by name
 
-The legacy entry point still works (``from repro import DynamicGraph``)
-and constructs the slab-hash backend directly.
+The slab-hash structure itself is :class:`repro.core.DynamicGraph`.
 """
 
 from repro.api import Capabilities, CSRSnapshot, Graph, GraphBackend
@@ -49,7 +48,6 @@ __all__ = [
     "COO",
     "Capabilities",
     "CSRSnapshot",
-    "DynamicGraph",
     "Graph",
     "GraphBackend",
     "backend_names",
@@ -58,29 +56,3 @@ __all__ = [
     "register",
     "__version__",
 ]
-
-_DEPRECATED = {"DynamicGraph"}
-
-
-def __getattr__(name: str):
-    """Thin deprecation shim for the pre-registry entry points.
-
-    ``from repro import DynamicGraph`` keeps working (it is also the
-    lazy-import path that avoids loading the whole core package on
-    ``import repro``) but new code should construct by backend name via
-    :func:`repro.api.create` or :meth:`repro.api.Graph.create`.
-    """
-    if name in _DEPRECATED:
-        import warnings
-
-        warnings.warn(
-            f"'from repro import {name}' is a legacy alias; prefer "
-            "repro.api.create('slabhash', num_vertices=...) or "
-            "repro.Graph.create('slabhash', ...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core import DynamicGraph
-
-        return DynamicGraph
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -45,13 +45,6 @@ it into the cached sorted CSR (:func:`repro.api.snapshot.merge_csr_delta`)
 events, version-chain breaks, and retention gaps fall back to a cold
 rebuild automatically; merged snapshots are bit-identical to cold ones
 (pinned by the cross-backend contract tests).
-
-Delta subscribers: :meth:`Graph.subscribe_deltas` remains as the
-facade-flavored push interface — a subscriber receives
-``on_edge_batch(is_insert, src, dst, weights, before_version)`` after
-every applied batch and ``on_structural(reason)`` for structural events.
-It is a thin adapter over ``Graph.events.subscribe``; new consumers
-should subscribe to (or hold a cursor on) the event log directly.
 """
 
 from __future__ import annotations
@@ -65,20 +58,14 @@ from repro.api.capabilities import Capabilities
 from repro.api.registry import create as _create_backend
 from repro.api.snapshot import CSRSnapshot, as_snapshot, merge_event_window
 from repro.coo import COO
-from repro.eventlog import EdgeBatch, EventLog, StructuralEvent, version_chain_intact
+from repro.eventlog import DEFAULT_RETENTION_ROWS, EdgeBatch, EventLog, version_chain_intact
 from repro.util.errors import ValidationError
 from repro.util.groupby import last_occurrence_mask
 from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
-__all__ = ["Graph", "DEFAULT_DELTA_LIMIT", "MAX_PACKABLE_VERTICES", "normalize_batch"]
+__all__ = ["Graph", "MAX_PACKABLE_VERTICES", "normalize_batch"]
 
 _SELF_LOOP_POLICIES = ("drop", "error")
-
-#: Default bound on retained event-log rows before old events are trimmed
-#: and lagging readers (the snapshot merge included) fall back to a cold
-#: rebuild.  Past ~|E| logged rows the merge stops beating the rebuild
-#: anyway; 2^16 keeps the log's memory bounded regardless of graph size.
-DEFAULT_DELTA_LIMIT = 1 << 16
 
 #: Largest vertex-id space the ``(src << 32) | dst`` composite-key packing
 #: (batch dedup, snapshot delta-merge) can represent: ids must fit in 31
@@ -148,22 +135,6 @@ def normalize_batch(
     return src, dst, weights
 
 
-class _LegacyDeltaAdapter:
-    """Bridges an ``on_edge_batch``/``on_structural`` subscriber onto the
-    event log's ``on_event`` protocol (see :meth:`Graph.subscribe_deltas`)."""
-
-    def __init__(self, subscriber) -> None:
-        self.subscriber = subscriber
-
-    def on_event(self, event) -> None:
-        if isinstance(event, EdgeBatch):
-            self.subscriber.on_edge_batch(
-                event.is_insert, event.src, event.dst, event.weights, event.before_version
-            )
-        elif isinstance(event, StructuralEvent):
-            self.subscriber.on_structural(event.reason)
-
-
 class Graph:
     """A backend-agnostic dynamic graph with uniform batch normalization.
 
@@ -181,7 +152,7 @@ class Graph:
         self_loops: str = "drop",
         dedup_batches: bool = False,
         default_weight: int = 0,
-        snapshot_delta_limit: int = DEFAULT_DELTA_LIMIT,
+        event_retention: int = DEFAULT_RETENTION_ROWS,
     ) -> None:
         if isinstance(backend, str):
             raise ValidationError(
@@ -197,13 +168,12 @@ class Graph:
         self.self_loops = self_loops
         self.dedup_batches = bool(dedup_batches)
         self.default_weight = int(default_weight)
-        if snapshot_delta_limit < 0:
-            raise ValidationError("snapshot_delta_limit must be non-negative")
-        self.snapshot_delta_limit = int(snapshot_delta_limit)
-        #: The first-class event log every facade mutation publishes to.
-        self.events = EventLog(retention_rows=self.snapshot_delta_limit)
+        if event_retention < 0:
+            raise ValidationError("event_retention must be non-negative")
+        #: The first-class event log every facade mutation publishes to;
+        #: it retains at most ``event_retention`` rows.
+        self.events = EventLog(retention_rows=int(event_retention))
         self._snap_cursor = self.events.cursor()
-        self._legacy_subscribers: dict = {}
 
     @classmethod
     def create(
@@ -215,7 +185,7 @@ class Graph:
         self_loops: str = "drop",
         dedup_batches: bool = False,
         default_weight: int = 0,
-        snapshot_delta_limit: int = DEFAULT_DELTA_LIMIT,
+        event_retention: int = DEFAULT_RETENTION_ROWS,
         **backend_kwargs: Any,
     ) -> "Graph":
         """Construct a registered backend by name and wrap it."""
@@ -225,7 +195,7 @@ class Graph:
             self_loops=self_loops,
             dedup_batches=dedup_batches,
             default_weight=default_weight,
-            snapshot_delta_limit=snapshot_delta_limit,
+            event_retention=event_retention,
         )
 
     # -- identity ---------------------------------------------------------------
@@ -514,32 +484,6 @@ class Graph:
     def _delta_rows(self) -> int:
         """Pending snapshot-merge rows (mirror-adjusted; test hook)."""
         return self._snap_cursor.pending_rows()
-
-    # -- delta subscribers -------------------------------------------------------------
-
-    def subscribe_deltas(self, subscriber) -> None:
-        """Register a live observer of this facade's applied deltas.
-
-        ``subscriber`` must implement ``on_edge_batch(is_insert, src, dst,
-        weights, before_version)`` — called after every applied edge
-        batch with the *normalized* arrays — and ``on_structural(reason)``
-        for mutations that cannot be expressed as an edge delta
-        (``"delete_vertices"``, ``"bulk_build"``, ``"rehash"``,
-        ``"flush_tombstones"``).  This is a compatibility adapter over
-        ``self.events.subscribe``; consumers that want sequence numbers,
-        cursors, or gap detection should use the event log directly.
-        """
-        if subscriber in self._legacy_subscribers:
-            return
-        adapter = _LegacyDeltaAdapter(subscriber)
-        self._legacy_subscribers[subscriber] = adapter
-        self.events.subscribe(adapter)
-
-    def unsubscribe_deltas(self, subscriber) -> None:
-        """Remove a subscriber registered via :meth:`subscribe_deltas`."""
-        adapter = self._legacy_subscribers.pop(subscriber, None)
-        if adapter is not None:
-            self.events.unsubscribe(adapter)
 
     # -- plumbing ----------------------------------------------------------------------
 

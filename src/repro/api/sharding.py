@@ -31,18 +31,20 @@ run unchanged — and bit-identical to the same workload applied to a
 single ``Graph``.
 
 Robustness (see ``docs/robustness.md``): every shard carries a health
-state (``"healthy"`` / ``"degraded"`` / ``"dead"``).  Transient shard
-faults are retried with bounded modeled backoff (:class:`RetryPolicy`);
-a permanent fault marks the shard dead.  A mutation that fails on some
-shards reports **exactly which shards applied** (:class:`DispatchReport`)
-and is re-driveable via :meth:`ShardedGraph.redrive`; the router
-publishes a structural ``"partial_dispatch"`` event so snapshot-merge and
-incremental-analytics consumers rebuild cold instead of silently
-diverging.  Reads survive dead shards through
-:meth:`ShardedGraph.degraded_snapshot`, which serves each dead shard's
-last cached per-shard snapshot tagged with staleness, and a dead shard is
-restored **bit-identically** from its durable per-shard WAL by
-:meth:`ShardedGraph.rebuild_shard` (after :meth:`attach_durability`).
+state (``"healthy"`` / ``"degraded"`` / ``"dead"``), and every shard call
+a routed operation makes — mutation, query, snapshot or export read —
+takes one retry path: transient faults are retried with bounded modeled
+backoff (:class:`RetryPolicy`); a permanent fault marks the shard dead.
+The mutators and :meth:`ShardedGraph.redrive` share one dispatch pipeline:
+a mutation that fails on some shards reports **exactly which shards
+applied** (:class:`DispatchReport`), is re-driveable, and publishes a
+structural ``"partial_dispatch"`` event so snapshot-merge and incremental-
+analytics consumers rebuild cold instead of silently diverging.  Reads
+survive dead shards through :meth:`ShardedGraph.degraded_snapshot`, which
+serves each dead shard's last cached per-shard snapshot tagged with
+staleness, and a dead shard is restored **bit-identically** from its
+durable per-shard WAL by :meth:`ShardedGraph.rebuild_shard` (after
+:meth:`attach_durability`).
 
 Cost accounting: shard dispatches are independent, so the device model
 prices an update batch as *router overhead + the slowest shard*
@@ -61,19 +63,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.api.facade import (
-    DEFAULT_DELTA_LIMIT,
-    Graph,
-    _check_packable,
-    normalize_batch,
-)
+from repro.api.facade import Graph, _check_packable, normalize_batch
 from repro.api.snapshot import CSRSnapshot
 from repro.coo import COO
-from repro.eventlog import EventLog
+from repro.eventlog import DEFAULT_RETENTION_ROWS, EventLog
 from repro.gpusim.counters import counting, get_counters
 from repro.gpusim.model import simulated_seconds
 from repro.util.errors import (
-    FaultError,
     PermanentFault,
     ReproError,
     TransientFault,
@@ -263,27 +259,52 @@ class ShardCosts:
         self.serial_seconds += router_seconds + total
         self.calls += 1
 
-    def copy(self) -> "ShardCosts":
-        """Independent snapshot of the accumulated cost counters."""
-        out = ShardCosts(self.num_shards)
-        out.parallel_seconds = self.parallel_seconds
-        out.serial_seconds = self.serial_seconds
-        out.per_shard_seconds = list(self.per_shard_seconds)
-        out.calls = self.calls
-        return out
+
+def _shard_snapshot(shard, mask) -> CSRSnapshot:
+    return shard.snapshot()
 
 
-def _fresh_fault_stats() -> dict:
-    return {
-        "transient_faults": 0,
-        "permanent_faults": 0,
-        "shard_errors": 0,
-        "retries": 0,
-        "backoff_seconds": 0.0,
-        "partial_dispatches": 0,
-        "degraded_reads": 0,
-        "rebuilds": 0,
-    }
+def _edge_rows(payload: dict, mask):
+    columns = payload["src"], payload["dst"], payload["weights"]
+    if mask is None:
+        return columns
+    return tuple(None if c is None else c[mask] for c in columns)
+
+
+def _vertex_rows(payload: dict, mask):
+    # Every shard is handed the whole batch, so whichever shards a redrive
+    # reached, the truthful event is the whole batch too.
+    return payload["vids"]
+
+
+def _coo_rows(payload: dict, mask) -> COO:
+    coo = payload["coo"]
+
+    def pick(column):
+        # No mask: the whole COO, copied — the event outlives the caller's.
+        return column.copy() if mask is None else column[mask]
+
+    return COO(
+        pick(coo.src),
+        pick(coo.dst),
+        coo.num_vertices,
+        weights=None if coo.weights is None else pick(coo.weights),
+    )
+
+
+#: Everything the mutation pipeline (:meth:`ShardedGraph._mutate`) knows
+#: per operation: ``rows(payload, mask)`` selects the payload rows under a
+#: row mask (every row when the mask is None) — one shard's share on the
+#: way in, the rows that landed on the way out to the event log — and
+#: ``send(shard, rows)`` applies them to one shard and returns its count.
+#: The flag marks the structural ops, which reach every shard (not only
+#: the owners of rows) and publish a structural event (not an edge batch).
+_MUTATIONS = {
+    "insert_edges": (_edge_rows, lambda shard, rows: shard.insert_edges(*rows), False),
+    "delete_edges": (_edge_rows, lambda shard, rows: shard.delete_edges(*rows[:2]), False),
+    "delete_vertices": (_vertex_rows, lambda shard, vids: shard.delete_vertices(vids), True),
+    "bulk_build": (_coo_rows, lambda shard, coo: shard.bulk_build(coo), True),
+}
 
 
 class ShardedGraph:
@@ -316,7 +337,7 @@ class ShardedGraph:
         self_loops: str = "drop",
         dedup_batches: bool = False,
         default_weight: int = 0,
-        event_retention: int = DEFAULT_DELTA_LIMIT,
+        event_retention: int = DEFAULT_RETENTION_ROWS,
         retry: RetryPolicy | None = None,
         partial_dispatch: str = "raise",
         shard_factory=None,
@@ -379,7 +400,16 @@ class ShardedGraph:
         #: return via :meth:`rebuild_shard`).
         self.health = [SHARD_HEALTHY] * len(shards)
         #: Counters of faults absorbed, retries spent, and recoveries.
-        self.fault_stats = _fresh_fault_stats()
+        self.fault_stats = {
+            "transient_faults": 0,
+            "permanent_faults": 0,
+            "shard_errors": 0,
+            "retries": 0,
+            "backoff_seconds": 0.0,
+            "partial_dispatches": 0,
+            "degraded_reads": 0,
+            "rebuilds": 0,
+        }
         #: Recorded :class:`DispatchReport`\ s awaiting :meth:`redrive_pending`
         #: (``partial_dispatch="record"`` mode only).
         self.pending: list = []
@@ -400,8 +430,7 @@ class ShardedGraph:
         self_loops: str = "drop",
         dedup_batches: bool = False,
         default_weight: int = 0,
-        snapshot_delta_limit: int = DEFAULT_DELTA_LIMIT,
-        event_retention: int = DEFAULT_DELTA_LIMIT,
+        event_retention: int = DEFAULT_RETENTION_ROWS,
         partitioner: Partitioner | None = None,
         retry: RetryPolicy | None = None,
         partial_dispatch: str = "raise",
@@ -411,9 +440,10 @@ class ShardedGraph:
 
         Every shard addresses the full global vertex-id space, so global
         ids route and query without translation; per-shard structures
-        only ever hold the edges they own.  The construction recipe is
-        kept as the service's shard factory, so :meth:`rebuild_shard`
-        can mint an identical empty replacement.
+        only ever hold the edges they own.  ``event_retention`` bounds
+        the router's event log and every shard's alike.  The construction
+        recipe is kept as the service's shard factory, so
+        :meth:`rebuild_shard` can mint an identical empty replacement.
         """
 
         def factory() -> Graph:
@@ -421,7 +451,7 @@ class ShardedGraph:
                 name,
                 num_vertices,
                 weighted=weighted,
-                snapshot_delta_limit=snapshot_delta_limit,
+                event_retention=event_retention,
                 **backend_kwargs,
             )
 
@@ -496,9 +526,6 @@ class ShardedGraph:
             )
         return s
 
-    def _set_health(self, s: int, state: str) -> None:
-        self.health[s] = state
-
     def kill_shard(self, shard_index: int) -> None:
         """Mark a shard dead, as an injected permanent fault would.
 
@@ -510,29 +537,17 @@ class ShardedGraph:
         """
         s = self._check_shard(shard_index)
         before = self.mutation_version
-        self._set_health(s, SHARD_DEAD)
-        self._snap_cache = None
-        self.events.publish_structural(
-            "kill_shard",
-            before_version=before,
-            after_version=self.mutation_version,
-            payload=np.array([s], dtype=np.int64),
-        )
+        self.health[s] = SHARD_DEAD
+        self._publish_structural("kill_shard", before, np.array([s], dtype=np.int64))
 
     # -- routing helpers ----------------------------------------------------------
 
-    def _normalize(self, src, dst, weights, *, fill_default_weight: bool = True):
-        return normalize_batch(
-            src,
-            dst,
-            weights,
-            num_vertices=self.num_vertices,
-            weighted=self.weighted,
-            self_loops=self.self_loops,
-            dedup_batches=self.dedup_batches,
-            default_weight=self.default_weight,
-            fill_default_weight=fill_default_weight,
-            backend_name=type(self.shards[0].backend).__name__,
+    def _publish_structural(self, reason: str, before_version, payload) -> None:
+        self.events.publish_structural(
+            reason,
+            before_version=before_version,
+            after_version=self.mutation_version,
+            payload=payload,
         )
 
     def _charge_router(self, rows: int) -> float:
@@ -544,14 +559,19 @@ class ShardedGraph:
         counters.bytes_copied += int(rows) * 16
         return simulated_seconds(delta)
 
-    def _attempt(self, s: int, shard, mask, dispatch, op: str):
-        """Run one shard dispatch under the retry policy.
+    def _attempt(self, s: int, call, mask):
+        """Run ``call(shard, mask)`` on shard ``s`` under the retry policy.
 
-        Returns ``(modeled_seconds, failure)`` — ``failure`` is None on
-        success, else the exception that exhausted the policy.  Health
-        transitions: a transient-fault exhaustion or unexpected error
-        degrades the shard, a permanent fault kills it, and a success
-        restores a degraded shard to healthy.
+        Every routed shard call — mutation, scatter-gather query,
+        ``neighbors``, per-shard snapshot or export read — comes through
+        here, so faults are classified, counted, retried and reflected in
+        shard health one way.
+
+        Returns ``(modeled_seconds, value, failure)`` — ``failure`` is
+        None on success, else the exception that exhausted the policy.
+        Health transitions: a transient-fault exhaustion or unexpected
+        error degrades the shard, a permanent fault kills it, and a
+        success restores a degraded shard to healthy.
         """
         backoff = self.retry.backoff_base
         total = 0.0
@@ -560,7 +580,7 @@ class ShardedGraph:
             delta: dict = {}
             try:
                 with counting() as delta:
-                    dispatch(s, shard, mask)
+                    value = call(self.shards[s], mask)
             except TransientFault as exc:
                 total += simulated_seconds(delta)
                 self.fault_stats["transient_faults"] += 1
@@ -576,82 +596,131 @@ class ShardedGraph:
             except PermanentFault as exc:
                 total += simulated_seconds(delta)
                 self.fault_stats["permanent_faults"] += 1
-                self._set_health(s, SHARD_DEAD)
-                return total, exc
+                self.health[s] = SHARD_DEAD
+                return total, None, exc
             except ValidationError:
                 raise  # a caller/router bug, not an environmental fault
             except Exception as exc:
                 total += simulated_seconds(delta)
                 self.fault_stats["shard_errors"] += 1
-                self._set_health(s, SHARD_DEGRADED)
-                return total, exc
+                self.health[s] = SHARD_DEGRADED
+                return total, None, exc
             else:
                 total += simulated_seconds(delta)
                 if self.health[s] == SHARD_DEGRADED:
-                    self._set_health(s, SHARD_HEALTHY)
-                return total, None
-        self._set_health(s, SHARD_DEGRADED)
-        return total, last
+                    self.health[s] = SHARD_HEALTHY
+                return total, value, None
+        self.health[s] = SHARD_DEGRADED
+        return total, None, last
 
-    def _fan_out(self, owner, costs: ShardCosts, router_seconds: float, dispatch, *, op: str):
-        """Run ``dispatch(shard_index, shard, row_mask)`` for every shard
-        that owns rows, under the retry policy, recording per-shard
-        modeled cost.  Returns ``(applied, failures)`` where ``failures``
-        pairs shard indices with the exception (or reason string, for
-        dead shards that were never attempted)."""
-        shard_times = []
-        applied = []
+    def _fan_out(self, call, owner=None, targets=None, *, broadcast: bool = False):
+        """The one per-shard loop: run ``call(shard, row_mask)`` under the
+        retry policy on each shard of ``targets`` (default: all) that owns
+        rows of ``owner`` (on every target when ``owner`` is None or
+        ``broadcast`` is set); dead shards are failed without an attempt.
+
+        Returns ``(done, failures, shard_times)``: ``done`` maps each
+        shard that succeeded to what its call returned, in dispatch
+        order; ``failures`` pairs shard indices with the exception (or
+        the reason string, for dead shards); ``shard_times`` is the
+        ``[(shard, modeled_seconds), ...]`` list :meth:`ShardCosts.record`
+        folds."""
+        done: dict = {}
         failures = []
-        for s, shard in enumerate(self.shards):
-            mask = owner == s
-            if not mask.any():
+        shard_times = []
+        for s in range(self.num_shards) if targets is None else targets:
+            mask = None if owner is None else owner == s
+            if not (broadcast or mask is None or mask.any()):
                 continue
             if self.health[s] == SHARD_DEAD:
                 failures.append((s, f"shard {s} is dead (not attempted)"))
                 continue
-            secs, err = self._attempt(s, shard, mask, dispatch, op)
+            secs, value, err = self._attempt(s, call, mask)
             shard_times.append((s, secs))
             if err is None:
-                applied.append(s)
+                done[s] = value
             else:
                 failures.append((s, err))
-        costs.record(router_seconds, shard_times)
-        return applied, failures
+        return done, failures, shard_times
 
-    def _partial(self, op: str, before, applied, failures, *, payload: dict, result: int):
-        """Account a mid-dispatch failure: publish the structural
-        ``"partial_dispatch"`` marker (consumers rebuild cold instead of
-        trusting a batch that only partially landed), then raise or
-        record per the :attr:`partial_dispatch` policy."""
-        report = DispatchReport(
+    # -- mutation -----------------------------------------------------------------
+
+    def _mutate(self, op: str, payload: dict, rows: int, report: DispatchReport | None = None):
+        """The one mutation pipeline, for first dispatches and redrives.
+
+        Applies ``payload`` (see ``_MUTATIONS``) to every shard it has rows
+        for — or, redriving ``report``, to ``report.failed_shards`` — prices
+        the call into :attr:`update_costs`, and publishes what landed.  A
+        fully-applied first dispatch publishes the whole batch.  One that
+        failed somewhere publishes only the structural
+        ``"partial_dispatch"`` marker, so consumers rebuild cold instead of
+        trusting a batch that only partially landed.  A redrive publishes
+        the rows of the shards it reached as a fresh, truthful event, then
+        the marker again if some shard still failed.
+
+        A first dispatch returns the count the applied shards reported;
+        when some shard failed it first raises :class:`PartialDispatchError`
+        or queues the :class:`DispatchReport` in :attr:`pending`, per the
+        :attr:`partial_dispatch` policy.  A redrive returns the follow-up
+        report, or None once every shard has applied.
+        """
+        rows_of, send, structural = _MUTATIONS[op]
+        redrive = report is not None
+        before = self.mutation_version
+        router = self._charge_router(rows)
+        owner = payload.get("owner")
+        done, failures, shard_times = self._fan_out(
+            lambda shard, mask: send(shard, rows_of(payload, mask)),
+            owner,
+            report.failed_shards if redrive else None,
+            broadcast=structural,
+        )
+        self.update_costs.record(router, shard_times)
+        applied = tuple(done)
+        result = sum(done.values()) + (report.result if redrive else 0)
+        if applied and (redrive or not failures):
+            landed = np.isin(owner, applied) if redrive and owner is not None else None
+            if structural:
+                self._publish_structural(op, before, rows_of(payload, landed))
+            else:
+                src, dst, weights = rows_of(payload, landed)
+                self.events.publish_edge_batch(
+                    op == "insert_edges",
+                    src,
+                    dst,
+                    weights,
+                    before_version=before,
+                    after_version=self.mutation_version,
+                    rows=int(src.shape[0]),
+                )
+        if not failures:
+            return None if redrive else result
+        follow_up = DispatchReport(
             op=op,
-            applied=tuple(applied),
+            applied=(report.applied if redrive else ()) + applied,
             failed=tuple((s, str(e)) for s, e in failures),
             payload=payload,
             result=int(result),
         )
         self.fault_stats["partial_dispatches"] += 1
-        self.events.publish_structural(
-            "partial_dispatch",
-            before_version=before,
-            after_version=self.mutation_version,
-            payload=np.array([s for s, _ in failures], dtype=np.int64),
+        self._publish_structural(
+            "partial_dispatch", before, np.array(follow_up.failed_shards, dtype=np.int64)
         )
+        if redrive:
+            return follow_up
         if self.partial_dispatch == "record":
-            self.pending.append(report)
-            return report.result
+            self.pending.append(follow_up)
+            return result
         first_shard, first_err = failures[0]
         cause = first_err if isinstance(first_err, BaseException) else None
         raise PartialDispatchError(
-            f"{op} applied on shards {list(report.applied)} but failed on "
-            f"{list(report.failed_shards)}; the batch is re-driveable "
+            f"{op} applied on shards {list(follow_up.applied)} but failed on "
+            f"{list(follow_up.failed_shards)}; the batch is re-driveable "
             "(see the attached DispatchReport and ShardedGraph.redrive)",
             shard=first_shard,
             op=op,
-            report=report,
+            report=follow_up,
         ) from cause
-
-    # -- mutation -----------------------------------------------------------------
 
     def insert_edges(self, src, dst, weights=None) -> int:
         """Normalize once, route to owner shards, publish one event.
@@ -659,82 +728,33 @@ class ShardedGraph:
         On a mid-dispatch failure the partial-dispatch policy applies
         (see class docstring); the returned count covers the shards that
         applied."""
-        src, dst, weights = self._normalize(src, dst, weights)
-        if src.size == 0:
-            return 0
-        before = self.mutation_version
-        owner = self.partitioner.shard_of(src)
-        router = self._charge_router(src.shape[0])
-        added = 0
-
-        def dispatch(s, shard, mask):
-            nonlocal added
-            added += shard.insert_edges(
-                src[mask], dst[mask], weights[mask] if weights is not None else None
-            )
-
-        applied, failures = self._fan_out(
-            owner, self.update_costs, router, dispatch, op="insert_edges"
-        )
-        if failures:
-            return self._partial(
-                "insert_edges",
-                before,
-                applied,
-                failures,
-                payload={"src": src, "dst": dst, "weights": weights, "owner": owner},
-                result=added,
-            )
-        self.events.publish_edge_batch(
-            True,
-            src,
-            dst,
-            weights,
-            before_version=before,
-            after_version=self.mutation_version,
-            rows=int(src.shape[0]),
-        )
-        return added
+        return self._mutate_edges("insert_edges", src, dst, weights)
 
     def delete_edges(self, src, dst) -> int:
         """Route a deletion batch to owner shards; returns removed count.
 
         Partial-dispatch failures follow the same policy as
         :meth:`insert_edges`."""
-        src, dst, _ = self._normalize(src, dst, None, fill_default_weight=False)
-        if src.size == 0:
-            return 0
-        before = self.mutation_version
-        owner = self.partitioner.shard_of(src)
-        router = self._charge_router(src.shape[0])
-        removed = 0
+        return self._mutate_edges("delete_edges", src, dst, None)
 
-        def dispatch(s, shard, mask):
-            nonlocal removed
-            removed += shard.delete_edges(src[mask], dst[mask])
-
-        applied, failures = self._fan_out(
-            owner, self.update_costs, router, dispatch, op="delete_edges"
-        )
-        if failures:
-            return self._partial(
-                "delete_edges",
-                before,
-                applied,
-                failures,
-                payload={"src": src, "dst": dst, "weights": None, "owner": owner},
-                result=removed,
-            )
-        self.events.publish_edge_batch(
-            False,
+    def _mutate_edges(self, op: str, src, dst, weights) -> int:
+        src, dst, weights = normalize_batch(
             src,
             dst,
-            None,
-            before_version=before,
-            after_version=self.mutation_version,
-            rows=int(src.shape[0]),
+            weights,
+            num_vertices=self.num_vertices,
+            weighted=self.weighted,
+            self_loops=self.self_loops,
+            dedup_batches=self.dedup_batches,
+            default_weight=self.default_weight,
+            fill_default_weight=op == "insert_edges",
+            backend_name=type(self.shards[0].backend).__name__,
         )
-        return removed
+        if src.size == 0:
+            return 0
+        owner = self.partitioner.shard_of(src)
+        payload = {"src": src, "dst": dst, "weights": weights, "owner": owner}
+        return self._mutate(op, payload, src.shape[0])
 
     def delete_vertices(self, vertex_ids) -> int:
         """Delete vertices and all incident edges.
@@ -747,106 +767,21 @@ class ShardedGraph:
         if vids.size == 0:
             return 0
         check_in_range(vids, 0, self.num_vertices, "vertex_ids")
-        before = self.mutation_version
-        router = self._charge_router(vids.shape[0])
-        shard_times = []
-        applied = []
-        failures = []
-        removed = 0
-
-        def dispatch(s, shard, mask):
-            nonlocal removed
-            removed += shard.delete_vertices(vids)
-
-        for s, shard in enumerate(self.shards):
-            if self.health[s] == SHARD_DEAD:
-                failures.append((s, f"shard {s} is dead (not attempted)"))
-                continue
-            secs, err = self._attempt(s, shard, None, dispatch, "delete_vertices")
-            shard_times.append((s, secs))
-            if err is None:
-                applied.append(s)
-            else:
-                failures.append((s, err))
-        self.update_costs.record(router, shard_times)
-        if failures:
-            return self._partial(
-                "delete_vertices",
-                before,
-                applied,
-                failures,
-                payload={"vids": vids.copy()},
-                result=removed,
-            )
-        self.events.publish_structural(
-            "delete_vertices",
-            before_version=before,
-            after_version=self.mutation_version,
-            payload=vids.copy(),
-        )
-        return removed
+        # A copy: the payload outlives the caller's buffer in a report.
+        return self._mutate("delete_vertices", {"vids": vids.copy()}, vids.shape[0])
 
     def bulk_build(self, coo: COO) -> int:
         """One-shot build: split the COO by owner shard, build each.
 
-        Partial-dispatch failures follow the mutation policy; a failed
-        shard is still empty, so a redrive re-attempts its part of the
-        build."""
+        Every shard is built, including one that owns no rows, so all
+        shards grow to the COO's vertex space together.  Partial-dispatch
+        failures follow the mutation policy; a failed shard is still
+        empty, so a redrive re-attempts its part of the build."""
         _check_packable(int(coo.num_vertices))
         if coo.weights is not None and not self.weighted:
             coo = COO(coo.src, coo.dst, coo.num_vertices, weights=None)
-        before = self.mutation_version
-        owner = self.partitioner.shard_of(coo.src)
-        router = self._charge_router(coo.num_edges)
-        built = 0
-
-        def dispatch(s, shard, mask):
-            nonlocal built
-            built += shard.bulk_build(
-                COO(
-                    coo.src[mask],
-                    coo.dst[mask],
-                    coo.num_vertices,
-                    weights=coo.weights[mask] if coo.weights is not None else None,
-                )
-            )
-
-        shard_times = []
-        applied = []
-        failures = []
-        for s, shard in enumerate(self.shards):
-            mask = owner == s
-            if self.health[s] == SHARD_DEAD:
-                failures.append((s, f"shard {s} is dead (not attempted)"))
-                continue
-            secs, err = self._attempt(s, shard, mask, dispatch, "bulk_build")
-            shard_times.append((s, secs))
-            if err is None:
-                applied.append(s)
-            else:
-                failures.append((s, err))
-        self.update_costs.record(router, shard_times)
-        if failures:
-            return self._partial(
-                "bulk_build",
-                before,
-                applied,
-                failures,
-                payload={"coo": coo, "owner": owner},
-                result=built,
-            )
-        self.events.publish_structural(
-            "bulk_build",
-            before_version=before,
-            after_version=self.mutation_version,
-            payload=COO(
-                coo.src.copy(),
-                coo.dst.copy(),
-                coo.num_vertices,
-                weights=None if coo.weights is None else coo.weights.copy(),
-            ),
-        )
-        return built
+        payload = {"coo": coo, "owner": self.partitioner.shard_of(coo.src)}
+        return self._mutate("bulk_build", payload, coo.num_edges)
 
     # -- redrive -------------------------------------------------------------------
 
@@ -858,133 +793,9 @@ class ShardedGraph:
         stay in the returned follow-up report.  Returns None once every
         shard has applied.
         """
-        payload = report.payload
-        before = self.mutation_version
-        shard_times = []
-        applied_now = []
-        failures = []
-        redriven = report.result
-
-        def make_dispatch():
-            if report.op == "insert_edges":
-                src, dst, w = payload["src"], payload["dst"], payload["weights"]
-
-                def d(s, shard, mask):
-                    nonlocal redriven
-                    redriven += shard.insert_edges(
-                        src[mask], dst[mask], w[mask] if w is not None else None
-                    )
-
-            elif report.op == "delete_edges":
-                src, dst = payload["src"], payload["dst"]
-
-                def d(s, shard, mask):
-                    nonlocal redriven
-                    redriven += shard.delete_edges(src[mask], dst[mask])
-
-            elif report.op == "delete_vertices":
-                vids = payload["vids"]
-
-                def d(s, shard, mask):
-                    nonlocal redriven
-                    redriven += shard.delete_vertices(vids)
-
-            elif report.op == "bulk_build":
-                coo = payload["coo"]
-
-                def d(s, shard, mask):
-                    nonlocal redriven
-                    redriven += shard.bulk_build(
-                        COO(
-                            coo.src[mask],
-                            coo.dst[mask],
-                            coo.num_vertices,
-                            weights=coo.weights[mask] if coo.weights is not None else None,
-                        )
-                    )
-
-            else:  # pragma: no cover - reports are built by this class
-                raise ValidationError(f"cannot redrive op {report.op!r}")
-            return d
-
-        dispatch = make_dispatch()
-        owner = payload.get("owner")
+        owner = report.payload.get("owner")
         rows = int(owner.shape[0]) if owner is not None else 1
-        router = self._charge_router(rows)
-        for s in report.failed_shards:
-            if self.health[s] == SHARD_DEAD:
-                failures.append((s, f"shard {s} is dead (not attempted)"))
-                continue
-            mask = (owner == s) if owner is not None else None
-            if mask is not None and not mask.any():
-                applied_now.append(s)
-                continue
-            secs, err = self._attempt(s, self.shards[s], mask, dispatch, report.op)
-            shard_times.append((s, secs))
-            if err is None:
-                applied_now.append(s)
-            else:
-                failures.append((s, err))
-        self.update_costs.record(router, shard_times)
-        if applied_now:
-            self._publish_redrive(report, applied_now, owner, before)
-        if failures:
-            follow_up = DispatchReport(
-                op=report.op,
-                applied=tuple(report.applied) + tuple(applied_now),
-                failed=tuple((s, str(e)) for s, e in failures),
-                payload=payload,
-                result=int(redriven),
-            )
-            self.fault_stats["partial_dispatches"] += 1
-            self.events.publish_structural(
-                "partial_dispatch",
-                before_version=before,
-                after_version=self.mutation_version,
-                payload=np.array([s for s, _ in failures], dtype=np.int64),
-            )
-            return follow_up
-        return None
-
-    def _publish_redrive(self, report, applied_now, owner, before) -> None:
-        """Publish the redriven rows as a fresh, truthful event."""
-        payload = report.payload
-        if report.op in ("insert_edges", "delete_edges"):
-            mask = np.isin(owner, np.array(applied_now, dtype=np.int64))
-            src = payload["src"][mask]
-            dst = payload["dst"][mask]
-            w = payload["weights"][mask] if payload.get("weights") is not None else None
-            if src.size:
-                self.events.publish_edge_batch(
-                    report.op == "insert_edges",
-                    src,
-                    dst,
-                    w,
-                    before_version=before,
-                    after_version=self.mutation_version,
-                    rows=int(src.shape[0]),
-                )
-        elif report.op == "delete_vertices":
-            self.events.publish_structural(
-                "delete_vertices",
-                before_version=before,
-                after_version=self.mutation_version,
-                payload=payload["vids"].copy(),
-            )
-        elif report.op == "bulk_build":
-            coo = payload["coo"]
-            mask = np.isin(owner, np.array(applied_now, dtype=np.int64))
-            self.events.publish_structural(
-                "bulk_build",
-                before_version=before,
-                after_version=self.mutation_version,
-                payload=COO(
-                    coo.src[mask],
-                    coo.dst[mask],
-                    coo.num_vertices,
-                    weights=None if coo.weights is None else coo.weights[mask],
-                ),
-            )
+        return self._mutate(report.op, report.payload, rows, report)
 
     def redrive_pending(self) -> int:
         """Redrive every recorded partial dispatch, in order.
@@ -1016,6 +827,25 @@ class ShardedGraph:
             f"shard {s} failed during {op}: {err}{hint}", shard=s, op=op
         ) from cause
 
+    def _scatter(self, op: str, gather, **ids) -> None:
+        """The one scatter-gather read path: validate the id columns
+        (equal length, in range), route rows by the first column's owner,
+        run ``gather(shard, row_mask)`` on each owning shard under the
+        retry policy (priced into :attr:`query_costs`), and raise a typed
+        :class:`ShardError` if any shard failed.  An empty batch touches
+        no shard and charges nothing."""
+        check_equal_length(*ids.items())
+        keys = next(iter(ids.values()))
+        if keys.size == 0:
+            return
+        for name, column in ids.items():
+            check_in_range(column, 0, self.num_vertices, name)
+        owner = self.partitioner.shard_of(keys)
+        router = self._charge_router(keys.shape[0])
+        _, failures, shard_times = self._fan_out(gather, owner)
+        self.query_costs.record(router, shard_times)
+        self._raise_query_failures(op, failures)
+
     def edge_exists(self, src, dst) -> np.ndarray:
         """Boolean membership per pair, scatter-gathered from owners.
 
@@ -1023,20 +853,12 @@ class ShardedGraph:
         the shard index and op."""
         src = as_int_array(src, "src")
         dst = as_int_array(dst, "dst")
-        check_equal_length(("src", src), ("dst", dst))
-        if src.size == 0:
-            return np.empty(0, dtype=bool)
-        check_in_range(src, 0, self.num_vertices, "src")
-        check_in_range(dst, 0, self.num_vertices, "dst")
-        owner = self.partitioner.shard_of(src)
-        router = self._charge_router(src.shape[0])
         out = np.zeros(src.shape[0], dtype=bool)
 
-        def dispatch(s, shard, mask):
+        def gather(shard, mask):
             out[mask] = shard.edge_exists(src[mask], dst[mask])
 
-        _, failures = self._fan_out(owner, self.query_costs, router, dispatch, op="edge_exists")
-        self._raise_query_failures("edge_exists", failures)
+        self._scatter("edge_exists", gather, src=src, dst=dst)
         return out
 
     def edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
@@ -1045,21 +867,13 @@ class ShardedGraph:
         A shard failure surfaces as a typed :class:`ShardError`."""
         src = as_int_array(src, "src")
         dst = as_int_array(dst, "dst")
-        check_equal_length(("src", src), ("dst", dst))
-        if src.size == 0:
-            return np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
-        check_in_range(src, 0, self.num_vertices, "src")
-        check_in_range(dst, 0, self.num_vertices, "dst")
-        owner = self.partitioner.shard_of(src)
-        router = self._charge_router(src.shape[0])
         exists = np.zeros(src.shape[0], dtype=bool)
         weights = np.zeros(src.shape[0], dtype=np.int64)
 
-        def dispatch(s, shard, mask):
+        def gather(shard, mask):
             exists[mask], weights[mask] = shard.edge_weights(src[mask], dst[mask])
 
-        _, failures = self._fan_out(owner, self.query_costs, router, dispatch, op="edge_weights")
-        self._raise_query_failures("edge_weights", failures)
+        self._scatter("edge_weights", gather, src=src, dst=dst)
         return exists, weights
 
     def degree(self, vertex_ids) -> np.ndarray:
@@ -1067,18 +881,12 @@ class ShardedGraph:
 
         A shard failure surfaces as a typed :class:`ShardError`."""
         vids = as_int_array(vertex_ids, "vertex_ids")
-        if vids.size == 0:
-            return np.empty(0, dtype=np.int64)
-        check_in_range(vids, 0, self.num_vertices, "vertex_ids")
-        owner = self.partitioner.shard_of(vids)
-        router = self._charge_router(vids.shape[0])
         out = np.zeros(vids.shape[0], dtype=np.int64)
 
-        def dispatch(s, shard, mask):
+        def gather(shard, mask):
             out[mask] = shard.degree(vids[mask])
 
-        _, failures = self._fan_out(owner, self.query_costs, router, dispatch, op="degree")
-        self._raise_query_failures("degree", failures)
+        self._scatter("degree", gather, vertex_ids=vids)
         return out
 
     def neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1088,26 +896,7 @@ class ShardedGraph:
         v = int(vertex)
         check_in_range(np.array([v]), 0, self.num_vertices, "vertex")
         s = int(self.partitioner.shard_of(np.array([v]))[0])
-        if self.health[s] == SHARD_DEAD:
-            self._raise_query_failures(
-                "neighbors", [(s, f"shard {s} is dead (not attempted)")]
-            )
-        try:
-            return self.shards[s].neighbors(v)
-        except ValidationError:
-            raise
-        except FaultError as exc:
-            if isinstance(exc, PermanentFault):
-                self.fault_stats["permanent_faults"] += 1
-                self._set_health(s, SHARD_DEAD)
-            else:
-                self.fault_stats["transient_faults"] += 1
-                self._set_health(s, SHARD_DEGRADED)
-            self._raise_query_failures("neighbors", [(s, exc)])
-        except Exception as exc:
-            self.fault_stats["shard_errors"] += 1
-            self._set_health(s, SHARD_DEGRADED)
-            self._raise_query_failures("neighbors", [(s, exc)])
+        return self._read_shards("neighbors", lambda shard, _: shard.neighbors(v), [s])[s]
 
     def adjacencies(self, vertex_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched ``(owner_pos, destinations, weights)`` gathered from
@@ -1115,31 +904,17 @@ class ShardedGraph:
         ``vertex_ids`` (neighbor order within a vertex is shard-native).
         A shard failure surfaces as a typed :class:`ShardError`."""
         vids = as_int_array(vertex_ids, "vertex_ids")
-        if vids.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        check_in_range(vids, 0, self.num_vertices, "vertex_ids")
-        owner = self.partitioner.shard_of(vids)
-        router = self._charge_router(vids.shape[0])
-        pos_parts: list = []
-        dst_parts: list = []
-        w_parts: list = []
+        parts: list = []
 
-        def dispatch(s, shard, mask):
-            pos = np.flatnonzero(mask)
+        def gather(shard, mask):
             owner_pos, dsts, ws = shard.adjacencies(vids[mask])
-            pos_parts.append(pos[owner_pos])
-            dst_parts.append(dsts)
-            w_parts.append(ws)
+            parts.append((np.flatnonzero(mask)[owner_pos], dsts, ws))
 
-        _, failures = self._fan_out(owner, self.query_costs, router, dispatch, op="adjacencies")
-        self._raise_query_failures("adjacencies", failures)
-        if not pos_parts:
+        self._scatter("adjacencies", gather, vertex_ids=vids)
+        if not parts:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.copy(), empty.copy()
-        pos = np.concatenate(pos_parts)
-        dsts = np.concatenate(dst_parts)
-        ws = np.concatenate(w_parts)
+        pos, dsts, ws = (np.concatenate(column) for column in zip(*parts))
         order = np.argsort(pos, kind="stable")
         get_counters().bytes_copied += int(pos.shape[0]) * 24
         return pos[order], dsts[order], ws[order]
@@ -1152,15 +927,24 @@ class ShardedGraph:
         """Total modeled resident bytes across all shards."""
         return sum(shard.memory_bytes() for shard in self.shards)
 
+    def _read_shards(self, op: str, read, targets=None) -> dict:
+        """``{shard: read(shard, None)}`` over ``targets`` (default: all)
+        under the retry policy — the reads that are not row batches
+        (:meth:`neighbors`, :meth:`snapshot`, :meth:`export_coo`).  They
+        price nothing into :attr:`query_costs`; a shard failure surfaces
+        as a typed :class:`ShardError`."""
+        done, failures, _ = self._fan_out(read, targets=targets)
+        self._raise_query_failures(op, failures)
+        return done
+
     def export_coo(self) -> COO:
         """Concatenated unsorted COO export of every shard's edges."""
-        parts = [shard.export_coo() for shard in self.shards]
-        weighted = self.weighted
+        parts = self._read_shards("export_coo", lambda shard, _: shard.export_coo()).values()
         return COO(
             np.concatenate([p.src for p in parts]),
             np.concatenate([p.dst for p in parts]),
             self.num_vertices,
-            weights=np.concatenate([p.weights for p in parts]) if weighted else None,
+            weights=np.concatenate([p.weights for p in parts]) if self.weighted else None,
         )
 
     # -- global snapshot ---------------------------------------------------------------
@@ -1211,23 +995,16 @@ class ShardedGraph:
         incremental / cold tiers; the assembled result is bit-identical
         to the snapshot of a single :class:`Graph` given the same
         workload, and unchanged shards re-serve the same assembled object
-        for free.  Refuses while any shard is dead — that state cannot
+        for free.  Refuses (a typed :class:`ShardError`, like every other
+        read) while any shard is dead or failing — that state cannot
         serve an exact global view; use :meth:`degraded_snapshot` (tagged
         staleness) or :meth:`rebuild_shard` (exact recovery) instead.
         """
-        dead = self.dead_shards
-        if dead:
-            raise ShardError(
-                f"shard(s) {list(dead)} are dead — snapshot() would be "
-                "silently incomplete; serve degraded_snapshot() or recover "
-                "with rebuild_shard()",
-                shard=dead[0],
-                op="snapshot",
-            )
         versions = tuple(shard.mutation_version for shard in self.shards)
-        if self._snap_cache is not None and self._snap_cache[0] == versions:
-            return self._snap_cache[1]
-        shard_snaps = [shard.snapshot() for shard in self.shards]
+        cached = self._snap_cache
+        if cached is not None and cached[0] == versions and not self.dead_shards:
+            return cached[1]
+        shard_snaps = list(self._read_shards("snapshot", _shard_snapshot).values())
         for s, snap in enumerate(shard_snaps):
             self._shard_snaps[s] = (versions[s], snap)
         assembled = self._assemble(shard_snaps)
@@ -1245,20 +1022,16 @@ class ShardedGraph:
         cost of this path (vs. a healthy :meth:`snapshot`) is priced by
         the ``t14/chaos`` bench artifact.
         """
+        live_snaps, _, _ = self._fan_out(_shard_snapshot)
         shard_snaps = []
         stale = []
         missing = []
         staleness = []
         for s, shard in enumerate(self.shards):
-            if self.health[s] != SHARD_DEAD:
-                try:
-                    snap = shard.snapshot()
-                except FaultError:
-                    snap = None
-                if snap is not None:
-                    self._shard_snaps[s] = (shard.mutation_version, snap)
-                    shard_snaps.append(snap)
-                    continue
+            if s in live_snaps:
+                self._shard_snaps[s] = (shard.mutation_version, live_snaps[s])
+                shard_snaps.append(live_snaps[s])
+                continue
             self.fault_stats["degraded_reads"] += 1
             cached = self._shard_snaps.get(s)
             if cached is None:
@@ -1345,16 +1118,11 @@ class ShardedGraph:
         info = self.stores.rebuild(s, fresh)
         before = self.mutation_version
         self.shards[s] = fresh
-        self._set_health(s, SHARD_HEALTHY)
+        self.health[s] = SHARD_HEALTHY
         self.fault_stats["rebuilds"] += 1
         self._snap_cache = None
         self._shard_snaps.pop(s, None)
-        self.events.publish_structural(
-            "rebuild_shard",
-            before_version=before,
-            after_version=self.mutation_version,
-            payload=np.array([s], dtype=np.int64),
-        )
+        self._publish_structural("rebuild_shard", before, np.array([s], dtype=np.int64))
         return info
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

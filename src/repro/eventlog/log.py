@@ -14,9 +14,8 @@ row accounting with one first-class object:
 - **bounded retention** — the log retains at most ``retention_rows``
   edge-batch rows.  Older events are trimmed; a cursor that has fallen
   behind the retention horizon observes a *gap* on its next read and must
-  fall back to a cold rebuild of whatever it was maintaining (exactly the
-  old ``snapshot_delta_limit`` overflow semantics, now shared by every
-  consumer);
+  fall back to a cold rebuild of whatever it was maintaining (the facade
+  and the shard router size it with their ``event_retention`` argument);
 - **push subscribers** — live observers (``on_event(event)`` objects or
   plain callables) notified after each append.  Notification iterates a
   snapshot copy of the subscriber list, so a subscriber unsubscribing

@@ -40,7 +40,6 @@ from time import perf_counter
 import numpy as np
 
 from repro.analytics.connected_components import connected_components
-from repro.analytics.pagerank import power_iteration
 from repro.api.sharding import ShardedGraph
 from repro.chaos import FaultPlan, FaultyBackend, FaultyStore
 from repro.gpusim.counters import get_counters
@@ -49,6 +48,7 @@ from repro.stream.scenario import (
     CHAOS_PHASE_KINDS,
     PhaseResult,
     Scenario,
+    _cold_pagerank,
     _execute_phase,
     build_dataset,
 )
@@ -129,10 +129,7 @@ def _chaos_compute(service, *, damping, tol, max_iters):
             detail["degraded"] = False
         detail["snapshot_model"] = simulated_seconds(counters.diff(before))
         connected_components(snap)
-        n = snap.num_vertices
-        uniform = np.full(n, 1.0 / n, dtype=np.float64)
-        _, sweeps = power_iteration(snap, uniform, damping=damping, tol=tol, max_iters=max_iters)
-        detail["pr_sweeps"] = sweeps
+        detail["pr_sweeps"] = _cold_pagerank(snap, damping, tol, max_iters)[1]
         return detail
 
     return compute_once

@@ -44,7 +44,6 @@ from repro.stream.scenario import (
     ScenarioResult,
     _compute_setup,
     _execute_phase,
-    _validate_exactness,
     build_dataset,
 )
 from repro.util.errors import ValidationError
@@ -171,7 +170,7 @@ def run_scenario_durable(
 
     try:
         g = dg.graph
-        compute_once, incs = _compute_setup(
+        compute_once, check_exact = _compute_setup(
             g, mode, damping, tol, max_iters, prime,
             analytics=analytics, source=source, kcore_k=kcore_k,
         )
@@ -185,8 +184,8 @@ def run_scenario_durable(
         for index in range(next_phase, len(scenario.phases)):
             phase = scenario.phases[index]
             results.append(_execute_phase(index, phase, g, coo, rng, scenario, compute_once))
-            if validate and mode == "incremental":
-                _validate_exactness(g, incs, damping, tol, max_iters, (scenario.name, index))
+            if validate:
+                check_exact((scenario.name, index))
             dg.sync()  # the phase's WAL records must be durable ...
             _write_progress(progress_path, identity, index + 1, rng, results)
             # ... before the progress file claims the phase completed.

@@ -86,8 +86,29 @@ CHAOS_PHASE_KINDS = ("kill_shard", "rebuild_shard", "disk_fault", "checkpoint")
 #: Everything a phase can do to the graph.
 PHASE_KINDS = DATA_PHASE_KINDS + CHAOS_PHASE_KINDS
 
+
+def _cold_pagerank(snap, damping, tol, max_iters):
+    uniform = np.full(snap.num_vertices, 1.0 / snap.num_vertices, dtype=np.float64)
+    return power_iteration(snap, uniform, damping=damping, tol=tol, max_iters=max_iters)
+
+
+#: The delta-aware analytic family, one row per member: ``(incremental
+#: class, its query method, cold kernel, parameter names)``.  The named run
+#: parameters are the class's keyword arguments after the graph and the
+#: kernel's positional arguments after the snapshot, so one row says how
+#: to build the incremental analytic, how to query it, and how to recompute
+#: its reference answer cold (PageRank's is ``(ranks, sweeps)``).
+_FAMILY = {
+    "cc": (IncrementalConnectedComponents, "labels", connected_components, ()),
+    "pagerank": (IncrementalPageRank, "compute", _cold_pagerank, ("damping", "tol", "max_iters")),
+    "tc": (IncrementalTriangleCount, "count", undirected_triangles, ()),
+    "bfs": (IncrementalBFS, "distances", bfs, ("source",)),
+    "sssp": (IncrementalSSSP, "distances", sssp, ("source",)),
+    "kcore": (IncrementalKCore, "members", kcore_membership, ("k",)),
+}
+
 #: Every analytic a compute phase can run (the delta-aware family).
-ANALYTICS = ("cc", "pagerank", "tc", "bfs", "sssp", "kcore")
+ANALYTICS = tuple(_FAMILY)
 
 #: Dataset families a scenario can seed from (Table I generators).
 FAMILIES = ("rmat", "powerlaw", "road", "rgg")
@@ -262,7 +283,7 @@ def run_scenario(
     g = Graph.create(backend_name, num_vertices=n, weighted=scenario.weighted)
     g.bulk_build(coo)
 
-    compute_once, incs = _compute_setup(
+    compute_once, check_exact = _compute_setup(
         g, mode, damping, tol, max_iters, prime,
         analytics=analytics, source=source, kcore_k=kcore_k,
     )
@@ -271,37 +292,24 @@ def run_scenario(
     results: list = []
     for index, phase in enumerate(scenario.phases):
         results.append(_execute_phase(index, phase, g, coo, rng, scenario, compute_once))
-        if validate and mode == "incremental":
-            _validate_exactness(g, incs, damping, tol, max_iters, (scenario.name, index))
+        if validate:
+            check_exact((scenario.name, index))
     return ScenarioResult(scenario=scenario, backend=backend_name, mode=mode, phases=results)
-
-
-def _query_analytic(name, obj):
-    """Run one incremental analytic's query method; returns its answer."""
-    if name == "cc":
-        return obj.labels()
-    if name == "pagerank":
-        return obj.compute()
-    if name == "tc":
-        return obj.count()
-    if name in ("bfs", "sssp"):
-        return obj.distances()
-    return obj.members()  # kcore
 
 
 def _compute_setup(
     g, mode, damping, tol, max_iters, prime,
     *, analytics=("cc", "pagerank"), source=0, kcore_k=3,
 ):
-    """``(compute_once, incs)`` for one run: the compute-phase closure
-    plus the incremental analytics it drives, keyed by analytic name
-    (empty in full mode).  Shared with :mod:`repro.stream.durable`.
+    """``(compute_once, check_exact)`` for one run: the compute-phase
+    closure, and a closure asserting that every incremental analytic it
+    drives equals cold recomputation right now (a no-op in full mode,
+    which drives none).  Shared with :mod:`repro.stream.durable`.
 
     ``compute_once`` details carry ``modes`` (per-analytic last_mode),
-    ``analytic_model`` (per-analytic modeled seconds), and
-    ``snapshot_model`` (the shared snapshot build/merge slice), plus the
-    legacy ``cc_mode`` / ``pr_mode`` / ``pr_sweeps`` keys when those
-    analytics are selected.
+    ``analytic_model`` (per-analytic modeled seconds), ``snapshot_model``
+    (the shared snapshot build/merge slice), and ``pr_sweeps`` when
+    PageRank is selected.
     """
     analytics = tuple(analytics)
     for name in analytics:
@@ -309,26 +317,17 @@ def _compute_setup(
             raise ValidationError(f"unknown analytic {name!r}; pick from {ANALYTICS}")
     if "sssp" in analytics and not g.weighted:
         raise ValidationError("the 'sssp' analytic needs a weighted scenario")
+    params = dict(damping=damping, tol=tol, max_iters=max_iters, source=source, k=kcore_k)
+    family = {}
+    for name in analytics:
+        cls, method, kernel, names = _FAMILY[name]
+        family[name] = (cls, method, kernel, {key: params[key] for key in names})
     incs: dict = {}
     if mode == "incremental":
-        for name in analytics:
-            if name == "cc":
-                incs[name] = IncrementalConnectedComponents(g)
-            elif name == "pagerank":
-                incs[name] = IncrementalPageRank(
-                    g, damping=damping, tol=tol, max_iters=max_iters
-                )
-            elif name == "tc":
-                incs[name] = IncrementalTriangleCount(g)
-            elif name == "bfs":
-                incs[name] = IncrementalBFS(g, source=source)
-            elif name == "sssp":
-                incs[name] = IncrementalSSSP(g, source=source)
-            else:
-                incs[name] = IncrementalKCore(g, k=kcore_k)
-        if prime:
-            for name in analytics:
-                _query_analytic(name, incs[name])
+        for name, (cls, method, _, args) in family.items():
+            incs[name] = cls(g, **args)
+            if prime:
+                getattr(incs[name], method)()
 
     def compute_once() -> dict:
         counters = get_counters()
@@ -341,41 +340,37 @@ def _compute_setup(
         else:
             snap = CSRSnapshot.from_coo(g.export_coo())
         detail["snapshot_model"] = simulated_seconds(counters.diff(before))
-        for name in analytics:
+        for name, (_, method, kernel, args) in family.items():
             before = counters.snapshot()
             if mode == "incremental":
-                obj = incs[name]
-                _query_analytic(name, obj)
-                detail["modes"][name] = obj.last_mode
+                inc = incs[name]
+                getattr(inc, method)()
+                detail["modes"][name] = inc.last_mode
                 if name == "pagerank":
-                    detail["pr_sweeps"] = obj.last_sweeps
+                    detail["pr_sweeps"] = inc.last_sweeps
             else:
-                if name == "cc":
-                    connected_components(snap)
-                elif name == "pagerank":
-                    n = g.num_vertices
-                    uniform = np.full(n, 1.0 / n, dtype=np.float64)
-                    _, sweeps = power_iteration(
-                        snap, uniform, damping=damping, tol=tol, max_iters=max_iters
-                    )
-                    detail["pr_sweeps"] = sweeps
-                elif name == "tc":
-                    undirected_triangles(snap)
-                elif name == "bfs":
-                    bfs(snap, source)
-                elif name == "sssp":
-                    sssp(snap, source)
-                else:
-                    kcore_membership(snap, kcore_k)
+                answer = kernel(snap, *args.values())
                 detail["modes"][name] = "cold"
+                if name == "pagerank":
+                    detail["pr_sweeps"] = answer[1]
             detail["analytic_model"][name] = simulated_seconds(counters.diff(before))
-        if "cc" in analytics:
-            detail["cc_mode"] = detail["modes"]["cc"]
-        if "pagerank" in analytics:
-            detail["pr_mode"] = detail["modes"]["pagerank"]
         return detail
 
-    return compute_once, incs
+    def check_exact(ctx) -> None:
+        # Exact equality for everything but PageRank, whose contract is
+        # within ``tol`` per vertex of the cold power iteration.
+        snap = CSRSnapshot.from_coo(g.backend.export_coo())
+        for name, inc in incs.items():
+            _, method, kernel, args = family[name]
+            got, want = getattr(inc, method)(), kernel(snap, *args.values())
+            if name == "pagerank":
+                ok = np.allclose(got, want[0], atol=tol, rtol=0.0)
+            else:
+                ok = np.array_equal(got, want)
+            if not ok:
+                raise AssertionError(f"incremental {name!r} diverged from cold recompute at {ctx}")
+
+    return compute_once, check_exact
 
 
 def _execute_phase(index, phase, g, coo, rng, scenario, compute_once) -> PhaseResult:
@@ -440,39 +435,6 @@ def _execute_phase(index, phase, g, coo, rng, scenario, compute_once) -> PhaseRe
         counters={k: v for k, v in delta.items() if v},
         detail=detail,
     )
-
-
-def _validate_exactness(g, incs, damping, tol, max_iters, ctx) -> None:
-    """Assert every incremental answer equals cold recomputation right now.
-
-    Exact equality for everything but PageRank (whose contract is within
-    ``tol`` per vertex of the cold power iteration).
-    """
-    snap = CSRSnapshot.from_coo(g.backend.export_coo())
-    for name, inc in incs.items():
-        got = _query_analytic(name, inc)
-        if name == "cc":
-            cold = connected_components(snap)
-            ok = np.array_equal(got, cold)
-        elif name == "pagerank":
-            uniform = np.full(snap.num_vertices, 1.0 / snap.num_vertices, dtype=np.float64)
-            cold, _ = power_iteration(
-                snap, uniform, damping=damping, tol=tol, max_iters=max_iters
-            )
-            ok = np.allclose(got, cold, atol=tol, rtol=0.0)
-        elif name == "tc":
-            cold = undirected_triangles(snap)
-            ok = got == cold
-        elif name == "bfs":
-            ok = np.array_equal(got, bfs(snap, inc.source))
-        elif name == "sssp":
-            ok = np.array_equal(got, sssp(snap, inc.source))
-        else:
-            ok = np.array_equal(got, kcore_membership(snap, inc.k))
-        if not ok:
-            raise AssertionError(
-                f"incremental {name!r} diverged from cold recompute at {ctx}"
-            )
 
 
 # -- scenario catalog -----------------------------------------------------------------

@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro import DynamicGraph
+from repro.core import DynamicGraph
 from repro.analytics import (
     advance,
     bfs,

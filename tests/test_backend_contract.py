@@ -408,7 +408,7 @@ class TestSnapshotCache:
         assert g.edge_exists([9], [10])[0], name
 
     def test_delta_overflow_falls_back(self, name):
-        g = Graph.create(name, num_vertices=N, snapshot_delta_limit=4)
+        g = Graph.create(name, num_vertices=N, event_retention=4)
         g.insert_edges(SRC, DST)
         g.snapshot()
         g.insert_edges([1, 2, 3, 4, 5], [2, 3, 4, 5, 6])  # 5 rows > limit 4
@@ -595,7 +595,3 @@ class TestRegistry:
             assert "toy-backend" in api.backend_names()
         finally:
             api.registry._REGISTRY.pop("toy-backend", None)
-
-    def test_legacy_import_shim(self):
-        with pytest.warns(DeprecationWarning):
-            from repro import DynamicGraph  # noqa: F401

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analytics import connected_components
 from repro.api import (
     SHARD_DEAD,
     SHARD_DEGRADED,
@@ -30,6 +31,7 @@ from repro.api import (
     backend_names,
 )
 from repro.chaos import FaultPlan, FaultSpec, FaultyBackend
+from repro.coo import COO
 from repro.stream.chaos import (
     disk_fault_scenario,
     kill_rebuild_scenario,
@@ -37,6 +39,7 @@ from repro.stream.chaos import (
     thrash_fault_specs,
     thrash_scenario,
 )
+from repro.stream.incremental import IncrementalConnectedComponents
 from repro.stream.scenario import Phase, Scenario, run_scenario
 from repro.util.errors import (
     PermanentFault,
@@ -262,6 +265,56 @@ class TestHealthAndRetry:
             ShardedGraph.create("slabhash", 16, num_shards=2, partial_dispatch="bogus")
 
 
+class TestEveryReadTakesTheRetryPath:
+    """snapshot() / export_coo() used to call the shards bare — an injected
+    fault surfaced raw, uncounted, with health untouched — and neighbors()
+    classified faults by hand without retrying.  They now go through the
+    same ``_attempt`` as every other routed call."""
+
+    READS = {
+        "snapshot": lambda svc, v: svc.snapshot(),
+        "export_coo": lambda svc, v: svc.export_coo(),
+        "neighbors": lambda svc, v: svc.neighbors(v),
+    }
+
+    def build(self, op, kind):
+        plan = FaultPlan(0, (FaultSpec(f"shard1.{op}", kind=kind),))
+        svc = service_with_plan(plan)
+        rng = np.random.default_rng(4)
+        svc.insert_edges(
+            rng.integers(0, 64, 80, dtype=np.int64), rng.integers(0, 64, 80, dtype=np.int64)
+        )
+        victim = int(np.flatnonzero(svc.partitioner.shard_of(np.arange(64)) == 1)[0])
+        return svc, victim
+
+    @pytest.mark.parametrize("op", sorted(READS))
+    def test_transient_fault_absorbed_by_retry(self, op):
+        svc, victim = self.build(op, "transient")
+        costs = (svc.query_costs.calls, svc.update_costs.calls)
+        self.READS[op](svc, victim)  # the retry served it
+        assert svc.health == [SHARD_HEALTHY] * 3
+        assert svc.fault_stats["transient_faults"] == 1
+        assert svc.fault_stats["retries"] == 1
+        # These reads price nothing into the router's cost model.
+        assert (svc.query_costs.calls, svc.update_costs.calls) == costs
+
+    @pytest.mark.parametrize("op", sorted(READS))
+    def test_permanent_fault_raises_typed_error_and_kills_shard(self, op):
+        svc, victim = self.build(op, "permanent")
+        with pytest.raises(ShardError) as exc:
+            self.READS[op](svc, victim)
+        assert exc.value.shard == 1 and exc.value.op == op
+        assert isinstance(exc.value.__cause__, PermanentFault)
+        assert svc.shard_health(1) == SHARD_DEAD
+        assert svc.fault_stats["permanent_faults"] == 1
+
+    def test_degraded_snapshot_retries_before_serving_stale(self):
+        svc, _ = self.build("snapshot", "transient")
+        assert svc.degraded_snapshot().fresh
+        assert svc.fault_stats["retries"] == 1
+        assert svc.fault_stats["degraded_reads"] == 0
+
+
 class TestDegradedReads:
     def build(self):
         plan = FaultPlan(0)
@@ -373,6 +426,67 @@ class TestKillRebuildPin:
         faulted = build(tmp_path / "faulted", chaos=True)
         assert faulted.health == [SHARD_HEALTHY] * 3
         assert_snaps_identical(faulted.snapshot(), clean.snapshot())
+
+
+class TestRedriveEquivalence:
+    """kill → op → rebuild → redrive lands every mutator on the state of a
+    never-faulted service, and the events it publishes on the way keep an
+    attached incremental analytic exact."""
+
+    N = 96
+
+    def run(self, op, directory, *, policy=None):
+        """Apply ``op`` once; under ``policy`` shard 1 is dead when it arrives."""
+        svc = ShardedGraph.create(
+            "slabhash", self.N, num_shards=3, partial_dispatch=policy or "raise"
+        )
+        svc.attach_durability(directory, fsync="never")
+        cc = IncrementalConnectedComponents(svc)
+        rng = np.random.default_rng(21)
+        src = rng.integers(0, self.N, 150, dtype=np.int64)
+        dst = rng.integers(0, self.N, 150, dtype=np.int64)
+        if op != "bulk_build":  # a bulk build needs the empty graph
+            svc.insert_edges(src, dst)
+        cc.labels()
+        more = rng.integers(0, self.N, (2, 60), dtype=np.int64)
+        mutate = {
+            "insert_edges": lambda: svc.insert_edges(more[0], more[1]),
+            "delete_edges": lambda: svc.delete_edges(src[:60], dst[:60]),
+            "delete_vertices": lambda: svc.delete_vertices(np.arange(0, self.N, 7)),
+            "bulk_build": lambda: svc.bulk_build(COO(src, dst, self.N)),
+        }[op]
+        if policy is None:
+            mutate()
+        else:
+            svc.kill_shard(1)
+            if policy == "record":
+                mutate()
+                (report,) = svc.pending
+            else:
+                with pytest.raises(PartialDispatchError) as exc:
+                    mutate()
+                report = exc.value.report
+            assert report.op == op and report.failed_shards == (1,)
+            svc.rebuild_shard(1)
+            cc.labels()  # synced before the redrive: its events must fold in
+            if policy == "record":
+                assert svc.redrive_pending() == 0
+            else:
+                assert svc.redrive(report) is None
+        svc.stores.close()
+        return svc, cc
+
+    @pytest.mark.parametrize("policy", ["record", "raise"])
+    @pytest.mark.parametrize(
+        "op", ["insert_edges", "delete_edges", "delete_vertices", "bulk_build"]
+    )
+    def test_redriven_op_equals_never_faulted(self, op, policy, tmp_path):
+        clean, _ = self.run(op, tmp_path / "clean")
+        faulted, cc = self.run(op, tmp_path / "faulted", policy=policy)
+        assert faulted.health == [SHARD_HEALTHY] * 3
+        assert faulted.num_edges() == clean.num_edges() > 0
+        assert_snaps_identical(faulted.snapshot(), clean.snapshot())
+        assert np.array_equal(cc.labels(), connected_components(faulted.snapshot()))
 
 
 class TestChaosScenarios:

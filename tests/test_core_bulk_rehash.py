@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import COO, DynamicGraph
+from repro import COO
+from repro.core import DynamicGraph
 from repro.util.errors import ValidationError
 from tests.conftest import structure_state
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import DynamicGraph
+from repro.core import DynamicGraph
 from repro.gpusim.counters import counting
 from repro.util.errors import ValidationError
 from tests.conftest import structure_edges

@@ -10,7 +10,7 @@ aggregates always equal the ground-truth full-array sums.
 import numpy as np
 import pytest
 
-from repro import DynamicGraph
+from repro.core import DynamicGraph
 from repro.core.vertex_dict import VertexDictionary
 from repro.gpusim.wcws import delete_vertices_reference, insert_edges_reference
 

@@ -5,7 +5,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro import DynamicGraph
+from repro.core import DynamicGraph
 from repro.analytics import core_numbers, kcore, sssp
 from repro.core.id_reuse import VertexIdRecycler
 from repro.datasets import rgg_graph

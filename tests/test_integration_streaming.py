@@ -10,7 +10,7 @@ dict model and networkx at checkpoints.
 import networkx as nx
 import numpy as np
 
-from repro import DynamicGraph
+from repro.core import DynamicGraph
 from repro.analytics import bfs, connected_components, triangle_count_hash
 from repro.datasets import powerlaw_graph
 from tests.conftest import structure_edges

@@ -124,7 +124,7 @@ class TestNpz:
 
     def test_graph_checkpoint_cycle(self, tmp_path, rng):
         """Full cycle: dynamic graph -> snapshot -> disk -> rebuild."""
-        from repro import DynamicGraph
+        from repro.core import DynamicGraph
 
         g = DynamicGraph(40)
         g.insert_edges(rng.integers(0, 40, 300), rng.integers(0, 40, 300), rng.integers(0, 9, 300))

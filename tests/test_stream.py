@@ -18,6 +18,7 @@ import pytest
 import repro.api as api
 from repro.analytics import connected_components, pagerank
 from repro.api import Graph
+from repro.eventlog import EdgeBatch, StructuralEvent
 from repro.stream import (
     IncrementalConnectedComponents,
     IncrementalPageRank,
@@ -262,47 +263,29 @@ class TestIncrementalPageRank:
 
 
 class TestFacadeSubscriberHook:
-    class Probe:
-        def __init__(self):
-            self.events = []
-
-        def on_edge_batch(self, is_insert, src, dst, weights, before_version):
-            self.events.append(("edges", bool(is_insert), src.copy(), dst.copy()))
-
-        def on_structural(self, reason):
-            self.events.append(("structural", reason))
+    """The facade publishes to ``g.events``; a push subscriber sees the
+    normalized batches and structural events as they are applied."""
 
     def test_edge_batches_and_structural_events_delivered(self):
         g = Graph.create("slabhash", num_vertices=16)
-        probe = self.Probe()
-        g.subscribe_deltas(probe)
+        events = []
+        g.events.subscribe(events.append)
         g.insert_edges([0, 1, 2], [1, 2, 2])  # self-loop (2,2) normalized away
         g.delete_edges([0], [1])
         g.delete_vertices([3])
-        kinds = [e[0] for e in probe.events]
-        assert kinds == ["edges", "edges", "structural"]
-        assert probe.events[0][1] is True
-        assert probe.events[0][2].tolist() == [0, 1]  # normalized batch
-        assert probe.events[1][1] is False
-        assert probe.events[2][1] == "delete_vertices"
+        assert [type(e) for e in events] == [EdgeBatch, EdgeBatch, StructuralEvent]
+        assert events[0].is_insert is True
+        assert events[0].src.tolist() == [0, 1]  # normalized batch
+        assert events[1].is_insert is False
+        assert events[2].reason == "delete_vertices"
 
     def test_empty_batches_not_delivered(self):
         g = Graph.create("slabhash", num_vertices=16)
-        probe = self.Probe()
-        g.subscribe_deltas(probe)
+        events = []
+        g.events.subscribe(events.append)
         g.insert_edges([], [])
         g.insert_edges([5], [5])  # pure self-loop batch drops to empty
-        assert probe.events == []
-
-    def test_unsubscribe(self):
-        g = Graph.create("slabhash", num_vertices=16)
-        probe = self.Probe()
-        g.subscribe_deltas(probe)
-        g.subscribe_deltas(probe)  # double-subscribe is idempotent
-        g.unsubscribe_deltas(probe)
-        g.insert_edges([0], [1])
-        assert probe.events == []
-        g.unsubscribe_deltas(probe)  # removing twice is a no-op
+        assert events == []
 
 
 class TestCompositeKeyGuard:

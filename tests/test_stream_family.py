@@ -210,7 +210,7 @@ class TestIncrementalTriangleCount:
             assert tc.last_mode == "incremental"
 
     def test_retention_gap_forces_cold(self):
-        g = Graph.create("slabhash", num_vertices=32, snapshot_delta_limit=4)
+        g = Graph.create("slabhash", num_vertices=32, event_retention=4)
         g.insert_edges([0, 1], [1, 2])
         tc = IncrementalTriangleCount(g)
         tc.count()
@@ -421,6 +421,7 @@ class TestScenarioAnalyticsSelection:
                 assert set(p.detail["analytic_model"]) == set(UNWEIGHTED_FAMILY)
                 assert set(p.detail["modes"]) == set(UNWEIGHTED_FAMILY)
                 assert p.detail["snapshot_model"] >= 0
-                # Legacy keys survive for cc/pagerank consumers.
-                assert p.detail["cc_mode"] == p.detail["modes"]["cc"]
+                # The per-analytic modes live under "modes" only; the t11
+                # artifact still reads PageRank's sweep count.
+                assert "cc_mode" not in p.detail and "pr_mode" not in p.detail
                 assert "pr_sweeps" in p.detail

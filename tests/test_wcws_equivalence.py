@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DynamicGraph
+from repro.core import DynamicGraph
 from repro.gpusim.wcws import delete_edges_reference, insert_edges_reference
 from tests.conftest import structure_state
 

@@ -6,10 +6,11 @@ One weighted churn-style schedule — insert bursts, a deletion window,
 re-anchoring inserts — priced under all six analytics at once: connected
 components, PageRank, triangle count, BFS, SSSP, and k-core.  The run
 prints the per-phase, per-analytic modeled cost and serving mode, so you
-can watch each analytic fold insert windows incrementally, fall back
-cold on the deletion, and resume incrementally afterwards.  A final pass
-with ``validate=True`` re-derives every cold reference after every phase
-to prove the incremental answers are exact.
+can watch each analytic fold insert windows incrementally, the component,
+distance and k-core repairs fall back cold on the deletion (PageRank and
+the triangle count fold it), and all resume incrementally afterwards.  A
+final pass with ``validate=True`` re-derives every cold reference after
+every phase to prove the incremental answers are exact.
 
 See docs/analytics.md for the family's contracts and fallback triggers.
 """

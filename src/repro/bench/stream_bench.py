@@ -11,9 +11,9 @@ phase under the two strategies:
 - **incr** — the facade's O(batch) delta-merged snapshot plus the
   delta-aware analytics family (:class:`IncrementalConnectedComponents`
   union-find updates, :class:`IncrementalPageRank` warm-start sweeps,
-  :class:`IncrementalTriangleCount` wedge closure of new edges,
+  :class:`IncrementalTriangleCount` net-window wedge closure,
   :class:`IncrementalBFS` / :class:`IncrementalSSSP` seeded
-  re-relaxation, :class:`IncrementalKCore` region-bounded peeling).
+  re-relaxation, :class:`IncrementalKCore` candidate-set peeling).
 
 Reported times are modeled device milliseconds per compute phase
 (deterministic, baseline-gated).  Each (scenario, backend) emits one

@@ -13,10 +13,11 @@ package makes that workload a first-class object:
   recomputing from scratch: :class:`IncrementalConnectedComponents`
   (union-find, cold re-label on deletions/vertex ops),
   :class:`IncrementalPageRank` (warm-start power iteration),
-  :class:`IncrementalTriangleCount` (wedge closure of new edges against
-  the cached symmetric CSR), :class:`IncrementalBFS` /
-  :class:`IncrementalSSSP` (frontier re-relaxation seeded from the
-  delta), and :class:`IncrementalKCore` (region-bounded peeling repair).
+  :class:`IncrementalTriangleCount` (net-window wedge closure — inserts
+  and edge deletes fold together against the cached symmetric CSR),
+  :class:`IncrementalBFS` / :class:`IncrementalSSSP` (frontier
+  re-relaxation seeded from the delta), and :class:`IncrementalKCore`
+  (candidate-set peeling with the old core credited).
 
 The ``t11`` bench artifact (:mod:`repro.bench.stream_bench`) prices the
 incremental compute phases against the full-recompute baseline the other

@@ -19,13 +19,14 @@ events into their state at query time:
   sweeps; results match a cold :func:`repro.analytics.pagerank` within
   ``tol``.  An unchanged graph returns the cached ranks with zero sweeps.
 - :class:`IncrementalTriangleCount` — the undirected triangle count
-  maintained by per-batch wedge closure: the cached symmetric CSR absorbs
-  each insert-only batch through
-  :func:`repro.api.snapshot.merge_csr_delta` and the genuinely-new edges
-  are closed through the *same*
+  maintained by a net-window fold: the pending insert *and* delete
+  batches reduce to the undirected edges that genuinely left or arrived,
+  the triangles through them are closed through the *same*
   :func:`repro.analytics.wedges.closing_wedges` kernel the Table VII/IX
-  paths use.  Always exactly equal to
-  :func:`repro.analytics.undirected_triangles` on the live snapshot.
+  paths use (``T' = T - D + A``), and the cached symmetric CSR absorbs
+  both sets in one :func:`repro.api.snapshot.merge_csr_delta`.  Always
+  exactly equal to :func:`repro.analytics.undirected_triangles` on the
+  live snapshot.
 - :class:`IncrementalBFS` / :class:`IncrementalSSSP` — distance arrays
   repaired by frontier re-relaxation seeded from the delta-touched
   vertices (insert-only windows can only shorten distances, so relaxing
@@ -33,11 +34,11 @@ events into their state at query time:
   fixpoint).  Deletions — and, for SSSP, a replace-semantics upsert that
   *grew* an existing edge's weight — trigger a cold re-run.
 - :class:`IncrementalKCore` — fixed-``k`` core membership repaired by
-  region-bounded peeling: on insert-only windows the core can only grow,
-  and every newly-qualifying vertex must reach a new edge's source
-  through the promoted set, so peeling the reverse-reachable candidate
-  region (with credits for the old core) is exact.  Always equal to
-  :func:`repro.analytics.kcore_membership` on the live snapshot.
+  candidate-set peeling: on insert-only windows the core can only grow,
+  and only non-core vertices with live degree ≥ k can join, so peeling
+  that candidate set with the old core credited as permanent neighbours
+  is exact.  Always equal to :func:`repro.analytics.kcore_membership` on
+  the live snapshot.
 
 Staleness can never masquerade as freshness: a consumed window must be a
 complete history (no retention gap — the cursor detects events trimmed
@@ -47,9 +48,9 @@ applied to the backend behind the facade's back breaks that chain and is
 answered with a cold recompute — one shared log-gap check instead of the
 per-consumer version bookkeeping each analytic used to reimplement.
 
-Both charge the device model for their incremental work (union-find
-traffic, warm sweeps), so the ``t11`` stream bench prices them against the
-full-recompute baseline honestly.
+Every class charges the device model for its incremental work (union-find
+traffic, warm sweeps, probes, gathers, peel rounds), so the ``t11`` stream
+bench prices it against the full-recompute baseline honestly.
 """
 
 from __future__ import annotations
@@ -86,12 +87,13 @@ _INF = np.iinfo(np.int64).max // 4
 class IncrementalAnalytic:
     """Base class wiring an analytic onto a facade's event log.
 
-    Subclasses implement :meth:`_fold_event`, called once per pending
-    event in sequence order at query time.  The base class owns the
-    cursor, the gap/version-chain detection, and the stale flag; a
-    subclass marks itself stale from ``_fold_event`` when an event is not
-    incrementally absorbable (a delete for union-find, say) and the next
-    query rebuilds cold.
+    The base class owns the cursor, the gap/version-chain detection, the
+    stale flag and the *pending window*: at query time every pending event
+    the subclass :meth:`_absorbs` is appended to ``_pending`` while the
+    version chain stays connected; anything else marks the state stale.
+    Subclasses supply the cold :meth:`_rebuild` and the window
+    :meth:`_repair`; :meth:`_refresh` picks between them and re-anchors
+    only once the new state is computed.
     """
 
     def __init__(self, graph) -> None:
@@ -106,6 +108,7 @@ class IncrementalAnalytic:
         self._cursor = events.cursor()
         self._stale = True
         self._synced_version = -1
+        self._pending: list = []
         #: How the last query was served: "incremental", "warm", "cold",
         #: or "cached".
         self.last_mode: str | None = None
@@ -117,8 +120,24 @@ class IncrementalAnalytic:
 
     # -- event folding -----------------------------------------------------------
 
+    def _absorbs(self, event) -> bool:
+        """Whether ``event`` can be folded without a cold pass.  Default:
+        insert batches only — a deletion can split a component, lengthen a
+        path or demote a core member, and only a cold pass can tell."""
+        return isinstance(event, EdgeBatch) and event.is_insert
+
     def _fold_event(self, event) -> None:
-        raise NotImplementedError
+        if self._stale:
+            return  # the pending cold pass will absorb this event too
+        if not self._absorbs(event) or event.before_version != self._synced_version:
+            # Not absorbable, or the version chain does not connect our
+            # last sync to this batch — something mutated the backend
+            # out-of-band between them.  Folding the batch anyway would
+            # mask the missed change behind a fresh-looking version.
+            self._stale = True
+            return
+        self._pending.append(event)
+        self._synced_version = event.after_version
 
     def _drain(self) -> None:
         """Fold every pending event; a retention gap marks the state stale
@@ -132,6 +151,42 @@ class IncrementalAnalytic:
             self._fold_event(event)
 
     # -- plumbing ----------------------------------------------------------------
+
+    def _rebuild(self) -> None:
+        """Recompute the state cold from the live snapshot."""
+        raise NotImplementedError
+
+    def _repair(self, window) -> bool:
+        """Fold the absorbed ``window`` into the state; False means it
+        turned out not to be foldable and the caller rebuilds cold."""
+        raise NotImplementedError
+
+    def _refresh(self) -> None:
+        """Bring the state up to the live graph and record ``last_mode``."""
+        self._drain()
+        repairable = self._in_sync()
+        if repairable and not self._pending:
+            self.last_mode = "cached"
+            return
+        # Stale until the new state commits: a repair or rebuild that
+        # raises leaves the next query cold, never the old answer as fresh.
+        self._stale = True
+        if repairable and self._repair(self._pending):
+            mode = "incremental"
+        else:
+            self._rebuild()
+            mode = "cold"
+        self._reanchor()
+        self.last_mode = mode
+
+    def _reanchor(self) -> None:
+        """Mark the state in sync with the live graph (call only after the
+        new state is assigned)."""
+        self._pending.clear()
+        self._stale = False
+        self._synced_version = self._live_version()
+        if self._cursor is not None:
+            self._cursor.poll()  # the snapshot absorbed everything pending
 
     def _live_version(self) -> int:
         version = getattr(self.graph, "mutation_version", None)
@@ -160,25 +215,17 @@ class IncrementalConnectedComponents(IncrementalAnalytic):
     def __init__(self, graph) -> None:
         super().__init__(graph)
         self._parent: np.ndarray | None = None
-        self._relabel()
+        self._rebuild()
+        self._reanchor()
 
     # -- event folding -----------------------------------------------------------
 
     def _fold_event(self, event) -> None:
-        if self._stale:
-            return  # the pending cold re-label will absorb this event too
-        if not isinstance(event, EdgeBatch) or not event.is_insert:
-            # Structural changes and deletions may split a component;
-            # only a cold pass can tell.
-            self._stale = True
+        super()._fold_event(event)
+        if not self._pending:
             return
-        if event.before_version != self._synced_version:
-            # The version chain does not connect our last sync to this
-            # batch — something mutated the backend out-of-band between
-            # them.  Folding the batch anyway would mask the missed
-            # change behind a fresh-looking version, so go cold.
-            self._stale = True
-            return
+        # Absorbed: union it now — a forest has no use for a deferred window.
+        event = self._pending.pop()
         parent = self._parent
         counters = get_counters()
         counters.atomics += int(event.src.shape[0])
@@ -193,7 +240,6 @@ class IncrementalConnectedComponents(IncrementalAnalytic):
                 parent[rb] = ra
             else:
                 parent[ra] = rb
-        self._synced_version = event.after_version
 
     # -- queries ------------------------------------------------------------------
 
@@ -201,7 +247,8 @@ class IncrementalConnectedComponents(IncrementalAnalytic):
         """Component label per vertex (= smallest id in the component)."""
         self._drain()
         if not self._in_sync():
-            self._relabel()
+            self._rebuild()
+            self._reanchor()
             self.last_mode = "cold"
             return self._parent.copy()
         # Vectorized pointer-jump to the (min-id) roots; keep the
@@ -221,16 +268,11 @@ class IncrementalConnectedComponents(IncrementalAnalytic):
 
     # -- plumbing ----------------------------------------------------------------
 
-    def _relabel(self) -> None:
-        labels = connected_components(self.graph.snapshot())
+    def _rebuild(self) -> None:
         # The label array doubles as a valid union-find forest: each
         # vertex points at its component's min id, roots point at
         # themselves.
-        self._parent = labels.copy()
-        self._stale = False
-        self._synced_version = self._live_version()
-        if self._cursor is not None:
-            self._cursor.poll()  # the snapshot absorbed everything pending
+        self._parent = connected_components(self.graph.snapshot()).copy()
 
 
 def _find(parent: np.ndarray, x: int) -> int:
@@ -320,10 +362,7 @@ class IncrementalPageRank(IncrementalAnalytic):
         )
         self._ranks = rank
         self._touched = np.zeros(n, dtype=bool)
-        self._stale = False
-        self._synced_version = self._live_version()
-        if self._cursor is not None:
-            self._cursor.poll()  # the snapshot absorbed everything pending
+        self._reanchor()
         self.last_sweeps = sweeps
         return rank.copy()
 
@@ -339,23 +378,63 @@ def _sorted_member(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return (loc < haystack.shape[0]) & (haystack[safe] == needles)
 
 
+def _composite(snap: CSRSnapshot) -> np.ndarray:
+    """The snapshot's globally sorted ``(src << 32) | dst`` edge keys
+    (charged as one pass over the edge stream)."""
+    get_counters().bytes_copied += snap.num_edges * 8
+    return (snap.sources() << np.int64(32)) | snap.col_idx
+
+
+def _mirrored(keys: np.ndarray) -> np.ndarray:
+    """Both orientations of canonical ``u < v`` keys as one sorted array
+    (the O(B log B) delta sort, charged as ``sorted_elements``)."""
+    u, v = split_keys(keys)
+    both = np.sort(np.concatenate([keys, (v << np.int64(32)) | u]))
+    get_counters().sorted_elements += int(both.shape[0])
+    return both
+
+
+def _triangles_through(sym: CSRSnapshot, comp: np.ndarray, keys: np.ndarray) -> int:
+    """Triangles of the symmetric CSR ``sym`` (composite ``comp``) with at
+    least one edge among the sorted canonical ``keys``, each counted once:
+    a closed wedge is credited to the triangle's *largest* key in ``keys``."""
+    if keys.shape[0] == 0:
+        return 0
+    ku, kv = split_keys(keys)
+    edge_of, w = closing_wedges(sym.row_ptr, sym.col_idx, comp, ku, kv, return_hits=True)
+    if edge_of.shape[0] == 0:
+        return 0
+    hu, hv, key_uv = ku[edge_of], kv[edge_of], keys[edge_of]
+    e1 = (np.minimum(hu, w) << np.int64(32)) | np.maximum(hu, w)
+    e2 = (np.minimum(hv, w) << np.int64(32)) | np.maximum(hv, w)
+    ok = (~_sorted_member(keys, e1) | (e1 < key_uv)) & (
+        ~_sorted_member(keys, e2) | (e2 < key_uv)
+    )
+    return int(ok.sum())
+
+
 class IncrementalTriangleCount(IncrementalAnalytic):
     """The undirected triangle count maintained from the event log.
 
     State is the symmetric sorted CSR of the graph's undirected view (its
-    canonical ``u < v`` edges mirrored) plus the current count.  An
-    insert-only batch is absorbed in O(E + B log E): the batch reduces to
-    canonical keys, membership probes split off the genuinely-new edges,
-    :func:`repro.api.snapshot.merge_csr_delta` merges their mirrored
-    orientations into the cached symmetric CSR, and the new edges are
-    closed through the shared Table VII/IX wedge kernel
-    (:func:`repro.analytics.wedges.closing_wedges`).  Each new triangle is
-    counted exactly once: a closed wedge is credited to the triangle's
-    *largest* new canonical edge key.
+    canonical ``u < v`` edges mirrored) plus the current count ``T``.  The
+    whole pending window — insert *and* delete batches — folds once at
+    query time in O(E + B log E): the window reduces to the canonical keys
+    it touched; ``was`` (member of the cached CSR) against ``now`` (either
+    orientation live — probed only when the window holds a delete batch,
+    an insert-only window leaves every touched key live) splits off the
+    undirected edges that genuinely left (``removed``) or arrived
+    (``added``), so absent-edge deletes, replace-semantics upserts,
+    reversed duplicates and insert-then-delete pairs are all no-ops.  Then
+    ``T' = T - D + A``: ``D`` the triangles of the old CSR through a
+    removed edge, ``A`` the triangles of the merged CSR
+    (:func:`repro.api.snapshot.merge_csr_delta`) through an added edge,
+    both closed through the shared Table VII/IX wedge kernel
+    (:func:`repro.analytics.wedges.closing_wedges`).
 
-    Deletions, structural events, retention gaps, and version-chain
-    breaks mark the state stale; the next :meth:`count` rebuilds cold —
-    the same symmetrize-and-close pass as
+    Structural events, retention gaps, and version-chain breaks mark the
+    state stale; the next :meth:`count` rebuilds cold — the same
+    symmetrize-and-close pass as
     :func:`repro.analytics.undirected_triangles`, to which the result is
     always exactly equal on the live snapshot.
     """
@@ -367,94 +446,56 @@ class IncrementalTriangleCount(IncrementalAnalytic):
         self._sym: CSRSnapshot | None = None
         self._comp: np.ndarray | None = None
         self._count = 0
-        self._folded = False
-        self._recount()
+        self._rebuild()
+        self._reanchor()
 
-    # -- event folding -----------------------------------------------------------
-
-    def _fold_event(self, event) -> None:
-        if self._stale:
-            return
-        if not isinstance(event, EdgeBatch) or not event.is_insert:
-            # Deleting an edge can destroy triangles; only a cold pass
-            # (or a per-edge recount we do not attempt) can tell how many.
-            self._stale = True
-            return
-        if event.before_version != self._synced_version:
-            self._stale = True
-            return
-        self._synced_version = event.after_version
-        self._folded = True
-        counters = get_counters()
-        counters.bytes_copied += int(event.src.shape[0]) * 16
-        candidates = canonical_edge_keys(event.src, event.dst)
-        # Replace-semantics upserts of already-present undirected edges do
-        # not change the topology — drop them via membership probes.
-        new = candidates[~_sorted_member(self._comp, candidates)]
-        if new.shape[0] == 0:
-            return
-        nu, nv = split_keys(new)
-        both = np.sort(np.concatenate([(nu << np.int64(32)) | nv, (nv << np.int64(32)) | nu]))
-        counters.sorted_elements += int(both.shape[0])  # the O(B log B) delta sort
-        merged = merge_csr_delta(self._sym, both, None, np.empty(0, dtype=np.int64))
-        mcomp = (merged.sources() << np.int64(32)) | merged.col_idx
-        counters.bytes_copied += merged.num_edges * 8
-        edge_of, w = closing_wedges(
-            merged.row_ptr, merged.col_idx, mcomp, nu, nv, return_hits=True
-        )
-        if edge_of.shape[0]:
-            hu, hv = nu[edge_of], nv[edge_of]
-            key_uv = (hu << np.int64(32)) | hv
-            e1 = (np.minimum(hu, w) << np.int64(32)) | np.maximum(hu, w)
-            e2 = (np.minimum(hv, w) << np.int64(32)) | np.maximum(hv, w)
-            # A triangle whose corner edges are also new would be found
-            # once per new edge; credit it to its largest new key only.
-            ok = (~_sorted_member(new, e1) | (e1 < key_uv)) & (
-                ~_sorted_member(new, e2) | (e2 < key_uv)
-            )
-            self._count += int(ok.sum())
-        self._sym = merged
-        self._comp = mcomp
+    def _absorbs(self, event) -> bool:
+        return isinstance(event, EdgeBatch)  # deletions fold too
 
     # -- queries ------------------------------------------------------------------
 
     def count(self) -> int:
         """Triangles in the undirected view of the live graph (exactly
         :func:`repro.analytics.undirected_triangles` of the snapshot)."""
-        self._drain()
-        if not self._in_sync():
-            self._recount()
-            self.last_mode = "cold"
-        elif self._folded:
-            self.last_mode = "incremental"
-        else:
-            self.last_mode = "cached"
-        self._folded = False
+        self._refresh()
         return self._count
 
     # -- plumbing ----------------------------------------------------------------
 
-    def _recount(self) -> None:
+    def _repair(self, window) -> bool:
+        counters = get_counters()
+        src = np.concatenate([e.src for e in window])
+        dst = np.concatenate([e.dst for e in window])
+        counters.bytes_copied += int(src.shape[0]) * 16
+        touched = canonical_edge_keys(src, dst)
+        was = _sorted_member(self._comp, touched)
+        if all(e.is_insert for e in window):
+            now = np.ones_like(was)  # nothing left the graph
+        else:
+            live = _composite(self.graph.snapshot())
+            u, v = split_keys(touched)
+            now = _sorted_member(live, touched) | _sorted_member(live, (v << np.int64(32)) | u)
+        removed, added = touched[was & ~now], touched[~was & now]
+        if removed.shape[0] or added.shape[0]:
+            count = self._count - _triangles_through(self._sym, self._comp, removed)
+            merged = merge_csr_delta(self._sym, _mirrored(added), None, _mirrored(removed))
+            mcomp = _composite(merged)
+            count += _triangles_through(merged, mcomp, added)
+            self._sym, self._comp, self._count = merged, mcomp, count
+        return True
+
+    def _rebuild(self) -> None:
         snap = self.graph.snapshot()
         n = snap.num_vertices
         canonical = canonical_edge_keys(snap.sources(), snap.col_idx)
         if canonical.shape[0]:
             row_ptr, col_idx, comp = symmetric_csr(canonical, n)
-            self._sym = CSRSnapshot(row_ptr, col_idx, None, n)
-            self._comp = comp
             u, v = split_keys(canonical)
-            self._count = closing_wedges(row_ptr, col_idx, comp, u, v) // 3
+            count = closing_wedges(row_ptr, col_idx, comp, u, v) // 3
         else:
-            self._sym = CSRSnapshot(
-                np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64), None, n
-            )
-            self._comp = np.empty(0, dtype=np.int64)
-            self._count = 0
-        self._stale = False
-        self._folded = False
-        self._synced_version = self._live_version()
-        if self._cursor is not None:
-            self._cursor.poll()  # the snapshot absorbed everything pending
+            row_ptr, col_idx = np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+            comp, count = np.empty(0, dtype=np.int64), 0
+        self._sym, self._comp, self._count = CSRSnapshot(row_ptr, col_idx, None, n), comp, count
 
 
 class _IncrementalDistances(IncrementalAnalytic):
@@ -479,25 +520,7 @@ class _IncrementalDistances(IncrementalAnalytic):
             raise ValidationError(f"source {source} out of range [0, {n})")
         self.source = source
         self._dist: np.ndarray | None = None
-        self._pending: list = []
         self._prev_snap: CSRSnapshot | None = None
-
-    # -- event folding -----------------------------------------------------------
-
-    def _fold_event(self, event) -> None:
-        if self._stale:
-            return
-        if not isinstance(event, EdgeBatch) or not event.is_insert:
-            # Deleting an edge can lengthen or disconnect paths.
-            self._stale = True
-            self._pending.clear()
-            return
-        if event.before_version != self._synced_version:
-            self._stale = True
-            self._pending.clear()
-            return
-        self._pending.append(event)
-        self._synced_version = event.after_version
 
     # -- queries ------------------------------------------------------------------
 
@@ -507,18 +530,7 @@ class _IncrementalDistances(IncrementalAnalytic):
         Bit-identical to the cold kernel (:func:`repro.analytics.bfs` /
         :func:`repro.analytics.sssp`) on the live snapshot.
         """
-        self._drain()
-        if self._dist is None or not self._in_sync():
-            self._rebuild()
-            self.last_mode = "cold"
-        elif self._pending:
-            if self._repair():
-                self.last_mode = "incremental"
-            else:
-                self._rebuild()
-                self.last_mode = "cold"
-        else:
-            self.last_mode = "cached"
+        self._refresh()
         return np.where(self._dist >= _INF, np.int64(-1), self._dist)
 
     # -- plumbing ----------------------------------------------------------------
@@ -529,25 +541,16 @@ class _IncrementalDistances(IncrementalAnalytic):
     def _rebuild(self) -> None:
         snap = self.graph.snapshot()
         raw = self._cold_kernel(snap)
-        self._dist = np.where(raw < 0, _INF, raw).astype(np.int64)
-        self._after_sync(snap)
+        self._dist, self._prev_snap = np.where(raw < 0, _INF, raw).astype(np.int64), snap
 
-    def _after_sync(self, snap) -> None:
-        self._prev_snap = snap
-        self._pending.clear()
-        self._stale = False
-        self._synced_version = self._live_version()
-        if self._cursor is not None:
-            self._cursor.poll()  # the snapshot absorbed everything pending
-
-    def _net_pending(self):
+    def _net_window(self, window):
         """Reduce the pending window to net per-key (src, dst, weight)
         arrays — last occurrence wins, matching replace semantics — with
         undirected facades' mirroring applied."""
-        src = np.concatenate([e.src for e in self._pending])
-        dst = np.concatenate([e.dst for e in self._pending])
-        weighted = self._pending[0].weights is not None
-        w = np.concatenate([e.weights for e in self._pending]) if weighted else None
+        src = np.concatenate([e.src for e in window])
+        dst = np.concatenate([e.dst for e in window])
+        weighted = window[0].weights is not None
+        w = np.concatenate([e.weights for e in window]) if weighted else None
         if not getattr(self.graph, "directed", True):
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
             if w is not None:
@@ -557,11 +560,11 @@ class _IncrementalDistances(IncrementalAnalytic):
         keep = last_occurrence_mask(comp)
         return src[keep], dst[keep], (w[keep] if w is not None else None)
 
-    def _repair(self) -> bool:
+    def _repair(self, window) -> bool:
         """Fold the pending window by seeded re-relaxation; False means
         the window is not monotone (a grown upsert) → caller goes cold."""
         snap = self.graph.snapshot()
-        src, dst, w = self._net_pending()
+        src, dst, w = self._net_window(window)
         counters = get_counters()
         if self._unit_weights:
             w = np.ones(src.shape[0], dtype=np.int64)
@@ -571,8 +574,7 @@ class _IncrementalDistances(IncrementalAnalytic):
             # Replace semantics: an upsert that *grew* an existing edge's
             # weight can lengthen shortest paths — not monotone, go cold.
             prev = self._prev_snap
-            counters.bytes_copied += prev.num_edges * 8
-            old_comp = (prev.sources() << np.int64(32)) | prev.col_idx
+            old_comp = _composite(prev)
             keys = (src << np.int64(32)) | dst
             hit = _sorted_member(old_comp, keys)
             if hit.any():
@@ -604,8 +606,7 @@ class _IncrementalDistances(IncrementalAnalytic):
             np.minimum.at(proposed, adst, dist[frontier[owner_pos]] + aw)
             frontier = np.flatnonzero(proposed < dist)
             dist = proposed
-        self._dist = dist
-        self._after_sync(snap)
+        self._dist, self._prev_snap = dist, snap
         return True
 
 
@@ -655,13 +656,16 @@ class IncrementalKCore(IncrementalAnalytic):
 
     The k-core (the maximal set whose members keep ≥ k out-neighbors
     within the set — the classical undirected core for symmetric edge
-    sets) can only *grow* under insert-only windows, and every vertex the
-    window promotes must reach a new edge's source endpoint through the
-    promoted set.  Repair therefore peels only the candidate region:
-    non-core vertices with live degree ≥ k that reach a seed against the
-    edge direction (one reverse-index build + a region-bounded BFS),
-    with old-core members credited as permanent neighbors.  Survivors
-    join the core; everything else is untouched.
+    sets) can only *grow* under insert-only windows, and only candidates
+    ``K`` — non-core vertices with live out-degree ≥ k — can join.  Repair
+    peels ``K`` alone, with the old core ``C`` credited as permanent
+    neighbors: the survivors ``A`` (the greatest subset of ``K`` whose
+    members keep ≥ k out-neighbors in ``C ∪ A``) make ``C ∪ A`` closed,
+    hence inside the new core, and the new core's growth is itself such a
+    subset of ``K``, hence inside ``A``.  A window in which no vertex of
+    ``K`` gained an out-edge changes nothing (the new core would already
+    have been closed in the old graph).  Cost follows ``K``'s adjacency,
+    not the edge set.
 
     Deletions, structural events, gaps, and version-chain breaks rebuild
     cold via :func:`repro.analytics.kcore_membership`, to which
@@ -675,119 +679,44 @@ class IncrementalKCore(IncrementalAnalytic):
         super().__init__(graph)
         self.k = int(k)
         self._in_core: np.ndarray | None = None
-        self._pending: list = []
-
-    # -- event folding -----------------------------------------------------------
-
-    def _fold_event(self, event) -> None:
-        if self._stale:
-            return
-        if not isinstance(event, EdgeBatch) or not event.is_insert:
-            # Deleting an edge can demote vertices out of the core.
-            self._stale = True
-            self._pending.clear()
-            return
-        if event.before_version != self._synced_version:
-            self._stale = True
-            self._pending.clear()
-            return
-        self._pending.append(event)
-        self._synced_version = event.after_version
 
     # -- queries ------------------------------------------------------------------
 
     def members(self) -> np.ndarray:
         """Boolean k-core membership per vertex (exactly
         :func:`repro.analytics.kcore_membership` on the live snapshot)."""
-        self._drain()
-        if self._in_core is None or not self._in_sync():
-            self._rebuild()
-            self.last_mode = "cold"
-        elif self._pending:
-            self._repair()
-            self.last_mode = "incremental"
-        else:
-            self.last_mode = "cached"
+        self._refresh()
         return self._in_core.copy()
 
     # -- plumbing ----------------------------------------------------------------
 
     def _rebuild(self) -> None:
         self._in_core = kcore_membership(self.graph.snapshot(), self.k)
-        self._pending.clear()
-        self._stale = False
-        self._synced_version = self._live_version()
-        if self._cursor is not None:
-            self._cursor.poll()  # the snapshot absorbed everything pending
 
-    def _repair(self) -> None:
+    def _repair(self, window) -> bool:
         snap = self.graph.snapshot()
         in_core = self._in_core
-        seeds = [e.src for e in self._pending]
+        seeds = [e.src for e in window]
         if not getattr(self.graph, "directed", True):
-            seeds += [e.dst for e in self._pending]
+            seeds += [e.dst for e in window]
         seeds = np.unique(np.concatenate(seeds))
-        self._pending.clear()
-        self._stale = False
-        self._synced_version = self._live_version()
-        if self._cursor is not None:
-            self._cursor.poll()
-        n = snap.num_vertices
         counters = get_counters()
-        counters.bytes_copied += int(seeds.shape[0]) * 8
-        # Only a vertex whose out-degree grew can start a promotion
-        # cascade, and only vertices outside the core with enough live
-        # degree can ever join.
-        deg = snap.out_degrees()
-        candidate = (~in_core) & (deg >= self.k)
-        seeds = seeds[candidate[seeds]]
-        if seeds.shape[0] == 0:
-            return
-        # Reverse index (counting-sort scatter on a device; one pass over
-        # the edge stream) so the cascade can walk edges backwards.
-        src, dst = snap.sources(), snap.col_idx
-        counters.kernel_launches += 2
-        counters.bytes_copied += int(src.shape[0]) * 16 + n * 8
-        order = np.argsort(dst, kind="stable")
-        rev_src = src[order]
-        rev_cnt = np.bincount(dst, minlength=n)
-        rev_ptr = np.concatenate([[0], np.cumsum(rev_cnt)]).astype(np.int64)
-        # Grow the candidate region: a vertex can only be promoted if it
-        # reaches a seed through promoted vertices along out-edges, i.e.
-        # the seeds' reverse-reachable candidates.
-        region = np.zeros(n, dtype=bool)
-        region[seeds] = True
-        frontier = seeds
-        while frontier.size:
-            lens = rev_cnt[frontier]
-            starts = rev_ptr[frontier]
-            m = int(lens.sum())
-            counters.kernel_launches += 1
-            counters.bytes_copied += int(frontier.shape[0]) * 8 + m * 8
-            if m == 0:
-                break
-            flat = (
-                np.arange(m, dtype=np.int64)
-                - np.repeat(np.concatenate([[0], np.cumsum(lens)[:-1]]), lens)
-                + np.repeat(starts, lens)
-            )
-            nbr = rev_src[flat]
-            fresh = np.unique(nbr[candidate[nbr] & ~region[nbr]])
-            region[fresh] = True
-            frontier = fresh
-        # Peel inside the region, crediting old-core neighbors as
-        # permanent (the old core never shrinks under inserts).
-        rvs = np.flatnonzero(region)
-        owner_pos, nbrs, _ = snap.adjacencies(rvs)
-        tails = rvs[owner_pos]
-        alive = region.copy()
+        # Candidate-mask pass over the degree and membership arrays.
+        counters.kernel_launches += 1
+        counters.bytes_copied += int(seeds.shape[0]) * 8 + snap.num_vertices * 8
+        alive = ~in_core & (snap.out_degrees() >= self.k)
+        if not alive[seeds].any():
+            return True  # no candidate's out-row grew: the core is unchanged
+        cand = np.flatnonzero(alive)
+        owner_pos, nbrs, _ = snap.adjacencies(cand)
         while True:
             counters.kernel_launches += 1
-            counters.bytes_copied += int(nbrs.shape[0]) * 16 + int(rvs.shape[0]) * 8
+            counters.bytes_copied += int(nbrs.shape[0]) * 16 + int(cand.shape[0]) * 8
             good = in_core[nbrs] | alive[nbrs]
-            deg_eff = np.bincount(tails[good], minlength=n)
-            weak = alive & (deg_eff < self.k)
-            if not weak.any():
+            deg_eff = np.bincount(owner_pos[good], minlength=cand.shape[0])
+            weak = cand[alive[cand] & (deg_eff < self.k)]
+            if weak.size == 0:
                 break
             alive[weak] = False
         self._in_core = in_core | alive
+        return True

@@ -18,8 +18,8 @@ Compute phases run in one of two modes:
 - ``mode="incremental"`` — the facade's delta-merged snapshot plus the
   delta-aware analytics of :mod:`repro.stream.incremental`
   (O(batch α) union-find updates, warm-started PageRank sweeps, wedge
-  closure of new edges, seeded distance re-relaxation, region-bounded
-  k-core repair).
+  closure of the window's net added and removed edges, seeded distance
+  re-relaxation, candidate-set k-core peeling).
 
 Which analytics a compute phase runs is the scenario runner's
 ``analytics`` selection — any subset of :data:`ANALYTICS` — and each

@@ -10,8 +10,11 @@ dynamic TC and the streaming TC to one wedge-closure kernel.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.api as api
+import repro.stream.incremental as incremental
 from repro.analytics import (
     bfs,
     connected_components,
@@ -57,8 +60,9 @@ def make_family(g, source=0, k=3):
     return fam
 
 
-def assert_family_exact(g, fam, expect_modes=None):
-    """Every member equals its cold kernel on the live snapshot."""
+def assert_family_exact(g, fam, expect_modes=None, tc_modes=None):
+    """Every member equals its cold kernel on the live snapshot
+    (``tc_modes`` overrides ``expect_modes`` for the triangle count)."""
     snap = cold_snapshot(g)
     answers = {
         "tc": (fam["tc"].count(), undirected_triangles(snap)),
@@ -74,7 +78,8 @@ def assert_family_exact(g, fam, expect_modes=None):
             assert np.array_equal(got, cold), name
     if expect_modes is not None:
         for name, inc in fam.items():
-            assert inc.last_mode in expect_modes, (name, inc.last_mode)
+            allowed = tc_modes if name == "tc" and tc_modes else expect_modes
+            assert inc.last_mode in allowed, (name, inc.last_mode)
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)
@@ -99,9 +104,10 @@ def test_family_exact_through_all_window_kinds(name):
 
     assert_family_exact(g, fam, expect_modes=("cached",))  # no new events
 
-    coo = g.export_coo()  # delete window: every member re-runs cold
+    # Delete window: TC folds the net window, every other member re-runs cold.
+    coo = g.export_coo()
     g.delete_edges(coo.src[:60], coo.dst[:60])
-    assert_family_exact(g, fam, expect_modes=("cold",))
+    assert_family_exact(g, fam, expect_modes=("cold",), tc_modes=("incremental",))
 
     g.insert_edges([1, 2], [2, 3], weights(2))  # cold pass re-anchored the cursor
     assert_family_exact(g, fam, expect_modes=("incremental", "cold"))
@@ -191,15 +197,59 @@ class TestIncrementalTriangleCount:
         assert tc.count() == undirected_triangles(cold_snapshot(g)) == 4
 
     def test_delete_goes_cold_then_reanchors(self):
+        """Only *structural* deletes go cold now: a pure edge-delete window
+        folds, a vertex-delete window rebuilds and re-anchors the cursor."""
         g, rng = self.make()
         tc = IncrementalTriangleCount(g)
         coo = g.export_coo()
         g.delete_edges(coo.src[:40], coo.dst[:40])
         assert tc.count() == undirected_triangles(cold_snapshot(g))
+        assert tc.last_mode == "incremental"
+        g.delete_vertices([3, 4])
+        assert tc.count() == undirected_triangles(cold_snapshot(g))
         assert tc.last_mode == "cold"
         g.insert_edges(rng.integers(0, 96, 10), rng.integers(0, 96, 10))
         assert tc.count() == undirected_triangles(cold_snapshot(g))
         assert tc.last_mode == "incremental"
+
+    def test_net_window_cases_fold_incrementally(self):
+        """One window mixing every no-op and net-change shape."""
+        g = Graph.create("slabhash", num_vertices=8)
+        g.insert_edges([0, 1, 2, 2, 3, 4], [1, 2, 0, 3, 2, 5])  # triangle {0,1,2}; 2<->3 both ways
+        tc = IncrementalTriangleCount(g)
+        assert tc.count() == 1
+        g.delete_edges([6], [7])  # absent edge
+        g.insert_edges([1, 0], [0, 1])  # reversed duplicate + upsert of a live key
+        g.insert_edges([3], [0])  # insert then delete within the window
+        g.delete_edges([3], [0])
+        g.delete_edges([1], [2])  # delete then re-insert: {0,1,2} survives
+        g.insert_edges([1], [2])
+        g.delete_edges([2], [3])  # one orientation leaves, 3->2 keeps {2,3} alive
+        g.insert_edges([1], [3])  # ... so this closes {1,2,3}
+        g.delete_edges([4], [5])
+        assert tc.count() == undirected_triangles(cold_snapshot(g)) == 2
+        assert tc.last_mode == "incremental"
+        g.delete_edges([3, 0], [2, 1])  # last orientation of {2,3}; 1->0 keeps {0,1}
+        assert tc.count() == undirected_triangles(cold_snapshot(g)) == 1
+        assert tc.last_mode == "incremental"
+
+    def test_failed_fold_is_not_served_as_fresh(self, monkeypatch):
+        g, rng = self.make()
+        tc = IncrementalTriangleCount(g)
+        real, calls = incremental.closing_wedges, []
+
+        def raise_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise MemoryError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(incremental, "closing_wedges", raise_once)
+        g.insert_edges(rng.integers(0, 96, 25), rng.integers(0, 96, 25))
+        with pytest.raises(MemoryError):
+            tc.count()
+        assert tc.count() == undirected_triangles(cold_snapshot(g))
+        assert tc.last_mode == "cold"
 
     def test_undirected_facade(self):
         g, rng = self.make(directed=False)
@@ -356,10 +406,84 @@ class TestIncrementalKCore:
         assert np.array_equal(kc.members(), kcore_membership(cold_snapshot(g), 3))
         assert kc.last_mode == "incremental"
 
+    def test_chain_joins_only_because_its_last_vertex_did(self):
+        g = Graph.create("slabhash", num_vertices=8)
+        g.insert_edges([0, 1, 2, 5], [1, 2, 3, 6])  # chain 0->1->2->3 and a stray 5->6
+        kc = IncrementalKCore(g, k=1)
+        assert not kc.members().any()
+        g.insert_edges([3, 4], [4, 3])  # 3<->4 closes; 2, 1, 0 follow in turn
+        got = kc.members()
+        assert kc.last_mode == "incremental"
+        # 5 is a candidate no seed is reverse-reachable from: peeled, not promoted.
+        assert got.tolist() == [True] * 5 + [False] * 3
+        assert np.array_equal(got, kcore_membership(cold_snapshot(g), 1))
+
+    def test_failed_repair_is_not_served_as_fresh(self, monkeypatch):
+        g, rng = self.make()
+        kc = IncrementalKCore(g, k=3)
+        kc.members()
+        real, calls = CSRSnapshot.adjacencies, []
+
+        def raise_once(self, vertex_ids):
+            calls.append(1)
+            if len(calls) == 1:
+                raise MemoryError("injected")
+            return real(self, vertex_ids)
+
+        monkeypatch.setattr(CSRSnapshot, "adjacencies", raise_once)
+        while not calls:  # until a window has a candidate seed to peel from
+            g.insert_edges(rng.integers(0, 96, 30), rng.integers(0, 96, 30))
+            try:
+                kc.members()
+            except MemoryError:
+                break
+        assert np.array_equal(kc.members(), kcore_membership(cold_snapshot(g), 3))
+        assert kc.last_mode == "cold"
+
     def test_bad_k_rejected(self):
         g, _ = self.make(n=8)
         with pytest.raises(ValidationError):
             IncrementalKCore(g, k=0)
+
+
+# No self-loops: the facade drops them, and an all-dropped batch publishes no event.
+_edge = st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda e: e[0] != e[1])
+_edges = st.lists(_edge, min_size=1, max_size=14)
+_mixed_window = st.lists(st.tuples(st.booleans(), _edges), min_size=1, max_size=6)
+
+
+def _apply(g, insert, edges):
+    src, dst = (np.array(col, dtype=np.int64) for col in zip(*edges))
+    (g.insert_edges if insert else g.delete_edges)(src, dst)
+
+
+class TestWindowFoldProperties:
+    """Ten vertex ids, so windows keep hitting the same keys: absent-edge
+    deletes, reversed duplicates, insert-then-delete, delete-then-reinsert
+    and half-deleted orientation pairs all occur."""
+
+    @given(st.booleans(), _edges, _mixed_window)
+    @settings(max_examples=60, deadline=None)
+    def test_tc_folds_any_insert_delete_window(self, directed, base, window):
+        g = Graph.create("slabhash", num_vertices=10, directed=directed)
+        _apply(g, True, base)
+        tc = IncrementalTriangleCount(g)
+        for insert, edges in window:
+            _apply(g, insert, edges)
+        assert tc.count() == undirected_triangles(cold_snapshot(g))
+        assert tc.last_mode == "incremental"
+
+    @given(st.integers(1, 5), _edges, st.lists(_edges, min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_kcore_repairs_any_insert_window(self, k, base, window):
+        g = Graph.create("slabhash", num_vertices=10)
+        _apply(g, True, base)
+        kc = IncrementalKCore(g, k=k)
+        kc.members()
+        for edges in window:
+            _apply(g, True, edges)
+        assert np.array_equal(kc.members(), kcore_membership(cold_snapshot(g), k))
+        assert kc.last_mode == "incremental"
 
 
 class TestSharedWedgeKernel:

@@ -2,22 +2,23 @@
 
 The in-memory :class:`repro.eventlog.EventLog` already gives every graph
 a complete, versioned mutation history; this package makes that history
-survive the process.  Three layers:
+survive the process.  Four modules, each built on the ones before it:
 
 - :mod:`repro.persist.wal` — segmented append-only log of framed
-  (length- and CRC32-checked) event records, with a
-  :class:`~repro.persist.wal.WalWriter` that subscribes to
-  ``graph.events`` and a :class:`~repro.persist.wal.LogFollower` that
-  tails another process's log;
+  (length- and CRC32-checked) event records: a
+  :class:`~repro.persist.wal.WalWriter` appends them, a
+  :class:`~repro.persist.wal.LogFollower` tails another process's log;
 - :mod:`repro.persist.checkpoint` — atomic ``CSRSnapshot`` checkpoints
   (NPZ + JSON manifest commit point) that bound replay length;
-- :mod:`repro.persist.store` — :func:`~repro.persist.store.open_graph`,
-  which recovers a :class:`~repro.persist.store.DurableGraph` as
-  latest-valid-checkpoint + WAL-tail replay and keeps it durable;
+- :mod:`repro.persist.store` — the one owner of crash recovery (latest
+  valid checkpoint + WAL-tail replay) and of the graph↔WAL binding:
+  :func:`~repro.persist.store.open_graph` recovers a
+  :class:`~repro.persist.store.DurableGraph`, which subscribes to
+  ``graph.events`` and logs every event it sees;
 - :mod:`repro.persist.sharded` — :class:`~repro.persist.sharded.ShardStores`,
-  per-shard WAL + checkpoint stores for a
-  :class:`~repro.api.sharding.ShardedGraph`, the recovery source its
-  ``rebuild_shard()`` replays (attach via ``attach_durability()``).
+  one such store per shard of a :class:`~repro.api.sharding.ShardedGraph`
+  (attach via ``attach_durability()``), recovered by the same routine
+  when ``rebuild_shard()`` restores a shard.
 
 See ``examples/durable_service.py`` for the checkpoint → crash →
 recover → replica-tail round trip, and the README's "Durability and

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import platform
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from io import BytesIO
 from pathlib import Path
 
@@ -59,6 +59,51 @@ def env_fingerprint() -> dict:
     }
 
 
+def _read_identity(path, kind: str, schema: int, required=(), expected=None) -> dict:
+    """Parse one of the JSON identity documents the durable layers write
+    (checkpoint manifest, ``store.json``, ``shards.json``, scenario
+    progress), or raise :class:`ValidationError` naming the file and —
+    where one is at fault — the field.
+
+    The document must be an object of this ``kind`` and ``schema`` holding
+    every ``required`` key; each non-None value in ``expected`` must equal
+    the recorded one — persisted bytes are never silently reinterpreted
+    under a different identity ("recovering" a different graph).
+    """
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise ValidationError(f"unreadable {kind} file {path}: {exc}")
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise ValidationError(f"{path} is not a {kind} file")
+    if doc.get("schema_version") != schema:
+        raise ValidationError(
+            f"{path} has schema {doc.get('schema_version')}, this reader supports {schema}"
+        )
+    expected = expected or {}
+    missing = [k for k in (*required, *expected) if k not in doc]
+    if missing:
+        raise ValidationError(f"{path} is missing fields {missing}")
+    for key, value in expected.items():
+        if value is not None and doc[key] != value:
+            raise ValidationError(
+                f"{path} records {key}={doc[key]!r} but {key}={value!r} was requested — "
+                "it cannot be reinterpreted under a different identity"
+            )
+    return doc
+
+
+def _write_identity(path, kind: str, schema: int, body: dict) -> dict:
+    """Atomically write (and return) the document :func:`_read_identity`
+    reads back: ``kind`` and ``schema_version`` first, then ``body``."""
+    doc = {"kind": kind, "schema_version": schema, **body}
+    with atomic_write(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return doc
+
+
 @dataclass(frozen=True)
 class CheckpointManifest:
     """Parsed manifest of one checkpoint (see module docstring)."""
@@ -77,6 +122,10 @@ class CheckpointManifest:
     @property
     def npz_path(self) -> Path:
         return self.path.with_name(self.npz)
+
+
+#: The manifest's keys: every field but the file's own location.
+_MANIFEST_FIELDS = tuple(f.name for f in fields(CheckpointManifest) if f.name != "path")
 
 
 def checkpoint_manifests(directory) -> list:
@@ -119,8 +168,6 @@ def write_checkpoint(
     with atomic_write(directory / f"{stem}.npz", "wb") as fh:
         fh.write(blob)
     manifest = {
-        "kind": MANIFEST_KIND,
-        "schema_version": SCHEMA_VERSION,
         "seq": int(seq),
         "mutation_version": None if mutation_version is None else int(mutation_version),
         "backend": str(backend),
@@ -132,23 +179,8 @@ def write_checkpoint(
         "environment": env_fingerprint(),
     }
     path = directory / f"{stem}.json"
-    with atomic_write(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_identity(path, MANIFEST_KIND, SCHEMA_VERSION, manifest)
     return CheckpointManifest(path=path, **{k: manifest[k] for k in _MANIFEST_FIELDS})
-
-
-_MANIFEST_FIELDS = (
-    "seq",
-    "mutation_version",
-    "backend",
-    "weighted",
-    "num_vertices",
-    "num_edges",
-    "npz",
-    "crc32",
-    "environment",
-)
 
 
 def load_checkpoint(manifest_path) -> tuple:
@@ -156,23 +188,8 @@ def load_checkpoint(manifest_path) -> tuple:
     the NPZ's CRC32.  Raises :class:`ValidationError` on any integrity
     failure (callers treat that checkpoint as nonexistent)."""
     manifest_path = Path(manifest_path)
-    try:
-        data = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"unreadable checkpoint manifest {manifest_path.name}: {exc}")
-    if not isinstance(data, dict) or data.get("kind") != MANIFEST_KIND:
-        raise ValidationError(f"{manifest_path.name} is not a checkpoint manifest")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError(
-            f"{manifest_path.name} has schema {data.get('schema_version')}, "
-            f"this reader supports {SCHEMA_VERSION}"
-        )
-    missing = [k for k in _MANIFEST_FIELDS if k not in data]
-    if missing:
-        raise ValidationError(f"{manifest_path.name} is missing fields {missing}")
-    manifest = CheckpointManifest(
-        path=manifest_path, **{k: data[k] for k in _MANIFEST_FIELDS}
-    )
+    data = _read_identity(manifest_path, MANIFEST_KIND, SCHEMA_VERSION, _MANIFEST_FIELDS)
+    manifest = CheckpointManifest(path=manifest_path, **{k: data[k] for k in _MANIFEST_FIELDS})
     try:
         blob = manifest.npz_path.read_bytes()
     except OSError as exc:

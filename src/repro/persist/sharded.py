@@ -9,13 +9,15 @@ segmented WAL and checkpoint directory::
       shard-0/checkpoints/
       shard-1/...
 
-Each shard's writer subscribes to that shard's *own* facade event log —
-the shard facade publishes only after its backend succeeds, so each
-shard's durable order equals its applied order.  The router partitions
-edges by source vertex, so per-shard order is the *only* order a
-bit-identical rebuild needs: :meth:`ShardStores.rebuild` restores a dead
-shard as checkpoint + WAL-tail replay, exactly the single-store recovery
-of :func:`repro.persist.store.open_graph`, scoped to one shard.
+Each ``shard-<i>/`` is a single-graph store (what
+:func:`repro.persist.store.open_graph` reads, minus ``store.json``), bound
+to its shard by one :class:`~repro.persist.store.DurableGraph` subscribed
+to that shard's *own* facade event log.  The shard facade publishes only
+after its backend succeeds, so each shard's durable order equals its
+applied order.  The router partitions edges by source vertex, so per-shard
+order is the *only* order a bit-identical rebuild needs:
+:meth:`ShardStores.rebuild` runs ``open_graph``'s own recovery routine
+(:func:`repro.persist.store._recover`) on the shard's directory.
 
 Durability gaps: a WAL append that fails (disk fault) after the shard
 backend already applied the mutation leaves that shard's log missing an
@@ -30,26 +32,13 @@ reaches the WAL and leaves the shard state unchanged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.eventlog.events import EdgeBatch
-from repro.persist.checkpoint import (
-    CheckpointManifest,
-    latest_valid_checkpoint,
-    write_checkpoint,
-)
-from repro.persist.store import CHECKPOINT_DIR, WAL_DIR, apply_event
-from repro.persist.wal import (
-    DEFAULT_SEGMENT_BYTES,
-    WalWriter,
-    list_segments,
-    repair_wal,
-    scan_wal,
-)
-from repro.io import atomic_write
-from repro.util.errors import PersistError, ValidationError
+from repro.persist.checkpoint import CheckpointManifest, _read_identity, _write_identity
+from repro.persist.store import CHECKPOINT_DIR, WAL_DIR, DurableGraph, _recover, _scan
+from repro.persist.wal import DEFAULT_SEGMENT_BYTES
+from repro.util.errors import PersistError
 
 __all__ = ["ShardStores", "ShardRecovery"]
 
@@ -71,44 +60,12 @@ class ShardRecovery:
     repaired_torn_tail: bool
 
 
-class _ShardSubscriber:
-    """Event-log subscriber binding one shard's facade to its writer.
-
-    A failed append counts a durability gap before re-raising (the shard
-    backend already applied the mutation; the log missed it), mirroring
-    :class:`repro.persist.store.DurableGraph.on_event`.
-    """
-
-    def __init__(self, stores: "ShardStores", shard: int) -> None:
-        self.stores = stores
-        self.shard = shard
-
-    def on_event(self, event) -> None:
-        stores, s = self.stores, self.shard
-        try:
-            stores.writers[s].append(event)
-        except PersistError:
-            stores.gaps[s] += 1
-            raise
-        if isinstance(event, EdgeBatch):
-            stores._rows_since[s] += event.rows
-        if (
-            stores.checkpoint_every_rows
-            and stores._rows_since[s] >= stores.checkpoint_every_rows
-        ):
-            stores.checkpoint_shard(s)
-
-
 class ShardStores:
     """Per-shard WAL + checkpoint stores for a sharded service.
 
-    Construct via
-    :meth:`repro.api.sharding.ShardedGraph.attach_durability` — attaching
-    subscribes a :class:`~repro.persist.wal.WalWriter` to every shard's
-    event log, scanning (and repairing) any existing per-shard history
-    first.  A shard that already holds edges, or a directory that already
-    holds history, is anchored with an initial checkpoint so recovery
-    never needs records that predate the attach.
+    Construct via :meth:`repro.api.sharding.ShardedGraph.attach_durability`
+    — attaching binds a :class:`~repro.persist.store.DurableGraph` to every
+    shard, scanning (and repairing) any existing per-shard history first.
     """
 
     def __init__(
@@ -128,27 +85,43 @@ class ShardStores:
         self.checkpoint_every_rows = checkpoint_every_rows
         self._opener = opener or open
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._check_or_write_meta()
-        #: One :class:`WalWriter` per shard, index-aligned with
+        identity = {
+            "num_shards": service.num_shards,
+            "num_vertices": service.num_vertices,
+            "weighted": service.weighted,
+        }
+        meta_path = self.directory / SHARDS_FILE
+        if meta_path.exists():
+            # Per-shard logs cannot be reinterpreted under another layout.
+            _read_identity(meta_path, SHARDS_KIND, SHARDS_SCHEMA_VERSION, expected=identity)
+        else:
+            _write_identity(meta_path, SHARDS_KIND, SHARDS_SCHEMA_VERSION, identity)
+        #: One :class:`DurableGraph` per shard, index-aligned with
         #: ``service.shards``.
-        self.writers: list = []
-        #: Durability gaps per shard: events applied in memory but lost
-        #: to a failed append.  A gapped shard refuses :meth:`rebuild`
-        #: until :meth:`checkpoint_shard` heals it.
-        self.gaps: list = [0] * service.num_shards
-        self._rows_since: list = [0] * service.num_shards
-        self._subs: list = []
-        self.closed = False
+        self._durable: list = []
         for s, shard in enumerate(self.service.shards):
-            writer, _scan = self._open_writer(s)
-            self.writers.append(writer)
-            if shard.num_edges() > 0 or writer.next_seq > 0:
+            # The live shard, not the directory, is the truth here: old
+            # history is only scanned for the seq to continue from.
+            scan, _repaired = _scan(self.wal_dir(s), repair=True)
+            durable = self._bind(s, shard, next_seq=scan.next_seq)
+            self._durable.append(durable)
+            if shard.num_edges() > 0 or scan.next_seq > 0:
                 # Anchor: the WAL from here on is a complete history only
-                # relative to the shard's state at attach time.
-                self._checkpoint_shard_with(s, writer, shard)
-            sub = _ShardSubscriber(self, s)
-            shard.events.subscribe(sub)
-            self._subs.append(sub)
+                # relative to the shard's state at attach time, so recovery
+                # must never need records that predate the attach.
+                durable.checkpoint()
+
+    def _bind(self, s: int, shard, **recovery) -> DurableGraph:
+        return DurableGraph(
+            self.shard_dir(s),
+            shard,
+            backend_name=type(shard.backend).__name__,
+            fsync=self.fsync,
+            segment_bytes=self.segment_bytes,
+            opener=self._opener,
+            checkpoint_every_rows=self.checkpoint_every_rows,
+            **recovery,
+        )
 
     # -- layout -------------------------------------------------------------------
 
@@ -164,66 +137,24 @@ class ShardStores:
         """Shard ``s``'s checkpoint directory."""
         return self.shard_dir(s) / CHECKPOINT_DIR
 
-    def _check_or_write_meta(self) -> None:
-        path = self.directory / SHARDS_FILE
-        identity = {
-            "kind": SHARDS_KIND,
-            "schema_version": SHARDS_SCHEMA_VERSION,
-            "num_shards": self.service.num_shards,
-            "num_vertices": self.service.num_vertices,
-            "weighted": self.service.weighted,
-        }
-        if path.exists():
-            try:
-                meta = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ValidationError(f"unreadable shard-stores file {path}: {exc}")
-            if not isinstance(meta, dict) or meta.get("kind") != SHARDS_KIND:
-                raise ValidationError(f"{path} is not a shard-stores directory")
-            for key, value in identity.items():
-                if meta.get(key) != value:
-                    raise ValidationError(
-                        f"shard stores at {self.directory} hold "
-                        f"{key}={meta.get(key)!r} but the service has "
-                        f"{key}={value!r} — per-shard logs cannot be "
-                        "reinterpreted under a different layout"
-                    )
-            return
-        with atomic_write(path, "w") as fh:
-            json.dump(identity, fh, indent=2)
-            fh.write("\n")
+    # -- the per-shard stores -----------------------------------------------------
 
-    def _open_writer(self, s: int):
-        """Scan (and repair) shard ``s``'s on-disk log, then open a
-        writer positioned at the end of valid history."""
-        wal_dir = self.wal_dir(s)
-        scan = scan_wal(wal_dir)
-        if scan.torn:
-            repair_wal(scan)
-        writer = WalWriter(
-            wal_dir,
-            start_seq=scan.next_seq,
-            fsync=self.fsync,
-            segment_bytes=self.segment_bytes,
-            opener=self._opener,
-        )
-        return writer, scan
+    @property
+    def writers(self) -> tuple:
+        """Each shard's :class:`~repro.persist.wal.WalWriter` (read-only
+        view, index-aligned with ``service.shards``)."""
+        return tuple(durable.wal for durable in self._durable)
 
-    # -- checkpoints --------------------------------------------------------------
+    @property
+    def gaps(self) -> tuple:
+        """Durability gaps per shard (see module docstring): events
+        applied in memory but lost to a failed append."""
+        return tuple(durable.durability_gap for durable in self._durable)
 
-    def _checkpoint_shard_with(self, s: int, writer: WalWriter, shard) -> CheckpointManifest:
-        writer.flush()
-        manifest = write_checkpoint(
-            self.checkpoint_dir(s),
-            shard.snapshot(),
-            seq=writer.next_seq,
-            backend=type(shard.backend).__name__,
-            weighted=shard.weighted,
-            mutation_version=shard.mutation_version,
-        )
-        self.gaps[s] = 0
-        self._rows_since[s] = 0
-        return manifest
+    @property
+    def durability_gap(self) -> int:
+        """Total unlogged-but-applied events across all shards."""
+        return sum(self.gaps)
 
     def checkpoint_shard(self, s: int) -> CheckpointManifest:
         """Write an atomic checkpoint of shard ``s``'s live state.
@@ -231,7 +162,7 @@ class ShardStores:
         Bounds the shard's recovery replay and heals any durability gap
         (the snapshot captures events a failed append never logged).
         """
-        return self._checkpoint_shard_with(s, self.writers[s], self.service.shards[s])
+        return self._durable[s].checkpoint()
 
     def checkpoint(self) -> list:
         """Checkpoint every shard; returns the manifests in shard order."""
@@ -239,106 +170,52 @@ class ShardStores:
 
     def sync(self) -> None:
         """Force every shard's buffered WAL records to disk."""
-        for writer in self.writers:
-            writer.flush()
-
-    @property
-    def durability_gap(self) -> int:
-        """Total unlogged-but-applied events across all shards."""
-        return sum(self.gaps)
+        for durable in self._durable:
+            durable.sync()
 
     # -- recovery -----------------------------------------------------------------
 
     def rebuild(self, s: int, new_shard) -> ShardRecovery:
-        """Restore shard ``s``'s durable history into ``new_shard``.
+        """Restore shard ``s``'s durable history into the empty ``new_shard``.
 
-        The empty replacement facade is recovered exactly like a
-        single-graph store: latest valid checkpoint restored (when one
-        exists), then the WAL tail replayed through the facade — yielding
-        a shard bit-identical to the lost one as of its last durable
-        event.  The old writer is detached and a fresh one subscribed to
-        ``new_shard``'s event log; the caller (the sharded service) swaps
-        the facade in afterwards.
+        Single-store crash recovery (:func:`repro.persist.store._recover`)
+        runs on ``shard-<s>/`` — yielding a shard bit-identical to the lost
+        one as of its last durable event — and a fresh :class:`DurableGraph`
+        binds the result; the caller (the sharded service) swaps the facade
+        in afterwards.  The old shard's store is detached only once all of
+        that has succeeded: if recovery raises, the old shard is still in
+        the service and its next event opens a fresh WAL segment.
 
         Refuses (:class:`PersistError`) while the shard has a durability
         gap — the log is missing applied events, so a rebuild would
         silently lose them; :meth:`checkpoint_shard` heals the gap first.
         """
-        if self.gaps[s] > 0:
+        old = self._durable[s]
+        if old.durability_gap > 0:
             raise PersistError(
-                f"shard {s} has {self.gaps[s]} durability gap(s): events "
+                f"shard {s} has {old.durability_gap} durability gap(s): events "
                 "applied in memory never reached its WAL, so a rebuild "
                 "would lose them — checkpoint_shard() heals the gap "
                 "(while the shard is still alive)",
                 op="write",
             )
-        old_shard = self.service.shards[s]
-        old_shard.events.unsubscribe(self._subs[s])
-        self.writers[s].close()
-        wal_dir = self.wal_dir(s)
-        scan = scan_wal(wal_dir)
-        repaired = False
-        if scan.torn:
-            repaired = repair_wal(scan)
-        found = latest_valid_checkpoint(
-            self.checkpoint_dir(s),
-            min_seq=scan.start_seq if scan.events else 0,
-        )
-        manifest = None
-        replay_from = 0
-        if found is not None:
-            snap, manifest = found
-            replay_from = manifest.seq
-            # An all-empty snapshot has nothing to restore, and restoring
-            # it would mark the backend built — breaking replay of a
-            # logged bulk_build that expects an empty graph.
-            if manifest.num_edges:
-                new_shard.restore_snapshot(snap)
-        elif scan.events and scan.start_seq > 0:
-            raise ValidationError(
-                f"shard {s}'s WAL history starts at seq {scan.start_seq} but "
-                "no valid checkpoint covers the records before it — the "
-                "shard cannot be recovered"
-            )
-        to_replay = [e for e in scan.events if e.seq >= replay_from]
-        for event in to_replay:
-            apply_event(new_shard, event)
-        next_seq = scan.next_seq
-        if replay_from > next_seq:
-            # The checkpoint post-dates every surviving WAL record; clear
-            # them so the new segment's seq range stays contiguous.
-            for seg in list_segments(wal_dir):
-                seg.unlink()
-            next_seq = replay_from
-        writer = WalWriter(
-            wal_dir,
-            start_seq=next_seq,
-            fsync=self.fsync,
-            segment_bytes=self.segment_bytes,
-            opener=self._opener,
-        )
-        self.writers[s] = writer
-        sub = _ShardSubscriber(self, s)
-        new_shard.events.subscribe(sub)
-        self._subs[s] = sub
-        self._rows_since[s] = 0
+        old.wal.close()  # recovery reads the disk, not the old writer's buffer
+        new = self._bind(s, new_shard, **_recover(new_shard, self.shard_dir(s), repair=True))
+        old.close()
+        self._durable[s] = new
         return ShardRecovery(
             shard=s,
-            replayed_events=len(to_replay),
-            recovered_checkpoint=manifest,
-            repaired_torn_tail=repaired,
+            replayed_events=new.replayed_events,
+            recovered_checkpoint=new.recovered_checkpoint,
+            repaired_torn_tail=new.repaired_torn_tail,
         )
 
     # -- teardown -----------------------------------------------------------------
 
     def close(self) -> None:
-        """Detach every subscriber and close every writer (idempotent)."""
-        if self.closed:
-            return
-        for s, shard in enumerate(self.service.shards):
-            shard.events.unsubscribe(self._subs[s])
-            self.writers[s].close()
-        self.closed = True
+        """Detach every shard's subscriber and close its writer (idempotent)."""
+        for durable in self._durable:
+            durable.close()
 
     def __enter__(self) -> "ShardStores":
         return self

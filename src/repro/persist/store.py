@@ -10,10 +10,11 @@
 Opening recovers: load the latest valid checkpoint into a fresh backend
 (:meth:`repro.api.Graph.restore_snapshot`), replay the WAL records at or
 after the checkpoint's seq through the facade (:func:`apply_event`), then
-attach a :class:`~repro.persist.wal.WalWriter` as an event-log subscriber
-so every subsequent mutation is logged before control returns to the
-caller.  A torn final record — the partial write of a crash — is detected
-by the scan's CRC/length framing and truncated away (writer mode only).
+bind a :class:`~repro.persist.wal.WalWriter` to the event log
+(:class:`DurableGraph` is the subscriber) so every subsequent mutation is
+logged before control returns to the caller.  A torn final record — the
+partial write of a crash — is detected by the scan's CRC/length framing
+and truncated away (writer mode only).
 Replay re-applies the *normalized* batches the backend originally saw,
 so the recovered graph's :meth:`~repro.api.Graph.snapshot` is
 bit-identical to the lost instance's (pinned by the contract tests).
@@ -30,14 +31,14 @@ store directory for writing; any number may follow it read-only.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.api.facade import Graph
 from repro.eventlog.events import EdgeBatch, StructuralEvent
-from repro.io import atomic_write
 from repro.persist.checkpoint import (
     CheckpointManifest,
+    _read_identity,
+    _write_identity,
     env_fingerprint,
     latest_valid_checkpoint,
     write_checkpoint,
@@ -103,34 +104,37 @@ def apply_event(graph: Graph, event) -> None:
 
 
 class DurableGraph:
-    """A recovered :class:`~repro.api.Graph` plus its durability plumbing.
+    """A :class:`~repro.api.Graph` bound to a store directory — the one
+    graph↔WAL binding (a recovered store, or one shard of a service).
 
-    Mutate through :attr:`graph` exactly as usual — the attached WAL
-    writer observes the event log, so durability is transparent.  Call
-    :meth:`checkpoint` (or set ``checkpoint_every_rows``) to bound
-    recovery's replay length, :meth:`sync` to force the WAL to disk, and
-    :meth:`close` when done.  Read replicas (``read_only=True``) expose
-    :meth:`tail` instead of a writer.
+    Mutate through :attr:`graph` exactly as usual — a WAL writer
+    (``writer_knobs`` are :class:`WalWriter`'s fsync / segment_bytes /
+    opener) positioned at ``next_seq`` observes the event log, so
+    durability is transparent.  Call :meth:`checkpoint` (or set
+    ``checkpoint_every_rows``) to bound recovery's replay length,
+    :meth:`sync` to force the WAL to disk, and :meth:`close` when done.
+    Read replicas (``read_only=True``) expose :meth:`tail` instead of a
+    writer.
     """
 
     def __init__(
         self,
-        directory: Path,
+        directory,
         graph: Graph,
         *,
         backend_name: str,
-        wal: WalWriter | None,
-        follower: LogFollower | None,
-        checkpoint_every_rows: int | None,
-        recovered_checkpoint: CheckpointManifest | None,
-        replayed_events: int,
-        repaired_torn_tail: bool,
+        next_seq: int,
+        read_only: bool = False,
+        checkpoint_every_rows: int | None = None,
+        recovered_checkpoint: CheckpointManifest | None = None,
+        replayed_events: int = 0,
+        repaired_torn_tail: bool = False,
+        **writer_knobs,
     ) -> None:
         self.directory = Path(directory)
         self.graph = graph
+        #: Stamped into this store's checkpoint manifests.
         self.backend_name = backend_name
-        self.wal = wal
-        self.follower = follower
         self.checkpoint_every_rows = checkpoint_every_rows
         #: Manifest recovery started from (None → replayed from empty).
         self.recovered_checkpoint = recovered_checkpoint
@@ -139,12 +143,18 @@ class DurableGraph:
         #: True when recovery truncated a torn tail / dropped segments.
         self.repaired_torn_tail = repaired_torn_tail
         self.last_checkpoint = recovered_checkpoint
-        self._rows_since_checkpoint = 0
+        #: Edge rows logged since the last checkpoint (recovery's replay).
+        self._replay_rows = 0
         #: Events applied in memory but lost to a failed WAL append (a
         #: crash now would recover to a state missing them).  Healed by
         #: :meth:`checkpoint`, which captures the full live state.
         self.durability_gap = 0
-        if wal is not None:
+        wal_dir = self.directory / WAL_DIR
+        self.wal = self.follower = None
+        if read_only:
+            self.follower = LogFollower(wal_dir, start_seq=next_seq)
+        else:
+            self.wal = WalWriter(wal_dir, start_seq=next_seq, **writer_knobs)
             graph.events.subscribe(self)
 
     @property
@@ -163,11 +173,8 @@ class DurableGraph:
             self.durability_gap += 1
             raise
         if isinstance(event, EdgeBatch):
-            self._rows_since_checkpoint += event.rows
-        if (
-            self.checkpoint_every_rows
-            and self._rows_since_checkpoint >= self.checkpoint_every_rows
-        ):
+            self._replay_rows += event.rows
+        if self.checkpoint_every_rows and self._replay_rows >= self.checkpoint_every_rows:
             self.checkpoint()
 
     # -- durability operations ---------------------------------------------------
@@ -192,7 +199,7 @@ class DurableGraph:
             mutation_version=self.graph.mutation_version,
         )
         self.last_checkpoint = manifest
-        self._rows_since_checkpoint = 0
+        self._replay_rows = 0
         # The snapshot captures the full live state, including any
         # events a failed append never logged — the gap is healed.
         self.durability_gap = 0
@@ -231,32 +238,70 @@ class DurableGraph:
         return f"DurableGraph({self.backend_name!r}, {mode}, dir={str(self.directory)!r})"
 
 
-def _load_store_meta(path: Path) -> dict:
-    try:
-        meta = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"unreadable store file {path}: {exc}")
-    if not isinstance(meta, dict) or meta.get("kind") != STORE_KIND:
-        raise ValidationError(f"{path} is not a durable-graph store file")
-    if meta.get("schema_version") != STORE_SCHEMA_VERSION:
+def _scan(wal_dir: Path, repair: bool):
+    """``(scan, repaired)``: the WAL's valid prefix; with ``repair``
+    (writer side only) whatever lies past it is cut away on disk."""
+    scan = scan_wal(wal_dir)
+    repaired = repair_wal(scan) if repair and scan.torn else False
+    return scan, repaired
+
+
+def _recover(graph: Graph, directory: Path, *, repair: bool) -> dict:
+    """Crash recovery (the module docstring's sequence) of the store at
+    ``directory`` into the empty ``graph`` — the one routine behind
+    :func:`open_graph` and :meth:`repro.persist.sharded.ShardStores.rebuild`.
+
+    Returns the recovery half of :class:`DurableGraph`'s arguments;
+    nothing is bound yet, so a failure leaves no writer open and no
+    subscriber attached.
+    """
+    wal_dir = directory / WAL_DIR
+    scan, repaired = _scan(wal_dir, repair)
+    found = latest_valid_checkpoint(
+        directory / CHECKPOINT_DIR,
+        min_seq=scan.start_seq if scan.events else 0,
+    )
+    manifest = None
+    replay_from = 0
+    if found is not None:
+        snap, manifest = found
+        replay_from = manifest.seq
+        # An all-empty snapshot has nothing to restore, and restoring it
+        # would mark the backend built — breaking replay of a logged
+        # bulk_build that legitimately expects an empty graph.
+        if manifest.num_edges:
+            graph.restore_snapshot(snap)
+    elif scan.events and scan.start_seq > 0:
         raise ValidationError(
-            f"{path} has schema {meta.get('schema_version')}, "
-            f"this reader supports {STORE_SCHEMA_VERSION}"
+            f"WAL history in {wal_dir} starts at seq {scan.start_seq} but "
+            "no valid checkpoint covers the records before it — the store "
+            "cannot be recovered"
         )
-    return meta
+
+    to_replay = [e for e in scan.events if e.seq >= replay_from]
+    for event in to_replay:
+        apply_event(graph, event)
+
+    next_seq = scan.next_seq
+    if replay_from > next_seq:
+        # The checkpoint post-dates every surviving WAL record (the log
+        # was lost after the checkpoint was cut).  Every on-disk record is
+        # already baked into the snapshot; clear them so the new
+        # segment's seq range stays contiguous.
+        if repair:
+            for seg in list_segments(wal_dir):
+                seg.unlink()
+        next_seq = replay_from
+    return {
+        "next_seq": next_seq,
+        "recovered_checkpoint": manifest,
+        "replayed_events": len(to_replay),
+        "repaired_torn_tail": repaired,
+    }
 
 
-def _check_identity(meta: dict, requested: dict) -> None:
-    """Explicitly requested identity must match what the store holds —
-    silently reinterpreting persisted bytes under a different backend or
-    vertex space would 'recover' a different graph."""
-    for key, value in requested.items():
-        if value is not None and value != meta[key]:
-            raise ValidationError(
-                f"store holds {key}={meta[key]!r} but {key}={value!r} was "
-                "requested — open the store with its recorded identity (or "
-                "omit the argument to accept it)"
-            )
+#: The facade policies ``store.json`` records and recovery re-creates.
+_FACADE_FIELDS = ("weighted", "self_loops", "dedup_batches", "default_weight")
 
 
 def open_graph(
@@ -280,7 +325,8 @@ def open_graph(
     First open requires ``num_vertices`` (and takes ``backend``, default
     ``"slabhash"``, plus the usual facade policies); the identity is
     persisted to ``store.json`` and later opens recover with it — passing
-    a *different* explicit identity raises :class:`ValidationError`.
+    a *different* explicit identity raises :class:`ValidationError` (omit
+    an argument to accept the recorded value).
     ``fsync``, ``segment_bytes`` and ``checkpoint_every_rows`` are
     per-open operational knobs, not identity.  See the module docstring
     for recovery semantics and ``read_only`` replicas.
@@ -288,15 +334,15 @@ def open_graph(
     directory = Path(directory)
     store_path = directory / STORE_FILE
     if store_path.exists():
-        meta = _load_store_meta(store_path)
-        _check_identity(
-            meta, {"backend": backend, "num_vertices": num_vertices, "weighted": weighted}
+        requested = {
+            "backend": backend,
+            "num_vertices": num_vertices,
+            "weighted": weighted,
+            "backend_kwargs": backend_kwargs or None,
+        }
+        meta = _read_identity(
+            store_path, STORE_KIND, STORE_SCHEMA_VERSION, _FACADE_FIELDS, requested
         )
-        if backend_kwargs and backend_kwargs != meta["backend_kwargs"]:
-            raise ValidationError(
-                f"store was created with backend_kwargs={meta['backend_kwargs']!r}; "
-                f"got {backend_kwargs!r}"
-            )
     else:
         if read_only:
             raise ValidationError(
@@ -305,9 +351,8 @@ def open_graph(
             )
         if num_vertices is None:
             raise ValidationError("creating a new store requires num_vertices")
-        meta = {
-            "kind": STORE_KIND,
-            "schema_version": STORE_SCHEMA_VERSION,
+        directory.mkdir(parents=True, exist_ok=True)
+        fields = {
             "backend": backend or "slabhash",
             "num_vertices": int(num_vertices),
             "weighted": bool(weighted),
@@ -317,82 +362,22 @@ def open_graph(
             "backend_kwargs": dict(backend_kwargs or {}),
             "environment": env_fingerprint(),
         }
-        directory.mkdir(parents=True, exist_ok=True)
-        with atomic_write(store_path, "w") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
+        meta = _write_identity(store_path, STORE_KIND, STORE_SCHEMA_VERSION, fields)
 
     graph = Graph.create(
         meta["backend"],
         meta["num_vertices"],
-        weighted=meta["weighted"],
-        self_loops=meta["self_loops"],
-        dedup_batches=meta["dedup_batches"],
-        default_weight=meta["default_weight"],
+        **{key: meta[key] for key in _FACADE_FIELDS},
         **meta["backend_kwargs"],
     )
-
-    wal_dir = directory / WAL_DIR
-    scan = scan_wal(wal_dir)
-    repaired = False
-    if scan.torn and not read_only:
-        repaired = repair_wal(scan)
-
-    found = latest_valid_checkpoint(
-        directory / CHECKPOINT_DIR,
-        min_seq=scan.start_seq if scan.events else 0,
-    )
-    manifest = None
-    replay_from = 0
-    if found is not None:
-        snap, manifest = found
-        replay_from = manifest.seq
-        # An all-empty snapshot has nothing to restore, and restoring it
-        # would mark the backend built — breaking replay of a logged
-        # bulk_build that legitimately expects an empty graph.
-        if manifest.num_edges:
-            graph.restore_snapshot(snap)
-    elif scan.events and scan.start_seq > 0:
-        raise ValidationError(
-            f"WAL history starts at seq {scan.start_seq} but no valid "
-            "checkpoint covers the records before it — the store cannot be "
-            "recovered"
-        )
-
-    to_replay = [e for e in scan.events if e.seq >= replay_from]
-    for event in to_replay:
-        apply_event(graph, event)
-
-    wal = None
-    follower = None
-    if read_only:
-        follower = LogFollower(wal_dir, start_seq=scan.next_seq)
-    else:
-        next_seq = scan.next_seq
-        if replay_from > next_seq:
-            # The checkpoint post-dates every surviving WAL record (the
-            # log was lost after the checkpoint was cut).  Every on-disk
-            # record is already baked into the snapshot; clear them so
-            # the new segment's seq range stays contiguous.
-            for seg in list_segments(wal_dir):
-                seg.unlink()
-            next_seq = replay_from
-        wal = WalWriter(
-            wal_dir,
-            start_seq=next_seq,
-            fsync=fsync,
-            segment_bytes=segment_bytes,
-            opener=wal_opener or open,
-        )
-
     return DurableGraph(
         directory,
         graph,
         backend_name=meta["backend"],
-        wal=wal,
-        follower=follower,
+        read_only=read_only,
+        fsync=fsync,
+        segment_bytes=segment_bytes,
+        opener=wal_opener or open,
         checkpoint_every_rows=checkpoint_every_rows,
-        recovered_checkpoint=manifest,
-        replayed_events=len(to_replay),
-        repaired_torn_tail=repaired,
+        **_recover(graph, directory, repair=not read_only),
     )

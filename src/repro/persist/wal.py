@@ -390,9 +390,9 @@ def _fsync_file(fh) -> None:
 class WalWriter:
     """Appends framed events to segment files (see module docstring).
 
-    Designed to sit directly on ``graph.events.subscribe(writer)`` — the
-    :meth:`on_event` hook logs every published event.  Single-writer: the
-    store layer assumes one process owns a WAL directory at a time.
+    Bound to a graph's event log by :class:`repro.persist.store.DurableGraph`,
+    which counts the appends that fail.  Single-writer: the store layer
+    assumes one process owns a WAL directory at a time.
     """
 
     def __init__(
@@ -440,10 +440,6 @@ class WalWriter:
             self._segment_size = tail.stat().st_size
 
     # -- appending ---------------------------------------------------------------
-
-    def on_event(self, event) -> None:
-        """Event-log subscriber hook."""
-        self.append(event)
 
     def append(self, event) -> int:
         """Frame and append one event; returns its durable seq.
@@ -589,7 +585,8 @@ class WalWriter:
             raise PersistError(f"WAL flush failed: {exc}", op="fsync") from exc
 
     def close(self) -> None:
-        """Flush (best-effort) and close the tail segment.
+        """Flush (best-effort) and close the tail segment; an append
+        after this opens a fresh one (what a failed shard rebuild relies on).
 
         Idempotent and exception-free: teardown after a fault must not
         raise a second confusing error from a broken handle — a flush or

@@ -41,11 +41,12 @@ import numpy as np
 
 from repro.analytics.connected_components import connected_components
 from repro.api.sharding import ShardedGraph
-from repro.chaos import FaultPlan, FaultyBackend, FaultyStore
+from repro.chaos import FaultPlan, FaultSpec, FaultyBackend, FaultyStore
 from repro.gpusim.counters import get_counters
 from repro.gpusim.model import simulated_seconds
 from repro.stream.scenario import (
     CHAOS_PHASE_KINDS,
+    Phase,
     PhaseResult,
     Scenario,
     _cold_pagerank,
@@ -275,8 +276,6 @@ def kill_rebuild_scenario(
     re-drives the recorded batches — the final compute runs on an exact
     global view again.
     """
-    from repro.stream.scenario import Phase
-
     phases = (
         Phase("insert", size=batch, batches=2),
         Phase("compute"),
@@ -311,8 +310,6 @@ def disk_fault_scenario(
     in memory, lost to the log).  The ``checkpoint`` phase heals the gaps
     — making the subsequent kill + rebuild of a shard safe again.
     """
-    from repro.stream.scenario import Phase
-
     phases = (
         Phase("insert", size=batch, batches=2),
         Phase("disk_fault", size=fires),
@@ -342,8 +339,6 @@ def thrash_scenario(
     faults on ``shard*.insert_edges`` / ``shard*.delete_edges`` — see
     :func:`thrash_fault_specs`): the retry policy should absorb every
     fault without changing the final state."""
-    from repro.stream.scenario import Phase
-
     phases = (
         Phase("insert", size=batch, batches=2),
         Phase("delete", size=batch // 2),
@@ -367,8 +362,6 @@ def thrash_fault_specs(rate: float = 0.25):
     """Transient-fault rules for :func:`thrash_scenario`: every shard
     mutation point fires with probability ``rate``, unlimited times —
     retries must absorb all of it."""
-    from repro.chaos import FaultSpec
-
     return (
         FaultSpec("shard*.insert_edges", kind="transient", rate=rate, max_fires=None),
         FaultSpec("shard*.delete_edges", kind="transient", rate=rate, max_fires=None),

@@ -30,14 +30,13 @@ recovery past the duplicated records.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from repro.io import atomic_write
 from repro.persist import open_graph
+from repro.persist.checkpoint import _read_identity, _write_identity
 from repro.stream.scenario import (
     PhaseResult,
     Scenario,
@@ -55,46 +54,34 @@ _PROGRESS_KIND = "repro-scenario-progress"
 _PROGRESS_SCHEMA = 1
 
 
-def _identity(scenario: Scenario, backend_name: str, mode: str) -> dict:
-    return {
-        "scenario": scenario.name,
-        "seed": scenario.seed,
-        "backend": backend_name,
-        "mode": mode,
-        "num_phases": len(scenario.phases),
-    }
-
-
 def _write_progress(path: Path, identity: dict, next_phase: int, rng, results) -> None:
-    doc = {
-        "kind": _PROGRESS_KIND,
-        "schema_version": _PROGRESS_SCHEMA,
+    fields = {
         **identity,
         "next_phase": int(next_phase),
         "complete": next_phase >= identity["num_phases"],
         "rng_state": rng.bit_generator.state,
         "phases": [asdict(r) for r in results],
     }
-    with atomic_write(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_identity(path, _PROGRESS_KIND, _PROGRESS_SCHEMA, fields)
 
 
-def _load_progress(path: Path, identity: dict) -> dict:
+def _load_progress(path: Path, identity: dict, rng) -> tuple:
+    """``(next_phase, completed PhaseResults)`` from the progress file of
+    this very run (resuming a different scenario into the same directory
+    would corrupt both), with ``rng`` put back where the run stopped."""
+    doc = _read_identity(
+        path, _PROGRESS_KIND, _PROGRESS_SCHEMA, ("next_phase", "phases", "rng_state"), identity
+    )
+    field = "next_phase"
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"unreadable scenario progress file {path}: {exc}")
-    if not isinstance(doc, dict) or doc.get("kind") != _PROGRESS_KIND:
-        raise ValidationError(f"{path} is not a scenario progress file")
-    for key, value in identity.items():
-        if doc.get(key) != value:
-            raise ValidationError(
-                f"progress file records {key}={doc.get(key)!r} but this run "
-                f"has {key}={value!r} — resuming a different scenario into "
-                "the same directory would corrupt both"
-            )
-    return doc
+        next_phase = int(doc[field])
+        field = "phases"
+        results = [PhaseResult(**r) for r in doc[field]]
+        field = "rng_state"
+        rng.bit_generator.state = doc[field]
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValidationError(f"{path}: field {field!r} is malformed: {exc}") from exc
+    return next_phase, results
 
 
 def run_scenario_durable(
@@ -136,7 +123,13 @@ def run_scenario_durable(
         raise ValidationError(f"mode must be 'incremental' or 'full', got {mode!r}")
     directory = Path(directory)
     progress_path = directory / PROGRESS_FILE
-    identity = _identity(scenario, backend_name, mode)
+    identity = {
+        "scenario": scenario.name,
+        "seed": scenario.seed,
+        "backend": backend_name,
+        "mode": mode,
+        "num_phases": len(scenario.phases),
+    }
     coo = build_dataset(scenario)
 
     open_kwargs: dict = {
@@ -146,17 +139,13 @@ def run_scenario_durable(
     if segment_bytes is not None:
         open_kwargs["segment_bytes"] = segment_bytes
 
-    prior_results: list = []
-    if progress_path.exists():
-        doc = _load_progress(progress_path, identity)
-        next_phase = int(doc["next_phase"])
-        prior_results = [PhaseResult(**r) for r in doc["phases"]]
+    rng = np.random.default_rng(scenario.seed + 0x51AB)
+    resumed = progress_path.exists()
+    if resumed:
+        next_phase, prior_results = _load_progress(progress_path, identity, rng)
         dg = open_graph(directory, **open_kwargs)
-        rng = np.random.default_rng(scenario.seed + 0x51AB)
-        rng.bit_generator.state = doc["rng_state"]
-        resumed = True
     else:
-        next_phase = 0
+        next_phase, prior_results = 0, []
         dg = open_graph(
             directory,
             backend_name,
@@ -165,8 +154,6 @@ def run_scenario_durable(
             **open_kwargs,
         )
         dg.graph.bulk_build(coo)
-        rng = np.random.default_rng(scenario.seed + 0x51AB)
-        resumed = False
 
     try:
         g = dg.graph

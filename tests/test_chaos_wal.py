@@ -222,3 +222,36 @@ class TestShardStoresUnderFaults:
         )
         assert len(svc.pending) == 1
         assert svc.fault_stats["partial_dispatches"] == 1
+
+    def test_failed_rebuild_keeps_the_old_shard_durable(self, tmp_path):
+        """A rebuild that raises must not leave the still-live shard with
+        no WAL subscriber: its later events still reach its log (or would
+        count as a durability gap) — never silence."""
+        plan = FaultPlan(0)
+        svc = self._service(tmp_path, plan)
+        stores = svc.stores
+        rng = np.random.default_rng(7)
+
+        def insert(rows):
+            svc.insert_edges(
+                rng.integers(0, 64, rows, dtype=np.int64), rng.integers(0, 64, rows, dtype=np.int64)
+            )
+
+        insert(80)
+        stores.sync()
+        logged = len(scan_wal(stores.wal_dir(0)).events)
+        # The one file open recovery needs — the new writer's — fails.
+        plan.arm("wal.open", kind="oserror", max_fires=1)
+        with pytest.raises(PersistError):
+            svc.rebuild_shard(0)
+        assert svc.shard_health(0) == "healthy"
+        insert(80)
+        stores.sync()
+        assert len(scan_wal(stores.wal_dir(0)).events) == logged + 1
+        assert stores.gaps == (0, 0)
+        # So a retried rebuild restores everything the shard applied.
+        live = svc.shards[0].snapshot()
+        assert svc.rebuild_shard(0).replayed_events == logged + 1
+        got = svc.shards[0].snapshot()
+        assert np.array_equal(got.row_ptr, live.row_ptr)
+        assert np.array_equal(got.col_idx, live.col_idx)

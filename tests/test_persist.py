@@ -8,12 +8,13 @@ weighted and unweighted.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 import repro.api as api
-from repro.api import Graph
+from repro.api import Graph, ShardedGraph
 from repro.coo import COO
 from repro.eventlog.events import EdgeBatch, StructuralEvent
 from repro.persist import (
@@ -301,109 +302,190 @@ class TestCheckpoints:
 # ---------------------------------------------------------------------------
 
 
-def _build_store(tmp_path, name, weighted, *, checkpoint=True, seed=0):
-    """Create a store, run the mixed workload with a mid-way checkpoint,
-    and return ``(store_dir, live_snapshot)`` with the writer abandoned
-    (crash-style: synced but never closed)."""
-    store = tmp_path / "store"
-    rng = np.random.default_rng(seed)
-    dg = open_graph(store, name, num_vertices=32, weighted=weighted, fsync="never")
-    mutate(dg.graph, rng, weighted=weighted)
-    if checkpoint:
-        dg.checkpoint()
-    mutate(dg.graph, rng, weighted=weighted, rounds=2)
-    live = dg.graph.snapshot()
-    dg.wal.close()  # flush buffers only — no unsubscribe, no clean close
-    return store, live
+class _SingleStore:
+    """The recovery matrix's subject as a single store: crash = abandon the
+    writer (synced but never closed), recover = :func:`open_graph`."""
+
+    def __init__(self, tmp_path, weighted, backend="slabhash"):
+        self.dir = tmp_path / "store"
+        self.weighted = weighted
+        self.dg = open_graph(self.dir, backend, num_vertices=32, weighted=weighted, fsync="never")
+
+    @property
+    def graph(self):
+        return self.dg.graph
+
+    @property
+    def wal(self):
+        return self.dg.wal
+
+    def snapshot(self):
+        return self.dg.graph.snapshot()
+
+    def checkpoint(self):
+        return self.dg.checkpoint()
+
+    def crash(self):
+        self.dg.wal.close()  # flush buffers only — no unsubscribe, no clean close
+
+    def recover(self):
+        self.dg = open_graph(self.dir, fsync="never")
+        return self.dg
 
 
-class TestCrashRecovery:
+class _ShardStore:
+    """The same subject as shard 0 of a two-shard service: mutations go
+    through the router, crash = ``kill_shard``, recover = ``rebuild_shard``."""
+
+    def __init__(self, tmp_path, weighted, backend="slabhash"):
+        self.weighted = weighted
+        self.graph = ShardedGraph.create(backend, 32, num_shards=2, weighted=weighted)
+        self.stores = self.graph.attach_durability(tmp_path / "stores", fsync="never")
+        self.dir = self.stores.shard_dir(0)
+
+    @property
+    def wal(self):
+        return self.stores.writers[0]
+
+    def snapshot(self):
+        return self.graph.shards[0].snapshot()
+
+    def checkpoint(self):
+        return self.stores.checkpoint_shard(0)
+
+    def crash(self):
+        self.stores.sync()
+        self.graph.kill_shard(0)
+
+    def recover(self):
+        return self.graph.rebuild_shard(0)
+
+
+class _RecoveryMatrix:
+    """Corruption cases every recovery entry point must survive — both run
+    :func:`repro.persist.store._recover`, so each case is stated once and
+    executed per subclass ``subject``."""
+
+    subject = None
+
+    def _subject(self, tmp_path, weighted, backend="slabhash", *, checkpoint=True, seed=0):
+        """A subject that ran the mixed workload with a mid-way checkpoint
+        and then crashed; returns ``(subject, live_snapshot)``."""
+        h = self.subject(tmp_path, weighted, backend)
+        rng = np.random.default_rng(seed)
+        mutate(h.graph, rng, weighted=weighted)
+        if checkpoint:
+            h.checkpoint()
+        mutate(h.graph, rng, weighted=weighted, rounds=2)
+        live = h.snapshot()
+        h.crash()
+        return h, live
+
+    def _replayed(self, h, events):
+        reference = Graph.create("slabhash", 32, weighted=h.weighted)
+        for e in events:
+            apply_event(reference, e)
+        return reference.snapshot()
+
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     @pytest.mark.parametrize("weighted", [False, True])
     def test_recovered_snapshot_bit_identical(self, tmp_path, name, weighted):
         if weighted and not api.capabilities(name).weighted:
             pytest.skip(f"{name} does not support weights")
-        store, live = _build_store(tmp_path, name, weighted)
-        rec = open_graph(store, fsync="never")
-        assert rec.recovered_checkpoint is not None
-        assert rec.replayed_events > 0
-        assert_snaps_identical(rec.graph.snapshot(), live, f"{name} weighted={weighted}")
-        rec.close()
+        h, live = self._subject(tmp_path, weighted, name)
+        info = h.recover()
+        assert info.recovered_checkpoint is not None
+        assert info.replayed_events > 0
+        assert_snaps_identical(h.snapshot(), live, f"{name} weighted={weighted}")
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_full_replay_without_any_checkpoint(self, tmp_path, name):
-        store, live = _build_store(tmp_path, name, False, checkpoint=False)
-        rec = open_graph(store, fsync="never")
-        assert rec.recovered_checkpoint is None
-        assert_snaps_identical(rec.graph.snapshot(), live, name)
-        rec.close()
+        h, live = self._subject(tmp_path, False, name, checkpoint=False)
+        assert h.recover().recovered_checkpoint is None
+        assert_snaps_identical(h.snapshot(), live, name)
 
     def test_deleting_all_checkpoints_still_recovers(self, tmp_path):
-        store, live = _build_store(tmp_path, "slabhash", True)
-        for p in (store / "checkpoints").iterdir():
+        h, live = self._subject(tmp_path, True)
+        for p in (h.dir / "checkpoints").iterdir():
             p.unlink()
-        rec = open_graph(store, fsync="never")
-        assert rec.recovered_checkpoint is None
-        assert_snaps_identical(rec.graph.snapshot(), live)
-        rec.close()
+        assert h.recover().recovered_checkpoint is None
+        assert_snaps_identical(h.snapshot(), live)
 
     def test_deleting_newest_checkpoint_falls_back(self, tmp_path):
-        store = tmp_path / "store"
+        h = self.subject(tmp_path, True)
         rng = np.random.default_rng(3)
-        dg = open_graph(store, "slabhash", num_vertices=32, weighted=True, fsync="never")
-        mutate(dg.graph, rng, weighted=True)
-        first = dg.checkpoint()
-        mutate(dg.graph, rng, weighted=True, rounds=2)
-        second = dg.checkpoint()
-        mutate(dg.graph, rng, weighted=True, rounds=1)
-        live = dg.graph.snapshot()
-        dg.wal.close()
+        mutate(h.graph, rng, weighted=True)
+        first = h.checkpoint()
+        mutate(h.graph, rng, weighted=True, rounds=2)
+        second = h.checkpoint()
+        mutate(h.graph, rng, weighted=True, rounds=1)
+        live = h.snapshot()
+        h.crash()
         second.path.unlink()
         second.npz_path.unlink()
-        rec = open_graph(store, fsync="never")
-        assert rec.recovered_checkpoint.seq == first.seq
-        assert_snaps_identical(rec.graph.snapshot(), live)
-        rec.close()
+        assert h.recover().recovered_checkpoint.seq == first.seq
+        assert_snaps_identical(h.snapshot(), live)
 
     def test_torn_tail_truncated_and_appends_continue(self, tmp_path):
-        store, _live = _build_store(tmp_path, "slabhash", False)
-        seg = list_segments(store / "wal")[-1]
+        h, _live = self._subject(tmp_path, False)
+        seg = list_segments(h.dir / "wal")[-1]
         with open(seg, "r+b") as fh:
             fh.truncate(seg.stat().st_size - 9)  # tear the final record
-        before = scan_wal(store / "wal")
-        rec = open_graph(store, fsync="never")
-        assert rec.repaired_torn_tail
+        before = scan_wal(h.dir / "wal")
+        assert h.recover().repaired_torn_tail
         # The recovered graph equals a replay of the surviving prefix.
-        reference = Graph.create("slabhash", 32)
-        for e in before.events:
-            apply_event(reference, e)
-        assert_snaps_identical(rec.graph.snapshot(), reference.snapshot())
+        assert_snaps_identical(h.snapshot(), self._replayed(h, before.events))
         # The store keeps working: append, crash again, recover again.
-        rec.graph.insert_edges([0, 1], [2, 3])
-        live = rec.graph.snapshot()
-        rec.wal.close()
-        rec2 = open_graph(store, fsync="never")
-        assert_snaps_identical(rec2.graph.snapshot(), live)
-        rec2.close()
+        mutate(h.graph, np.random.default_rng(8), weighted=False, rounds=1)
+        live = h.snapshot()
+        h.crash()
+        assert not h.recover().repaired_torn_tail
+        assert_snaps_identical(h.snapshot(), live)
 
     def test_corrupt_mid_log_record_recovers_prefix(self, tmp_path):
         # No checkpoint: a corrupt record truncates history at that point
         # and recovery replays only the surviving prefix.  (With a later
         # checkpoint the store would anchor there instead — see above.)
-        store, _ = _build_store(tmp_path, "slabhash", False, checkpoint=False)
-        seg = list_segments(store / "wal")[0]
+        h, _ = self._subject(tmp_path, False, checkpoint=False)
+        seg = list_segments(h.dir / "wal")[0]
         data = bytearray(seg.read_bytes())
         data[len(data) // 2] ^= 0x01  # lands inside some mid-log record
         seg.write_bytes(bytes(data))
-        scan = scan_wal(store / "wal")
+        scan = scan_wal(h.dir / "wal")
         assert scan.torn and scan.events
-        rec = open_graph(store, fsync="never")  # recovers whatever survived
-        assert rec.repaired_torn_tail
-        reference = Graph.create("slabhash", 32)
-        for e in scan.events:
-            apply_event(reference, e)
-        assert_snaps_identical(rec.graph.snapshot(), reference.snapshot())
-        rec.close()
+        assert h.recover().repaired_torn_tail  # recovers whatever survived
+        assert_snaps_identical(h.snapshot(), self._replayed(h, scan.events))
+
+    def test_log_lost_after_checkpoint_serves_the_checkpoint(self, tmp_path):
+        # Every WAL segment lost *after* a checkpoint at seq > 0: the
+        # checkpoint post-dates every surviving record (there are none).
+        h = self.subject(tmp_path, True)
+        mutate(h.graph, np.random.default_rng(4), weighted=True)
+        ckpt = h.checkpoint()
+        assert ckpt.seq > 0
+        live = h.snapshot()
+        h.crash()
+        for seg in list_segments(h.dir / "wal"):
+            seg.unlink()
+        info = h.recover()
+        assert info.recovered_checkpoint.seq == ckpt.seq and info.replayed_events == 0
+        assert_snaps_identical(h.snapshot(), live)
+        # The next record continues at the checkpoint's seq, so the new
+        # log is contiguous with it and a reopen scans clean.
+        assert h.wal.next_seq == ckpt.seq
+        mutate(h.graph, np.random.default_rng(5), weighted=True, rounds=1)
+        live = h.snapshot()
+        h.crash()
+        scan = scan_wal(h.dir / "wal")
+        assert not scan.torn and scan.events and scan.start_seq == ckpt.seq
+        info = h.recover()
+        assert info.recovered_checkpoint.seq == ckpt.seq and not info.repaired_torn_tail
+        assert info.replayed_events == len(scan.events)
+        assert_snaps_identical(h.snapshot(), live)
+
+
+class TestCrashRecovery(_RecoveryMatrix):
+    subject = _SingleStore
 
     def test_bulk_build_and_maintenance_replay(self, tmp_path):
         store = tmp_path / "store"
@@ -417,6 +499,23 @@ class TestCrashRecovery:
         rec = open_graph(store, fsync="never")
         assert_snaps_identical(rec.graph.snapshot(), live)
         rec.close()
+
+
+class TestShardCrashRecovery(_RecoveryMatrix):
+    subject = _ShardStore
+
+    def test_shard_directory_is_a_single_graph_store(self, tmp_path):
+        """``shard-<i>/`` is what ``open_graph`` reads (the wall-clock
+        ``service`` workload relies on it): a copy of a synced shard
+        directory opens to the snapshot ``rebuild_shard`` restores."""
+        h, _live = self._subject(tmp_path, True)
+        copy = tmp_path / "copy"
+        shutil.copytree(h.dir, copy)
+        h.recover()
+        with open_graph(copy, "slabhash", num_vertices=32, weighted=True, fsync="never") as dg:
+            assert_snaps_identical(dg.graph.snapshot(), h.snapshot())
+        # Attach + checkpoint + rebuild leave nothing else behind.
+        assert sorted(p.name for p in h.dir.iterdir()) == ["checkpoints", "wal"]
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +672,72 @@ class TestDurableScenarios:
         other = mixed_scenario(1 << 8, batch=48, seed=9)
         with pytest.raises(ValidationError, match="seed"):
             run_scenario_durable(other, "slabhash", tmp_path / "a", fsync="never")
+
+
+# ---------------------------------------------------------------------------
+# The four identity documents share one reader
+# ---------------------------------------------------------------------------
+
+
+def _attach_two_shards(directory):
+    service = ShardedGraph.create("slabhash", 8, num_shards=2)
+    return service.attach_durability(directory, fsync="never")
+
+
+def _identity_document(name, tmp_path):
+    """Write one of the JSON identity documents the durable layers keep;
+    returns ``(path, reread)`` where ``reread()`` is the public call that
+    reads it back."""
+    root = tmp_path / "d"
+    if name == "store.json":
+        open_graph(root, "slabhash", num_vertices=8, fsync="never").close()
+        return root / name, lambda: open_graph(root, fsync="never")
+    if name == "shards.json":
+        _attach_two_shards(root).close()
+        return root / name, lambda: _attach_two_shards(root)
+    if name == "scenario.json":
+        sc = mixed_scenario(1 << 8, batch=48)
+        run_scenario_durable(sc, "slabhash", root, fsync="never", stop_after_phase=0)
+        return root / name, lambda: run_scenario_durable(sc, "slabhash", root, fsync="never")
+    snap = Graph.create("slabhash", 8).snapshot()
+    manifest = write_checkpoint(root, snap, seq=0, backend="slabhash", weighted=False)
+    return manifest.path, lambda: load_checkpoint(manifest.path)
+
+
+_DROP = object()
+
+
+_BROKEN_DOCUMENTS = [
+    ("store.json", "backend", _DROP),
+    ("store.json", "backend_kwargs", _DROP),
+    ("store.json", "self_loops", _DROP),
+    ("shards.json", "num_shards", _DROP),
+    ("manifest", "crc32", _DROP),
+    ("scenario.json", "rng_state", _DROP),
+    ("scenario.json", "rng_state", {"bit_generator": "MT19937"}),
+    ("scenario.json", "phases", [{"no_such_field": 1}]),
+    ("scenario.json", "next_phase", "soon"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, field, value",
+    _BROKEN_DOCUMENTS,
+    ids=[f"{n}-{f}-{'missing' if v is _DROP else 'malformed'}" for n, f, v in _BROKEN_DOCUMENTS],
+)
+def test_incomplete_identity_document_is_a_typed_error(tmp_path, name, field, value):
+    """Parseable but incomplete or malformed: a :class:`ValidationError`
+    naming the file and the field — never a raw KeyError / TypeError."""
+    path, reread = _identity_document(name, tmp_path)
+    doc = json.loads(path.read_text())
+    if value is _DROP:
+        del doc[field]
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as exc:
+        reread()
+    assert path.name in str(exc.value) and field in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -953,14 +953,15 @@ class ShardedGraph:
         """Place per-shard sorted CSRs at their global offsets — O(E)
         stream work, charged as copy traffic.  Correct because a vertex's
         out-edges live in exactly one shard and each shard's CSR is
-        destination-sorted per vertex."""
+        destination-sorted per vertex: the global ``row_ptr`` is the sum
+        of the shards', and a shard's row ``i`` of source ``v`` lands
+        ``row_ptr[v] - shard.row_ptr[v]`` past ``i``."""
         n = self.num_vertices
-        counts = np.zeros(n, dtype=np.int64)
-        for snap in shard_snaps:
-            counts += np.diff(snap.row_ptr)
-        row_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        row_ptr = shard_snaps[0].row_ptr.copy()
+        for snap in shard_snaps[1:]:
+            row_ptr += snap.row_ptr
         total = int(row_ptr[-1])
-        col_idx = np.empty(total, dtype=np.int64)
+        keys = np.empty(total, dtype=np.int64)
         weights = np.empty(total, dtype=np.int64) if self.weighted else None
         counters = get_counters()
         counters.kernel_launches += len(shard_snaps)
@@ -968,17 +969,12 @@ class ShardedGraph:
         for snap in shard_snaps:
             if snap.num_edges == 0:
                 continue
-            deg = np.diff(snap.row_ptr)
-            # Only the owner shard holds rows for a vertex, so its global
-            # slice starts at row_ptr[v] and the shard-local offset maps
-            # rows across with one repeat + add.
-            place = np.arange(snap.num_edges, dtype=np.int64) + np.repeat(
-                row_ptr[:-1] - snap.row_ptr[:-1], deg
-            )
-            col_idx[place] = snap.col_idx
+            src = snap.keys() >> np.int64(32)
+            place = np.arange(snap.num_edges, dtype=np.int64) + (row_ptr[src] - snap.row_ptr[src])
+            keys[place] = snap.keys()
             if weights is not None:
                 weights[place] = snap.weights
-        return CSRSnapshot(row_ptr=row_ptr, col_idx=col_idx, weights=weights, num_vertices=n)
+        return CSRSnapshot(row_ptr, keys & np.int64(0xFFFFFFFF), weights, n, _keys=keys)
 
     def _empty_shard_snapshot(self) -> CSRSnapshot:
         return CSRSnapshot(

@@ -20,7 +20,7 @@ rebuilds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,12 +44,16 @@ class CSRSnapshot:
     Rows are sorted by destination (so ``col_idx`` is globally sorted under
     the ``(src << 32) | dst`` composite order), which sorted-intersection
     kernels rely on.  ``weights`` is None for unweighted snapshots.
+    :meth:`keys` is that order as an array: derived on first use, or
+    installed (``_keys``) by a builder that already held it — a delta
+    merge, shard assembly — so a chain of merges never re-derives it.
     """
 
     row_ptr: np.ndarray
     col_idx: np.ndarray
     weights: np.ndarray | None
     num_vertices: int
+    _keys: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_coo(cls, coo: COO) -> "CSRSnapshot":
@@ -83,13 +87,22 @@ class CSRSnapshot:
 
     def out_degrees(self) -> np.ndarray:
         """Out-degree per vertex id."""
-        return np.diff(self.row_ptr).astype(np.int64)
+        return np.diff(self.row_ptr)
 
     # -- flat-array access -------------------------------------------------------
 
     def sources(self) -> np.ndarray:
         """Source id per edge (the COO expansion of ``row_ptr``)."""
         return np.repeat(np.arange(self.num_vertices, dtype=np.int64), np.diff(self.row_ptr))
+
+    def keys(self) -> np.ndarray:
+        """Sorted unique ``(src << 32) | dst`` key per edge — read-only,
+        memoised, the currency of :func:`merge_csr_delta` and shard
+        assembly."""
+        if self._keys is None:
+            object.__setattr__(self, "_keys", (self.sources() << np.int64(32)) | self.col_idx)
+        self._keys.flags.writeable = False  # also freezes keys a builder installed
+        return self._keys
 
     def weights_or_zeros(self) -> np.ndarray:
         """Weights array, or zeros for an unweighted snapshot."""
@@ -109,8 +122,8 @@ class CSRSnapshot:
         making snapshot traversals priceable by the stream bench.
         """
         vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
-        lens = np.diff(self.row_ptr)[vertex_ids]
         starts = self.row_ptr[vertex_ids]
+        lens = self.row_ptr[vertex_ids + 1] - starts
         m = int(lens.sum())
         counters = get_counters()
         counters.kernel_launches += 1
@@ -120,11 +133,7 @@ class CSRSnapshot:
         if m == 0:
             e = np.empty(0, dtype=np.int64)
             return e, e.copy(), e.copy()
-        flat = (
-            np.arange(m, dtype=np.int64)
-            - np.repeat(np.concatenate([[0], np.cumsum(lens)[:-1]]), lens)
-            + np.repeat(starts, lens)
-        )
+        flat = np.arange(m, dtype=np.int64) + np.repeat(starts + lens - np.cumsum(lens), lens)
         owner_pos = np.repeat(np.arange(vertex_ids.shape[0], dtype=np.int64), lens)
         dst = self.col_idx[flat]
         w = self.weights[flat] if self.weights is not None else np.zeros(m, dtype=np.int64)
@@ -242,7 +251,9 @@ def merge_csr_delta(
     present.  Cost is **O(E + B log E)** stream work — no whole-edge-set
     sort — and the result is bit-identical to a cold
     :meth:`CSRSnapshot.from_coo` rebuild of the same live set (both orders
-    are the unique-key composite order).
+    are the unique-key composite order).  The merge reads ``base.keys()``
+    and installs the merged keys on the result, so a chain of merges
+    derives them once.
 
     Charges the device model for the merge stream (``bytes_copied``) so
     benches price the incremental path against the cold rebuild's
@@ -254,25 +265,14 @@ def merge_csr_delta(
     counters = get_counters()
     counters.kernel_launches += 1
     merged = get_kernels().merge_sorted_csr(
-        base.row_ptr,
-        base.col_idx,
-        base.weights,
-        upsert_comp,
-        upsert_weights,
-        delete_comp,
-        base.num_vertices,
+        base.keys(), base.row_ptr, base.weights, upsert_comp, upsert_weights, delete_comp
     )
     if merged is None:
         # Backends export unique live sets — a duplicate composite key in
         # the base means a broken export_coo; fail loudly instead of
         # letting searchsorted pair it with a single position.
         raise ValidationError("merge base contains duplicate (src, dst) keys")
-    row_ptr, col_idx, weights = merged
+    keys, row_ptr, col_idx, weights = merged
     width = 16 if base.weights is not None else 8
     counters.bytes_copied += (base.num_edges + int(col_idx.shape[0])) * width
-    return CSRSnapshot(
-        row_ptr=row_ptr,
-        col_idx=col_idx,
-        weights=weights,
-        num_vertices=base.num_vertices,
-    )
+    return CSRSnapshot(row_ptr, col_idx, weights, base.num_vertices, _keys=keys)

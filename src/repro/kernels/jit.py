@@ -12,7 +12,8 @@ identity, leaving plain-Python loop implementations: far too slow for real
 workloads but semantically identical, which is what lets the
 counter-parity tests exercise this tier's code paths in numba-less
 environments (``set_tier("jit", force=True)``).  Sorting-dominated kernels
-(:func:`sort_window_last`) are shared with the reference tier verbatim —
+(:func:`sort_window_last`, the O(batch) ``row_ptr`` move of
+:func:`merge_sorted_csr`) are shared with the reference tier verbatim —
 NumPy's compiled sort is already the fast path there.
 
 Like the reference tier, nothing here touches :mod:`repro.gpusim`
@@ -27,6 +28,7 @@ from repro.kernels.reference import (
     STATUS_ADVANCE,
     STATUS_DONE,
     STATUS_HIT,
+    _moved_row_ptr,
     sort_window_last,
 )
 from repro.slabhash.constants import EMPTY_KEY, KEY_DTYPE, NULL_SLAB, TOMBSTONE_KEY
@@ -275,44 +277,44 @@ def walk_chains(next_slab, heads):
 
 
 @njit(cache=True)
-def _merge_stream(row_ptr, col_idx, weights, has_w, ups, upw, dels, out_comp, out_w):
-    num_vertices = row_ptr.shape[0] - 1
+def _merge_stream(base_keys, weights, has_w, ups, upw, dels, out_keys, out_w, replaced, left):
     n_ups = ups.shape[0]
     n_dels = dels.shape[0]
     ui = 0
     di = 0
     out = 0
     prev = np.int64(-1)
-    for v in range(num_vertices):
-        for e in range(row_ptr[v], row_ptr[v + 1]):
-            comp_o = (np.int64(v) << np.int64(32)) | col_idx[e]
-            if comp_o <= prev:
-                return np.int64(-1)  # duplicated base key (broken export)
-            prev = comp_o
-            # Emit every upsert strictly below the old key first.
-            while ui < n_ups and ups[ui] < comp_o:
-                out_comp[out] = ups[ui]
-                if has_w:
-                    out_w[out] = upw[ui]
-                out += 1
-                ui += 1
-            while di < n_dels and dels[di] < comp_o:
-                di += 1
-            if ui < n_ups and ups[ui] == comp_o:
-                out_comp[out] = ups[ui]  # replace: new weight wins
-                if has_w:
-                    out_w[out] = upw[ui]
-                out += 1
-                ui += 1
-            elif di < n_dels and dels[di] == comp_o:
-                di += 1  # delete: old key dropped
-            else:
-                out_comp[out] = comp_o
-                if has_w:
-                    out_w[out] = weights[e]
-                out += 1
+    for e in range(base_keys.shape[0]):
+        key_o = base_keys[e]
+        if key_o <= prev:
+            return np.int64(-1)  # duplicated base key (broken export)
+        prev = key_o
+        # Emit every upsert strictly below the old key first.
+        while ui < n_ups and ups[ui] < key_o:
+            out_keys[out] = ups[ui]
+            if has_w:
+                out_w[out] = upw[ui]
+            out += 1
+            ui += 1
+        while di < n_dels and dels[di] < key_o:
+            di += 1
+        if ui < n_ups and ups[ui] == key_o:
+            out_keys[out] = ups[ui]  # replace: new weight wins
+            if has_w:
+                out_w[out] = upw[ui]
+            replaced[ui] = True
+            out += 1
+            ui += 1
+        elif di < n_dels and dels[di] == key_o:
+            left[di] = True  # delete: old key dropped
+            di += 1
+        else:
+            out_keys[out] = key_o
+            if has_w:
+                out_w[out] = weights[e]
+            out += 1
     while ui < n_ups:
-        out_comp[out] = ups[ui]
+        out_keys[out] = ups[ui]
         if has_w:
             out_w[out] = upw[ui]
         out += 1
@@ -320,30 +322,28 @@ def _merge_stream(row_ptr, col_idx, weights, has_w, ups, upw, dels, out_comp, ou
     return out
 
 
-def merge_sorted_csr(
-    row_ptr, col_idx, weights, upsert_comp, upsert_weights, delete_comp, num_vertices
-):
+def merge_sorted_csr(base_keys, row_ptr, weights, upsert_comp, upsert_weights, delete_comp):
     """Stream-merge a sorted delta into a sorted CSR (compiled single pass).
 
-    Same contract as the reference tier: returns the merged
-    ``(row_ptr, col_idx, weights)`` or ``None`` on a duplicated base key.
+    Same contract as the reference tier: returns the merged ``(keys,
+    row_ptr, col_idx, weights)`` or ``None`` on a duplicated base key.
+    The stream marks the upserts that replaced a key (the others arrived)
+    and the deletes that hit (they left) for the ``row_ptr`` move.
     """
-    num_edges = col_idx.shape[0]
     n_ups = upsert_comp.shape[0]
     has_w = weights is not None
     w_in = weights if has_w else np.empty(0, dtype=np.int64)
-    upw = upsert_weights
-    if upw is None:
-        upw = np.zeros(n_ups, dtype=np.int64) if has_w else np.empty(0, dtype=np.int64)
-    out_comp = np.empty(num_edges + n_ups, dtype=np.int64)
-    out_w = np.empty(num_edges + n_ups if has_w else 0, dtype=np.int64)
+    upw = np.zeros(n_ups, dtype=np.int64) if upsert_weights is None else upsert_weights
+    out_keys = np.empty(base_keys.shape[0] + n_ups, dtype=np.int64)
+    out_w = np.empty(out_keys.shape[0] if has_w else 0, dtype=np.int64)
+    replaced = np.zeros(n_ups, dtype=np.bool_)
+    left = np.zeros(delete_comp.shape[0], dtype=np.bool_)
     count = _merge_stream(
-        row_ptr, col_idx, w_in, has_w, upsert_comp, upw, delete_comp, out_comp, out_w
+        base_keys, w_in, has_w, upsert_comp, upw, delete_comp, out_keys, out_w, replaced, left
     )
     if count < 0:
         return None
-    comp = out_comp[: int(count)]
-    counts = np.bincount(comp >> np.int64(32), minlength=num_vertices)
-    new_row_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    keys = out_keys[: int(count)]
+    new_row_ptr = _moved_row_ptr(row_ptr, upsert_comp[~replaced], delete_comp[left])
     new_weights = out_w[: int(count)].copy() if has_w else None
-    return new_row_ptr, (comp & _MASK32).astype(np.int64), new_weights
+    return keys, new_row_ptr, keys & _MASK32, new_weights

@@ -257,51 +257,56 @@ def sort_window_last(comp, w, is_ins):
     return sc[last], w[idx], is_ins[idx]
 
 
-def merge_sorted_csr(
-    row_ptr, col_idx, weights, upsert_comp, upsert_weights, delete_comp, num_vertices
-):
+def _moved_row_ptr(row_ptr, arrived, left):
+    """``row_ptr`` after the sorted keys ``arrived`` joined and ``left``
+    departed: every entry past source ``s`` moves by the running net
+    change of the delta rows up to ``s`` — O(B log B) bookkeeping and one
+    add over |V|, instead of recounting every edge."""
+    src = np.concatenate([arrived, left]) >> np.int64(32)
+    order = np.argsort(src, kind="stable")
+    src = src[order]
+    running = np.cumsum(np.repeat([1, -1], [arrived.shape[0], left.shape[0]])[order])
+    last = np.flatnonzero(np.diff(src, append=-1))  # last delta row of each source
+    bounds = np.concatenate([[0], src[last] + 1, [row_ptr.shape[0]]])
+    moved = np.repeat(np.concatenate([[0], running[last]]), np.diff(bounds))
+    return np.add(moved, row_ptr, out=moved)
+
+
+def merge_sorted_csr(base_keys, row_ptr, weights, upsert_comp, upsert_weights, delete_comp):
     """Stream-merge a sorted, disjoint upsert/delete delta into a sorted CSR.
 
-    Returns ``(row_ptr, col_idx, weights)`` for the merged edge set, or
-    ``None`` when the base contains duplicate composite keys (the driver
-    raises — a duplicate means a broken ``export_coo``).  Pure stream
-    work: O(E + B log E), no whole-edge-set sort.
+    The base is its sorted keys (``CSRSnapshot.keys()``), ``row_ptr`` and
+    ``weights``.  Returns ``(keys, row_ptr, col_idx, weights)`` for the
+    merged edge set — the keys feed the next merge — or ``None`` when the
+    base keys are not strictly increasing (the driver raises — a duplicate
+    means a broken ``export_coo``).  Pure stream work: O(E + B log E), no
+    whole-edge-set sort, no recount of ``row_ptr``.
     """
-    old_deg = np.diff(row_ptr)
-    old_src = np.repeat(np.arange(num_vertices, dtype=np.int64), old_deg)
-    old_comp = (old_src << np.int64(32)) | col_idx
-    if old_comp.size > 1 and not bool(np.all(old_comp[1:] > old_comp[:-1])):
+    if base_keys.size > 1 and not bool(np.all(base_keys[1:] > base_keys[:-1])):
         # searchsorted pairs each touched key with one position, so a
         # duplicated base key would silently survive a delete/upsert.
         return None
     # Drop every touched key from the old stream: deletes disappear,
     # upserted keys re-enter from the delta with their new weight.
+    n_ups = upsert_comp.shape[0]
     touched = np.concatenate([upsert_comp, delete_comp])
-    keep = np.ones(old_comp.shape[0], dtype=bool)
-    if touched.size and old_comp.size:
-        loc = np.searchsorted(old_comp, touched)
-        safe = np.minimum(loc, old_comp.shape[0] - 1)
-        hit = (loc < old_comp.shape[0]) & (old_comp[safe] == touched)
-        keep[loc[hit]] = False
-    kept_comp = old_comp[keep]
-    total = kept_comp.shape[0] + upsert_comp.shape[0]
-    new_comp = np.empty(total, dtype=np.int64)
-    ins_at = np.searchsorted(kept_comp, upsert_comp) + np.arange(
-        upsert_comp.shape[0], dtype=np.int64
-    )
+    keep = np.ones(base_keys.shape[0], dtype=bool)
+    loc = np.searchsorted(base_keys, touched)
+    hit = loc < base_keys.shape[0]
+    hit[hit] = base_keys[loc[hit]] == touched[hit]
+    keep[loc[hit]] = False
+    kept_keys = base_keys[keep]
+    total = kept_keys.shape[0] + n_ups
+    new_keys = np.empty(total, dtype=np.int64)
+    ins_at = np.searchsorted(kept_keys, upsert_comp) + np.arange(n_ups, dtype=np.int64)
     ins_mask = np.zeros(total, dtype=bool)
     ins_mask[ins_at] = True
-    new_comp[ins_at] = upsert_comp
-    new_comp[~ins_mask] = kept_comp
+    new_keys[ins_at] = upsert_comp
+    new_keys[~ins_mask] = kept_keys
     new_weights = None
     if weights is not None:
         new_weights = np.empty(total, dtype=np.int64)
-        new_weights[ins_at] = (
-            upsert_weights
-            if upsert_weights is not None
-            else np.zeros(upsert_comp.shape[0], dtype=np.int64)
-        )
+        new_weights[ins_at] = 0 if upsert_weights is None else upsert_weights
         new_weights[~ins_mask] = weights[keep]
-    counts = np.bincount(new_comp >> np.int64(32), minlength=num_vertices)
-    new_row_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return new_row_ptr, (new_comp & _MASK32).astype(np.int64), new_weights
+    new_row_ptr = _moved_row_ptr(row_ptr, upsert_comp[~hit[:n_ups]], delete_comp[hit[n_ups:]])
+    return new_keys, new_row_ptr, new_keys & _MASK32, new_weights

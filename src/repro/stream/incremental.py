@@ -382,7 +382,7 @@ def _composite(snap: CSRSnapshot) -> np.ndarray:
     """The snapshot's globally sorted ``(src << 32) | dst`` edge keys
     (charged as one pass over the edge stream)."""
     get_counters().bytes_copied += snap.num_edges * 8
-    return (snap.sources() << np.int64(32)) | snap.col_idx
+    return snap.keys()
 
 
 def _mirrored(keys: np.ndarray) -> np.ndarray:
@@ -444,7 +444,6 @@ class IncrementalTriangleCount(IncrementalAnalytic):
         symmetric CSR and count."""
         super().__init__(graph)
         self._sym: CSRSnapshot | None = None
-        self._comp: np.ndarray | None = None
         self._count = 0
         self._rebuild()
         self._reanchor()
@@ -468,7 +467,7 @@ class IncrementalTriangleCount(IncrementalAnalytic):
         dst = np.concatenate([e.dst for e in window])
         counters.bytes_copied += int(src.shape[0]) * 16
         touched = canonical_edge_keys(src, dst)
-        was = _sorted_member(self._comp, touched)
+        was = _sorted_member(self._sym.keys(), touched)
         if all(e.is_insert for e in window):
             now = np.ones_like(was)  # nothing left the graph
         else:
@@ -477,11 +476,10 @@ class IncrementalTriangleCount(IncrementalAnalytic):
             now = _sorted_member(live, touched) | _sorted_member(live, (v << np.int64(32)) | u)
         removed, added = touched[was & ~now], touched[~was & now]
         if removed.shape[0] or added.shape[0]:
-            count = self._count - _triangles_through(self._sym, self._comp, removed)
+            count = self._count - _triangles_through(self._sym, self._sym.keys(), removed)
             merged = merge_csr_delta(self._sym, _mirrored(added), None, _mirrored(removed))
-            mcomp = _composite(merged)
-            count += _triangles_through(merged, mcomp, added)
-            self._sym, self._comp, self._count = merged, mcomp, count
+            count += _triangles_through(merged, _composite(merged), added)
+            self._sym, self._count = merged, count
         return True
 
     def _rebuild(self) -> None:
@@ -495,7 +493,7 @@ class IncrementalTriangleCount(IncrementalAnalytic):
         else:
             row_ptr, col_idx = np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
             comp, count = np.empty(0, dtype=np.int64), 0
-        self._sym, self._comp, self._count = CSRSnapshot(row_ptr, col_idx, None, n), comp, count
+        self._sym, self._count = CSRSnapshot(row_ptr, col_idx, None, n, _keys=comp), count
 
 
 class _IncrementalDistances(IncrementalAnalytic):

@@ -15,6 +15,10 @@ def pytest_configure(config):
         "chaos: fault-injection / failover tests (CI runs them as their own "
         "lane via `pytest -m chaos`; they also run in the default suite)",
     )
+    config.addinivalue_line(
+        "markers",
+        "slow: full-size runner / example runs (deselect with `-m 'not slow'`)",
+    )
 
 
 @pytest.fixture(autouse=True)

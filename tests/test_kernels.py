@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import create
 from repro.api.snapshot import CSRSnapshot, merge_csr_delta, merge_event_window
@@ -23,7 +25,7 @@ from repro.bench.results import environment_fingerprint
 from repro.bench.tables import table2_edge_insertion
 from repro.coo import COO
 from repro.eventlog.events import EdgeBatch
-from repro.gpusim.counters import get_counters
+from repro.gpusim.counters import counting, get_counters
 from repro.kernels import (
     KERNEL_TIERS,
     _resolve_initial_tier,
@@ -183,17 +185,24 @@ class TestCounterParity:
         assert_state_equal(ref, jit)
 
     def test_merge_duplicate_base_raises_in_both_tiers(self):
-        bad = CSRSnapshot(
-            row_ptr=np.array([0, 2], dtype=np.int64),
-            col_idx=np.array([5, 5], dtype=np.int64),
-            weights=None,
-            num_vertices=1,
-        )
+        """The kernel validates the base keys it is handed, wherever the
+        snapshot got them: derived by the merge, memoised earlier, or
+        installed by a builder."""
         empty = np.empty(0, dtype=np.int64)
         for tier in ("reference", "jit"):
-            with use_tier(tier, force=True):
-                with pytest.raises(ValidationError, match="duplicate"):
-                    merge_csr_delta(bad, empty, None, empty)
+            for keys in ("derived", "memoised", "installed"):
+                bad = CSRSnapshot(
+                    row_ptr=np.array([0, 2], dtype=np.int64),
+                    col_idx=np.array([5, 5], dtype=np.int64),
+                    weights=None,
+                    num_vertices=1,
+                    _keys=np.array([5, 5], dtype=np.int64) if keys == "installed" else None,
+                )
+                if keys == "memoised":
+                    bad.keys()
+                with use_tier(tier, force=True):
+                    with pytest.raises(ValidationError, match="duplicate"):
+                        merge_csr_delta(bad, empty, None, empty)
 
     def test_t2_metrics_bit_identical(self):
         """The t2 bench values derive from modeled counters, so the whole
@@ -214,6 +223,98 @@ class TestCounterParity:
             jit = metrics()
         assert ref == jit
         assert ref  # sanity: the table actually produced metrics
+
+
+def _cold(oracle, n, weighted):
+    keys = np.array(sorted(oracle), dtype=np.int64)
+    w = np.array([oracle[k] for k in keys.tolist()], dtype=np.int64) if weighted else None
+    return CSRSnapshot.from_coo(COO(keys >> 32, keys & 0xFFFFFFFF, n, weights=w))
+
+
+def _merge_chain(n, weighted, base, steps):
+    """Drive ``steps`` through :func:`merge_csr_delta` from a cold base;
+    every link must equal the cold rebuild of the oracle dict.  Returns the
+    last link and what the merges (alone) charged."""
+    oracle = {(s << 32) | d: w for s, d, w in base}
+    snap = _cold(oracle, n, weighted)
+    charged = {}
+    for ups, dels in steps:
+        up = {(s << 32) | d: w for s, d, w in ups}
+        live = sorted(oracle)
+        # An int picks a live key (a delete that hits); a pair may miss.
+        gone = {
+            live[d % len(live)] if isinstance(d, int) else (d[0] << 32) | d[1]
+            for d in dels
+            if live or not isinstance(d, int)
+        } - up.keys()
+        for k in gone:
+            oracle.pop(k, None)
+        oracle.update(up)
+        up_keys = np.array(sorted(up), dtype=np.int64)
+        up_w = np.array([up[k] for k in up_keys.tolist()], dtype=np.int64)
+        with counting() as delta:
+            snap = merge_csr_delta(
+                snap, up_keys, up_w if weighted else None, np.array(sorted(gone), dtype=np.int64)
+            )
+        for name, amount in delta.items():
+            charged[name] = charged.get(name, 0) + amount
+        installed = snap._keys  # set by the merge, before anything could derive it
+        want = _cold(oracle, n, weighted)
+        assert_state_equal(
+            (snap.row_ptr, snap.col_idx, snap.weights, installed, snap.keys()),
+            (want.row_ptr, want.col_idx, want.weights, want.keys(), want.keys()),
+        )
+        assert snap.row_ptr.dtype == snap.col_idx.dtype == snap.keys().dtype == np.int64
+    return snap.row_ptr, snap.col_idx, snap.weights, snap.keys(), charged
+
+
+@st.composite
+def merge_chains(draw):
+    n = draw(st.sampled_from([1, 2, 7, 40, 5000]))  # 5000: |E| << |V|
+    vertex = st.integers(0, n - 1) | st.just(n - 1)  # the last vertex shows up often
+    edge = st.tuples(vertex, vertex, st.integers(0, 99))
+    delete = st.integers(0, 1 << 20) | edge.map(lambda e: e[:2])
+    step = st.tuples(st.lists(edge, max_size=12), st.lists(delete, max_size=12))
+    return (
+        n,
+        draw(st.booleans()),
+        draw(st.lists(edge, max_size=30)),
+        draw(st.lists(step, min_size=1, max_size=4)),
+    )
+
+
+class TestMergeChain:
+    """A snapshot carries its sorted keys through a chain of merges."""
+
+    @given(merge_chains())
+    @example((1, True, [], [([(0, 0, 3)], []), ([], [0]), ([], [])]))  # one vertex, empty ends
+    @example((5000, False, [], [([(4999, 4999, 0), (0, 1, 0)], []), ([], [(4999, 4999)])]))
+    @example((7, True, [(6, 6, 1), (0, 0, 2)], [([], []), ([(6, 5, 9), (6, 6, 4)], [0, 1])]))
+    @settings(max_examples=60, deadline=None)
+    def test_chain_equals_cold_rebuild_on_both_tiers(self, chain):
+        ref = _merge_chain(*chain)
+        with use_tier("jit", force=True):
+            jit = _merge_chain(*chain)
+        assert_state_equal(ref, jit)
+
+    def test_merged_keys_are_not_rederived(self, monkeypatch):
+        base = _cold({(1 << 32) | 2: 0, (3 << 32) | 0: 0}, 4, False)
+        up = np.array([(0 << 32) | 3], dtype=np.int64)
+        merged = merge_csr_delta(base, up, None, np.empty(0, dtype=np.int64))
+        monkeypatch.setattr(
+            CSRSnapshot, "sources", lambda self: pytest.fail("keys re-derived from row_ptr")
+        )
+        again = merge_csr_delta(merged, up + 1, None, up)
+        assert again.keys().tolist() == [4, (1 << 32) | 2, (3 << 32) | 0]
+        assert again.row_ptr.tolist() == [0, 1, 2, 2, 3]
+
+    def test_keys_are_read_only(self):
+        cold = _cold({5: 1, 9: 2}, 10, True)
+        merged = merge_csr_delta(cold, np.array([7]), np.array([3]), np.array([5]))
+        for snap in (cold, merged):
+            with pytest.raises(ValueError, match="read-only"):
+                snap.keys()[0] = 0
+        assert merged.keys().tolist() == [7, 9]
 
 
 class TestKernelBenchArtifact:

@@ -11,7 +11,9 @@ import pytest
 
 from repro.analytics import connected_components, pagerank
 from repro.analytics.triangle_count import triangle_count_csr
-from repro.api import Graph, Partitioner, ShardedGraph, backend_names, capabilities
+from repro.api import CSRSnapshot, Graph, Partitioner, ShardedGraph, backend_names, capabilities
+from repro.coo import COO
+from repro.gpusim.counters import counting
 from repro.stream.incremental import IncrementalConnectedComponents, IncrementalPageRank
 from repro.util.errors import ValidationError
 
@@ -39,6 +41,7 @@ def apply_mixed(g, src, dst, w=None):
 def assert_snapshots_identical(a, b):
     assert np.array_equal(a.row_ptr, b.row_ptr)
     assert np.array_equal(a.col_idx, b.col_idx)
+    assert np.array_equal(a.keys(), b.keys())
     if a.weights is None:
         assert b.weights is None
     else:
@@ -230,6 +233,68 @@ class TestShardedService:
         sg = ShardedGraph.create("slabhash", 16, num_shards=2, self_loops="error")
         with pytest.raises(ValidationError):
             sg.insert_edges([3], [3])
+
+
+class TestAssembly:
+    """Shard assembly places each shard's keys at its global offsets."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 5])
+    def test_sparse_vertex_space_and_edgeless_shards(self, shards, weighted, rng):
+        """The ``service`` regime — most ids isolated, |E| << |V| — with
+        every source owned by shard 0, so the other shards own nothing;
+        first through the cold tier, then through each shard's merge."""
+        n = 4096
+        owned = np.flatnonzero(Partitioner(shards).shard_of(np.arange(n)) == 0)
+        single = Graph.create("slabhash", num_vertices=n, weighted=weighted)
+        sharded = ShardedGraph.create("slabhash", n, num_shards=shards, weighted=weighted)
+        for round_ in range(3):
+            src = rng.choice(owned, 40)
+            dst, w = rng.integers(0, n, 40), rng.integers(1, 50, 40)
+            for g in (single, sharded):
+                g.insert_edges(src, dst, w if weighted else None)
+                if round_:
+                    g.delete_edges(src[:5], dst[:5])
+            want, got = single.snapshot(), sharded.snapshot()
+            assert_snapshots_identical(want, got)
+            assert got.row_ptr.dtype == got.col_idx.dtype == got.keys().dtype == np.int64
+            assert [s.num_edges() for s in sharded.shards[1:]] == [0] * (shards - 1)
+            with pytest.raises(ValueError, match="read-only"):
+                got.keys()[0] = 0
+
+    def test_degraded_view_is_the_rebuild_of_the_contributed_rows(self, rng):
+        """One stale shard (its rows as of the cached cut), one missing
+        shard (nothing), two live ones."""
+        n = 512
+        svc = ShardedGraph.create("slabhash", n, num_shards=4, partial_dispatch="record")
+        first, second = workload(rng, n, 300)[:2], workload(rng, n, 300)[:2]
+        svc.insert_edges(*first)
+        svc.kill_shard(3)  # never snapshotted: missing
+        assert svc.degraded_snapshot().missing_shards == (3,)  # caches shards 0-2
+        svc.insert_edges(*second)
+        svc.kill_shard(1)  # cached before the second batch: stale
+        degraded = svc.degraded_snapshot()
+        assert (degraded.stale_shards, degraded.missing_shards) == ((1,), (3,))
+        src, dst = np.concatenate([first[0], second[0]]), np.concatenate([first[1], second[1]])
+        owner = svc.partitioner.shard_of(src)
+        contributed = np.isin(owner, (0, 2)) | ((owner == 1) & (np.arange(600) < 300))
+        keys = np.unique((src << 32 | dst)[contributed & (src != dst)])
+        want = CSRSnapshot.from_coo(COO(keys >> 32, keys & 0xFFFFFFFF, n))
+        assert_snapshots_identical(want, degraded.snapshot)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_charge_is_one_launch_per_shard_plus_the_copied_rows(self, weighted, rng):
+        n = 300
+        svc = ShardedGraph.create("slabhash", n, num_shards=3, weighted=weighted)
+        src, dst, w = workload(rng, n, 500)
+        svc.insert_edges(src, dst, w if weighted else None)
+        shard_snaps = [shard.snapshot() for shard in svc.shards]
+        with counting() as charged:
+            assembled = svc._assemble(shard_snaps)
+        assert {k: v for k, v in charged.items() if v} == {
+            "kernel_launches": 3,
+            "bytes_copied": assembled.num_edges * (16 if weighted else 8) + (n + 1) * 8,
+        }
 
 
 class TestShardedValidation:

@@ -1,49 +1,83 @@
 """O(batch) scaling guard — per-batch update cost must not scale with |V|.
 
-Locks in the asymptotic win of the hot-path rework: with a fixed batch of
-512 edges, insert throughput at |V| = 1e6 must stay within 2x of the
-throughput at |V| = 1e3 (Section IV-C's "cost proportional to the batch"
-claim, the regime of Tables VI and IX).  The timed loop also polls
-``num_edges()`` / ``num_active_vertices()`` each batch, so any O(|V|)
+The paper's central claim (Section IV-C) is that a batched update costs
+O(batch + touched slabs), independent of the vertex dictionary's size.  A
+capacity-sized scan sneaking into the per-batch path (a
+``bincount(..., minlength=|V|)`` delta, a full-array ``sum()`` inside
+``num_edges()``) passes every correctness test while destroying the
+small-batch streaming regime of Tables VI and IX.  So: with a fixed batch
+of 512 edges, wall-clock insert throughput at |V| = 1e6 must stay within
+2x of the throughput at |V| = 1e3.  The timed loop also polls
+``num_edges()`` / ``num_active_vertices()`` each batch, so an O(|V|)
 aggregate scan re-entering those reads trips the guard too.
 
-Marked ``slow`` (the suite-wide marker) so constrained machines can skip it
-with ``-m 'not slow'``.
+This is an assertion, not a measurement: nothing is recorded (host-time
+numbers are ``benchmarks/wallclock/``'s job).  The capacities are
+interleaved inside each repeat so one noisy second on a shared host
+lands on all of them alike, and each keeps its best of five.  Tier-1 does
+not collect this file (it matches ``test_*.py``); CI's ``scaling-smoke``
+lane runs it by name.
 """
 
-import pytest
+from time import perf_counter
 
-from repro.bench.regression import (
-    BATCH_SIZE,
-    DEFAULT_CAPACITIES,
-    measure_update_scaling,
-    throughput_ratio,
-)
+import numpy as np
 
+from repro.api import create
+
+BATCH_SIZE = 512
+NUM_BATCHES = 16
+CAPACITIES = (1_000, 100_000, 1_000_000)
+REPEATS = 5
 MAX_RATIO = 2.0
+SEED = 0x5CA1E
 
 
-@pytest.mark.slow
+def _batches(capacity, count, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        (rng.integers(0, capacity, BATCH_SIZE), rng.integers(0, capacity, BATCH_SIZE))
+        for _ in range(count)
+    ]
+
+
+def _timed_run(capacity, seed):
+    """Seconds for one streaming run: insert batches, poll sizes, one delete."""
+    graph = create("slabhash", capacity, weighted=False)
+    batches = _batches(capacity, NUM_BATCHES, seed)
+    # Untimed setup, per the paper's methodology.  Every capacity must
+    # measure the same steady-state work — probing existing tables — so the
+    # batches' sources are registered up front (else table creation is
+    # charged only to the sparse large-|V| runs), the dictionary's
+    # ``np.zeros`` arrays are written once (first-touch page faults are not
+    # per-batch cost), and two throwaway batches warm the insert path.
+    vd = graph._dict
+    vd.edge_count.fill(0)
+    vd.active.fill(False)
+    vd.arena.table_buckets.fill(0)
+    graph.insert_vertices(np.unique(np.concatenate([src for src, _ in batches])))
+    for src, dst in _batches(capacity, 2, seed ^ 0xBEEF):
+        graph.insert_edges(src, dst)
+
+    t0 = perf_counter()
+    for src, dst in batches:
+        graph.insert_edges(src, dst)
+        graph.num_edges()
+        graph.num_active_vertices()
+    graph.delete_edges(*batches[0])  # the deletion path sits under the same guard
+    return perf_counter() - t0
+
+
 def test_update_throughput_independent_of_capacity():
-    points = measure_update_scaling()
-    ratio = throughput_ratio(points)
-    detail = ", ".join(
-        f"|V|={p.capacity:,}: {p.updates_per_sec / 1e6:.2f} M/s" for p in points
-    )
+    best = dict.fromkeys(CAPACITIES, float("inf"))
+    for repeat in range(REPEATS):
+        for capacity in CAPACITIES:
+            best[capacity] = min(best[capacity], _timed_run(capacity, SEED + repeat))
+    # Same number of updates at every capacity, so the throughput ratio
+    # small/large is the time ratio large/small.
+    ratio = best[CAPACITIES[-1]] / best[CAPACITIES[0]]
+    detail = ", ".join(f"|V|={c:,}: {s * 1e3:.1f} ms" for c, s in best.items())
     assert ratio <= MAX_RATIO, (
         f"small/large throughput ratio {ratio:.2f} exceeds {MAX_RATIO} ({detail}); "
         "an O(|V|) term has re-entered the per-batch update path"
     )
-
-
-@pytest.mark.slow
-def test_streaming_updates_wall_clock(benchmark):
-    """Wall-clock anchor for the largest capacity (pytest-benchmark entry)."""
-    largest = DEFAULT_CAPACITIES[-1]
-
-    def op():
-        measure_update_scaling(
-            capacities=(largest,), batch_size=BATCH_SIZE, num_batches=4, repeats=1
-        )
-
-    benchmark.pedantic(op, rounds=2)

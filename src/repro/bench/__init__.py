@@ -14,13 +14,15 @@ Layout:
 - :mod:`repro.bench.results` — versioned machine-readable result records
   (``BenchResult``/``SuiteResult``) with JSON round-tripping;
 - :mod:`repro.bench.compare` — tolerance-banded baseline comparison;
+- :mod:`repro.bench.claims` — the reproduction scorecard: every claim the
+  suite makes, as a row of data checked against the metrics of a run;
 - :mod:`repro.bench.runner` — ``python -m repro.bench.runner`` regenerates
-  every artifact, prints paper-style tables, and drives ``--json`` /
-  ``--compare`` / ``--update-baselines``.
+  every artifact, prints paper-style tables and the scorecard, and drives
+  ``--json`` / ``--compare`` / ``--update-baselines``.
 
-The pytest-benchmark entry points live in ``benchmarks/`` at the repo root
-and call into this package; committed baselines live in
-``benchmarks/baselines/``.
+Committed baselines live in ``benchmarks/baselines/`` at the repo root.
+The suite records modeled numbers only; host time is measured by
+``benchmarks/wallclock/``.
 """
 
 from repro.bench.compare import ComparisonReport, Tolerance, compare_suites

@@ -2,8 +2,8 @@
 
 Each measurement captures two times:
 
-- **wall-clock seconds** of the vectorized Python kernels (what
-  pytest-benchmark also measures), and
+- **wall-clock seconds** of the vectorized Python kernels (kept on the
+  in-memory record only — no results file persists host time), and
 - **modeled device seconds** from the calibrated cost model
   (:mod:`repro.gpusim.model`), computed from the kernel-counter delta.
 

@@ -1,23 +1,21 @@
 """Machine-readable benchmark results with a versioned JSON schema.
 
-Every bench artifact (Tables II-IX, Figures 2-3, the scaling guard)
+Every bench artifact (Tables II-IX, Figures 2-3, the repo-grown tables)
 produces an :class:`ArtifactResult`: the human-facing tabular view
 (``headers``/``rows``, rendered at the edge by
 :func:`repro.bench.harness.format_table`) plus a flat list of
 :class:`BenchResult` metric records — one per measured value, each keyed by
-a stable ``metric`` string and carrying the wall-clock seconds,
-modeled-device seconds, and kernel-counter deltas behind it.  A whole run
-is a :class:`SuiteResult`, which adds the environment fingerprint (git SHA,
-python/numpy versions, platform, seed) that makes two JSON files
-comparable.
+a stable ``metric`` string and carrying the modeled-device seconds and
+kernel-counter deltas behind it.  A whole run is a :class:`SuiteResult`,
+which adds the environment fingerprint (git SHA, python/numpy versions,
+platform, seed) that makes two JSON files comparable.
 
 The JSON layout is versioned via ``schema_version``; :func:`validate_suite`
 rejects documents this code cannot interpret, so a stale baseline fails
-loudly instead of comparing garbage.  The displayed table values are
-derived from the deterministic device model (kernel counters), which is
-what makes committed baselines stable across host machines — wall-clock
-seconds are recorded for context but never gated on by default (see
-:mod:`repro.bench.compare`).
+loudly instead of comparing garbage.  Every persisted number derives from
+the deterministic device model (kernel counters) — no host time is
+recorded — so a results file is a pure function of code, seed and NumPy
+version, and committed baselines are stable across host machines.
 """
 
 from __future__ import annotations
@@ -80,8 +78,8 @@ class BenchResult:
     """One measured metric: a value plus the measurement behind it.
 
     ``value`` is the number the paper-shaped table displays (device-model
-    derived, deterministic for a fixed seed); ``wall_seconds`` /
-    ``model_seconds`` / ``counters`` record the underlying measurement for
+    derived, deterministic for a fixed seed); ``model_seconds`` /
+    ``counters`` record the underlying measurement for
     the cells that correspond to a single timed call (aggregated cells sum
     them over their contributing calls).
     """
@@ -92,7 +90,6 @@ class BenchResult:
     artifact: str
     dataset: str | None = None
     backend: str | None = None
-    wall_seconds: float | None = None
     model_seconds: float | None = None
     items: int = 0
     counters: dict = field(default_factory=dict)
@@ -115,7 +112,6 @@ class ArtifactResult:
     headers: list
     rows: list
     results: list
-    elapsed_seconds: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -123,7 +119,6 @@ class ArtifactResult:
             "title": self.title,
             "headers": _jsonable(list(self.headers)),
             "rows": _jsonable([list(r) for r in self.rows]),
-            "elapsed_seconds": float(self.elapsed_seconds),
             "results": [r.to_dict() for r in self.results],
         }
 
@@ -135,7 +130,6 @@ class ArtifactResult:
             headers=list(doc["headers"]),
             rows=[list(r) for r in doc["rows"]],
             results=[BenchResult.from_dict(r) for r in doc.get("results", [])],
-            elapsed_seconds=float(doc.get("elapsed_seconds", 0.0)),
         )
 
 
@@ -171,13 +165,12 @@ class ArtifactBuilder:
 
         Pass ``record`` for a metric backed by a single timed call, or
         ``records`` (an iterable of :class:`BenchRecord`) for an aggregate —
-        wall/model seconds and counters are summed over the contributors.
+        model seconds and counters are summed over the contributors.
         """
-        wall = model = None
+        model = None
         counters: dict = {}
         contributors = [record] if record is not None else list(records or [])
         if contributors:
-            wall = sum(r.seconds for r in contributors)
             model = sum(r.model_seconds for r in contributors)
             for r in contributors:
                 for k, v in r.counters.items():
@@ -191,7 +184,6 @@ class ArtifactBuilder:
             artifact=self.artifact,
             dataset=dataset,
             backend=backend,
-            wall_seconds=wall,
             model_seconds=model,
             items=int(items),
             counters=counters,
@@ -199,14 +191,13 @@ class ArtifactBuilder:
         self.results.append(result)
         return result
 
-    def build(self, elapsed_seconds: float = 0.0) -> ArtifactResult:
+    def build(self) -> ArtifactResult:
         return ArtifactResult(
             artifact=self.artifact,
             title=self.title,
             headers=self.headers,
             rows=self.rows,
             results=self.results,
-            elapsed_seconds=elapsed_seconds,
         )
 
 
@@ -238,8 +229,8 @@ def environment_fingerprint(seed: int = 0, quick: bool = False) -> dict:
         "argv": list(sys.argv),
         "seed": int(seed),
         "quick": bool(quick),
-        # Wall-clock metrics are only comparable within a kernel tier;
-        # modeled counters are tier-independent by construction.
+        # Modeled counters are tier-independent by construction; the tier
+        # is recorded so a parity failure can be traced to what ran.
         "kernel_tier": kernel_tier(),
     }
 

@@ -4,9 +4,10 @@ Runs Tables II-IX, the snapshot-cost artifact (``t10``), the streaming
 scenario artifact (``t11``), the sharded-service artifact (``t12``),
 the durability artifact (``t13``), the chaos/failover artifact
 (``t14``), the kernel-tier artifact (``t15``) and the Figure 2/3
-sweeps in paper order,
-prints each as a fixed-width table, and (optionally) persists/compares
-machine-readable results:
+sweeps in paper order, prints each as a fixed-width table, then checks
+every claim of :mod:`repro.bench.claims` that the run's metrics can decide
+and prints the scorecard.  Optionally persists/compares machine-readable
+results:
 
 - ``--quick``                  shrink every sweep to CI size;
 - ``--json OUT.json``          write the run as a versioned SuiteResult;
@@ -16,9 +17,10 @@ machine-readable results:
 - ``--update-baselines``       rewrite the committed baseline for this
   mode (``benchmarks/baselines/BENCH_baseline_quick.json`` or ``_full``).
 
-Pass artifact ids (``t2 t7 f2 reg`` ...) to run a subset; the whole list
+Pass artifact ids (``t2 t7 f2`` ...) to run a subset; the whole list
 is validated before any work starts, and usage errors go to stderr with
-exit code 2.  Exit codes: 0 success, 1 baseline regression, 2 bad usage.
+exit code 2.  Exit codes: 0 success, 1 violated claim or baseline
+regression, 2 bad usage.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ from time import perf_counter
 
 from repro.bench import tables as T
 from repro.bench.chaos_bench import chaos_artifact
+from repro.bench.claims import evaluate
 from repro.bench.compare import compare_suites
 from repro.bench.figures import figure2_artifact, figure3_artifact
 from repro.bench.harness import format_table
 from repro.bench.kernel_bench import kernel_artifact
 from repro.bench.persist_bench import persist_artifact
-from repro.bench.regression import scaling_artifact
 from repro.bench.shard_bench import shard_artifact
 from repro.bench.snapshot_bench import snapshot_artifact
 from repro.bench.stream_bench import stream_artifact
@@ -45,7 +47,7 @@ from repro.bench.results import (
     environment_fingerprint,
 )
 
-__all__ = ["main", "run_suite", "ARTIFACT_IDS", "DEFAULT_ARTIFACTS", "baseline_path"]
+__all__ = ["main", "run_suite", "ARTIFACT_IDS", "baseline_path"]
 
 _ARTIFACTS = {
     "t2": T.table2_edge_insertion,
@@ -64,15 +66,10 @@ _ARTIFACTS = {
     "t15": kernel_artifact,
     "f2": figure2_artifact,
     "f3": figure3_artifact,
-    "reg": lambda seed=0, quick=False: scaling_artifact(quick=quick),
 }
 
-#: Every runnable artifact id.
+#: Every runnable artifact id; a run with no ids regenerates them all.
 ARTIFACT_IDS = tuple(_ARTIFACTS)
-
-#: The paper artifacts regenerated by default (the ``reg`` scaling guard is
-#: wall-clock-based and opt-in: name it explicitly to include it).
-DEFAULT_ARTIFACTS = tuple(a for a in ARTIFACT_IDS if a != "reg")
 
 #: Where the committed baselines live, relative to the repo root.
 BASELINE_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "baselines"
@@ -93,14 +90,24 @@ def run_suite(artifacts, seed: int = 0, quick: bool = False, echo=print) -> Suit
     for key in artifacts:
         t0 = perf_counter()
         art = _ARTIFACTS[key](seed=seed, quick=quick)
-        art.elapsed_seconds = perf_counter() - t0
         collected.append(art)
         echo(format_table(art.title, art.headers, art.rows))
-        echo(f"[{key} took {art.elapsed_seconds:.1f}s]\n")
+        echo(f"[{key} took {perf_counter() - t0:.1f}s]\n")
     return SuiteResult(
         environment=environment_fingerprint(seed=seed, quick=quick),
         artifacts=collected,
     )
+
+
+def _format_scorecard(verdicts) -> str:
+    counts = {s: sum(v.status == s for v in verdicts) for s in ("pass", "fail", "n/a")}
+    tally = ", ".join(f"{n} {s}" for s, n in counts.items() if n)
+    rows = [
+        [v.status.upper(), v.claim.id, v.claim.source, v.observed, v.claim.paper or "—"]
+        for v in verdicts
+    ]
+    title = f"scorecard: {'VIOLATED' if counts['fail'] else 'OK'} ({tally})"
+    return format_table(title, ["status", "claim", "source", "observed", "paper"], rows) + "\n"
 
 
 def main(argv=None) -> int:
@@ -126,7 +133,7 @@ def main(argv=None) -> int:
     # All usage errors are caught before any (potentially minutes-long)
     # bench work starts: unknown ids, partial baseline refreshes, and
     # unreadable comparison baselines.
-    wanted = [a.lower() for a in args.artifacts] or list(DEFAULT_ARTIFACTS)
+    wanted = [a.lower() for a in args.artifacts] or list(_ARTIFACTS)
     unknown = [a for a in wanted if a not in _ARTIFACTS]
     if unknown:
         print(
@@ -136,8 +143,8 @@ def main(argv=None) -> int:
         )
         return 2
 
-    if args.update_baselines and not set(DEFAULT_ARTIFACTS) <= set(wanted):
-        missing = sorted(set(DEFAULT_ARTIFACTS) - set(wanted))
+    if args.update_baselines and not set(_ARTIFACTS) <= set(wanted):
+        missing = sorted(set(_ARTIFACTS) - set(wanted))
         print(
             "refusing --update-baselines from a partial run (would drop "
             f"{', '.join(missing)} from the baseline and disable their CI "
@@ -161,6 +168,9 @@ def main(argv=None) -> int:
             )
 
     suite = run_suite(wanted, seed=args.seed, quick=args.quick)
+    verdicts = evaluate({key: res.value for key, res in suite.metrics().items()})
+    print(_format_scorecard(verdicts))
+    ok = not any(v.status == "fail" for v in verdicts)
 
     if args.json:
         suite.save(args.json)
@@ -174,9 +184,8 @@ def main(argv=None) -> int:
     if baseline is not None:
         report = compare_suites(baseline, suite)
         print(report.format())
-        if not report.ok:
-            return 1
-    return 0
+        ok = ok and report.ok
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

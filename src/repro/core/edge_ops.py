@@ -22,8 +22,8 @@ over the batch's sources (via
 :meth:`repro.core.vertex_dict.VertexDictionary.add_edge_counts` /
 ``sub_edge_counts``), which also keep the dictionary's aggregate
 ``total_edges`` / ``num_active`` counters current so size queries stay
-O(1).  ``bench/regression.py`` locks this in by asserting that small-batch
-throughput does not degrade as vertex capacity grows.
+O(1).  ``benchmarks/bench_regression_scaling.py`` locks this in by asserting
+that small-batch throughput does not degrade as vertex capacity grows.
 
 Weights: the public API accepts integer weights (stored in the 32-bit value
 lanes).  Float weights can be carried by viewing them as uint32 at the

@@ -65,7 +65,9 @@ class KernelCounters:
     def diff(self, before: dict[str, int]) -> dict[str, int]:
         """Delta between the current state and a prior :meth:`snapshot`."""
         now = self.snapshot()
-        return {k: now.get(k, 0) - before.get(k, 0) for k in now.keys() | before.keys()}
+        # Declared-field order, then ad-hoc names: a set union here would leak
+        # the process's hash seed into every persisted bench result.
+        return {k: now.get(k, 0) - before.get(k, 0) for k in {**now, **before}}
 
 
 _GLOBAL = KernelCounters()

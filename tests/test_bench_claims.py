@@ -1,0 +1,117 @@
+"""The reproduction scorecard (``repro.bench.claims``).
+
+``evaluate`` is exercised on synthetic metric dicts (a broken ordering
+fails, absent keys are n/a, a one-sided panel fails rather than n/a) and
+on the committed quick baseline, where every decidable claim must hold and
+the set of undecidable ones is pinned — so a renamed metric key cannot
+silently retire a claim.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.bench.claims import CLAIMS, evaluate
+from repro.bench.runner import baseline_path
+
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "benchmarks.md"
+
+#: Claims whose coordinates only the full-size panel carries.
+FULL_SIZE_ONLY = {"t3-hornet-parity", "t8-heavy-tailed", "t9-road", "t9-hollywood"}
+
+
+def statuses(metrics):
+    return {v.claim.id: v.status for v in evaluate(metrics)}
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    doc = json.loads(baseline_path(quick=True).read_text())
+    return {r["metric"]: r["value"] for art in doc["artifacts"] for r in art["results"]}
+
+
+def table2(hornet=(50, 80, 150), faimgraph=(150, 160), ours=(700, 1300, 1800)):
+    batches = ("2^10", "2^12", "2^14")
+    rows = {"hornet": hornet, "faimgraph": faimgraph, "ours": ours}
+    return {
+        f"t2/batch={b}/{name}": float(v)
+        for name, vals in rows.items()
+        for b, v in zip(batches, vals)
+    }
+
+
+class TestEvaluate:
+    def test_one_verdict_per_claim_in_order(self):
+        verdicts = evaluate({})
+        assert [v.claim for v in verdicts] == list(CLAIMS)
+        assert {v.status for v in verdicts} == {"n/a"}
+        assert len({c.id for c in CLAIMS}) == len(CLAIMS)
+
+    def test_paper_shape_holds(self):
+        got = statuses(table2())
+        assert got["t2-order"] == got["t2-lead-shrinks"] == "pass"
+        assert got["t3-faimgraph-behind"] == "n/a"  # no t3 key at all
+
+    def test_broken_ordering_fails(self):
+        # faimGraph overtakes ours at one batch size only.
+        assert statuses(table2(faimgraph=(150, 1400)))["t2-order"] == "fail"
+        # Hornet ahead of faimGraph.
+        assert statuses(table2(hornet=(200, 80, 150)))["t2-order"] == "fail"
+
+    def test_growing_lead_fails_the_trend(self):
+        got = statuses(table2(ours=(700, 1300, 3000)))
+        assert got["t2-order"] == "pass" and got["t2-lead-shrinks"] == "fail"
+
+    def test_series_follow_the_numeric_coordinate_not_the_key_order(self):
+        metrics = dict(reversed(table2().items()))
+        metrics |= {"t2/batch=2^9/hornet": 40.0, "t2/batch=2^9/ours": 720.0}  # 18x, first
+        assert statuses(metrics)["t2-lead-shrinks"] == "pass"
+
+    def test_one_sided_panel_fails_rather_than_na(self):
+        only_ours = {k: v for k, v in table2().items() if k.endswith("/ours")}
+        assert statuses(only_ours)["t2-order"] == "fail"
+        missing_one = table2()
+        del missing_one["t2/batch=2^12/ours"]
+        verdict = next(v for v in evaluate(missing_one) if v.claim.id == "t2-order")
+        assert verdict.status == "fail" and "incomplete panel" in verdict.observed
+
+    def test_named_coordinates_decide_na(self):
+        road = {"t8/luxembourg_osm/csr": 1.8, "t8/luxembourg_osm/faimgraph": 0.03}
+        got = statuses(road)
+        assert got["t8-road"] == "pass" and got["t8-heavy-tailed"] == "n/a"
+        assert statuses({"t8/soc-orkut/csr": 1.9})["t8-heavy-tailed"] == "fail"  # one-sided
+
+    def test_bounds_are_inclusive_and_cover_every_backend(self):
+        key = "t14/E=2^18/shards=4/{}/degraded_read_overhead"
+        assert statuses({key.format("slabhash"): 2.0})["t14-degraded-read"] == "pass"
+        got = statuses({key.format("slabhash"): 0.4, key.format("hornet"): 2.5})
+        assert got["t14-degraded-read"] == "fail"
+        assert statuses({"t15/merge/jit_parity": 0.0})["t15-parity"] == "fail"
+
+
+class TestBaseline:
+    """The committed quick baseline, evaluated at zero bench cost."""
+
+    @pytest.fixture(scope="class")
+    def verdicts(self, baseline):
+        return {v.claim.id: v for v in evaluate(baseline)}
+
+    @pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: c.id)
+    def test_claim_holds(self, verdicts, claim):
+        verdict = verdicts[claim.id]
+        assert verdict.status != "fail", (claim.statement, verdict.observed)
+
+    def test_undecidable_claims_are_exactly_the_full_size_ones(self, baseline):
+        got = statuses(baseline)
+        assert {cid for cid, status in got.items() if status == "n/a"} == FULL_SIZE_ONLY
+
+    def test_breaking_one_metric_fails_exactly_that_claim(self, baseline):
+        broken = dict(baseline) | {"t13/E=2^18/tail=2^12/slabhash/recovery_speedup": 2.9}
+        failed = {cid for cid, status in statuses(broken).items() if status == "fail"}
+        assert failed == {"t13-recovery"}
+
+
+def test_every_claim_is_documented():
+    text = DOCS.read_text()
+    assert [c.id for c in CLAIMS if f"`{c.id}`" not in text] == []

@@ -12,9 +12,6 @@ all five backends.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -49,7 +46,6 @@ from repro.util.errors import (
 
 pytestmark = pytest.mark.chaos
 
-BASELINE = Path(__file__).resolve().parent.parent / "benchmarks/baselines/BENCH_baseline_quick.json"
 
 
 def schedule(plan):
@@ -560,30 +556,6 @@ class TestChaosScenarios:
 
 
 class TestT14Gates:
-    def test_committed_quick_baseline_gates_chaos(self):
-        """The t14 quick gates: WAL-replay rebuild ≥ 2x cheaper than cold
-        re-ingest, and degraded reads within 2x of a healthy assemble."""
-        doc = json.loads(BASELINE.read_text())
-        metrics = {
-            r["metric"]: r["value"] for a in doc["artifacts"] for r in a.get("results", [])
-        }
-        speedups = [
-            k
-            for k in metrics
-            if k.startswith("t14/E=2^18/shards=4/") and k.endswith("/recovery_speedup")
-        ]
-        assert speedups, "t14 recovery-speedup metrics missing from the quick baseline"
-        for key in speedups:
-            assert metrics[key] >= 2.0, (key, metrics[key])
-        overheads = [
-            k
-            for k in metrics
-            if k.startswith("t14/E=2^18/shards=4/") and k.endswith("/degraded_read_overhead")
-        ]
-        assert overheads, "t14 degraded-read metrics missing from the quick baseline"
-        for key in overheads:
-            assert metrics[key] <= 2.0, (key, metrics[key])
-
     def test_chaos_artifact_quick_structure(self):
         from repro.bench.chaos_bench import chaos_artifact
 
@@ -597,9 +569,8 @@ class TestT14Gates:
             "rebuild",
             "cold_reingest",
             "recovery_speedup",
-            "rebuild_wall",
             "scenario_model",
-            "scenario_wall",
         ):
             assert prefix + suffix in keys
+        assert not any("wall" in k for k in keys)  # modeled numbers only
         assert len(art.rows) == 1

@@ -741,26 +741,8 @@ def test_incomplete_identity_document_is_a_typed_error(tmp_path, name, field, va
 
 
 # ---------------------------------------------------------------------------
-# The t13 bench artifact + its committed CI gate
+# The t13 bench artifact (its ≥ 3x gate is the scorecard's `t13-recovery` row)
 # ---------------------------------------------------------------------------
-
-
-def test_committed_quick_baseline_gates_recovery_speedup():
-    """The t13 quick gate: checkpoint+tail recovery ≥ 3x cheaper than a
-    cold full-WAL replay at |E| = 2^18 with a 2^12-row tail."""
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parent.parent / "benchmarks/baselines/BENCH_baseline_quick.json"
-    doc = json.loads(path.read_text())
-    metrics = {r["metric"]: r["value"] for a in doc["artifacts"] for r in a.get("results", [])}
-    gate = [
-        k
-        for k in metrics
-        if k.startswith("t13/E=2^18/tail=2^12/") and k.endswith("/recovery_speedup")
-    ]
-    assert gate, "t13 recovery-speedup metrics missing from the quick baseline"
-    for key in gate:
-        assert metrics[key] >= 3.0, (key, metrics[key])
 
 
 def test_persist_artifact_quick_structure():
@@ -775,9 +757,7 @@ def test_persist_artifact_quick_structure():
         "recovery_speedup",
         "wal_bytes_per_row",
         "ckpt_size",
-        "wal_append_wall",
-        "ckpt_wall",
-        "recover_wall",
     ):
         assert prefix + suffix in keys
+    assert not any("wall" in k for k in keys)  # modeled numbers only
     assert len(art.rows) == 1

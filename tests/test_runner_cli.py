@@ -2,8 +2,9 @@
 
 Heavy artifacts are replaced with a stub registered under a test-only id,
 so these tests exercise the runner's argument validation, JSON emission,
-baseline comparison exit codes, and baseline refresh without paying for a
-real sweep.  One test drives a real (tiny) artifact end to end.
+baseline comparison exit codes, the scorecard's exit code, and baseline
+refresh without paying for a real sweep.  One test drives a real (tiny)
+artifact end to end.
 """
 
 import json
@@ -12,6 +13,7 @@ import pytest
 
 import repro.bench.runner as runner
 from repro.bench.results import ArtifactBuilder, SuiteResult, validate_suite
+from repro.kernels import KERNEL_TIERS
 
 
 def stub_artifact(scale=1.0):
@@ -61,10 +63,10 @@ class TestJsonEmission:
         assert doc["environment"]["quick"] is True
         assert "wrote 2 metrics" in capsys.readouterr().out
 
-    def test_update_baselines_writes_mode_path(self, stub, tmp_path, monkeypatch):
+    def test_update_baselines_writes_mode_path(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner, "BASELINE_DIR", tmp_path)
-        monkeypatch.setattr(runner, "DEFAULT_ARTIFACTS", ("tstub",))
-        assert runner.main(["tstub", "--quick", "--update-baselines"]) == 0
+        monkeypatch.setattr(runner, "_ARTIFACTS", {"tstub": stub_artifact()})
+        assert runner.main(["--quick", "--update-baselines"]) == 0
         assert runner.main(["tstub", "--update-baselines"]) == 0
         assert (tmp_path / "BENCH_baseline_quick.json").exists()
         assert (tmp_path / "BENCH_baseline_full.json").exists()
@@ -123,6 +125,44 @@ class TestCompareExitCodes:
         assert "differ in --quick mode" in capsys.readouterr().err
 
 
+class TestScorecardExitCodes:
+    """``main`` evaluates the claims on whatever it ran: 1 on a violation."""
+
+    @staticmethod
+    def shard_artifact(speedup):
+        def build(seed=0, quick=False):
+            b = ArtifactBuilder("t12", "Stub t12", ["Backend", "Speedup"])
+            b.add_row(["slabhash", speedup])
+            b.metric(speedup, "x", "slabhash", "shards=4", "insert_speedup")
+            return b.build()
+
+        return build
+
+    def test_no_claim_decidable_is_success(self, stub, capsys):
+        assert runner.main(["tstub"]) == 0
+        out = capsys.readouterr().out
+        assert "scorecard: OK" in out and "t12-shard-scaling" in out
+
+    def test_held_claim_is_success(self, monkeypatch, capsys):
+        monkeypatch.setitem(runner._ARTIFACTS, "t12", self.shard_artifact(2.5))
+        assert runner.main(["t12"]) == 0
+        assert "PASS    t12-shard-scaling" in capsys.readouterr().out
+
+    def test_violated_claim_exits_1(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setitem(runner._ARTIFACTS, "t12", self.shard_artifact(1.5))
+        out_json = tmp_path / "r.json"
+        assert runner.main(["t12", "--json", str(out_json)]) == 1
+        out = capsys.readouterr().out
+        assert "scorecard: VIOLATED" in out and "FAIL    t12-shard-scaling" in out
+        assert out_json.exists()  # the run is still persisted for inspection
+
+    def test_violated_claim_fails_even_when_the_baseline_agrees(self, monkeypatch, tmp_path):
+        monkeypatch.setitem(runner._ARTIFACTS, "t12", self.shard_artifact(1.5))
+        baseline = tmp_path / "baseline.json"
+        runner.run_suite(["t12"], echo=lambda *_: None).save(baseline)
+        assert runner.main(["t12", "--compare", str(baseline)]) == 1
+
+
 class TestRealArtifact:
     def test_quick_t8_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "t8.json"
@@ -140,6 +180,7 @@ class TestRealArtifact:
         path = runner.baseline_path(quick=True)
         assert path.exists(), "committed quick baseline missing"
         suite = SuiteResult.load(path)
-        expected = set(runner.DEFAULT_ARTIFACTS)
+        expected = set(runner.ARTIFACT_IDS)
         assert {a.artifact for a in suite.artifacts} == expected
         assert suite.environment["quick"] is True
+        assert suite.environment["kernel_tier"] in KERNEL_TIERS

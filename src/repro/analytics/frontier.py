@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.util.errors import ValidationError
+from repro.util.groupby import sorted_unique
 from repro.util.validation import as_int_array, check_in_range
 
 __all__ = ["advance", "filter_frontier", "vertex_space", "adjacencies_of"]
@@ -82,7 +83,7 @@ def filter_frontier(candidates: np.ndarray, visited: np.ndarray) -> np.ndarray:
     n = visited.shape[0]
     check_in_range(candidates, 0, n, "candidates")
     if candidates.size * 16 < n:
-        return np.unique(candidates[~visited[candidates]])
+        return sorted_unique(candidates[~visited[candidates]])
     fresh = np.zeros(n, dtype=bool)
     fresh[candidates] = True
     fresh &= ~visited

@@ -31,6 +31,7 @@ import numpy as np
 from repro.analytics.frontier import adjacencies_of, vertex_space
 from repro.analytics.wedges import canonical_edge_keys, closing_wedges, split_keys, symmetric_csr
 from repro.util.errors import ValidationError
+from repro.util.groupby import group_starts, sorted_unique, stable_argsort
 
 __all__ = [
     "triangle_count_hash",
@@ -47,7 +48,7 @@ def _oriented_edges(coo) -> tuple[np.ndarray, np.ndarray]:
     u = np.minimum(coo.src, coo.dst)
     v = np.maximum(coo.src, coo.dst)
     keep = u != v
-    comp = np.unique((u[keep] << np.int64(32)) | v[keep])
+    comp = sorted_unique((u[keep] << np.int64(32)) | v[keep])
     return (comp >> 32).astype(np.int64), (comp & np.int64(0xFFFFFFFF)).astype(np.int64)
 
 
@@ -79,13 +80,13 @@ def triangle_count_hash(graph, chunk_size: int = 1 << 22) -> int:
     # Enumerate the smaller endpoints' adjacency lists edge-by-edge.  The
     # batched iterator returns each vertex's list once; edges sharing a
     # "small" vertex replicate that list, which np.repeat reconstructs.
-    order = np.argsort(small, kind="stable")
+    order = stable_argsort(small)
     small_s, big_s = small[order], big[order]
-    uniq, counts = np.unique(small_s, return_counts=True)
+    uniq = small_s[group_starts(small_s)]
     owner_pos, nbrs, _ = adjacencies_of(graph, uniq)
     # Sort the iterator output by owner so each vertex's neighbors are a
     # contiguous run, then replicate runs per referencing edge.
-    run_order = np.argsort(owner_pos, kind="stable")
+    run_order = stable_argsort(owner_pos)
     nbrs = nbrs[run_order]
     owner_pos = owner_pos[run_order]
     run_len = np.bincount(owner_pos, minlength=uniq.shape[0])
@@ -285,7 +286,7 @@ def dynamic_triangle_count(graph, batches, mode: str) -> list[DynamicTCStep]:
             # (which would overcharge by the per-segment dispatch cost).
             from repro.gpusim.model import default_model
 
-            affected = np.unique(both_s)
+            affected = sorted_unique(both_s)
             deg = np.diff(row_ptr)
             mc = default_model()
             sort_model = float(deg[affected].sum()) * mc.SORT_ELEMENT

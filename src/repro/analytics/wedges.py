@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.counters import get_counters
+from repro.util.groupby import sorted_unique
 
 __all__ = ["closing_wedges", "canonical_edge_keys", "symmetric_csr", "split_keys"]
 
@@ -44,7 +45,7 @@ def canonical_edge_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     keep = u != v
     if not keep.all():
         u, v = u[keep], v[keep]
-    return np.unique((u << np.int64(32)) | v)
+    return sorted_unique((u << np.int64(32)) | v)
 
 
 def symmetric_csr(

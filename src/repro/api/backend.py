@@ -36,6 +36,7 @@ from repro.api.capabilities import Capabilities
 from repro.api.snapshot import CSRSnapshot
 from repro.coo import COO
 from repro.util.errors import ValidationError
+from repro.util.groupby import sorted_unique
 from repro.util.validation import as_int_array, check_in_range
 
 __all__ = [
@@ -64,7 +65,7 @@ def scan_edge_weights(graph, src, dst, gather) -> tuple[np.ndarray, np.ndarray]:
     if src.size == 0:
         return np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
     check_in_range(src, 0, graph.num_vertices, "src")
-    verts = np.unique(src)
+    verts = sorted_unique(src)
     owner, exist_dst, weight_at = gather(verts)
     exist_comp = (verts[owner] << np.int64(32)) | exist_dst
     order = np.argsort(exist_comp)

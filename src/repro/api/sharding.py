@@ -75,6 +75,7 @@ from repro.util.errors import (
     TransientFault,
     ValidationError,
 )
+from repro.util.groupby import stable_argsort
 from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
 __all__ = [
@@ -915,7 +916,7 @@ class ShardedGraph:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.copy(), empty.copy()
         pos, dsts, ws = (np.concatenate(column) for column in zip(*parts))
-        order = np.argsort(pos, kind="stable")
+        order = stable_argsort(pos)
         get_counters().bytes_copied += int(pos.shape[0]) * 24
         return pos[order], dsts[order], ws[order]
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.slabhash.arena import SlabArena
 from repro.util.errors import ValidationError
+from repro.util.groupby import group_starts, sorted_unique, stable_argsort
 
 __all__ = ["VertexDictionary"]
 
@@ -102,11 +103,18 @@ class VertexDictionary:
         missing = ~self.arena.has_table(vertex_ids)
         if not missing.any():
             return
-        new_ids, first_pos = np.unique(vertex_ids[missing], return_index=True)
         if expected_degree is None:
+            new_ids = sorted_unique(vertex_ids[missing])
             buckets = np.ones(new_ids.shape[0], dtype=np.int64)
         else:
-            expected = np.asarray(expected_degree, dtype=np.int64)[missing][first_pos]
+            # Each new id is sized by its first occurrence: the stable sort
+            # puts that one at the start of the id's run.
+            missing_ids = vertex_ids[missing]
+            order = stable_argsort(missing_ids)
+            missing_ids = missing_ids[order]
+            first = group_starts(missing_ids)
+            new_ids = missing_ids[first]
+            expected = np.asarray(expected_degree, dtype=np.int64)[missing][order[first]]
             buckets = SlabArena.buckets_for(expected, load_factor, self.arena.pool.lane_capacity)
         self.arena.create_tables(new_ids, buckets)
 
@@ -145,7 +153,7 @@ class VertexDictionary:
         Algorithm 2 line 22.  Duplicate ids are collapsed so each vertex is
         debited exactly once.
         """
-        vertex_ids = np.unique(np.asarray(vertex_ids, dtype=np.int64))
+        vertex_ids = sorted_unique(np.asarray(vertex_ids, dtype=np.int64))
         dropped = int(self.edge_count[vertex_ids].sum())
         self.edge_count[vertex_ids] = 0
         self._total_edges -= dropped
@@ -157,7 +165,7 @@ class VertexDictionary:
         fresh = vertex_ids[~self.active[vertex_ids]]
         if fresh.size == 0:
             return
-        uniq = np.unique(fresh)
+        uniq = sorted_unique(fresh)
         self.active[uniq] = True
         self._num_active += int(uniq.size)
         self._check()
@@ -170,7 +178,7 @@ class VertexDictionary:
         recycler.
         """
         live = vertex_ids[self.active[vertex_ids]]
-        uniq = np.unique(live)
+        uniq = sorted_unique(live)
         if uniq.size:
             self.active[uniq] = False
             self._num_active -= int(uniq.size)

@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.gpusim.counters import get_counters
 from repro.util.errors import ValidationError
-from repro.util.validation import as_int_array, check_in_range
+from repro.util.groupby import sorted_unique
+from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
 __all__ = ["insert_vertices", "delete_vertices"]
 
@@ -40,6 +41,9 @@ def insert_vertices(graph, vertex_ids, expected_degree=None) -> None:
     Edges are attached afterwards with :meth:`DynamicGraph.insert_edges`.
     """
     vertex_ids = as_int_array(vertex_ids, "vertex_ids")
+    if expected_degree is not None:
+        expected_degree = as_int_array(expected_degree, "expected_degree")
+        check_equal_length(("vertex_ids", vertex_ids), ("expected_degree", expected_degree))
     if vertex_ids.size == 0:
         return
     if vertex_ids.min() < 0:
@@ -68,7 +72,7 @@ def delete_vertices(graph, vertex_ids) -> tuple[int, np.ndarray]:
         return 0, np.empty(0, dtype=np.int64)
     check_in_range(vertex_ids, 0, graph.vertex_capacity, "vertex_ids")
     graph._bump_version()
-    vertex_ids = np.unique(vertex_ids)
+    vertex_ids = sorted_unique(vertex_ids)
     vd = graph._dict
     counters = get_counters()
     # Algorithm 2 uses one atomicAdd per vertex acquisition; charge those.

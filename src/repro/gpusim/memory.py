@@ -56,8 +56,9 @@ class GrowableArray:
         while new_cap < needed:
             new_cap *= 2
         new_shape = (new_cap,) + self.data.shape[1:]
-        new_data = np.full(new_shape, self.fill_value, dtype=self.data.dtype)
+        new_data = np.empty(new_shape, dtype=self.data.dtype)
         new_data[: self.capacity] = self.data
+        new_data[self.capacity :] = self.fill_value
         get_counters().bytes_copied += int(self.data.nbytes)
         self.data = new_data
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.slabhash.constants import EMPTY_KEY, KEY_DTYPE, NULL_SLAB, TOMBSTONE_KEY
+from repro.util.groupby import stable_argsort
 
 __all__ = [
     "STATUS_ADVANCE",
@@ -248,7 +249,7 @@ def sort_window_last(comp, w, is_ins):
     """
     if comp.shape[0] == 0:
         return comp, w, is_ins
-    order = np.argsort(comp, kind="stable")
+    order = stable_argsort(comp)
     sc = comp[order]
     last = np.empty(sc.shape[0], dtype=bool)
     last[-1] = True
@@ -263,7 +264,7 @@ def _moved_row_ptr(row_ptr, arrived, left):
     change of the delta rows up to ``s`` — O(B log B) bookkeeping and one
     add over |V|, instead of recounting every edge."""
     src = np.concatenate([arrived, left]) >> np.int64(32)
-    order = np.argsort(src, kind="stable")
+    order = stable_argsort(src)
     src = src[order]
     running = np.cumsum(np.repeat([1, -1], [arrived.shape[0], left.shape[0]])[order])
     last = np.flatnonzero(np.diff(src, append=-1))  # last delta row of each source

@@ -66,7 +66,12 @@ from repro.kernels import get_kernels
 from repro.slabhash.constants import KEY_DTYPE, MAX_KEY, NULL_SLAB, VALUE_DTYPE
 from repro.util.errors import ValidationError
 from repro.slabhash.iterate import _ragged_arange
-from repro.util.groupby import group_starts, last_occurrence_mask, segment_lengths_from_starts
+from repro.util.groupby import (
+    group_starts,
+    last_occurrence_mask,
+    segment_lengths_from_starts,
+    stable_argsort,
+)
 from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
 __all__ = ["insert_batch"]
@@ -89,7 +94,7 @@ def _extend_chains(pool, tails, lengths, n_new) -> np.ndarray:
     chain = np.repeat(np.arange(tails.shape[0], dtype=np.int64), n_new)
     q = _ragged_arange(n_new)
     link_round = lengths[chain] + q
-    by_round = np.argsort(link_round, kind="stable")
+    by_round = stable_argsort(link_round)
     bounds = np.append(group_starts(link_round[by_round]), chain.shape[0])
     new_ids = np.empty(chain.shape[0], dtype=np.int64)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -149,7 +154,7 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
     heads = arena.bucket_heads(table_ids[live_idx], keys_live)
 
     # Group-major item order; the stable sort keeps launch order in a group.
-    order = np.argsort(heads, kind="stable")
+    order = stable_argsort(heads)
     heads = heads[order]
     k = keys_live[order].astype(KEY_DTYPE)
     if not weighted:
@@ -171,7 +176,7 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
     if chain_slabs.shape[0] == num_groups:
         lengths = np.ones(num_groups, dtype=np.int64)
     else:
-        chain_slabs = chain_slabs[np.argsort(owner, kind="stable")]
+        chain_slabs = chain_slabs[stable_argsort(owner)]
         lengths = np.bincount(owner, minlength=num_groups)
     chain_ptr = np.concatenate([[0], np.cumsum(lengths)])
 

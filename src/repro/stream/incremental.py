@@ -67,7 +67,7 @@ from repro.api.snapshot import CSRSnapshot, merge_csr_delta
 from repro.eventlog import EdgeBatch, EventLog
 from repro.gpusim.counters import get_counters
 from repro.util.errors import ValidationError
-from repro.util.groupby import last_occurrence_mask
+from repro.util.groupby import last_occurrence_mask, sorted_unique
 
 __all__ = [
     "IncrementalAnalytic",
@@ -697,7 +697,7 @@ class IncrementalKCore(IncrementalAnalytic):
         seeds = [e.src for e in window]
         if not getattr(self.graph, "directed", True):
             seeds += [e.dst for e in window]
-        seeds = np.unique(np.concatenate(seeds))
+        seeds = sorted_unique(np.concatenate(seeds))
         counters = get_counters()
         # Candidate-mask pass over the degree and membership arrays.
         counters.kernel_launches += 1

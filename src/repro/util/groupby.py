@@ -1,4 +1,4 @@
-"""Vectorized group-by / segmented primitives.
+"""Vectorized ordering / group-by / segmented primitives.
 
 The batched kernels in :mod:`repro.slabhash` and the baselines all follow the
 same pattern a GPU kernel does: sort work items by a key (the slab, page, or
@@ -6,6 +6,21 @@ vertex they target), then let each "group" of items cooperate.  These helpers
 implement that pattern with NumPy so no per-item Python loop ever runs in a
 hot path (see the hpc-parallel guide: vectorize, avoid copies, keep arrays
 contiguous).
+
+Every ordering on the update path goes through two primitives built on
+NumPy's *value* sort of int64, which is vectorised (AVX-512 / AVX2) where
+its stable argsort and ``np.unique`` are not:
+
+* :func:`stable_argsort` — ``np.argsort(keys, kind="stable")``, computed by
+  value-sorting ``(key << b) | index``: the index in the low ``b`` bits
+  breaks ties in input order, which is what "stable" means.
+* :func:`sorted_unique` — ``np.unique(keys)``, computed as a value sort plus
+  an adjacent-difference mask.
+
+The occurrence masks ask one value sort whether the keys are all distinct
+(the common batch) before paying for an argsort.  ``docs/performance.md``
+("Ordering primitives") has the measurements; ``tests/test_util_groupby.py``
+keeps ``np.unique`` / ``kind="stable"`` out of the update-path packages.
 
 All functions operate on 1-D integer arrays and are allocation-conscious:
 they return views or freshly-computed small arrays, never modify inputs.
@@ -23,7 +38,49 @@ __all__ = [
     "segment_lengths_from_starts",
     "segmented_sum",
     "sorted_group_ids",
+    "sorted_unique",
+    "stable_argsort",
 ]
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` at value-sort speed.
+
+    Packs ``(key << b) | index`` with ``b = (n - 1).bit_length()`` into one
+    int64 per item, sorts the values in place and masks the keys back off.
+    Equal keys compare by their index, so ties keep input order and the
+    result is bit-identical to NumPy's stable argsort.  Keys that are
+    negative, need more than ``63 - b`` bits, or are not integers cannot be
+    packed; those take NumPy's stable argsort directly.
+    """
+    n = keys.shape[0]
+    if n == 0 or not np.issubdtype(keys.dtype, np.integer):
+        return np.argsort(keys, kind="stable")
+    b = (n - 1).bit_length()
+    packed = keys.astype(np.int64)  # the one copy; every step below is in place
+    # Viewed unsigned, a negative key is huge: one reduction checks both ends.
+    if int(packed.view(np.uint64).max()) >> (63 - b):
+        return np.argsort(keys, kind="stable")
+    packed <<= b
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
+    packed &= (1 << b) - 1
+    return packed
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` for a 1-D array: value sort + adjacent-difference mask."""
+    ordered = np.sort(keys)
+    starts = _run_starts(ordered)
+    return ordered if starts.all() else ordered[starts]
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every equal run of a *sorted* array."""
+    starts = np.empty(sorted_keys.shape[0], dtype=bool)
+    starts[:1] = True  # a slice, so the empty array needs no branch
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    return starts
 
 
 def sorted_group_ids(sorted_keys: np.ndarray) -> np.ndarray:
@@ -34,13 +91,7 @@ def sorted_group_ids(sorted_keys: np.ndarray) -> np.ndarray:
     The input must already be sorted (ascending); this is not checked for
     speed.  Runs in O(n).
     """
-    n = sorted_keys.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
-    return np.cumsum(boundary, dtype=np.int64) - 1
+    return np.cumsum(_run_starts(sorted_keys), dtype=np.int64) - 1
 
 
 def group_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -48,13 +99,7 @@ def group_starts(sorted_keys: np.ndarray) -> np.ndarray:
 
     ``group_starts([3, 3, 5, 9, 9, 9]) == [0, 2, 3]``.
     """
-    n = sorted_keys.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
-    return np.flatnonzero(boundary)
+    return np.flatnonzero(_run_starts(sorted_keys))
 
 
 def segment_lengths_from_starts(starts: np.ndarray, total: int) -> np.ndarray:
@@ -94,6 +139,19 @@ def segmented_sum(values: np.ndarray, group_ids: np.ndarray, num_groups: int) ->
     return np.bincount(group_ids, weights=values, minlength=num_groups)
 
 
+def _occurrence_mask(keys: np.ndarray, last: bool) -> np.ndarray:
+    """Mask of each distinct key's last (else first) occurrence."""
+    if _run_starts(np.sort(keys)).all():
+        return np.ones(keys.shape[0], dtype=bool)  # all distinct: every item survives
+    order = stable_argsort(keys)
+    edge = _run_starts(keys[order])
+    if last:
+        edge = np.append(edge[1:], True)  # a run ends where the next one starts
+    mask = np.zeros(keys.shape[0], dtype=bool)
+    mask[order[edge]] = True
+    return mask
+
+
 def last_occurrence_mask(keys: np.ndarray) -> np.ndarray:
     """Boolean mask selecting the *last* occurrence of each distinct key.
 
@@ -104,29 +162,9 @@ def last_occurrence_mask(keys: np.ndarray) -> np.ndarray:
 
     Implemented with a stable sort so ties preserve input order.
     """
-    n = keys.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=bool)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    is_last_in_sorted = np.empty(n, dtype=bool)
-    is_last_in_sorted[-1] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=is_last_in_sorted[:-1])
-    mask = np.zeros(n, dtype=bool)
-    mask[order[is_last_in_sorted]] = True
-    return mask
+    return _occurrence_mask(keys, last=True)
 
 
 def first_occurrence_mask(keys: np.ndarray) -> np.ndarray:
     """Boolean mask selecting the *first* occurrence of each distinct key."""
-    n = keys.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=bool)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    is_first_in_sorted = np.empty(n, dtype=bool)
-    is_first_in_sorted[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=is_first_in_sorted[1:])
-    mask = np.zeros(n, dtype=bool)
-    mask[order[is_first_in_sorted]] = True
-    return mask
+    return _occurrence_mask(keys, last=False)

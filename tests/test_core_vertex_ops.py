@@ -34,6 +34,26 @@ class TestVertexInsertion:
         assert int(arena.table_buckets[1]) > 1
         assert int(arena.table_buckets[2]) == 1
 
+    def test_duplicate_id_is_sized_by_its_first_occurrence(self):
+        g = DynamicGraph(num_vertices=64, weighted=False)
+        g.insert_vertices([5, 9, 5, 9, 3], expected_degree=[1, 900, 900, 1, 300])
+        buckets = g._dict.arena.table_buckets
+        lanes = g._dict.arena.pool.lane_capacity
+        expect = g._dict.arena.buckets_for([300, 1, 900], g.load_factor, lanes)
+        assert buckets[[3, 5, 9]].tolist() == expect.tolist()
+
+    def test_expected_degree_length_mismatch_rejected(self):
+        """Regression: escaped as IndexError('boolean index did not match')."""
+        g = DynamicGraph(num_vertices=4)
+        with pytest.raises(ValidationError, match=r"'vertex_ids': 3.*'expected_degree': 2"):
+            g.insert_vertices([1, 2, 9], expected_degree=[4, 4])
+        with pytest.raises(ValidationError, match="expected_degree"):
+            g.insert_vertices([1], expected_degree=[4, 4])
+        # Rejected before any mutation: no growth, no table, nothing active.
+        assert g.vertex_capacity == 4
+        assert g.num_active_vertices() == 0
+        assert not g._dict.arena.has_table(np.array([1, 2])).any()
+
     def test_negative_vertex_rejected(self):
         """Must be ValidationError, consistent with every other mutation API."""
         g = DynamicGraph(num_vertices=4)

@@ -115,6 +115,21 @@ class TestGrowableArray:
         assert buf.data[0].tolist() == [1, 2, 3]
         assert np.all(buf.data[2:] == 7)
 
+    @pytest.mark.parametrize("width", [None, 3], ids=["1d", "2d"])
+    def test_multi_doubling_jump_keeps_prefix_and_fills_tail(self, width):
+        """The new buffer starts uninitialised: every slot must come from
+        either the copied prefix or the tail fill, across several doublings."""
+        buf = GrowableArray(4, np.int32, width=width, fill_value=-9)
+        old = np.arange(buf.data.size, dtype=np.int32).reshape(buf.data.shape) + 100
+        buf.data[:] = old
+        with counting() as delta:
+            buf.ensure(33)  # 4 -> 8 -> 16 -> 32 -> 64 in one reallocation
+        assert buf.capacity == 64
+        assert buf.data.shape[1:] == old.shape[1:]
+        assert np.array_equal(buf.data[:4], old)
+        assert np.all(buf.data[4:] == -9)
+        assert delta["bytes_copied"] == old.nbytes  # only the prefix moves
+
     def test_no_growth_needed(self):
         buf = GrowableArray(8, np.int64)
         data_id = id(buf.data)

@@ -1,5 +1,8 @@
 """Unit and property tests for the segmented/group-by primitives."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +16,52 @@ from repro.util.groupby import (
     segment_lengths_from_starts,
     segmented_sum,
     sorted_group_ids,
+    sorted_unique,
+    stable_argsort,
 )
 
 int_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=200)
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _pack_limit(n: int) -> int:
+    """Smallest key ``stable_argsort`` cannot pack for a batch of ``n``."""
+    return 1 << (63 - (n - 1).bit_length())
+
+
+@st.composite
+def int64_keys(draw):
+    """int64 arrays that straddle every branch of the packed sort: small
+    duplicated keys, the full signed range, and keys on both sides of the
+    batch's packing limit."""
+    n = draw(st.integers(min_value=0, max_value=130))
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    limit = _pack_limit(n)
+    pool = st.one_of(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+        st.sampled_from([limit - 1, limit, INT64_MAX, INT64_MIN, 0]),
+    )
+    packable_only = draw(st.booleans())
+    values = draw(st.lists(pool, min_size=n, max_size=n))
+    if packable_only:
+        values = [min(abs(v), limit - 1) for v in values]
+    return np.array(values, dtype=np.int64)
+
+
+def _brute_force_masks(keys):
+    first_at, last_at = {}, {}
+    for i, key in enumerate(keys.tolist()):
+        first_at.setdefault(key, i)
+        last_at[key] = i
+    first = np.zeros(keys.shape[0], dtype=bool)
+    last = np.zeros(keys.shape[0], dtype=bool)
+    first[list(first_at.values())] = True
+    last[list(last_at.values())] = True
+    return first, last
 
 
 class TestSortedGroupIds:
@@ -124,3 +170,143 @@ class TestOccurrenceMasks:
         mask = last_occurrence_mask(arr)
         for idx in np.flatnonzero(mask):
             assert not np.any(arr[idx + 1 :] == arr[idx])
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.array([9, 4, 7, 1, 8], dtype=np.int64),  # distinct: the all-True shortcut
+            np.array([5, 3, 5, 7, 3, 5], dtype=np.int64),  # duplicated
+            np.array([-2, 4, -2, -9, 4, INT64_MIN], dtype=np.int64),  # negative: unpackable
+            np.array([7], dtype=np.int64),
+        ],
+        ids=["distinct", "duplicated", "negative", "singleton"],
+    )
+    def test_masks_match_brute_force(self, keys):
+        before = keys.copy()
+        first, last = _brute_force_masks(keys)
+        assert first_occurrence_mask(keys).tolist() == first.tolist()
+        assert last_occurrence_mask(keys).tolist() == last.tolist()
+        assert np.array_equal(keys, before)
+
+    @given(int64_keys())
+    @settings(max_examples=100, deadline=None)
+    def test_masks_match_brute_force_property(self, keys):
+        first, last = _brute_force_masks(keys)
+        assert np.array_equal(first_occurrence_mask(keys), first)
+        assert np.array_equal(last_occurrence_mask(keys), last)
+
+
+class TestStableArgsort:
+    @given(int64_keys())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_stable_argsort(self, keys):
+        before = keys.copy()
+        got = stable_argsort(keys)
+        expected = np.argsort(keys, kind="stable")
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert np.array_equal(keys, before)  # never mutated
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 1000])
+    def test_both_sides_of_the_packing_limit(self, n):
+        """``limit - 1`` is the largest key the packed path sorts; ``limit``
+        is the first to take NumPy's argsort.  Same answer either way."""
+        limit = _pack_limit(n)
+        for top in (limit - 1, limit):
+            keys = np.full(n, top, dtype=np.int64)
+            keys[::2] = top - 1  # ties on both values, interleaved
+            assert np.array_equal(stable_argsort(keys), np.argsort(keys, kind="stable"))
+
+    def test_all_equal_keeps_input_order(self):
+        keys = np.full(37, 12, dtype=np.int64)
+        assert stable_argsort(keys).tolist() == list(range(37))
+
+    def test_empty_and_singleton(self):
+        assert stable_argsort(np.empty(0, dtype=np.int64)).tolist() == []
+        assert stable_argsort(np.array([-4], dtype=np.int64)).tolist() == [0]
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.uint64, np.float64])
+    def test_other_dtypes(self, dtype):
+        keys = np.array([3, 1, 3, 0, 1, 2**31 - 1], dtype=dtype)
+        assert np.array_equal(stable_argsort(keys), np.argsort(keys, kind="stable"))
+
+    def test_uint64_above_int64_range(self):
+        keys = np.array([2**63 + 5, 1, 2**63 + 5, 0], dtype=np.uint64)
+        assert np.array_equal(stable_argsort(keys), np.argsort(keys, kind="stable"))
+
+    def test_non_contiguous_input(self):
+        keys = np.array([5, 0, 3, 0, 5, 0, 1, 0], dtype=np.int64)[::2]
+        assert stable_argsort(keys).tolist() == [3, 1, 0, 2]
+
+
+class TestSortedUnique:
+    @given(int64_keys())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_unique(self, keys):
+        before = keys.copy()
+        got = sorted_unique(keys)
+        expected = np.unique(keys)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert np.array_equal(keys, before)  # never mutated
+
+    def test_examples(self):
+        assert sorted_unique(np.array([4, 1, 4, 4, -2, 1])).tolist() == [-2, 1, 4]
+        assert sorted_unique(np.array([3, 2, 1])).tolist() == [1, 2, 3]
+        assert sorted_unique(np.zeros(6, dtype=np.int64)).tolist() == [0]
+        assert sorted_unique(np.empty(0, dtype=np.int64)).tolist() == []
+        assert sorted_unique(np.array([8])).tolist() == [8]
+
+
+# -- the update path orders through these primitives and nothing else ----------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+#: The layers the wall-clock ledger traces on the update path.
+GUARDED = ("core", "slabhash", "api", "stream", "eventlog", "kernels/reference.py")
+#: (file, enclosing function) pairs that may keep the slow forms: debug-only
+#: O(pool) structural checks that never run in a timed path.
+ALLOWED = {("slabhash/arena.py", "check_invariants")}
+
+
+def _slow_orderings(path: Path) -> list:
+    """``np.unique(...)`` calls and ``kind="stable"`` arguments in one file,
+    as ``(relative file, enclosing function, line, what)``."""
+    rel = path.relative_to(SRC).as_posix()
+    found = []
+
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            inside = function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside = child.name
+            if isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Attribute) and f.attr == "unique" and ast.unparse(f.value) == "np":
+                    found.append((rel, function, child.lineno, "np.unique"))
+                for kw in child.keywords:
+                    if kw.arg == "kind" and getattr(kw.value, "value", None) == "stable":
+                        found.append((rel, function, child.lineno, 'kind="stable"'))
+            walk(child, inside)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_update_path_orders_only_through_groupby():
+    """``np.unique`` and NumPy's stable argsort cost 4-14x the packed value sort on
+    this NumPy (docs/performance.md, "Ordering primitives"); a new call in
+    a traced layer would give the gain back without failing anything else."""
+    files = []
+    for entry in GUARDED:
+        target = SRC / entry
+        files.extend(sorted(target.rglob("*.py")) if target.is_dir() else [target])
+    assert len(files) > 20  # the scan really sees the packages
+    found = [hit for path in files for hit in _slow_orderings(path)]
+    offenders = [
+        f"{rel}:{line}: {what} in {function}() — use repro.util.groupby"
+        for rel, function, line, what in found
+        if (rel, function) not in ALLOWED
+    ]
+    assert offenders == [], "\n".join(offenders)
+    # The allow-list names code that exists, so it cannot outlive its reason.
+    assert ALLOWED <= {(rel, function) for rel, function, _, _ in found}

@@ -17,10 +17,10 @@ its stable argsort and ``np.unique`` are not:
 * :func:`sorted_unique` — ``np.unique(keys)``, computed as a value sort plus
   an adjacent-difference mask.
 
-The occurrence masks ask one value sort whether the keys are all distinct
-(the common batch) before paying for an argsort.  ``docs/performance.md``
-("Ordering primitives") has the measurements; ``tests/test_util_groupby.py``
-keeps ``np.unique`` / ``kind="stable"`` out of the update-path packages.
+The occurrence masks are :func:`stable_argsort` plus run edges: one sort per
+call.  ``docs/performance.md`` ("Ordering primitives") has the measurements;
+``tests/test_util_groupby.py`` keeps ``np.unique`` / ``kind="stable"`` out of
+the update-path packages.
 
 All functions operate on 1-D integer arrays and are allocation-conscious:
 they return views or freshly-computed small arrays, never modify inputs.
@@ -141,12 +141,11 @@ def segmented_sum(values: np.ndarray, group_ids: np.ndarray, num_groups: int) ->
 
 def _occurrence_mask(keys: np.ndarray, last: bool) -> np.ndarray:
     """Mask of each distinct key's last (else first) occurrence."""
-    if _run_starts(np.sort(keys)).all():
-        return np.ones(keys.shape[0], dtype=bool)  # all distinct: every item survives
     order = stable_argsort(keys)
     edge = _run_starts(keys[order])
-    if last:
-        edge = np.append(edge[1:], True)  # a run ends where the next one starts
+    if last:  # a run ends where the next one starts; slices, so empty needs no branch
+        edge[:-1] = edge[1:]
+        edge[-1:] = True
     mask = np.zeros(keys.shape[0], dtype=bool)
     mask[order[edge]] = True
     return mask

@@ -54,6 +54,18 @@ class TestVertexInsertion:
         assert g.num_active_vertices() == 0
         assert not g._dict.arena.has_table(np.array([1, 2])).any()
 
+    def test_expected_degree_is_validated_like_every_other_id_array(self):
+        """Behaviour change that rode along with the length fix: a fractional
+        degree used to be truncated and a mismatch on an empty batch ignored."""
+        g = DynamicGraph(num_vertices=64, weighted=False)
+        with pytest.raises(ValidationError, match="expected_degree contains non-integral"):
+            g.insert_vertices([1], expected_degree=[1.5])
+        with pytest.raises(ValidationError, match=r"'vertex_ids': 0.*'expected_degree': 1"):
+            g.insert_vertices([], expected_degree=[1])
+        assert g.num_active_vertices() == 0
+        g.insert_vertices([1], expected_degree=[300.0])  # integral floats still pass
+        assert int(g._dict.arena.table_buckets[1]) > 1
+
     def test_negative_vertex_rejected(self):
         """Must be ValidationError, consistent with every other mutation API."""
         g = DynamicGraph(num_vertices=4)

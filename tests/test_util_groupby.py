@@ -174,7 +174,7 @@ class TestOccurrenceMasks:
     @pytest.mark.parametrize(
         "keys",
         [
-            np.array([9, 4, 7, 1, 8], dtype=np.int64),  # distinct: the all-True shortcut
+            np.array([9, 4, 7, 1, 8], dtype=np.int64),  # distinct
             np.array([5, 3, 5, 7, 3, 5], dtype=np.int64),  # duplicated
             np.array([-2, 4, -2, -9, 4, INT64_MIN], dtype=np.int64),  # negative: unpackable
             np.array([7], dtype=np.int64),

@@ -2,11 +2,7 @@
 
 The offline environment carries an older setuptools without PEP-517 wheel
 support; this file enables ``pip install -e . --no-build-isolation`` there.
-The one piece of metadata that matters to users is the optional ``[jit]``
-extra: ``pip install .[jit]`` pulls the pinned numba the optional compiled
-kernel tier needs (see ``docs/performance.md``).  The library itself
-depends only on numpy — without the extra everything runs on the
-pure-NumPy reference tier.
+The library depends only on numpy.
 """
 
 from setuptools import find_packages, setup
@@ -17,10 +13,4 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.11",
     install_requires=["numpy"],
-    extras_require={
-        # The optional compiled kernel tier (repro.kernels.jit).  Pinned to
-        # a tested range; absent numba the package falls back to the
-        # bit-identical reference tier automatically.
-        "jit": ["numba>=0.59,<0.62"],
-    },
 )

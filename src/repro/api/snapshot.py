@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.coo import COO
 from repro.gpusim.counters import get_counters
-from repro.kernels import get_kernels
+from repro.kernels import reference as kern
 from repro.util.errors import ValidationError
 
 __all__ = [
@@ -226,8 +226,8 @@ def merge_event_window(base: CSRSnapshot, events, directed: bool = True) -> CSRS
     comp = (src << np.int64(32)) | dst
     get_counters().sorted_elements += int(comp.shape[0])
     # Fused dedup-last + sort (one stable argsort instead of the old
-    # mask-sort / re-sort pair) behind the kernel-tier seam.
-    comp, w, is_ins = get_kernels().sort_window_last(comp, w, is_ins)
+    # mask-sort / re-sort pair).
+    comp, w, is_ins = kern.sort_window_last(comp, w, is_ins)
     weighted = base.weights is not None
     return merge_csr_delta(
         base,
@@ -257,14 +257,13 @@ def merge_csr_delta(
 
     Charges the device model for the merge stream (``bytes_copied``) so
     benches price the incremental path against the cold rebuild's
-    ``sorted_elements``.  The stream merge itself runs behind the
-    :mod:`repro.kernels` tier seam (``merge_sorted_csr``); both tiers
-    produce bit-identical CSRs and this driver charges from result shapes,
-    so the modeled cost is tier-independent.
+    ``sorted_elements``.  The stream merge itself is a kernel
+    (``merge_sorted_csr`` in :mod:`repro.kernels.reference`); this driver
+    charges from result shapes.
     """
     counters = get_counters()
     counters.kernel_launches += 1
-    merged = get_kernels().merge_sorted_csr(
+    merged = kern.merge_sorted_csr(
         base.keys(), base.row_ptr, base.weights, upsert_comp, upsert_weights, delete_comp
     )
     if merged is None:

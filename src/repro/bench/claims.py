@@ -179,8 +179,6 @@ CLAIMS = (
           "", *bounded(_T14 + "recovery_speedup", lo=2)),
     Claim("t14-degraded-read", "repo t14", "a degraded read costs ≤ 2x a healthy assemble", "",
           *bounded(_T14 + "degraded_read_overhead", hi=2)),
-    Claim("t15-parity", "repo t15", "jit tier bit-identical to reference on every kernel path", "",
-          *bounded("t15/*/jit_parity", 1, 1)),
 )
 # fmt: on
 

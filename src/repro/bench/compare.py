@@ -60,11 +60,9 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance(warn=0.10, fail=0.25)
 
 #: Per-metric threshold overrides shipped with the repo: exact counters
-#: (triangle counts) must not drift at all, and ``t15``'s ``*_parity``
-#: metrics are the tier-interchangeability proof — never off 1.0.
+#: (triangle counts) must not drift at all.
 TOLERANCE_OVERRIDES: dict[str, Tolerance] = {
     "*/triangles": Tolerance(warn=0.0, fail=0.0),
-    "t15/*_parity": Tolerance(warn=0.0, fail=0.0),
 }
 
 #: Units where a *smaller* current value is a regression.

@@ -218,8 +218,6 @@ def _git_sha() -> str:
 
 def environment_fingerprint(seed: int = 0, quick: bool = False) -> dict:
     """Provenance block: what produced a results file, and on what."""
-    from repro.kernels import kernel_tier
-
     return {
         "git_sha": _git_sha(),
         "python": platform.python_version(),
@@ -229,9 +227,6 @@ def environment_fingerprint(seed: int = 0, quick: bool = False) -> dict:
         "argv": list(sys.argv),
         "seed": int(seed),
         "quick": bool(quick),
-        # Modeled counters are tier-independent by construction; the tier
-        # is recorded so a parity failure can be traced to what ran.
-        "kernel_tier": kernel_tier(),
     }
 
 

@@ -3,7 +3,7 @@
 Runs Tables II-IX, the snapshot-cost artifact (``t10``), the streaming
 scenario artifact (``t11``), the sharded-service artifact (``t12``),
 the durability artifact (``t13``), the chaos/failover artifact
-(``t14``), the kernel-tier artifact (``t15``) and the Figure 2/3
+(``t14``) and the Figure 2/3
 sweeps in paper order, prints each as a fixed-width table, then checks
 every claim of :mod:`repro.bench.claims` that the run's metrics can decide
 and prints the scorecard.  Optionally persists/compares machine-readable
@@ -36,7 +36,6 @@ from repro.bench.claims import evaluate
 from repro.bench.compare import compare_suites
 from repro.bench.figures import figure2_artifact, figure3_artifact
 from repro.bench.harness import format_table
-from repro.bench.kernel_bench import kernel_artifact
 from repro.bench.persist_bench import persist_artifact
 from repro.bench.shard_bench import shard_artifact
 from repro.bench.snapshot_bench import snapshot_artifact
@@ -63,7 +62,6 @@ _ARTIFACTS = {
     "t12": shard_artifact,
     "t13": persist_artifact,
     "t14": chaos_artifact,
-    "t15": kernel_artifact,
     "f2": figure2_artifact,
     "f3": figure3_artifact,
 }

@@ -1,4 +1,4 @@
-"""The always-on pure-NumPy kernel tier (the executable specification).
+"""The pure-NumPy kernels over the slab pool and sorted CSRs.
 
 Each function is one *fused* pass over the structure-of-arrays slab arena
 or a sorted CSR, with no per-item Python: a probe round for search and
@@ -10,12 +10,10 @@ tail placement needs (:func:`tail_empties`, :func:`fill_lanes`) — see
 
 Kernels here are **pure with respect to the device model**: they never
 touch :mod:`repro.gpusim` counters.  Drivers charge the model from the
-tier-independent quantities these functions return (pending sizes, status
-counts, resolve depths, walk levels), which is what makes the optional jit
-tier (:mod:`repro.kernels.jit`) bit-identical in modeled cost by
-construction.
+quantities these functions return (pending sizes, status counts, resolve
+depths, walk levels).
 
-Status codes of the search/delete probe rounds, shared by both tiers:
+Status codes of the search/delete probe rounds:
 
 - ``STATUS_HIT`` (0) — the probe found its key this round (search: found;
   delete: tombstoned);
@@ -49,7 +47,7 @@ __all__ = [
     "walk_chains",
 ]
 
-#: Dispatch name of this tier.
+#: What :func:`repro.kernels.kernel_tier` reports for this module.
 TIER_NAME = "reference"
 
 #: Probe resolved by finding its key this round.

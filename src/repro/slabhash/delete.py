@@ -6,9 +6,8 @@ overwritten with ``TOMBSTONE_KEY`` (the slot is *not* reclaimed, so later
 inserts keep appending at chain tails); when a slab containing an empty
 lane is reached without a match, the key is provably absent (empties exist
 only at chain tails) and the walk stops.  The per-round probe-and-tombstone
-pass is dispatched through :mod:`repro.kernels`; this driver owns
-scheduling and device-model charging so every kernel tier prices
-identically.
+pass is a kernel (:mod:`repro.kernels.reference`); this driver owns
+scheduling and device-model charging.
 
 The returned mask reports, per item, whether the key actually existed —
 the boolean the paper uses to keep exact per-vertex edge counts.
@@ -21,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.counters import get_counters
-from repro.kernels import get_kernels
+from repro.kernels import reference as kern
 from repro.kernels.reference import STATUS_ADVANCE, STATUS_HIT
 from repro.slabhash.constants import KEY_DTYPE, NULL_SLAB
 from repro.util.groupby import first_occurrence_mask
@@ -42,7 +41,6 @@ def delete_batch(arena, table_ids, keys) -> np.ndarray:
     counters = get_counters()
     counters.kernel_launches += 1
     pool = arena.pool
-    kern = get_kernels()
 
     composite = (table_ids.astype(np.int64) << 32) | keys.astype(np.int64)
     keep = first_occurrence_mask(composite)

@@ -42,10 +42,8 @@ counted.  New slabs are allocated in the device's order too — slab ``q``
 of a chain is linked in round ``L + q``, one allocation per such round,
 ascending tail-slab id within it — so slab ids, recycling, pool-growth
 copies and atomics are those of the round-by-round schedule.  The data
-movement is dispatched through :mod:`repro.kernels` (reference NumPy tier
-or the optional jit tier); this driver owns scheduling, chain extension,
-and all charging, so both tiers charge the :mod:`repro.gpusim` counters
-identically.
+movement is the kernels' (:mod:`repro.kernels.reference`); this driver owns
+scheduling, chain extension, and all :mod:`repro.gpusim` charging.
 
 Intra-batch duplicates of the same (table, key) are resolved *before* the
 walk by keeping the last occurrence — the serialization the paper specifies
@@ -62,7 +60,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.counters import get_counters
-from repro.kernels import get_kernels
+from repro.kernels import reference as kern
 from repro.slabhash.constants import KEY_DTYPE, MAX_KEY, NULL_SLAB, VALUE_DTYPE
 from repro.util.errors import ValidationError
 from repro.slabhash.iterate import _ragged_arange
@@ -146,7 +144,6 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
     pool = arena.pool
     weighted = pool.weighted
     lane_capacity = pool.lane_capacity
-    kern = get_kernels()
 
     # Intra-batch replace semantics: keep the last occurrence per (table, key).
     live_idx = np.flatnonzero(last_occurrence_mask(_composite(table_ids, keys)))

@@ -4,9 +4,9 @@
 list iterator* (Section IV-B): it walks every bucket chain of every
 requested table one slab-level at a time, so a table whose chains have
 length L costs exactly L gather rounds — the same traffic the warp
-iterator generates on the device.  The walk itself is dispatched through
-:mod:`repro.kernels` (``walk_chains``); this driver charges the device
-model from the tier-independent level/read totals the kernel reports.
+iterator generates on the device.  The walk itself is a kernel
+(``walk_chains`` in :mod:`repro.kernels.reference`); this driver charges
+the device model from the level/read totals the kernel reports.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.counters import get_counters
-from repro.kernels import get_kernels
+from repro.kernels import reference as kern
 from repro.slabhash.constants import EMPTY_KEY, KEY_DTYPE, NULL_SLAB, TOMBSTONE_KEY
 from repro.util.validation import as_int_array, check_in_range
 
@@ -52,9 +52,7 @@ def collect_table_slabs(arena, table_ids):
     head_slabs = starts + within
 
     counters = get_counters()
-    slabs, head_idx, is_base, levels, reads = get_kernels().walk_chains(
-        arena.pool.next_slab, head_slabs
-    )
+    slabs, head_idx, is_base, levels, reads = kern.walk_chains(arena.pool.next_slab, head_slabs)
     counters.probe_rounds += int(levels)
     counters.slab_reads += int(reads)
     return slabs, owner0[head_idx], is_base

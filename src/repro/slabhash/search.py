@@ -3,8 +3,8 @@
 The read-only chain walk behind ``edgeExist`` (Section IV-B): identical
 traversal to :mod:`repro.slabhash.delete` but without mutation.  Returns a
 found mask and, for map arenas, the stored values.  The per-round probe is
-dispatched through :mod:`repro.kernels`; this driver owns scheduling and
-device-model charging so every kernel tier prices identically.
+a kernel (:mod:`repro.kernels.reference`); this driver owns scheduling and
+device-model charging.
 
 Unlike insert/delete, the batch is *not* deduplicated: queries are
 idempotent and callers (e.g. triangle counting) legitimately probe the same
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.counters import get_counters
-from repro.kernels import get_kernels
+from repro.kernels import reference as kern
 from repro.kernels.reference import STATUS_ADVANCE, STATUS_HIT
 from repro.slabhash.constants import KEY_DTYPE, NULL_SLAB
 from repro.util.validation import as_int_array, check_equal_length, check_in_range
@@ -41,7 +41,6 @@ def search_batch(arena, table_ids, keys) -> tuple[np.ndarray, np.ndarray]:
     counters = get_counters()
     counters.kernel_launches += 1
     pool = arena.pool
-    kern = get_kernels()
     k = keys.astype(KEY_DTYPE)
 
     # Items aimed at never-created tables trivially miss.

@@ -35,7 +35,6 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from time import perf_counter
 
 import numpy as np
 
@@ -47,10 +46,11 @@ from repro.gpusim.model import simulated_seconds
 from repro.stream.scenario import (
     CHAOS_PHASE_KINDS,
     Phase,
-    PhaseResult,
     Scenario,
+    _check_run_params,
     _cold_pagerank,
     _execute_phase,
+    _record_phase,
     build_dataset,
 )
 from repro.util.errors import ValidationError
@@ -69,8 +69,9 @@ __all__ = [
 class ChaosResult:
     """A chaos scenario run: phase records plus the live service.
 
-    ``phases`` mirror the plain engine's :class:`PhaseResult` records,
-    with chaos extras in ``detail``: ``faults`` (the
+    ``phases`` mirror the plain engine's
+    :class:`~repro.stream.scenario.PhaseResult` records, with chaos
+    extras in ``detail``: ``faults`` (the
     :class:`~repro.chaos.FireRecord`\\ s the plan fired during the
     phase), ``health`` (the post-phase shard health vector), and the
     kind-specific recovery stats (events replayed, reports redriven,
@@ -136,12 +137,10 @@ def _chaos_compute(service, *, damping, tol, max_iters):
     return compute_once
 
 
-def _execute_chaos_phase(index, phase, service, plan) -> PhaseResult:
-    """Run one chaos phase (kill / rebuild / disk-fault / checkpoint)."""
+def _chaos_phase(phase, service, plan) -> tuple:
+    """``(applied, skipped, detail)`` of one kill / rebuild / disk-fault /
+    checkpoint phase."""
     detail: dict = {}
-    applied = 0
-    before = get_counters().snapshot()
-    t0 = perf_counter()
     if phase.kind == "kill_shard":
         service.kill_shard(phase.target)
         detail["shard"] = phase.target
@@ -168,18 +167,7 @@ def _execute_chaos_phase(index, phase, service, plan) -> PhaseResult:
         spec = plan.arm("wal.write", kind="oserror", rate=1.0, max_fires=phase.size)
         detail["armed"] = {"point": spec.point, "kind": spec.kind, "max_fires": spec.max_fires}
         applied = phase.size
-    wall = perf_counter() - t0
-    delta = get_counters().diff(before)
-    return PhaseResult(
-        index=index,
-        kind=phase.kind,
-        applied=applied,
-        skipped=False,
-        wall_seconds=wall,
-        model_seconds=simulated_seconds(delta),
-        counters={k: v for k, v in delta.items() if v},
-        detail=detail,
-    )
+    return applied, False, detail
 
 
 def run_chaos_scenario(
@@ -209,6 +197,7 @@ def run_chaos_scenario(
     schedule a ``checkpoint`` phase between the disk fault and the
     rebuild, as :func:`disk_fault_scenario` does.
     """
+    _check_run_params(scenario, damping=damping, tol=tol)
     for phase in scenario.phases:
         if phase.kind in ("kill_shard", "rebuild_shard") and not (
             0 <= phase.target < num_shards
@@ -241,7 +230,7 @@ def run_chaos_scenario(
     results: list = []
     for index, phase in enumerate(scenario.phases):
         if phase.kind in CHAOS_PHASE_KINDS:
-            result = _execute_chaos_phase(index, phase, service, plan)
+            result = _record_phase(index, phase, _chaos_phase, service, plan)
         else:
             result = _execute_phase(index, phase, service, coo, rng, scenario, compute_once)
         result.detail["faults"] = plan.drain_events()

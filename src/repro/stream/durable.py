@@ -12,11 +12,12 @@ That makes three interruption shapes recoverable:
 - **pause** — pass ``stop_after_phase=i`` to stop once phase ``i``
   completes; a later call with the same scenario picks up at phase
   ``i + 1``;
-- **crash** — a killed process resumes from the last completed phase:
-  the store recovers checkpoint + WAL-tail, and the persisted RNG state
-  (``numpy``'s ``bit_generator.state``) makes every subsequent batch
-  draw the exact values the uninterrupted run would have drawn, so the
-  final graph is bit-identical (pinned by the tests);
+- **crash** — a killed process resumes from the last completed phase
+  (or from the seed build, which is recorded the same way with phase 0
+  next): the store recovers checkpoint + WAL-tail, and the persisted RNG
+  state (``numpy``'s ``bit_generator.state``) makes every subsequent
+  batch draw the exact values the uninterrupted run would have drawn, so
+  the final graph is bit-identical (pinned by the tests);
 - **read replica** — a second process can ``open_graph(dir,
   read_only=True)`` at any point and tail the run's WAL.
 
@@ -41,6 +42,7 @@ from repro.stream.scenario import (
     PhaseResult,
     Scenario,
     ScenarioResult,
+    _check_run_params,
     _compute_setup,
     _execute_phase,
     build_dataset,
@@ -118,9 +120,10 @@ def run_scenario_durable(
     resumed run reports the full schedule.  Note the incremental
     analytics re-initialize cold on each resume: compute-phase *costs*
     can differ from an uninterrupted run's, the graph content never does.
+    Invalid arguments are rejected before anything under ``directory`` is
+    created, so the corrected call can use the same directory.
     """
-    if mode not in ("incremental", "full"):
-        raise ValidationError(f"mode must be 'incremental' or 'full', got {mode!r}")
+    _check_run_params(scenario, mode=mode, damping=damping, tol=tol, analytics=analytics)
     directory = Path(directory)
     progress_path = directory / PROGRESS_FILE
     identity = {
@@ -153,10 +156,16 @@ def run_scenario_durable(
             weighted=scenario.weighted,
             **open_kwargs,
         )
-        dg.graph.bulk_build(coo)
 
     try:
         g = dg.graph
+        if not resumed:
+            # Seeding is recorded like a phase — durable first, then the
+            # progress file — so a run killed before phase 0 completes
+            # resumes into the seeded store instead of seeding it twice.
+            g.bulk_build(coo)
+            dg.sync()
+            _write_progress(progress_path, identity, 0, rng, [])
         compute_once, check_exact = _compute_setup(
             g, mode, damping, tol, max_iters, prime,
             analytics=analytics, source=source, kcore_k=kcore_k,

@@ -272,12 +272,7 @@ def run_scenario(
     benches (validation work is excluded from the phase's timing and
     counters).
     """
-    if mode not in ("incremental", "full"):
-        raise ValidationError(f"mode must be 'incremental' or 'full', got {mode!r}")
-    if not (0.0 < damping < 1.0):
-        raise ValidationError("damping must be in (0, 1)")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    _check_run_params(scenario, mode=mode, damping=damping, tol=tol, analytics=analytics)
     coo = build_dataset(scenario)
     n = coo.num_vertices
     g = Graph.create(backend_name, num_vertices=n, weighted=scenario.weighted)
@@ -297,6 +292,29 @@ def run_scenario(
     return ScenarioResult(scenario=scenario, backend=backend_name, mode=mode, phases=results)
 
 
+def _check_run_params(scenario, *, damping, tol, mode="incremental", analytics=()) -> None:
+    """Reject invalid run parameters with :class:`ValidationError`.
+
+    The one validator of the three runners (:func:`run_scenario`,
+    :func:`repro.stream.durable.run_scenario_durable`,
+    :func:`repro.stream.chaos.run_chaos_scenario`); each calls it first,
+    with whichever of the parameters it accepts, so a rejected call has
+    built nothing and — for the two that take a ``directory`` — written
+    nothing there.
+    """
+    if mode not in ("incremental", "full"):
+        raise ValidationError(f"mode must be 'incremental' or 'full', got {mode!r}")
+    if not (0.0 < damping < 1.0):
+        raise ValidationError("damping must be in (0, 1)")
+    if not tol > 0:
+        raise ValidationError("tol must be positive")
+    for name in analytics:
+        if name not in ANALYTICS:
+            raise ValidationError(f"unknown analytic {name!r}; pick from {ANALYTICS}")
+    if "sssp" in analytics and not scenario.weighted:
+        raise ValidationError("the 'sssp' analytic needs a weighted scenario")
+
+
 def _compute_setup(
     g, mode, damping, tol, max_iters, prime,
     *, analytics=("cc", "pagerank"), source=0, kcore_k=3,
@@ -304,19 +322,14 @@ def _compute_setup(
     """``(compute_once, check_exact)`` for one run: the compute-phase
     closure, and a closure asserting that every incremental analytic it
     drives equals cold recomputation right now (a no-op in full mode,
-    which drives none).  Shared with :mod:`repro.stream.durable`.
+    which drives none).  Shared with :mod:`repro.stream.durable`; the
+    arguments are :func:`_check_run_params`-valid.
 
     ``compute_once`` details carry ``modes`` (per-analytic last_mode),
     ``analytic_model`` (per-analytic modeled seconds), ``snapshot_model``
     (the shared snapshot build/merge slice), and ``pr_sweeps`` when
     PageRank is selected.
     """
-    analytics = tuple(analytics)
-    for name in analytics:
-        if name not in ANALYTICS:
-            raise ValidationError(f"unknown analytic {name!r}; pick from {ANALYTICS}")
-    if "sssp" in analytics and not g.weighted:
-        raise ValidationError("the 'sssp' analytic needs a weighted scenario")
     params = dict(damping=damping, tol=tol, max_iters=max_iters, source=source, k=kcore_k)
     family = {}
     for name in analytics:
@@ -373,22 +386,47 @@ def _compute_setup(
     return compute_once, check_exact
 
 
+def _record_phase(index, phase, body, *args) -> PhaseResult:
+    """The envelope every phase kind runs in: ``body(phase, *args)`` does
+    the work and returns ``(applied, skipped, detail)``; the wall clock,
+    the counter delta and its modeled time are taken around it."""
+    before = get_counters().snapshot()
+    t0 = perf_counter()
+    applied, skipped, detail = body(phase, *args)
+    wall = perf_counter() - t0
+    delta = get_counters().diff(before)
+    return PhaseResult(
+        index=index,
+        kind=phase.kind,
+        applied=applied,
+        skipped=skipped,
+        wall_seconds=wall,
+        model_seconds=simulated_seconds(delta),
+        counters={k: v for k, v in delta.items() if v},
+        detail=detail,
+    )
+
+
 def _execute_phase(index, phase, g, coo, rng, scenario, compute_once) -> PhaseResult:
-    """Run one phase against ``g``, drawing from ``rng``; shared by
-    :func:`run_scenario` and the durable runner in
-    :mod:`repro.stream.durable` (identical RNG consumption is what makes
-    a paused-then-resumed run bit-identical to an uninterrupted one)."""
+    """Run one data phase against ``g``, drawing from ``rng``; shared by
+    all three runners (identical RNG consumption is what makes a
+    paused-then-resumed run bit-identical to an uninterrupted one, and a
+    killed-and-rebuilt service to a never-faulted one)."""
     if phase.kind in CHAOS_PHASE_KINDS:
         raise ValidationError(
             f"chaos phase {phase.kind!r} needs a sharded service — run it "
             "through repro.stream.chaos.run_chaos_scenario"
         )
+    return _record_phase(index, phase, _data_phase, g, coo, rng, scenario, compute_once)
+
+
+def _data_phase(phase, g, coo, rng, scenario, compute_once) -> tuple:
+    """``(applied, skipped, detail)`` of one insert / delete /
+    vertex_churn / query / compute phase."""
     n = coo.num_vertices
     applied = 0
     skipped = False
     detail: dict = {}
-    before = get_counters().snapshot()
-    t0 = perf_counter()
     if phase.kind == "insert":
         for _ in range(phase.batches):
             src = rng.integers(0, n, phase.size, dtype=np.int64)
@@ -423,18 +461,7 @@ def _execute_phase(index, phase, g, coo, rng, scenario, compute_once) -> PhaseRe
     else:  # compute
         detail = compute_once()
         applied = 1
-    wall = perf_counter() - t0
-    delta = get_counters().diff(before)
-    return PhaseResult(
-        index=index,
-        kind=phase.kind,
-        applied=applied,
-        skipped=skipped,
-        wall_seconds=wall,
-        model_seconds=simulated_seconds(delta),
-        counters={k: v for k, v in delta.items() if v},
-        detail=detail,
-    )
+    return applied, skipped, detail
 
 
 # -- scenario catalog -----------------------------------------------------------------

@@ -87,7 +87,9 @@ class TestEvaluate:
         assert statuses({key.format("slabhash"): 2.0})["t14-degraded-read"] == "pass"
         got = statuses({key.format("slabhash"): 0.4, key.format("hornet"): 2.5})
         assert got["t14-degraded-read"] == "fail"
-        assert statuses({"t15/merge/jit_parity": 0.0})["t15-parity"] == "fail"
+        # A 0.0 value is a value: it fails its bound, it is not "missing".
+        zero = {"t12/slabhash/shards=4/insert_speedup": 0.0}
+        assert statuses(zero)["t12-shard-scaling"] == "fail"
 
 
 class TestBaseline:

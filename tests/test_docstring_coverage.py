@@ -10,9 +10,8 @@ method, and property in ``repro.api``, ``repro.chaos``,
 underscore-private names, magic methods (D105), and ``__init__``
 (D107) are exempt.
 
-``repro.kernels`` is covered too: the dispatch layer and both kernel
-tiers are the documented seam other backends (and the jit CI leg) build
-against.
+``repro.kernels`` is covered too: the kernels are the documented seam
+between the slab-hash drivers and the data movement they schedule.
 """
 
 import ast

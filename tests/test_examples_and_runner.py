@@ -49,14 +49,6 @@ def test_incremental_family_example_runs(capsys):
     assert "(incremental)" in out
 
 
-def test_kernel_tiers_example_runs(capsys):
-    run_example("kernel_tiers.py")
-    out = capsys.readouterr().out
-    assert "results identical across tiers" in out
-    assert "modeled device counters identical across tiers" in out
-    assert "reference:" in out
-
-
 def test_sharded_service_example_runs(capsys):
     run_example("sharded_service.py")
     out = capsys.readouterr().out

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim.counters import get_counters
-from repro.kernels import reference, use_tier
+from repro.kernels import reference
 from repro.slabhash.arena import SlabArena
 
 
@@ -101,7 +101,7 @@ def long_chain_scenario(weighted):
     return counters_dict(), pool_digest(arena, arena.pool._free, *added)
 
 
-#: Recorded at the parent commit (round-loop driver), reference tier.
+#: Recorded at the parent commit (round-loop driver).
 GOLDEN = {
     False: (
         {
@@ -137,11 +137,9 @@ GOLDEN = {
 
 
 class TestGoldenLongChains:
-    @pytest.mark.parametrize("tier", ["reference", "jit"])
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_counters_and_pool_match_round_loop(self, weighted, tier):
-        with use_tier(tier, force=True):
-            counters, digest = long_chain_scenario(weighted)
+    def test_counters_and_pool_match_round_loop(self, weighted):
+        counters, digest = long_chain_scenario(weighted)
         want_counters, want_digest = GOLDEN[weighted]
         assert counters == want_counters
         assert digest == want_digest

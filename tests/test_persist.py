@@ -30,7 +30,8 @@ from repro.persist import (
     write_checkpoint,
 )
 from repro.persist.wal import RECORD_HEADER, SEGMENT_HEADER
-from repro.stream import mixed_scenario, run_scenario_durable
+import repro.stream.durable as durable
+from repro.stream import mixed_scenario, run_chaos_scenario, run_scenario, run_scenario_durable
 from repro.stream.incremental import IncrementalConnectedComponents
 from repro.util.errors import ValidationError
 
@@ -623,6 +624,20 @@ class TestStoreBehavior:
 # ---------------------------------------------------------------------------
 
 
+#: One invalid value per run parameter the scenario runners validate
+#: (``sssp`` is invalid here because the scenarios below are unweighted).
+_BAD_RUN_PARAMS = [
+    ("mode", "lazy"),
+    ("damping", 1.5),
+    ("damping", 0.0),
+    ("tol", 0.0),
+    ("tol", -1.0),
+    ("analytics", ("cc", "louvain")),
+    ("analytics", ("sssp",)),
+]
+_BAD_RUN_IDS = [f"{k}={'+'.join(v) if isinstance(v, tuple) else v}" for k, v in _BAD_RUN_PARAMS]
+
+
 class TestDurableScenarios:
     def _final_snapshot(self, directory):
         dg = open_graph(directory, fsync="never")
@@ -665,6 +680,54 @@ class TestDurableScenarios:
             self._final_snapshot(tmp_path / "a"), self._final_snapshot(tmp_path / "b")
         )
         assert [p.index for p in done.phases] == [p.index for p in full.phases]
+
+    def test_kill_after_seeding_resumes_bit_identical(self, tmp_path, monkeypatch):
+        """A run killed between the seed build and the end of phase 0
+        resumes into the seeded store (it used to seed it again and die
+        with "bulk_build requires an empty graph")."""
+
+        class Killed(Exception):
+            pass
+
+        def die(*args, **kwargs):
+            raise Killed
+
+        sc = mixed_scenario(1 << 8, batch=48)
+        with monkeypatch.context() as patch:
+            patch.setattr(durable, "_compute_setup", die)  # first step after seeding
+            with pytest.raises(Killed):
+                run_scenario_durable(sc, "slabhash", tmp_path / "a", fsync="never")
+        done = run_scenario_durable(sc, "slabhash", tmp_path / "a", fsync="never")
+        full = run_scenario_durable(sc, "slabhash", tmp_path / "b", fsync="never")
+        assert_snaps_identical(
+            self._final_snapshot(tmp_path / "a"), self._final_snapshot(tmp_path / "b")
+        )
+        assert [(p.index, p.applied) for p in done.phases] == [
+            (p.index, p.applied) for p in full.phases
+        ]
+
+    @pytest.mark.parametrize("bad", _BAD_RUN_PARAMS, ids=_BAD_RUN_IDS)
+    def test_rejected_call_leaves_directory_reusable(self, tmp_path, bad):
+        """Arguments are validated before the store is created (a call
+        rejected after seeding used to poison the directory for the
+        corrected one)."""
+        sc = mixed_scenario(1 << 8, batch=48)
+        with pytest.raises(ValidationError):
+            run_scenario_durable(sc, "slabhash", tmp_path / "a", fsync="never", **dict([bad]))
+        assert not (tmp_path / "a").exists()
+        done = run_scenario_durable(sc, "slabhash", tmp_path / "a", fsync="never")
+        assert len(done.phases) == len(sc.phases)
+
+    @pytest.mark.parametrize("bad", _BAD_RUN_PARAMS, ids=_BAD_RUN_IDS)
+    def test_every_runner_rejects_the_same_values(self, tmp_path, bad):
+        sc = mixed_scenario(1 << 8, batch=48)
+        kwargs = dict([bad])
+        with pytest.raises(ValidationError):
+            run_scenario(sc, "slabhash", **kwargs)
+        if bad[0] in ("damping", "tol"):  # the two the chaos runner takes
+            with pytest.raises(ValidationError):
+                run_chaos_scenario(sc, "slabhash", directory=tmp_path / "c", **kwargs)
+            assert not (tmp_path / "c").exists()
 
     def test_resuming_different_scenario_raises(self, tmp_path):
         sc = mixed_scenario(1 << 8, batch=48)

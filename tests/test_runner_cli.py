@@ -13,7 +13,6 @@ import pytest
 
 import repro.bench.runner as runner
 from repro.bench.results import ArtifactBuilder, SuiteResult, validate_suite
-from repro.kernels import KERNEL_TIERS
 
 
 def stub_artifact(scale=1.0):
@@ -183,4 +182,3 @@ class TestRealArtifact:
         expected = set(runner.ARTIFACT_IDS)
         assert {a.artifact for a in suite.artifacts} == expected
         assert suite.environment["quick"] is True
-        assert suite.environment["kernel_tier"] in KERNEL_TIERS

@@ -5,15 +5,16 @@ Layout:
 - :mod:`repro.bench.workloads` — batch generators implementing Section V's
   workload definitions (random edge batches with duplicates allowed,
   vertex batches, incremental build schedules) and structure factories;
-- :mod:`repro.bench.harness` — timing/throughput utilities and result
-  records;
+- :mod:`repro.bench.harness` — counter-delta measurement (modeled device
+  time, throughput) and result records;
 - :mod:`repro.bench.tables` — one function per paper table, returning
   structured :class:`~repro.bench.results.ArtifactResult` records
   (`table2_edge_insertion()` etc.);
 - :mod:`repro.bench.figures` — the Figure 2/3 load-factor sweeps;
 - :mod:`repro.bench.results` — versioned machine-readable result records
   (``BenchResult``/``SuiteResult``) with JSON round-tripping;
-- :mod:`repro.bench.compare` — tolerance-banded baseline comparison;
+- :mod:`repro.bench.compare` — the equality gate against a committed
+  baseline (every persisted field; ``changed`` or ``missing`` fails);
 - :mod:`repro.bench.claims` — the reproduction scorecard: every claim the
   suite makes, as a row of data checked against the metrics of a run;
 - :mod:`repro.bench.runner` — ``python -m repro.bench.runner`` regenerates
@@ -25,7 +26,7 @@ The suite records modeled numbers only; host time is measured by
 ``benchmarks/wallclock/``.
 """
 
-from repro.bench.compare import ComparisonReport, Tolerance, compare_suites
+from repro.bench.compare import ComparisonReport, compare_suites
 from repro.bench.harness import BenchRecord, format_table, time_call
 from repro.bench.results import ArtifactResult, BenchResult, SuiteResult
 from repro.bench.workloads import make_structure, random_edge_batch, random_vertex_batch
@@ -36,7 +37,6 @@ __all__ = [
     "BenchResult",
     "ComparisonReport",
     "SuiteResult",
-    "Tolerance",
     "compare_suites",
     "format_table",
     "make_structure",

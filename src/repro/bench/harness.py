@@ -1,24 +1,18 @@
-"""Timing utilities and result records for the bench harness.
+"""Measurement utilities and result records for the bench harness.
 
-Each measurement captures two times:
-
-- **wall-clock seconds** of the vectorized Python kernels (kept on the
-  in-memory record only — no results file persists host time), and
-- **modeled device seconds** from the calibrated cost model
-  (:mod:`repro.gpusim.model`), computed from the kernel-counter delta.
-
-The paper-shaped tables report the modeled time: Python wall-clock inverts
+Each measurement captures the kernel-counter delta of one call and prices
+it as **modeled device seconds** with the calibrated cost model
+(:mod:`repro.gpusim.model`).  No host time is taken: Python wall-clock inverts
 the sort-vs-probe cost ratio the paper measures (NumPy's compiled sort is
 disproportionately cheap against interpreted probe rounds), while the
 counter-based model prices the same algorithmic work a TITAN V would
-execute.  Timings follow the paper's methodology: setup, batch generation
-and validation happen outside the timed/counted region.
+execute.  Measurements follow the paper's methodology: setup, batch
+generation and validation happen outside the counted region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable
 
 from repro.gpusim.counters import get_counters
@@ -29,10 +23,9 @@ __all__ = ["BenchRecord", "time_call", "format_table", "mean"]
 
 @dataclass
 class BenchRecord:
-    """One timed operation (wall-clock + modeled device time)."""
+    """One measured operation: its counter delta, priced by the device model."""
 
     label: str
-    seconds: float
     items: int = 0
     counters: dict = field(default_factory=dict)
 
@@ -53,29 +46,15 @@ class BenchRecord:
             return float("inf")
         return self.items / sec / 1e6
 
-    @property
-    def wall_throughput_m(self) -> float:
-        """Million items per wall-clock second."""
-        if self.seconds <= 0:
-            return float("inf")
-        return self.items / self.seconds / 1e6
-
-    @property
-    def millis(self) -> float:
-        """Wall-clock milliseconds."""
-        return self.seconds * 1e3
-
 
 def time_call(
     label: str, fn: Callable, *args, items: int = 0, **kwargs
 ) -> tuple[BenchRecord, object]:
-    """Time one call; returns (record, fn's return value)."""
+    """Count one call's kernel work; returns (record, fn's return value)."""
     before = get_counters().snapshot()
-    t0 = perf_counter()
     result = fn(*args, **kwargs)
-    seconds = perf_counter() - t0
     delta = get_counters().diff(before)
-    return BenchRecord(label, seconds, items=items, counters=delta), result
+    return BenchRecord(label, items=items, counters=delta), result
 
 
 def mean(values) -> float:

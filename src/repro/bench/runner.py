@@ -11,8 +11,8 @@ results:
 
 - ``--quick``                  shrink every sweep to CI size;
 - ``--json OUT.json``          write the run as a versioned SuiteResult;
-- ``--compare BASELINE.json``  tolerance-banded comparison against a
-  persisted baseline; exits 1 on regression (see
+- ``--compare BASELINE.json``  equality check of every persisted field
+  against a baseline; exits 1 on any changed or missing metric (see
   :mod:`repro.bench.compare`);
 - ``--update-baselines``       rewrite the committed baseline for this
   mode (``benchmarks/baselines/BENCH_baseline_quick.json`` or ``_full``).
@@ -20,7 +20,7 @@ results:
 Pass artifact ids (``t2 t7 f2`` ...) to run a subset; the whole list
 is validated before any work starts, and usage errors go to stderr with
 exit code 2.  Exit codes: 0 success, 1 violated claim or baseline
-regression, 2 bad usage.
+mismatch, 2 bad usage.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--compare",
         metavar="BASELINE.json",
-        help="compare against a baseline; exit 1 on regression",
+        help="compare against a baseline; exit 1 on any changed or missing metric",
     )
     parser.add_argument(
         "--update-baselines",

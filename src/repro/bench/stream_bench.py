@@ -64,7 +64,7 @@ _MUTATION_KINDS = ("insert", "delete", "vertex_churn")
 def _phase_records(result, kinds) -> list:
     """Phase results of the given kinds as BenchRecords (for metrics)."""
     return [
-        BenchRecord(p.kind, p.wall_seconds, items=p.applied, counters=p.counters)
+        BenchRecord(p.kind, items=p.applied, counters=p.counters)
         for p in result.phases
         if p.kind in kinds
     ]

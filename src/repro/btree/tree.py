@@ -105,14 +105,6 @@ class BPlusTreeArena:
     def allocated_bytes(self) -> int:
         return self.num_allocated_nodes * 128
 
-    def grow_trees(self, new_num_trees: int) -> None:
-        if new_num_trees <= self.num_trees:
-            return
-        extra = new_num_trees - self.num_trees
-        self.root = np.concatenate([self.root, np.full(extra, _NULL, dtype=np.int64)])
-        self._count = np.concatenate([self._count, np.zeros(extra, dtype=np.int64)])
-        self.num_trees = int(new_num_trees)
-
     def count(self, tree: int) -> int:
         return int(self._count[tree])
 

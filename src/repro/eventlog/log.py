@@ -45,7 +45,7 @@ class EventLog:
 
     def __init__(self, retention_rows: int = DEFAULT_RETENTION_ROWS) -> None:
         if retention_rows < 0:
-            raise ValueError("retention_rows must be non-negative")
+            raise ValidationError("retention_rows must be non-negative")
         self.retention_rows = int(retention_rows)
         self._events: deque = deque()
         self._next_seq = 0

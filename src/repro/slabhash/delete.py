@@ -22,7 +22,7 @@ import numpy as np
 from repro.gpusim.counters import get_counters
 from repro.kernels import reference as kern
 from repro.kernels.reference import STATUS_ADVANCE, STATUS_HIT
-from repro.slabhash.constants import KEY_DTYPE, NULL_SLAB
+from repro.slabhash.constants import KEY_DTYPE, MAX_KEY, NULL_SLAB
 from repro.util.groupby import first_occurrence_mask
 from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
@@ -37,6 +37,7 @@ def delete_batch(arena, table_ids, keys) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=bool)
     check_in_range(table_ids, 0, arena.num_tables, "table_ids")
+    check_in_range(keys, 0, MAX_KEY + 1, "keys")
 
     counters = get_counters()
     counters.kernel_launches += 1

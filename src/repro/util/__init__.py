@@ -18,7 +18,6 @@ from repro.util.groupby import (
     rank_within_group,
     segment_lengths_from_starts,
     segmented_sum,
-    sorted_group_ids,
 )
 from repro.util.hashing import UniversalHashFamily, mix32
 from repro.util.validation import (
@@ -42,5 +41,4 @@ __all__ = [
     "rank_within_group",
     "segment_lengths_from_starts",
     "segmented_sum",
-    "sorted_group_ids",
 ]

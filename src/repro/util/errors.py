@@ -60,14 +60,3 @@ class PersistError(ReproError, OSError):
         self.op = op
         #: True when the writer could not restore a clean on-disk state.
         self.broken = broken
-
-
-class PhaseError(ReproError, RuntimeError):
-    """An operation was attempted in the wrong phase.
-
-    The paper's data structure is *phase-concurrent*: batched updates and
-    batched queries never interleave.  The pure-Python reproduction is
-    single-threaded, so the only way to violate phase concurrency is to call
-    back into the structure from inside a kernel callback; this error guards
-    those entry points.
-    """

@@ -37,7 +37,6 @@ __all__ = [
     "rank_within_group",
     "segment_lengths_from_starts",
     "segmented_sum",
-    "sorted_group_ids",
     "sorted_unique",
     "stable_argsort",
 ]
@@ -81,17 +80,6 @@ def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
     starts[:1] = True  # a slice, so the empty array needs no branch
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
     return starts
-
-
-def sorted_group_ids(sorted_keys: np.ndarray) -> np.ndarray:
-    """Return a dense 0-based group id for each element of a *sorted* array.
-
-    ``sorted_group_ids([3, 3, 5, 9, 9, 9]) == [0, 0, 1, 2, 2, 2]``.
-
-    The input must already be sorted (ascending); this is not checked for
-    speed.  Runs in O(n).
-    """
-    return np.cumsum(_run_starts(sorted_keys), dtype=np.int64) - 1
 
 
 def group_starts(sorted_keys: np.ndarray) -> np.ndarray:

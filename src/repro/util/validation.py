@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.util.errors import ValidationError
 
-__all__ = ["as_int_array", "check_equal_length", "check_in_range", "as_float_array"]
+__all__ = ["as_int_array", "check_equal_length", "check_in_range"]
 
 
 def as_int_array(x, name: str = "array", dtype=np.int64) -> np.ndarray:
@@ -40,14 +40,6 @@ def as_int_array(x, name: str = "array", dtype=np.int64) -> np.ndarray:
         else:
             raise ValidationError(f"{name} has non-numeric dtype {arr.dtype}")
     return np.ascontiguousarray(arr, dtype=dtype)
-
-
-def as_float_array(x, name: str = "array", dtype=np.float64) -> np.ndarray:
-    """Coerce ``x`` to a contiguous 1-D float array."""
-    arr = np.atleast_1d(np.asarray(x, dtype=dtype))
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be 1-D, got shape {arr.shape}")
-    return np.ascontiguousarray(arr)
 
 
 def check_equal_length(*named_arrays: tuple[str, np.ndarray]) -> int:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench.figures import figure2_sweep, figure3_sweep
-from repro.bench.harness import BenchRecord, format_table, mean, time_call
+from repro.bench.harness import format_table, mean, time_call
 from repro.bench.workloads import (
     STRUCTURES,
     bulk_built_structure,
@@ -65,7 +65,7 @@ class TestHarness:
         rec, out = time_call("lbl", lambda a, b: a + b, 2, 3, items=10)
         assert out == 5
         assert rec.label == "lbl" and rec.items == 10
-        assert rec.seconds >= 0
+        assert not any(rec.counters.values()) and rec.model_seconds == 0
 
     def test_counters_captured(self):
         g = make_structure("ours", 16, weighted=False)
@@ -81,11 +81,6 @@ class TestHarness:
     def test_format_table(self):
         text = format_table("T", ["a", "b"], [[1, 2.5], ["x", None]])
         assert "T" in text and "2.50" in text and "—" in text
-
-    def test_record_millis(self):
-        rec = BenchRecord("x", seconds=0.5, items=1_000_000)
-        assert rec.millis == 500.0
-        assert rec.wall_throughput_m == pytest.approx(2.0)
 
 
 class TestFigureSweeps:

@@ -31,7 +31,7 @@ def make_suite() -> SuiteResult:
         "hornet",
         dataset="road",
         backend="hornet",
-        record=BenchRecord("x", 0.01, items=100, counters={"slab_reads": np.int64(7)}),
+        record=BenchRecord("x", items=100, counters={"slab_reads": np.int64(7)}),
     )
     b.metric(0.5, "ms", "road", "ours", dataset="road", backend="ours")
     art = b.build()
@@ -88,8 +88,8 @@ class TestBuilder:
     def test_aggregate_records_sum_measurements(self):
         b = ArtifactBuilder("t2", "T", ["h"])
         recs = [
-            BenchRecord("a", 0.5, items=10, counters={"probe_rounds": 2}),
-            BenchRecord("b", 0.25, items=30, counters={"probe_rounds": 3, "atomics": 1}),
+            BenchRecord("a", items=10, counters={"probe_rounds": 2}),
+            BenchRecord("b", items=30, counters={"probe_rounds": 3, "atomics": 1}),
         ]
         res = b.metric(4.2, "MEdge/s", "batch=2^10", "ours", records=recs)
         assert res.model_seconds == pytest.approx(sum(r.model_seconds for r in recs))
@@ -98,7 +98,7 @@ class TestBuilder:
 
     def test_single_record_measurement(self):
         b = ArtifactBuilder("t5", "T", ["h"])
-        res = b.metric(1.0, "ms", "d", "ours", record=BenchRecord("x", 0.125, items=5))
+        res = b.metric(1.0, "ms", "d", "ours", record=BenchRecord("x", items=5))
         assert res.items == 5
 
 
@@ -153,7 +153,7 @@ class TestValidation:
 
     def test_no_host_time_is_persisted_and_legacy_fields_still_load(self):
         # A results file is a pure function of code, seed and NumPy version:
-        # the wall clock behind a BenchRecord never reaches the JSON ...
+        # no record carries a wall clock, so none reaches the JSON ...
         doc = make_suite().to_dict()
         text = json.dumps(doc["artifacts"])
         assert "wall" not in text and "elapsed" not in text

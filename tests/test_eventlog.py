@@ -226,6 +226,12 @@ class TestSeqValidation:
         batch(log, False, [(0, 1)], 1, 2)
         return log
 
+    def test_negative_retention_is_a_validation_error(self):
+        from repro.util.errors import ValidationError
+
+        with pytest.raises(ValidationError, match="retention_rows"):
+            EventLog(retention_rows=-1)
+
     def test_cursor_rejects_out_of_range_seqs(self):
         from repro.util.errors import ValidationError
 

@@ -100,8 +100,19 @@ class TestCompareExitCodes:
         monkeypatch.setitem(runner._ARTIFACTS, "tstub", stub_artifact(scale=2.0))
         assert runner.main(["tstub", "--quick", "--compare", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "REGRESSION" in out
+        assert "baseline comparison: MISMATCH (2 changed)" in out
         assert "tstub/demo/ours" in out
+
+    def test_compare_fails_on_speedup_too(self, tmp_path, monkeypatch, capsys):
+        # The gate is equality: a faster run ships with a refreshed baseline.
+        monkeypatch.setitem(runner._ARTIFACTS, "tstub", stub_artifact())
+        path = self.write_baseline(tmp_path, 1.0)
+        monkeypatch.setitem(runner._ARTIFACTS, "tstub", stub_artifact(scale=0.95))
+        run = tmp_path / "run.json"
+        assert runner.main(["tstub", "--quick", "--compare", str(path), "--json", str(run)]) == 1
+        out = capsys.readouterr().out
+        assert "MISMATCH" in out and "tstub/demo/rate" in out
+        assert run.exists()  # CI uploads the failed run for diffing
 
     def test_compare_missing_baseline_is_usage_error(self, stub, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -328,6 +328,12 @@ class TestShardedValidation:
         with pytest.raises(ValidationError):
             ShardedGraph([])
 
+    def test_rejects_negative_event_retention(self):
+        # The router log is built before any facade check runs.
+        shards = [Graph.create("slabhash", num_vertices=8) for _ in range(2)]
+        with pytest.raises(ValidationError, match="retention_rows"):
+            ShardedGraph(shards, event_retention=-1)
+
     def test_out_of_range_queries_rejected(self):
         sg = ShardedGraph.create("slabhash", 16, num_shards=2)
         with pytest.raises(ValidationError):

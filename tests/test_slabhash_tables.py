@@ -1,9 +1,17 @@
 """Tests for the single-table SlabHashMap / SlabHashSet facades."""
 
 import numpy as np
+import pytest
 
 from repro.slabhash import SlabHashMap, SlabHashSet
-from repro.slabhash.constants import SLAB_KEY_CAPACITY, SLAB_KV_CAPACITY
+from repro.slabhash.constants import (
+    EMPTY_KEY,
+    MAX_KEY,
+    SLAB_KEY_CAPACITY,
+    SLAB_KV_CAPACITY,
+    TOMBSTONE_KEY,
+)
+from repro.util.errors import ValidationError
 
 
 class TestSlabHashMap:
@@ -121,3 +129,31 @@ class TestSlabHashSet:
         s.insert_batch([10, 20])
         got = s.contains_batch([10, 15, 20])
         assert got.tolist() == [True, False, True]
+
+
+class TestKeyRange:
+    """Search and delete reject what insert rejects: keys are 32-bit, minus the lane sentinels."""
+
+    @pytest.fixture
+    def s(self):
+        s = SlabHashSet(expected_size=8)
+        s.insert_batch([5, 6])
+        return s
+
+    @pytest.mark.parametrize("key", [2**32 + 5, EMPTY_KEY, TOMBSTONE_KEY, -1])
+    def test_contains_rejects_out_of_range_key(self, s, key):
+        # Unchecked, 2**32 + 5 aliased to key 5 and both sentinels "matched" a lane.
+        with pytest.raises(ValidationError, match="keys"):
+            s.contains_batch([5, key])
+
+    @pytest.mark.parametrize("key", [2**32 + 5, EMPTY_KEY, TOMBSTONE_KEY, -1])
+    def test_delete_rejects_out_of_range_key(self, s, key):
+        # Unchecked, 2**32 + 5 deleted key 5 and EMPTY_KEY tombstoned an empty lane.
+        with pytest.raises(ValidationError, match="keys"):
+            s.delete_batch([key])
+        assert len(s) == 2 and sorted(s.items().tolist()) == [5, 6]
+
+    def test_max_key_round_trips(self, s):
+        s.insert_batch([MAX_KEY])
+        assert s.contains_batch([MAX_KEY, 5]).tolist() == [True, True]
+        assert s.delete_batch([MAX_KEY]) == 1 and len(s) == 2

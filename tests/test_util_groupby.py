@@ -15,7 +15,6 @@ from repro.util.groupby import (
     rank_within_group,
     segment_lengths_from_starts,
     segmented_sum,
-    sorted_group_ids,
     sorted_unique,
     stable_argsort,
 )
@@ -62,27 +61,6 @@ def _brute_force_masks(keys):
     first[list(first_at.values())] = True
     last[list(last_at.values())] = True
     return first, last
-
-
-class TestSortedGroupIds:
-    def test_example(self):
-        out = sorted_group_ids(np.array([3, 3, 5, 9, 9, 9]))
-        assert out.tolist() == [0, 0, 1, 2, 2, 2]
-
-    def test_empty(self):
-        assert sorted_group_ids(np.array([], dtype=np.int64)).size == 0
-
-    def test_single(self):
-        assert sorted_group_ids(np.array([7])).tolist() == [0]
-
-    @given(int_lists)
-    @settings(max_examples=50, deadline=None)
-    def test_matches_unique_inverse(self, values):
-        arr = np.sort(np.array(values, dtype=np.int64))
-        got = sorted_group_ids(arr)
-        if arr.size:
-            _, expected = np.unique(arr, return_inverse=True)
-            assert np.array_equal(got, expected)
 
 
 class TestGroupStarts:

@@ -1,13 +1,11 @@
-"""Tests for hashing, validation, and RNG plumbing."""
+"""Tests for hashing and validation helpers."""
 
 import numpy as np
 import pytest
 
 from repro.util.errors import ValidationError
 from repro.util.hashing import PRIME, UniversalHashFamily, mix32
-from repro.util.rng import spawn_seeds, substream
 from repro.util.validation import (
-    as_float_array,
     as_int_array,
     check_equal_length,
     check_in_range,
@@ -94,9 +92,6 @@ class TestValidation:
         with pytest.raises(ValidationError):
             as_int_array(np.zeros((2, 2)))
 
-    def test_as_float_array(self):
-        assert as_float_array([1, 2]).dtype == np.float64
-
     def test_check_equal_length(self):
         assert check_equal_length(("a", np.arange(3)), ("b", np.arange(3))) == 3
         with pytest.raises(ValidationError):
@@ -109,20 +104,3 @@ class TestValidation:
         with pytest.raises(ValidationError):
             check_in_range(np.array([-1]), 0, 5)
         check_in_range(np.array([], dtype=np.int64), 0, 5)  # empty ok
-
-
-class TestRng:
-    def test_substream_deterministic(self):
-        a = substream(1, "edges", 3).integers(0, 100, 10)
-        b = substream(1, "edges", 3).integers(0, 100, 10)
-        assert np.array_equal(a, b)
-
-    def test_substream_tags_independent(self):
-        a = substream(1, "edges").integers(0, 1000, 20)
-        b = substream(1, "verts").integers(0, 1000, 20)
-        assert not np.array_equal(a, b)
-
-    def test_spawn_seeds(self):
-        seeds = spawn_seeds(9, 5)
-        assert len(seeds) == 5 and len(set(seeds)) == 5
-        assert spawn_seeds(9, 5) == seeds

@@ -221,8 +221,7 @@ class DynamicGraph(GraphBackend):
             vertex_ids = self.rehash_candidates()
         vertex_ids = np.atleast_1d(np.asarray(vertex_ids, dtype=np.int64))
         self._bump_version()
-        _rehash.rehash_vertices(self, vertex_ids, load_factor)
-        return int(vertex_ids.size)
+        return _rehash.rehash_vertices(self, vertex_ids, load_factor)
 
     def flush_tombstones(self, vertex_ids=None) -> None:
         """Compact tombstoned lanes (optional cleanup, Section IV-C2)."""

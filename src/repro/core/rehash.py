@@ -17,7 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.slabhash.arena import SlabArena
-from repro.util.validation import as_int_array
+from repro.slabhash.insert import refill_chains
+from repro.slabhash.iterate import collect_table_slabs, distinct_ids, live_lanes
+from repro.util.groupby import stable_argsort
 
 __all__ = ["rehash_candidates", "rehash_vertices"]
 
@@ -42,26 +44,30 @@ def rehash_candidates(graph, max_chain_slabs: float = 2.0) -> np.ndarray:
     return np.flatnonzero(has_table & (implied > float(max_chain_slabs)))
 
 
-def rehash_vertices(graph, vertex_ids, load_factor: float | None = None) -> None:
-    """Rebuild the given vertices' tables sized for their current degree."""
-    vertex_ids = as_int_array(vertex_ids, "vertex_ids")
+def rehash_vertices(graph, vertex_ids, load_factor: float | None = None) -> int:
+    """Rebuild the given vertices' tables sized for their current degree;
+    returns how many distinct tables were rebuilt."""
+    vertex_ids = distinct_ids(vertex_ids)
     if vertex_ids.size == 0:
-        return
-    vd = graph._dict
+        return 0
+    arena = graph._dict.arena
     lf = graph.load_factor if load_factor is None else float(load_factor)
-    owners, dst, w = vd.arena.iterate(vertex_ids)
+    # One walk on the host, charged as the iterator's and the teardown's.
+    slab_ids, owner_pos, _, _ = collect_table_slabs(arena, vertex_ids, walks=2)
+    lanes, dst, w = live_lanes(arena.pool, slab_ids)
+    owners = np.repeat(owner_pos, lanes)
 
     # Tear the tables down completely (frees base and overflow slabs).
-    slab_ids, _, _ = vd.arena.table_slabs(vertex_ids)
-    vd.arena.pool.free(slab_ids)
-    vd.arena.table_base[vertex_ids] = -1
-    vd.arena.table_buckets[vertex_ids] = 0
+    arena.pool.free(slab_ids)
+    arena.table_base[vertex_ids] = -1
+    arena.table_buckets[vertex_ids] = 0
 
-    degrees = np.bincount(owners, minlength=vertex_ids.size) if owners.size else np.zeros(
-        vertex_ids.size, dtype=np.int64
-    )
-    buckets = SlabArena.buckets_for(np.maximum(degrees, 1), lf, vd.arena.pool.lane_capacity)
-    vd.arena.create_tables(vertex_ids, buckets)
+    degrees = np.bincount(owners, minlength=vertex_ids.size)
+    buckets = SlabArena.buckets_for(np.maximum(degrees, 1), lf, arena.pool.lane_capacity)
+    arena.create_tables(vertex_ids, buckets)
     if dst.size:
-        vd.arena.insert(vertex_ids[owners], dst, w if graph.weighted else None)
+        heads = arena.bucket_heads(vertex_ids[owners], dst)
+        order = stable_argsort(heads)
+        refill_chains(arena.pool, heads[order], dst[order], w if w is None else w[order])
     # Counts are unchanged: the live set was preserved exactly.
+    return int(vertex_ids.size)

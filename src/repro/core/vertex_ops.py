@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.counters import get_counters
+from repro.slabhash.iterate import iterate_tables
 from repro.util.errors import ValidationError
 from repro.util.groupby import sorted_unique
 from repro.util.validation import as_int_array, check_equal_length, check_in_range
@@ -78,19 +79,13 @@ def delete_vertices(graph, vertex_ids) -> tuple[int, np.ndarray]:
     # Algorithm 2 uses one atomicAdd per vertex acquisition; charge those.
     counters.atomics += int(vertex_ids.size)
 
-    removed_total = 0
     if graph.directed:
-        removed_total += _cleanup_references(graph, vertex_ids)
+        removed_total = _cleanup_references(graph, vertex_ids)
     else:
         # Iterate the doomed vertices' adjacency lists and erase the reverse
         # edges (Algorithm 2, lines 11-17).
         owners, neighbors, _ = vd.arena.iterate(vertex_ids)
-        if neighbors.size:
-            doomed_of_entry = vertex_ids[owners]
-            removed = vd.arena.delete(neighbors, doomed_of_entry)
-            if removed.any():
-                vd.sub_edge_counts(neighbors[removed])
-            removed_total += int(removed.sum())
+        removed_total = _erase(vd, neighbors, vertex_ids[owners])
 
     # Free dynamically allocated slabs, reset bases, zero the counts
     # (lines 18-22).
@@ -111,18 +106,16 @@ def _cleanup_references(graph, doomed: np.ndarray) -> int:
     all_ids = np.flatnonzero(vd.arena.table_base != -1)
     # Skip the doomed tables themselves; they are cleared wholesale.
     all_ids = all_ids[~np.isin(all_ids, doomed)]
-    if all_ids.size == 0:
+    # The sweep reads every slab but materialises only the doomed keys.
+    owners, neighbors, _ = iterate_tables(vd.arena, all_ids, only=doomed)
+    return _erase(vd, all_ids[owners], neighbors)
+
+
+def _erase(vd, tables, keys) -> int:
+    """Delete the (table, key) pairs the sweep found; returns how many existed."""
+    if keys.size == 0:
         return 0
-    owners, neighbors, _ = vd.arena.iterate(all_ids)
-    if neighbors.size == 0:
-        return 0
-    doomed_mask = np.zeros(vd.capacity, dtype=bool)
-    doomed_mask[doomed] = True
-    hit = doomed_mask[neighbors]
-    if not hit.any():
-        return 0
-    srcs = all_ids[owners[hit]]
-    removed = vd.arena.delete(srcs, neighbors[hit])
+    removed = vd.arena.delete(tables, keys)
     if removed.any():
-        vd.sub_edge_counts(srcs[removed])
+        vd.sub_edge_counts(tables[removed])
     return int(removed.sum())

@@ -32,9 +32,11 @@ from repro.slabhash.constants import (
     NULL_SLAB,
     SLAB_KEY_CAPACITY,
     SLAB_KV_CAPACITY,
+    TOMBSTONE_KEY,
     VALUE_DTYPE,
 )
 from repro.util.errors import ValidationError
+from repro.util.groupby import ragged_arange
 from repro.util.hashing import UniversalHashFamily
 from repro.util.validation import as_int_array, check_in_range
 
@@ -162,11 +164,6 @@ class SlabPool:
         self._next.ensure(needed)
         if self._values is not None:
             self._values.ensure(needed)
-
-    # -- debugging helpers ---------------------------------------------------
-
-    def free_list_size(self) -> int:
-        return int(self._free.shape[0])
 
 
 class SlabArena:
@@ -314,11 +311,11 @@ class SlabArena:
         """
         from repro.slabhash.iterate import collect_table_slabs
 
-        return collect_table_slabs(self, table_ids)
+        return collect_table_slabs(self, table_ids)[:3]
 
     # -- debug invariants ------------------------------------------------------
 
-    def check_invariants(self) -> None:
+    def check_invariants(self, dense=None) -> None:
         """Verify the structure the batched kernels take for granted.
 
         - every chain stays inside the pool and ends (no cycle), and no
@@ -327,31 +324,34 @@ class SlabArena:
           any, and there they sit above every occupied lane — which is
           what lets searches stop at an empty lane and inserts place
           misses arithmetically behind the tail's occupied lanes;
-        - the free list holds no slab twice and none that a table owns.
+        - the free list holds no slab twice and none that a table owns;
+        - with ``dense`` (table ids, e.g. the ones just flushed or rehashed):
+          those tables hold no tombstone and no wholly empty overflow slab,
+          so every bucket chain is exactly ``max(1, ceil(live / Bc))`` slabs.
 
         O(pool) and charges nothing to the device model; raises
         :class:`AssertionError`.  Runs after every
         :class:`~repro.core.vertex_dict.VertexDictionary` mutation when
         its debug switch is on.
         """
-        from repro.slabhash.iterate import _ragged_arange
-
         pool = self.pool
         bump = pool._bump
         tables = np.flatnonzero(self.table_base != NULL_SLAB)
         buckets = self.table_buckets[tables]
-        frontier = np.repeat(self.table_base[tables], buckets) + _ragged_arange(buckets)
-        levels = []
+        frontier = np.repeat(self.table_base[tables], buckets) + ragged_arange(buckets)
+        owner = np.repeat(tables, buckets)
+        levels, owners = [], []
         visited = 0
         while frontier.size:
             if frontier.min() < 0 or frontier.max() >= bump:
                 raise AssertionError("a chain points outside the pool")
             levels.append(frontier)
+            owners.append(owner)
             visited += frontier.size
             if visited > bump:
                 break  # more visits than slabs: a cycle, caught below
             nxt = pool.next_slab[frontier]
-            frontier = nxt[nxt != NULL_SLAB]
+            frontier, owner = nxt[nxt != NULL_SLAB], owner[nxt != NULL_SLAB]
         slabs = np.concatenate(levels) if levels else np.empty(0, dtype=np.int64)
         if np.unique(slabs).size != slabs.size:
             raise AssertionError("a slab is reachable twice (shared between chains, or a cycle)")
@@ -365,6 +365,13 @@ class SlabArena:
             raise AssertionError(
                 f"empty lane before the end of a chain (slabs {slabs[misplaced][:8].tolist()})"
             )
+
+        if dense is not None and slabs.size:
+            mine = np.isin(np.concatenate(owners), dense)
+            hollow = n_empty == pool.lane_capacity
+            hollow[: int(buckets.sum())] = False  # a head slab may be empty
+            if (pool.keys[slabs[mine]] == KEY_DTYPE(TOMBSTONE_KEY)).any() or hollow[mine].any():
+                raise AssertionError("a table that must be dense holds a tombstone or a spare slab")
 
         free = pool._free
         if np.unique(free).size != free.size or np.isin(free, slabs).any():
@@ -412,7 +419,7 @@ class SlabArena:
             row = pool.keys[slab]
             hit = np.flatnonzero(row == KEY_DTYPE(key))
             if hit.size:
-                pool.keys[slab, hit[0]] = KEY_DTYPE(0xFFFFFFFE)  # TOMBSTONE_KEY
+                pool.keys[slab, hit[0]] = KEY_DTYPE(TOMBSTONE_KEY)
                 return True
             if np.any(row == KEY_DTYPE(EMPTY_KEY)):
                 return False  # empties only at the tail => key absent

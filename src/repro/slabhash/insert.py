@@ -27,12 +27,14 @@ A launch is three steps:
 2. **hit pass** — match every item against every slab of its chain in one
    kernel call (``insert_round_map`` / ``insert_round_set``); a hit at
    chain position ``p`` is what the device resolves in round ``p + 1``;
-3. **tail placement** — rank each group's misses in launch order.  A
-   tail's occupied lanes are a prefix (claims take the lowest empty lane
-   and nothing ever empties one), so with ``used`` of its ``Bc`` lanes
-   occupied, miss ``rank`` lands ``(used + rank) // Bc`` slabs past the
-   tail, in lane ``(used + rank) % Bc`` — the tail itself, or new slab
-   ``q`` = that quotient - 1.
+3. **tail placement** (:func:`_place_at_tails`) — rank each group's misses
+   in launch order.  A tail's occupied lanes are a prefix (claims take the
+   lowest empty lane and nothing ever empties one), so with ``used`` of its
+   ``Bc`` lanes occupied, miss ``rank`` lands ``(used + rank) // Bc`` slabs
+   past the tail, in lane ``(used + rank) % Bc`` — the tail itself, or new
+   slab ``q`` = that quotient - 1.  Flush and rehash, whose entries are
+   distinct and whose chains were just emptied, run this step alone as
+   their launch (:func:`refill_chains`).
 
 The device model is charged from each item's *resolve depth* ``d`` — hit
 position + 1, chain length ``L`` for a miss placed in the tail, ``L + q +
@@ -63,16 +65,16 @@ from repro.gpusim.counters import get_counters
 from repro.kernels import reference as kern
 from repro.slabhash.constants import KEY_DTYPE, MAX_KEY, NULL_SLAB, VALUE_DTYPE
 from repro.util.errors import ValidationError
-from repro.slabhash.iterate import _ragged_arange
 from repro.util.groupby import (
     group_starts,
     last_occurrence_mask,
+    ragged_arange,
     segment_lengths_from_starts,
     stable_argsort,
 )
 from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
-__all__ = ["insert_batch"]
+__all__ = ["insert_batch", "refill_chains"]
 
 
 def _composite(table_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -90,7 +92,7 @@ def _extend_chains(pool, tails, lengths, n_new) -> np.ndarray:
     ``pool.allocate`` handing ids out in ascending tail-slab order.
     """
     chain = np.repeat(np.arange(tails.shape[0], dtype=np.int64), n_new)
-    q = _ragged_arange(n_new)
+    q = ragged_arange(n_new)
     link_round = lengths[chain] + q
     by_round = stable_argsort(link_round)
     bounds = np.append(group_starts(link_round[by_round]), chain.shape[0])
@@ -105,6 +107,57 @@ def _extend_chains(pool, tails, lengths, n_new) -> np.ndarray:
         new_ids[slots[order]] = ids
         pool.next_slab[prev[order]] = ids
     return new_ids
+
+
+def _place_at_tails(pool, tails, lengths, occupied, group, k, v):
+    """Step 3.  Chain ``g`` is ``lengths[g]`` slabs long with ``occupied[g]``
+    lanes of its tail ``tails[g]`` in use; ``group`` / ``k`` / ``v`` are the
+    group-major items' chain, key and value (``None`` for a set pool).
+    Returns how many slabs past its tail each item went and the number of
+    slabs linked."""
+    lane_capacity = pool.lane_capacity
+    count = np.bincount(group, minlength=tails.shape[0])
+    beyond, lanes = np.divmod(occupied[group] + ragged_arange(count), lane_capacity)
+    n_new = np.maximum(occupied + count - 1, 0) // lane_capacity
+    slabs = tails[group]
+    links = 0
+    if n_new.any():
+        new_ids = _extend_chains(pool, tails, lengths, n_new)
+        links = int(new_ids.shape[0])
+        first_new = np.cumsum(n_new) - n_new
+        spilled = np.flatnonzero(beyond)
+        slabs[spilled] = new_ids[first_new[group[spilled]] + beyond[spilled] - 1]
+    kern.fill_lanes(pool.keys, slabs, lanes, k)
+    if v is not None:
+        kern.fill_lanes(pool.values, slabs, lanes, v)
+    return beyond, links
+
+
+def _groups(heads):
+    """Sorted head slabs -> (each group's head, each item's group index)."""
+    starts = group_starts(heads)
+    sizes = segment_lengths_from_starts(starts, heads.shape[0])
+    return heads[starts], np.repeat(np.arange(starts.shape[0], dtype=np.int64), sizes)
+
+
+def refill_chains(pool, heads, k, v) -> None:
+    """Place distinct keys into emptied one-slab chains, as one launch.
+
+    ``heads[i]`` is item ``i``'s head slab, sorted (a chain's items in the
+    order they are to be stored); ``k`` / ``v`` as for :func:`_place_at_tails`,
+    in the pool's dtypes.  Slab ids, lanes and every charge are those of
+    :func:`insert_batch` on the same items.
+    """
+    group_heads, group = _groups(heads)
+    lengths = np.ones(group_heads.shape[0], dtype=np.int64)
+    occupied = np.zeros_like(lengths)
+    beyond, links = _place_at_tails(pool, group_heads, lengths, occupied, group, k, v)
+    counters = get_counters()
+    counters.kernel_launches += 1
+    # Every chain has length 1, so an item resolves at depth 1 + beyond.
+    counters.probe_rounds += 1 + int(beyond.max())
+    counters.slab_reads += int(k.shape[0]) + int(beyond.sum())
+    counters.slab_writes += int(k.shape[0]) + links
 
 
 def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
@@ -143,7 +196,6 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
     counters.kernel_launches += 1
     pool = arena.pool
     weighted = pool.weighted
-    lane_capacity = pool.lane_capacity
 
     # Intra-batch replace semantics: keep the last occurrence per (table, key).
     live_idx = np.flatnonzero(last_occurrence_mask(_composite(table_ids, keys)))
@@ -160,13 +212,8 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
         v = np.zeros(k.shape[0], dtype=VALUE_DTYPE)
     else:
         v = values[live_idx[order]].astype(VALUE_DTYPE)
-    starts = group_starts(heads)
-    group_heads = heads[starts]
+    group_heads, group = _groups(heads)
     num_groups = group_heads.shape[0]
-    group = np.repeat(
-        np.arange(num_groups, dtype=np.int64),
-        segment_lengths_from_starts(starts, heads.shape[0]),
-    )
 
     # (1) Walk every touched chain once and regroup it chain by chain.
     chain_slabs, owner, _, _, _ = kern.walk_chains(pool.next_slab, group_heads)
@@ -187,27 +234,16 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
     if weighted:
         writes += int(depth.shape[0] - misses.shape[0])
 
-    # (3) Place the misses behind each tail's occupied lanes, spilling
-    # into new slabs every ``lane_capacity`` lanes.
+    # (3) Place the misses behind each tail's occupied lanes.
     if misses.size:
         tails = chain_slabs[chain_ptr[1:] - 1]
-        occupied = lane_capacity - kern.tail_empties(pool.keys, tails)
+        occupied = pool.lane_capacity - kern.tail_empties(pool.keys, tails)
         miss_group = group[misses]
-        miss_count = np.bincount(miss_group, minlength=num_groups)
-        rank = _ragged_arange(miss_count)  # misses are group-major
-        beyond, lanes = np.divmod(occupied[miss_group] + rank, lane_capacity)
-        n_new = np.maximum(occupied + miss_count - 1, 0) // lane_capacity
-        slabs = tails[miss_group]
-        if n_new.any():
-            new_ids = _extend_chains(pool, tails, lengths, n_new)
-            writes += int(new_ids.shape[0])  # link writes
-            first_new = np.cumsum(n_new) - n_new
-            spilled = np.flatnonzero(beyond)
-            slabs[spilled] = new_ids[first_new[miss_group[spilled]] + beyond[spilled] - 1]
+        beyond, links = _place_at_tails(
+            pool, tails, lengths, occupied, miss_group, k[misses], v[misses] if weighted else None
+        )
         depth[misses] = lengths[miss_group] + beyond
-        kern.fill_lanes(pool.keys, slabs, lanes, k[misses])
-        if weighted:
-            kern.fill_lanes(pool.values, slabs, lanes, v[misses])
+        writes += links
 
     counters.probe_rounds += int(depth.max())
     counters.slab_reads += int(depth.sum())

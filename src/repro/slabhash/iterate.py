@@ -7,6 +7,10 @@ length L costs exactly L gather rounds — the same traffic the warp
 iterator generates on the device.  The walk itself is a kernel
 (``walk_chains`` in :mod:`repro.kernels.reference`); this driver charges
 the device model from the level/read totals the kernel reports.
+
+Every pass is one walk plus array passes over the slabs it found: a gather
+keeps the live (or wanted) lanes, a clear resets bases and frees overflow,
+a flush is both plus the insert's tail placement (``refill_chains``).
 """
 
 from __future__ import annotations
@@ -16,89 +20,100 @@ import numpy as np
 from repro.gpusim.counters import get_counters
 from repro.kernels import reference as kern
 from repro.slabhash.constants import EMPTY_KEY, KEY_DTYPE, NULL_SLAB, TOMBSTONE_KEY
+from repro.slabhash.insert import refill_chains
+from repro.util.groupby import first_occurrence_mask, ragged_arange, stable_argsort
 from repro.util.validation import as_int_array, check_in_range
 
-__all__ = ["collect_table_slabs", "iterate_tables", "clear_tables", "flush_tombstones"]
+__all__ = [
+    "collect_table_slabs",
+    "distinct_ids",
+    "live_lanes",
+    "iterate_tables",
+    "clear_tables",
+    "flush_tombstones",
+]
 
 
-def collect_table_slabs(arena, table_ids):
-    """All slab ids owned by the given tables.
+def collect_table_slabs(arena, table_ids, walks: int = 1):
+    """All slab ids owned by the given tables, level by level.
 
-    Returns
-    -------
-    slab_ids : np.ndarray
-        Every slab (base + overflow) reachable from the tables' buckets.
-    owner_pos : np.ndarray
-        ``owner_pos[i]`` is the position *within table_ids* owning
-        ``slab_ids[i]``.
-    is_base : np.ndarray of bool
-        True for base slabs (never freed), False for overflow slabs.
+    Returns ``(slab_ids, owner_pos, is_base, heads)``: every slab (base +
+    overflow) reachable from the tables' buckets and, per slab, the
+    position *within table_ids* of its table, whether it is a base slab
+    (never freed) and its chain's head slab.  The model is charged
+    ``walks`` walks.
     """
     table_ids = as_int_array(table_ids, "table_ids")
     if table_ids.size:
         check_in_range(table_ids, 0, arena.num_tables, "table_ids")
-    exists = arena.table_base[table_ids] != NULL_SLAB
-    pos = np.flatnonzero(exists)
-    if pos.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), np.empty(0, dtype=bool)
-
+    pos = np.flatnonzero(arena.table_base[table_ids] != NULL_SLAB)
     bases = arena.table_base[table_ids[pos]]
     buckets = arena.table_buckets[table_ids[pos]]
     # Expand each table's contiguous base range [base, base+buckets).
     owner0 = np.repeat(pos, buckets)
-    starts = np.repeat(bases, buckets)
-    within = _ragged_arange(buckets)
-    head_slabs = starts + within
+    head_slabs = np.repeat(bases, buckets) + ragged_arange(buckets)
 
     counters = get_counters()
     slabs, head_idx, is_base, levels, reads = kern.walk_chains(arena.pool.next_slab, head_slabs)
-    counters.probe_rounds += int(levels)
-    counters.slab_reads += int(reads)
-    return slabs, owner0[head_idx], is_base
+    counters.probe_rounds += walks * int(levels)
+    counters.slab_reads += walks * int(reads)
+    return slabs, owner0[head_idx], is_base, head_slabs[head_idx]
 
 
-def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(l)`` for each l in lengths, vectorized."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    seq = np.arange(total, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    return seq - np.repeat(offsets, lengths)
+def live_lanes(pool, slab_ids, only=None):
+    """Read the given slabs and pull out their live lanes, slab by slab.
+
+    Returns ``(lanes, keys, values)``: the number of lanes kept per slab,
+    then their keys and values in the pool's dtypes (``values`` is ``None``
+    for a set pool).  With ``only`` (an array of keys) the lanes kept are
+    those holding one of its keys, found through a flag table ``max(only)
+    + 2`` long — meant for vertex ids, not any 32-bit key.
+    """
+    rows = pool.keys[slab_ids]
+    get_counters().slab_reads += int(slab_ids.size)
+    if only is None:
+        keep = rows < KEY_DTYPE(TOMBSTONE_KEY)  # both sentinels sit above MAX_KEY
+    else:
+        # The last flag answers for every larger key, the sentinels included.
+        wanted = np.zeros(int(np.max(only, initial=-1)) + 2, dtype=bool)
+        wanted[only] = True
+        keep = wanted.take(rows, mode="clip")
+    kept = np.flatnonzero(keep)
+    lanes = np.bincount(kept // pool.lane_capacity, minlength=slab_ids.size)
+    values = pool.values[slab_ids].ravel()[kept] if pool.weighted else None
+    return lanes, rows.ravel()[kept], values
 
 
-def iterate_tables(arena, table_ids):
+def iterate_tables(arena, table_ids, only=None):
     """Gather all live entries of the given tables.
 
-    Returns
-    -------
-    owner_pos : np.ndarray
-        Position within ``table_ids`` of each entry's table.
-    keys : np.ndarray (int64)
-        Live keys (tombstones and empties excluded).
-    values : np.ndarray (int64)
-        Parallel values (zeros for set arenas).
+    Returns ``(owner_pos, keys, values)`` as int64: each entry's position
+    within ``table_ids``, its key (tombstones and empties excluded) and its
+    value (zeros for set arenas).  ``only`` restricts the sweep to entries
+    holding one of the given keys without materialising the rest.
     """
+    slab_ids, owner_pos, _, _ = collect_table_slabs(arena, table_ids)
+    lanes, keys, values = live_lanes(arena.pool, slab_ids, only)
+    values = np.zeros(keys.shape[0], dtype=np.int64) if values is None else values.astype(np.int64)
+    return np.repeat(owner_pos, lanes), keys.astype(np.int64), values
+
+
+def distinct_ids(table_ids) -> np.ndarray:
+    """Drop repeated ids, keeping first-occurrence order: a table listed
+    twice would have its slabs freed twice."""
     table_ids = as_int_array(table_ids, "table_ids")
-    slab_ids, owner_pos, _ = collect_table_slabs(arena, table_ids)
-    if slab_ids.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    pool = arena.pool
-    counters = get_counters()
-    rows = pool.keys[slab_ids]
-    counters.slab_reads += int(slab_ids.size)
-    live = (rows != KEY_DTYPE(EMPTY_KEY)) & (rows != KEY_DTYPE(TOMBSTONE_KEY))
-    entry_owner = np.repeat(owner_pos, pool.lane_capacity).reshape(rows.shape)
-    keys = rows[live].astype(np.int64)
-    owners = entry_owner[live]
+    return table_ids[first_occurrence_mask(table_ids)]
+
+
+def _release(pool, slab_ids, is_base) -> None:
+    """Reset the base slabs to empty one-slab chains; free the overflow."""
+    base = slab_ids[is_base]
+    pool.keys[base] = KEY_DTYPE(EMPTY_KEY)
+    pool.next_slab[base] = NULL_SLAB
     if pool.weighted:
-        values = pool.values[slab_ids][live].astype(np.int64)
-    else:
-        values = np.zeros(keys.shape[0], dtype=np.int64)
-    return owners, keys, values
+        pool.values[base] = 0
+    get_counters().slab_writes += int(base.size)
+    pool.free(slab_ids[~is_base])
 
 
 def clear_tables(arena, table_ids) -> None:
@@ -107,35 +122,22 @@ def clear_tables(arena, table_ids) -> None:
     Implements the memory side of vertex deletion (Algorithm 2, lines
     18-20 plus the edge-count reset handled by the caller).
     """
-    table_ids = as_int_array(table_ids, "table_ids")
-    slab_ids, _, is_base = collect_table_slabs(arena, table_ids)
-    if slab_ids.size == 0:
-        return
-    pool = arena.pool
-    counters = get_counters()
-    base = slab_ids[is_base]
-    pool.keys[base] = KEY_DTYPE(EMPTY_KEY)
-    pool.next_slab[base] = NULL_SLAB
-    if pool.weighted:
-        pool.values[base] = 0
-    counters.slab_writes += int(base.size)
-    overflow = slab_ids[~is_base]
-    if overflow.size:
-        pool.free(overflow)
+    slab_ids, _, is_base, _ = collect_table_slabs(arena, distinct_ids(table_ids))
+    _release(arena.pool, slab_ids, is_base)
 
 
 def flush_tombstones(arena, table_ids) -> None:
     """Compact tables: drop tombstones, repack entries densely.
 
     The optional cleanup pass the paper mentions for reclaiming
-    tombstone-occupied lanes.  Entries are gathered, the tables cleared
-    (overflow slabs returned to the allocator), and the live entries
-    reinserted — restoring the empties-only-at-tail invariant by
-    construction.
+    tombstone-occupied lanes.  Live lanes are gathered with their chain's
+    head slab (the bucket count is unchanged, so an entry cannot change
+    bucket: no hash), the tables cleared and each bucket's entries placed
+    back in chain order.  Charged as iterate, clear and one insert launch.
     """
-    table_ids = as_int_array(table_ids, "table_ids")
-    owners, keys, values = iterate_tables(arena, table_ids)
-    clear_tables(arena, table_ids)
-    if keys.size == 0:
-        return
-    arena.insert(table_ids[owners], keys, values if arena.pool.weighted else None)
+    slab_ids, _, is_base, heads = collect_table_slabs(arena, distinct_ids(table_ids), walks=2)
+    by_chain = stable_argsort(heads)  # the walk reports slabs level by level
+    lanes, keys, values = live_lanes(arena.pool, slab_ids[by_chain])
+    _release(arena.pool, slab_ids, is_base)
+    if keys.size:
+        refill_chains(arena.pool, np.repeat(heads[by_chain], lanes), keys, values)

@@ -34,6 +34,7 @@ __all__ = [
     "first_occurrence_mask",
     "group_starts",
     "last_occurrence_mask",
+    "ragged_arange",
     "rank_within_group",
     "segment_lengths_from_starts",
     "segmented_sum",
@@ -97,6 +98,14 @@ def segment_lengths_from_starts(starts: np.ndarray, total: int) -> np.ndarray:
     return np.diff(np.append(starts, total)).astype(np.int64, copy=False)
 
 
+def ragged_arange(lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(l)`` for each l in lengths, vectorized."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
+
+
 def rank_within_group(sorted_keys: np.ndarray) -> np.ndarray:
     """0-based rank of each element within its group, for sorted keys.
 
@@ -105,14 +114,8 @@ def rank_within_group(sorted_keys: np.ndarray) -> np.ndarray:
     This is the vectorized analogue of a warp lane computing its position in
     a coalesced same-destination group (Algorithm 1, lines 7-9).
     """
-    n = sorted_keys.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     starts = group_starts(sorted_keys)
-    gids = np.zeros(n, dtype=np.int64)
-    gids[starts[1:]] = 1
-    gids = np.cumsum(gids)
-    return np.arange(n, dtype=np.int64) - starts[gids]
+    return ragged_arange(segment_lengths_from_starts(starts, sorted_keys.shape[0]))
 
 
 def segmented_sum(values: np.ndarray, group_ids: np.ndarray, num_groups: int) -> np.ndarray:

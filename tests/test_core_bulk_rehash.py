@@ -109,7 +109,8 @@ class TestRehash:
         g.insert_edges(np.zeros(400, np.int64), np.arange(1, 401))
         before = structure_state(g)
         count_before = g.num_edges()
-        g.rehash([0])
+        assert g.rehash([0]) == 1
+        g._dict.arena.check_invariants(dense=[0])
         assert structure_state(g) == before
         assert g.num_edges() == count_before
 
@@ -133,6 +134,7 @@ class TestRehash:
         w = rng.integers(0, 99, 300)
         g.insert_edges(np.zeros(300, np.int64), dst, w)
         g.rehash([0])
+        g._dict.arena.check_invariants(dense=[0])
         found, got = g.edge_weights(np.zeros(300, np.int64), dst)
         assert found.all() and np.array_equal(got, w)
 
@@ -144,5 +146,6 @@ class TestRehash:
         g.delete_edges(src[:400], dst[:400])
         before = structure_state(g)
         g.flush_tombstones()
+        g._dict.arena.check_invariants(dense=np.arange(50))
         assert structure_state(g) == before
         assert g.stats().tombstones == 0

@@ -98,6 +98,7 @@ def long_chain_scenario(weighted):
     # Reinsert tombstoned keys (misses now) next to live ones (hits).
     insert(np.zeros(80, dtype=np.int64), long_keys[90:170])
     arena.flush_tombstones(np.array([0, 4]))
+    arena.check_invariants(dense=[0, 4])
     return counters_dict(), pool_digest(arena, arena.pool._free, *added)
 
 

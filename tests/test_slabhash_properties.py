@@ -66,6 +66,7 @@ def test_arena_matches_dict_model(op_list):
     for op, items in op_list:
         if op == "flush":
             arena.flush_tombstones(np.arange(NUM_TABLES))
+            arena.check_invariants(dense=np.arange(NUM_TABLES))
         elif items:
             t = np.array([i[0] for i in items])
             k = np.array([i[1] for i in items])

@@ -12,11 +12,10 @@ baselines it is evaluated against, on a simulated-GPU substrate:
   allocator;
 - :mod:`repro.gpusim` — warp primitives, the WCWS reference engine, and the
   kernel cost counters standing in for GPU hardware;
-- :mod:`repro.baselines` — Hornet-, faimGraph-, GPMA-like structures and
-  static CSR;
+- :mod:`repro.baselines` — Hornet-, faimGraph- and GPMA-like structures;
 - :mod:`repro.btree` — the B-tree-per-vertex backend (Section VII);
 - :mod:`repro.analytics` — Gunrock-lite graph algorithms (triangle
-  counting, BFS, SSSP, PageRank, connected components, k-core, k-truss),
+  counting, BFS, SSSP, PageRank, connected components, k-core),
   all backend-agnostic;
 - :mod:`repro.datasets` — synthetic generators matching the paper's Table I
   dataset shapes;
@@ -39,7 +38,7 @@ The slab-hash structure itself is :class:`repro.core.DynamicGraph`.
 """
 
 from repro.api import Capabilities, CSRSnapshot, Graph, GraphBackend
-from repro.api import backend_names, capabilities, create, register
+from repro.api import backend_names, capabilities, create
 from repro.coo import COO
 
 __version__ = "2.0.0"
@@ -53,6 +52,5 @@ __all__ = [
     "backend_names",
     "capabilities",
     "create",
-    "register",
     "__version__",
 ]

@@ -10,23 +10,23 @@ counting; this subpackage provides the equivalent algorithm layer:
   and the dynamic insert-then-count workload of Table IX;
 - :mod:`repro.analytics.bfs`, :mod:`repro.analytics.pagerank`,
   :mod:`repro.analytics.connected_components`,
-  :mod:`repro.analytics.ktruss` — classic primitives exercising queries,
-  iteration, and (for k-truss) in-algorithm dynamic edge deletion, the
-  truly-dynamic usage pattern the paper's introduction motivates.
+  :mod:`repro.analytics.sssp` — classic primitives exercising queries and
+  iteration; :mod:`repro.analytics.kcore` peels through in-algorithm
+  dynamic vertex deletion, the truly-dynamic usage pattern the paper's
+  introduction motivates.
 
 Every algorithm is backend-agnostic: traversal kernels drive the
 :class:`repro.api.GraphBackend` adjacency iterator, whole-graph kernels
-(PageRank, components, core numbers, sorted TC) read the uniform
+(PageRank, components, k-core membership, sorted TC) read the uniform
 :meth:`repro.api.Graph.snapshot` CSR view via :func:`repro.api.as_snapshot`,
 so the same code runs over the slab-hash graph, the B-tree, Hornet,
-faimGraph, GPMA, or any future registered backend.
+faimGraph, GPMA, or any other :class:`repro.api.GraphBackend`.
 """
 
 from repro.analytics.bfs import bfs
 from repro.analytics.connected_components import connected_components
 from repro.analytics.frontier import advance, filter_frontier, vertex_space
-from repro.analytics.kcore import core_numbers, kcore, kcore_membership
-from repro.analytics.ktruss import ktruss
+from repro.analytics.kcore import kcore, kcore_membership
 from repro.analytics.pagerank import pagerank, power_iteration
 from repro.analytics.sssp import sssp
 from repro.analytics.triangle_count import (
@@ -43,12 +43,10 @@ __all__ = [
     "bfs",
     "closing_wedges",
     "connected_components",
-    "core_numbers",
     "dynamic_triangle_count",
     "filter_frontier",
     "kcore",
     "kcore_membership",
-    "ktruss",
     "pagerank",
     "power_iteration",
     "sssp",

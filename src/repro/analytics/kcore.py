@@ -19,7 +19,7 @@ from repro.api.snapshot import as_snapshot, cached_snapshot
 from repro.gpusim.counters import get_counters
 from repro.util.errors import ValidationError
 
-__all__ = ["kcore", "core_numbers", "kcore_membership"]
+__all__ = ["kcore", "kcore_membership"]
 
 
 def kcore(graph, k: int, max_rounds: int = 10_000) -> int:
@@ -104,35 +104,3 @@ def kcore_membership(graph, k: int) -> np.ndarray:
         src, dst = src[live], dst[live]
     return alive
 
-
-def core_numbers(graph) -> np.ndarray:
-    """Core number per vertex (computed on a snapshot; non-destructive).
-
-    Standard peeling on exported arrays — used to cross-check the
-    destructive :func:`kcore` and by the examples.  Accepts any backend,
-    facade, or snapshot.
-    """
-    snap = as_snapshot(graph)
-    n = snap.num_vertices
-    deg = snap.out_degrees()
-    core = np.zeros(n, dtype=np.int64)
-    alive = deg > 0
-    src, dst = snap.sources(), snap.col_idx.copy()
-    k = 0
-    while alive.any():
-        k += 1
-        while True:
-            weak = np.flatnonzero(alive & (deg < k))
-            if weak.size == 0:
-                break
-            core[weak] = k - 1
-            alive[weak] = False
-            # Remove their edges.
-            doomed = np.isin(src, weak) | np.isin(dst, weak)
-            if doomed.any():
-                dec = np.bincount(src[doomed], minlength=n)
-                deg -= dec
-                keep = ~doomed
-                src, dst = src[keep], dst[keep]
-        core[alive] = k
-    return core

@@ -39,7 +39,6 @@ __all__ = [
     "triangle_count_csr",
     "undirected_triangles",
     "dynamic_triangle_count",
-    "DynamicTCStep",
 ]
 
 
@@ -215,10 +214,6 @@ class DynamicTCStep:
     insert_model: float = 0.0
     sort_model: float = 0.0
     count_model: float = 0.0
-
-    @property
-    def total_seconds(self) -> float:
-        return self.insert_seconds + self.sort_seconds + self.count_seconds
 
     @property
     def total_model(self) -> float:

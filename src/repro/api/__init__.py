@@ -12,8 +12,7 @@ through one stable surface:
   flags (weighted storage, vertex deletion, sorted ranges, rehash,
   tombstone flush) that consumers branch on instead of ``hasattr`` probes;
 - the **registry** (``repro.api.registry``) — ``create("hornet",
-  num_vertices=...)`` constructs any registered backend by name;
-  ``register(...)`` adds new ones;
+  num_vertices=...)`` constructs any of the five structures by name;
 - :class:`Graph` (``repro.api.facade``) — argument normalization done
   exactly once, capability-gated dispatch, and the :meth:`Graph.snapshot`
   sorted-CSR view whole-graph analytics consume;
@@ -40,22 +39,11 @@ Quickstart::
     api.capabilities("gpma").vertex_dynamic     # False
 """
 
-from repro.api.backend import DegreeView, GraphBackend, degree_array
+from repro.api.backend import GraphBackend, degree_array
 from repro.api.capabilities import Capabilities
-from repro.api.facade import MAX_PACKABLE_VERTICES, Graph
-from repro.api.registry import (
-    BackendSpec,
-    backend_names,
-    capabilities,
-    create,
-    get_spec,
-    register,
-)
+from repro.api.facade import Graph
+from repro.api.registry import backend_names, capabilities, create
 from repro.api.sharding import (
-    SHARD_DEAD,
-    SHARD_DEGRADED,
-    SHARD_HEALTHY,
-    DegradedSnapshot,
     DispatchReport,
     PartialDispatchError,
     Partitioner,
@@ -66,21 +54,14 @@ from repro.api.sharding import (
 from repro.api.snapshot import CSRSnapshot, as_snapshot, cached_snapshot, merge_csr_delta
 
 __all__ = [
-    "BackendSpec",
     "Capabilities",
     "CSRSnapshot",
-    "DegradedSnapshot",
-    "DegreeView",
     "DispatchReport",
     "Graph",
     "GraphBackend",
-    "MAX_PACKABLE_VERTICES",
     "PartialDispatchError",
     "Partitioner",
     "RetryPolicy",
-    "SHARD_DEAD",
-    "SHARD_DEGRADED",
-    "SHARD_HEALTHY",
     "ShardError",
     "ShardedGraph",
     "as_snapshot",
@@ -89,7 +70,5 @@ __all__ = [
     "capabilities",
     "create",
     "degree_array",
-    "get_spec",
     "merge_csr_delta",
-    "register",
 ]

@@ -41,7 +41,6 @@ from repro.util.validation import as_int_array, check_in_range
 
 __all__ = [
     "GraphBackend",
-    "DegreeView",
     "degree_array",
     "gather_adjacencies",
     "scan_edge_weights",

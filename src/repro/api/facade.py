@@ -63,7 +63,7 @@ from repro.util.errors import ValidationError
 from repro.util.groupby import last_occurrence_mask
 from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
-__all__ = ["Graph", "MAX_PACKABLE_VERTICES", "normalize_batch"]
+__all__ = ["Graph", "normalize_batch"]
 
 _SELF_LOOP_POLICIES = ("drop", "error")
 

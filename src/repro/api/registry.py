@@ -9,12 +9,13 @@ all share::
     api.backend_names()          # ('btree', 'faimgraph', 'gpma', 'hornet', 'slabhash')
     api.capabilities("gpma")     # Capabilities(weighted=False, ...)
 
-Backends register lazily (a loader returning the class), so importing
+The five structures are a fixed table, imported lazily, so importing
 ``repro.api`` stays cheap and the package avoids import cycles: backend
 modules import ``repro.api.backend`` for the ABC while the registry only
-touches them on first :func:`create`.
+touches them on first :func:`create`.  A structure outside the table needs
+no registration: wrap an instance in :class:`repro.api.Graph` directly.
 
-Every registered backend inherits the :class:`~repro.api.backend.GraphBackend`
+Every backend inherits the :class:`~repro.api.backend.GraphBackend`
 snapshot contract: mutating operations bump ``mutation_version`` and
 ``snapshot()`` re-serves its cached sorted-CSR view while the version is
 unchanged, so registry consumers get phase-concurrent snapshot caching for
@@ -28,119 +29,69 @@ legacy constructors whose defaults disagreed (``DynamicGraph``/``BTreeGraph``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Any, Callable
+from types import MappingProxyType
+from typing import Any
 
 from repro.api.capabilities import Capabilities
 from repro.util.errors import ValidationError
+from repro.util.validation import as_int_array
 
-__all__ = [
-    "BackendSpec",
-    "register",
-    "create",
-    "backend_names",
-    "get_spec",
-    "capabilities",
-]
+__all__ = ["create", "backend_names", "capabilities"]
 
+#: The paper's five dynamic structures, ``name -> (module, class)``.
+_BACKENDS = MappingProxyType(
+    {
+        # Hash-table-per-vertex dynamic graph (the paper's contribution)
+        "slabhash": ("repro.core.graph", "DynamicGraph"),
+        # B+-tree-per-vertex graph with natively sorted adjacency (Section VII)
+        "btree": ("repro.btree.graph", "BTreeGraph"),
+        # Hornet-like block-per-vertex structure (Busato et al., HPEC 2018)
+        "hornet": ("repro.baselines.hornet", "HornetGraph"),
+        # faimGraph-like paged adjacency lists (Winter et al., SC 2018)
+        "faimgraph": ("repro.baselines.faimgraph", "FaimGraph"),
+        # GPMA-like packed-memory-array edge set (Sha et al., VLDB 2017)
+        "gpma": ("repro.baselines.gpma", "GPMAGraph"),
+    }
+)
 
-@dataclass
-class BackendSpec:
-    """One registered backend: a name, a lazy class loader, and metadata."""
-
-    name: str
-    loader: Callable[[], type]
-    description: str = ""
-    aliases: tuple[str, ...] = ()
-    _cls: type | None = field(default=None, repr=False)
-
-    def cls(self) -> type:
-        """The backend class (imported on first use, then cached)."""
-        if self._cls is None:
-            self._cls = self.loader()
-        return self._cls
-
-    @property
-    def capabilities(self) -> Capabilities:
-        """Class-level capability flags (resolves a lazy loader)."""
-        return self.cls().capabilities
+#: Alternate lookup names (``"ours"`` is the bench harness's legacy name).
+_ALIASES = MappingProxyType({"ours": "slabhash", "dynamic": "slabhash", "faim": "faimgraph"})
 
 
-_REGISTRY: dict[str, BackendSpec] = {}
-_ALIASES: dict[str, str] = {}
-
-
-def register(
-    name: str,
-    loader: Callable[[], type] | type,
-    *,
-    description: str = "",
-    aliases: tuple[str, ...] = (),
-    overwrite: bool = False,
-) -> BackendSpec:
-    """Register a backend class (or lazy loader) under ``name``.
-
-    ``aliases`` are alternate lookup names (the bench harness's legacy
-    ``"ours"`` resolves to ``"slabhash"`` this way).  Re-registering an
-    existing name requires ``overwrite=True``.
-    """
-    key = name.lower()
-    taken = set(_REGISTRY) | set(_ALIASES)
-    if not overwrite:
-        clashes = ({key} | {a.lower() for a in aliases}) & taken
-        if clashes:
-            raise ValidationError(f"backend name/alias already registered: {sorted(clashes)}")
-    else:
-        # Purge stale alias entries so the overwritten name/aliases resolve
-        # to this registration (aliases win in get_spec, so leftovers from
-        # a previous registration would silently shadow it).
-        _ALIASES.pop(key, None)
-        for alias in aliases:
-            _ALIASES.pop(alias.lower(), None)
-    if isinstance(loader, type):
-        cls = loader
-        spec = BackendSpec(key, lambda: cls, description, tuple(aliases), cls)
-    else:
-        spec = BackendSpec(key, loader, description, tuple(aliases))
-    _REGISTRY[key] = spec
-    for alias in spec.aliases:
-        _ALIASES[alias.lower()] = key
-    return spec
-
-
-def get_spec(name: str) -> BackendSpec:
-    """Resolve a name or alias to its :class:`BackendSpec`."""
+def _resolve(name: str) -> tuple[str, type]:
+    """Canonical name and class (imported on first use) for a name or alias."""
     key = str(name).lower()
     key = _ALIASES.get(key, key)
     try:
-        return _REGISTRY[key]
+        module, attr = _BACKENDS[key]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(sorted(_BACKENDS))
         raise ValidationError(
             f"unknown graph backend {name!r}; registered backends: {known}"
         ) from None
+    return key, getattr(import_module(module), attr)
 
 
 def backend_names() -> tuple[str, ...]:
-    """Canonical registered names (aliases excluded), sorted."""
-    return tuple(sorted(_REGISTRY))
+    """Canonical backend names (aliases excluded), sorted."""
+    return tuple(sorted(_BACKENDS))
 
 
 def capabilities(name: str) -> Capabilities:
-    """Class-level capability declaration of a registered backend."""
-    return get_spec(name).capabilities
+    """Class-level capability declaration of a backend."""
+    return _resolve(name)[1].capabilities
 
 
 def create(name: str, num_vertices: int, *, weighted: bool = False, **kwargs: Any):
-    """Instantiate a registered backend by name.
+    """Instantiate a backend by name.
 
     Parameters
     ----------
     name:
-        Registered backend name or alias (case-insensitive).
+        Backend name or alias (case-insensitive).
     num_vertices:
-        Vertex-id space / dictionary capacity.
+        Vertex-id space / dictionary capacity (an integral value).
     weighted:
         Store per-edge weights.  Explicitly defaulted to **False** for
         every backend (the legacy constructors disagreed); requesting
@@ -149,48 +100,11 @@ def create(name: str, num_vertices: int, *, weighted: bool = False, **kwargs: An
         Backend-specific options passed through (``load_factor``,
         ``directed``, ``segment_size``, ...).
     """
-    spec = get_spec(name)
-    if weighted and not spec.capabilities.weighted:
+    key, cls = _resolve(name)
+    (num_vertices,) = as_int_array(num_vertices, "num_vertices").tolist()
+    if weighted and not cls.capabilities.weighted:
         raise ValidationError(
-            f"backend {spec.name!r} cannot store edge weights "
+            f"backend {key!r} cannot store edge weights "
             "(capability weighted=False)"
         )
-    return spec.cls()(num_vertices=int(num_vertices), weighted=weighted, **kwargs)
-
-
-def _lazy(module: str, attr: str) -> Callable[[], type]:
-    def load() -> type:
-        return getattr(import_module(module), attr)
-
-    return load
-
-
-# -- the paper's five dynamic structures -------------------------------------------
-
-register(
-    "slabhash",
-    _lazy("repro.core.graph", "DynamicGraph"),
-    description="Hash-table-per-vertex dynamic graph (the paper's contribution)",
-    aliases=("ours", "dynamic"),
-)
-register(
-    "btree",
-    _lazy("repro.btree.graph", "BTreeGraph"),
-    description="B+-tree-per-vertex graph with natively sorted adjacency (Section VII)",
-)
-register(
-    "hornet",
-    _lazy("repro.baselines.hornet", "HornetGraph"),
-    description="Hornet-like block-per-vertex structure (Busato et al., HPEC 2018)",
-)
-register(
-    "faimgraph",
-    _lazy("repro.baselines.faimgraph", "FaimGraph"),
-    description="faimGraph-like paged adjacency lists (Winter et al., SC 2018)",
-    aliases=("faim",),
-)
-register(
-    "gpma",
-    _lazy("repro.baselines.gpma", "GPMAGraph"),
-    description="GPMA-like packed-memory-array edge set (Sha et al., VLDB 2017)",
-)
+    return cls(num_vertices=num_vertices, weighted=weighted, **kwargs)

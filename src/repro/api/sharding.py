@@ -81,15 +81,10 @@ from repro.util.validation import as_int_array, check_equal_length, check_in_ran
 __all__ = [
     "Partitioner",
     "ShardedGraph",
-    "ShardCosts",
     "ShardError",
     "PartialDispatchError",
     "DispatchReport",
-    "DegradedSnapshot",
     "RetryPolicy",
-    "SHARD_HEALTHY",
-    "SHARD_DEGRADED",
-    "SHARD_DEAD",
 ]
 
 #: Fibonacci multiplier (golden-ratio reciprocal in 64 bits) — spreads
@@ -520,7 +515,7 @@ class ShardedGraph:
         return tuple(s for s, h in enumerate(self.health) if h == SHARD_DEAD)
 
     def _check_shard(self, shard_index) -> int:
-        s = int(shard_index)
+        (s,) = as_int_array(shard_index, "shard_index").tolist()
         if not 0 <= s < self.num_shards:
             raise ValidationError(
                 f"shard index {s} out of range for {self.num_shards} shards"

@@ -1,8 +1,5 @@
 """Comparison data structures the paper evaluates against.
 
-- :mod:`repro.baselines.csr` — static Compressed Sparse Row (the
-  non-updatable representation the paper contrasts with, and Gunrock's
-  native format used in the static triangle-counting comparison);
 - :mod:`repro.baselines.hornet` — a Hornet-like structure: per-vertex
   power-of-two blocks, CPU-side block manager, sort-based deduplication on
   insertion (Busato et al., HPEC 2018);
@@ -19,9 +16,8 @@ Each structure exposes the common subset of the dynamic-graph API
 ``sorted_adjacency``) so the bench harness can drive them uniformly.
 """
 
-from repro.baselines.csr import CSRGraph
 from repro.baselines.faimgraph import FaimGraph
 from repro.baselines.gpma import GPMAGraph
 from repro.baselines.hornet import HornetGraph
 
-__all__ = ["CSRGraph", "FaimGraph", "GPMAGraph", "HornetGraph"]
+__all__ = ["FaimGraph", "GPMAGraph", "HornetGraph"]

@@ -35,7 +35,7 @@ _EMPTY = np.int64(-1)
 
 #: Density thresholds, linearly interpolated from leaf to root.
 _LEAF_UPPER, _ROOT_UPPER = 0.92, 0.70
-_LEAF_LOWER, _ROOT_LOWER = 0.08, 0.30
+_ROOT_LOWER = 0.30
 
 
 class GPMAGraph(GraphBackend):
@@ -83,10 +83,6 @@ class GPMAGraph(GraphBackend):
     def _upper(self, level: int) -> float:
         h = max(self._height, 1)
         return _LEAF_UPPER + (_ROOT_UPPER - _LEAF_UPPER) * (level / h)
-
-    def _lower(self, level: int) -> float:
-        h = max(self._height, 1)
-        return _LEAF_LOWER + (_ROOT_LOWER - _LEAF_LOWER) * (level / h)
 
     # -- internal helpers ---------------------------------------------------------
 

@@ -26,7 +26,7 @@ The suite records modeled numbers only; host time is measured by
 ``benchmarks/wallclock/``.
 """
 
-from repro.bench.compare import ComparisonReport, compare_suites
+from repro.bench.compare import compare_suites
 from repro.bench.harness import BenchRecord, format_table, time_call
 from repro.bench.results import ArtifactResult, BenchResult, SuiteResult
 from repro.bench.workloads import make_structure, random_edge_batch, random_vertex_batch
@@ -35,7 +35,6 @@ __all__ = [
     "ArtifactResult",
     "BenchRecord",
     "BenchResult",
-    "ComparisonReport",
     "SuiteResult",
     "compare_suites",
     "format_table",

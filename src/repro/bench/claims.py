@@ -15,7 +15,7 @@ its *last* wildcard in numeric order (``batch=2^10``, ``lf=0.7``).
 import re
 from collections import namedtuple
 
-__all__ = ["Claim", "Verdict", "CLAIMS", "evaluate"]
+__all__ = ["Claim", "CLAIMS", "evaluate"]
 
 #: ``keys``: the patterns ``check(metrics) -> (holds, observed)`` reads; they decide n/a.
 Claim = namedtuple("Claim", "id source statement paper keys check")

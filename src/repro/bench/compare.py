@@ -24,7 +24,7 @@ from math import isclose
 from repro.bench.harness import format_table
 from repro.bench.results import BenchResult, SuiteResult
 
-__all__ = ["REL_TOL", "MetricComparison", "ComparisonReport", "compare_suites"]
+__all__ = ["compare_suites"]
 
 #: Relative slack on the float fields: absorbs a last-digit difference in
 #: summation order, nothing a reader of the tables could see.

@@ -31,17 +31,8 @@ from repro.bench.results import ArtifactBuilder, ArtifactResult
 from repro.datasets.rmat import rmat_graph
 
 __all__ = [
-    "LoadFactorPoint",
-    "figure2_sweep",
-    "figure3_sweep",
     "figure2_artifact",
     "figure3_artifact",
-    "points_as_rows",
-    "LOAD_FACTORS",
-    "EDGE_FACTORS",
-    "QUICK_EDGE_FACTORS",
-    "TC_EDGE_FACTORS",
-    "QUICK_TC_EDGE_FACTORS",
 ]
 
 #: Sizing load factors realizing average chain lengths ≈ 0.3 .. 5.

@@ -33,7 +33,6 @@ from repro.util.errors import ValidationError
 
 __all__ = [
     "SCHEMA_VERSION",
-    "SUITE_KIND",
     "SchemaError",
     "BenchResult",
     "ArtifactResult",
@@ -41,7 +40,6 @@ __all__ = [
     "SuiteResult",
     "environment_fingerprint",
     "validate_suite",
-    "metric_key",
 ]
 
 #: Bump when the JSON layout changes incompatibly.

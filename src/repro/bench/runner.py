@@ -46,7 +46,7 @@ from repro.bench.results import (
     environment_fingerprint,
 )
 
-__all__ = ["main", "run_suite", "ARTIFACT_IDS", "baseline_path"]
+__all__ = ["main"]
 
 _ARTIFACTS = {
     "t2": T.table2_edge_insertion,

@@ -31,7 +31,7 @@ from repro.bench.results import ArtifactBuilder, ArtifactResult
 from repro.bench.workloads import random_edge_batch
 from repro.coo import COO
 
-__all__ = ["snapshot_artifact", "SNAPSHOT_BACKENDS", "QUICK_SNAPSHOT_BACKENDS"]
+__all__ = ["snapshot_artifact"]
 
 #: Vectorized backends priced head-to-head (full mode).
 SNAPSHOT_BACKENDS = ("slabhash", "hornet", "faimgraph", "gpma")

@@ -37,7 +37,7 @@ from repro.bench.harness import BenchRecord
 from repro.bench.results import ArtifactBuilder, ArtifactResult
 from repro.stream import insert_heavy_scenario, mixed_scenario, run_scenario
 
-__all__ = ["stream_artifact", "STREAM_TOL", "FAMILY_ANALYTICS"]
+__all__ = ["stream_artifact"]
 
 #: PageRank tolerance for streaming compute phases (monitoring-grade:
 #: per-vertex ranks stable to 1e-5 between phases).

@@ -6,7 +6,7 @@ returns an :class:`~repro.bench.results.ArtifactResult`: the display rows
 :class:`~repro.bench.results.BenchResult` metric record per measured value,
 keyed stably (``t2/batch=2^10/ours``) for baseline comparison.
 
-Scale mapping (see DESIGN.md §5): paper batches 2^16..2^22 → scaled
+Scale mapping: paper batches 2^16..2^22 → scaled
 2^10..2^16; paper vertex batches 2^16..2^20 → scaled 2^6..2^10; dynamic-TC
 batches 2^22 → scaled 2^12.  faimGraph's missing large-batch rows in the
 paper ("only supports batch updates of sizes less than 1M") are reproduced
@@ -41,12 +41,6 @@ from repro.coo import COO
 from repro.datasets.registry import DATASET_ORDER, DATASETS
 
 __all__ = [
-    "EDGE_BATCH_SIZES",
-    "QUICK_EDGE_BATCH_SIZES",
-    "VERTEX_BATCH_SIZES",
-    "QUICK_VERTEX_BATCH_SIZES",
-    "QUICK_DATASETS",
-    "FAIMGRAPH_BATCH_LIMIT",
     "table2_edge_insertion",
     "table3_edge_deletion",
     "table4_vertex_deletion",

@@ -24,7 +24,6 @@ __all__ = [
     "random_vertex_batch",
     "make_structure",
     "bulk_built_structure",
-    "STRUCTURES",
 ]
 
 #: The bench comparison set (paper structures measured head-to-head);

@@ -26,7 +26,7 @@ from repro.gpusim.counters import get_counters
 from repro.gpusim.memory import GrowableArray
 from repro.util.errors import ValidationError
 
-__all__ = ["BPlusTreeArena", "NODE_KEYS", "NODE_CHILDREN"]
+__all__ = ["BPlusTreeArena"]
 
 #: Key/value lanes per 128-byte node.
 NODE_KEYS = 14

@@ -14,19 +14,15 @@ See ``docs/robustness.md`` for the fault model, the shard health states
 it drives, and the chaos scenario guide.
 """
 
-from repro.chaos.inject import FaultyBackend, FaultyFile, FaultyStore
-from repro.chaos.plan import FaultKinds, FaultPlan, FaultSpec, FireRecord
-from repro.util.errors import FaultError, PermanentFault, PersistError, TransientFault
+from repro.chaos.inject import FaultyBackend, FaultyStore
+from repro.chaos.plan import FaultPlan, FaultSpec
+from repro.util.errors import PermanentFault, PersistError, TransientFault
 
 __all__ = [
-    "FaultKinds",
     "FaultPlan",
     "FaultSpec",
-    "FireRecord",
     "FaultyBackend",
-    "FaultyFile",
     "FaultyStore",
-    "FaultError",
     "TransientFault",
     "PermanentFault",
     "PersistError",

@@ -31,7 +31,7 @@ import os
 
 from repro.chaos.plan import FaultPlan
 
-__all__ = ["FaultyBackend", "FaultyFile", "FaultyStore"]
+__all__ = ["FaultyBackend", "FaultyStore"]
 
 #: GraphBackend operations FaultyBackend guards with a fault point.
 _GUARDED_OPS = (

@@ -43,7 +43,7 @@ import numpy as np
 from repro.gpusim.counters import get_counters
 from repro.util.errors import PermanentFault, TransientFault, ValidationError
 
-__all__ = ["FaultKinds", "FaultSpec", "FaultPlan", "FireRecord"]
+__all__ = ["FaultSpec", "FaultPlan"]
 
 #: Every fault kind a spec may inject.
 FaultKinds = ("transient", "permanent", "oserror", "torn", "slow")

@@ -33,6 +33,15 @@ from repro.util.validation import as_int_array, check_in_range
 __all__ = ["DynamicGraph"]
 
 
+def _checked_load_factor(load_factor: float) -> float:
+    """The constructor's and :meth:`DynamicGraph.rehash`'s one load-factor rule."""
+    # Load factors above 1 deliberately undersize buckets to force
+    # multi-slab chains — the Figure 2/3 sweeps rely on this.
+    if not (0.0 < load_factor <= 16.0):
+        raise ValidationError("load_factor must be in (0, 16]")
+    return float(load_factor)
+
+
 class DynamicGraph(GraphBackend):
     """A hash-table-per-vertex dynamic graph.
 
@@ -77,13 +86,9 @@ class DynamicGraph(GraphBackend):
         hash_seed: int = 0x5AB0,
         reuse_vertex_ids: bool = False,
     ) -> None:
-        # Load factors above 1 deliberately undersize buckets to force
-        # multi-slab chains — the Figure 2/3 sweeps rely on this.
-        if not (0.0 < load_factor <= 16.0):
-            raise ValidationError("load_factor must be in (0, 16]")
         self.weighted = bool(weighted)
         self.directed = bool(directed)
-        self.load_factor = float(load_factor)
+        self.load_factor = _checked_load_factor(load_factor)
         self._dict = VertexDictionary(num_vertices, weighted=self.weighted, hash_seed=hash_seed)
         # Optional deleted-id recycling (the faimGraph feature the paper
         # names as straightforward future work; see core/id_reuse.py).
@@ -122,9 +127,7 @@ class DynamicGraph(GraphBackend):
 
     def degree(self, vertex_ids) -> np.ndarray:
         """Exact out-degree per requested vertex (maintained counters)."""
-        vids = as_int_array(vertex_ids, "vertex_ids")
-        check_in_range(vids, 0, self.vertex_capacity, "vertex_ids")
-        return self._dict.edge_count[vids].copy()
+        return self._dict.edge_count[self._checked_ids(vertex_ids)].copy()
 
     # -- mutation ---------------------------------------------------------------
 
@@ -163,6 +166,9 @@ class DynamicGraph(GraphBackend):
         """
         if self._recycler is None:
             raise ValidationError("construct the graph with reuse_vertex_ids=True to recycle ids")
+        (n,) = as_int_array(n, "n").tolist()
+        if n < 0:
+            raise ValidationError(f"cannot allocate {n} vertex ids")
         self._bump_version()
         ids = self._recycler.allocate_ids(self, n)
         self._dict.activate(ids)
@@ -217,9 +223,12 @@ class DynamicGraph(GraphBackend):
     def rehash(self, vertex_ids=None, load_factor: float | None = None) -> int:
         """Rebuild overloaded (or given) tables at the target load factor;
         returns how many tables were rebuilt."""
+        if load_factor is not None:
+            load_factor = _checked_load_factor(load_factor)
         if vertex_ids is None:
             vertex_ids = self.rehash_candidates()
-        vertex_ids = np.atleast_1d(np.asarray(vertex_ids, dtype=np.int64))
+        else:
+            vertex_ids = self._checked_ids(vertex_ids)
         self._bump_version()
         return _rehash.rehash_vertices(self, vertex_ids, load_factor)
 
@@ -227,8 +236,16 @@ class DynamicGraph(GraphBackend):
         """Compact tombstoned lanes (optional cleanup, Section IV-C2)."""
         if vertex_ids is None:
             vertex_ids = np.flatnonzero(self._dict.arena.table_base != -1)
+        else:
+            vertex_ids = self._checked_ids(vertex_ids)
         self._bump_version()
         self._dict.arena.flush_tombstones(vertex_ids)
+
+    def _checked_ids(self, vertex_ids) -> np.ndarray:
+        """Caller-supplied vertex ids as an in-range int64 array."""
+        vids = as_int_array(vertex_ids, "vertex_ids")
+        check_in_range(vids, 0, self.vertex_capacity, "vertex_ids")
+        return vids
 
     def stats(self) -> ArenaStats:
         """Aggregate slab statistics over all existing tables (Figure 2)."""

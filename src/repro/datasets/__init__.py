@@ -23,14 +23,13 @@ like the paper does.
 
 from repro.datasets.delaunay import delaunay_graph
 from repro.datasets.powerlaw import mesh_like_graph, powerlaw_graph
-from repro.datasets.registry import DATASETS, DatasetSpec, load
+from repro.datasets.registry import DATASETS, load
 from repro.datasets.rgg import rgg_graph
 from repro.datasets.rmat import rmat_graph
 from repro.datasets.road import road_graph
 
 __all__ = [
     "DATASETS",
-    "DatasetSpec",
     "delaunay_graph",
     "load",
     "mesh_like_graph",

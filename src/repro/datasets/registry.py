@@ -4,7 +4,7 @@ Each entry reproduces one Table I dataset's *family* and degree statistics
 at laptop scale (the paper runs 0.24M-265M edges on a 12 GB TITAN V; the
 simulated substrate runs the same experiment shapes at thousandths of the
 size).  ``paper_vertices`` / ``paper_edges`` keep the original sizes around
-for the EXPERIMENTS.md paper-vs-measured tables.
+for paper-vs-measured reporting.
 
 All graphs are undirected (symmetric edge sets), like the SuiteSparse
 matrices the paper uses.
@@ -22,7 +22,7 @@ from repro.datasets.rgg import rgg_graph
 from repro.datasets.road import road_graph
 from repro.util.errors import ValidationError
 
-__all__ = ["DatasetSpec", "DATASETS", "load", "DATASET_ORDER"]
+__all__ = ["DATASETS", "load", "DATASET_ORDER"]
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,6 @@
 The paper's artifact is CUDA on a TITAN V.  This subpackage supplies the
 equivalents the rest of the library is written against:
 
-- :mod:`repro.gpusim.device` — device properties (warp size, slab size) and
-  a process-global default device;
 - :mod:`repro.gpusim.counters` — kernel cost counters (slab reads/writes,
   atomics, allocations, probe rounds, sorted elements) that act as the
   hardware-independent performance model;
@@ -15,29 +13,22 @@ equivalents the rest of the library is written against:
 - :mod:`repro.gpusim.memory` — growable device buffers.
 """
 
-from repro.gpusim.counters import KernelCounters, get_counters, reset_counters
-from repro.gpusim.device import DeviceProperties, default_device
+from repro.gpusim.counters import get_counters
 from repro.gpusim.memory import GrowableArray
 from repro.gpusim.warp import (
     WARP_SIZE,
     ballot,
     find_first_set,
-    lane_ids,
     popc,
     shuffle_idx,
 )
 
 __all__ = [
     "WARP_SIZE",
-    "DeviceProperties",
     "GrowableArray",
-    "KernelCounters",
     "ballot",
-    "default_device",
     "find_first_set",
     "get_counters",
-    "lane_ids",
     "popc",
-    "reset_counters",
     "shuffle_idx",
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-__all__ = ["KernelCounters", "get_counters", "reset_counters", "counting"]
+__all__ = ["get_counters", "counting"]
 
 
 @dataclass
@@ -75,12 +75,6 @@ _GLOBAL = KernelCounters()
 
 def get_counters() -> KernelCounters:
     """Return the process-global counter instance."""
-    return _GLOBAL
-
-
-def reset_counters() -> KernelCounters:
-    """Zero and return the process-global counters."""
-    _GLOBAL.reset()
     return _GLOBAL
 
 

@@ -24,18 +24,19 @@ per-event costs **calibrated against the paper's own published numbers**:
   41.8 s published; road_usa 17 ms vs. 12.7 ms).
 - The remaining constants (scan, chain step, host sync, launch, atomic,
   copy bandwidth) are set to plausible device values and sanity-checked
-  against Tables II-IV as documented in EXPERIMENTS.md.
+  against Tables II-IV; the scorecard (``docs/benchmarks.md``) gates the
+  ratios they produce.
 
 The model is intentionally linear — it prices *algorithmic* work, which is
 what the paper's comparisons vary; occupancy and cache effects are out of
-scope (DESIGN.md §2).
+scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["DeviceCostModel", "default_model", "simulated_seconds"]
+__all__ = ["default_model", "simulated_seconds"]
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class DeviceCostModel:
     #: One host/device synchronization (Hornet's CPU-managed updates).
     #: Device value ≈ 0.5 ms; scaled by the dataset-size ratio (~1/64) so
     #: fixed:variable cost proportions at the scaled batch sizes match the
-    #: paper's at its batch sizes (see EXPERIMENTS.md, "Fixed overheads").
+    #: paper's at its batch sizes.
     HOST_SYNC: float = 8e-6
     #: One kernel launch / probe-round dispatch (scaled like HOST_SYNC).
     KERNEL_LAUNCH: float = 0.5e-6

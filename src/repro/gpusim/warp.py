@@ -13,24 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "WARP_SIZE",
-    "FULL_MASK",
-    "ballot",
-    "find_first_set",
-    "lane_ids",
-    "popc",
-    "shuffle_idx",
-    "active_mask_from_bool",
-]
+__all__ = ["WARP_SIZE", "ballot", "find_first_set", "popc", "shuffle_idx"]
 
 WARP_SIZE: int = 32
 FULL_MASK: int = (1 << WARP_SIZE) - 1
-
-
-def lane_ids() -> np.ndarray:
-    """Lane index vector ``[0, 1, ..., 31]`` (CUDA ``laneid``)."""
-    return np.arange(WARP_SIZE, dtype=np.int64)
 
 
 def ballot(predicate: np.ndarray) -> int:
@@ -70,8 +56,3 @@ def shuffle_idx(values: np.ndarray, src_lane: int) -> np.ndarray:
     if vals.shape[0] != WARP_SIZE:
         raise ValueError(f"values must be a lane vector of shape ({WARP_SIZE}, ...)")
     return np.broadcast_to(vals[src_lane], vals.shape).copy()
-
-
-def active_mask_from_bool(active: np.ndarray) -> int:
-    """Convenience alias of :func:`ballot` for building work queues."""
-    return ballot(active)

@@ -26,7 +26,6 @@ import numpy as np
 from repro.gpusim.warp import WARP_SIZE, ballot, find_first_set, popc, shuffle_idx
 
 __all__ = [
-    "WCWSTarget",
     "insert_edges_reference",
     "delete_edges_reference",
     "delete_vertices_reference",

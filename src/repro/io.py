@@ -1,19 +1,17 @@
-"""Graph I/O: MatrixMarket, plain edge lists, and NPZ snapshots.
+"""Graph I/O: MatrixMarket and NPZ snapshots.
 
-The paper's datasets come from SuiteSparse (MatrixMarket ``.mtx``) and
-SNAP (whitespace edge lists); a downstream user of this library needs to
-load those formats and to checkpoint dynamic graphs.  Three formats:
+The paper's datasets come from SuiteSparse (MatrixMarket ``.mtx``); a
+downstream user of this library needs to load that format and to
+checkpoint dynamic graphs.  Two formats:
 
 - :func:`read_matrix_market` / :func:`write_matrix_market` — the
   ``coordinate`` subset of MatrixMarket (pattern / integer / real values;
   ``general`` and ``symmetric`` symmetry), 1-based indices per the spec;
-- :func:`read_edge_list` / :func:`write_edge_list` — whitespace-separated
-  ``src dst [weight]`` lines with ``#`` comments (SNAP style), 0-based;
 - :func:`save_npz` / :func:`load_npz` — lossless binary COO snapshots.
 
 Text paths ending in ``.gz`` are read and written through gzip
-transparently (both archives distribute datasets gzipped), so
-``read_edge_list("soc-a.txt.gz")`` works without a manual decompress.
+transparently (SuiteSparse distributes datasets gzipped), so
+``read_matrix_market("road.mtx.gz")`` works without a manual decompress.
 
 All readers return :class:`repro.coo.COO`; weights are stored as int64
 (real-valued MatrixMarket entries are rounded — this library's edge values
@@ -36,8 +34,6 @@ __all__ = [
     "atomic_write",
     "read_matrix_market",
     "write_matrix_market",
-    "read_edge_list",
-    "write_edge_list",
     "save_npz",
     "load_npz",
 ]
@@ -77,7 +73,7 @@ def atomic_write(path, mode: str = "wb", *, fsync: bool = True):
 
 def _open_text(path_or_file, mode: str):
     """Open a path as text, transparently decompressing/compressing
-    ``.gz`` files (SNAP and SuiteSparse both distribute gzipped dumps);
+    ``.gz`` files (SuiteSparse distributes gzipped dumps);
     already-open file objects pass through unowned."""
     if isinstance(path_or_file, (str, Path)):
         if str(path_or_file).endswith(".gz"):
@@ -173,53 +169,6 @@ def write_matrix_market(path_or_file, coo: COO, comment: str | None = None) -> N
         else:
             for s, d, w in zip(coo.src.tolist(), coo.dst.tolist(), coo.weights.tolist()):
                 fh.write(f"{s + 1} {d + 1} {w}\n")
-
-
-# ---------------------------------------------------------------------------
-# SNAP-style edge lists
-# ---------------------------------------------------------------------------
-
-
-def read_edge_list(path_or_file, num_vertices: int | None = None) -> COO:
-    """Read a whitespace ``src dst [weight]`` edge list (# comments)."""
-    fh, owned = _open_text(path_or_file, "r")
-    try:
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith(("#", "%")):
-                continue
-            rows.append(line.split())
-        if not rows:
-            return COO([], [], num_vertices or 0)
-        width = min(len(r) for r in rows)
-        if width < 2:
-            raise ValidationError("edge list lines need at least src and dst")
-        src = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        dst = np.array([int(r[1]) for r in rows], dtype=np.int64)
-        weights = (
-            np.array([int(float(r[2])) for r in rows], dtype=np.int64)
-            if width >= 3
-            else None
-        )
-        return COO(src, dst, num_vertices, weights=weights)
-    finally:
-        if owned:
-            fh.close()
-
-
-def write_edge_list(path_or_file, coo: COO, header: bool = True) -> None:
-    """Write a COO as a SNAP-style edge list (atomically when given a
-    path — see :func:`atomic_write`)."""
-    with _text_sink(path_or_file) as fh:
-        if header:
-            fh.write(f"# vertices: {coo.num_vertices} edges: {coo.num_edges}\n")
-        if coo.weights is None:
-            for s, d in zip(coo.src.tolist(), coo.dst.tolist()):
-                fh.write(f"{s}\t{d}\n")
-        else:
-            for s, d, w in zip(coo.src.tolist(), coo.dst.tolist(), coo.weights.tolist()):
-                fh.write(f"{s}\t{d}\t{w}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from repro.util.groupby import stable_argsort
 
 __all__ = [
     "STATUS_ADVANCE",
-    "STATUS_DONE",
     "STATUS_HIT",
     "TIER_NAME",
     "PAIR_LANE_BUDGET",

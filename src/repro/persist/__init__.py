@@ -27,21 +27,17 @@ recovery" section for the design rationale.
 
 from repro.persist.checkpoint import (
     CheckpointManifest,
-    checkpoint_manifests,
     env_fingerprint,
     latest_valid_checkpoint,
     load_checkpoint,
     write_checkpoint,
 )
-from repro.persist.sharded import ShardRecovery, ShardStores
+from repro.persist.sharded import ShardStores
 from repro.persist.store import DurableGraph, apply_event, open_graph
 from repro.persist.wal import (
     DEFAULT_SEGMENT_BYTES,
-    FSYNC_POLICIES,
     LogFollower,
-    WalScan,
     WalWriter,
-    encode_record,
     list_segments,
     repair_wal,
     scan_wal,
@@ -51,15 +47,10 @@ __all__ = [
     "CheckpointManifest",
     "DEFAULT_SEGMENT_BYTES",
     "DurableGraph",
-    "FSYNC_POLICIES",
     "LogFollower",
-    "ShardRecovery",
     "ShardStores",
-    "WalScan",
     "WalWriter",
     "apply_event",
-    "checkpoint_manifests",
-    "encode_record",
     "env_fingerprint",
     "latest_valid_checkpoint",
     "list_segments",

@@ -41,7 +41,6 @@ __all__ = [
     "write_checkpoint",
     "load_checkpoint",
     "latest_valid_checkpoint",
-    "checkpoint_manifests",
     "env_fingerprint",
 ]
 

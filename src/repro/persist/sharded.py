@@ -40,7 +40,7 @@ from repro.persist.store import CHECKPOINT_DIR, WAL_DIR, DurableGraph, _recover,
 from repro.persist.wal import DEFAULT_SEGMENT_BYTES
 from repro.util.errors import PersistError
 
-__all__ = ["ShardStores", "ShardRecovery"]
+__all__ = ["ShardStores"]
 
 SHARDS_FILE = "shards.json"
 SHARDS_KIND = "repro-shard-stores"

@@ -51,12 +51,9 @@ from repro.util.errors import PersistError, ValidationError
 __all__ = [
     "WalWriter",
     "LogFollower",
-    "WalScan",
     "scan_wal",
     "repair_wal",
     "list_segments",
-    "encode_record",
-    "FSYNC_POLICIES",
     "DEFAULT_SEGMENT_BYTES",
 ]
 
@@ -552,18 +549,6 @@ class WalWriter:
             ) from exc
         self._fh = fh
         self._segment_size = SEGMENT_HEADER.size
-
-    def rotate(self) -> None:
-        """Force the next record into a fresh segment."""
-        if self._fh is not None and self._segment_size > SEGMENT_HEADER.size:
-            try:
-                self.flush()
-            finally:
-                fh, self._fh = self._fh, None
-                try:
-                    fh.close()
-                except OSError:
-                    pass
 
     # -- durability --------------------------------------------------------------
 

@@ -425,21 +425,3 @@ class SlabArena:
                 return False  # empties only at the tail => key absent
             slab = int(pool.next_slab[slab])
         return False
-
-    def reference_search_one(self, table: int, key: int):
-        """Chain-walking scalar search; returns (found, value)."""
-        head = int(self.table_base[table])
-        if head == NULL_SLAB:
-            return False, 0
-        slab = head + self.hash_family.bucket_single(table, key, int(self.table_buckets[table]))
-        pool = self.pool
-        while slab != NULL_SLAB:
-            row = pool.keys[slab]
-            hit = np.flatnonzero(row == KEY_DTYPE(key))
-            if hit.size:
-                value = int(pool.values[slab, hit[0]]) if pool.weighted else 0
-                return True, value
-            if np.any(row == KEY_DTYPE(EMPTY_KEY)):
-                return False, 0
-            slab = int(pool.next_slab[slab])
-        return False, 0

@@ -1,7 +1,7 @@
 """Layout constants for the slab hash.
 
 A slab is 128 bytes = 32 four-byte words (one warp-coalesced transaction;
-see :mod:`repro.gpusim.device`).  The concurrent *map* packs 15 key/value
+see ``WARP_SIZE`` in :mod:`repro.gpusim.warp`).  The concurrent *map* packs 15 key/value
 pairs (30 words) plus a next pointer into a slab; the concurrent *set*
 packs 30 keys plus a next pointer (Section IV-A2 of the paper gives the
 bucket capacities 15 and 30).

@@ -35,17 +35,14 @@ workloads ``docs/robustness.md`` describes and the ``t14`` bench prices.
 """
 
 from repro.stream.chaos import (
-    ChaosResult,
     disk_fault_scenario,
     kill_rebuild_scenario,
-    quick_chaos_scenarios,
     run_chaos_scenario,
     thrash_fault_specs,
     thrash_scenario,
 )
 from repro.stream.durable import run_scenario_durable
 from repro.stream.incremental import (
-    IncrementalAnalytic,
     IncrementalBFS,
     IncrementalConnectedComponents,
     IncrementalKCore,
@@ -56,15 +53,11 @@ from repro.stream.incremental import (
 from repro.stream.scenario import (
     ANALYTICS,
     CHAOS_PHASE_KINDS,
-    DATA_PHASE_KINDS,
-    FAMILIES,
-    PHASE_KINDS,
     Phase,
     PhaseResult,
     Scenario,
     ScenarioResult,
     build_dataset,
-    churn_scenario,
     insert_heavy_scenario,
     mixed_scenario,
     quick_scenarios,
@@ -74,11 +67,6 @@ from repro.stream.scenario import (
 __all__ = [
     "ANALYTICS",
     "CHAOS_PHASE_KINDS",
-    "ChaosResult",
-    "DATA_PHASE_KINDS",
-    "FAMILIES",
-    "PHASE_KINDS",
-    "IncrementalAnalytic",
     "IncrementalBFS",
     "IncrementalConnectedComponents",
     "IncrementalKCore",
@@ -90,12 +78,10 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "build_dataset",
-    "churn_scenario",
     "disk_fault_scenario",
     "insert_heavy_scenario",
     "kill_rebuild_scenario",
     "mixed_scenario",
-    "quick_chaos_scenarios",
     "quick_scenarios",
     "run_chaos_scenario",
     "run_scenario",

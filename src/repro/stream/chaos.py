@@ -56,12 +56,10 @@ from repro.stream.scenario import (
 from repro.util.errors import ValidationError
 
 __all__ = [
-    "ChaosResult",
     "run_chaos_scenario",
     "kill_rebuild_scenario",
     "disk_fault_scenario",
     "thrash_scenario",
-    "quick_chaos_scenarios",
 ]
 
 
@@ -91,10 +89,6 @@ class ChaosResult:
     def model_seconds(self, kind: str | None = None) -> float:
         """Total modeled device seconds, optionally for one phase kind."""
         return sum(p.model_seconds for p in self.phases if kind is None or p.kind == kind)
-
-    def fault_count(self) -> int:
-        """Total faults the plan fired across the run."""
-        return len(self.plan.fired)
 
     def close(self) -> None:
         """Close the durable stores and clean the scratch directory."""
@@ -354,13 +348,4 @@ def thrash_fault_specs(rate: float = 0.25):
     return (
         FaultSpec("shard*.insert_edges", kind="transient", rate=rate, max_fires=None),
         FaultSpec("shard*.delete_edges", kind="transient", rate=rate, max_fires=None),
-    )
-
-
-def quick_chaos_scenarios(seed: int = 0) -> tuple:
-    """Small chaos scenarios covering every chaos phase kind (test-sized)."""
-    return (
-        kill_rebuild_scenario(1 << 8, batch=64, seed=seed),
-        disk_fault_scenario(1 << 8, batch=64, seed=seed),
-        thrash_scenario(1 << 8, batch=48, seed=seed),
     )

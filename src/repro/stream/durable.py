@@ -49,7 +49,7 @@ from repro.stream.scenario import (
 )
 from repro.util.errors import ValidationError
 
-__all__ = ["run_scenario_durable", "PROGRESS_FILE"]
+__all__ = ["run_scenario_durable"]
 
 PROGRESS_FILE = "scenario.json"
 _PROGRESS_KIND = "repro-scenario-progress"

@@ -70,7 +70,6 @@ from repro.util.errors import ValidationError
 from repro.util.groupby import last_occurrence_mask, sorted_unique
 
 __all__ = [
-    "IncrementalAnalytic",
     "IncrementalConnectedComponents",
     "IncrementalPageRank",
     "IncrementalTriangleCount",

@@ -59,10 +59,7 @@ from repro.util.errors import ValidationError
 
 __all__ = [
     "ANALYTICS",
-    "PHASE_KINDS",
-    "DATA_PHASE_KINDS",
     "CHAOS_PHASE_KINDS",
-    "FAMILIES",
     "Phase",
     "Scenario",
     "PhaseResult",
@@ -71,7 +68,6 @@ __all__ = [
     "run_scenario",
     "insert_heavy_scenario",
     "mixed_scenario",
-    "churn_scenario",
     "quick_scenarios",
 ]
 

@@ -19,7 +19,7 @@ from repro.util.groupby import (
     segment_lengths_from_starts,
     segmented_sum,
 )
-from repro.util.hashing import UniversalHashFamily, mix32
+from repro.util.hashing import UniversalHashFamily
 from repro.util.validation import (
     as_int_array,
     check_equal_length,
@@ -37,7 +37,6 @@ __all__ = [
     "first_occurrence_mask",
     "group_starts",
     "last_occurrence_mask",
-    "mix32",
     "rank_within_group",
     "segment_lengths_from_starts",
     "segmented_sum",

@@ -12,23 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PRIME", "UniversalHashFamily", "mix32"]
+__all__ = ["UniversalHashFamily"]
 
 #: A prime larger than any 32-bit key (2**31 - 1, the 8th Mersenne prime).
 PRIME: int = (1 << 31) - 1
-
-
-def mix32(x: np.ndarray | int) -> np.ndarray | int:
-    """A cheap 32-bit integer mixer (xorshift-multiply, Murmur3 finalizer).
-
-    Used for deterministic pseudo-random decisions that should not correlate
-    with vertex ids (e.g. RMAT noise streams), not for bucket hashing.
-    """
-    x = np.uint64(x) if np.isscalar(x) else x.astype(np.uint64)
-    x = (x ^ (x >> np.uint64(16))) * np.uint64(0x85EBCA6B) & np.uint64(0xFFFFFFFF)
-    x = (x ^ (x >> np.uint64(13))) * np.uint64(0xC2B2AE35) & np.uint64(0xFFFFFFFF)
-    x = x ^ (x >> np.uint64(16))
-    return x
 
 
 class UniversalHashFamily:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gpusim.counters import reset_counters
+from repro.gpusim.counters import get_counters
 
 
 def pytest_configure(config):
@@ -24,9 +24,9 @@ def pytest_configure(config):
 @pytest.fixture(autouse=True)
 def _fresh_counters():
     """Isolate the global kernel counters per test."""
-    reset_counters()
+    get_counters().reset()
     yield
-    reset_counters()
+    get_counters().reset()
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ from repro.analytics import (
     connected_components,
     dynamic_triangle_count,
     filter_frontier,
-    ktruss,
     pagerank,
     triangle_count_hash,
     triangle_count_sorted,
@@ -178,41 +177,3 @@ class TestTraversal:
     def test_pagerank_bad_damping(self):
         with pytest.raises(ValidationError):
             pagerank(DynamicGraph(4, weighted=False), damping=1.5)
-
-
-class TestKTruss:
-    def test_matches_networkx(self, undirected_case):
-        coo, G, g = undirected_case
-        ktruss(g, 4)
-        out = g.export_coo()
-        mine = {(min(a, b), max(a, b)) for a, b in zip(out.src.tolist(), out.dst.tolist())}
-        theirs = {(min(a, b), max(a, b)) for a, b in nx.k_truss(G, 4).edges()}
-        assert mine == theirs
-
-    def test_k2_keeps_everything(self):
-        g = DynamicGraph(5, weighted=False, directed=False)
-        g.insert_edges([0, 1], [1, 2])
-        before = g.num_edges()
-        assert ktruss(g, 2) == 0
-        assert g.num_edges() == before
-
-    def test_triangle_free_graph_empties_at_k3(self):
-        g = DynamicGraph(6, weighted=False, directed=False)
-        g.insert_edges([0, 1, 2, 3], [1, 2, 3, 4])  # a path
-        ktruss(g, 3)
-        assert g.num_edges() == 0
-
-    def test_bad_k(self):
-        with pytest.raises(ValidationError):
-            ktruss(DynamicGraph(4, weighted=False), 1)
-
-    def test_exercises_dynamic_deletion(self, rng):
-        """k-truss performs real batched deletions on the structure —
-        the in-algorithm mutation pattern from the paper's introduction."""
-        coo = rgg_graph(200, 8.0, seed=2)
-        g = DynamicGraph(coo.num_vertices, weighted=False)
-        g.bulk_build(coo)
-        before = g.num_edges()
-        deleted = ktruss(g, 5)
-        assert 0 < deleted
-        assert g.num_edges() < before

@@ -18,7 +18,6 @@ import repro.api as api
 from repro.analytics import (
     bfs,
     connected_components,
-    core_numbers,
     pagerank,
     triangle_count_csr,
 )
@@ -515,11 +514,6 @@ class TestAnalyticsAcrossBackends:
         for lab in labels[1:]:
             assert np.array_equal(lab, labels[0])
 
-    def test_core_numbers_agree(self, graphs):
-        cores = [core_numbers(g) for g in graphs.values()]
-        for c in cores[1:]:
-            assert np.array_equal(c, cores[0])
-
     def test_triangle_count_agrees(self, graphs):
         counts = {n: triangle_count_csr(g) for n, g in graphs.items()}
         assert len(set(counts.values())) == 1, counts
@@ -552,46 +546,43 @@ class TestAnalyticsAcrossBackends:
 
 class TestRegistry:
     def test_aliases_resolve(self):
-        assert api.get_spec("ours").name == "slabhash"
-        assert api.get_spec("faim").name == "faimgraph"
-        assert api.get_spec("SLABHASH").name == "slabhash"
+        for alias, name in (("ours", "slabhash"), ("dynamic", "slabhash"), ("faim", "faimgraph")):
+            assert type(api.create(alias, num_vertices=4)) is type(api.create(name, num_vertices=4))
+            assert api.capabilities(alias) == api.capabilities(name)
+        assert type(api.create("SLABHASH", num_vertices=4)) is type(make("slabhash"))
+        assert api.capabilities("Faim") == api.capabilities("faimgraph")
+
+    def test_backend_names_are_the_sorted_canonical_five(self):
+        assert api.backend_names() == ("btree", "faimgraph", "gpma", "hornet", "slabhash")
 
     def test_unknown_backend(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             api.create("no-such-structure", num_vertices=4)
-
-    def test_duplicate_registration_rejected(self):
+        for name in api.backend_names():
+            assert name in str(err.value)
         with pytest.raises(ValidationError):
-            api.register("slabhash", lambda: None)
+            api.capabilities("no-such-structure")
 
-    def test_alias_cannot_hijack_existing_name(self):
-        # A new registration must not shadow an existing backend via aliases.
-        with pytest.raises(ValidationError):
-            api.register("evil", lambda: None, aliases=("slabhash",))
-        assert api.get_spec("slabhash").name == "slabhash"
-        with pytest.raises(ValidationError):
-            api.register("evil2", lambda: None, aliases=("ours",))
+    def test_weighted_on_unweighted_backend_names_the_backend(self):
+        with pytest.raises(ValidationError, match="'gpma' cannot store edge weights"):
+            api.create("GPMA", num_vertices=4, weighted=True)
 
-    def test_overwrite_reclaims_alias(self):
-        # Overwriting a name that was an alias must purge the stale alias
-        # entry, or get_spec would silently keep resolving to the old spec.
-        slab_cls = api.get_spec("slabhash").cls()
-        try:
-            api.register("ours", slab_cls, overwrite=True, description="reclaimed")
-            assert api.get_spec("ours").description == "reclaimed"
-        finally:
-            api.registry._REGISTRY.pop("ours", None)
-            api.registry._ALIASES["ours"] = "slabhash"
-        assert api.get_spec("ours").name == "slabhash"
+    @pytest.mark.parametrize("bad", [1.5, True, "8", None])
+    def test_non_integral_num_vertices_rejected(self, bad):
+        for name in ALL_BACKENDS:
+            with pytest.raises(ValidationError):
+                api.create(name, bad)
+            assert api.create(name, 8.0).num_vertices == 8  # integral floats coerce
 
-    def test_register_custom_backend(self):
-        class Toy(api.create("slabhash", num_vertices=1).__class__):
+    def test_unregistered_backend_class_wraps_in_graph(self):
+        """A structure outside the table needs no registration: the facade
+        takes any ``GraphBackend`` instance."""
+
+        class Toy(type(make("slabhash"))):
             pass
 
-        api.register("toy-backend", Toy, overwrite=True)
-        try:
-            g = api.create("toy-backend", num_vertices=8)
-            assert isinstance(g, Toy)
-            assert "toy-backend" in api.backend_names()
-        finally:
-            api.registry._REGISTRY.pop("toy-backend", None)
+        g = Graph(Toy(num_vertices=8))
+        g.insert_edges([0, 1], [1, 2])
+        assert isinstance(g.backend, Toy)
+        assert edge_set(g) == {(0, 1), (1, 2)}
+        assert g.snapshot().num_edges == 2

@@ -1,10 +1,9 @@
-"""Tests for the GPMA and CSR baselines and the sorting cost models."""
+"""Tests for the GPMA baseline and the sorting cost models."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.csr import CSRGraph
 from repro.baselines.gpma import GPMAGraph
 from repro.baselines.sorting import segmented_sort_csr
 from repro.coo import COO
@@ -93,46 +92,6 @@ class TestGPMA:
             g.insert_edges(src, dst)
             ref = {(s, d) for s, d in pairs if s != d}
         assert structure_edges(g) == ref
-
-
-class TestCSR:
-    def test_build_sorted_dedup(self):
-        coo = COO([1, 0, 0, 0], [0, 2, 1, 1], num_vertices=3, weights=[4, 3, 1, 2])
-        g = CSRGraph(coo)
-        assert g.num_edges == 3
-        d, w = g.neighbors(0)
-        assert d.tolist() == [1, 2]
-        assert w.tolist() == [2, 3]  # last weight won
-
-    def test_edge_exists_binary_search(self):
-        coo = COO([0, 0, 1], [5, 2, 3], num_vertices=6)
-        g = CSRGraph(coo)
-        assert g.edge_exists([0, 0, 1, 2], [2, 3, 3, 0]).tolist() == [
-            True,
-            False,
-            True,
-            False,
-        ]
-
-    def test_degree(self):
-        g = CSRGraph(COO([0, 0, 2], [1, 2, 0], num_vertices=3))
-        assert g.degree([0, 1, 2]).tolist() == [2, 0, 1]
-
-    def test_rebuild_with_edges(self):
-        g = CSRGraph(COO([0], [1], num_vertices=4))
-        g2 = g.rebuild_with_edges([1, 2], [2, 3])
-        assert structure_edges(g2) == {(0, 1), (1, 2), (2, 3)}
-        assert structure_edges(g) == {(0, 1)}  # original untouched
-
-    def test_export_roundtrip(self, rng):
-        coo = COO(rng.integers(0, 20, 100), rng.integers(0, 20, 100), 20)
-        g = CSRGraph(coo)
-        again = CSRGraph(g.export_coo())
-        assert structure_edges(g) == structure_edges(again)
-
-    def test_self_loops_dropped_by_default(self):
-        g = CSRGraph(COO([0, 1], [0, 0], num_vertices=2))
-        assert structure_edges(g) == {(1, 0)}
 
 
 class TestSegmentedSort:

@@ -17,9 +17,6 @@ import pytest
 
 from repro.analytics import connected_components
 from repro.api import (
-    SHARD_DEAD,
-    SHARD_DEGRADED,
-    SHARD_HEALTHY,
     Graph,
     PartialDispatchError,
     RetryPolicy,
@@ -27,6 +24,7 @@ from repro.api import (
     ShardError,
     backend_names,
 )
+from repro.api.sharding import SHARD_DEAD, SHARD_DEGRADED, SHARD_HEALTHY
 from repro.chaos import FaultPlan, FaultSpec, FaultyBackend
 from repro.coo import COO
 from repro.stream.chaos import (

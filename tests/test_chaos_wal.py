@@ -15,16 +15,17 @@ import numpy as np
 import pytest
 
 from repro.api import ShardedGraph
-from repro.chaos import FaultPlan, FaultSpec, FaultyFile, FaultyStore
+from repro.chaos import FaultPlan, FaultSpec, FaultyStore
+from repro.chaos.inject import FaultyFile
 from repro.eventlog.events import EdgeBatch
 from repro.persist import (
     LogFollower,
     WalWriter,
-    encode_record,
     list_segments,
     repair_wal,
     scan_wal,
 )
+from repro.persist.wal import encode_record
 from repro.util.errors import PersistError
 
 pytestmark = pytest.mark.chaos

@@ -149,3 +149,50 @@ class TestRehash:
         g._dict.arena.check_invariants(dense=np.arange(50))
         assert structure_state(g) == before
         assert g.stats().tombstones == 0
+
+
+class TestRejectedMaintenanceLeavesGraphUntouched:
+    """A rejected ``rehash`` / ``flush_tombstones`` call raises before the
+    version bump and before any table is torn down."""
+
+    EDGES = [(0, 1), (0, 5), (1, 2), (2, 3)]
+
+    def build(self):
+        from repro import Graph
+
+        g = Graph.create("slabhash", 16)
+        g.insert_edges(*zip(*self.EDGES))
+        return g
+
+    def assert_untouched(self, g, version, events):
+        coo = g.export_coo()
+        assert sorted(zip(coo.src.tolist(), coo.dst.tolist())) == self.EDGES
+        assert g.edge_exists([0, 0], [1, 5]).all()
+        assert g.num_edges() == len(self.EDGES)
+        assert g.mutation_version == version
+        assert g.events.next_seq == events  # no structural event published
+        g.backend._dict.check_invariants()
+        g.backend._dict.arena.check_invariants()
+
+    @pytest.mark.parametrize("load_factor", [0, float("nan"), -1, 1e9, 17.0])
+    def test_rehash_validates_load_factor_like_the_constructor(self, load_factor):
+        with pytest.raises(ValidationError, match="load_factor"):
+            DynamicGraph(16, load_factor=load_factor)
+        g = self.build()
+        version, events = g.mutation_version, g.events.next_seq
+        with pytest.raises(ValidationError, match="load_factor"):
+            g.rehash([0], load_factor=load_factor)
+        self.assert_untouched(g, version, events)
+        assert g.rehash([0], load_factor=16.0) == 1  # the closed upper bound
+
+    @pytest.mark.parametrize("op", ["rehash", "flush_tombstones"])
+    @pytest.mark.parametrize("vertex_ids", [[1.5], [0, 16], [-1], [[0, 1]], ["a"]])
+    def test_vertex_ids_are_coerced_and_range_checked(self, op, vertex_ids):
+        g = self.build()
+        version, events = g.mutation_version, g.events.next_seq
+        with pytest.raises(ValidationError):
+            getattr(g, op)(vertex_ids)
+        self.assert_untouched(g, version, events)
+        getattr(g, op)(np.array([0.0, 1.0]))  # integral floats coerce
+        getattr(g, op)(2)  # so does a scalar
+        assert g.mutation_version == version + 2

@@ -2,7 +2,8 @@
 
 Runs the stdlib link checker (``tools/check_markdown_links.py``) over
 README/CHANGES/ROADMAP and ``docs/`` as part of tier-1, so a renamed
-file or a typoed relative path fails CI instead of shipping a dead link.
+file or a typoed relative path fails CI instead of shipping a dead link —
+and over the markdown files ``src/`` docstrings and comments cite.
 """
 
 import subprocess
@@ -28,6 +29,34 @@ def test_repo_markdown_links_resolve():
     assert problems == [], "broken markdown links:\n" + "\n".join(
         f"{md.relative_to(ROOT)}:{line}: {target}" for md, line, target in problems
     )
+
+
+def test_markdown_files_cited_in_src_exist():
+    mod = _load_checker()
+    problems = mod.broken_citations(ROOT)
+    assert problems == [], "src/ cites markdown files that do not exist:\n" + "\n".join(
+        f"{py.relative_to(ROOT)}:{line}: {name}" for py, line, name in problems
+    )
+
+
+def test_checker_flags_unresolved_citations_in_src(tmp_path):
+    mod = _load_checker()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "guide.md").write_text("x\n")
+    (tmp_path / "README.md").write_text("x\n")
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        '"""See ``docs/guide.md`` and README.md; details in EXPERIMENTS.md."""\n'
+        "#: tuned per DESIGN.md §2\n"
+        "X = 1\n"
+    )
+    problems = mod.broken_citations(tmp_path)
+    assert [(p.name, line, name) for p, line, name in problems] == [
+        ("mod.py", 1, "EXPERIMENTS.md"),
+        ("mod.py", 2, "DESIGN.md"),
+    ]
+    assert mod.main([str(tmp_path)]) == 1
 
 
 def test_docs_tree_is_covered():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import DynamicGraph
-from repro.analytics import core_numbers, kcore, sssp
+from repro.analytics import kcore, sssp
 from repro.core.id_reuse import VertexIdRecycler
 from repro.datasets import rgg_graph
 from repro.util.errors import ValidationError
@@ -17,6 +17,20 @@ class TestVertexIdRecycling:
         g = DynamicGraph(8, weighted=False)
         with pytest.raises(ValidationError):
             g.allocate_vertex_ids(1)
+
+    @pytest.mark.parametrize("n", [-1, 1.5, True, None])
+    def test_bad_count_vends_and_activates_nothing(self, n):
+        g = DynamicGraph(16, weighted=False, reuse_vertex_ids=True)
+        g.insert_edges([1], [2])
+        g.delete_vertices([2])
+        version = g.mutation_version
+        with pytest.raises(ValidationError):
+            g.allocate_vertex_ids(n)
+        assert g.num_active_vertices() == 1
+        assert g.mutation_version == version
+        g._dict.check_invariants()
+        assert g.allocate_vertex_ids(0).size == 0
+        assert g.allocate_vertex_ids(2.0).tolist() == [2, 0]  # queue intact, then fresh
 
     def test_deleted_ids_recycled(self):
         g = DynamicGraph(32, weighted=False, directed=False, reuse_vertex_ids=True)
@@ -196,13 +210,6 @@ class TestKCore:
         mine = {(min(a, b), max(a, b)) for a, b in zip(out.src.tolist(), out.dst.tolist())}
         theirs = {(min(a, b), max(a, b)) for a, b in nx.k_core(G, k).edges()}
         assert mine == theirs
-
-    def test_core_numbers_match_networkx(self):
-        g, G = self.build(seed=7)
-        mine = core_numbers(g)
-        theirs = nx.core_number(G)
-        for v in range(g.vertex_capacity):
-            assert int(mine[v]) == theirs.get(v, 0), v
 
     def test_bad_k(self):
         g, _ = self.build()

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim.counters import counting, get_counters, reset_counters
-from repro.gpusim.device import default_device
+from repro.gpusim.counters import counting, get_counters
 from repro.gpusim.memory import GrowableArray
 from repro.gpusim.model import DeviceCostModel, simulated_seconds
 from repro.gpusim.warp import (
     WARP_SIZE,
     ballot,
     find_first_set,
-    lane_ids,
     popc,
     shuffle_idx,
 )
@@ -24,9 +22,6 @@ lane_bools = st.lists(st.booleans(), min_size=WARP_SIZE, max_size=WARP_SIZE)
 
 
 class TestWarpPrimitives:
-    def test_lane_ids(self):
-        assert lane_ids().tolist() == list(range(32))
-
     def test_ballot_empty_and_full(self):
         assert ballot(np.zeros(32, dtype=bool)) == 0
         assert ballot(np.ones(32, dtype=bool)) == (1 << 32) - 1
@@ -66,25 +61,19 @@ class TestWarpPrimitives:
         with pytest.raises(ValueError):
             shuffle_idx(np.arange(8), 0)
 
-    def test_device_slab_geometry(self):
-        dev = default_device()
-        assert dev.warp_size == 32
-        assert dev.slab_bytes == 128
-        assert dev.words_per_slab == 32
-
 
 class TestCounters:
     def test_reset(self):
         c = get_counters()
         c.slab_reads += 5
         c.add("custom", 2)
-        reset_counters()
+        c.reset()
         snap = get_counters().snapshot()
         assert snap["slab_reads"] == 0
         assert "custom" not in snap
 
     def test_diff(self):
-        c = reset_counters()
+        c = get_counters()
         before = c.snapshot()
         c.slab_writes += 3
         c.add("x", 1)

@@ -1,4 +1,4 @@
-"""Tests for graph I/O (MatrixMarket, edge lists, NPZ snapshots)."""
+"""Tests for graph I/O (MatrixMarket, NPZ snapshots)."""
 
 import io
 
@@ -8,10 +8,8 @@ import pytest
 from repro.coo import COO
 from repro.io import (
     load_npz,
-    read_edge_list,
     read_matrix_market,
     save_npz,
-    write_edge_list,
     write_matrix_market,
 )
 from repro.util.errors import ValidationError
@@ -72,34 +70,6 @@ class TestMatrixMarket:
             )
 
 
-class TestEdgeList:
-    def test_roundtrip(self, tmp_path):
-        coo = COO([5, 0], [1, 3], num_vertices=6, weights=[2, 4])
-        path = tmp_path / "g.txt"
-        write_edge_list(path, coo)
-        back = read_edge_list(path)
-        assert pairs(back) == pairs(coo)
-        assert sorted(back.weights.tolist()) == [2, 4]
-
-    def test_comments_and_blank_lines(self):
-        text = "# SNAP header\n\n0 1\n% other comment\n2\t3\n"
-        coo = read_edge_list(io.StringIO(text))
-        assert pairs(coo) == [(0, 1), (2, 3)]
-        assert coo.weights is None
-
-    def test_explicit_num_vertices(self):
-        coo = read_edge_list(io.StringIO("0 1\n"), num_vertices=10)
-        assert coo.num_vertices == 10
-
-    def test_empty_file(self):
-        coo = read_edge_list(io.StringIO("# nothing\n"))
-        assert coo.num_edges == 0
-
-    def test_malformed_line(self):
-        with pytest.raises(ValidationError):
-            read_edge_list(io.StringIO("7\n"))
-
-
 class TestNpz:
     def test_roundtrip_weighted(self, tmp_path, rng):
         coo = COO(
@@ -141,27 +111,14 @@ class TestNpz:
 class TestGzip:
     """``.gz`` paths are read and written through gzip transparently."""
 
-    def test_edge_list_roundtrip_gz(self, tmp_path, rng):
-        coo = COO(
-            rng.integers(0, 60, 150),
-            rng.integers(0, 60, 150),
-            60,
-            weights=rng.integers(0, 9, 150),
-        )
-        path = tmp_path / "edges.txt.gz"
-        write_edge_list(path, coo)
-        import gzip
-
-        with gzip.open(path, "rb") as fh:  # really compressed, not renamed
-            assert fh.read(1) == b"#"
-        back = read_edge_list(path, num_vertices=60)
-        assert pairs(back) == pairs(coo)
-        assert back.weights.tolist() == coo.weights.tolist()
-
     def test_matrix_market_roundtrip_gz(self, tmp_path):
         coo = COO([0, 1, 4], [2, 0, 3], num_vertices=5, weights=[7, 8, 9])
         path = tmp_path / "g.mtx.gz"
         write_matrix_market(path, coo, comment="gzipped")
+        import gzip
+
+        with gzip.open(path, "rb") as fh:  # really compressed, not renamed
+            assert fh.read(2) == b"%%"
         back = read_matrix_market(path)
         assert pairs(back) == pairs(coo)
         assert back.weights.tolist() == [7, 8, 9]
@@ -170,18 +127,18 @@ class TestGzip:
         """A .gz written by something else (not our writer) also reads."""
         import gzip
 
-        path = tmp_path / "snap.txt.gz"
+        path = tmp_path / "snap.mtx.gz"
         with gzip.open(path, "wt") as fh:
-            fh.write("# comment\n0 1\n1 2 5\n")
-        back = read_edge_list(path)
+            fh.write("%%MatrixMarket matrix coordinate integer general\n% c\n3 3 2\n1 2 4\n2 3 5\n")
+        back = read_matrix_market(path)
         assert pairs(back) == [(0, 1), (1, 2)]
 
     def test_plain_paths_unaffected(self, tmp_path):
         coo = COO([0], [1], num_vertices=2)
-        path = tmp_path / "plain.txt"
-        write_edge_list(path, coo)
-        assert path.read_text().startswith("#")  # not gzipped
-        assert pairs(read_edge_list(path)) == [(0, 1)]
+        path = tmp_path / "plain.mtx"
+        write_matrix_market(path, coo)
+        assert path.read_text().startswith("%%MatrixMarket")  # not gzipped
+        assert pairs(read_matrix_market(path)) == [(0, 1)]
 
 
 class TestAtomicWrite:

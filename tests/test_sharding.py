@@ -334,6 +334,21 @@ class TestShardedValidation:
         with pytest.raises(ValidationError, match="retention_rows"):
             ShardedGraph(shards, event_retention=-1)
 
+    @pytest.mark.parametrize("shard", [1.5, True, "1", None, 2, -1])
+    def test_non_integral_or_out_of_range_shard_index_rejected(self, shard):
+        sg = ShardedGraph.create("slabhash", 16, num_shards=2)
+        sg.insert_edges([0, 1], [1, 2])
+        version, events = sg.mutation_version, sg.events.next_seq
+        for call in (sg.kill_shard, sg.shard_health, sg.rebuild_shard):
+            with pytest.raises(ValidationError):
+                call(shard)
+        assert sg.health == ["healthy", "healthy"]
+        assert sg.mutation_version == version
+        assert sg.events.next_seq == events
+        assert sg.num_edges() == 2
+        sg.kill_shard(np.int64(1))  # integer-likes still address a shard
+        assert sg.health == ["healthy", "dead"]
+
     def test_out_of_range_queries_rejected(self):
         sg = ShardedGraph.create("slabhash", 16, num_shards=2)
         with pytest.raises(ValidationError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.util.errors import ValidationError
-from repro.util.hashing import PRIME, UniversalHashFamily, mix32
+from repro.util.hashing import PRIME, UniversalHashFamily
 from repro.util.validation import (
     as_int_array,
     check_equal_length,
@@ -60,14 +60,6 @@ class TestUniversalHashFamily:
         buckets = fam.bucket(np.zeros(6400, np.int64), np.arange(6400), nb)
         counts = np.bincount(buckets, minlength=64)
         assert counts.max() < 6400 * 0.10  # far from degenerate
-
-
-class TestMix32:
-    def test_scalar_and_vector_agree(self):
-        xs = np.array([0, 1, 2, 0xFFFF, 123456], dtype=np.uint64)
-        vec = mix32(xs)
-        for i, x in enumerate(xs.tolist()):
-            assert int(mix32(int(x))) == int(vec[i])
 
     def test_prime_is_mersenne(self):
         assert PRIME == (1 << 31) - 1

@@ -6,11 +6,14 @@ Scans ``README.md``, ``CHANGES.md``, ``ROADMAP.md`` and every ``*.md``
 under ``docs/`` for inline markdown links (``[text](target)``) and
 verifies that each **relative** target resolves to a file or directory
 inside the repository (anchors and ``http(s)://`` / ``mailto:`` targets
-are skipped).  A docs tree whose cross-links rot is worse than no docs
+are skipped).  It also scans every ``*.py`` under ``src/`` for markdown
+file names cited in docstrings and comments (``docs/robustness.md``,
+``README.md``) and verifies each is a path from the repository root that
+exists.  A docs tree whose cross-links rot is worse than no docs
 tree, so CI runs this via ``tests/test_docs_links.py`` and the docs job.
 
-Stdlib only; exits 0 when every link resolves, 1 otherwise, printing one
-``file:line: broken link`` diagnostic per failure.
+Stdlib only; exits 0 when every link and citation resolves, 1 otherwise,
+printing one ``file:line: broken link`` diagnostic per failure.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import re
 import sys
 from pathlib import Path
 
-__all__ = ["broken_links", "markdown_files", "main"]
+__all__ = ["broken_links", "broken_citations", "markdown_files", "main"]
 
 #: Inline markdown links; images share the syntax (the leading ``!`` is
 #: outside the capture).  Reference-style definitions ``[id]: target``
@@ -27,6 +30,9 @@ __all__ = ["broken_links", "markdown_files", "main"]
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
 _SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
+
+#: A markdown file name, optionally with a directory, as source text cites it.
+_CITATION_RE = re.compile(r"[\w./-]*\w\.md\b")
 
 #: Top-level files checked in addition to the ``docs/`` tree.
 TOP_LEVEL = ("README.md", "CHANGES.md", "ROADMAP.md")
@@ -75,18 +81,31 @@ def broken_links(root: Path) -> list[tuple[Path, int, str]]:
     return problems
 
 
+def broken_citations(root: Path) -> list[tuple[Path, int, str]]:
+    """Markdown paths named in ``src/**/*.py`` that do not exist under the
+    repository root, as ``(file, line, name)``."""
+    root = root.resolve()
+    problems = []
+    for py in sorted((root / "src").rglob("*.py")):
+        for lineno, line in enumerate(py.read_text(encoding="utf-8").splitlines(), start=1):
+            for name in _CITATION_RE.findall(line):
+                if not (root / name).is_file():
+                    problems.append((py, lineno, name))
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point: print diagnostics, return the exit code."""
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
-    problems = broken_links(root)
-    for md, lineno, target in problems:
-        print(f"{md.relative_to(root.resolve())}:{lineno}: broken link -> {target}")
+    problems = broken_links(root) + broken_citations(root)
+    for path, lineno, target in problems:
+        print(f"{path.relative_to(root.resolve())}:{lineno}: broken link -> {target}")
     checked = len(markdown_files(root))
     if problems:
-        print(f"{len(problems)} broken link(s) across {checked} markdown file(s)")
+        print(f"{len(problems)} broken link(s) across {checked} markdown file(s) and src/")
         return 1
-    print(f"all intra-repo links resolve across {checked} markdown file(s)")
+    print(f"all intra-repo links resolve across {checked} markdown file(s) and src/")
     return 0
 
 

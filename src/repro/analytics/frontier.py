@@ -45,7 +45,7 @@ def adjacencies_of(graph, vertex_ids) -> tuple[np.ndarray, np.ndarray, np.ndarra
         return graph.adjacencies(vertex_ids)
     from repro.api.backend import gather_adjacencies
 
-    return gather_adjacencies(graph, vertex_ids)
+    return gather_adjacencies(graph.neighbors, vertex_ids)
 
 
 def advance(graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

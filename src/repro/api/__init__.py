@@ -6,15 +6,16 @@ package is the contract that lets every consumer in the repository —
 analytics, the bench harness, examples, tests — drive all five structures
 through one stable surface:
 
-- :class:`GraphBackend` (``repro.api.backend``) — the typed ABC capturing
-  the shared update/query surface every structure implements;
+- :class:`GraphBackend` (``repro.api.backend``) — the typed ABC whose
+  public update/query methods check every batch by one rule and call the
+  private hooks each structure implements;
 - :class:`Capabilities` (``repro.api.capabilities``) — per-backend feature
   flags (weighted storage, vertex deletion, sorted ranges, rehash,
   tombstone flush) that consumers branch on instead of ``hasattr`` probes;
 - the **registry** (``repro.api.registry``) — ``create("hornet",
   num_vertices=...)`` constructs any of the five structures by name;
-- :class:`Graph` (``repro.api.facade``) — argument normalization done
-  exactly once, capability-gated dispatch, and the :meth:`Graph.snapshot`
+- :class:`Graph` (``repro.api.facade``) — batch policies applied exactly
+  once, capability-gated dispatch, and the :meth:`Graph.snapshot`
   sorted-CSR view whole-graph analytics consume;
 - :class:`CSRSnapshot` / :func:`as_snapshot` (``repro.api.snapshot``) —
   the immutable read view of a phase-concurrent structure.  Snapshots are
@@ -39,7 +40,7 @@ Quickstart::
     api.capabilities("gpma").vertex_dynamic     # False
 """
 
-from repro.api.backend import GraphBackend, degree_array
+from repro.api.backend import GraphBackend
 from repro.api.capabilities import Capabilities
 from repro.api.facade import Graph
 from repro.api.registry import backend_names, capabilities, create
@@ -69,6 +70,5 @@ __all__ = [
     "cached_snapshot",
     "capabilities",
     "create",
-    "degree_array",
     "merge_csr_delta",
 ]

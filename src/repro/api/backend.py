@@ -4,12 +4,17 @@ The paper is a comparison of one structure against four competitors; this
 ABC is the contract that makes the comparison (and every consumer —
 analytics, bench harness, examples) backend-agnostic:
 
-- **required surface** (abstract): ``insert_edges``, ``delete_edges``,
-  ``edge_exists``, ``neighbors``, ``num_edges``, ``bulk_build``,
-  ``export_coo``, ``sorted_adjacency``;
-- **derived defaults** (overridable): ``edge_weights``, ``degree``,
-  ``adjacencies``, ``delete_vertices`` (raises unless the capability is
-  declared), ``memory_bytes``, ``snapshot``;
+- **public batched surface** (concrete template methods, never
+  overridden): ``insert_edges``, ``delete_edges``, ``edge_exists``,
+  ``edge_weights``, ``neighbors``, ``adjacencies``, ``degree``,
+  ``delete_vertices``.  Each checks its arguments here, once, and calls
+  one private hook with clean arrays;
+- **hooks a structure implements**: ``_insert_edges``, ``_delete_edges``,
+  ``_edge_exists``, ``_neighbors``, ``_degree`` (abstract),
+  ``_edge_weights`` / ``_adjacencies`` (derived defaults) and
+  ``_delete_vertices`` (only with the ``vertex_dynamic`` capability),
+  beside the abstract ``num_edges``, ``bulk_build``, ``export_coo`` and
+  ``sorted_adjacency``;
 - a class-level :class:`~repro.api.capabilities.Capabilities` declaration,
   narrowed per instance by :meth:`instance_capabilities`;
 - **snapshot versioning**: every mutating operation calls
@@ -19,10 +24,17 @@ analytics, bench harness, examples) backend-agnostic:
   slab reads and zero sorts.  The :class:`repro.api.Graph` facade layers an
   incremental delta-merge on top (see ``repro.api.facade``).
 
-Backends keep their own boundary validation so they remain safe to drive
-directly; the :class:`repro.api.Graph` facade performs the same
-normalization once and the (fast-pathed) re-coercion inside the backend is
-then a no-op on already-clean int64 arrays.
+One argument rule, stated here and applied at each public boundary:
+:func:`checked_ids` coerces every id column to a contiguous int64 array,
+requires equal lengths and requires every id in ``[0, num_vertices)`` — on
+*both* columns of a pair batch, for mutations and queries alike.  The
+template methods apply it to a backend driven directly; the
+:class:`repro.api.Graph` facade and the shard router apply the same
+function where they need clean arrays before the backend sees them (to
+apply their policies, publish events and route rows), and the backend's
+re-check of those already-clean arrays is the fast path of
+``as_int_array`` plus a min/max pass per column.  A hook never validates: it
+receives contiguous, in-range int64 arrays (or one in-range ``int``).
 """
 
 from __future__ import annotations
@@ -37,33 +49,50 @@ from repro.api.snapshot import CSRSnapshot
 from repro.coo import COO
 from repro.util.errors import ValidationError
 from repro.util.groupby import sorted_unique
-from repro.util.validation import as_int_array, check_in_range
+from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
 __all__ = [
     "GraphBackend",
-    "degree_array",
+    "checked_ids",
     "gather_adjacencies",
     "scan_edge_weights",
 ]
 
 
-def scan_edge_weights(graph, src, dst, gather) -> tuple[np.ndarray, np.ndarray]:
-    """Shared ``edge_weights`` engine for scan-based list structures.
+def checked_ids(num_vertices: int, **columns) -> tuple[np.ndarray, ...]:
+    """The id rule of every batched operation, stated once.
+
+    Each named column (``src=`` / ``dst=`` for a pair batch, ``vertex_ids=``
+    for a vertex batch) is coerced to a contiguous 1-D int64 array
+    (non-integral, boolean and non-numeric values are rejected, never
+    truncated), all columns must share one length, and every id must lie
+    in ``[0, num_vertices)``.  Returns the clean arrays in argument order.
+    """
+    arrays = tuple(as_int_array(column, name) for name, column in columns.items())
+    check_equal_length(*zip(columns, arrays))
+    for name, array in zip(columns, arrays):
+        check_in_range(array, 0, num_vertices, name)
+    return arrays
+
+
+def _checked_id(value, bound: int, name: str) -> int:
+    """The scalar form of :func:`checked_ids`: exactly one id in ``[0, bound)``."""
+    (ids,) = checked_ids(bound, **{name: value})
+    if ids.shape[0] != 1:
+        raise ValidationError(f"{name} must be a single id, got {ids.shape[0]} values")
+    return int(ids[0])
+
+
+def scan_edge_weights(src, dst, gather) -> tuple[np.ndarray, np.ndarray]:
+    """Shared ``_edge_weights`` engine for scan-based list structures.
 
     ``gather(verts)`` returns ``(owner_pos, exist_dst, weight_at)`` for the
     unique queried sources, where ``weight_at(hit_indices)`` maps indices
     into the gathered arrays to stored weights (and charges whatever
     counters the structure's scan costs).  The helper does the common
-    validate / composite / sort / binary-search sequence once so Hornet-
-    and faimGraph-style backends don't each maintain a copy.
+    composite / sort / binary-search sequence once so Hornet- and
+    faimGraph-style backends don't each maintain a copy.
     """
-    src = as_int_array(src, "src")
-    dst = as_int_array(dst, "dst")
-    if src.shape[0] != dst.shape[0]:
-        raise ValidationError(f"length mismatch: src has {src.shape[0]}, dst has {dst.shape[0]}")
-    if src.size == 0:
-        return np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
-    check_in_range(src, 0, graph.num_vertices, "src")
     verts = sorted_unique(src)
     owner, exist_dst, weight_at = gather(verts)
     exist_comp = (verts[owner] << np.int64(32)) | exist_dst
@@ -81,16 +110,17 @@ def scan_edge_weights(graph, src, dst, gather) -> tuple[np.ndarray, np.ndarray]:
     return found, weights
 
 
-def gather_adjacencies(graph, vertex_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched ``(owner_pos, destinations, weights)`` via per-vertex
-    :meth:`neighbors` calls — the generic adjacency sweep shared by the
-    :meth:`GraphBackend.adjacencies` default and the analytics fallback
-    for foreign graph objects.  ``owner_pos[i]`` indexes ``vertex_ids``.
+def gather_adjacencies(neighbors, vertex_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched ``(owner_pos, destinations, weights)`` via one
+    ``neighbors(vertex)`` call per id — the generic adjacency sweep shared
+    by the :meth:`GraphBackend._adjacencies` default and the analytics
+    fallback for foreign graph objects.  ``owner_pos[i]`` indexes
+    ``vertex_ids``.
     """
     vids = as_int_array(vertex_ids, "vertex_ids")
     owner_parts, dst_parts, w_parts = [], [], []
     for pos, v in enumerate(vids.tolist()):
-        nbrs, ws = graph.neighbors(int(v))
+        nbrs, ws = neighbors(v)
         if nbrs.size:
             owner_parts.append(np.full(nbrs.shape[0], pos, dtype=np.int64))
             dst_parts.append(nbrs.astype(np.int64, copy=False))
@@ -103,41 +133,6 @@ def gather_adjacencies(graph, vertex_ids) -> tuple[np.ndarray, np.ndarray, np.nd
         np.concatenate(dst_parts),
         np.concatenate(w_parts),
     )
-
-
-class DegreeView(np.ndarray):
-    """An out-degree array that is *also* callable like the protocol method.
-
-    The list baselines maintain degrees as a plain per-vertex ndarray and
-    index it internally (``self.degree[src]``); the protocol (and the
-    ``Graph`` facade) want a uniform ``degree(vertex_ids) -> ndarray``
-    callable.  This ndarray subclass serves both: indexing, reductions and
-    ufuncs behave exactly like the underlying array, while calling it
-    validates the ids and gathers a copy — the same semantics as
-    :meth:`repro.core.DynamicGraph.degree`.
-    """
-
-    def __call__(self, vertex_ids) -> np.ndarray:
-        vids = as_int_array(vertex_ids, "vertex_ids")
-        check_in_range(vids, 0, self.shape[0], "vertex_ids")
-        return np.asarray(self)[vids].copy()
-
-
-def degree_array(doc: str | None = None) -> property:
-    """A property that stores any assigned array as a :class:`DegreeView`.
-
-    Backends assign and mutate ``self.degree`` freely (including rebinding
-    to the result of ``np.bincount``); the setter re-wraps so the public
-    attribute always satisfies the callable protocol.
-    """
-
-    def fget(self):
-        return self._degree_view
-
-    def fset(self, value):
-        self._degree_view = np.asarray(value, dtype=np.int64).view(DegreeView)
-
-    return property(fget, fset, doc=doc or "Per-vertex out-degree (indexable and callable).")
 
 
 class GraphBackend(abc.ABC):
@@ -182,28 +177,132 @@ class GraphBackend(abc.ABC):
         """Advance :attr:`mutation_version`; called by every mutating op."""
         self._mutation_version = self._mutation_version + 1
 
-    # -- required batched surface ----------------------------------------------
+    # -- public batched surface (template methods; subclasses implement hooks) ----
 
-    @abc.abstractmethod
     def insert_edges(self, src, dst, weights=None) -> int:
         """Insert a batch of directed edges; returns edges newly added.
 
         Self-loops are dropped; duplicates resolve by replace semantics
-        (most recent weight wins).  Unweighted instances must reject
-        explicit ``weights`` with :class:`ValidationError`.
+        (most recent weight wins).  Unweighted instances reject explicit
+        ``weights`` with :class:`ValidationError`.  A batch that is all
+        self-loops bumps the version (it passed validation non-empty) and
+        reaches no hook, so it charges nothing.
         """
+        src, dst = checked_ids(self.num_vertices, src=src, dst=dst)
+        if weights is not None:
+            if not self.weighted:
+                # Dropping them silently made cross-backend comparisons unsound.
+                raise ValidationError(
+                    f"{type(self).__name__} instance is unweighted (weighted=False) "
+                    "and cannot store edge weights; construct it with weighted=True "
+                    "or omit the weights argument"
+                )
+            weights = as_int_array(weights, "weights")
+            check_equal_length(("src", src), ("weights", weights))
+        if src.size == 0:
+            return 0
+        self._bump_version()
+        keep = src != dst  # no self-edges (Algorithm 1, line 3)
+        src, dst = src[keep], dst[keep]
+        if src.size == 0:
+            return 0
+        return self._insert_edges(src, dst, None if weights is None else weights[keep])
 
-    @abc.abstractmethod
     def delete_edges(self, src, dst) -> int:
         """Delete a batch of directed edges; returns edges removed."""
+        src, dst = checked_ids(self.num_vertices, src=src, dst=dst)
+        if src.size == 0:
+            return 0
+        self._bump_version()
+        return self._delete_edges(src, dst)
 
-    @abc.abstractmethod
     def edge_exists(self, src, dst) -> np.ndarray:
         """Vectorized membership test (the paper's ``edgeExist``)."""
+        src, dst = checked_ids(self.num_vertices, src=src, dst=dst)
+        if src.size == 0:
+            return np.empty(0, dtype=bool)
+        return self._edge_exists(src, dst)
 
-    @abc.abstractmethod
+    def edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
+        """``(found, weight)`` per queried pair; weight is 0 where absent."""
+        src, dst = checked_ids(self.num_vertices, src=src, dst=dst)
+        if src.size == 0:
+            return np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
+        return self._edge_weights(src, dst)
+
     def neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
         """One adjacency list as ``(destinations, weights)``."""
+        return self._neighbors(self._checked_vertex(vertex))
+
+    def adjacencies(self, vertex_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched adjacency iterator: ``(owner_pos, destinations, weights)``
+        where ``owner_pos[i]`` indexes into ``vertex_ids``."""
+        (vids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
+        return self._adjacencies(vids)
+
+    def degree(self, vertex_ids) -> np.ndarray:
+        """Out-degree per requested vertex (a fresh int64 array)."""
+        (vids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
+        return self._degree(vids)
+
+    def delete_vertices(self, vertex_ids) -> int:
+        """Delete vertices and incident edges (Algorithm 2 semantics).
+
+        Refused from the capability flag: a backend without
+        ``vertex_dynamic`` raises — matching e.g. real Hornet, which "does
+        not implement vertex deletion" (Section VI-A3); one declaring it
+        implements ``_delete_vertices``.
+        """
+        if not self.capabilities.vertex_dynamic:
+            raise NotImplementedError(
+                f"{type(self).__name__} does not implement vertex deletion "
+                "(capability vertex_dynamic=False)"
+            )
+        (vids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
+        if vids.size == 0:
+            return 0
+        self._bump_version()
+        return self._delete_vertices(vids)
+
+    def _checked_vertex(self, vertex) -> int:
+        """One caller-supplied vertex id as an in-range ``int``."""
+        return _checked_id(vertex, self.num_vertices, "vertex")
+
+    # -- hooks: clean in-range int64 arrays in, no validation, no version bump ------
+
+    @abc.abstractmethod
+    def _insert_edges(self, src, dst, weights) -> int:
+        """Insert a non-empty, self-loop-free batch (``weights`` may be
+        ``None``); returns edges newly added."""
+
+    @abc.abstractmethod
+    def _delete_edges(self, src, dst) -> int:
+        """Delete a non-empty batch; returns edges removed."""
+
+    @abc.abstractmethod
+    def _edge_exists(self, src, dst) -> np.ndarray:
+        """Membership per pair of a non-empty batch."""
+
+    def _edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
+        """Default for structures that store no weights: membership plus
+        zeros.  Weighted backends override with a real value lookup."""
+        found = self._edge_exists(src, dst)
+        return found, np.zeros(found.shape[0], dtype=np.int64)
+
+    @abc.abstractmethod
+    def _neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
+        """One adjacency list as ``(destinations, weights)``."""
+
+    def _adjacencies(self, vertex_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Default loops over :meth:`_neighbors`; structures with a bulk
+        sweep override it."""
+        return gather_adjacencies(self._neighbors, vertex_ids)
+
+    @abc.abstractmethod
+    def _degree(self, vertex_ids) -> np.ndarray:
+        """Out-degree per id, as an array the caller owns."""
+
+    # -- the rest of the required surface -------------------------------------------
 
     @abc.abstractmethod
     def num_edges(self) -> int:
@@ -221,53 +320,6 @@ class GraphBackend(abc.ABC):
     def sorted_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """``(row_ptr, col_idx)`` sorted CSR view (paying a sort if the
         structure does not maintain order — Table VIII's cost)."""
-
-    # -- derived defaults ----------------------------------------------------------
-
-    def degree(self, vertex_ids) -> np.ndarray:
-        """Out-degree per requested vertex.
-
-        Baselines shadow this with a :func:`degree_array` property (O(1)
-        gathers from maintained counters); this fallback walks adjacency.
-        """
-        vids = as_int_array(vertex_ids, "vertex_ids")
-        check_in_range(vids, 0, self.num_vertices, "vertex_ids")
-        return np.array(
-            [self.neighbors(int(v))[0].shape[0] for v in vids.tolist()],
-            dtype=np.int64,
-        )
-
-    def edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
-        """``(found, weight)`` per queried pair.
-
-        Default suits unweighted instances: membership plus zero weights.
-        Weighted backends override with a real value lookup.
-        """
-        found = self.edge_exists(src, dst)
-        return found, np.zeros(found.shape[0], dtype=np.int64)
-
-    def adjacencies(self, vertex_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched adjacency iterator: ``(owner_pos, destinations, weights)``.
-
-        ``owner_pos[i]`` indexes into ``vertex_ids``.  The default loops
-        over :meth:`neighbors`; structures with a bulk sweep override it.
-        """
-        vids = as_int_array(vertex_ids, "vertex_ids")
-        if vids.size:
-            check_in_range(vids, 0, self.num_vertices, "vertex_ids")
-        return gather_adjacencies(self, vids)
-
-    def delete_vertices(self, vertex_ids) -> int:
-        """Delete vertices and incident edges (Algorithm 2 semantics).
-
-        Backends without the ``vertex_dynamic`` capability inherit this
-        refusal — matching e.g. real Hornet, which "does not implement
-        vertex deletion" (Section VI-A3).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement vertex deletion "
-            "(capability vertex_dynamic=False)"
-        )
 
     def memory_bytes(self) -> int:
         """Bytes currently held in the structure's storage pools."""
@@ -294,17 +346,3 @@ class GraphBackend(abc.ABC):
     def instance_capabilities(self) -> Capabilities:
         """Class capabilities narrowed by this instance's configuration."""
         return self.capabilities.narrowed(weighted=self.weighted)
-
-    def _reject_weights_if_unweighted(self, weights) -> None:
-        """Shared guard: explicit weights on an unweighted instance error.
-
-        Unweighted structures used to drop weights silently, which made
-        cross-backend comparisons quietly unsound; the contract now
-        requires a loud failure.
-        """
-        if weights is not None and not self.weighted:
-            raise ValidationError(
-                f"{type(self).__name__} instance is unweighted (weighted=False) "
-                "and cannot store edge weights; construct it with weighted=True "
-                "or omit the weights argument"
-            )

@@ -1,10 +1,12 @@
-"""The ``Graph`` facade: one normalization layer over any backend.
+"""The ``Graph`` facade: batch policies, the event log and snapshot
+maintenance over any backend.
 
-Every backend historically re-implemented the same argument pipeline
-(coerce to int64, length check, bounds check, self-loop drop, weight
-defaulting) with subtly different defaults.  The facade does that work
-exactly once at the public boundary and dispatches clean ndarray batches;
-backend-side re-coercion is a fast-pathed no-op on already-clean arrays.
+The argument rule (coerce to int64, equal lengths, ids in range) is
+:func:`repro.api.backend.checked_ids`, which every
+:class:`~repro.api.GraphBackend` applies in its public methods.  The
+facade applies the same function to mutation batches, because it needs
+the clean arrays itself — for its policies below and for the events it
+publishes — and delegates queries to the backend unchanged.
 
 Quickstart::
 
@@ -53,7 +55,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.api.backend import GraphBackend
+from repro.api.backend import GraphBackend, checked_ids
 from repro.api.capabilities import Capabilities
 from repro.api.registry import create as _create_backend
 from repro.api.snapshot import CSRSnapshot, as_snapshot, merge_event_window
@@ -61,7 +63,7 @@ from repro.coo import COO
 from repro.eventlog import DEFAULT_RETENTION_ROWS, EdgeBatch, EventLog, version_chain_intact
 from repro.util.errors import ValidationError
 from repro.util.groupby import last_occurrence_mask
-from repro.util.validation import as_int_array, check_equal_length, check_in_range
+from repro.util.validation import as_int_array, check_equal_length
 
 __all__ = ["Graph", "normalize_batch"]
 
@@ -97,16 +99,11 @@ def normalize_batch(
     fill_default_weight: bool = True,
     backend_name: str = "backend",
 ):
-    """The single batch-normalization seam (shared by :class:`Graph` and
-    the shard router): coerce to int64, check lengths and bounds, apply
-    the self-loop policy, optionally collapse intra-batch duplicates
-    (last occurrence wins), and default weights."""
-    src = as_int_array(src, "src")
-    dst = as_int_array(dst, "dst")
-    check_equal_length(("src", src), ("dst", dst))
-    if src.size:
-        check_in_range(src, 0, num_vertices, "src")
-        check_in_range(dst, 0, num_vertices, "dst")
+    """The facade's batch policies (shared by :class:`Graph` and the shard
+    router) over :func:`~repro.api.backend.checked_ids`: apply the
+    self-loop policy, optionally collapse intra-batch duplicates (last
+    occurrence wins), and default weights."""
+    src, dst = checked_ids(num_vertices, src=src, dst=dst)
     if weights is not None:
         if not weighted:
             raise ValidationError(
@@ -139,9 +136,10 @@ class Graph:
     """A backend-agnostic dynamic graph with uniform batch normalization.
 
     Wrap an existing backend instance (``Graph(backend)``) or construct by
-    registry name (:meth:`Graph.create`).  All mutation and query methods
-    validate once here, then dispatch; capability-gated operations raise a
-    clear :class:`ValidationError` naming the missing flag instead of an
+    registry name (:meth:`Graph.create`).  Mutations are normalized here,
+    then dispatched and published; queries delegate to the backend, which
+    validates them; capability-gated operations raise a clear
+    :class:`ValidationError` naming the missing flag instead of an
     ``AttributeError`` from a missing method.
     """
 
@@ -231,7 +229,7 @@ class Graph:
         """The backend's monotone mutation version (None if unversioned)."""
         return getattr(self.backend, "mutation_version", None)
 
-    # -- batch normalization (the single validation seam) ------------------------
+    # -- batch normalization ------------------------------------------------------
 
     def _normalize(self, src, dst, weights, *, fill_default_weight: bool = True):
         return normalize_batch(
@@ -277,10 +275,9 @@ class Graph:
         — the next :meth:`snapshot` included — rebuild cold.
         """
         self._require("vertex_dynamic")
-        vids = as_int_array(vertex_ids, "vertex_ids")
+        (vids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
         if vids.size == 0:
             return 0
-        check_in_range(vids, 0, self.num_vertices, "vertex_ids")
         before = self.mutation_version
         removed = int(self.backend.delete_vertices(vids))
         # The payload (a copy — the event outlives the caller's buffer)
@@ -326,31 +323,15 @@ class Graph:
 
     def edge_exists(self, src, dst) -> np.ndarray:
         """Boolean membership per ``(src, dst)`` pair (batched probe)."""
-        src = as_int_array(src, "src")
-        dst = as_int_array(dst, "dst")
-        check_equal_length(("src", src), ("dst", dst))
-        if src.size == 0:
-            return np.empty(0, dtype=bool)
-        check_in_range(src, 0, self.num_vertices, "src")
-        check_in_range(dst, 0, self.num_vertices, "dst")
         return self.backend.edge_exists(src, dst)
 
     def edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
         """Per-pair ``(found, weight)`` arrays; weight is 0 where absent."""
-        src = as_int_array(src, "src")
-        dst = as_int_array(dst, "dst")
-        check_equal_length(("src", src), ("dst", dst))
-        if src.size == 0:
-            return np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
-        check_in_range(src, 0, self.num_vertices, "src")
-        check_in_range(dst, 0, self.num_vertices, "dst")
         return self.backend.edge_weights(src, dst)
 
     def neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
         """One vertex's ``(destinations, weights)`` adjacency arrays."""
-        v = int(vertex)
-        check_in_range(np.array([v]), 0, self.num_vertices, "vertex")
-        return self.backend.neighbors(v)
+        return self.backend.neighbors(vertex)
 
     def adjacencies(self, vertex_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched adjacency iterator ``(owner_pos, destinations, weights)``."""
@@ -413,7 +394,7 @@ class Graph:
         """Neighbors with ids in ``[lo, hi)`` (capability-gated: only
         sorted structures serve this without a scan — Section VII)."""
         self._require("range_queries")
-        return self.backend.neighbor_range(int(vertex), int(lo), int(hi))
+        return self.backend.neighbor_range(vertex, lo, hi)
 
     # -- maintenance -------------------------------------------------------------------
 

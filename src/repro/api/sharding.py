@@ -63,6 +63,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.api.backend import _checked_id, checked_ids
 from repro.api.facade import Graph, _check_packable, normalize_batch
 from repro.api.snapshot import CSRSnapshot
 from repro.coo import COO
@@ -76,7 +77,6 @@ from repro.util.errors import (
     ValidationError,
 )
 from repro.util.groupby import stable_argsort
-from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
 __all__ = [
     "Partitioner",
@@ -515,12 +515,7 @@ class ShardedGraph:
         return tuple(s for s, h in enumerate(self.health) if h == SHARD_DEAD)
 
     def _check_shard(self, shard_index) -> int:
-        (s,) = as_int_array(shard_index, "shard_index").tolist()
-        if not 0 <= s < self.num_shards:
-            raise ValidationError(
-                f"shard index {s} out of range for {self.num_shards} shards"
-            )
-        return s
+        return _checked_id(shard_index, self.num_shards, "shard_index")
 
     def kill_shard(self, shard_index: int) -> None:
         """Mark a shard dead, as an injected permanent fault would.
@@ -759,10 +754,9 @@ class ShardedGraph:
         their source is owned — so the batch fans out to every shard, and
         the return value sums per-shard deactivations (a vertex counts
         once per shard that had activated it)."""
-        vids = as_int_array(vertex_ids, "vertex_ids")
+        (vids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
         if vids.size == 0:
             return 0
-        check_in_range(vids, 0, self.num_vertices, "vertex_ids")
         # A copy: the payload outlives the caller's buffer in a report.
         return self._mutate("delete_vertices", {"vids": vids.copy()}, vids.shape[0])
 
@@ -823,19 +817,15 @@ class ShardedGraph:
             f"shard {s} failed during {op}: {err}{hint}", shard=s, op=op
         ) from cause
 
-    def _scatter(self, op: str, gather, **ids) -> None:
-        """The one scatter-gather read path: validate the id columns
-        (equal length, in range), route rows by the first column's owner,
+    def _scatter(self, op: str, gather, keys) -> None:
+        """The one scatter-gather read path: route the caller's clean rows
+        (:func:`~repro.api.backend.checked_ids`) by the owner of ``keys``,
         run ``gather(shard, row_mask)`` on each owning shard under the
         retry policy (priced into :attr:`query_costs`), and raise a typed
         :class:`ShardError` if any shard failed.  An empty batch touches
         no shard and charges nothing."""
-        check_equal_length(*ids.items())
-        keys = next(iter(ids.values()))
         if keys.size == 0:
             return
-        for name, column in ids.items():
-            check_in_range(column, 0, self.num_vertices, name)
         owner = self.partitioner.shard_of(keys)
         router = self._charge_router(keys.shape[0])
         _, failures, shard_times = self._fan_out(gather, owner)
@@ -847,50 +837,47 @@ class ShardedGraph:
 
         A shard failure surfaces as a typed :class:`ShardError` carrying
         the shard index and op."""
-        src = as_int_array(src, "src")
-        dst = as_int_array(dst, "dst")
+        src, dst = checked_ids(self.num_vertices, src=src, dst=dst)
         out = np.zeros(src.shape[0], dtype=bool)
 
         def gather(shard, mask):
             out[mask] = shard.edge_exists(src[mask], dst[mask])
 
-        self._scatter("edge_exists", gather, src=src, dst=dst)
+        self._scatter("edge_exists", gather, src)
         return out
 
     def edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
         """Per-pair ``(found, weight)``, scatter-gathered from owners.
 
         A shard failure surfaces as a typed :class:`ShardError`."""
-        src = as_int_array(src, "src")
-        dst = as_int_array(dst, "dst")
+        src, dst = checked_ids(self.num_vertices, src=src, dst=dst)
         exists = np.zeros(src.shape[0], dtype=bool)
         weights = np.zeros(src.shape[0], dtype=np.int64)
 
         def gather(shard, mask):
             exists[mask], weights[mask] = shard.edge_weights(src[mask], dst[mask])
 
-        self._scatter("edge_weights", gather, src=src, dst=dst)
+        self._scatter("edge_weights", gather, src)
         return exists, weights
 
     def degree(self, vertex_ids) -> np.ndarray:
         """Out-degree per requested vertex, gathered from owner shards.
 
         A shard failure surfaces as a typed :class:`ShardError`."""
-        vids = as_int_array(vertex_ids, "vertex_ids")
+        (vids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
         out = np.zeros(vids.shape[0], dtype=np.int64)
 
         def gather(shard, mask):
             out[mask] = shard.degree(vids[mask])
 
-        self._scatter("degree", gather, vertex_ids=vids)
+        self._scatter("degree", gather, vids)
         return out
 
     def neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
         """One vertex's adjacency, served by its owner shard alone.
 
         A shard failure surfaces as a typed :class:`ShardError`."""
-        v = int(vertex)
-        check_in_range(np.array([v]), 0, self.num_vertices, "vertex")
+        v = _checked_id(vertex, self.num_vertices, "vertex")
         s = int(self.partitioner.shard_of(np.array([v]))[0])
         return self._read_shards("neighbors", lambda shard, _: shard.neighbors(v), [s])[s]
 
@@ -899,14 +886,14 @@ class ShardedGraph:
         owner shards; rows are grouped by ascending position in
         ``vertex_ids`` (neighbor order within a vertex is shard-native).
         A shard failure surfaces as a typed :class:`ShardError`."""
-        vids = as_int_array(vertex_ids, "vertex_ids")
+        (vids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
         parts: list = []
 
         def gather(shard, mask):
             owner_pos, dsts, ws = shard.adjacencies(vids[mask])
             parts.append((np.flatnonzero(mask)[owner_pos], dsts, ws))
 
-        self._scatter("adjacencies", gather, vertex_ids=vids)
+        self._scatter("adjacencies", gather, vids)
         if not parts:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.copy(), empty.copy()

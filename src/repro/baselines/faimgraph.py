@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.backend import GraphBackend, degree_array, scan_edge_weights
+from repro.api.backend import GraphBackend, scan_edge_weights
 from repro.api.capabilities import Capabilities
 from repro.coo import COO
 from repro.gpusim.counters import get_counters
 from repro.gpusim.memory import GrowableArray
 from repro.util.errors import ValidationError
 from repro.util.groupby import last_occurrence_mask, rank_within_group
-from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
 __all__ = ["FaimGraph"]
 
@@ -52,16 +51,13 @@ class FaimGraph(GraphBackend):
         vertex_id_reuse=True,
     )
 
-    #: Maintained out-degrees (indexable array, callable per the protocol).
-    degree = degree_array()
-
     def __init__(self, num_vertices: int, weighted: bool = False) -> None:
         if num_vertices < 1:
             raise ValidationError("num_vertices must be positive")
         self.num_vertices = int(num_vertices)
         self.weighted = bool(weighted)
         self.page_cap = PAGE_CAP_WEIGHTED if weighted else PAGE_CAP_UNWEIGHTED
-        self.degree = np.zeros(self.num_vertices, dtype=np.int64)
+        self._deg = np.zeros(self.num_vertices, dtype=np.int64)
         self.head_page = np.full(self.num_vertices, -1, dtype=np.int64)
         self._dst = GrowableArray(64, np.int64, width=self.page_cap, fill_value=-1)
         self._wt = (
@@ -149,7 +145,7 @@ class FaimGraph(GraphBackend):
         Returns ``(owner_pos, dsts, pages, lanes)`` in list-position order
         per vertex (the dense invariant makes positions well-defined).
         """
-        degs = self.degree[verts]
+        degs = self._deg[verts]
         total = int(degs.sum())
         if total == 0:
             e = np.empty(0, dtype=np.int64)
@@ -170,7 +166,7 @@ class FaimGraph(GraphBackend):
 
     def bulk_build(self, coo: COO) -> int:
         """Initialize from a COO snapshot (deduplicated setup path)."""
-        if int(self.degree.sum()) != 0:
+        if int(self._deg.sum()) != 0:
             raise ValidationError("bulk_build requires an empty graph")
         self._bump_version()
         work = coo.without_self_loops().deduplicated()
@@ -189,7 +185,7 @@ class FaimGraph(GraphBackend):
         is_last[np.cumsum(pages_per) - 1] = True
         self._next.data[pages[~is_last]] = pages[np.flatnonzero(~is_last) + 1]
         self.head_page[verts] = pages[starts]
-        self.degree[verts] = degs[verts]
+        self._deg[verts] = degs[verts]
 
         rank = rank_within_group(s)
         page_of_entry = pages[starts[np.searchsorted(verts, s)] + rank // self.page_cap]
@@ -202,28 +198,10 @@ class FaimGraph(GraphBackend):
 
     # -- updates --------------------------------------------------------------------------
 
-    def insert_edges(self, src, dst, weights=None) -> int:
+    def _insert_edges(self, src, dst, weights) -> int:
         """Batched insertion with full-scan duplicate prevention."""
-        self._reject_weights_if_unweighted(weights)
-        src = as_int_array(src, "src")
-        dst = as_int_array(dst, "dst")
-        check_equal_length(("src", src), ("dst", dst))
-        if weights is not None:
-            weights = as_int_array(weights, "weights")
-            check_equal_length(("src", src), ("weights", weights))
-        if src.size == 0:
-            return 0
-        check_in_range(src, 0, self.num_vertices, "src")
-        check_in_range(dst, 0, self.num_vertices, "dst")
-        self._bump_version()
         counters = get_counters()
         counters.kernel_launches += 1
-
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        weights = weights[keep] if weights is not None else None
-        if src.size == 0:
-            return 0
         w = weights if weights is not None else np.zeros(src.shape[0], dtype=np.int64)
 
         comp = self._composite(src, dst)
@@ -237,7 +215,7 @@ class FaimGraph(GraphBackend):
         # Each inserted item walks its vertex's page chain to the tail
         # (dependent loads) before it can append — the latency cost that
         # separates faimGraph from the hash structure at equal bandwidth.
-        chain_pages = np.maximum(-(-self.degree[src] // self.page_cap), 1)
+        chain_pages = np.maximum(-(-self._deg[src] // self.page_cap), 1)
         counters.add("chain_steps", int(chain_pages.sum()))
         exist_comp = self._composite(verts[owner], exist_dst)
         present = np.isin(comp, exist_comp)
@@ -256,7 +234,7 @@ class FaimGraph(GraphBackend):
         src, dst, w = src[order], dst[order], w[order]
         add = np.bincount(src, minlength=self.num_vertices)
         touched = np.flatnonzero(add)
-        old_deg = self.degree[touched]
+        old_deg = self._deg[touched]
         new_deg = old_deg + add[touched]
         old_pages = -(-old_deg // self.page_cap)
         new_pages = -(-new_deg // self.page_cap)
@@ -291,7 +269,7 @@ class FaimGraph(GraphBackend):
         # Positions for the appended entries (chains now include new pages).
         lookup = self._page_lookup(touched)
         rank = rank_within_group(src)
-        pos = self.degree[src] + rank
+        pos = self._deg[src] + rank
         owner_idx = np.searchsorted(touched, src)
         page_of_entry = lookup[owner_idx, pos // self.page_cap]
         lane = pos % self.page_cap
@@ -299,23 +277,16 @@ class FaimGraph(GraphBackend):
         if self._wt is not None:
             self._wt.data[page_of_entry, lane] = w
         counters.slab_writes += int(src.size)
-        self.degree += add
+        self._deg += add
         return int(src.size)
 
-    def delete_edges(self, src, dst) -> int:
+    def _delete_edges(self, src, dst) -> int:
         """Batched deletion by hole-filling compaction.
 
         The last elements of each affected list move into the holes (list
         order is not preserved — faimGraph semantics); emptied tail pages
         return to the page queue.
         """
-        src = as_int_array(src, "src")
-        dst = as_int_array(dst, "dst")
-        check_equal_length(("src", src), ("dst", dst))
-        if src.size == 0:
-            return 0
-        check_in_range(src, 0, self.num_vertices, "src")
-        self._bump_version()
         counters = get_counters()
         counters.kernel_launches += 1
 
@@ -323,7 +294,7 @@ class FaimGraph(GraphBackend):
         verts = np.unique(src)
         owner, exist_dst, pages, lanes = self._gather(verts)
         counters.scanned_elements += int(exist_dst.size)
-        chain_pages = np.maximum(-(-self.degree[src] // self.page_cap), 1)
+        chain_pages = np.maximum(-(-self._deg[src] // self.page_cap), 1)
         counters.add("chain_steps", int(chain_pages.sum()))
         exist_comp = self._composite(verts[owner], exist_dst)
         doomed = np.isin(exist_comp, comp)
@@ -331,7 +302,7 @@ class FaimGraph(GraphBackend):
         if removed == 0:
             return 0
 
-        degs = self.degree[verts]
+        degs = self._deg[verts]
         kill_per = np.bincount(owner[doomed], minlength=verts.shape[0])
         new_deg = degs - kill_per
         total = exist_dst.shape[0]
@@ -368,19 +339,15 @@ class FaimGraph(GraphBackend):
                     self.head_page[verts[vpos]] = -1
                 else:
                     self._next.data[lookup[row, kp - 1]] = -1
-        self.degree[verts] = new_deg
+        self._deg[verts] = new_deg
         return removed
 
     # -- vertex operations -------------------------------------------------------------
 
-    def delete_vertices(self, vertex_ids) -> int:
+    def _delete_vertices(self, vertex_ids) -> int:
         """Delete vertices, erase reverse edges (full scans), recycle pages
         and ids — the Table IV workload.  Undirected semantics."""
-        vertex_ids = np.unique(as_int_array(vertex_ids, "vertex_ids"))
-        if vertex_ids.size == 0:
-            return 0
-        check_in_range(vertex_ids, 0, self.num_vertices, "vertex_ids")
-        self._bump_version()
+        vertex_ids = np.unique(vertex_ids)
         counters = get_counters()
         counters.atomics += int(vertex_ids.size)  # vertex-queue pushes
 
@@ -388,17 +355,17 @@ class FaimGraph(GraphBackend):
         removed = 0
         if nbrs.size:
             # Erase v from each neighbour's list; each erase pays the
-            # neighbour-list scan inside delete_edges.
+            # neighbour-list scan inside _delete_edges.
             doomed_of_entry = vertex_ids[owner]
             mask = ~np.isin(nbrs, vertex_ids)  # doomed->doomed handled by page free
             if mask.any():
-                removed += self.delete_edges(nbrs[mask], doomed_of_entry[mask])
+                removed += self._delete_edges(nbrs[mask], doomed_of_entry[mask])
 
-        own = int(self.degree[vertex_ids].sum())
+        own = int(self._deg[vertex_ids].sum())
         _, pages, _ = self._collect_pages(vertex_ids)
         self._free_pages(pages)
         self.head_page[vertex_ids] = -1
-        self.degree[vertex_ids] = 0
+        self._deg[vertex_ids] = 0
         self._vertex_queue.extend(vertex_ids.tolist())
         return removed + own
 
@@ -412,13 +379,8 @@ class FaimGraph(GraphBackend):
 
     # -- queries -------------------------------------------------------------------------
 
-    def edge_exists(self, src, dst) -> np.ndarray:
+    def _edge_exists(self, src, dst) -> np.ndarray:
         """Membership by full list scan (unsorted pages)."""
-        src = as_int_array(src, "src")
-        dst = as_int_array(dst, "dst")
-        check_equal_length(("src", src), ("dst", dst))
-        if src.size == 0:
-            return np.empty(0, dtype=bool)
         counters = get_counters()
         verts = np.unique(src)
         owner, exist_dst, _, _ = self._gather(verts)
@@ -426,7 +388,7 @@ class FaimGraph(GraphBackend):
         exist_comp = self._composite(verts[owner], exist_dst)
         return np.isin(self._composite(src, dst), exist_comp)
 
-    def edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
+    def _edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
         """(found, weight) per queried pair — a scan of the affected lists."""
 
         def gather(verts):
@@ -440,10 +402,10 @@ class FaimGraph(GraphBackend):
 
             return owner, exist_dst, weight_at
 
-        return scan_edge_weights(self, src, dst, gather)
+        return scan_edge_weights(src, dst, gather)
 
-    def neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
-        v = np.array([int(vertex)], dtype=np.int64)
+    def _neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
+        v = np.array([vertex], dtype=np.int64)
         _, dsts, pages, lanes = self._gather(v)
         w = (
             self._wt.data[pages, lanes].copy()
@@ -453,7 +415,7 @@ class FaimGraph(GraphBackend):
         return dsts.copy(), w
 
     def export_coo(self) -> COO:
-        verts = np.flatnonzero(self.degree)
+        verts = np.flatnonzero(self._deg)
         owner, dsts, pages, lanes = self._gather(verts)
         w = self._wt.data[pages, lanes] if self._wt is not None and dsts.size else None
         return COO(
@@ -463,8 +425,11 @@ class FaimGraph(GraphBackend):
             weights=None if w is None else w.copy(),
         )
 
+    def _degree(self, vertex_ids) -> np.ndarray:
+        return self._deg[vertex_ids]
+
     def num_edges(self) -> int:
-        return int(self.degree.sum())
+        return int(self._deg.sum())
 
     def sorted_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """Sort adjacency with faimGraph's paged sort (Table VIII cost)."""

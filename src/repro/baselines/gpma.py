@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.backend import GraphBackend, degree_array
+from repro.api.backend import GraphBackend
 from repro.api.capabilities import Capabilities
 from repro.coo import COO
 from repro.gpusim.counters import get_counters
 from repro.util.errors import ValidationError
-from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
 __all__ = ["GPMAGraph"]
 
@@ -42,9 +41,6 @@ class GPMAGraph(GraphBackend):
     """PMA-backed dynamic edge set with per-vertex degree tracking."""
 
     capabilities = Capabilities(sorted_neighbors=True)
-
-    #: Maintained out-degrees (indexable array, callable per the protocol).
-    degree = degree_array()
 
     def __init__(
         self, num_vertices: int, segment_size: int = 32, weighted: bool = False
@@ -62,7 +58,7 @@ class GPMAGraph(GraphBackend):
         self.segment_size = int(segment_size)
         self._data = np.full(segment_size * 2, _EMPTY, dtype=np.int64)
         self._count = 0
-        self.degree = np.zeros(self.num_vertices, dtype=np.int64)
+        self._deg = np.zeros(self.num_vertices, dtype=np.int64)
         self.weighted = False  # GPMA here stores the unweighted edge set
 
     # -- geometry ------------------------------------------------------------
@@ -156,35 +152,21 @@ class GPMAGraph(GraphBackend):
             ).astype(np.int64)
             self._data[slots] = keys
         self._count = int(keys.size)
-        self.degree = np.bincount(
+        self._deg = np.bincount(
             (keys >> 32).astype(np.int64), minlength=self.num_vertices
         ).astype(np.int64)
         return int(keys.size)
 
     # -- updates ------------------------------------------------------------------------
 
-    def insert_edges(self, src, dst, weights=None) -> int:
+    def _insert_edges(self, src, dst, weights) -> int:
         """Sorted-batch PMA insertion; returns edges newly added.
 
-        GPMA stores an unweighted edge set: passing weights is an error
-        (they used to be dropped silently, corrupting comparisons).
+        GPMA stores an unweighted edge set, so ``weights`` is always
+        ``None`` here (the template rejects them).
         """
-        self._reject_weights_if_unweighted(weights)
-        src = as_int_array(src, "src")
-        dst = as_int_array(dst, "dst")
-        check_equal_length(("src", src), ("dst", dst))
-        if src.size == 0:
-            return 0
-        check_in_range(src, 0, self.num_vertices, "src")
-        check_in_range(dst, 0, self.num_vertices, "dst")
-        self._bump_version()
-        counters = get_counters()
-
-        keep = src != dst
-        comp = np.unique(self._composite(src[keep], dst[keep]))
-        counters.sorted_elements += int(comp.size)
-        if comp.size == 0:
-            return 0
+        comp = np.unique(self._composite(src, dst))
+        get_counters().sorted_elements += int(comp.size)
 
         # Drop already-present keys (binary search over live elements).
         live, seg_of = self._segment_of_live()
@@ -209,7 +191,7 @@ class GPMAGraph(GraphBackend):
         per_leaf = np.bincount(leaf, minlength=self._num_segments)
         self._apply_leaf_inserts(comp, leaf, per_leaf)
         self._count += added
-        self.degree += np.bincount((comp >> 32).astype(np.int64), minlength=self.num_vertices)
+        self._deg += np.bincount((comp >> 32).astype(np.int64), minlength=self.num_vertices)
         return added
 
     def _apply_leaf_inserts(self, keys: np.ndarray, leaf: np.ndarray, per_leaf: np.ndarray):
@@ -258,15 +240,8 @@ class GPMAGraph(GraphBackend):
             target[lo:hi] = occ
             handled[lo:hi] = True
 
-    def delete_edges(self, src, dst) -> int:
+    def _delete_edges(self, src, dst) -> int:
         """Mark-and-rebalance deletion; returns edges removed."""
-        src = as_int_array(src, "src")
-        dst = as_int_array(dst, "dst")
-        check_equal_length(("src", src), ("dst", dst))
-        if src.size == 0:
-            return 0
-        check_in_range(src, 0, self.num_vertices, "src")
-        self._bump_version()
         comp = np.unique(self._composite(src, dst))
 
         mask = self._data != _EMPTY
@@ -279,7 +254,7 @@ class GPMAGraph(GraphBackend):
         gone = live[doomed]
         self._data[positions[doomed]] = _EMPTY
         self._count -= removed
-        self.degree -= np.bincount((gone >> 32).astype(np.int64), minlength=self.num_vertices)
+        self._deg -= np.bincount((gone >> 32).astype(np.int64), minlength=self.num_vertices)
 
         # Lower-threshold maintenance: one root-level check (device pass).
         if self._count < _ROOT_LOWER * self.capacity and self.capacity > 2 * self.segment_size:
@@ -298,13 +273,8 @@ class GPMAGraph(GraphBackend):
 
     # -- queries ---------------------------------------------------------------------------
 
-    def edge_exists(self, src, dst) -> np.ndarray:
+    def _edge_exists(self, src, dst) -> np.ndarray:
         """Binary search over the sorted live keys — PMA's query strength."""
-        src = as_int_array(src, "src")
-        dst = as_int_array(dst, "dst")
-        check_equal_length(("src", src), ("dst", dst))
-        if src.size == 0:
-            return np.empty(0, dtype=bool)
         comp = self._composite(src, dst)
         live = self._live()
         if live.size == 0:
@@ -313,11 +283,10 @@ class GPMAGraph(GraphBackend):
         safe = np.minimum(loc, live.shape[0] - 1)
         return (loc < live.shape[0]) & (live[safe] == comp)
 
-    def neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
-        v = int(vertex)
+    def _neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
         live = self._live()
-        lo = np.searchsorted(live, np.int64(v) << 32)
-        hi = np.searchsorted(live, (np.int64(v) + 1) << 32)
+        lo = np.searchsorted(live, np.int64(vertex) << 32)
+        hi = np.searchsorted(live, (np.int64(vertex) + 1) << 32)
         dsts = (live[lo:hi] & np.int64(0xFFFFFFFF)).astype(np.int64)
         return dsts, np.zeros(dsts.shape[0], dtype=np.int64)
 
@@ -328,6 +297,9 @@ class GPMAGraph(GraphBackend):
             (live & np.int64(0xFFFFFFFF)).astype(np.int64),
             self.num_vertices,
         )
+
+    def _degree(self, vertex_ids) -> np.ndarray:
+        return self._deg[vertex_ids]
 
     def num_edges(self) -> int:
         return self._count

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.backend import GraphBackend, degree_array, scan_edge_weights
+from repro.api.backend import GraphBackend, scan_edge_weights
 from repro.api.capabilities import Capabilities
 from repro.coo import COO
 from repro.gpusim.counters import get_counters
@@ -38,7 +38,6 @@ from repro.util.groupby import (
     last_occurrence_mask,
     rank_within_group,
 )
-from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
 __all__ = ["HornetGraph"]
 
@@ -62,15 +61,12 @@ class HornetGraph(GraphBackend):
 
     capabilities = Capabilities(weighted=True)
 
-    #: Maintained out-degrees (indexable array, callable per the protocol).
-    degree = degree_array()
-
     def __init__(self, num_vertices: int, weighted: bool = True) -> None:
         if num_vertices < 1:
             raise ValidationError("num_vertices must be positive")
         self.num_vertices = int(num_vertices)
         self.weighted = bool(weighted)
-        self.degree = np.zeros(self.num_vertices, dtype=np.int64)
+        self._deg = np.zeros(self.num_vertices, dtype=np.int64)
         self.block_off = np.full(self.num_vertices, -1, dtype=np.int64)
         self.block_cap = np.zeros(self.num_vertices, dtype=np.int64)
         self._dst = GrowableArray(1024, np.int64, fill_value=-1)
@@ -122,7 +118,7 @@ class HornetGraph(GraphBackend):
         Returns ``(owner_pos, dsts, positions)`` where positions are global
         pool indices (for scatter-back) and owner_pos indexes ``vertices``.
         """
-        degs = self.degree[vertices]
+        degs = self._deg[vertices]
         total = int(degs.sum())
         if total == 0:
             e = np.empty(0, dtype=np.int64)
@@ -146,7 +142,7 @@ class HornetGraph(GraphBackend):
         This is the Table V workload; the whole COO goes through a sort
         (Hornet's documented dedup step) before any block is written.
         """
-        if int(self.degree.sum()) != 0:
+        if int(self._deg.sum()) != 0:
             raise ValidationError("bulk_build requires an empty graph")
         self._bump_version()
         counters = get_counters()
@@ -172,7 +168,7 @@ class HornetGraph(GraphBackend):
         offs = self._alloc_blocks(caps)
         self.block_off[verts] = offs
         self.block_cap[verts] = caps
-        self.degree[:] = degs
+        self._deg[:] = degs
 
         starts = group_starts(s)
         rank = rank_within_group(s)
@@ -185,34 +181,16 @@ class HornetGraph(GraphBackend):
 
     # -- updates ----------------------------------------------------------------------
 
-    def insert_edges(self, src, dst, weights=None) -> int:
+    def _insert_edges(self, src, dst, weights) -> int:
         """Batched insertion with sort-based deduplication.
 
         Returns the number of genuinely new edges.  Existing duplicates
         update the weight (matching the replace semantics the paper's own
         structure uses, so comparisons are apples-to-apples).
         """
-        self._reject_weights_if_unweighted(weights)
-        src = as_int_array(src, "src")
-        dst = as_int_array(dst, "dst")
-        check_equal_length(("src", src), ("dst", dst))
-        if weights is not None:
-            weights = as_int_array(weights, "weights")
-            check_equal_length(("src", src), ("weights", weights))
-        if src.size == 0:
-            return 0
-        check_in_range(src, 0, self.num_vertices, "src")
-        check_in_range(dst, 0, self.num_vertices, "dst")
-        self._bump_version()
         counters = get_counters()
         counters.kernel_launches += 1
         counters.add("host_syncs", 1)
-
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        weights = weights[keep] if weights is not None else None
-        if src.size == 0:
-            return 0
         w = weights if weights is not None else np.zeros(src.shape[0], dtype=np.int64)
 
         # (1) intra-batch dedup: sort the batch (charged).
@@ -251,7 +229,7 @@ class HornetGraph(GraphBackend):
         src, dst, w = src[order], dst[order], w[order]
         add_per_vertex = np.bincount(src, minlength=self.num_vertices)
         touched = np.flatnonzero(add_per_vertex)
-        new_deg = self.degree[touched] + add_per_vertex[touched]
+        new_deg = self._deg[touched] + add_per_vertex[touched]
         need_grow = new_deg > self.block_cap[touched]
         if need_grow.any():
             grow_v = touched[need_grow]
@@ -260,7 +238,7 @@ class HornetGraph(GraphBackend):
             # Copy old adjacency into the new blocks ("the entire adjacency
             # list must be copied", Section VI-B2) and release old blocks.
             for v, noff in zip(grow_v.tolist(), new_offs.tolist()):
-                deg = int(self.degree[v])
+                deg = int(self._deg[v])
                 ooff, ocap = int(self.block_off[v]), int(self.block_cap[v])
                 if deg:
                     self._dst.data[noff : noff + deg] = self._dst.data[ooff : ooff + deg]
@@ -274,27 +252,20 @@ class HornetGraph(GraphBackend):
 
         # (4) append at each vertex's tail.
         rank = rank_within_group(src)
-        pos = self.block_off[src] + self.degree[src] + rank
+        pos = self.block_off[src] + self._deg[src] + rank
         self._dst.data[pos] = dst
         if self._wt is not None:
             self._wt.data[pos] = w
-        self.degree += add_per_vertex
+        self._deg += add_per_vertex
         return int(src.size)
 
-    def delete_edges(self, src, dst) -> int:
+    def _delete_edges(self, src, dst) -> int:
         """Batched deletion by mark-and-compact; returns edges removed.
 
         Deletion needs no cross-duplicate sort (the paper notes deletion
         "is a simple process"); matching is a scan of the affected
         adjacencies, then each list is compacted in place.
         """
-        src = as_int_array(src, "src")
-        dst = as_int_array(dst, "dst")
-        check_equal_length(("src", src), ("dst", dst))
-        if src.size == 0:
-            return 0
-        check_in_range(src, 0, self.num_vertices, "src")
-        self._bump_version()
         counters = get_counters()
         counters.kernel_launches += 1
         counters.add("host_syncs", 1)
@@ -320,19 +291,14 @@ class HornetGraph(GraphBackend):
         if self._wt is not None:
             self._wt.data[new_pos] = self._wt.data[surv_pos_old]
         counters.bytes_copied += int(surv_dst.size) * 8
-        self.degree[verts] = np.bincount(surv_owner, minlength=verts.shape[0])
+        self._deg[verts] = np.bincount(surv_owner, minlength=verts.shape[0])
         return removed
 
     # -- queries -----------------------------------------------------------------------
 
-    def edge_exists(self, src, dst) -> np.ndarray:
+    def _edge_exists(self, src, dst) -> np.ndarray:
         """Membership by full scan (adjacency is unsorted) — the O(n) cost
         the paper's introduction highlights for list structures."""
-        src = as_int_array(src, "src")
-        dst = as_int_array(dst, "dst")
-        check_equal_length(("src", src), ("dst", dst))
-        if src.size == 0:
-            return np.empty(0, dtype=bool)
         counters = get_counters()
         verts = np.unique(src)
         owner, exist_dst, _ = self._gather_adjacency(verts)
@@ -341,7 +307,7 @@ class HornetGraph(GraphBackend):
         query_comp = self._composite(src, dst)
         return np.isin(query_comp, exist_comp)
 
-    def edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
+    def _edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
         """(found, weight) per queried pair — a scan of the affected lists."""
 
         def gather(verts):
@@ -355,11 +321,10 @@ class HornetGraph(GraphBackend):
 
             return owner, exist_dst, weight_at
 
-        return scan_edge_weights(self, src, dst, gather)
+        return scan_edge_weights(src, dst, gather)
 
-    def neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
-        v = int(vertex)
-        off, deg = int(self.block_off[v]), int(self.degree[v])
+    def _neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
+        off, deg = int(self.block_off[vertex]), int(self._deg[vertex])
         if off == -1 or deg == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         d = self._dst.data[off : off + deg].copy()
@@ -371,14 +336,17 @@ class HornetGraph(GraphBackend):
         return d, w
 
     def export_coo(self) -> COO:
-        verts = np.flatnonzero(self.degree)
+        verts = np.flatnonzero(self._deg)
         owner, dsts, pos = self._gather_adjacency(verts)
         srcs = verts[owner]
         w = self._wt.data[pos] if self._wt is not None else None
         return COO(srcs, dsts, self.num_vertices, weights=None if w is None else w.copy())
 
+    def _degree(self, vertex_ids) -> np.ndarray:
+        return self._deg[vertex_ids]
+
     def num_edges(self) -> int:
-        return int(self.degree.sum())
+        return int(self._deg.sum())
 
     def sorted_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """Sort every adjacency list (CUB-style segmented sort, charged) and
@@ -386,7 +354,3 @@ class HornetGraph(GraphBackend):
         from repro.baselines.sorting import segmented_sort_adjacency
 
         return segmented_sort_adjacency(self)
-
-    def delete_vertices(self, vertex_ids) -> int:
-        """Not supported — matching the real system (Section VI-A3)."""
-        raise NotImplementedError("Hornet does not implement vertex deletion")

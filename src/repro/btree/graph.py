@@ -23,7 +23,6 @@ from repro.coo import COO
 from repro.gpusim.counters import get_counters
 from repro.util.errors import ValidationError
 from repro.util.groupby import last_occurrence_mask
-from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
 __all__ = ["BTreeGraph"]
 
@@ -46,71 +45,39 @@ class BTreeGraph(GraphBackend):
         self.directed = True
         self._arena = BPlusTreeArena(self.num_vertices)
 
-    # -- helpers ---------------------------------------------------------------
+    # -- updates (hooks of the GraphBackend template methods) ---------------------
 
-    def _prep(self, src, dst, weights):
-        self._reject_weights_if_unweighted(weights)
-        src = as_int_array(src, "src")
-        dst = as_int_array(dst, "dst")
-        check_equal_length(("src", src), ("dst", dst))
-        if weights is not None:
-            weights = as_int_array(weights, "weights")
-            check_equal_length(("src", src), ("weights", weights))
-        if src.size:
-            check_in_range(src, 0, self.num_vertices, "src")
-            check_in_range(dst, 0, self.num_vertices, "dst")
-        return src, dst, weights
-
-    # -- updates ----------------------------------------------------------------
-
-    def insert_edges(self, src, dst, weights=None) -> int:
+    def _insert_edges(self, src, dst, weights) -> int:
         """Batched insert-with-replace; returns edges newly added."""
-        src, dst, weights = self._prep(src, dst, weights)
-        if src.size == 0:
-            return 0
         get_counters().kernel_launches += 1
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        weights = weights[keep] if weights is not None else None
-        if src.size == 0:
-            return 0
         comp = (src << np.int64(32)) | dst
         last = last_occurrence_mask(comp)
         src, dst = src[last], dst[last]
         w = weights[last] if weights is not None else np.zeros(src.size, dtype=np.int64)
         # Group by source so each tree's root is resolved once per run.
         order = np.argsort(src, kind="stable")
-        self._bump_version()
         added = 0
         for i in order.tolist():
             added += self._arena.insert_one(int(src[i]), int(dst[i]), int(w[i]))
         return added
 
-    def delete_edges(self, src, dst) -> int:
+    def _delete_edges(self, src, dst) -> int:
         """Batched delete; returns edges removed."""
-        src, dst, _ = self._prep(src, dst, None)
-        if src.size == 0:
-            return 0
         get_counters().kernel_launches += 1
         comp = np.unique((src << np.int64(32)) | dst)
-        self._bump_version()
         removed = 0
         for c in comp.tolist():
             removed += self._arena.delete_one(int(c >> 32), int(c & 0xFFFFFFFF))
         return removed
 
-    def delete_vertices(self, vertex_ids) -> int:
+    def _delete_vertices(self, vertex_ids) -> int:
         """Delete vertices and all incident edges (undirected semantics:
         the ids are also removed from every other tree they appear in)."""
-        vertex_ids = np.unique(as_int_array(vertex_ids, "vertex_ids"))
-        if vertex_ids.size == 0:
-            return 0
-        check_in_range(vertex_ids, 0, self.num_vertices, "vertex_ids")
-        self._bump_version()
+        vertex_ids = np.unique(vertex_ids)
         removed = 0
         doomed = set(vertex_ids.tolist())
         for v in vertex_ids.tolist():
-            nbrs, _ = self.neighbors_sorted(v)
+            nbrs, _ = self._neighbors(v)
             removed += int(nbrs.size)
             for u in nbrs.tolist():
                 if u not in doomed:
@@ -120,38 +87,32 @@ class BTreeGraph(GraphBackend):
 
     # -- queries ------------------------------------------------------------------
 
-    def edge_exists(self, src, dst) -> np.ndarray:
-        src, dst, _ = self._prep(src, dst, None)
-        out = np.zeros(src.shape[0], dtype=bool)
-        for i in range(src.shape[0]):
-            out[i], _ = self._arena.search_one(int(src[i]), int(dst[i]))
-        return out
+    def _edge_exists(self, src, dst) -> np.ndarray:
+        return self._edge_weights(src, dst)[0]
 
-    def edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
-        src, dst, _ = self._prep(src, dst, None)
+    def _edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
         found = np.zeros(src.shape[0], dtype=bool)
         vals = np.zeros(src.shape[0], dtype=np.int64)
         for i in range(src.shape[0]):
             found[i], vals[i] = self._arena.search_one(int(src[i]), int(dst[i]))
         return found, vals
 
-    def neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.neighbors_sorted(vertex)
+    def _neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency in ascending order — no sort pass needed."""
+        return self._arena.items_sorted(vertex)
 
     def neighbors_sorted(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency in ascending order — no sort pass needed."""
-        return self._arena.items_sorted(int(vertex))
+        """:meth:`neighbors` under the name that states the order guarantee."""
+        return self.neighbors(vertex)
 
     def neighbor_range(self, vertex: int, lo: int, hi: int) -> np.ndarray:
         """Neighbors with ids in [lo, hi) — the range query hash tables
         cannot serve (Section VII)."""
-        keys, _ = self._arena.range_query(int(vertex), int(lo), int(hi))
+        keys, _ = self._arena.range_query(self._checked_vertex(vertex), int(lo), int(hi))
         return keys
 
-    def degree(self, vertex_ids) -> np.ndarray:
-        vids = as_int_array(vertex_ids, "vertex_ids")
-        check_in_range(vids, 0, self.num_vertices, "vertex_ids")
-        return np.array([self._arena.count(int(v)) for v in vids.tolist()], dtype=np.int64)
+    def _degree(self, vertex_ids) -> np.ndarray:
+        return np.array([self._arena.count(v) for v in vertex_ids.tolist()], dtype=np.int64)
 
     def num_edges(self) -> int:
         return int(self._arena._count.sum())

@@ -9,7 +9,7 @@ sibling modules hold the batched kernels it delegates to:
   deletion variant;
 - :mod:`repro.core.vertex_ops` — Section IV-D (vertex insertion, Algorithm
   2 deletion);
-- :mod:`repro.core.queries` — edgeExist, adjacency iteration, COO export;
+- :mod:`repro.core.queries` — adjacency iteration, COO export;
 - :mod:`repro.core.bulk` — bulk and incremental build workloads;
 - :mod:`repro.core.rehash` — chain-length-triggered rehashing.
 """

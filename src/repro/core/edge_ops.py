@@ -2,16 +2,17 @@
 
 The vectorized pipeline per batch:
 
-1. validate and coerce the arrays (once, at the boundary);
-2. drop self-loops (Algorithm 1 line 3);
-3. for an undirected graph, mirror the batch (Section IV-C: "inserting an
+1. validate, coerce and drop self-loops (Algorithm 1 line 3) — done once
+   by the :class:`repro.api.GraphBackend` template methods, which call
+   the functions here with clean int64 arrays;
+2. for an undirected graph, mirror the batch (Section IV-C: "inserting an
    edge ... also requires an operation on the edge in the other
    direction");
-4. create single-bucket tables for sources seen for the first time
+3. create single-bucket tables for sources seen for the first time
    (Section III-b: no connectivity information available);
-5. run the slab-hash replace/delete kernel (intra-batch duplicates resolve
+4. run the slab-hash replace/delete kernel (intra-batch duplicates resolve
    to the paper's "most recent wins" / "only one delete succeeds");
-6. update exact per-vertex edge counts from the success mask — the
+5. update exact per-vertex edge counts from the success mask — the
    vectorized equivalent of ``popc(ballot(success))`` in Algorithm 1 lines
    9-10.
 
@@ -34,52 +35,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.validation import as_int_array, check_equal_length, check_in_range
-
 __all__ = ["insert_edges", "delete_edges"]
 
 
-def _prepare(graph, src, dst, weights):
-    graph._reject_weights_if_unweighted(weights)
-    src = as_int_array(src, "src")
-    dst = as_int_array(dst, "dst")
-    n = check_equal_length(("src", src), ("dst", dst))
-    if weights is None:
-        w = None
-    else:
-        w = as_int_array(weights, "weights")
-        check_equal_length(("src", src), ("weights", w))
-    if n:
-        check_in_range(src, 0, graph.vertex_capacity, "src")
-        check_in_range(dst, 0, graph.vertex_capacity, "dst")
-    return src, dst, w
-
-
-def insert_edges(graph, src, dst, weights=None) -> int:
-    """Insert a batch of directed edges; returns the number newly added.
+def insert_edges(graph, src, dst, w) -> int:
+    """Insert a clean, self-loop-free batch; returns the number newly added.
 
     Existing (src, dst) pairs have their weight replaced and do not count.
     For undirected graphs both orientations are inserted and the return
     value counts directed slots (i.e. a brand-new undirected edge adds 2).
     """
-    src, dst, w = _prepare(graph, src, dst, weights)
-    if src.size == 0:
-        return 0
-    graph._bump_version()
-
-    keep = src != dst  # no self-edges (Algorithm 1, line 3)
-    src, dst = src[keep], dst[keep]
-    w = w[keep] if w is not None else None
-    if src.size == 0:
-        return 0
-
     if not graph.directed:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
         w = np.concatenate([w, w]) if w is not None else None
-    return _insert_prepared(graph, src, dst, w)
-
-
-def _insert_prepared(graph, src, dst, w) -> int:
     vd = graph._dict
     vd.ensure_tables(src)
     if graph.weighted and w is None:
@@ -96,15 +64,11 @@ def _insert_prepared(graph, src, dst, w) -> int:
 
 
 def delete_edges(graph, src, dst) -> int:
-    """Delete a batch of directed edges; returns the number removed.
+    """Delete a clean batch of directed edges; returns the number removed.
 
     Absent pairs are no-ops.  Undirected graphs delete both orientations
     (the return value counts directed removals).
     """
-    src, dst, _ = _prepare(graph, src, dst, None)
-    if src.size == 0:
-        return 0
-    graph._bump_version()
     if not graph.directed:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     removed = graph._dict.arena.delete(src, dst)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.backend import GraphBackend
+from repro.api.backend import GraphBackend, checked_ids
 from repro.api.capabilities import Capabilities
 from repro.coo import COO
 from repro.core import bulk as _bulk
@@ -28,7 +28,7 @@ from repro.core import vertex_ops as _vertex_ops
 from repro.core.vertex_dict import VertexDictionary
 from repro.slabhash.stats import ArenaStats, compute_stats
 from repro.util.errors import ValidationError
-from repro.util.validation import as_int_array, check_in_range
+from repro.util.validation import as_int_array
 
 __all__ = ["DynamicGraph"]
 
@@ -125,17 +125,17 @@ class DynamicGraph(GraphBackend):
         """
         return self._dict.num_active()
 
-    def degree(self, vertex_ids) -> np.ndarray:
+    def _degree(self, vertex_ids) -> np.ndarray:
         """Exact out-degree per requested vertex (maintained counters)."""
-        return self._dict.edge_count[self._checked_ids(vertex_ids)].copy()
+        return self._dict.edge_count[vertex_ids]
 
-    # -- mutation ---------------------------------------------------------------
+    # -- mutation (hooks of the GraphBackend template methods) -------------------
 
-    def insert_edges(self, src, dst, weights=None) -> int:
+    def _insert_edges(self, src, dst, weights) -> int:
         """Batched edge insertion (Algorithm 1); returns edges newly added."""
         return _edge_ops.insert_edges(self, src, dst, weights)
 
-    def delete_edges(self, src, dst) -> int:
+    def _delete_edges(self, src, dst) -> int:
         """Batched edge deletion; returns edges actually removed."""
         return _edge_ops.delete_edges(self, src, dst)
 
@@ -143,7 +143,7 @@ class DynamicGraph(GraphBackend):
         """Register vertices ahead of their edges (Section IV-D1)."""
         _vertex_ops.insert_vertices(self, vertex_ids, expected_degree)
 
-    def delete_vertices(self, vertex_ids) -> int:
+    def _delete_vertices(self, vertex_ids) -> int:
         """Delete vertices and all incident edges (Algorithm 2).
 
         With ``reuse_vertex_ids=True`` the deleted ids enter a recycling
@@ -184,21 +184,21 @@ class DynamicGraph(GraphBackend):
 
     # -- queries ------------------------------------------------------------------
 
-    def edge_exists(self, src, dst) -> np.ndarray:
+    def _edge_exists(self, src, dst) -> np.ndarray:
         """Vectorized edgeExist (Section IV-B)."""
-        return _queries.edge_exists(self, src, dst)
+        return self._dict.arena.search(src, dst)[0]
 
-    def edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
+    def _edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
         """(found, weight) per queried pair."""
-        return _queries.edge_weights(self, src, dst)
+        return self._dict.arena.search(src, dst)
 
-    def neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
+    def _neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
         """One adjacency list as (destinations, weights), unordered."""
         return _queries.neighbors(self, vertex)
 
-    def adjacencies(self, vertex_ids):
+    def _adjacencies(self, vertex_ids):
         """Batched adjacency iterator: (owner_pos, destinations, weights)."""
-        return _queries.adjacencies(self, vertex_ids)
+        return self._dict.arena.iterate(vertex_ids)
 
     def export_coo(self) -> COO:
         """Snapshot the live edge set."""
@@ -228,7 +228,7 @@ class DynamicGraph(GraphBackend):
         if vertex_ids is None:
             vertex_ids = self.rehash_candidates()
         else:
-            vertex_ids = self._checked_ids(vertex_ids)
+            (vertex_ids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
         self._bump_version()
         return _rehash.rehash_vertices(self, vertex_ids, load_factor)
 
@@ -237,15 +237,9 @@ class DynamicGraph(GraphBackend):
         if vertex_ids is None:
             vertex_ids = np.flatnonzero(self._dict.arena.table_base != -1)
         else:
-            vertex_ids = self._checked_ids(vertex_ids)
+            (vertex_ids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
         self._bump_version()
         self._dict.arena.flush_tombstones(vertex_ids)
-
-    def _checked_ids(self, vertex_ids) -> np.ndarray:
-        """Caller-supplied vertex ids as an in-range int64 array."""
-        vids = as_int_array(vertex_ids, "vertex_ids")
-        check_in_range(vids, 0, self.vertex_capacity, "vertex_ids")
-        return vids
 
     def stats(self) -> ArenaStats:
         """Aggregate slab statistics over all existing tables (Figure 2)."""

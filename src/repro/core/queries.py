@@ -1,7 +1,9 @@
-"""Query operations (Section IV-B): edgeExist, iteration, export.
+"""Query operations (Section IV-B): adjacency iteration and export.
 
 All queries are read-only chain walks; none mutate the structure, keeping
-the phase-concurrent contract trivially satisfied.
+the phase-concurrent contract trivially satisfied.  ``edgeExist`` and the
+batched iterator are the arena's ``search`` / ``iterate`` themselves,
+called from :class:`repro.core.DynamicGraph`'s hooks.
 """
 
 from __future__ import annotations
@@ -9,53 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.coo import COO
-from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
-__all__ = ["edge_exists", "edge_weights", "neighbors", "adjacencies", "export_coo"]
-
-
-def edge_exists(graph, src, dst) -> np.ndarray:
-    """Vectorized ``edgeExist`` — True where (src, dst) is a current edge."""
-    src = as_int_array(src, "src")
-    dst = as_int_array(dst, "dst")
-    check_equal_length(("src", src), ("dst", dst))
-    if src.size == 0:
-        return np.empty(0, dtype=bool)
-    check_in_range(src, 0, graph.vertex_capacity, "src")
-    found, _ = graph._dict.arena.search(src, dst)
-    return found
-
-
-def edge_weights(graph, src, dst) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized lookup returning ``(found, weights)``."""
-    src = as_int_array(src, "src")
-    dst = as_int_array(dst, "dst")
-    check_equal_length(("src", src), ("dst", dst))
-    if src.size == 0:
-        return np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
-    check_in_range(src, 0, graph.vertex_capacity, "src")
-    return graph._dict.arena.search(src, dst)
+__all__ = ["neighbors", "export_coo"]
 
 
 def neighbors(graph, vertex: int) -> tuple[np.ndarray, np.ndarray]:
     """One vertex's adjacency as ``(destinations, weights)`` (unordered)."""
-    vid = int(vertex)
-    check_in_range(np.array([vid]), 0, graph.vertex_capacity, "vertex")
-    _, dst, w = graph._dict.arena.iterate(np.array([vid], dtype=np.int64))
+    _, dst, w = graph._dict.arena.iterate(np.array([vertex], dtype=np.int64))
     return dst, w
-
-
-def adjacencies(graph, vertex_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Many adjacency lists in one sweep.
-
-    Returns ``(owner_pos, destinations, weights)`` where ``owner_pos[i]``
-    indexes into ``vertex_ids`` — the batched form of the paper's vertex
-    adjacency-list iterator that frontier-based analytics consume.
-    """
-    vertex_ids = as_int_array(vertex_ids, "vertex_ids")
-    if vertex_ids.size:
-        check_in_range(vertex_ids, 0, graph.vertex_capacity, "vertex_ids")
-    return graph._dict.arena.iterate(vertex_ids)
 
 
 def export_coo(graph) -> COO:

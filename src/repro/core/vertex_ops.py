@@ -28,7 +28,7 @@ from repro.gpusim.counters import get_counters
 from repro.slabhash.iterate import iterate_tables
 from repro.util.errors import ValidationError
 from repro.util.groupby import sorted_unique
-from repro.util.validation import as_int_array, check_equal_length, check_in_range
+from repro.util.validation import as_int_array, check_equal_length
 
 __all__ = ["insert_vertices", "delete_vertices"]
 
@@ -56,7 +56,7 @@ def insert_vertices(graph, vertex_ids, expected_degree=None) -> None:
 
 
 def delete_vertices(graph, vertex_ids) -> tuple[int, np.ndarray]:
-    """Delete vertices and every edge touching them.
+    """Delete a clean, non-empty batch of vertices and every edge touching them.
 
     Returns ``(edges_removed, deactivated)`` where ``deactivated`` holds the
     unique ids that were actually active before this call — the only ids a
@@ -68,11 +68,6 @@ def delete_vertices(graph, vertex_ids) -> tuple[int, np.ndarray]:
     paper's "follow-up lookup" applies: a full sweep deletes the doomed ids
     from every remaining table.
     """
-    vertex_ids = as_int_array(vertex_ids, "vertex_ids")
-    if vertex_ids.size == 0:
-        return 0, np.empty(0, dtype=np.int64)
-    check_in_range(vertex_ids, 0, graph.vertex_capacity, "vertex_ids")
-    graph._bump_version()
     vertex_ids = sorted_unique(vertex_ids)
     vd = graph._dict
     counters = get_counters()

@@ -586,3 +586,177 @@ class TestRegistry:
         assert isinstance(g.backend, Toy)
         assert edge_set(g) == {(0, 1), (1, 2)}
         assert g.snapshot().num_edges == 2
+
+
+# -- one argument pipeline: hostile input is rejected identically by all five ---------
+
+#: ``2**32 + 2`` as a ``dst`` beside ``src=0`` packs to the composite key of
+#: edge (1, 2); ``-1`` as a ``src`` wraps to vertex 15, which owns (15, 3).
+HOSTILE_IDS = [-1, 16, 2**32 + 2, 2**63 - 1, 1.5, True, "1"]
+PAIR_OPS = ("insert_edges", "delete_edges", "edge_exists", "edge_weights")
+VERTEX_OPS = ("adjacencies", "degree", "delete_vertices")
+
+
+def _hostile_calls():
+    """``(label, call)`` for every public op × hostile argument."""
+    for op in PAIR_OPS:
+        for bad in HOSTILE_IDS:
+            yield f"{op}(src={bad!r})", lambda g, op=op, bad=bad: getattr(g, op)([bad], [3])
+            yield f"{op}(dst={bad!r})", lambda g, op=op, bad=bad: getattr(g, op)([0], [bad])
+        yield f"{op}(length mismatch)", lambda g, op=op: getattr(g, op)([0, 1], [3])
+    yield "insert_edges(weights on unweighted)", lambda g: g.insert_edges([0], [3], weights=[7])
+    yield "insert_edges(weights length)", lambda g: g.insert_edges([0], [3], [7, 8])
+    for bad in HOSTILE_IDS:
+        yield f"neighbors({bad!r})", lambda g, bad=bad: g.neighbors(bad)
+        yield f"neighbor_range({bad!r})", lambda g, bad=bad: g.neighbor_range(bad, 0, 16)
+        for op in VERTEX_OPS:
+            yield f"{op}([{bad!r}])", lambda g, op=op, bad=bad: getattr(g, op)([bad])
+    yield "neighbors([1, 2])", lambda g: g.neighbors([1, 2])
+
+
+HOSTILE_CALLS = dict(_hostile_calls())
+
+
+def _applies(name, label) -> bool:
+    """Ops a backend refuses from its capability flags read no argument."""
+    caps = api.capabilities(name)
+    return (
+        (caps.vertex_dynamic or not label.startswith("delete_vertices"))
+        and (caps.range_queries or not label.startswith("neighbor_range"))
+        and (caps.weighted or "weights length" not in label)
+    )
+
+
+HOSTILE_CASES = [(n, label) for n in ALL_BACKENDS for label in HOSTILE_CALLS if _applies(n, label)]
+
+
+def _two_edge_graph(name, weighted=False):
+    g = api.create(name, 16, weighted=weighted)
+    g.insert_edges([1, 15], [2, 3])
+    return g
+
+
+@pytest.mark.parametrize("name,label", HOSTILE_CASES)
+def test_hostile_input_is_a_typed_error_and_changes_nothing(name, label):
+    """Every backend, driven directly, checks every batch by the one rule
+    in ``repro.api.backend`` — a typed error and an untouched structure,
+    never an aliased key, a wrapped index or a raw ``IndexError``."""
+    g = _two_edge_graph(name, weighted="weights length" in label)
+    before = (g.num_edges(), g.mutation_version, edge_set(g))
+    with counting() as charged:
+        with pytest.raises(ValidationError):
+            HOSTILE_CALLS[label](g)
+    assert not any(charged.values()), (name, label, charged)
+    assert (g.num_edges(), g.mutation_version, edge_set(g)) == before, (name, label)
+    assert g.edge_exists([1, 15], [2, 3]).all(), (name, label)
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+class TestOneArgumentPipeline:
+    """What the template methods promise beyond rejecting bad input."""
+
+    graph = staticmethod(_two_edge_graph)
+
+    def test_facade_and_router_scalar_arguments(self, name):
+        """``int()`` used to truncate 1.5 and serve vertex 1."""
+        from repro.api import ShardedGraph
+
+        facade = Graph(self.graph(name))
+        router = ShardedGraph.create(name, 16, num_shards=2)
+        router.insert_edges([1, 15], [2, 3])
+        for target in (facade, router, facade.backend):
+            for bad in (1.5, True, "1", -1, 16):
+                with pytest.raises(ValidationError):
+                    target.neighbors(bad)
+            for ok in (1, 1.0, np.int32(1), np.int64(1)):
+                assert target.neighbors(ok)[0].tolist() == [2], (name, ok)
+        if facade.capabilities.range_queries:
+            for bad in (1.5, True, "1"):
+                with pytest.raises(ValidationError):
+                    facade.neighbor_range(bad, 0, 16)
+            assert facade.neighbor_range(1.0, 0, 16).tolist() == [2]
+
+    def test_all_self_loop_insert_bumps_once_and_charges_nothing(self, name):
+        g = self.graph(name)
+        version, edges = g.mutation_version, edge_set(g)
+        with counting() as charged:
+            assert g.insert_edges([3, 4, 4], [3, 4, 4]) == 0
+        assert g.mutation_version == version + 1, name
+        assert not any(charged.values()), (name, charged)
+        assert edge_set(g) == edges
+
+    def test_empty_batches_return_typed_empties_and_charge_nothing(self, name):
+        g = self.graph(name)
+        version = g.mutation_version
+        with counting() as charged:
+            assert g.insert_edges([], []) == 0 and g.delete_edges([], []) == 0
+            assert g.edge_exists([], []).dtype == bool
+            found, weights = g.edge_weights([], [])
+            assert found.dtype == bool and weights.dtype == np.int64
+            assert g.degree([]).dtype == np.int64 and g.degree([]).shape == (0,)
+            assert all(part.shape == (0,) for part in g.adjacencies([]))
+            if api.capabilities(name).vertex_dynamic:
+                assert g.delete_vertices([]) == 0
+        assert not any(charged.values()), (name, charged)
+        assert g.mutation_version == version
+
+    def test_mutators_bump_exactly_once(self, name):
+        g = self.graph(name)
+        version = g.mutation_version
+        g.insert_edges([4, 5, 5], [5, 4, 5])
+        g.delete_edges([4], [5])
+        assert g.mutation_version == version + 2, name
+        if api.capabilities(name).vertex_dynamic:
+            g.delete_vertices([15, 5])  # faimGraph's reverse-edge erase bumped again
+            assert g.mutation_version == version + 3, name
+
+    def test_degree_is_a_method_returning_an_owned_array(self, name):
+        g = self.graph(name)
+        out = g.degree([1, 15, 0])
+        assert out.tolist() == [1, 1, 0] and out.dtype == np.int64
+        out[:] = 99
+        assert g.degree([1, 15, 0]).tolist() == [1, 1, 0], name
+
+
+class TestNoSixthPipeline:
+    """Structural guard: the rule lives in ``repro.api.backend`` only."""
+
+    TEMPLATE_METHODS = (
+        "insert_edges",
+        "delete_edges",
+        "edge_exists",
+        "edge_weights",
+        "neighbors",
+        "adjacencies",
+        "degree",
+        "delete_vertices",
+    )
+
+    def test_no_registry_class_overrides_a_template_method(self):
+        for name in ALL_BACKENDS:
+            cls = type(make(name))
+            shadowed = [m for m in self.TEMPLATE_METHODS if m in vars(cls)]
+            assert not shadowed, f"{cls.__name__} overrides template method(s) {shadowed}"
+            for method in self.TEMPLATE_METHODS:
+                assert getattr(cls, method) is getattr(GraphBackend, method)
+
+    def test_structures_do_not_import_the_validators(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        for path in sorted([*(root / "baselines").glob("*.py"), *(root / "btree").glob("*.py")]):
+            for node in ast.walk(ast.parse(path.read_text())):
+                modules = []
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                    if node.module == "repro.util":
+                        modules += [f"repro.util.{alias.name}" for alias in node.names]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                assert "repro.util.validation" not in modules, (
+                    f"{path.relative_to(root)} imports repro.util.validation: argument "
+                    "checks belong to the GraphBackend template methods"
+                )

@@ -64,9 +64,9 @@ class TestGPMA:
     def test_degrees_tracked(self, rng):
         g = GPMAGraph(32)
         g.insert_edges([3, 3, 3, 5], [1, 2, 4, 3])
-        assert g.degree[3] == 3 and g.degree[5] == 1
+        assert g.degree([3])[0] == 3 and g.degree([5])[0] == 1
         g.delete_edges([3], [2])
-        assert g.degree[3] == 2
+        assert g.degree([3])[0] == 2
 
     def test_neighbors_sorted(self):
         g = GPMAGraph(16)

@@ -22,8 +22,8 @@ def main() -> None:
 
     # --- Edge insertion (Algorithm 1 semantics) -------------------------
     # Batches may contain duplicates; the structure keeps edges unique and
-    # the most recent weight wins.  Self-loops are dropped (the facade's
-    # default policy; pass self_loops="error" to reject them instead).
+    # the most recent weight wins.  Self-loops are dropped — the facade's
+    # one batch policy, the paper's (Algorithm 1 line 3).
     src = [0, 0, 0, 1, 2, 2]
     dst = [1, 2, 1, 2, 0, 2]  # (0,1) twice; (2,2) is a self loop
     w = [10, 20, 11, 30, 40, 99]

@@ -24,14 +24,13 @@ hash path counts immediately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
 from repro.analytics.frontier import adjacencies_of, vertex_space
 from repro.analytics.wedges import canonical_edge_keys, closing_wedges, split_keys, symmetric_csr
 from repro.util.errors import ValidationError
-from repro.util.groupby import group_starts, sorted_unique, stable_argsort
+from repro.util.groupby import group_starts, ragged_arange, sorted_unique, stable_argsort
 
 __all__ = [
     "triangle_count_hash",
@@ -113,11 +112,7 @@ def triangle_count_hash(graph, chunk_size: int = 1 << 22) -> int:
         starts = edge_run_start[sel]
         m = int(lens.sum())
         if m:
-            flat = (
-                np.arange(m, dtype=np.int64)
-                - np.repeat(np.concatenate([[0], np.cumsum(lens)[:-1]]), lens)
-                + np.repeat(starts, lens)
-            )
+            flat = ragged_arange(lens) + np.repeat(starts, lens)
             probe_dst = nbrs[flat]
             probe_src = np.repeat(big_s[sel], lens)
             other = np.repeat(small_s[sel], lens)
@@ -200,16 +195,11 @@ def triangle_count_csr(graph) -> int:
 
 @dataclass
 class DynamicTCStep:
-    """One iteration of the Table IX workload.
-
-    ``*_seconds`` fields are wall-clock; ``*_model`` fields are modeled
-    device seconds from the kernel counters (the paper-shaped numbers).
-    """
+    """One iteration of the Table IX workload; the ``*_model`` fields are
+    modeled device seconds from the kernel counters (the paper-shaped
+    numbers)."""
 
     iteration: int
-    insert_seconds: float
-    sort_seconds: float
-    count_seconds: float
     triangles: int
     insert_model: float = 0.0
     sort_model: float = 0.0
@@ -225,11 +215,8 @@ def _timed(fn, *args):
     from repro.gpusim.model import simulated_seconds
 
     before = get_counters().snapshot()
-    t0 = perf_counter()
     out = fn(*args)
-    wall = perf_counter() - t0
-    model = simulated_seconds(get_counters().diff(before))
-    return out, wall, model
+    return out, simulated_seconds(get_counters().diff(before))
 
 
 def dynamic_triangle_count(graph, batches, mode: str) -> list[DynamicTCStep]:
@@ -258,22 +245,14 @@ def dynamic_triangle_count(graph, batches, mode: str) -> list[DynamicTCStep]:
     for i, (bs, bd) in enumerate(batches):
         both_s = np.concatenate([bs, bd])
         both_d = np.concatenate([bd, bs])
-        _, ins_wall, ins_model = _timed(graph.insert_edges, both_s, both_d)
+        _, ins_model = _timed(graph.insert_edges, both_s, both_d)
         if mode == "snapshot":
             # The merge (or the round-1 cold build) is this path's
             # adjacency-maintenance cost, booked like the sorted path's sort.
-            snap, sort_wall, sort_model = _timed(graph.snapshot)
-            tri, tc_wall, tc_model = _timed(triangle_count_sorted, snap.row_ptr, snap.col_idx)
-            steps.append(
-                DynamicTCStep(
-                    i + 1, ins_wall, sort_wall, tc_wall, tri,
-                    ins_model, sort_model, tc_model,
-                )
-            )
+            snap, sort_model = _timed(graph.snapshot)
+            tri, tc_model = _timed(triangle_count_sorted, snap.row_ptr, snap.col_idx)
         elif mode == "sorted":
-            t0 = perf_counter()
             row_ptr, col_idx = graph.sorted_adjacency()
-            sort_wall = perf_counter() - t0
             # Model the *incremental* maintenance a sorted list structure
             # pays per batch: each new edge lands in sorted position by
             # binary search + shift within its row, so the work is the
@@ -285,16 +264,9 @@ def dynamic_triangle_count(graph, batches, mode: str) -> list[DynamicTCStep]:
             deg = np.diff(row_ptr)
             mc = default_model()
             sort_model = float(deg[affected].sum()) * mc.SORT_ELEMENT
-            tri, tc_wall, tc_model = _timed(triangle_count_sorted, row_ptr, col_idx)
-            steps.append(
-                DynamicTCStep(
-                    i + 1, ins_wall, sort_wall, tc_wall, tri,
-                    ins_model, sort_model, tc_model,
-                )
-            )
+            tri, tc_model = _timed(triangle_count_sorted, row_ptr, col_idx)
         else:
-            tri, tc_wall, tc_model = _timed(triangle_count_hash, graph)
-            steps.append(
-                DynamicTCStep(i + 1, ins_wall, 0.0, tc_wall, tri, ins_model, 0.0, tc_model)
-            )
+            sort_model = 0.0
+            tri, tc_model = _timed(triangle_count_hash, graph)
+        steps.append(DynamicTCStep(i + 1, tri, ins_model, sort_model, tc_model))
     return steps

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.counters import get_counters
-from repro.util.groupby import sorted_unique
+from repro.util.groupby import ragged_arange, sorted_unique
 
 __all__ = ["closing_wedges", "canonical_edge_keys", "symmetric_csr", "split_keys"]
 
@@ -49,22 +49,21 @@ def canonical_edge_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 def symmetric_csr(
-    canonical: np.ndarray, num_vertices: int, *, charge_sort: bool = True
+    canonical: np.ndarray, num_vertices: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expand canonical undirected keys into a symmetric sorted CSR.
 
     Returns ``(row_ptr, col_idx, comp)`` where ``comp`` is the globally
     sorted composite edge list (both orientations) the wedge kernel
-    probes.  ``charge_sort`` books the O(2E log 2E) symmetrizing sort to
-    the device model — the cold-build cost incremental maintenance via
+    probes, and books the O(2E log 2E) symmetrizing sort to the device
+    model — the cold-build cost incremental maintenance via
     :func:`repro.api.snapshot.merge_csr_delta` avoids.
     """
     u, v = split_keys(canonical)
     comp = np.sort(np.concatenate([(u << np.int64(32)) | v, (v << np.int64(32)) | u]))
-    if charge_sort:
-        counters = get_counters()
-        counters.kernel_launches += 1
-        counters.sorted_elements += int(comp.shape[0])
+    counters = get_counters()
+    counters.kernel_launches += 1
+    counters.sorted_elements += int(comp.shape[0])
     counts = np.bincount((comp >> np.int64(32)), minlength=num_vertices)
     row_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     return row_ptr, (comp & _MASK32).astype(np.int64), comp
@@ -114,11 +113,7 @@ def closing_wedges(
             e = np.empty(0, dtype=np.int64)
             return e, e.copy()
         return 0
-    flat = (
-        np.arange(m, dtype=np.int64)
-        - np.repeat(np.concatenate([[0], np.cumsum(lens)[:-1]]), lens)
-        + np.repeat(starts, lens)
-    )
+    flat = ragged_arange(lens) + np.repeat(starts, lens)
     w = col_idx[flat].astype(np.int64)
     probe = (np.repeat(big, lens).astype(np.int64) << np.int64(32)) | w
     get_counters().add("sorted_probes", int(probe.size))

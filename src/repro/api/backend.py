@@ -150,6 +150,10 @@ class GraphBackend(abc.ABC):
     #: Whether this *instance* stores per-edge weights.
     weighted: bool = False
 
+    #: Whether this *instance* stores directed slots (only the slab-hash
+    #: structure has an undirected mode, which mirrors every edge).
+    directed: bool = True
+
     #: Monotone mutation counter (class default 0; bumps write the instance).
     _mutation_version: int = 0
 

@@ -1,11 +1,11 @@
-"""The ``Graph`` facade: batch policies, the event log and snapshot
+"""The ``Graph`` facade: the batch rule, the event log and snapshot
 maintenance over any backend.
 
 The argument rule (coerce to int64, equal lengths, ids in range) is
 :func:`repro.api.backend.checked_ids`, which every
 :class:`~repro.api.GraphBackend` applies in its public methods.  The
 facade applies the same function to mutation batches, because it needs
-the clean arrays itself — for its policies below and for the events it
+the clean arrays itself — for the batch rule below and for the events it
 publishes — and delegates queries to the backend unchanged.
 
 Quickstart::
@@ -17,12 +17,12 @@ Quickstart::
     snap = g.snapshot()                # sorted-CSR view for analytics
     g.capabilities                     # Capabilities(...) of the instance
 
-Policies (chosen at construction, applied to every batch):
+A batch has the paper's one meaning (:func:`normalize_batch`):
 
-- ``self_loops``: ``"drop"`` (default, Algorithm 1 line 3) or ``"error"``;
-- ``dedup_batches``: pre-collapse intra-batch duplicates (last occurrence
-  wins, matching replace semantics) before the backend sees them;
-- ``default_weight``: fill value when a weighted graph gets no weights;
+- self-loops are dropped (Algorithm 1 line 3);
+- duplicates inside a batch resolve in the backend by replace semantics
+  ("only the most recent edge and its weight will be stored");
+- an insert into a weighted graph without weights stores weight 0;
 - weights handed to an unweighted instance raise :class:`ValidationError`
   — never silently dropped.
 
@@ -62,15 +62,12 @@ from repro.api.snapshot import CSRSnapshot, as_snapshot, merge_event_window
 from repro.coo import COO
 from repro.eventlog import DEFAULT_RETENTION_ROWS, EdgeBatch, EventLog, version_chain_intact
 from repro.util.errors import ValidationError
-from repro.util.groupby import last_occurrence_mask
 from repro.util.validation import as_int_array, check_equal_length
 
 __all__ = ["Graph", "normalize_batch"]
 
-_SELF_LOOP_POLICIES = ("drop", "error")
-
 #: Largest vertex-id space the ``(src << 32) | dst`` composite-key packing
-#: (batch dedup, snapshot delta-merge) can represent: ids must fit in 31
+#: (snapshot delta-merge, shard assembly) can represent: ids must fit in 31
 #: bits because ``src << 32`` overflows signed int64 at ``src >= 2**31``,
 #: and ``dst`` would collide into the src bits at ``2**32`` regardless.
 MAX_PACKABLE_VERTICES = 1 << 31
@@ -80,8 +77,8 @@ def _check_packable(num_vertices: int) -> None:
     if num_vertices > MAX_PACKABLE_VERTICES:
         raise ValidationError(
             f"vertex space of {num_vertices} exceeds the facade's "
-            "(src << 32) | dst composite-key packing (batch dedup, snapshot "
-            f"delta-merge), which supports up to {MAX_PACKABLE_VERTICES} — "
+            "(src << 32) | dst composite-key packing (snapshot delta-merge, "
+            f"shard assembly), which supports up to {MAX_PACKABLE_VERTICES} — "
             "larger id spaces would silently collide or overflow int64"
         )
 
@@ -93,16 +90,14 @@ def normalize_batch(
     *,
     num_vertices: int,
     weighted: bool,
-    self_loops: str = "drop",
-    dedup_batches: bool = False,
-    default_weight: int = 0,
     fill_default_weight: bool = True,
     backend_name: str = "backend",
 ):
-    """The facade's batch policies (shared by :class:`Graph` and the shard
-    router) over :func:`~repro.api.backend.checked_ids`: apply the
-    self-loop policy, optionally collapse intra-batch duplicates (last
-    occurrence wins), and default weights."""
+    """The facade's one batch rule (shared by :class:`Graph` and the shard
+    router) over :func:`~repro.api.backend.checked_ids`: reject weights
+    on an unweighted graph, drop self-loops (Algorithm 1 line 3), and —
+    for an insert, ``fill_default_weight`` — fill a weighted graph's
+    absent weights with 0."""
     src, dst = checked_ids(num_vertices, src=src, dst=dst)
     if weights is not None:
         if not weighted:
@@ -112,23 +107,12 @@ def normalize_batch(
             )
         weights = as_int_array(weights, "weights")
         check_equal_length(("src", src), ("weights", weights))
-    loops = src == dst
-    if loops.any():
-        if self_loops == "error":
-            raise ValidationError(
-                f"batch contains {int(loops.sum())} self-loop(s) and this "
-                "Graph was constructed with self_loops='error'"
-            )
-        keep = ~loops
-        src, dst = src[keep], dst[keep]
-        weights = weights[keep] if weights is not None else None
-    if dedup_batches and src.size:
-        comp = (src << np.int64(32)) | dst
-        keep = last_occurrence_mask(comp)
+    keep = src != dst
+    if not keep.all():
         src, dst = src[keep], dst[keep]
         weights = weights[keep] if weights is not None else None
     if weights is None and weighted and fill_default_weight:
-        weights = np.full(src.shape[0], default_weight, dtype=np.int64)
+        weights = np.zeros(src.shape[0], dtype=np.int64)
     return src, dst, weights
 
 
@@ -147,9 +131,6 @@ class Graph:
         self,
         backend: GraphBackend,
         *,
-        self_loops: str = "drop",
-        dedup_batches: bool = False,
-        default_weight: int = 0,
         event_retention: int = DEFAULT_RETENTION_ROWS,
     ) -> None:
         if isinstance(backend, str):
@@ -157,15 +138,8 @@ class Graph:
                 "Graph() wraps a backend instance; use "
                 "Graph.create(name, num_vertices=...) to construct by name"
             )
-        if self_loops not in _SELF_LOOP_POLICIES:
-            raise ValidationError(
-                f"self_loops must be one of {_SELF_LOOP_POLICIES}, got {self_loops!r}"
-            )
-        _check_packable(int(getattr(backend, "num_vertices", 0)))
+        _check_packable(int(backend.num_vertices))
         self.backend = backend
-        self.self_loops = self_loops
-        self.dedup_batches = bool(dedup_batches)
-        self.default_weight = int(default_weight)
         if event_retention < 0:
             raise ValidationError("event_retention must be non-negative")
         #: The first-class event log every facade mutation publishes to;
@@ -180,21 +154,12 @@ class Graph:
         num_vertices: int,
         *,
         weighted: bool = False,
-        self_loops: str = "drop",
-        dedup_batches: bool = False,
-        default_weight: int = 0,
         event_retention: int = DEFAULT_RETENTION_ROWS,
         **backend_kwargs: Any,
     ) -> "Graph":
         """Construct a registered backend by name and wrap it."""
         backend = _create_backend(name, num_vertices, weighted=weighted, **backend_kwargs)
-        return cls(
-            backend,
-            self_loops=self_loops,
-            dedup_batches=dedup_batches,
-            default_weight=default_weight,
-            event_retention=event_retention,
-        )
+        return cls(backend, event_retention=event_retention)
 
     # -- identity ---------------------------------------------------------------
 
@@ -221,13 +186,14 @@ class Graph:
 
     @property
     def directed(self) -> bool:
-        """Backends without an explicit mode store directed slots."""
-        return bool(getattr(self.backend, "directed", True))
+        """Whether the backend stores directed slots (undirected backends
+        mirror every edge internally)."""
+        return bool(self.backend.directed)
 
     @property
     def mutation_version(self):
-        """The backend's monotone mutation version (None if unversioned)."""
-        return getattr(self.backend, "mutation_version", None)
+        """The backend's monotone mutation version."""
+        return self.backend.mutation_version
 
     # -- batch normalization ------------------------------------------------------
 
@@ -238,9 +204,6 @@ class Graph:
             weights,
             num_vertices=self.num_vertices,
             weighted=self.weighted,
-            self_loops=self.self_loops,
-            dedup_batches=self.dedup_batches,
-            default_weight=self.default_weight,
             fill_default_weight=fill_default_weight,
             backend_name=type(self.backend).__name__,
         )
@@ -374,8 +337,8 @@ class Graph:
            full export + O(E log E) sort.
         """
         backend = self.backend
-        version = getattr(backend, "mutation_version", 0)
-        cached = getattr(backend, "_snapshot_cache", None)
+        version = backend.mutation_version
+        cached = backend._snapshot_cache
         window = None
         if cached is not None and cached[0] != version:
             window = self._mergeable_window(cached[0], version)
@@ -444,8 +407,8 @@ class Graph:
         # either a hit or a merge base, so release its O(E) arrays rather
         # than pinning them until the next snapshot.
         backend = self.backend
-        cache = getattr(backend, "_snapshot_cache", None)
-        if cache is not None and cache[0] != getattr(backend, "mutation_version", 0):
+        cache = backend._snapshot_cache
+        if cache is not None and cache[0] != backend.mutation_version:
             backend._snapshot_cache = None
 
     def _mergeable_window(self, base_version, live_version):

@@ -70,6 +70,7 @@ from repro.coo import COO
 from repro.eventlog import DEFAULT_RETENTION_ROWS, EventLog
 from repro.gpusim.counters import counting, get_counters
 from repro.gpusim.model import simulated_seconds
+from repro.persist.wal import DEFAULT_SEGMENT_BYTES
 from repro.util.errors import (
     PermanentFault,
     ReproError,
@@ -328,11 +329,7 @@ class ShardedGraph:
     def __init__(
         self,
         shards,
-        partitioner: Partitioner | None = None,
         *,
-        self_loops: str = "drop",
-        dedup_batches: bool = False,
-        default_weight: int = 0,
         event_retention: int = DEFAULT_RETENTION_ROWS,
         retry: RetryPolicy | None = None,
         partial_dispatch: str = "raise",
@@ -363,23 +360,13 @@ class ShardedGraph:
             raise ValidationError("all shards must share one vertex-id space")
         if any(s.weighted != first.weighted for s in shards):
             raise ValidationError("all shards must agree on weightedness")
-        if self_loops not in ("drop", "error"):
-            raise ValidationError(f"self_loops must be 'drop' or 'error', got {self_loops!r}")
         if partial_dispatch not in ("raise", "record"):
             raise ValidationError(
                 f"partial_dispatch must be 'raise' or 'record', got {partial_dispatch!r}"
             )
         _check_packable(first.num_vertices)
         self.shards = shards
-        self.partitioner = partitioner or Partitioner(len(shards))
-        if self.partitioner.num_shards != len(shards):
-            raise ValidationError(
-                f"partitioner covers {self.partitioner.num_shards} shards "
-                f"but {len(shards)} were provided"
-            )
-        self.self_loops = self_loops
-        self.dedup_batches = bool(dedup_batches)
-        self.default_weight = int(default_weight)
+        self.partitioner = Partitioner(len(shards))
         #: The router's own event log: normalized *global* batches and
         #: structural events, version-stamped with the aggregate
         #: :attr:`mutation_version` — the same contract a single facade
@@ -423,11 +410,7 @@ class ShardedGraph:
         *,
         num_shards: int = 4,
         weighted: bool = False,
-        self_loops: str = "drop",
-        dedup_batches: bool = False,
-        default_weight: int = 0,
         event_retention: int = DEFAULT_RETENTION_ROWS,
-        partitioner: Partitioner | None = None,
         retry: RetryPolicy | None = None,
         partial_dispatch: str = "raise",
         **backend_kwargs: Any,
@@ -454,10 +437,6 @@ class ShardedGraph:
         shards = [factory() for _ in range(num_shards)]
         return cls(
             shards,
-            partitioner,
-            self_loops=self_loops,
-            dedup_batches=dedup_batches,
-            default_weight=default_weight,
             event_retention=event_retention,
             retry=retry,
             partial_dispatch=partial_dispatch,
@@ -495,13 +474,7 @@ class ShardedGraph:
     def mutation_version(self):
         """Aggregate monotone version: the sum of shard versions (every
         shard mutation bumps it, so event-log chain checks work)."""
-        total = 0
-        for shard in self.shards:
-            version = shard.mutation_version
-            if version is None:
-                return None
-            total += int(version)
-        return total
+        return sum(int(shard.mutation_version) for shard in self.shards)
 
     # -- health -----------------------------------------------------------------
 
@@ -735,9 +708,6 @@ class ShardedGraph:
             weights,
             num_vertices=self.num_vertices,
             weighted=self.weighted,
-            self_loops=self.self_loops,
-            dedup_batches=self.dedup_batches,
-            default_weight=self.default_weight,
             fill_default_weight=op == "insert_edges",
             backend_name=type(self.shards[0].backend).__name__,
         )
@@ -1035,9 +1005,9 @@ class ShardedGraph:
         directory,
         *,
         fsync: str = "batch",
-        segment_bytes: int | None = None,
+        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         checkpoint_every_rows: int | None = None,
-        opener=None,
+        opener=open,
     ):
         """Attach durable per-shard stores (WAL + checkpoints) under
         ``directory`` — the recovery source :meth:`rebuild_shard` replays.
@@ -1049,8 +1019,9 @@ class ShardedGraph:
         all the ordering a bit-identical rebuild needs.  Returns the
         :class:`repro.persist.sharded.ShardStores`.
         """
-        # Imported lazily: repro.persist imports the facade module, so a
-        # top-level import here would be circular.
+        # Imported lazily: repro.persist.store imports the facade module,
+        # so a top-level import here would be circular (repro.persist.wal,
+        # imported above, depends on nothing under repro.api).
         from repro.persist.sharded import ShardStores
 
         if self.stores is not None:
@@ -1065,14 +1036,14 @@ class ShardedGraph:
         )
         return self.stores
 
-    def rebuild_shard(self, shard_index: int, *, factory=None):
+    def rebuild_shard(self, shard_index: int):
         """Restore a dead shard bit-identically from its durable store.
 
-        A fresh empty shard (from ``factory`` or the service's own shard
-        factory) is recovered as checkpoint + WAL-tail replay, swapped
-        in, and marked healthy; a structural ``"rebuild_shard"`` event
-        tells consumers to rebuild cold.  Returns the recovery stats the
-        store reports (events replayed, checkpoint used).
+        A fresh empty shard (from the service's own shard factory) is
+        recovered as checkpoint + WAL-tail replay, swapped in, and marked
+        healthy; a structural ``"rebuild_shard"`` event tells consumers
+        to rebuild cold.  Returns the recovery stats the store reports
+        (events replayed, checkpoint used).
         """
         s = self._check_shard(shard_index)
         if self.stores is None:
@@ -1080,13 +1051,12 @@ class ShardedGraph:
                 "rebuild_shard() needs durable per-shard stores — call "
                 "attach_durability(directory) before faults strike"
             )
-        make = factory or self._shard_factory
-        if make is None:
+        if self._shard_factory is None:
             raise ValidationError(
                 "no shard factory available — construct the service via "
-                "ShardedGraph.create() or pass factory="
+                "ShardedGraph.create()"
             )
-        fresh = make()
+        fresh = self._shard_factory()
         if not isinstance(fresh, Graph) or fresh.num_edges() != 0:
             raise ValidationError("shard factory must produce an empty Graph facade")
         if fresh.num_vertices != self.num_vertices or fresh.weighted != self.weighted:

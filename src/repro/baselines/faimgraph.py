@@ -32,7 +32,7 @@ from repro.coo import COO
 from repro.gpusim.counters import get_counters
 from repro.gpusim.memory import GrowableArray
 from repro.util.errors import ValidationError
-from repro.util.groupby import last_occurrence_mask, rank_within_group
+from repro.util.groupby import last_occurrence_mask, ragged_arange, rank_within_group
 
 __all__ = ["FaimGraph"]
 
@@ -151,9 +151,7 @@ class FaimGraph(GraphBackend):
             e = np.empty(0, dtype=np.int64)
             return e, e.copy(), e.copy(), e.copy()
         owner = np.repeat(np.arange(verts.shape[0], dtype=np.int64), degs)
-        pos = np.arange(total, dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(degs)[:-1]]), degs
-        )
+        pos = ragged_arange(degs)
         lookup = self._page_lookup(verts)
         pages = lookup[owner, pos // self.page_cap]
         lanes = pos % self.page_cap
@@ -244,10 +242,7 @@ class FaimGraph(GraphBackend):
             fresh = self._alloc_pages(int(extra[grow].sum()))
             # Link fresh pages onto each growing vertex's chain tail.
             fresh_owner = np.repeat(grow, extra[grow])
-            fresh_rank = (
-                np.arange(fresh.shape[0], dtype=np.int64)
-                - np.repeat(np.concatenate([[0], np.cumsum(extra[grow])[:-1]]), extra[grow])
-            )
+            fresh_rank = ragged_arange(extra[grow])
             lookup = self._page_lookup(touched[grow])
             # Previous tail per growing vertex (or none for empty lists).
             prev_tail_rank = old_pages[grow] - 1
@@ -305,10 +300,7 @@ class FaimGraph(GraphBackend):
         degs = self._deg[verts]
         kill_per = np.bincount(owner[doomed], minlength=verts.shape[0])
         new_deg = degs - kill_per
-        total = exist_dst.shape[0]
-        pos = np.arange(total, dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(degs)[:-1]]), degs
-        )
+        pos = ragged_arange(degs)
         survives_boundary = new_deg[owner]
         holes = doomed & (pos < survives_boundary)
         movers = ~doomed & (pos >= survives_boundary)

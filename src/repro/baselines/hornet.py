@@ -36,6 +36,7 @@ from repro.util.errors import ValidationError
 from repro.util.groupby import (
     group_starts,
     last_occurrence_mask,
+    ragged_arange,
     rank_within_group,
 )
 
@@ -125,10 +126,7 @@ class HornetGraph(GraphBackend):
             return e, e.copy(), e.copy()
         owner = np.repeat(np.arange(vertices.shape[0], dtype=np.int64), degs)
         starts = np.repeat(self.block_off[vertices], degs)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(degs)[:-1]]), degs
-        )
-        pos = starts + offsets
+        pos = starts + ragged_arange(degs)
         return owner, self._dst.data[pos], pos
 
     def _composite(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.counters import get_counters
+from repro.util.groupby import ragged_arange
 
 __all__ = [
     "segmented_sort_csr",
@@ -93,9 +94,7 @@ def faimgraph_page_sort(graph) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(coo.src, kind="stable")
     s = coo.src[order]
     d = coo.dst[order]
-    pos = np.arange(s.shape[0], dtype=np.int64) - np.repeat(
-        np.concatenate([[0], np.cumsum(degs[verts])[:-1]]), degs[verts]
-    )
+    pos = ragged_arange(degs[verts])
     page_starts = np.concatenate([[0], np.cumsum(pages_per[verts])[:-1]])
     page_of_entry = page_starts[np.searchsorted(verts, s)] + pos // cap
     mat[page_of_entry, pos % cap] = d
@@ -104,7 +103,7 @@ def faimgraph_page_sort(graph) -> tuple[np.ndarray, np.ndarray]:
     # adjacent page pair belonging to the same vertex (alternating parity).
     page_owner = np.repeat(np.searchsorted(verts, verts), pages_per[verts])
     max_pages = int(pages_per.max()) if pages_per.size else 0
-    page_rank = np.arange(total_pages, dtype=np.int64) - np.repeat(page_starts, pages_per[verts])
+    page_rank = ragged_arange(pages_per[verts])
     for pass_idx in range(max(max_pages, 1)):
         mat[:total_pages].sort(axis=1)
         counters.add("faim_sort_elements", total_pages * cap)

@@ -42,7 +42,6 @@ class BTreeGraph(GraphBackend):
             raise ValidationError("num_vertices must be positive")
         self.num_vertices = int(num_vertices)
         self.weighted = bool(weighted)
-        self.directed = True
         self._arena = BPlusTreeArena(self.num_vertices)
 
     # -- updates (hooks of the GraphBackend template methods) ---------------------

@@ -20,16 +20,14 @@ and the aggregate ``total_edges`` / ``num_active`` counters are maintained
 incrementally by the same calls, so :meth:`total_edges` and
 :meth:`num_active` are **O(1)** reads.  All counter mutations must go
 through the methods below; writing ``edge_count`` / ``active`` directly
-desynchronizes the aggregates.  Setting :attr:`debug_invariants` (or the
-``REPRO_DEBUG_COUNTERS`` environment variable) re-verifies the aggregates
-against the full-array sums, and the arena's structural invariants
+desynchronizes the aggregates.  Setting :attr:`debug_invariants` on an
+instance (it defaults to ``False``) re-verifies the aggregates against
+the full-array sums, and the arena's structural invariants
 (:meth:`repro.slabhash.arena.SlabArena.check_invariants`), after every
 mutation — O(capacity + pool) checks reserved for tests and debugging.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -38,13 +36,6 @@ from repro.util.errors import ValidationError
 from repro.util.groupby import group_starts, sorted_unique, stable_argsort
 
 __all__ = ["VertexDictionary"]
-
-#: Environment switch for the O(capacity + pool) post-mutation invariant checks.
-DEBUG_ENV_VAR = "REPRO_DEBUG_COUNTERS"
-
-
-def _debug_default() -> bool:
-    return os.environ.get(DEBUG_ENV_VAR, "") not in ("", "0", "false", "False")
 
 
 class VertexDictionary:
@@ -66,7 +57,7 @@ class VertexDictionary:
         # num_active()/total_edges() reads never scan capacity-sized arrays.
         self._total_edges = 0
         self._num_active = 0
-        self.debug_invariants = _debug_default()
+        self.debug_invariants = False
 
     @property
     def capacity(self) -> int:

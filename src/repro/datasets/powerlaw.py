@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.coo import COO
 from repro.util.errors import ValidationError
+from repro.util.groupby import ragged_arange
 
 __all__ = ["powerlaw_graph", "mesh_like_graph"]
 
@@ -72,12 +73,7 @@ def mesh_like_graph(num_vertices: int, mean_degree: float = 48.0, seed: int = 0)
     reach = np.maximum(
         1, half + rng.integers(-half // 4 - 1, half // 4 + 2, size=n)
     ).astype(np.int64)
-    total = int(reach.sum())
     src = np.repeat(np.arange(n, dtype=np.int64), reach)
-    step = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(np.concatenate([[0], np.cumsum(reach)[:-1]]), reach)
-        + 1
-    )
+    step = ragged_arange(reach) + 1
     dst = (src + step) % n
     return COO(src, dst, n).symmetrized().deduplicated()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.counters import get_counters
-from repro.util.errors import CapacityError
 
 __all__ = ["GrowableArray"]
 
@@ -25,20 +24,12 @@ class GrowableArray:
     memory pools work — capacity and fill level are separate).
     """
 
-    __slots__ = ("data", "fill_value", "allow_growth")
+    __slots__ = ("data", "fill_value")
 
-    def __init__(
-        self,
-        capacity: int,
-        dtype,
-        width: int | None = None,
-        fill_value=0,
-        allow_growth: bool = True,
-    ) -> None:
+    def __init__(self, capacity: int, dtype, width: int | None = None, fill_value=0) -> None:
         shape = (max(int(capacity), 1),) if width is None else (max(int(capacity), 1), width)
         self.data = np.full(shape, fill_value, dtype=dtype)
         self.fill_value = fill_value
-        self.allow_growth = allow_growth
 
     @property
     def capacity(self) -> int:
@@ -48,10 +39,6 @@ class GrowableArray:
         """Grow (geometrically) until capacity >= ``needed``."""
         if needed <= self.capacity:
             return
-        if not self.allow_growth:
-            raise CapacityError(
-                f"buffer capacity {self.capacity} exceeded (need {needed}) and growth disabled"
-            )
         new_cap = self.capacity
         while new_cap < needed:
             new_cap *= 2

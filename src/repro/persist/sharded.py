@@ -74,16 +74,16 @@ class ShardStores:
         directory,
         *,
         fsync: str = "batch",
-        segment_bytes: int | None = None,
+        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         checkpoint_every_rows: int | None = None,
-        opener=None,
+        opener=open,
     ) -> None:
         self.service = service
         self.directory = Path(directory)
         self.fsync = fsync
-        self.segment_bytes = int(segment_bytes or DEFAULT_SEGMENT_BYTES)
+        self.segment_bytes = segment_bytes
         self.checkpoint_every_rows = checkpoint_every_rows
-        self._opener = opener or open
+        self._opener = opener
         self.directory.mkdir(parents=True, exist_ok=True)
         identity = {
             "num_shards": service.num_shards,

@@ -3,7 +3,7 @@
 :func:`open_graph` ties the pieces together under one directory::
 
     store/
-      store.json         # graph identity (backend, |V|, weighted, policies)
+      store.json         # graph identity (backend, |V|, weighted, backend kwargs)
       wal/seg-*.wal      # the write-ahead event log (repro.persist.wal)
       checkpoints/       # atomic snapshots (repro.persist.checkpoint)
 
@@ -59,7 +59,7 @@ STORE_FILE = "store.json"
 WAL_DIR = "wal"
 CHECKPOINT_DIR = "checkpoints"
 STORE_KIND = "repro-durable-graph"
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 #: Replayable structural reasons → how :func:`apply_event` re-applies
 #: them.  Maintenance events (rehash, tombstone flush) do not change the
@@ -300,30 +300,22 @@ def _recover(graph: Graph, directory: Path, *, repair: bool) -> dict:
     }
 
 
-#: The facade policies ``store.json`` records and recovery re-creates.
-_FACADE_FIELDS = ("weighted", "self_loops", "dedup_batches", "default_weight")
-
-
 def open_graph(
     directory,
     backend: str | None = None,
     num_vertices: int | None = None,
     *,
     weighted: bool | None = None,
-    self_loops: str = "drop",
-    dedup_batches: bool = False,
-    default_weight: int = 0,
     backend_kwargs: dict | None = None,
     fsync: str = "batch",
     segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     checkpoint_every_rows: int | None = None,
     read_only: bool = False,
-    wal_opener=None,
 ) -> DurableGraph:
     """Open (creating or recovering) a durable graph store at ``directory``.
 
     First open requires ``num_vertices`` (and takes ``backend``, default
-    ``"slabhash"``, plus the usual facade policies); the identity is
+    ``"slabhash"``, ``weighted`` and ``backend_kwargs``); the identity is
     persisted to ``store.json`` and later opens recover with it — passing
     a *different* explicit identity raises :class:`ValidationError` (omit
     an argument to accept the recorded value).
@@ -340,9 +332,7 @@ def open_graph(
             "weighted": weighted,
             "backend_kwargs": backend_kwargs or None,
         }
-        meta = _read_identity(
-            store_path, STORE_KIND, STORE_SCHEMA_VERSION, _FACADE_FIELDS, requested
-        )
+        meta = _read_identity(store_path, STORE_KIND, STORE_SCHEMA_VERSION, expected=requested)
     else:
         if read_only:
             raise ValidationError(
@@ -356,9 +346,6 @@ def open_graph(
             "backend": backend or "slabhash",
             "num_vertices": int(num_vertices),
             "weighted": bool(weighted),
-            "self_loops": self_loops,
-            "dedup_batches": bool(dedup_batches),
-            "default_weight": int(default_weight),
             "backend_kwargs": dict(backend_kwargs or {}),
             "environment": env_fingerprint(),
         }
@@ -367,7 +354,7 @@ def open_graph(
     graph = Graph.create(
         meta["backend"],
         meta["num_vertices"],
-        **{key: meta[key] for key in _FACADE_FIELDS},
+        weighted=meta["weighted"],
         **meta["backend_kwargs"],
     )
     return DurableGraph(
@@ -377,7 +364,6 @@ def open_graph(
         read_only=read_only,
         fsync=fsync,
         segment_bytes=segment_bytes,
-        opener=wal_opener or open,
         checkpoint_every_rows=checkpoint_every_rows,
         **_recover(graph, directory, repair=not read_only),
     )

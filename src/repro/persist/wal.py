@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import os
 import struct
-import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -417,11 +416,9 @@ class WalWriter:
         #: True when a failed append could not be cleaned up and the tail
         #: segment may hold a partial record (see :class:`PersistError`).
         self.broken = False
-        # Wall-clock accounting for the per-batch append overhead metric.
         self.bytes_written = 0
         self.records_written = 0
         self.rows_written = 0
-        self.append_seconds = 0.0
         self._fh = None
         self._segment_size = 0
         existing = list_segments(self.directory)
@@ -457,7 +454,6 @@ class WalWriter:
                 op="write",
                 broken=True,
             )
-        t0 = time.perf_counter()
         record = encode_record(event, self.next_seq)
         if self._fh is None or (
             self._segment_size > SEGMENT_HEADER.size
@@ -479,7 +475,6 @@ class WalWriter:
             self.rows_written += event.rows
         seq = self.next_seq
         self.next_seq += 1
-        self.append_seconds += time.perf_counter() - t0
         return seq
 
     def _rewind_tail(self, start: int, exc: OSError) -> None:

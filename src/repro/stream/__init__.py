@@ -7,7 +7,7 @@ package makes that workload a first-class object:
 - :mod:`repro.stream.scenario` — seeded :class:`Scenario` specs (mixed
   phase schedules over the Table I dataset generators) runnable against
   any registered backend through the :class:`repro.api.Graph` facade,
-  with per-phase wall/model/counter records;
+  with per-phase model/counter records;
 - :mod:`repro.stream.incremental` — analytics that subscribe to the
   facade's per-batch edge deltas and update in O(batch) instead of
   recomputing from scratch: :class:`IncrementalConnectedComponents`

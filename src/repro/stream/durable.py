@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.persist import open_graph
+from repro.persist import DEFAULT_SEGMENT_BYTES, open_graph
 from repro.persist.checkpoint import _read_identity, _write_identity
 from repro.stream.scenario import (
     PhaseResult,
@@ -53,7 +53,7 @@ __all__ = ["run_scenario_durable"]
 
 PROGRESS_FILE = "scenario.json"
 _PROGRESS_KIND = "repro-scenario-progress"
-_PROGRESS_SCHEMA = 1
+_PROGRESS_SCHEMA = 2
 
 
 def _write_progress(path: Path, identity: dict, next_phase: int, rng, results) -> None:
@@ -95,14 +95,13 @@ def run_scenario_durable(
     damping: float = 0.85,
     tol: float = 1e-8,
     max_iters: int = 100,
-    prime: bool = True,
     validate: bool = False,
     analytics: tuple = ("cc", "pagerank"),
     source: int = 0,
     kcore_k: int = 3,
     stop_after_phase: int | None = None,
     fsync: str = "batch",
-    segment_bytes: int | None = None,
+    segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     checkpoint_every_rows: int | None = None,
 ) -> ScenarioResult:
     """Run (or resume) a scenario against a durable store at ``directory``.
@@ -135,12 +134,11 @@ def run_scenario_durable(
     }
     coo = build_dataset(scenario)
 
-    open_kwargs: dict = {
+    open_kwargs = {
         "fsync": fsync,
+        "segment_bytes": segment_bytes,
         "checkpoint_every_rows": checkpoint_every_rows,
     }
-    if segment_bytes is not None:
-        open_kwargs["segment_bytes"] = segment_bytes
 
     rng = np.random.default_rng(scenario.seed + 0x51AB)
     resumed = progress_path.exists()
@@ -167,7 +165,7 @@ def run_scenario_durable(
             dg.sync()
             _write_progress(progress_path, identity, 0, rng, [])
         compute_once, check_exact = _compute_setup(
-            g, mode, damping, tol, max_iters, prime,
+            g, mode, damping, tol, max_iters,
             analytics=analytics, source=source, kcore_k=kcore_k,
         )
         if resumed and next_phase < len(scenario.phases):

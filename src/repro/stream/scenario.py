@@ -6,8 +6,8 @@ deletions interleaved with query and compute phases.  A
 which Table I dataset family seeds the graph (rmat / powerlaw / road /
 rgg), and which phases run in which order — and :func:`run_scenario`
 executes it against any registered backend through the
-:class:`repro.api.Graph` facade, recording wall-clock, modeled device
-time, and kernel counters per phase.
+:class:`repro.api.Graph` facade, recording modeled device time and
+kernel counters per phase.
 
 Compute phases run in one of two modes:
 
@@ -31,7 +31,6 @@ modes are deterministic for a fixed scenario seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -209,7 +208,6 @@ class PhaseResult:
     kind: str
     applied: int
     skipped: bool
-    wall_seconds: float
     model_seconds: float
     counters: dict = field(default_factory=dict)
     detail: dict = field(default_factory=dict)
@@ -248,7 +246,6 @@ def run_scenario(
     damping: float = 0.85,
     tol: float = 1e-8,
     max_iters: int = 100,
-    prime: bool = True,
     validate: bool = False,
     analytics: tuple = ("cc", "pagerank"),
     source: int = 0,
@@ -259,9 +256,9 @@ def run_scenario(
     ``analytics`` selects which family members every compute phase runs
     (any subset of :data:`ANALYTICS`; ``"sssp"`` needs a weighted
     scenario); ``source`` seeds bfs/sssp and ``kcore_k`` sets the k-core
-    threshold.  ``prime`` runs one untimed compute before phase 0 so
-    per-phase costs measure the steady state (the incremental analytics'
-    one-off cold initialization is setup, not workload).  ``validate``
+    threshold.  One uncounted compute runs before phase 0, so per-phase
+    costs measure the steady state (the incremental analytics' one-off
+    cold initialization is setup, not workload).  ``validate``
     re-derives the cold reference after *every* phase in incremental
     mode and asserts the incremental answers are exact (everything but
     PageRank) / within ``tol`` per vertex (PageRank) — for tests, not
@@ -275,7 +272,7 @@ def run_scenario(
     g.bulk_build(coo)
 
     compute_once, check_exact = _compute_setup(
-        g, mode, damping, tol, max_iters, prime,
+        g, mode, damping, tol, max_iters,
         analytics=analytics, source=source, kcore_k=kcore_k,
     )
     rng = np.random.default_rng(scenario.seed + 0x51AB)
@@ -312,7 +309,7 @@ def _check_run_params(scenario, *, damping, tol, mode="incremental", analytics=(
 
 
 def _compute_setup(
-    g, mode, damping, tol, max_iters, prime,
+    g, mode, damping, tol, max_iters,
     *, analytics=("cc", "pagerank"), source=0, kcore_k=3,
 ):
     """``(compute_once, check_exact)`` for one run: the compute-phase
@@ -335,8 +332,7 @@ def _compute_setup(
     if mode == "incremental":
         for name, (cls, method, _, args) in family.items():
             incs[name] = cls(g, **args)
-            if prime:
-                getattr(incs[name], method)()
+            getattr(incs[name], method)()  # prime: cold initialization is setup
 
     def compute_once() -> dict:
         counters = get_counters()
@@ -384,19 +380,16 @@ def _compute_setup(
 
 def _record_phase(index, phase, body, *args) -> PhaseResult:
     """The envelope every phase kind runs in: ``body(phase, *args)`` does
-    the work and returns ``(applied, skipped, detail)``; the wall clock,
-    the counter delta and its modeled time are taken around it."""
+    the work and returns ``(applied, skipped, detail)``; the counter
+    delta and its modeled time are taken around it."""
     before = get_counters().snapshot()
-    t0 = perf_counter()
     applied, skipped, detail = body(phase, *args)
-    wall = perf_counter() - t0
     delta = get_counters().diff(before)
     return PhaseResult(
         index=index,
         kind=phase.kind,
         applied=applied,
         skipped=skipped,
-        wall_seconds=wall,
         model_seconds=simulated_seconds(delta),
         counters={k: v for k, v in delta.items() if v},
         detail=detail,

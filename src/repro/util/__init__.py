@@ -6,11 +6,7 @@ operations, hashing, validation) that the simulated-GPU kernels are written
 in terms of.
 """
 
-from repro.util.errors import (
-    CapacityError,
-    ReproError,
-    ValidationError,
-)
+from repro.util.errors import ReproError, ValidationError
 from repro.util.groupby import (
     group_starts,
     last_occurrence_mask,
@@ -27,7 +23,6 @@ from repro.util.validation import (
 )
 
 __all__ = [
-    "CapacityError",
     "ReproError",
     "ValidationError",
     "UniversalHashFamily",

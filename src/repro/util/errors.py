@@ -2,9 +2,7 @@
 
 All library-raised exceptions derive from :class:`ReproError` so callers can
 catch one base class.  Validation problems (bad dtypes, mismatched lengths,
-out-of-range vertex ids) raise :class:`ValidationError`; structural resource
-exhaustion that the library refuses to fix automatically (e.g. a fixed-size
-pool configured with ``allow_growth=False``) raises :class:`CapacityError`.
+out-of-range vertex ids) raise :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -16,10 +14,6 @@ class ReproError(Exception):
 
 class ValidationError(ReproError, ValueError):
     """An argument failed validation (shape, dtype, or value range)."""
-
-
-class CapacityError(ReproError, RuntimeError):
-    """A fixed-capacity resource was exhausted and growth was disallowed."""
 
 
 class FaultError(ReproError, RuntimeError):

@@ -199,11 +199,6 @@ class TestFacade:
         assert g.degree([0]).tolist() == [1]
         assert g.memory_bytes() > 0
 
-    def test_self_loop_error_policy(self, name):
-        g = Graph.create(name, num_vertices=N, self_loops="error")
-        with pytest.raises(ValidationError):
-            g.insert_edges([2], [2])
-
     def test_unweighted_rejects_weights(self, name):
         g = Graph.create(name, num_vertices=N, weighted=False)
         with pytest.raises(ValidationError):
@@ -213,10 +208,11 @@ class TestFacade:
         caps = api.capabilities(name)
         if not caps.weighted:
             pytest.skip("unweighted backend")
-        g = Graph.create(name, num_vertices=N, weighted=True, default_weight=7)
-        g.insert_edges([0], [1])  # no weights given -> default fills
-        _, w = g.edge_weights([0], [1])
-        assert w.tolist() == [7]
+        g = Graph.create(name, num_vertices=N, weighted=True)
+        g.insert_edges([0], [1])  # no weights given -> the default, 0, fills
+        found, w = g.edge_weights([0], [1])
+        assert found.tolist() == [True]
+        assert w.tolist() == [0]
 
     def test_bounds_validated_once(self, name):
         g = Graph.create(name, num_vertices=N)
@@ -438,16 +434,6 @@ class TestSnapshotCache:
         assert delta["sorted_elements"] == logged, (name, delta)
         _assert_snapshots_identical(merged, _cold_snapshot(g.backend), name)
         assert merged.num_edges == len(UNIQUE_EDGES) - 2, name
-
-    def test_dedup_batches_interplay_with_delta_log(self, name):
-        """dedup_batches pre-collapses the batch before it is logged."""
-        g = Graph.create(name, num_vertices=N, dedup_batches=True)
-        g.insert_edges([0, 1], [1, 2])
-        g.snapshot()
-        g.insert_edges([5, 5, 5, 6], [6, 7, 6, 7])  # collapses to 3 rows
-        mirror = 1 if g.directed else 2
-        assert g._delta_rows == 3 * mirror, name
-        _assert_snapshots_identical(g.snapshot(), _cold_snapshot(g.backend), name)
 
     def test_delete_then_reinsert_same_key_in_one_window(self, name):
         """Last op per key wins across the whole logged window."""

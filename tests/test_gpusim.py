@@ -16,7 +16,6 @@ from repro.gpusim.warp import (
     popc,
     shuffle_idx,
 )
-from repro.util.errors import CapacityError
 
 lane_bools = st.lists(st.booleans(), min_size=WARP_SIZE, max_size=WARP_SIZE)
 
@@ -124,11 +123,6 @@ class TestGrowableArray:
         data_id = id(buf.data)
         buf.ensure(8)
         assert id(buf.data) == data_id
-
-    def test_growth_disallowed(self):
-        buf = GrowableArray(2, np.int64, allow_growth=False)
-        with pytest.raises(CapacityError):
-            buf.ensure(3)
 
     def test_growth_charges_copy_bytes(self):
         buf = GrowableArray(4, np.int64)

@@ -545,6 +545,22 @@ class TestStoreBehavior:
         # Omitting the identity accepts the stored one.
         open_graph(store, fsync="never").close()
 
+    def test_zero_segment_bytes_is_rejected_at_every_layer(self, tmp_path):
+        """One spelling of the knob, one validator (``WalWriter``):
+        ``attach_durability(dir, segment_bytes=0)`` used to attach with
+        4 MiB segments."""
+        with pytest.raises(ValidationError, match="segment_bytes"):
+            open_graph(tmp_path / "g", "slabhash", num_vertices=8, segment_bytes=0)
+        sc = mixed_scenario(1 << 8, batch=48)
+        with pytest.raises(ValidationError, match="segment_bytes"):
+            run_scenario_durable(sc, "slabhash", tmp_path / "s", segment_bytes=0)
+        service = ShardedGraph.create("slabhash", 8, num_shards=2)
+        with pytest.raises(ValidationError, match="segment_bytes"):
+            service.attach_durability(tmp_path / "d", segment_bytes=0)
+        assert service.stores is None
+        assert [shard.events._subscribers for shard in service.shards] == [[], []]
+        service.attach_durability(tmp_path / "d", fsync="never").close()  # corrected call
+
     def test_auto_checkpoint_cadence(self, tmp_path):
         store = tmp_path / "store"
         dg = open_graph(
@@ -662,6 +678,16 @@ class TestDurableScenarios:
         # The resumed run applied the same batches the uninterrupted one did.
         assert [p.applied for p in done.phases] == [p.applied for p in full.phases]
 
+    def test_two_runs_write_byte_identical_progress(self, tmp_path):
+        """Phase records carry modeled time and counters only, so the
+        progress file is a pure function of the scenario."""
+        sc = mixed_scenario(1 << 8, batch=48)
+        for run in ("a", "b"):
+            run_scenario_durable(sc, "slabhash", tmp_path / run, fsync="never")
+        first = (tmp_path / "a" / "scenario.json").read_bytes()
+        assert first == (tmp_path / "b" / "scenario.json").read_bytes()
+        assert b"wall" not in first
+
     def test_crash_mid_phase_converges(self, tmp_path):
         sc = mixed_scenario(1 << 8, batch=48)
         run_scenario_durable(sc, "slabhash", tmp_path / "a", fsync="never", stop_after_phase=1)
@@ -773,7 +799,7 @@ _DROP = object()
 _BROKEN_DOCUMENTS = [
     ("store.json", "backend", _DROP),
     ("store.json", "backend_kwargs", _DROP),
-    ("store.json", "self_loops", _DROP),
+    ("store.json", "weighted", _DROP),
     ("shards.json", "num_shards", _DROP),
     ("manifest", "crc32", _DROP),
     ("scenario.json", "rng_state", _DROP),
@@ -801,6 +827,22 @@ def test_incomplete_identity_document_is_a_typed_error(tmp_path, name, field, va
     with pytest.raises(ValidationError) as exc:
         reread()
     assert path.name in str(exc.value) and field in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["store.json", "scenario.json"])
+def test_document_of_an_older_schema_is_refused(tmp_path, name):
+    """``store.json`` v1 recorded batch policies that no longer exist and
+    ``scenario.json`` v1 phase records carried host time: either is the
+    typed schema error, never reinterpreted under today's one policy."""
+    path, reread = _identity_document(name, tmp_path)
+    doc = json.loads(path.read_text())
+    assert doc["schema_version"] == 2
+    doc["schema_version"] = 1
+    if name == "store.json":
+        doc.update(self_loops="error", dedup_batches=True, default_weight=9)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="schema 1, this reader supports 2"):
+        reread()
 
 
 # ---------------------------------------------------------------------------

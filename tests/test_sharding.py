@@ -223,16 +223,12 @@ class TestShardedService:
         assert len([s for s in sg.update_costs.per_shard_seconds if s > 0]) == 4
 
     def test_normalization_happens_once_globally(self):
-        """Router-level dedup dedups across shard boundaries."""
-        sg = ShardedGraph.create("slabhash", 64, num_shards=4, dedup_batches=True)
-        added = sg.insert_edges([1, 1, 2, 2], [2, 2, 3, 3])
+        """The router applies the one batch rule: the self-loop is dropped,
+        in-batch duplicates resolve by replace semantics in the owner shard."""
+        sg = ShardedGraph.create("slabhash", 64, num_shards=4)
+        added = sg.insert_edges([1, 1, 2, 2, 3], [2, 2, 3, 3, 3])
         assert added == 2
         assert sg.num_edges() == 2
-
-    def test_self_loop_policy_enforced_at_router(self):
-        sg = ShardedGraph.create("slabhash", 16, num_shards=2, self_loops="error")
-        with pytest.raises(ValidationError):
-            sg.insert_edges([3], [3])
 
 
 class TestAssembly:
@@ -314,11 +310,6 @@ class TestShardedValidation:
         b = Graph.create("slabhash", num_vertices=16)
         with pytest.raises(ValidationError, match="vertex-id space"):
             ShardedGraph([a, b])
-
-    def test_rejects_partitioner_shard_count_mismatch(self):
-        shards = [Graph.create("slabhash", num_vertices=8) for _ in range(2)]
-        with pytest.raises(ValidationError, match="partitioner"):
-            ShardedGraph(shards, Partitioner(3))
 
     def test_rejects_raw_backends_and_empty_lists(self):
         from repro.api import create

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.vertex_dict import DEBUG_ENV_VAR, VertexDictionary
+from repro.core.vertex_dict import VertexDictionary
 from repro.gpusim.counters import counting
 from repro.slabhash.arena import SlabArena
 from repro.slabhash.constants import (
@@ -332,9 +332,10 @@ class TestArenaInvariants:
         with pytest.raises(AssertionError, match="free list"):
             arena.check_invariants()
 
-    def test_vertex_dictionary_debug_switch_runs_it(self, monkeypatch):
-        monkeypatch.setenv(DEBUG_ENV_VAR, "1")
+    def test_vertex_dictionary_debug_switch_runs_it(self):
         vd = VertexDictionary(4, weighted=False)
+        assert vd.debug_invariants is False
+        vd.debug_invariants = True
         vd.ensure_tables(np.arange(4))
         vd.arena.insert(np.zeros(5, dtype=np.int64), np.arange(5))
         vd.add_edge_counts(np.zeros(5, dtype=np.int64))

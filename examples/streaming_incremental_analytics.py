@@ -60,8 +60,7 @@ def main() -> None:
     rng = np.random.default_rng(7)
     g.insert_edges(rng.integers(0, 512, 2000), rng.integers(0, 512, 2000))
     cc = IncrementalConnectedComponents(g)   # subscribes to g's deltas
-    pr = IncrementalPageRank(g, tol=TOL)
-    pr.compute()
+    pr = IncrementalPageRank(g, tol=TOL)     # both build their state cold here
     g.insert_edges(rng.integers(0, 512, 64), rng.integers(0, 512, 64))
     touched = pr.touched_count
     labels = cc.labels()

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analytics.frontier import advance, filter_frontier, vertex_space
-from repro.util.errors import ValidationError
+from repro.api.backend import _checked_id
 
 __all__ = ["bfs"]
 
@@ -21,9 +21,7 @@ def bfs(graph, source: int, max_depth: int | None = None) -> np.ndarray:
     any structure with ``adjacencies``/``neighbors``.
     """
     n = vertex_space(graph)
-    source = int(source)
-    if not (0 <= source < n):
-        raise ValidationError(f"source {source} out of range [0, {n})")
+    source = _checked_id(source, n, "source")
 
     dist = np.full(n, -1, dtype=np.int64)
     visited = np.zeros(n, dtype=bool)

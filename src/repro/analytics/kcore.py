@@ -15,11 +15,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.api.backend import _checked_id
 from repro.api.snapshot import as_snapshot, cached_snapshot
 from repro.gpusim.counters import get_counters
 from repro.util.errors import ValidationError
 
 __all__ = ["kcore", "kcore_membership"]
+
+
+def _checked_k(k) -> int:
+    """The family's one ``k`` rule: a single integral value >= 1 (a
+    fractional ``k`` would peel at a threshold no integer ``k`` names)."""
+    return _checked_id(k, None, "k", lo=1)
 
 
 def kcore(graph, k: int, max_rounds: int = 10_000) -> int:
@@ -32,8 +39,7 @@ def kcore(graph, k: int, max_rounds: int = 10_000) -> int:
     is a no-op on the edge set), so the deleted count is identical across
     backends for identical inputs.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    k = _checked_k(k)
     backend = getattr(graph, "backend", graph)  # unwrap a Graph facade
     caps = getattr(backend, "capabilities", None)
     if caps is not None and not caps.vertex_dynamic:
@@ -82,10 +88,9 @@ def kcore_membership(graph, k: int) -> np.ndarray:
     vertex stream per round — the cold cost
     :class:`repro.stream.incremental.IncrementalKCore` repairs around.
     Accepts any backend, facade, or snapshot; raises
-    :class:`ValidationError` for ``k < 1``.
+    :class:`ValidationError` unless ``k`` is an integer >= 1.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    k = _checked_k(k)
     snap = as_snapshot(graph)
     n = snap.num_vertices
     alive = snap.out_degrees() >= k

@@ -20,11 +20,25 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.api.backend import _checked_id
 from repro.api.snapshot import as_snapshot
 from repro.gpusim.counters import get_counters
 from repro.util.errors import ValidationError
 
 __all__ = ["pagerank", "power_iteration"]
+
+
+def _checked_params(damping, tol, max_iters) -> tuple[float, float, int]:
+    """The one parameter rule of :func:`pagerank`,
+    :class:`repro.stream.IncrementalPageRank` and the scenario runners:
+    ``damping`` in (0, 1), ``tol`` > 0 and ``max_iters`` an integer >= 1
+    — a zero sweep budget returns the start vector and a NaN ``tol`` never
+    converges, neither of which is an answer."""
+    if not (0.0 < damping < 1.0):
+        raise ValidationError("damping must be in (0, 1)")
+    if not tol > 0:  # also rejects NaN
+        raise ValidationError("tol must be positive")
+    return float(damping), float(tol), _checked_id(max_iters, None, "max_iters", lo=1)
 
 
 def power_iteration(
@@ -81,8 +95,7 @@ def pagerank(
     Returns a vector over the full vertex-id space; isolated ids receive
     the teleport mass only.  Accepts any backend, facade, or snapshot.
     """
-    if not (0.0 < damping < 1.0):
-        raise ValidationError("damping must be in (0, 1)")
+    damping, tol, max_iters = _checked_params(damping, tol, max_iters)
     snap = as_snapshot(graph)
     n = snap.num_vertices
     if n == 0:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analytics.frontier import adjacencies_of, vertex_space
+from repro.api.backend import _checked_id
 from repro.util.errors import ValidationError
 
 __all__ = ["sssp"]
@@ -40,9 +41,7 @@ def sssp(graph, source: int, max_rounds: int | None = None) -> np.ndarray:
     if not getattr(graph, "weighted", False):
         raise ValidationError("sssp requires a weighted graph (map variant)")
     n = vertex_space(graph)
-    source = int(source)
-    if not (0 <= source < n):
-        raise ValidationError(f"source {source} out of range [0, {n})")
+    source = _checked_id(source, n, "source")
 
     INF = np.iinfo(np.int64).max // 4
     dist = np.full(n, INF, dtype=np.int64)

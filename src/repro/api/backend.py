@@ -75,12 +75,19 @@ def checked_ids(num_vertices: int, **columns) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _checked_id(value, bound: int, name: str) -> int:
-    """The scalar form of :func:`checked_ids`: exactly one id in ``[0, bound)``."""
-    (ids,) = checked_ids(bound, **{name: value})
+def _checked_id(value, bound: int | None, name: str, lo: int = 0) -> int:
+    """The scalar form of :func:`checked_ids`: exactly one integral value
+    in ``[lo, bound)`` — ``bound=None`` for a count such as k-core's ``k``
+    — with fractional, boolean and non-numeric values rejected, never
+    truncated."""
+    ids = as_int_array(value, name)
     if ids.shape[0] != 1:
-        raise ValidationError(f"{name} must be a single id, got {ids.shape[0]} values")
-    return int(ids[0])
+        raise ValidationError(f"{name} must be a single value, got {ids.shape[0]} values")
+    checked = int(ids[0])
+    if checked < lo or (bound is not None and checked >= bound):
+        upper = "inf" if bound is None else bound
+        raise ValidationError(f"{name} must be in [{lo}, {upper}), got {checked}")
+    return checked
 
 
 def scan_edge_weights(src, dst, gather) -> tuple[np.ndarray, np.ndarray]:

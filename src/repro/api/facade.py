@@ -60,7 +60,7 @@ from repro.api.capabilities import Capabilities
 from repro.api.registry import create as _create_backend
 from repro.api.snapshot import CSRSnapshot, as_snapshot, merge_event_window
 from repro.coo import COO
-from repro.eventlog import DEFAULT_RETENTION_ROWS, EdgeBatch, EventLog, version_chain_intact
+from repro.eventlog import DEFAULT_RETENTION_ROWS, EdgeBatch, EventLog
 from repro.util.errors import ValidationError
 from repro.util.validation import as_int_array, check_equal_length
 
@@ -328,10 +328,10 @@ class Graph:
         1. **cached** — the backend is unchanged since the last snapshot:
            return the same object, zero work;
         2. **incremental** — the event-log window since the cached
-           snapshot is complete (no retention gap), purely edge batches,
-           and its version chain connects the cached version to the live
-           one: sort the O(batch) delta and merge it into the cached
-           sorted CSR (O(E + B log B));
+           snapshot passes :meth:`repro.eventlog.EventCursor.window` (no
+           retention gap, purely edge batches, version chain from the
+           cached version to the live one): sort the O(batch) delta and
+           merge it into the cached sorted CSR (O(E + B log B));
         3. **cold** — anything else (structural events, version-chain
            breaks from out-of-band backend mutations, retention gaps):
            full export + O(E log E) sort.
@@ -339,9 +339,8 @@ class Graph:
         backend = self.backend
         version = backend.mutation_version
         cached = backend._snapshot_cache
-        window = None
-        if cached is not None and cached[0] != version:
-            window = self._mergeable_window(cached[0], version)
+        base = None if cached is None else cached[0]
+        window = self._snap_cursor.window(lambda e: isinstance(e, EdgeBatch), base, version)
         if window:
             snap = merge_event_window(cached[1], window, directed=self.directed)
             backend._snapshot_cache = (version, snap)
@@ -350,7 +349,6 @@ class Graph:
             # backend's own snapshot() (as_snapshot also admits foreign
             # graph objects that only expose export_coo).
             snap = as_snapshot(backend)
-        self._snap_cursor.poll()  # re-anchor at the log's tail
         return snap
 
     def neighbor_range(self, vertex: int, lo: int, hi: int) -> np.ndarray:
@@ -410,19 +408,6 @@ class Graph:
         cache = backend._snapshot_cache
         if cache is not None and cache[0] != backend.mutation_version:
             backend._snapshot_cache = None
-
-    def _mergeable_window(self, base_version, live_version):
-        """The pending event window iff it can serve an incremental merge:
-        complete (no retention gap), purely edge batches, and version-
-        chained from the cached snapshot to the live backend."""
-        events, gapped = self._snap_cursor.peek()
-        if gapped or not events:
-            return None
-        if not all(isinstance(e, EdgeBatch) for e in events):
-            return None
-        if not version_chain_intact(events, base_version, live_version):
-            return None
-        return events
 
     @property
     def _delta_rows(self) -> int:

@@ -192,6 +192,27 @@ def cached_snapshot(graph) -> CSRSnapshot | None:
     return None
 
 
+def window_rows(events, directed: bool = True) -> tuple[np.ndarray, ...]:
+    """``(src, dst, weights, is_insert)``: the rows of a window of
+    :class:`~repro.eventlog.EdgeBatch` events, concatenated in publish
+    order (a batch without weights contributes zeros).
+
+    ``directed=False`` mirrors each batch where it stands — its rows, then
+    their reversals — as the undirected backends store it, so a later
+    batch still overrides an earlier one in both orientations when the
+    last occurrence of a key wins.
+    """
+    rows = []
+    for event in events:
+        n = event.src.shape[0]
+        w = event.weights if event.weights is not None else np.zeros(n, dtype=np.int64)
+        kind = np.full(n, event.is_insert, dtype=bool)
+        rows.append((event.src, event.dst, w, kind))
+        if not directed:
+            rows.append((event.dst, event.src, w, kind))
+    return tuple(np.concatenate(column) for column in zip(*rows))
+
+
 def merge_event_window(base: CSRSnapshot, events, directed: bool = True) -> CSRSnapshot:
     """Reduce an event-log window of :class:`~repro.eventlog.EdgeBatch`
     events to net per-key ops and merge them into ``base``.
@@ -199,30 +220,11 @@ def merge_event_window(base: CSRSnapshot, events, directed: bool = True) -> CSRS
     The caller (a cursor consumer — see :meth:`repro.api.Graph.snapshot`)
     has already proven the window is a complete, purely edge-batched
     history from ``base``'s version to the live one.  ``directed=False``
-    mirrors every batch before reduction, matching what the undirected
-    backend stored.  Replace semantics apply across the whole window: the
-    last operation per composite key wins.
+    mirrors every batch (:func:`window_rows`), matching what the
+    undirected backend stored.  Replace semantics apply across the whole
+    window: the last operation per composite key wins.
     """
-    srcs, dsts, ws, kinds = [], [], [], []
-    for event in events:
-        src, dst, weights = event.src, event.dst, event.weights
-        if not directed:
-            src, dst = (
-                np.concatenate([src, dst]),
-                np.concatenate([dst, src]),
-            )
-            if weights is not None:
-                weights = np.concatenate([weights, weights])
-        srcs.append(src)
-        dsts.append(dst)
-        ws.append(
-            weights if weights is not None else np.zeros(src.shape[0], dtype=np.int64)
-        )
-        kinds.append(np.full(src.shape[0], event.is_insert, dtype=bool))
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
-    w = np.concatenate(ws)
-    is_ins = np.concatenate(kinds)
+    src, dst, w, is_ins = window_rows(events, directed)
     comp = (src << np.int64(32)) | dst
     get_counters().sorted_elements += int(comp.shape[0])
     # Fused dedup-last + sort (one stable argsort instead of the old

@@ -15,7 +15,10 @@ row accounting with one first-class object:
   edge-batch rows.  Older events are trimmed; a cursor that has fallen
   behind the retention horizon observes a *gap* on its next read and must
   fall back to a cold rebuild of whatever it was maintaining (the facade
-  and the shard router size it with their ``event_retention`` argument);
+  and the shard router size it with their ``event_retention`` argument).
+  :meth:`EventCursor.window` is that decision, stated once with the
+  version-chain check: the facade's snapshot merge and every incremental
+  analytic fold what it returns or rebuild cold;
 - **push subscribers** — live observers (``on_event(event)`` objects or
   plain callables) notified after each append.  Notification iterates a
   snapshot copy of the subscriber list, so a subscriber unsubscribing
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.eventlog.events import EdgeBatch, Event, StructuralEvent
+from repro.eventlog.events import EdgeBatch, Event, StructuralEvent, version_chain_intact
 from repro.util.errors import ValidationError
 
 __all__ = ["EventLog", "EventCursor", "DEFAULT_RETENTION_ROWS"]
@@ -229,6 +232,22 @@ class EventCursor:
         events, gapped = self.log.events_since(self.position)
         self.position = self.log.next_seq
         return events, gapped
+
+    def window(self, absorbs, base_version, live_version) -> list | None:
+        """The one fold-or-cold rule of every consumer of the log.
+
+        Polls, and returns the pending events iff a consumer whose state
+        reflects ``base_version`` may fold them to reach ``live_version``:
+        no retention gap, ``absorbs(event)`` true for every event, and the
+        version chain intact (:func:`version_chain_intact` — which also
+        catches a mutation applied behind the publisher's back).  ``[]``
+        means already in sync; ``None`` means rebuild cold.  Either way
+        the cursor ends at the tail.
+        """
+        events, gapped = self.poll()
+        if gapped or not all(absorbs(e) for e in events):
+            return None
+        return events if version_chain_intact(events, base_version, live_version) else None
 
     def pending_rows(self) -> int:
         """Retention rows of the pending edge batches (0 when gapped

@@ -191,7 +191,8 @@ def run_chaos_scenario(
     schedule a ``checkpoint`` phase between the disk fault and the
     rebuild, as :func:`disk_fault_scenario` does.
     """
-    _check_run_params(scenario, damping=damping, tol=tol)
+    coo = build_dataset(scenario)
+    _check_run_params(scenario, coo.num_vertices, damping=damping, tol=tol, max_iters=max_iters)
     for phase in scenario.phases:
         if phase.kind in ("kill_shard", "rebuild_shard") and not (
             0 <= phase.target < num_shards
@@ -200,7 +201,6 @@ def run_chaos_scenario(
                 f"phase {phase.kind!r} targets shard {phase.target}, but the "
                 f"run has {num_shards} shards"
             )
-    coo = build_dataset(scenario)
     service = ShardedGraph.create(
         backend_name,
         coo.num_vertices,

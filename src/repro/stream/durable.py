@@ -122,7 +122,11 @@ def run_scenario_durable(
     Invalid arguments are rejected before anything under ``directory`` is
     created, so the corrected call can use the same directory.
     """
-    _check_run_params(scenario, mode=mode, damping=damping, tol=tol, analytics=analytics)
+    coo = build_dataset(scenario)
+    _check_run_params(
+        scenario, coo.num_vertices, mode=mode, damping=damping, tol=tol, max_iters=max_iters,
+        analytics=analytics, source=source, kcore_k=kcore_k,
+    )
     directory = Path(directory)
     progress_path = directory / PROGRESS_FILE
     identity = {
@@ -132,7 +136,6 @@ def run_scenario_durable(
         "mode": mode,
         "num_phases": len(scenario.phases),
     }
-    coo = build_dataset(scenario)
 
     open_kwargs = {
         "fsync": fsync,

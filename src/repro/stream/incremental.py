@@ -9,7 +9,7 @@ since the last phase.  The classes here hold an
 events into their state at query time:
 
 - :class:`IncrementalConnectedComponents` — a union-find forest updated in
-  O(batch α) per insert-only batch; deletions and structural events fall
+  O(batch α) per insert-only window; deletions and structural events fall
   back to a cold re-label automatically.  Labels are always exactly equal
   to :func:`repro.analytics.connected_components` on the live snapshot.
 - :class:`IncrementalPageRank` — warm-start power iteration seeded from
@@ -40,13 +40,15 @@ events into their state at query time:
   is exact.  Always equal to :func:`repro.analytics.kcore_membership` on
   the live snapshot.
 
-Staleness can never masquerade as freshness: a consumed window must be a
-complete history (no retention gap — the cursor detects events trimmed
-past the log's bounded retention) whose version chain connects the
-consumer's last sync to the live ``mutation_version``.  A mutation
-applied to the backend behind the facade's back breaks that chain and is
-answered with a cold recompute — one shared log-gap check instead of the
-per-consumer version bookkeeping each analytic used to reimplement.
+Staleness can never masquerade as freshness, and one rule decides it —
+:meth:`repro.eventlog.EventCursor.window`, the same call the facade's
+snapshot merge makes: the pending window is folded only if it is a
+complete history (no retention gap), every event in it is one the
+analytic :meth:`~IncrementalAnalytic._absorbs`, and its version chain
+connects the version the state reflects to the live ``mutation_version``.
+A mutation applied to the backend behind the facade's back breaks that
+chain and is answered with a cold recompute.  The only staleness state
+an analytic keeps is that one version.
 
 Every class charges the device model for its incremental work (union-find
 traffic, warm sweeps, probes, gathers, peel rounds), so the ``t11`` stream
@@ -59,11 +61,12 @@ import numpy as np
 
 from repro.analytics.bfs import bfs
 from repro.analytics.connected_components import connected_components
-from repro.analytics.kcore import kcore_membership
-from repro.analytics.pagerank import power_iteration
+from repro.analytics.kcore import _checked_k, kcore_membership
+from repro.analytics.pagerank import _checked_params, power_iteration
 from repro.analytics.sssp import sssp
 from repro.analytics.wedges import canonical_edge_keys, closing_wedges, split_keys, symmetric_csr
-from repro.api.snapshot import CSRSnapshot, merge_csr_delta
+from repro.api.backend import _checked_id
+from repro.api.snapshot import CSRSnapshot, merge_csr_delta, window_rows
 from repro.eventlog import EdgeBatch, EventLog
 from repro.gpusim.counters import get_counters
 from repro.util.errors import ValidationError
@@ -86,13 +89,11 @@ _INF = np.iinfo(np.int64).max // 4
 class IncrementalAnalytic:
     """Base class wiring an analytic onto a facade's event log.
 
-    The base class owns the cursor, the gap/version-chain detection, the
-    stale flag and the *pending window*: at query time every pending event
-    the subclass :meth:`_absorbs` is appended to ``_pending`` while the
-    version chain stays connected; anything else marks the state stale.
-    Subclasses supply the cold :meth:`_rebuild` and the window
-    :meth:`_repair`; :meth:`_refresh` picks between them and re-anchors
-    only once the new state is computed.
+    A subclass sets its parameters and then calls ``super().__init__``,
+    which builds the state cold.  It supplies the cold :meth:`_rebuild`,
+    the window :meth:`_repair` and, when it folds more than insert
+    batches, :meth:`_absorbs`; :meth:`_refresh` is the one place that
+    chooses between them.
     """
 
     def __init__(self, graph) -> None:
@@ -105,19 +106,18 @@ class IncrementalAnalytic:
             )
         self.graph = graph
         self._cursor = events.cursor()
-        self._stale = True
-        self._synced_version = -1
-        self._pending: list = []
-        #: How the last query was served: "incremental", "warm", "cold",
-        #: or "cached".
+        #: The ``mutation_version`` the state reflects (None: the next
+        #: query rebuilds cold).
+        self._version: int | None = None
+        #: How the state was last brought up to date: "cached",
+        #: "incremental" or "cold".
         self.last_mode: str | None = None
+        self._refresh()
 
     def close(self) -> None:
-        """Detach from the event log (queries then always re-derive the
-        live answer via the version check)."""
-        self._cursor = None
-
-    # -- event folding -----------------------------------------------------------
+        """Detach from the event log: the cursor then reads a log nothing
+        publishes to, so any mutation after the last sync is answered cold."""
+        self._cursor = EventLog().cursor()
 
     def _absorbs(self, event) -> bool:
         """Whether ``event`` can be folded without a cold pass.  Default:
@@ -125,74 +125,36 @@ class IncrementalAnalytic:
         path or demote a core member, and only a cold pass can tell."""
         return isinstance(event, EdgeBatch) and event.is_insert
 
-    def _fold_event(self, event) -> None:
-        if self._stale:
-            return  # the pending cold pass will absorb this event too
-        if not self._absorbs(event) or event.before_version != self._synced_version:
-            # Not absorbable, or the version chain does not connect our
-            # last sync to this batch — something mutated the backend
-            # out-of-band between them.  Folding the batch anyway would
-            # mask the missed change behind a fresh-looking version.
-            self._stale = True
-            return
-        self._pending.append(event)
-        self._synced_version = event.after_version
-
-    def _drain(self) -> None:
-        """Fold every pending event; a retention gap marks the state stale
-        (trimmed events are an unknowable history)."""
-        if self._cursor is None:
-            return
-        events, gapped = self._cursor.poll()
-        if gapped:
-            self._stale = True
-        for event in events:
-            self._fold_event(event)
-
-    # -- plumbing ----------------------------------------------------------------
-
     def _rebuild(self) -> None:
         """Recompute the state cold from the live snapshot."""
         raise NotImplementedError
 
     def _repair(self, window) -> bool:
-        """Fold the absorbed ``window`` into the state; False means it
-        turned out not to be foldable and the caller rebuilds cold."""
+        """Fold a non-empty absorbable ``window`` into the state; False
+        means it turned out not to be foldable and the caller rebuilds
+        cold."""
         raise NotImplementedError
+
+    def _peek(self) -> list:
+        """The events the next refresh will see (the cursor stays put)."""
+        return self._cursor.peek()[0]
 
     def _refresh(self) -> None:
         """Bring the state up to the live graph and record ``last_mode``."""
-        self._drain()
-        repairable = self._in_sync()
-        if repairable and not self._pending:
+        live = self.graph.mutation_version
+        window = self._cursor.window(self._absorbs, self._version, live)
+        if window == []:  # in sync, nothing pending
             self.last_mode = "cached"
             return
-        # Stale until the new state commits: a repair or rebuild that
-        # raises leaves the next query cold, never the old answer as fresh.
-        self._stale = True
-        if repairable and self._repair(self._pending):
-            mode = "incremental"
+        # Unsynced until the new state is in place: a repair or rebuild
+        # that raises leaves the next query cold, never the old answer.
+        self._version = None
+        if window and self._repair(window):
+            self.last_mode = "incremental"
         else:
             self._rebuild()
-            mode = "cold"
-        self._reanchor()
-        self.last_mode = mode
-
-    def _reanchor(self) -> None:
-        """Mark the state in sync with the live graph (call only after the
-        new state is assigned)."""
-        self._pending.clear()
-        self._stale = False
-        self._synced_version = self._live_version()
-        if self._cursor is not None:
-            self._cursor.poll()  # the snapshot absorbed everything pending
-
-    def _live_version(self) -> int:
-        version = getattr(self.graph, "mutation_version", None)
-        return -1 if version is None else int(version)
-
-    def _in_sync(self) -> bool:
-        return not self._stale and self._synced_version == self._live_version()
+            self.last_mode = "cold"
+        self._version = live
 
 
 class IncrementalConnectedComponents(IncrementalAnalytic):
@@ -200,36 +162,28 @@ class IncrementalConnectedComponents(IncrementalAnalytic):
 
     Insert-only windows are folded into a union-find forest (union by
     minimum root, path halving) in O(batch α); each new edge is one union.
-    Deletions can split components, so a delete batch — like any
-    structural event, retention gap, or version-chain break — marks the
-    forest stale and the next :meth:`labels` call re-labels cold from the
-    live snapshot.  After the cold pass the forest is rebuilt from the
-    labels themselves (every vertex points at its component's minimum id,
-    which is a union-find fixpoint), so streaming resumes incrementally.
+    Deletions can split components, so a window holding a delete batch —
+    like one holding a structural event, a retention gap, or a
+    version-chain break — re-labels cold from the live snapshot.  The
+    cold labels are themselves a union-find fixpoint (every vertex points
+    at its component's minimum id), so streaming resumes incrementally.
 
     :meth:`labels` is always exactly equal to
     :func:`repro.analytics.connected_components` on the live snapshot.
     """
 
-    def __init__(self, graph) -> None:
-        super().__init__(graph)
-        self._parent: np.ndarray | None = None
-        self._rebuild()
-        self._reanchor()
+    def labels(self) -> np.ndarray:
+        """Component label per vertex (= smallest id in the component)."""
+        self._refresh()
+        return self._parent.copy()
 
-    # -- event folding -----------------------------------------------------------
-
-    def _fold_event(self, event) -> None:
-        super()._fold_event(event)
-        if not self._pending:
-            return
-        # Absorbed: union it now — a forest has no use for a deferred window.
-        event = self._pending.pop()
-        parent = self._parent
+    def _repair(self, window) -> bool:
+        src, dst, _, _ = window_rows(window)
         counters = get_counters()
-        counters.atomics += int(event.src.shape[0])
-        counters.bytes_copied += int(event.src.shape[0]) * 16
-        for a, b in zip(event.src.tolist(), event.dst.tolist()):
+        counters.atomics += int(src.shape[0])
+        counters.bytes_copied += int(src.shape[0]) * 16
+        parent = self._parent
+        for a, b in zip(src.tolist(), dst.tolist()):
             ra, rb = _find(parent, a), _find(parent, b)
             if ra == rb:
                 continue
@@ -239,38 +193,19 @@ class IncrementalConnectedComponents(IncrementalAnalytic):
                 parent[rb] = ra
             else:
                 parent[ra] = rb
-
-    # -- queries ------------------------------------------------------------------
-
-    def labels(self) -> np.ndarray:
-        """Component label per vertex (= smallest id in the component)."""
-        self._drain()
-        if not self._in_sync():
-            self._rebuild()
-            self._reanchor()
-            self.last_mode = "cold"
-            return self._parent.copy()
-        # Vectorized pointer-jump to the (min-id) roots; keep the
-        # compressed forest so repeated queries are one pass.
-        counters = get_counters()
-        p = self._parent
+        # Vectorized pointer-jump to the (min-id) roots: the compressed
+        # forest is the label array.
         while True:
             counters.kernel_launches += 1
-            counters.bytes_copied += 2 * p.shape[0] * 8
-            q = p[p]
-            if np.array_equal(q, p):
+            counters.bytes_copied += 2 * parent.shape[0] * 8
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
                 break
-            p = q
-        self._parent = p
-        self.last_mode = "incremental"
-        return p.copy()
-
-    # -- plumbing ----------------------------------------------------------------
+            parent = jumped
+        self._parent = parent
+        return True
 
     def _rebuild(self) -> None:
-        # The label array doubles as a valid union-find forest: each
-        # vertex points at its component's min id, roots point at
-        # themselves.
         self._parent = connected_components(self.graph.snapshot()).copy()
 
 
@@ -291,14 +226,14 @@ class IncrementalPageRank(IncrementalAnalytic):
     correspondingly small, delta-localized amount (the initial residual
     is concentrated on the touched vertices and their neighborhoods), so
     re-iterating from the previous ranks reaches the same ``tol`` in far
-    fewer sweeps than a uniform cold start.  Warm starting is always
-    exact-within-``tol``: the sweep operator contracts to the unique
-    fixpoint from any start vector, so even structural events only cost
-    extra sweeps, never correctness.  An unchanged graph returns the
-    cached ranks with zero sweeps.
+    fewer sweeps than a uniform cold start.  The sweep operator contracts
+    to the unique fixpoint from any start vector, so every event — a
+    deletion or a structural event too — folds by warm start; only a
+    grown vertex space, a retention gap or a version-chain break starts
+    cold.  An unchanged graph returns the cached ranks with zero sweeps.
 
-    ``touched_count`` reports how many distinct vertices the deltas since
-    the last compute touched (the locality the warm start exploits).
+    ``touched_count`` reports how many distinct vertices the pending edge
+    batches touch (the locality the warm start exploits).
     """
 
     def __init__(
@@ -308,62 +243,45 @@ class IncrementalPageRank(IncrementalAnalytic):
         tol: float = 1e-8,
         max_iters: int = 100,
     ) -> None:
-        if not (0.0 < damping < 1.0):
-            raise ValidationError("damping must be in (0, 1)")
-        super().__init__(graph)
-        self.damping = float(damping)
-        self.tol = float(tol)
-        self.max_iters = int(max_iters)
-        self._ranks: np.ndarray | None = None
-        self._touched: np.ndarray | None = None
+        self.damping, self.tol, self.max_iters = _checked_params(damping, tol, max_iters)
         #: Sweeps the last compute() needed (0 when served from cache).
         self.last_sweeps = 0
+        super().__init__(graph)
 
-    # -- event folding -----------------------------------------------------------
-
-    def _fold_event(self, event) -> None:
-        if isinstance(event, EdgeBatch):
-            if self._touched is not None:
-                self._touched[event.src] = True
-                self._touched[event.dst] = True
-        else:
-            self._stale = True
-            # A structural event may have resized the vertex space (bulk
-            # build growth); the mask is re-allocated at the next compute.
-            self._touched = None
-
-    # -- queries ------------------------------------------------------------------
+    def _absorbs(self, event) -> bool:
+        return True  # the sweeps converge from any start vector
 
     @property
     def touched_count(self) -> int:
-        """Distinct vertices touched by deltas since the last compute."""
-        self._drain()
-        return int(self._touched.sum()) if self._touched is not None else 0
+        """Distinct vertices touched by the edge batches since the last
+        compute."""
+        ends = [a for e in self._peek() if isinstance(e, EdgeBatch) for a in (e.src, e.dst)]
+        return int(sorted_unique(np.concatenate(ends)).shape[0]) if ends else 0
 
     def compute(self) -> np.ndarray:
         """Current PageRank scores (within ``tol`` of a cold computation)."""
-        self._drain()
-        if self._ranks is not None and self._in_sync():
-            self.last_mode, self.last_sweeps = "cached", 0
-            return self._ranks.copy()
+        self.last_sweeps = 0
+        self._refresh()
+        return self._ranks.copy()
+
+    def _repair(self, window) -> bool:
+        snap = self.graph.snapshot()
+        if snap.num_vertices != self._ranks.shape[0]:
+            return False  # the vertex space grew: start cold
+        # Warm start: renormalize the previous solution (edge churn
+        # shifts mass only near the delta-touched vertices).
+        self._iterate(snap, self._ranks / self._ranks.sum())
+        return True
+
+    def _rebuild(self) -> None:
         snap = self.graph.snapshot()
         n = snap.num_vertices
-        if self._ranks is not None and self._ranks.shape[0] == n:
-            # Warm start: renormalize the previous solution (edge churn
-            # shifts mass only near the delta-touched vertices).
-            rank = self._ranks / self._ranks.sum()
-            self.last_mode = "warm"
-        else:
-            rank = np.full(n, 1.0 / n, dtype=np.float64)
-            self.last_mode = "cold"
-        rank, sweeps = power_iteration(
+        self._iterate(snap, np.full(n, 1.0 / n, dtype=np.float64))
+
+    def _iterate(self, snap, rank) -> None:
+        self._ranks, self.last_sweeps = power_iteration(
             snap, rank, damping=self.damping, tol=self.tol, max_iters=self.max_iters
         )
-        self._ranks = rank
-        self._touched = np.zeros(n, dtype=bool)
-        self._reanchor()
-        self.last_sweeps = sweeps
-        return rank.copy()
 
 
 def _sorted_member(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
@@ -431,26 +349,14 @@ class IncrementalTriangleCount(IncrementalAnalytic):
     both closed through the shared Table VII/IX wedge kernel
     (:func:`repro.analytics.wedges.closing_wedges`).
 
-    Structural events, retention gaps, and version-chain breaks mark the
-    state stale; the next :meth:`count` rebuilds cold — the same
-    symmetrize-and-close pass as
+    Structural events, retention gaps, and version-chain breaks rebuild
+    cold — the same symmetrize-and-close pass as
     :func:`repro.analytics.undirected_triangles`, to which the result is
     always exactly equal on the live snapshot.
     """
 
-    def __init__(self, graph) -> None:
-        """Attach to ``graph``'s event log and cold-build the initial
-        symmetric CSR and count."""
-        super().__init__(graph)
-        self._sym: CSRSnapshot | None = None
-        self._count = 0
-        self._rebuild()
-        self._reanchor()
-
     def _absorbs(self, event) -> bool:
         return isinstance(event, EdgeBatch)  # deletions fold too
-
-    # -- queries ------------------------------------------------------------------
 
     def count(self) -> int:
         """Triangles in the undirected view of the live graph (exactly
@@ -458,16 +364,12 @@ class IncrementalTriangleCount(IncrementalAnalytic):
         self._refresh()
         return self._count
 
-    # -- plumbing ----------------------------------------------------------------
-
     def _repair(self, window) -> bool:
-        counters = get_counters()
-        src = np.concatenate([e.src for e in window])
-        dst = np.concatenate([e.dst for e in window])
-        counters.bytes_copied += int(src.shape[0]) * 16
+        src, dst, _, is_insert = window_rows(window)
+        get_counters().bytes_copied += int(src.shape[0]) * 16
         touched = canonical_edge_keys(src, dst)
         was = _sorted_member(self._sym.keys(), touched)
-        if all(e.is_insert for e in window):
+        if is_insert.all():
             now = np.ones_like(was)  # nothing left the graph
         else:
             live = _composite(self.graph.snapshot())
@@ -498,28 +400,20 @@ class IncrementalTriangleCount(IncrementalAnalytic):
 class _IncrementalDistances(IncrementalAnalytic):
     """Shared machinery of :class:`IncrementalBFS` / :class:`IncrementalSSSP`.
 
-    Holds the distance array of the last sync (INF-sentinel internally)
-    and the pending insert-only window.  Repair is frontier re-relaxation
-    over the live snapshot, seeded from the new edges whose relaxation
-    improves a distance: inserts only add paths, so distances only
-    decrease, and relaxing to a fixpoint from the improved set reaches
-    exactly the cold answer (shortest distances are the unique fixpoint).
+    Holds the distance array of the last sync (INF-sentinel internally).
+    Repair is frontier re-relaxation over the live snapshot, seeded from
+    the new edges whose relaxation improves a distance: inserts only add
+    paths, so distances only decrease, and relaxing to a fixpoint from the
+    improved set reaches exactly the cold answer (shortest distances are
+    the unique fixpoint).
     """
 
     #: True → hop distances (every edge weight treated as 1).
     _unit_weights = True
 
     def __init__(self, graph, source: int = 0) -> None:
+        self.source = _checked_id(source, int(graph.num_vertices), "source")
         super().__init__(graph)
-        n = int(graph.num_vertices)
-        source = int(source)
-        if not (0 <= source < n):
-            raise ValidationError(f"source {source} out of range [0, {n})")
-        self.source = source
-        self._dist: np.ndarray | None = None
-        self._prev_snap: CSRSnapshot | None = None
-
-    # -- queries ------------------------------------------------------------------
 
     def distances(self) -> np.ndarray:
         """Distances from ``source``; unreachable vertices get -1.
@@ -530,8 +424,6 @@ class _IncrementalDistances(IncrementalAnalytic):
         self._refresh()
         return np.where(self._dist >= _INF, np.int64(-1), self._dist)
 
-    # -- plumbing ----------------------------------------------------------------
-
     def _cold_kernel(self, snap) -> np.ndarray:
         raise NotImplementedError
 
@@ -540,39 +432,25 @@ class _IncrementalDistances(IncrementalAnalytic):
         raw = self._cold_kernel(snap)
         self._dist, self._prev_snap = np.where(raw < 0, _INF, raw).astype(np.int64), snap
 
-    def _net_window(self, window):
-        """Reduce the pending window to net per-key (src, dst, weight)
-        arrays — last occurrence wins, matching replace semantics — with
-        undirected facades' mirroring applied."""
-        src = np.concatenate([e.src for e in window])
-        dst = np.concatenate([e.dst for e in window])
-        weighted = window[0].weights is not None
-        w = np.concatenate([e.weights for e in window]) if weighted else None
-        if not getattr(self.graph, "directed", True):
-            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-            if w is not None:
-                w = np.concatenate([w, w])
-        comp = (src << np.int64(32)) | dst
-        get_counters().sorted_elements += int(comp.shape[0])  # the window reduce
-        keep = last_occurrence_mask(comp)
-        return src[keep], dst[keep], (w[keep] if w is not None else None)
-
     def _repair(self, window) -> bool:
-        """Fold the pending window by seeded re-relaxation; False means
-        the window is not monotone (a grown upsert) → caller goes cold."""
+        """Fold the window by seeded re-relaxation; False means the window
+        is not monotone (a grown upsert) → caller goes cold."""
         snap = self.graph.snapshot()
-        src, dst, w = self._net_window(window)
+        # Reduce the window to net per-key rows: the last occurrence wins,
+        # matching replace semantics.
+        src, dst, w, _ = window_rows(window, self.graph.directed)
+        keys = (src << np.int64(32)) | dst
         counters = get_counters()
+        counters.sorted_elements += int(keys.shape[0])  # the window reduce
+        keep = last_occurrence_mask(keys)
+        src, dst, w, keys = src[keep], dst[keep], w[keep], keys[keep]
         if self._unit_weights:
             w = np.ones(src.shape[0], dtype=np.int64)
         else:
-            if w is None or self._prev_snap is None or self._prev_snap.weights is None:
-                return False
             # Replace semantics: an upsert that *grew* an existing edge's
             # weight can lengthen shortest paths — not monotone, go cold.
             prev = self._prev_snap
             old_comp = _composite(prev)
-            keys = (src << np.int64(32)) | dst
             hit = _sorted_member(old_comp, keys)
             if hit.any():
                 loc = np.searchsorted(old_comp, keys[hit])
@@ -670,14 +548,9 @@ class IncrementalKCore(IncrementalAnalytic):
     """
 
     def __init__(self, graph, k: int = 3) -> None:
-        """Attach to ``graph``'s event log; ``k`` must be >= 1."""
-        if int(k) < 1:
-            raise ValidationError("k must be >= 1")
+        """Attach to ``graph``'s event log; ``k`` must be an integer >= 1."""
+        self.k = _checked_k(k)
         super().__init__(graph)
-        self.k = int(k)
-        self._in_core: np.ndarray | None = None
-
-    # -- queries ------------------------------------------------------------------
 
     def members(self) -> np.ndarray:
         """Boolean k-core membership per vertex (exactly
@@ -685,18 +558,14 @@ class IncrementalKCore(IncrementalAnalytic):
         self._refresh()
         return self._in_core.copy()
 
-    # -- plumbing ----------------------------------------------------------------
-
     def _rebuild(self) -> None:
         self._in_core = kcore_membership(self.graph.snapshot(), self.k)
 
     def _repair(self, window) -> bool:
         snap = self.graph.snapshot()
         in_core = self._in_core
-        seeds = [e.src for e in window]
-        if not getattr(self.graph, "directed", True):
-            seeds += [e.dst for e in window]
-        seeds = sorted_unique(np.concatenate(seeds))
+        src, _, _, _ = window_rows(window, self.graph.directed)
+        seeds = sorted_unique(src)
         counters = get_counters()
         # Candidate-mask pass over the degree and membership arrays.
         counters.kernel_launches += 1

@@ -36,10 +36,11 @@ import numpy as np
 
 from repro.analytics.bfs import bfs
 from repro.analytics.connected_components import connected_components
-from repro.analytics.kcore import kcore_membership
-from repro.analytics.pagerank import power_iteration
+from repro.analytics.kcore import _checked_k, kcore_membership
+from repro.analytics.pagerank import _checked_params, power_iteration
 from repro.analytics.sssp import sssp
 from repro.analytics.triangle_count import undirected_triangles
+from repro.api.backend import _checked_id
 from repro.api.facade import Graph
 from repro.api.snapshot import CSRSnapshot
 from repro.coo import COO
@@ -256,18 +257,21 @@ def run_scenario(
     ``analytics`` selects which family members every compute phase runs
     (any subset of :data:`ANALYTICS`; ``"sssp"`` needs a weighted
     scenario); ``source`` seeds bfs/sssp and ``kcore_k`` sets the k-core
-    threshold.  One uncounted compute runs before phase 0, so per-phase
-    costs measure the steady state (the incremental analytics' one-off
-    cold initialization is setup, not workload).  ``validate``
-    re-derives the cold reference after *every* phase in incremental
-    mode and asserts the incremental answers are exact (everything but
-    PageRank) / within ``tol`` per vertex (PageRank) — for tests, not
-    benches (validation work is excluded from the phase's timing and
-    counters).
+    threshold.  The incremental analytics build cold when they are
+    constructed, before phase 0, so per-phase costs measure the steady
+    state (the one-off cold initialization is setup, not workload).
+    ``validate`` re-derives the cold reference after *every* phase in
+    incremental mode and asserts the incremental answers are exact
+    (everything but PageRank) / within ``tol`` per vertex (PageRank) —
+    for tests, not benches (validation work is excluded from the phase's
+    timing and counters).
     """
-    _check_run_params(scenario, mode=mode, damping=damping, tol=tol, analytics=analytics)
     coo = build_dataset(scenario)
     n = coo.num_vertices
+    _check_run_params(
+        scenario, n, mode=mode, damping=damping, tol=tol, max_iters=max_iters,
+        analytics=analytics, source=source, kcore_k=kcore_k,
+    )
     g = Graph.create(backend_name, num_vertices=n, weighted=scenario.weighted)
     g.bulk_build(coo)
 
@@ -285,22 +289,26 @@ def run_scenario(
     return ScenarioResult(scenario=scenario, backend=backend_name, mode=mode, phases=results)
 
 
-def _check_run_params(scenario, *, damping, tol, mode="incremental", analytics=()) -> None:
+def _check_run_params(
+    scenario, num_vertices, *, damping, tol, max_iters,
+    mode="incremental", analytics=(), source=0, kcore_k=3,
+) -> None:
     """Reject invalid run parameters with :class:`ValidationError`.
 
     The one validator of the three runners (:func:`run_scenario`,
     :func:`repro.stream.durable.run_scenario_durable`,
-    :func:`repro.stream.chaos.run_chaos_scenario`); each calls it first,
-    with whichever of the parameters it accepts, so a rejected call has
-    built nothing and — for the two that take a ``directory`` — written
-    nothing there.
+    :func:`repro.stream.chaos.run_chaos_scenario`); each calls it with
+    whichever of the parameters it accepts and the seed graph's
+    ``num_vertices`` (the range of ``source``) before it creates a graph,
+    so a rejected call has built no graph and — for the two that take a
+    ``directory`` — written nothing there.  The analytics' own rules
+    apply whether or not the analytic is selected.
     """
     if mode not in ("incremental", "full"):
         raise ValidationError(f"mode must be 'incremental' or 'full', got {mode!r}")
-    if not (0.0 < damping < 1.0):
-        raise ValidationError("damping must be in (0, 1)")
-    if not tol > 0:
-        raise ValidationError("tol must be positive")
+    _checked_params(damping, tol, max_iters)
+    _checked_id(source, num_vertices, "source")
+    _checked_k(kcore_k)
     for name in analytics:
         if name not in ANALYTICS:
             raise ValidationError(f"unknown analytic {name!r}; pick from {ANALYTICS}")
@@ -328,11 +336,10 @@ def _compute_setup(
     for name in analytics:
         cls, method, kernel, names = _FAMILY[name]
         family[name] = (cls, method, kernel, {key: params[key] for key in names})
-    incs: dict = {}
+    # Constructing an incremental analytic builds it cold: setup, not workload.
+    incs = {}
     if mode == "incremental":
-        for name, (cls, method, _, args) in family.items():
-            incs[name] = cls(g, **args)
-            getattr(incs[name], method)()  # prime: cold initialization is setup
+        incs = {name: cls(g, **args) for name, (cls, _, _, args) in family.items()}
 
     def compute_once() -> dict:
         counters = get_counters()

@@ -11,7 +11,10 @@ from repro.analytics import (
     connected_components,
     dynamic_triangle_count,
     filter_frontier,
+    kcore,
+    kcore_membership,
     pagerank,
+    sssp,
     triangle_count_hash,
     triangle_count_sorted,
 )
@@ -177,3 +180,50 @@ class TestTraversal:
     def test_pagerank_bad_damping(self):
         with pytest.raises(ValidationError):
             pagerank(DynamicGraph(4, weighted=False), damping=1.5)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"max_iters": 0},
+            {"max_iters": 1.5},
+            {"max_iters": True},
+            {"tol": float("nan")},
+            {"tol": 0.0},
+            {"tol": -1.0},
+            {"damping": float("nan")},
+        ],
+        ids=str,
+    )
+    def test_pagerank_rejects_parameters_that_return_no_answer(self, params):
+        """``max_iters=0`` used to return the uniform start vector and a
+        NaN ``tol`` to run every sweep without converging."""
+        with pytest.raises(ValidationError):
+            pagerank(DynamicGraph(4, weighted=False), **params)
+
+
+class TestScalarArguments:
+    """The scalar id rule of ``GraphBackend`` for every analytic's source
+    and ``k``: integral, never a bool or a string, in range — a
+    fractional or boolean value is rejected, never truncated."""
+
+    @pytest.mark.parametrize("source", [1.5, True, "1", -1, 4], ids=repr)
+    def test_bfs_and_sssp_reject_hostile_sources(self, source):
+        with pytest.raises(ValidationError):
+            bfs(DynamicGraph(4, weighted=False), source)
+        with pytest.raises(ValidationError):
+            sssp(DynamicGraph(4, weighted=True), source)
+
+    def test_integral_float_source_is_that_vertex(self):
+        g = DynamicGraph(4, weighted=False)
+        g.insert_edges([1, 2], [2, 3])
+        assert bfs(g, 1.0).tolist() == bfs(g, 1).tolist() == [-1, 0, 1, 2]
+
+    @pytest.mark.parametrize("k", [0, -2, 1.5, True, "2"], ids=repr)
+    def test_kcore_rejects_hostile_k(self, k):
+        g = DynamicGraph(4, weighted=False, directed=False)
+        g.insert_edges([0, 1, 2, 3], [1, 2, 0, 0])  # a triangle plus a pendant
+        with pytest.raises(ValidationError):
+            kcore_membership(g, k)
+        with pytest.raises(ValidationError):
+            kcore(g, k)
+        assert kcore_membership(g, 2).tolist() == [True, True, True, False]

@@ -44,7 +44,7 @@ def test_incremental_family_example_runs(capsys):
     out = capsys.readouterr().out
     assert "all six incremental analytics verified exact after every phase" in out
     assert "family speedup" in out
-    # The deletion window forces CC/BFS/SSSP/k-core cold; inserts fold warm.
+    # The deletion window forces CC/BFS/SSSP/k-core cold; inserts fold incrementally.
     assert "(cold)" in out
     assert "(incremental)" in out
 

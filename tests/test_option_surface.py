@@ -1,6 +1,6 @@
 """The option surface is pinned: a new option names its second caller.
 
-Every parameter of the constructors and runners below is one more
+Every parameter of the constructors, runners and analytics below is one more
 configuration the tests and benchmarks must cover, so each signature
 equals a committed list of names — adding (or renaming) a parameter
 fails here and has to say, in review, which two callers outside
@@ -15,11 +15,22 @@ from pathlib import Path
 
 import pytest
 
+from repro.analytics import bfs, kcore, kcore_membership, pagerank, power_iteration, sssp
 from repro.api.facade import Graph, normalize_batch
 from repro.api.sharding import ShardedGraph
 from repro.core.graph import DynamicGraph
 from repro.persist import WalWriter, open_graph
-from repro.stream import run_chaos_scenario, run_scenario, run_scenario_durable
+from repro.stream import (
+    IncrementalBFS,
+    IncrementalConnectedComponents,
+    IncrementalKCore,
+    IncrementalPageRank,
+    IncrementalSSSP,
+    IncrementalTriangleCount,
+    run_chaos_scenario,
+    run_scenario,
+    run_scenario_durable,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -47,6 +58,19 @@ SIGNATURES = {
     DynamicGraph.__init__: (
         "self num_vertices weighted directed load_factor hash_seed reuse_vertex_ids"
     ),
+    # The analytics: a class stands for its constructor.
+    IncrementalConnectedComponents: "graph",
+    IncrementalPageRank: "graph damping tol max_iters",
+    IncrementalTriangleCount: "graph",
+    IncrementalBFS: "graph source",
+    IncrementalSSSP: "graph source",
+    IncrementalKCore: "graph k",
+    pagerank: "graph damping tol max_iters",
+    power_iteration: "snap rank damping tol max_iters",
+    bfs: "graph source max_depth",
+    sssp: "graph source max_rounds",
+    kcore_membership: "graph k",
+    kcore: "graph k max_rounds",
 }
 
 

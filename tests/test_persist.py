@@ -650,6 +650,11 @@ _BAD_RUN_PARAMS = [
     ("tol", -1.0),
     ("analytics", ("cc", "louvain")),
     ("analytics", ("sssp",)),
+    ("kcore_k", 0),
+    ("kcore_k", 1.5),
+    ("source", -1),
+    ("source", 1.5),
+    ("max_iters", 0),
 ]
 _BAD_RUN_IDS = [f"{k}={'+'.join(v) if isinstance(v, tuple) else v}" for k, v in _BAD_RUN_PARAMS]
 
@@ -750,7 +755,7 @@ class TestDurableScenarios:
         kwargs = dict([bad])
         with pytest.raises(ValidationError):
             run_scenario(sc, "slabhash", **kwargs)
-        if bad[0] in ("damping", "tol"):  # the two the chaos runner takes
+        if bad[0] in ("damping", "tol", "max_iters"):  # the three the chaos runner takes
             with pytest.raises(ValidationError):
                 run_chaos_scenario(sc, "slabhash", directory=tmp_path / "c", **kwargs)
             assert not (tmp_path / "c").exists()

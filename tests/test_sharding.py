@@ -210,7 +210,7 @@ class TestShardedService:
             assert np.array_equal(cc.labels(), connected_components(ref.snapshot()))
             assert np.allclose(pr.compute(), pagerank(ref), atol=1e-6)
         assert cc.last_mode == "incremental"
-        assert pr.last_mode in ("warm", "cached")
+        assert pr.last_mode in ("incremental", "cached")
 
     def test_update_costs_model_parallel_speedup(self, rng):
         """The modeled parallel time of a balanced batch beats the serial

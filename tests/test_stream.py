@@ -203,18 +203,17 @@ class TestIncrementalPageRank:
             g.insert_edges(rng.integers(0, 128, 30), rng.integers(0, 128, 30))
             warm = pr.compute()
             cold = pagerank(g, tol=1e-12, max_iters=1000)
-            assert pr.last_mode == "warm"
+            assert pr.last_mode == "incremental"
             assert np.allclose(warm, cold, atol=1e-10, rtol=0.0)
 
     def test_warm_start_needs_fewer_sweeps(self):
         g, rng = self.make(n=512, seed=4)
-        pr = IncrementalPageRank(g, tol=1e-10, max_iters=1000)
-        pr.compute()
+        pr = IncrementalPageRank(g, tol=1e-10, max_iters=1000)  # builds cold
         cold_sweeps = pr.last_sweeps
         assert pr.last_mode == "cold"
         g.insert_edges(rng.integers(0, 512, 16), rng.integers(0, 512, 16))
         pr.compute()
-        assert pr.last_mode == "warm"
+        assert pr.last_mode == "incremental"
         assert 0 < pr.last_sweeps < cold_sweeps
 
     def test_unchanged_graph_served_from_cache(self):
@@ -247,16 +246,47 @@ class TestIncrementalPageRank:
 
         g = Graph.create("slabhash", num_vertices=4)
         pr = IncrementalPageRank(g)
-        pr.compute()  # allocates the touched mask at size 4
+        pr.compute()  # ranks over 4 vertices
         g.bulk_build(COO([0, 1], [1, 2], 100))  # grows the vertex space
-        g.insert_edges([50], [60])  # must not IndexError on the stale mask
+        g.insert_edges([50], [60])  # ids beyond the old space
+        assert pr.touched_count == 2
         ranks = pr.compute()
+        assert pr.last_mode == "cold"  # no previous rank for the new ids
         assert ranks.shape[0] == g.num_vertices
 
     def test_bad_damping(self):
         g, _ = self.make(n=8)
         with pytest.raises(ValidationError):
             IncrementalPageRank(g, damping=1.5)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"tol": -1, "max_iters": 0},
+            {"tol": float("nan")},
+            {"max_iters": 0},
+            {"max_iters": 2.5},
+        ],
+        ids=str,
+    )
+    def test_bad_parameters_rejected(self, params):
+        g, _ = self.make(n=8)
+        with pytest.raises(ValidationError):
+            IncrementalPageRank(g, **params)
+
+    def test_gap_and_out_of_band_mutation_start_cold(self):
+        """Warm-starting across a retention gap or a backend mutation the
+        log never saw used to report ``"warm"``."""
+        g = Graph.create("slabhash", num_vertices=32, event_retention=4)
+        g.insert_edges([0, 1, 2], [1, 2, 3])
+        pr = IncrementalPageRank(g, tol=1e-12, max_iters=1000)
+        g.insert_edges(np.arange(10), np.arange(10) + 1)  # trimmed at once: a gap
+        pr.compute()
+        assert pr.last_mode == "cold"
+        g.backend.insert_edges(np.array([5]), np.array([9]))
+        ranks = pr.compute()
+        assert pr.last_mode == "cold"
+        assert np.allclose(ranks, pagerank(g, tol=1e-12, max_iters=1000), atol=1e-10)
 
 
 class TestFacadeSubscriberHook:

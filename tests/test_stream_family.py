@@ -8,11 +8,17 @@ never an approximation.  The shared-kernel regression pins the Table IX
 dynamic TC and the streaming TC to one wedge-closure kernel.
 """
 
+import ast
+import inspect
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 import repro.api as api
 import repro.stream.incremental as incremental
 from repro.analytics import (
@@ -20,6 +26,7 @@ from repro.analytics import (
     connected_components,
     dynamic_triangle_count,
     kcore_membership,
+    pagerank,
     sssp,
     undirected_triangles,
 )
@@ -28,10 +35,13 @@ from repro.api.snapshot import CSRSnapshot
 from repro.gpusim.counters import counting
 from repro.stream import (
     IncrementalBFS,
+    IncrementalConnectedComponents,
     IncrementalKCore,
+    IncrementalPageRank,
     IncrementalSSSP,
     IncrementalTriangleCount,
     insert_heavy_scenario,
+    mixed_scenario,
     quick_scenarios,
     run_scenario,
 )
@@ -283,7 +293,6 @@ class TestIncrementalDistances:
     def test_bfs_insert_only_stays_incremental_and_exact(self):
         g, rng = self.make(weighted=False)
         inc = IncrementalBFS(g, source=3)
-        inc.distances()  # one-off cold init (the scenario runner's prime)
         for _ in range(4):
             g.insert_edges(rng.integers(0, 96, 25), rng.integers(0, 96, 25))
             got = inc.distances()
@@ -302,7 +311,6 @@ class TestIncrementalDistances:
     def test_sssp_insert_only_stays_incremental_and_exact(self):
         g, rng = self.make()
         inc = IncrementalSSSP(g, source=3)
-        inc.distances()  # one-off cold init
         for _ in range(4):
             # Fresh vertex pairs mostly; grown upserts on duplicate keys
             # legitimately force cold, asserted separately below.
@@ -353,15 +361,36 @@ class TestIncrementalDistances:
         with pytest.raises(ValidationError):
             IncrementalBFS(g, source=-1)
 
+    @pytest.mark.parametrize("source", [1.5, True, "1"])
+    @pytest.mark.parametrize("cls", [IncrementalBFS, IncrementalSSSP])
+    def test_non_integral_source_rejected_not_truncated(self, cls, source):
+        """``1.5`` and ``True`` used to become vertex 1."""
+        g, _ = self.make(n=16)
+        with pytest.raises(ValidationError):
+            cls(g, source=source)
+
     def test_undirected_window_mirrors_pending_edges(self):
         g = Graph.create("slabhash", num_vertices=6, weighted=True, directed=False)
         g.insert_edges([0], [1], [3])
         inc = IncrementalSSSP(g)
-        inc.distances()  # one-off cold init
         # The event carries (2, 0) once; the repair must also relax the
         # mirrored (0, 2) orientation the undirected backend stored.
         g.insert_edges([2], [0], [7])
         assert inc.distances().tolist() == [0, 3, 7, -1, -1, -1]
+        assert inc.last_mode == "incremental"
+
+    def test_undirected_reversed_upsert_wins_in_both_orientations(self):
+        """Two batches upserting one undirected edge in opposite
+        orientations: the later weight holds both ways.  The window used to
+        be mirrored as a whole, so the earlier batch's mirror row came last
+        for 3 -> 1 and the repair relaxed it at the stale weight 5."""
+        g = Graph.create("slabhash", num_vertices=6, weighted=True, directed=False)
+        g.insert_edges([0], [3], [1])
+        inc = IncrementalSSSP(g)
+        assert inc.distances().tolist() == [0, -1, -1, 1, -1, -1]
+        g.insert_edges([1], [3], [5])
+        g.insert_edges([3], [1], [1])
+        assert inc.distances().tolist() == sssp(cold_snapshot(g), 0).tolist() == [0, 2, -1, 1, -1, -1]
         assert inc.last_mode == "incremental"
 
 
@@ -375,7 +404,6 @@ class TestIncrementalKCore:
     def test_insert_only_stays_incremental_and_exact(self):
         g, rng = self.make()
         kc = IncrementalKCore(g, k=3)
-        kc.members()  # one-off cold init
         for _ in range(4):
             g.insert_edges(rng.integers(0, 96, 30), rng.integers(0, 96, 30))
             got = kc.members()
@@ -421,7 +449,6 @@ class TestIncrementalKCore:
     def test_failed_repair_is_not_served_as_fresh(self, monkeypatch):
         g, rng = self.make()
         kc = IncrementalKCore(g, k=3)
-        kc.members()
         real, calls = CSRSnapshot.adjacencies, []
 
         def raise_once(self, vertex_ids):
@@ -444,6 +471,29 @@ class TestIncrementalKCore:
         g, _ = self.make(n=8)
         with pytest.raises(ValidationError):
             IncrementalKCore(g, k=0)
+
+    @pytest.mark.parametrize("k", [1.5, True, "2"])
+    def test_non_integral_k_rejected_not_truncated(self, k):
+        g, _ = self.make(n=8)
+        with pytest.raises(ValidationError):
+            IncrementalKCore(g, k=k)
+
+    def test_fractional_k_cannot_split_incremental_from_cold(self):
+        """``k=1.5`` used to be stored as 1 while the cold kernel peeled at
+        ``deg < 1.5``: on a triangle with a pendant vertex the two answered
+        ``[0 1 2 3]`` and ``[0 1 2]``, and a validated scenario diverged."""
+        g = Graph.create("slabhash", num_vertices=4, directed=False)
+        g.insert_edges([0, 1, 2, 3], [1, 2, 0, 0])
+        for k in (1.5, 2.5):
+            with pytest.raises(ValidationError):
+                IncrementalKCore(g, k=k)
+            with pytest.raises(ValidationError):
+                kcore_membership(g.snapshot(), k)
+        with pytest.raises(ValidationError):
+            run_scenario(
+                mixed_scenario(1 << 8, batch=32), "slabhash",
+                analytics=("kcore",), kcore_k=2.5, validate=True,
+            )
 
 
 # No self-loops: the facade drops them, and an all-dropped batch publishes no event.
@@ -479,7 +529,6 @@ class TestWindowFoldProperties:
         g = Graph.create("slabhash", num_vertices=10)
         _apply(g, True, base)
         kc = IncrementalKCore(g, k=k)
-        kc.members()
         for edges in window:
             _apply(g, True, edges)
         assert np.array_equal(kc.members(), kcore_membership(cold_snapshot(g), k))
@@ -549,3 +598,170 @@ class TestScenarioAnalyticsSelection:
                 # artifact still reads PageRank's sweep count.
                 assert "cc_mode" not in p.detail and "pr_mode" not in p.detail
                 assert "pr_sweeps" in p.detail
+
+
+# -- one consumer protocol: every analytic through every window ------------------------
+
+#: Each member's query method, keyed as the scenario runners name them.
+QUERY = {
+    "cc": "labels",
+    "pagerank": "compute",
+    "tc": "count",
+    "bfs": "distances",
+    "sssp": "distances",
+    "kcore": "members",
+}
+PR_TOL = 1e-12
+
+
+def protocol_graph(directed, event_retention=1 << 16):
+    """Two triangles joined through vertex 2, a tail 4-5-8-9-10, and
+    isolated 6, 7, 11; weights 3."""
+    g = Graph.create(
+        "slabhash", num_vertices=12, weighted=True, directed=directed,
+        event_retention=event_retention,
+    )
+    src, dst = [0, 1, 2, 2, 3, 4, 4, 5, 8, 9], [1, 2, 0, 3, 4, 2, 5, 8, 9, 10]
+    g.insert_edges(src, dst, [3] * len(src))
+    return g
+
+
+def attach_all(g):
+    return {
+        "cc": IncrementalConnectedComponents(g),
+        "pagerank": IncrementalPageRank(g, tol=PR_TOL, max_iters=1000),
+        "tc": IncrementalTriangleCount(g),
+        "bfs": IncrementalBFS(g, source=0),
+        "sssp": IncrementalSSSP(g, source=0),
+        "kcore": IncrementalKCore(g, k=2),
+    }
+
+
+def served_exactly(g, fam) -> dict:
+    """Query every member once, assert it equals its cold kernel on the
+    live edge set, and return how each was served."""
+    snap = cold_snapshot(g)
+    cold = {
+        "cc": connected_components(snap),
+        "pagerank": pagerank(snap, tol=PR_TOL, max_iters=1000),
+        "tc": undirected_triangles(snap),
+        "bfs": bfs(snap, 0),
+        "sssp": sssp(snap, 0),
+        "kcore": kcore_membership(snap, 2),
+    }
+    for name, inc in fam.items():
+        got = getattr(inc, QUERY[name])()
+        if name == "pagerank":
+            assert np.allclose(got, cold[name], atol=1e-9, rtol=0.0), name
+        else:
+            assert np.array_equal(got, cold[name]), name
+    return {name: inc.last_mode for name, inc in fam.items()}
+
+
+def _insert(g, fam):
+    g.insert_edges([1, 6], [6, 7], [1, 1])  # weight 1 never grows an existing edge
+
+
+def _delete(g, fam):
+    g.delete_edges([0, 3], [1, 4])
+
+
+def _insert_and_delete(g, fam):
+    _insert(g, fam)
+    _delete(g, fam)
+
+
+def _structural(g, fam):
+    g.delete_vertices([5])
+
+
+def _gap(g, fam):
+    g.insert_edges([6, 7, 8, 9, 10], [7, 8, 9, 10, 11], [1] * 5)  # > 4 rows: trimmed at once
+
+
+def _out_of_band(g, fam):
+    g.backend.insert_edges(np.array([6]), np.array([7]), np.array([1]))
+
+
+def _after_close(g, fam):
+    for inc in fam.values():
+        inc.close()
+    _insert(g, fam)
+
+
+def modes(default, **overrides):
+    return {name: overrides.get(name, default) for name in QUERY}
+
+
+#: window -> (mutation, expected last_mode per member).  TC folds every
+#: edge batch, PageRank every event; the other four fold insert batches.
+PROTOCOL = {
+    "none": (lambda g, fam: None, modes("cached")),
+    "insert-only": (_insert, modes("incremental")),
+    "delete-only": (_delete, modes("cold", pagerank="incremental", tc="incremental")),
+    "insert+delete": (_insert_and_delete, modes("cold", pagerank="incremental", tc="incremental")),
+    "structural": (_structural, modes("cold", pagerank="incremental")),
+    "retention-gap": (_gap, modes("cold")),
+    "out-of-band": (_out_of_band, modes("cold")),
+    "after-close": (_after_close, modes("cold")),
+}
+
+
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+@pytest.mark.parametrize("window", PROTOCOL)
+def test_protocol_matrix(window, directed):
+    """Every member is built cold, serves each window in the mode the one
+    window rule dictates, always equals its cold kernel, and serves the
+    query after it from cache."""
+    g = protocol_graph(directed, event_retention=4 if window == "retention-gap" else 1 << 16)
+    fam = attach_all(g)
+    assert {inc.last_mode for inc in fam.values()} == {"cold"}
+    mutate, expected = PROTOCOL[window]
+    mutate(g, fam)
+    assert served_exactly(g, fam) == expected
+    assert served_exactly(g, fam) == modes("cached")
+
+
+@pytest.mark.parametrize("name", list(QUERY))
+def test_a_raising_repair_leaves_the_next_query_cold(monkeypatch, name):
+    g = protocol_graph(directed=True)
+    fam = attach_all(g)
+    inc = fam[name]
+
+    def injected(self, window):
+        raise MemoryError("injected")
+
+    monkeypatch.setattr(type(inc), "_repair", injected)
+    _insert(g, fam)
+    with pytest.raises(MemoryError):
+        getattr(inc, QUERY[name])()
+    monkeypatch.undo()
+    assert served_exactly(g, fam)[name] == "cold"
+
+
+def _analytic_classes(cls=incremental.IncrementalAnalytic):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _analytic_classes(sub)
+
+
+def test_the_window_rule_is_stated_once():
+    """Structural guard: the fold-or-cold decision is
+    ``EventCursor.window`` plus ``IncrementalAnalytic._refresh`` — no
+    analytic re-derives it from its own cursor reads, and only the event
+    log checks a version chain."""
+    for cls in _analytic_classes():
+        assert "_refresh" not in vars(cls), cls.__name__
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+        cursor_reads = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "_cursor"]
+        assert not cursor_reads, f"{cls.__name__} reads _cursor"
+    root = Path(repro.__file__).parent
+    callers = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == "version_chain_intact":
+                    callers.add(path.relative_to(root).parts[0])
+    assert callers == {"eventlog"}

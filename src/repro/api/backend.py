@@ -28,13 +28,12 @@ One argument rule, stated here and applied at each public boundary:
 :func:`checked_ids` coerces every id column to a contiguous int64 array,
 requires equal lengths and requires every id in ``[0, num_vertices)`` — on
 *both* columns of a pair batch, for mutations and queries alike.  The
-template methods apply it to a backend driven directly; the
-:class:`repro.api.Graph` facade and the shard router apply the same
-function where they need clean arrays before the backend sees them (to
-apply their policies, publish events and route rows), and the backend's
-re-check of those already-clean arrays is the fast path of
-``as_int_array`` plus a min/max pass per column.  A hook never validates: it
-receives contiguous, in-range int64 arrays (or one in-range ``int``).
+template methods apply it once per call, driven directly or under the
+:class:`repro.api.Graph` facade (which only coerces); the shard router
+applies it before routing rows by id, then each shard's template again.
+Weights must also lie in :attr:`GraphBackend._weight_range`.  A hook
+never validates: it receives contiguous, in-range int64 arrays (or one
+in-range ``int``) and never writes to them — they may be the caller's.
 """
 
 from __future__ import annotations
@@ -161,6 +160,10 @@ class GraphBackend(abc.ABC):
     #: structure has an undirected mode, which mirrors every edge).
     directed: bool = True
 
+    #: ``[lo, hi)`` of a storable weight, or ``None`` where any int64 is
+    #: stored exactly; a weight outside it is rejected, never wrapped.
+    _weight_range: ClassVar[tuple[int, int] | None] = None
+
     #: Monotone mutation counter (class default 0; bumps write the instance).
     _mutation_version: int = 0
 
@@ -194,10 +197,11 @@ class GraphBackend(abc.ABC):
         """Insert a batch of directed edges; returns edges newly added.
 
         Self-loops are dropped; duplicates resolve by replace semantics
-        (most recent weight wins).  Unweighted instances reject explicit
-        ``weights`` with :class:`ValidationError`.  A batch that is all
-        self-loops bumps the version (it passed validation non-empty) and
-        reaches no hook, so it charges nothing.
+        (most recent weight wins).  Explicit ``weights`` raise
+        :class:`ValidationError` on an unweighted instance, and outside
+        :attr:`_weight_range` on any.  A batch that is all self-loops
+        bumps the version (it passed validation non-empty) and reaches no
+        hook, so it charges nothing.
         """
         src, dst = checked_ids(self.num_vertices, src=src, dst=dst)
         if weights is not None:
@@ -210,14 +214,18 @@ class GraphBackend(abc.ABC):
                 )
             weights = as_int_array(weights, "weights")
             check_equal_length(("src", src), ("weights", weights))
+            if self._weight_range is not None:
+                check_in_range(weights, *self._weight_range, "weights")
         if src.size == 0:
             return 0
         self._bump_version()
         keep = src != dst  # no self-edges (Algorithm 1, line 3)
-        src, dst = src[keep], dst[keep]
-        if src.size == 0:
-            return 0
-        return self._insert_edges(src, dst, None if weights is None else weights[keep])
+        if not keep.all():
+            src, dst = src[keep], dst[keep]
+            weights = None if weights is None else weights[keep]
+            if src.size == 0:
+                return 0
+        return self._insert_edges(src, dst, weights)
 
     def delete_edges(self, src, dst) -> int:
         """Delete a batch of directed edges; returns edges removed."""

@@ -4,9 +4,10 @@ maintenance over any backend.
 The argument rule (coerce to int64, equal lengths, ids in range) is
 :func:`repro.api.backend.checked_ids`, which every
 :class:`~repro.api.GraphBackend` applies in its public methods.  The
-facade applies the same function to mutation batches, because it needs
-the clean arrays itself — for the batch rule below and for the events it
-publishes — and delegates queries to the backend unchanged.
+facade coerces mutation batches, because it needs the clean arrays itself
+— for the batch rule below and for the events it publishes — and leaves
+the range check to the backend's template, before any bump or event;
+queries go to the backend unchanged.
 
 Quickstart::
 
@@ -62,7 +63,7 @@ from repro.api.snapshot import CSRSnapshot, as_snapshot, merge_event_window
 from repro.coo import COO
 from repro.eventlog import DEFAULT_RETENTION_ROWS, EdgeBatch, EventLog
 from repro.util.errors import ValidationError
-from repro.util.validation import as_int_array, check_equal_length
+from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
 __all__ = ["Graph", "normalize_batch"]
 
@@ -94,11 +95,13 @@ def normalize_batch(
     backend_name: str = "backend",
 ):
     """The facade's one batch rule (shared by :class:`Graph` and the shard
-    router) over :func:`~repro.api.backend.checked_ids`: reject weights
-    on an unweighted graph, drop self-loops (Algorithm 1 line 3), and —
-    for an insert, ``fill_default_weight`` — fill a weighted graph's
-    absent weights with 0."""
-    src, dst = checked_ids(num_vertices, src=src, dst=dst)
+    router): coerce, reject weights on an unweighted graph, drop
+    self-loops (Algorithm 1 line 3), and — for an insert,
+    ``fill_default_weight`` — fill a weighted graph's absent weights with
+    0.  Ids are range-checked by the backend template (or the router,
+    before it routes), except in the dropped rows, which are checked here."""
+    src, dst = as_int_array(src, "src"), as_int_array(dst, "dst")
+    check_equal_length(("src", src), ("dst", dst))
     if weights is not None:
         if not weighted:
             raise ValidationError(
@@ -109,6 +112,7 @@ def normalize_batch(
         check_equal_length(("src", src), ("weights", weights))
     keep = src != dst
     if not keep.all():
+        check_in_range(src[~keep], 0, num_vertices, "src")
         src, dst = src[keep], dst[keep]
         weights = weights[keep] if weights is not None else None
     if weights is None and weighted and fill_default_weight:

@@ -9,7 +9,8 @@ routing work to them.  This module is that layer:
   the vertex-id space (balanced for both random and contiguous id
   populations, unlike a plain modulus);
 - :class:`ShardedGraph` — a facade with the same batch surface as
-  :class:`~repro.api.Graph`.  Batches are normalized **once** (the same
+  :class:`~repro.api.Graph`.  Batches are range-checked by the router,
+  which routes by id, and normalized **once** (the same
   :func:`repro.api.facade.normalize_batch` seam the single-graph facade
   uses), published to the router's own :class:`repro.eventlog.EventLog`,
   and routed to per-shard facades by the *source* vertex's owner — a cut
@@ -78,6 +79,7 @@ from repro.util.errors import (
     ValidationError,
 )
 from repro.util.groupby import stable_argsort
+from repro.util.validation import check_in_range
 
 __all__ = [
     "Partitioner",
@@ -701,7 +703,18 @@ class ShardedGraph:
         :meth:`insert_edges`."""
         return self._mutate_edges("delete_edges", src, dst, None)
 
+    def _check_weights(self, weights) -> None:
+        """Reject weights some shard cannot store exactly, before any
+        shard applies its share — a shard's own check would leave the
+        shards before it applied."""
+        if weights is not None:
+            for bounds in {shard.backend._weight_range for shard in self.shards} - {None}:
+                check_in_range(weights, *bounds, "weights")
+
     def _mutate_edges(self, op: str, src, dst, weights) -> int:
+        # The router checks the ids it routes by; each shard's facade then
+        # only coerces, and its backend template checks the shard's share.
+        src, dst = checked_ids(self.num_vertices, src=src, dst=dst)
         src, dst, weights = normalize_batch(
             src,
             dst,
@@ -711,6 +724,7 @@ class ShardedGraph:
             fill_default_weight=op == "insert_edges",
             backend_name=type(self.shards[0].backend).__name__,
         )
+        self._check_weights(weights)
         if src.size == 0:
             return 0
         owner = self.partitioner.shard_of(src)
@@ -740,6 +754,7 @@ class ShardedGraph:
         _check_packable(int(coo.num_vertices))
         if coo.weights is not None and not self.weighted:
             coo = COO(coo.src, coo.dst, coo.num_vertices, weights=None)
+        self._check_weights(coo.weights)
         payload = {"coo": coo, "owner": self.partitioner.shard_of(coo.src)}
         return self._mutate("bulk_build", payload, coo.num_edges)
 

@@ -409,7 +409,7 @@ class FaimGraph(GraphBackend):
     def export_coo(self) -> COO:
         verts = np.flatnonzero(self._deg)
         owner, dsts, pages, lanes = self._gather(verts)
-        w = self._wt.data[pages, lanes] if self._wt is not None and dsts.size else None
+        w = self._wt.data[pages, lanes] if self._wt is not None else None
         return COO(
             verts[owner],
             dsts,

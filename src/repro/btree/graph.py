@@ -133,7 +133,7 @@ class BTreeGraph(GraphBackend):
                 ws.append(val)
         if not srcs:
             e = np.empty(0, dtype=np.int64)
-            return COO(e, e.copy(), self.num_vertices)
+            return COO(e, e.copy(), self.num_vertices, weights=e.copy() if self.weighted else None)
         return COO(
             np.concatenate(srcs),
             np.concatenate(dsts),

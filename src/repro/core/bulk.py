@@ -18,8 +18,21 @@ import numpy as np
 
 from repro.coo import COO
 from repro.util.errors import ValidationError
+from repro.util.validation import check_in_range
 
 __all__ = ["bulk_build", "incremental_build"]
+
+
+def _start_build(graph, coo: COO, what: str) -> None:
+    """Check a build's input whole — an empty graph, storable weights —
+    before the version bump and the first batch, then size the dictionary."""
+    if graph.num_edges() != 0:
+        raise ValidationError(f"{what} requires an empty graph")
+    if graph.weighted and coo.weights is not None:
+        check_in_range(coo.weights, *graph._weight_range, "weights")
+    graph._bump_version()
+    if coo.num_vertices > graph.vertex_capacity:
+        graph._dict.ensure_capacity(coo.num_vertices)
 
 
 def bulk_build(graph, coo: COO) -> int:
@@ -28,11 +41,7 @@ def bulk_build(graph, coo: COO) -> int:
     Duplicates within the COO are allowed (replace semantics applies); the
     graph must be empty.
     """
-    if graph.num_edges() != 0:
-        raise ValidationError("bulk_build requires an empty graph")
-    graph._bump_version()
-    if coo.num_vertices > graph.vertex_capacity:
-        graph._dict.ensure_capacity(coo.num_vertices)
+    _start_build(graph, coo, "bulk_build")
     work = coo.without_self_loops()
     if not graph.directed:
         work = work.symmetrized()
@@ -49,11 +58,7 @@ def incremental_build(graph, coo: COO, batch_size: int, on_batch=None) -> int:
     information).  ``on_batch(batch_index, batch_edges, added)`` is invoked
     after each batch so benches can time per-batch throughput.
     """
-    if graph.num_edges() != 0:
-        raise ValidationError("incremental_build requires an empty graph")
-    graph._bump_version()
-    if coo.num_vertices > graph.vertex_capacity:
-        graph._dict.ensure_capacity(coo.num_vertices)
+    _start_build(graph, coo, "incremental_build")
     total = 0
     for i, batch in enumerate(coo.batches(batch_size)):
         added = graph.insert_edges(batch.src, batch.dst, batch.weights if graph.weighted else None)

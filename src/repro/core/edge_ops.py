@@ -26,9 +26,10 @@ over the batch's sources (via
 O(1).  ``benchmarks/bench_regression_scaling.py`` locks this in by asserting
 that small-batch throughput does not degrade as vertex capacity grows.
 
-Weights: the public API accepts integer weights (stored in the 32-bit value
-lanes).  Float weights can be carried by viewing them as uint32 at the
-caller; the examples show this pattern.
+Weights: the public API accepts integer weights in ``[0, 2**32)``, stored
+exactly in the 32-bit value lanes; the template method rejects any other
+(``DynamicGraph._weight_range``) rather than let the cast wrap it.  Float
+weights can be carried by viewing them as uint32 at the caller.
 """
 
 from __future__ import annotations

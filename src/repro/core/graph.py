@@ -77,6 +77,9 @@ class DynamicGraph(GraphBackend):
         vertex_id_reuse=True,
     )
 
+    # The map variant's value lanes are 32-bit words (VALUE_DTYPE).
+    _weight_range = (0, 1 << 32)
+
     def __init__(
         self,
         num_vertices: int,

@@ -46,15 +46,13 @@ class KernelCounters:
 
     def reset(self) -> None:
         """Zero every counter."""
-        for f in fields(self):
-            if f.name == "_extra":
-                self._extra = {}
-            else:
-                setattr(self, f.name, 0)
+        for name in _COUNTER_NAMES:
+            setattr(self, name, 0)
+        self._extra = {}
 
     def snapshot(self) -> dict[str, int]:
         """Immutable snapshot as a plain dict (for bench reports)."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "_extra"}
+        out = {name: getattr(self, name) for name in _COUNTER_NAMES}
         out.update(self._extra)
         return out
 
@@ -69,6 +67,10 @@ class KernelCounters:
         # the process's hash seed into every persisted bench result.
         return {k: now.get(k, 0) - before.get(k, 0) for k in {**now, **before}}
 
+
+#: The declared counters, in declaration order — computed once, because
+#: ``counting()`` snapshots the bag twice per shard attempt.
+_COUNTER_NAMES = tuple(f.name for f in fields(KernelCounters) if f.name != "_extra")
 
 _GLOBAL = KernelCounters()
 

@@ -141,8 +141,11 @@ def insert_round_set(pool_keys, chain_slabs, chain_ptr, group, k):
 
 
 def tail_empties(pool_keys, tails):
-    """Empty-lane count of each chain's tail slab, for insert placement."""
-    return np.count_nonzero(pool_keys[tails] == _EMPTY32, axis=1)
+    """Empty-lane count of each chain's tail slab, for insert placement:
+    ``Bc`` minus the first empty lane, as empty lanes are a suffix of the
+    tail (``SlabArena.check_invariants``) — none if the last lane is full."""
+    empty = pool_keys[tails] == _EMPTY32
+    return np.where(empty[:, -1], empty.shape[1] - empty.argmax(axis=1), 0)
 
 
 def fill_lanes(lane_matrix, slabs, lanes, vals):
@@ -206,32 +209,19 @@ def walk_chains(next_slab, heads):
     driver charges to the device model.
     """
     n = heads.shape[0]
-    idx0 = np.arange(n, dtype=np.int64)
-    all_slabs = [heads]
-    all_idx = [idx0]
-    all_base = [np.ones(n, dtype=bool)]
-    frontier = heads
-    owners = idx0
-    levels = 0
-    reads = 0
-    while frontier.size:
-        levels += 1
-        reads += int(frontier.shape[0])
-        nxt = next_slab[frontier]
-        alive = nxt != NULL_SLAB
-        frontier = nxt[alive]
-        owners = owners[alive]
-        if frontier.size:
-            all_slabs.append(frontier)
-            all_idx.append(owners)
-            all_base.append(np.zeros(frontier.shape[0], dtype=bool))
-    return (
-        np.concatenate(all_slabs),
-        np.concatenate(all_idx),
-        np.concatenate(all_base),
-        levels,
-        reads,
-    )
+    slabs, owners = [heads], [np.arange(n, dtype=np.int64)]
+    nxt = next_slab[heads]
+    while (alive := nxt != NULL_SLAB).any():
+        slabs.append(nxt[alive])
+        owners.append(owners[-1][alive])
+        nxt = next_slab[slabs[-1]]
+    if len(slabs) == 1:
+        # No head has a second slab (every fresh table): one gather was the walk.
+        return heads, owners[0], np.ones(n, dtype=bool), int(n > 0), n
+    slabs = np.concatenate(slabs)
+    is_base = np.zeros(slabs.shape[0], dtype=bool)
+    is_base[:n] = True
+    return slabs, np.concatenate(owners), is_base, len(owners), slabs.shape[0]
 
 
 def sort_window_last(comp, w, is_ins):

@@ -299,9 +299,17 @@ class SlabArena:
     # -- chain geometry (used by kernels and stats) ----------------------------
 
     def bucket_heads(self, table_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Head slab id for each (table, key) pair."""
-        bucket = self.hash_family.bucket(table_ids, keys, self.table_buckets)
-        return self.table_base[table_ids] + bucket
+        """Head slab id for each (table, key) pair; a one-bucket table's
+        (Section III-b) only bucket is 0, so its pairs skip the hash."""
+        heads = self.table_base[table_ids]
+        hashed = np.flatnonzero(self.table_buckets[table_ids] != 1)
+        if hashed.shape[0] == heads.shape[0]:
+            heads += self.hash_family.bucket(table_ids, keys, self.table_buckets)
+        elif hashed.size:
+            heads[hashed] += self.hash_family.bucket(
+                table_ids[hashed], keys[hashed], self.table_buckets
+            )
+        return heads
 
     def table_slabs(self, table_ids: np.ndarray):
         """All slab ids belonging to the given tables.

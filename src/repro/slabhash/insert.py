@@ -66,10 +66,10 @@ from repro.kernels import reference as kern
 from repro.slabhash.constants import KEY_DTYPE, MAX_KEY, NULL_SLAB, VALUE_DTYPE
 from repro.util.errors import ValidationError
 from repro.util.groupby import (
+    _run_starts,
     group_starts,
     last_occurrence_mask,
     ragged_arange,
-    segment_lengths_from_starts,
     stable_argsort,
 )
 from repro.util.validation import as_int_array, check_equal_length, check_in_range
@@ -116,8 +116,8 @@ def _place_at_tails(pool, tails, lengths, occupied, group, k, v):
     Returns how many slabs past its tail each item went and the number of
     slabs linked."""
     lane_capacity = pool.lane_capacity
-    count = np.bincount(group, minlength=tails.shape[0])
-    beyond, lanes = np.divmod(occupied[group] + ragged_arange(count), lane_capacity)
+    count, rank = _ranks(group, tails.shape[0])
+    beyond, lanes = np.divmod(occupied[group] + rank, lane_capacity)
     n_new = np.maximum(occupied + count - 1, 0) // lane_capacity
     slabs = tails[group]
     links = 0
@@ -134,10 +134,22 @@ def _place_at_tails(pool, tails, lengths, occupied, group, k, v):
 
 
 def _groups(heads):
-    """Sorted head slabs -> (each group's head, each item's group index)."""
-    starts = group_starts(heads)
-    sizes = segment_lengths_from_starts(starts, heads.shape[0])
-    return heads[starts], np.repeat(np.arange(starts.shape[0], dtype=np.int64), sizes)
+    """Sorted head slabs -> (each group's head, each item's group index):
+    one run-start mask, and its running count numbers the groups."""
+    start = _run_starts(heads)
+    group = np.cumsum(start)
+    group -= 1
+    return heads[start], group
+
+
+def _ranks(group, num_groups):
+    """Sorted group ids -> (each group's size, each item's rank in its
+    group): an item's distance from its group's first item, whose index
+    is the running size of the groups before it."""
+    count = np.bincount(group, minlength=num_groups)
+    first = np.cumsum(count)
+    first -= count
+    return count, np.arange(group.shape[0], dtype=np.int64) - first[group]
 
 
 def refill_chains(pool, heads, k, v) -> None:
@@ -189,6 +201,8 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
         return np.empty(0, dtype=bool)
     check_in_range(table_ids, 0, arena.num_tables, "table_ids")
     check_in_range(keys, 0, MAX_KEY + 1, "keys")
+    if values is not None and arena.pool.weighted:
+        check_in_range(values, 0, 1 << 32, "values")  # the 32-bit lanes must not wrap
     if np.any(arena.table_base[table_ids] == NULL_SLAB):
         raise ValidationError("insert targets a table that was never created")
 

@@ -12,7 +12,6 @@ from repro.util.groupby import (
     last_occurrence_mask,
     first_occurrence_mask,
     rank_within_group,
-    segment_lengths_from_starts,
     segmented_sum,
 )
 from repro.util.hashing import UniversalHashFamily
@@ -33,6 +32,5 @@ __all__ = [
     "group_starts",
     "last_occurrence_mask",
     "rank_within_group",
-    "segment_lengths_from_starts",
     "segmented_sum",
 ]

@@ -36,7 +36,6 @@ __all__ = [
     "last_occurrence_mask",
     "ragged_arange",
     "rank_within_group",
-    "segment_lengths_from_starts",
     "segmented_sum",
     "sorted_unique",
     "stable_argsort",
@@ -91,13 +90,6 @@ def group_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(_run_starts(sorted_keys))
 
 
-def segment_lengths_from_starts(starts: np.ndarray, total: int) -> np.ndarray:
-    """Lengths of segments given their start offsets and the total length."""
-    if starts.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.diff(np.append(starts, total)).astype(np.int64, copy=False)
-
-
 def ragged_arange(lengths: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(l)`` for each l in lengths, vectorized."""
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -115,7 +107,7 @@ def rank_within_group(sorted_keys: np.ndarray) -> np.ndarray:
     a coalesced same-destination group (Algorithm 1, lines 7-9).
     """
     starts = group_starts(sorted_keys)
-    return ragged_arange(segment_lengths_from_starts(starts, sorted_keys.shape[0]))
+    return ragged_arange(np.diff(starts, append=sorted_keys.shape[0]))
 
 
 def segmented_sum(values: np.ndarray, group_ids: np.ndarray, num_groups: int) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Argument validation helpers.
 
 Kernels validate once at the public-API boundary and then assume clean
-inputs internally, so the hot loops carry no checks.
+inputs internally, so the hot loops carry no checks.  Edge-batch ids are
+range-checked (:func:`repro.api.backend.checked_ids`) by the backend
+template under a :class:`repro.api.Graph`, which only coerces, and by
+the ``ShardedGraph`` router (it routes by id) plus each shard's template.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ def as_int_array(x, name: str = "array", dtype=np.int64) -> np.ndarray:
     and anything not 1-D after ``atleast_1d``.
 
     Already-clean arrays (1-D, contiguous, right dtype) pass through
-    untouched, so batches normalized once by the :class:`repro.api.Graph`
-    facade cost nothing to re-validate at the backend boundary.
+    untouched, so a batch the :class:`repro.api.Graph` facade coerced
+    costs nothing to coerce again at the backend, which range-checks it.
     """
     if (
         isinstance(x, np.ndarray)

@@ -703,6 +703,23 @@ class TestOneArgumentPipeline:
         out[:] = 99
         assert g.degree([1, 15, 0]).tolist() == [1, 1, 0], name
 
+    def test_hooks_leave_the_callers_buffers_alone(self, name):
+        """A self-loop-free batch reaches the hook uncopied, so a hook that
+        wrote to its arrays would corrupt the caller's buffers and the
+        event the facade publishes after it."""
+        weighted = api.capabilities(name).weighted
+        src = np.array([4, 5, 6, 4], dtype=np.int64)
+        dst = np.array([5, 6, 7, 9], dtype=np.int64)
+        w = np.array([3, 1, 2, 8], dtype=np.int64) if weighted else None
+        kept = [a.copy() for a in (src, dst) + ((w,) if weighted else ())]
+        for target in (self.graph(name, weighted), Graph(self.graph(name, weighted))):
+            target.insert_edges(src, dst, w)
+            target.delete_edges(src[:2], dst[:2])
+            for got, want in zip((src, dst, w), kept):
+                assert np.array_equal(got, want), name
+        logged, _ = target.events.events_since(0)
+        assert np.array_equal(logged[0].src, kept[0]) and np.array_equal(logged[0].dst, kept[1])
+
 
 class TestNoSixthPipeline:
     """Structural guard: the rule lives in ``repro.api.backend`` only."""
@@ -746,3 +763,238 @@ class TestNoSixthPipeline:
                     f"{path.relative_to(root)} imports repro.util.validation: argument "
                     "checks belong to the GraphBackend template methods"
                 )
+
+
+# -- the same rule through the facade, the router and a durable service ----------------
+
+#: Ids each boundary must reject: negative, the first out-of-range id, one
+#: far past any packing, fractional, boolean.
+BOUNDARY_IDS = [-1, 16, 2**40, 1.5, True]
+BOUNDARY_OPS = ("insert_edges", "delete_edges", "edge_exists")
+
+
+def _boundary_calls():
+    """``(label, call)`` for every boundary op × hostile argument."""
+    for op in BOUNDARY_OPS:
+        for bad in BOUNDARY_IDS:
+            yield f"{op}(src={bad!r})", lambda g, op=op, bad=bad: getattr(g, op)([bad], [3])
+            yield f"{op}(dst={bad!r})", lambda g, op=op, bad=bad: getattr(g, op)([0], [bad])
+            # A self-loop is dropped before the backend sees it: still checked.
+            yield f"{op}(loop {bad!r})", lambda g, op=op, bad=bad: getattr(g, op)([bad], [bad])
+        yield f"{op}(loop beside an edge)", lambda g, op=op: getattr(g, op)([0, 16], [3, 16])
+        yield f"{op}(length mismatch)", lambda g, op=op: getattr(g, op)([0, 1], [3])
+    for w in (-1, 2**32, 2**33 + 5):
+        yield f"insert_edges(weight {w})", lambda g, w=w: g.insert_edges([0, 1], [3, 2], [1, w])
+    yield "insert_edges(weights length)", lambda g: g.insert_edges([0], [3], [7, 8])
+
+
+BOUNDARY_CALLS = dict(_boundary_calls())
+
+
+def _durable_service(name, weighted, tmp_path):
+    from repro.api import ShardedGraph
+
+    service = ShardedGraph.create(name, 16, num_shards=2, weighted=weighted)
+    service.attach_durability(tmp_path / "stores", fsync="never")
+    return service
+
+
+def _subject(kind, name, tmp_path):
+    from repro.api import ShardedGraph
+
+    weighted = api.capabilities(name).weighted
+    if kind == "facade":
+        return Graph.create(name, 16, weighted=weighted)
+    if kind == "router":
+        return ShardedGraph.create(name, 16, num_shards=2, weighted=weighted)
+    return _durable_service(name, weighted, tmp_path)
+
+
+def _trace(g, tmp_path):
+    """Everything a rejected batch must leave as it was."""
+    logs = [g.events] + [shard.events for shard in getattr(g, "shards", [])]
+    stores = getattr(g, "stores", None)
+    if stores is not None:
+        stores.sync()
+    wal_bytes = sum(p.stat().st_size for p in tmp_path.rglob("*") if p.is_file())
+    return g.mutation_version, [len(log) for log in logs], wal_bytes, edge_set(g)
+
+
+@pytest.mark.parametrize("kind", ["facade", "router", "durable"])
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_a_rejected_batch_leaves_no_trace(kind, name, tmp_path):
+    """The facade only coerces and the shard facades only coerce; the
+    check they hand over (to the backend template, or to the router before
+    it routes) must still reject every hostile batch before a version
+    bump, an event, a WAL record or a modeled charge."""
+    g = _subject(kind, name, tmp_path)
+    g.insert_edges([1, 15], [2, 3])
+    before = _trace(g, tmp_path)
+    for label, call in BOUNDARY_CALLS.items():
+        rejects_weight = "weight " in label and api.capabilities(name).weighted
+        if rejects_weight and name != "slabhash":
+            continue  # stored exactly there (test_weights_are_stored_exactly_or_rejected)
+        with counting() as charged:
+            with pytest.raises(ValidationError):
+                call(g)
+        assert not any(charged.values()), (kind, name, label, charged)
+        assert _trace(g, tmp_path) == before, (kind, name, label)
+
+
+#: In range for the 32-bit value lanes, then one past each end, then
+#: values the cast used to wrap onto 5 and 9.
+WEIGHTS = [0, 7, 2**32 - 1, -1, 2**32, 2**33 + 5, 2**40 + 9]
+WEIGHTED_BACKENDS = [n for n in ALL_BACKENDS if api.capabilities(n).weighted]
+
+
+def _weighted_routes(name):
+    """``(label, build)``: each way a weight reaches a structure."""
+    from repro.api import ShardedGraph
+
+    def facade(w):
+        g = Graph.create(name, 4, weighted=True)
+        return g, lambda: g.insert_edges([0, 1], [1, 2], [5, w])
+
+    def raw(w):
+        g = api.create(name, 4, weighted=True)
+        return g, lambda: g.insert_edges([0, 1], [1, 2], [5, w])
+
+    def bulk(w):
+        g = Graph.create(name, 4, weighted=True)
+        return g, lambda: g.bulk_build(COO([0, 1], [1, 2], 4, weights=[5, w]))
+
+    def restore(w):
+        g = Graph.create(name, 4, weighted=True)
+        snap = CSRSnapshot.from_coo(COO([0, 1], [1, 2], 4, weights=[5, w]))
+        return g, lambda: g.restore_snapshot(snap)
+
+    def router(w):
+        g = ShardedGraph.create(name, 4, num_shards=2, weighted=True)
+        return g, lambda: g.insert_edges([0, 1], [1, 2], [5, w])
+
+    def router_bulk(w):
+        g = ShardedGraph.create(name, 4, num_shards=2, weighted=True)
+        return g, lambda: g.bulk_build(COO([0, 1], [1, 2], 4, weights=[5, w]))
+
+    return [facade, raw, bulk, restore, router, router_bulk]
+
+
+@pytest.mark.parametrize("name", WEIGHTED_BACKENDS)
+def test_weights_are_stored_exactly_or_rejected(name):
+    """A weight is either read back exactly or refused with a typed error
+    that leaves the structure empty and unversioned — the slab-hash value
+    lanes used to wrap -1 to 4294967295 and 2**33 + 5 to 5."""
+    for route in _weighted_routes(name):
+        for w in WEIGHTS:
+            g, apply = route(w)
+            version = g.mutation_version
+            try:
+                apply()
+            except ValidationError:
+                assert name == "slabhash" and not 0 <= w < 2**32, (name, route.__name__, w)
+                assert g.mutation_version == version and g.num_edges() == 0
+                assert len(getattr(g, "events", ())) == 0
+                continue
+            assert name != "slabhash" or 0 <= w < 2**32, (name, route.__name__, w)
+            found, got = g.edge_weights([0, 1], [1, 2])
+            assert found.all() and got.tolist() == [5, w], (name, route.__name__, w)
+
+
+@pytest.mark.parametrize("name", WEIGHTED_BACKENDS)
+def test_an_empty_weighted_export_carries_weights(name):
+    """B-tree and faimGraph exported ``weights=None`` while empty, so a
+    weighted ``ShardedGraph`` with one empty shard could not export."""
+    from repro.api import ShardedGraph
+
+    weights = Graph.create(name, 4, weighted=True).export_coo().weights
+    assert weights is not None and weights.shape == (0,), name
+    service = ShardedGraph.create(name, 16, num_shards=2, weighted=True)
+    service.insert_edges([1, 15], [2, 3], [4, 5])
+    assert sorted(service.export_coo().weights.tolist()) == [4, 5], name
+
+
+def test_shortest_paths_agree_or_the_weight_is_refused():
+    """The wrap's visible symptom: sssp over edges (0->1, 5), (1->2, -2)
+    answered 4294967299 for vertex 2 on the slab-hash structure."""
+    from repro.analytics.sssp import sssp
+
+    hornet = Graph.create("hornet", 4, weighted=True)
+    hornet.insert_edges([0, 1], [1, 2], [5, -2])
+    assert sssp(hornet, 0).tolist() == [0, 5, 3, -1]
+    slabhash = Graph.create("slabhash", 4, weighted=True)
+    with pytest.raises(ValidationError, match="weights"):
+        slabhash.insert_edges([0, 1], [1, 2], [5, -2])
+
+
+# -- one id check per boundary, pinned by counting -----------------------------------------
+
+
+@pytest.fixture
+def id_checks(monkeypatch):
+    """Count calls of ``checked_ids`` through every ``repro.*`` binding of
+    it; the list holds each call's column names."""
+    import sys
+
+    from repro.api import backend
+
+    original = backend.checked_ids
+    calls = []
+
+    def counted(num_vertices, **columns):
+        calls.append(tuple(columns))
+        return original(num_vertices, **columns)
+
+    for module_name, module in list(sys.modules.items()):
+        if module is None or not (module_name == "repro" or module_name.startswith("repro.")):
+            continue
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+class TestOneIdCheckPerBoundary:
+    """A batch's ids are range-checked once per layer that needs them in
+    range: the backend template under a ``Graph``, and under a
+    ``ShardedGraph`` the router (it routes by id) plus each shard's
+    template.  A re-added duplicate check fails here."""
+
+    # Sources on two of four shards; the self-loop's source alone owns a third.
+    SRC = [0, 1, 3, 5, 7, 8, 2]
+    DST = [1, 2, 4, 6, 8, 9, 2]
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_graph_mutations_check_once(self, name, id_checks):
+        g = Graph.create(name, 16)
+        for op in ("insert_edges", "delete_edges"):
+            id_checks.clear()
+            getattr(g, op)(self.SRC, self.DST)
+            assert id_checks == [("src", "dst")], (name, op)
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_routed_mutations_check_once_plus_once_per_shard(self, name, id_checks):
+        from repro.api import ShardedGraph
+
+        g = ShardedGraph.create(name, 16, num_shards=4)
+        src, dst = np.array(self.SRC), np.array(self.DST)
+        loops = src == dst
+        reached = np.unique(g.partitioner.shard_of(src[~loops])).size
+        assert 1 < reached < 4  # the batch reaches some shards, not all
+        for op in ("insert_edges", "delete_edges"):
+            id_checks.clear()
+            getattr(g, op)(src, dst)
+            assert id_checks == [("src", "dst")] * (1 + reached), (name, op)
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_queries_keep_their_checks(self, name, id_checks):
+        from repro.api import ShardedGraph
+
+        g = Graph.create(name, 16)
+        g.edge_exists(self.SRC, self.DST)
+        g.degree(self.SRC)
+        assert id_checks == [("src", "dst"), ("vertex_ids",)], name
+        id_checks.clear()
+        routed = ShardedGraph.create(name, 16, num_shards=4)
+        reached = np.unique(routed.partitioner.shard_of(np.array(self.SRC))).size
+        routed.edge_exists(self.SRC, self.DST)
+        assert id_checks == [("src", "dst")] * (1 + reached), name

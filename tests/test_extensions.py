@@ -163,8 +163,9 @@ class TestSSSP:
 
     @staticmethod
     def negative_weight_graph(n, src, dst, w):
-        # The slab-hash value lanes are 32-bit (negative weights wrap);
-        # Hornet stores plain int64 weights, and sssp is backend-agnostic.
+        # The slab-hash value lanes are 32-bit (negative weights are
+        # rejected); Hornet stores plain int64 weights, and sssp is
+        # backend-agnostic.
         import repro.api as api
 
         g = api.create("hornet", num_vertices=n, weighted=True)

@@ -8,19 +8,27 @@ is the round-by-round schedule's, bit for bit:
 - a golden long-chain scenario whose counters and pool digest were recorded
   with the round-loop driver of the parent commit (293969f);
 - a hypothesis property against the scalar ``reference_insert_one`` spec;
-- a chunked hit pass (tiny pair budget) equal to the unchunked one.
+- a chunked hit pass (tiny pair budget) equal to the unchunked one;
+- each launch shortcut (the one-gather walk, the tail read off the first
+  empty lane, the unhashed one-bucket heads, the group numbering and
+  ranks) equal to the form it replaced, on churned arenas.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.rehash import rehash_vertices
 from repro.gpusim.counters import get_counters
 from repro.kernels import reference
 from repro.slabhash.arena import SlabArena
+from repro.slabhash.constants import EMPTY_KEY, MAX_KEY, NULL_SLAB
+from repro.slabhash.insert import _groups, _ranks
+from repro.util.groupby import group_starts, ragged_arange
 
 
 def counters_dict():
@@ -205,3 +213,102 @@ class TestChunkedHitPass:
         # single items whose chain alone exceeds the budget.
         monkeypatch.setattr(reference, "PAIR_LANE_BUDGET", 64)
         assert run() == whole
+
+
+# -- each launch shortcut equals the form it replaced ------------------------------------
+
+
+def level_walk(next_slab, heads):
+    """``walk_chains`` before its one-gather exit: the plain level loop."""
+    n = heads.shape[0]
+    slabs, owners, base = [heads], [np.arange(n, dtype=np.int64)], [np.ones(n, dtype=bool)]
+    frontier, owner, levels, reads = heads, owners[0], 0, 0
+    while frontier.size:
+        levels += 1
+        reads += int(frontier.shape[0])
+        nxt = next_slab[frontier]
+        frontier, owner = nxt[nxt != NULL_SLAB], owner[nxt != NULL_SLAB]
+        if frontier.size:
+            slabs.append(frontier)
+            owners.append(owner)
+            base.append(np.zeros(frontier.shape[0], dtype=bool))
+    return np.concatenate(slabs), np.concatenate(owners), np.concatenate(base), levels, reads
+
+
+@st.composite
+def churned_arenas(draw):
+    """A set or map arena after random insert / delete / flush / rehash
+    steps — tombstones in tails, multi-slab chains, one-bucket tables
+    beside many-bucket ones, or no table at all — plus a batch of items
+    addressed to its tables."""
+    weighted = draw(st.booleans())
+    buckets = draw(st.lists(st.integers(1, 3), max_size=5))
+    n = len(buckets)
+    arena = SlabArena(n, weighted=weighted, initial_slab_capacity=4)
+    arena.create_tables(np.arange(n), np.array(buckets, dtype=np.int64))
+    rehash_host = SimpleNamespace(_dict=SimpleNamespace(arena=arena), load_factor=0.7)
+    step = st.tuples(
+        st.sampled_from(["insert", "insert", "delete", "flush", "rehash"]),
+        st.integers(0, max(n - 1, 0)),
+        st.integers(0, 150),
+        st.integers(1, 90),
+    )
+    prefix = [("insert", 0, 0, 45), ("delete", 0, 0, 45 // 7)] if n else []
+    for kind, table, lo, size in prefix + (draw(st.lists(step, max_size=6)) if n else []):
+        keys, tables = np.arange(lo, lo + size), np.full(size, table)
+        if kind == "insert":
+            arena.insert(tables, keys, keys * 3 if weighted else None)
+        elif kind == "delete":
+            arena.delete(tables, keys * 7)  # spread over the chain, its tail included
+        elif kind == "flush":
+            arena.flush_tombstones(np.array([table]))
+        else:
+            rehash_vertices(rehash_host, np.array([table]), draw(st.sampled_from([0.1, 0.7, 4.0])))
+    arena.check_invariants()
+    item = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, 200) | st.just(MAX_KEY))
+    items = draw(st.lists(item, max_size=60)) if n else []
+    t = np.array([i[0] for i in items], dtype=np.int64)
+    k = np.array([i[1] for i in items], dtype=np.int64)
+    return arena, t, k, draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+
+
+def bucket_head_slabs(arena):
+    tables = np.flatnonzero(arena.table_base != NULL_SLAB)
+    buckets = arena.table_buckets[tables]
+    return np.repeat(arena.table_base[tables], buckets) + ragged_arange(buckets)
+
+
+class TestLaunchShortcuts:
+    @given(churned_arenas())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_each_shortcut_equals_the_form_it_replaced(self, case):
+        arena, t, k, missed = case
+        pool = arena.pool
+        heads = bucket_head_slabs(arena)
+        for subset in (heads, heads[::2], heads[:0]):
+            got = reference.walk_chains(pool.next_slab, subset)
+            for a, b in zip(got, level_walk(pool.next_slab, subset)):
+                assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b)
+
+        # Every chain's tail (its last slab in level order), and every slab.
+        slabs, owner, _, _, _ = level_walk(pool.next_slab, heads)
+        tails = np.full(heads.shape[0], NULL_SLAB, dtype=np.int64)
+        for slab, chain in zip(slabs.tolist(), owner.tolist()):
+            tails[chain] = slab
+        for probe in (tails, slabs):
+            counted = np.count_nonzero(pool.keys[probe] == np.uint32(EMPTY_KEY), axis=1)
+            assert np.array_equal(reference.tail_empties(pool.keys, probe), counted)
+
+        hashed = arena.table_base[t] + arena.hash_family.bucket(t, k, arena.table_buckets)
+        assert np.array_equal(arena.bucket_heads(t, k), hashed)
+
+        ordered = np.sort(hashed)
+        starts = group_starts(ordered)
+        sizes = np.diff(np.append(starts, ordered.shape[0]))
+        group_heads, group = _groups(ordered)
+        assert np.array_equal(group_heads, ordered[starts])
+        assert np.array_equal(group, np.repeat(np.arange(starts.shape[0]), sizes))
+        misses = group[np.array(missed, dtype=bool)]
+        count, rank = _ranks(misses, starts.shape[0])
+        assert np.array_equal(count, np.bincount(misses, minlength=starts.shape[0]))
+        assert np.array_equal(rank, ragged_arange(count))

@@ -157,3 +157,14 @@ class TestKeyRange:
         s.insert_batch([MAX_KEY])
         assert s.contains_batch([MAX_KEY, 5]).tolist() == [True, True]
         assert s.delete_batch([MAX_KEY]) == 1 and len(s) == 2
+
+    @pytest.mark.parametrize("value", [-1, 2**32, 2**33 + 5])
+    def test_map_rejects_a_value_its_lanes_cannot_hold(self, value):
+        # Unchecked, -1 was stored as 4294967295 and 2**33 + 5 as 5.
+        m = SlabHashMap(expected_size=8)
+        m.insert_batch([1], [7])
+        with pytest.raises(ValidationError, match="values"):
+            m.insert_batch([1, 2], [8, value])
+        assert len(m) == 1 and m.get(1) == 7 and m.get(2) is None
+        m.insert_batch([2], [2**32 - 1])
+        assert m.get(2) == 2**32 - 1

@@ -13,7 +13,6 @@ from repro.util.groupby import (
     group_starts,
     last_occurrence_mask,
     rank_within_group,
-    segment_lengths_from_starts,
     segmented_sum,
     sorted_unique,
     stable_argsort,
@@ -76,7 +75,7 @@ class TestGroupStarts:
     def test_lengths_roundtrip(self):
         keys = np.array([1, 1, 2, 4, 4, 4, 9])
         starts = group_starts(keys)
-        lens = segment_lengths_from_starts(starts, keys.size)
+        lens = np.diff(starts, append=keys.size)
         assert lens.tolist() == [2, 1, 3, 1]
         assert int(lens.sum()) == keys.size
 

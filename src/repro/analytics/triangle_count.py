@@ -232,26 +232,16 @@ def dynamic_triangle_count(graph, batches, mode: str) -> list[DynamicTCStep]:
         ``"hash"`` — count via edgeExist probes (our structure);
         ``"sorted"`` — re-sort adjacency after each insertion and count via
         sorted intersections (the Hornet path; the re-sort is the
-        maintenance cost the paper investigates);
-        ``"snapshot"`` — count via sorted intersections over
-        ``graph.snapshot()``.  Pass a :class:`repro.api.Graph` facade and
-        the snapshot is maintained *incrementally*: each round pays an
-        O(E + B log B) delta-merge instead of the O(E log E) re-sort, the
-        cached-path column of the Table IX comparison.
+        maintenance cost the paper investigates).
     """
-    if mode not in ("hash", "sorted", "snapshot"):
-        raise ValidationError("mode must be 'hash', 'sorted' or 'snapshot'")
+    if mode not in ("hash", "sorted"):
+        raise ValidationError("mode must be 'hash' or 'sorted'")
     steps: list[DynamicTCStep] = []
     for i, (bs, bd) in enumerate(batches):
         both_s = np.concatenate([bs, bd])
         both_d = np.concatenate([bd, bs])
         _, ins_model = _timed(graph.insert_edges, both_s, both_d)
-        if mode == "snapshot":
-            # The merge (or the round-1 cold build) is this path's
-            # adjacency-maintenance cost, booked like the sorted path's sort.
-            snap, sort_model = _timed(graph.snapshot)
-            tri, tc_model = _timed(triangle_count_sorted, snap.row_ptr, snap.col_idx)
-        elif mode == "sorted":
+        if mode == "sorted":
             row_ptr, col_idx = graph.sorted_adjacency()
             # Model the *incremental* maintenance a sorted list structure
             # pays per batch: each new edge lands in sorted position by

@@ -53,16 +53,30 @@ QUICK_TC_EDGE_FACTORS = [8, 24]
 
 @dataclass
 class LoadFactorPoint:
-    """One point of the Figure 2/3 sweeps (model-time metrics)."""
+    """One point of the Figure 2/3 sweeps (model-time metrics); each sweep
+    fills the series its figure plots against ``mean_chain_length``."""
 
     edge_factor: int
     load_factor: float
     mean_chain_length: float
-    insertion_rate_medges: float
-    memory_utilization: float
-    memory_mb: float
+    insertion_rate_medges: float | None = None
+    memory_utilization: float | None = None
+    memory_mb: float | None = None
     tc_seconds: float | None = None
-    num_edges: int = 0
+
+
+#: ``(header, unit, metric suffix, value)`` of each persisted series: the
+#: x-axis (chain length) and every y-axis of the figure.
+_F2_SERIES = (
+    ("Insert MEdge/s", "MEdge/s", "insert", lambda p: p.insertion_rate_medges),
+    ("Chain length", "chain", "chain", lambda p: p.mean_chain_length),
+    ("Mem util", "util", "util", lambda p: p.memory_utilization),
+    ("Mem MB", "MB", "mem", lambda p: p.memory_mb),
+)
+_F3_SERIES = (
+    ("Chain length", "chain", "chain", lambda p: p.mean_chain_length),
+    ("TC ms", "ms", "tc", lambda p: p.tc_seconds * 1e3),
+)
 
 
 def figure2_sweep(
@@ -85,7 +99,6 @@ def figure2_sweep(
                     insertion_rate_medges=rec.throughput_m,
                     memory_utilization=st.memory_utilization,
                     memory_mb=st.memory_bytes / 2**20,
-                    num_edges=coo.num_edges,
                 )
             )
     return points
@@ -100,19 +113,15 @@ def figure3_sweep(
         coo = rmat_graph(scale, ef, seed=seed).symmetrized().deduplicated()
         for lf in LOAD_FACTORS:
             g = create_backend("slabhash", coo.num_vertices, weighted=False, load_factor=lf)
-            rec_b, _ = time_call("build", g.bulk_build, coo, items=coo.num_edges)
-            st = g.stats()
+            g.bulk_build(coo)
+            chain = g.stats().mean_bucket_load
             rec_tc, _ = time_call("tc", triangle_count_hash, g)
             points.append(
                 LoadFactorPoint(
                     edge_factor=ef,
                     load_factor=lf,
-                    mean_chain_length=st.mean_bucket_load,
-                    insertion_rate_medges=rec_b.throughput_m,
-                    memory_utilization=st.memory_utilization,
-                    memory_mb=st.memory_bytes / 2**20,
+                    mean_chain_length=chain,
                     tc_seconds=rec_tc.model_seconds,
-                    num_edges=coo.num_edges,
                 )
             )
     return points
@@ -122,56 +131,26 @@ def figure2_artifact(scale=12, seed=0, quick=False) -> ArtifactResult:
     """Figure 2 sweep as a structured artifact with per-point metrics."""
     efs = QUICK_EDGE_FACTORS if quick else None
     points = figure2_sweep(scale=10 if quick else scale, seed=seed, edge_factors=efs)
-    return _points_artifact("f2", "Figure 2 — load-factor sweep (RMAT)", points)
+    return _points_artifact("f2", "Figure 2 — load-factor sweep (RMAT)", points, _F2_SERIES)
 
 
 def figure3_artifact(scale=12, seed=0, quick=False) -> ArtifactResult:
     """Figure 3 sweep as a structured artifact with per-point metrics."""
     efs = QUICK_TC_EDGE_FACTORS if quick else None
     points = figure3_sweep(scale=10 if quick else scale, seed=seed, edge_factors=efs)
-    return _points_artifact("f3", "Figure 3 — TC time vs chain length (RMAT)", points, with_tc=True)
+    return _points_artifact(
+        "f3", "Figure 3 — TC time vs chain length (RMAT)", points, _F3_SERIES
+    )
 
 
 def _points_artifact(
-    artifact: str, title: str, points: list[LoadFactorPoint], with_tc: bool = False
+    artifact: str, title: str, points: list[LoadFactorPoint], series
 ) -> ArtifactResult:
-    headers, rows = points_as_rows(points, with_tc=with_tc)
-    out = ArtifactBuilder(artifact, title, headers)
-    for p, row in zip(points, rows):
-        out.add_row(row)
-        at = (f"ef={p.edge_factor}", f"lf={p.load_factor:g}")
-        out.metric(p.insertion_rate_medges, "MEdge/s", *at, "insert")
-        out.metric(p.mean_chain_length, "chain", *at, "chain")
-        out.metric(p.memory_utilization, "util", *at, "util")
-        out.metric(p.memory_mb, "MB", *at, "mem")
-        if with_tc:
-            out.metric((p.tc_seconds or 0.0) * 1e3, "ms", *at, "tc")
-    return out.build()
-
-
-def points_as_rows(points: list[LoadFactorPoint], with_tc: bool = False):
-    """Tabular form for format_table / CSV export."""
-    headers = [
-        "Edge factor",
-        "Load factor",
-        "Chain length",
-        "Insert MEdge/s",
-        "Mem util",
-        "Mem MB",
-    ]
-    if with_tc:
-        headers.append("TC ms")
-    rows = []
+    out = ArtifactBuilder(artifact, title, ["Edge factor", "Load factor", *(s[0] for s in series)])
     for p in points:
-        row = [
-            p.edge_factor,
-            p.load_factor,
-            p.mean_chain_length,
-            p.insertion_rate_medges,
-            p.memory_utilization,
-            p.memory_mb,
-        ]
-        if with_tc:
-            row.append((p.tc_seconds or 0.0) * 1e3)
-        rows.append(row)
-    return headers, rows
+        values = [value(p) for *_, value in series]
+        out.add_row([p.edge_factor, p.load_factor, *values])
+        at = (f"ef={p.edge_factor}", f"lf={p.load_factor:g}")
+        for (_, unit, name, _), v in zip(series, values):
+            out.metric(v, unit, *at, name)
+    return out.build()

@@ -144,6 +144,7 @@ class ArtifactBuilder:
         self.headers = list(headers)
         self.rows: list = []
         self.results: list = []
+        self._keys: set = set()
 
     def add_row(self, row: list) -> None:
         self.rows.append(list(row))
@@ -163,8 +164,14 @@ class ArtifactBuilder:
 
         Pass ``record`` for a metric backed by a single timed call, or
         ``records`` (an iterable of :class:`BenchRecord`) for an aggregate —
-        model seconds and counters are summed over the contributors.
+        model seconds and counters are summed over the contributors.  A key
+        already recorded is a :class:`ValidationError`: a suite holds each key
+        once, or :func:`validate_suite` refuses to load it.
         """
+        key = metric_key(self.artifact, *parts)
+        if key in self._keys:
+            raise ValidationError(f"duplicate metric key {key!r}")
+        self._keys.add(key)
         model = None
         counters: dict = {}
         contributors = [record] if record is not None else list(records or [])
@@ -176,7 +183,7 @@ class ArtifactBuilder:
                         counters[k] = counters.get(k, 0) + int(v)
             items = items or sum(r.items for r in contributors)
         result = BenchResult(
-            metric=metric_key(self.artifact, *parts),
+            metric=key,
             value=float(value),
             unit=unit,
             artifact=self.artifact,

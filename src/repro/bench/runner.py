@@ -1,10 +1,9 @@
 """Regenerate every paper artifact: ``python -m repro.bench.runner``.
 
-Runs Tables II-IX, the snapshot-cost artifact (``t10``), the streaming
-scenario artifact (``t11``), the sharded-service artifact (``t12``),
-the durability artifact (``t13``), the chaos/failover artifact
-(``t14``) and the Figure 2/3
-sweeps in paper order, prints each as a fixed-width table, then checks
+Runs Tables II-IX, the streaming scenario artifact (``t11``), the
+sharded-service artifact (``t12``), the durability artifact (``t13``),
+the chaos/failover artifact (``t14``) and the Figure 2/3 sweeps in paper
+order, prints each as a fixed-width table, then checks
 every claim of :mod:`repro.bench.claims` that the run's metrics can decide
 and prints the scorecard.  Optionally persists/compares machine-readable
 results:
@@ -38,7 +37,6 @@ from repro.bench.figures import figure2_artifact, figure3_artifact
 from repro.bench.harness import format_table
 from repro.bench.persist_bench import persist_artifact
 from repro.bench.shard_bench import shard_artifact
-from repro.bench.snapshot_bench import snapshot_artifact
 from repro.bench.stream_bench import stream_artifact
 from repro.bench.results import (
     SchemaError,
@@ -57,7 +55,6 @@ _ARTIFACTS = {
     "t7": T.table7_static_triangle_counting,
     "t8": T.table8_sort_cost,
     "t9": T.table9_dynamic_triangle_counting,
-    "t10": snapshot_artifact,
     "t11": stream_artifact,
     "t12": shard_artifact,
     "t13": persist_artifact,

@@ -27,7 +27,7 @@ from repro.analytics.triangle_count import (
     triangle_count_hash,
     triangle_count_sorted,
 )
-from repro.api import Graph as GraphFacade, create as create_backend
+from repro.api import create as create_backend
 from repro.baselines.sorting import faimgraph_page_sort, segmented_sort_csr
 from repro.bench.harness import mean, time_call
 from repro.bench.results import ArtifactBuilder, ArtifactResult
@@ -385,9 +385,7 @@ def table9_dynamic_triangle_counting(
     seed: int = 0, num_batches: int = 5, quick: bool = False
 ) -> ArtifactResult:
     """Table IX: cumulative insert+TC time over incremental batches
-    (scaled batch 2^12), ours (hash TC) vs Hornet (re-sort + sorted TC),
-    plus the cached path: ours driven through the ``Graph`` facade whose
-    versioned snapshot is delta-merged per batch instead of re-sorted."""
+    (scaled batch 2^12), ours (hash TC) vs Hornet (re-sort + sorted TC)."""
     out = ArtifactBuilder(
         "t9",
         "Table IX — dynamic TC cumulative time (ms)",
@@ -397,7 +395,6 @@ def table9_dynamic_triangle_counting(
             "Ours Insert",
             "Ours TC",
             "Ours Total",
-            "Snap Total",
             "Hornet Insert",
             "Hornet TC",
             "Hornet Total",
@@ -425,26 +422,19 @@ def table9_dynamic_triangle_counting(
         g_o.bulk_build(coo)
         steps_o = dynamic_triangle_count(g_o, batches, mode="hash")
 
-        # Cached path: same structure behind the facade, snapshot delta-
-        # merged per batch (round 1 pays the one cold sort).
-        g_s = GraphFacade(make_structure("slabhash", coo.num_vertices))
-        g_s.bulk_build(coo)
-        steps_s = dynamic_triangle_count(g_s, batches, mode="snapshot")
-
         g_h = make_structure("hornet", coo.num_vertices)
         g_h.bulk_build(coo)
         steps_h = dynamic_triangle_count(g_h, batches, mode="sorted")
 
-        cum_o = cum_h = cum_s = 0.0
+        cum_o = cum_h = 0.0
         cum = {"o_ins": 0.0, "o_tc": 0.0, "h_ins": 0.0, "h_tc": 0.0}
-        for so, ss, sh in zip(steps_o, steps_s, steps_h):
-            assert so.triangles == sh.triangles == ss.triangles, (name, so.iteration)
+        for so, sh in zip(steps_o, steps_h):
+            assert so.triangles == sh.triangles, (name, so.iteration)
             cum["o_ins"] += so.insert_model * 1e3
             cum["o_tc"] += so.count_model * 1e3
             # Hornet's sort is adjacency maintenance: booked under insert.
             cum["h_ins"] += (sh.insert_model + sh.sort_model) * 1e3
             cum["h_tc"] += sh.count_model * 1e3
-            cum_s += ss.total_model * 1e3
             cum_o = cum["o_ins"] + cum["o_tc"]
             cum_h = cum["h_ins"] + cum["h_tc"]
             out.add_row(
@@ -454,7 +444,6 @@ def table9_dynamic_triangle_counting(
                     cum["o_ins"],
                     cum["o_tc"],
                     cum_o,
-                    cum_s,
                     cum["h_ins"],
                     cum["h_tc"],
                     cum_h,
@@ -463,11 +452,7 @@ def table9_dynamic_triangle_counting(
             )
         # Gate on the final cumulative totals (the paper's bottom rows).
         out.metric(cum_o, "ms", name, "ours_total", dataset=name, backend="ours")
-        out.metric(cum_s, "ms", name, "ours_snap_total", dataset=name, backend="ours")
         out.metric(cum_h, "ms", name, "hornet_total", dataset=name, backend="hornet")
         out.metric(cum_h / cum_o if cum_o else float("inf"), "x", name, "speedup", dataset=name)
-        out.metric(
-            cum_h / cum_s if cum_s else float("inf"), "x", name, "snap_speedup", dataset=name
-        )
         out.metric(steps_o[-1].triangles, "count", name, "triangles", dataset=name)
     return out.build()

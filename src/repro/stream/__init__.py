@@ -59,7 +59,6 @@ from repro.stream.scenario import (
     ScenarioResult,
     build_dataset,
     insert_heavy_scenario,
-    mixed_scenario,
     quick_scenarios,
     run_scenario,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "disk_fault_scenario",
     "insert_heavy_scenario",
     "kill_rebuild_scenario",
-    "mixed_scenario",
     "quick_scenarios",
     "run_chaos_scenario",
     "run_scenario",

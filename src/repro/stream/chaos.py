@@ -86,10 +86,6 @@ class ChaosResult:
     plan: FaultPlan
     _tmp: object = field(default=None, repr=False)
 
-    def model_seconds(self, kind: str | None = None) -> float:
-        """Total modeled device seconds, optionally for one phase kind."""
-        return sum(p.model_seconds for p in self.phases if kind is None or p.kind == kind)
-
     def close(self) -> None:
         """Close the durable stores and clean the scratch directory."""
         if self.service.stores is not None:

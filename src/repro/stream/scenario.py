@@ -67,7 +67,6 @@ __all__ = [
     "build_dataset",
     "run_scenario",
     "insert_heavy_scenario",
-    "mixed_scenario",
     "quick_scenarios",
 ]
 
@@ -222,10 +221,6 @@ class ScenarioResult:
     backend: str
     mode: str
     phases: list
-
-    def model_seconds(self, kind: str | None = None) -> float:
-        """Total modeled device seconds, optionally for one phase kind."""
-        return sum(p.model_seconds for p in self.phases if kind is None or p.kind == kind)
 
     def compute_phases(self) -> list:
         """The compute-phase results, in schedule order."""

@@ -4,10 +4,13 @@
 fails, absent keys are n/a, a one-sided panel fails rather than n/a) and
 on the committed quick baseline, where every decidable claim must hold and
 the set of undecidable ones is pinned — so a renamed metric key cannot
-silently retire a claim.
+silently retire a claim.  The same baseline pins the persistence rule: a
+metric is read by a claim or is a column of the paper table or figure
+series its artifact reproduces (``UNCLAIMED``), nothing else.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,23 @@ DOCS = Path(__file__).resolve().parent.parent / "docs" / "benchmarks.md"
 
 #: Claims whose coordinates only the full-size panel carries.
 FULL_SIZE_ONLY = {"t3-hornet-parity", "t8-heavy-tailed", "t9-road", "t9-hollywood"}
+
+#: Persisted metrics no claim reads, ``pattern -> why it is persisted``: a
+#: column of the paper table or figure its artifact reproduces, or a named
+#: ROADMAP target.  ``*`` is one ``/``-free coordinate, as in ``CLAIMS``.
+UNCLAIMED = {
+    "t3/*/hornet": "paper Table III, Hornet column (claims read its 2^10 / 2^16 rows)",
+    "t7/*/faimgraph": "paper Table VII, faimGraph column",
+    "t7/*/triangles": "paper Table VII, triangle-count column",
+    "t8/*/csr": "paper Table VIII, Sort CSR column (claims read road / heavy-tailed rows)",
+    "t8/*/faimgraph": "paper Table VIII, Sort faimGraph column",
+    "t9/*/ours_total": "paper Table IX, our cumulative insert + TC time",
+    "t9/*/hornet_total": "paper Table IX, Hornet's cumulative insert + sort + TC time",
+    "t9/*/speedup": "paper Table IX, speedup column (claims read road_usa / hollywood)",
+    "t9/*/triangles": "paper Table IX, triangle count both paths must agree on",
+    "f3/*/*/chain": "paper Figure 3, x-axis (average chain length)",
+    "t11/insert-heavy-2^18/*/pagerank_speedup": "ROADMAP item 7 (incremental PageRank)",
+}
 
 
 def statuses(metrics):
@@ -112,6 +132,31 @@ class TestBaseline:
         broken = dict(baseline) | {"t13/E=2^18/tail=2^12/slabhash/recovery_speedup": 2.9}
         failed = {cid for cid, status in statuses(broken).items() if status == "fail"}
         assert failed == {"t13-recovery"}
+
+
+def _matches(pattern: str, keys) -> set:
+    rx = re.compile(re.escape(pattern).replace(r"\*", "[^/]+") + "$")
+    return {k for k in keys if rx.match(k)}
+
+
+class TestPersistenceRule:
+    """Every persisted quick metric backs a claim or a paper cell; like
+    ``tools/unused_public.py``, a stale ``UNCLAIMED`` entry fails too."""
+
+    @pytest.fixture(scope="class")
+    def unread(self, baseline):
+        return set(baseline) - {k for c in CLAIMS for p in c.keys for k in _matches(p, baseline)}
+
+    def test_every_metric_is_claimed_or_a_paper_cell(self, unread):
+        listed = {k for pattern in UNCLAIMED for k in _matches(pattern, unread)}
+        assert sorted(unread - listed) == []
+
+    def test_every_unclaimed_entry_covers_an_unread_metric(self, unread):
+        assert [p for p in UNCLAIMED if not _matches(p, unread)] == []
+
+    def test_reasons_name_a_paper_artifact_or_a_roadmap_item(self):
+        rx = re.compile(r"^(paper (Table [IVX]+|Figure \d)|ROADMAP item \d+)\b")
+        assert [p for p, why in UNCLAIMED.items() if not rx.match(why)] == []
 
 
 def test_every_claim_is_documented():

@@ -18,6 +18,7 @@ from repro.bench.results import (
     metric_key,
     validate_suite,
 )
+from repro.util.errors import ValidationError
 
 
 def make_suite() -> SuiteResult:
@@ -100,6 +101,22 @@ class TestBuilder:
         b = ArtifactBuilder("t5", "T", ["h"])
         res = b.metric(1.0, "ms", "d", "ours", record=BenchRecord("x", items=5))
         assert res.items == 5
+
+    def test_a_repeated_key_is_refused_at_the_second_call(self):
+        # Kept, the suite would collapse both into one metric and save a
+        # baseline that validate_suite then refuses to load.
+        b = ArtifactBuilder("t5", "T", ["h"])
+        b.metric(1.0, "ms", "d", "ours")
+        with pytest.raises(ValidationError, match="duplicate metric key 't5/d/ours'"):
+            b.metric(2.0, "ms", "d", "ours")
+        b.metric(2.0, "ms", "d", "hornet")
+        art = b.build()
+        assert [r.metric for r in art.results] == ["t5/d/ours", "t5/d/hornet"]
+        suite = SuiteResult(environment={}, artifacts=[art])
+        assert SuiteResult.from_json(suite.to_json()).metrics().keys() == {
+            "t5/d/ours",
+            "t5/d/hornet",
+        }
 
 
 class TestValidation:

@@ -560,15 +560,5 @@ class TestT14Gates:
         art = chaos_artifact(seed=0, quick=True)
         keys = {r.metric for r in art.results}
         prefix = "t14/E=2^18/shards=4/slabhash/"
-        for suffix in (
-            "fresh_read",
-            "degraded_read",
-            "degraded_read_overhead",
-            "rebuild",
-            "cold_reingest",
-            "recovery_speedup",
-            "scenario_model",
-        ):
-            assert prefix + suffix in keys
-        assert not any("wall" in k for k in keys)  # modeled numbers only
+        assert keys == {prefix + "degraded_read_overhead", prefix + "recovery_speedup"}
         assert len(art.rows) == 1

@@ -426,11 +426,7 @@ def test_shard_artifact_quick_structure():
     from repro.bench.shard_bench import shard_artifact
 
     art = shard_artifact(seed=0, quick=True)
-    keys = {r.metric for r in art.results}
-    assert "t12/slabhash/shards=1/insert" in keys
-    assert "t12/slabhash/shards=4/insert_speedup" in keys
-    assert "t12/slabhash/shards=4/query_tax" in keys
-    assert "t12/slabhash/shards=4/snapshot_assembly" in keys
     by_key = {r.metric: r.value for r in art.results}
-    assert by_key["t12/slabhash/shards=1/insert_speedup"] == 1.0
+    assert by_key.keys() == {"t12/slabhash/shards=4/insert_speedup"}
     assert by_key["t12/slabhash/shards=4/insert_speedup"] >= 2.0
+    assert len(art.rows) == 1

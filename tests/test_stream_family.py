@@ -41,10 +41,10 @@ from repro.stream import (
     IncrementalSSSP,
     IncrementalTriangleCount,
     insert_heavy_scenario,
-    mixed_scenario,
     quick_scenarios,
     run_scenario,
 )
+from repro.stream.scenario import mixed_scenario
 from repro.util.errors import ValidationError
 
 ALL_BACKENDS = sorted(api.backend_names())
@@ -548,8 +548,8 @@ class TestSharedWedgeKernel:
 
     def test_identical_counts_per_round(self):
         batches = self.rounds()
-        snap_graph = Graph.create("slabhash", num_vertices=64)
-        steps = dynamic_triangle_count(snap_graph, batches, mode="snapshot")
+        dyn_graph = Graph.create("slabhash", num_vertices=64)
+        steps = dynamic_triangle_count(dyn_graph, batches, mode="sorted")
 
         stream_graph = Graph.create("slabhash", num_vertices=64, directed=False)
         tc = IncrementalTriangleCount(stream_graph)
@@ -559,9 +559,9 @@ class TestSharedWedgeKernel:
 
     def test_both_paths_charge_sorted_probes(self):
         batches = self.rounds(count=2)
-        snap_graph = Graph.create("slabhash", num_vertices=64)
+        dyn_graph = Graph.create("slabhash", num_vertices=64)
         with counting() as dyn_counters:
-            dynamic_triangle_count(snap_graph, batches, mode="snapshot")
+            dynamic_triangle_count(dyn_graph, batches, mode="sorted")
         stream_graph = Graph.create("slabhash", num_vertices=64, directed=False)
         tc = IncrementalTriangleCount(stream_graph)
         for bs, bd in batches:

@@ -11,15 +11,16 @@ and the hardened :class:`repro.api.ShardedGraph`:
    prints the same story on every run;
 2. transient faults: the router's retry-with-backoff absorbs them
    transparently (the workload never notices);
-3. a permanent fault kills a shard mid-batch: the dispatch is recorded
-   as partial (exactly which shards applied), queries on the dead shard
-   raise a typed ShardError, and reads continue through
+3. a permanent fault kills a shard mid-batch: the router is strict —
+   the batch raises ``PartialDispatchError``, whose report says exactly
+   which shards applied, and the caller keeps that report; queries on
+   the dead shard raise a typed ShardError, and reads continue through
    ``degraded_snapshot()`` — the dead shard served from its last cached
    snapshot, tagged with staleness;
 4. failover: ``rebuild_shard()`` replays the shard's own write-ahead
-   log into a fresh backend and ``redrive_pending()`` re-applies the
-   recorded partial batches — the service converges to the exact state
-   of a run where the fault never happened.
+   log into a fresh backend and ``redrive(report)`` re-applies the kept
+   batch on the shard that missed it — the service converges to the
+   exact state of a run where the fault never happened.
 """
 
 import tempfile
@@ -45,9 +46,7 @@ def main() -> None:
             FaultSpec("shard1.insert_edges", kind="permanent", after=2),
         ),
     )
-    service = ShardedGraph.create(
-        "slabhash", num_vertices, num_shards=4, partial_dispatch="record"
-    )
+    service = ShardedGraph.create("slabhash", num_vertices, num_shards=4)
     for s, shard in enumerate(service.shards):
         shard.backend = FaultyBackend(shard.backend, plan, prefix=f"shard{s}")
 
@@ -70,11 +69,13 @@ def main() -> None:
         healthy_snapshot = service.snapshot()  # also warms the read cache
 
         # --- 3. a shard dies mid-batch ----------------------------------
-        insert_batch()
-        report = service.pending[-1]
+        try:
+            insert_batch()
+        except PartialDispatchError as exc:
+            report = exc.report  # kept until the shard is back
         print(
-            f"partial dispatch recorded: applied shards {report.applied}, "
-            f"failed {report.failed_shards}"
+            f"strict mode: PartialDispatchError applied={report.applied} "
+            f"failed={report.failed_shards}"
         )
         print(f"health after permanent fault: {service.health}")
 
@@ -93,10 +94,10 @@ def main() -> None:
 
         # --- 4. failover: WAL replay + redrive --------------------------
         info = service.rebuild_shard(1)
-        remaining = service.redrive_pending()
+        follow_up = service.redrive(report)
         print(
             f"rebuilt shard {info.shard}: replayed {info.replayed_events} WAL "
-            f"events, re-drove pending batches ({remaining} left)"
+            f"events, re-drove the kept batch (complete: {follow_up is None})"
         )
 
         # The recovered service equals a never-faulted replay of the same
@@ -112,17 +113,6 @@ def main() -> None:
         assert np.array_equal(got.col_idx, want.col_idx)
         print("recovered service verified bit-identical to a never-faulted run")
         assert service.health == ["healthy"] * 4
-
-        # A partial dispatch can also *raise* on demand: flip the policy.
-        service.partial_dispatch = "raise"
-        plan.arm("shard3.insert_edges", kind="permanent")
-        try:
-            insert_batch()
-        except PartialDispatchError as exc:
-            print(
-                f"strict mode: PartialDispatchError applied={exc.report.applied} "
-                f"failed={exc.report.failed_shards}"
-            )
         service.stores.close()
 
 

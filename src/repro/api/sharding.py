@@ -276,6 +276,16 @@ def _vertex_rows(payload: dict, mask):
     return payload["vids"]
 
 
+def _delete_vertices_in(shard, payload: dict, mask) -> int:
+    """One shard's share of a vertex deletion: first the reverse pairs
+    ``u -> v`` this shard owns (see :meth:`ShardedGraph.delete_vertices`),
+    then the whole victim batch."""
+    removed = 0
+    if mask.any():
+        removed = shard.delete_edges(payload["src"][mask], payload["dst"][mask])
+    return removed + shard.delete_vertices(payload["vids"])
+
+
 def _coo_rows(payload: dict, mask) -> COO:
     coo = payload["coo"]
 
@@ -293,16 +303,21 @@ def _coo_rows(payload: dict, mask) -> COO:
 
 #: Everything the mutation pipeline (:meth:`ShardedGraph._mutate`) knows
 #: per operation: ``rows(payload, mask)`` selects the payload rows under a
-#: row mask (every row when the mask is None) — one shard's share on the
-#: way in, the rows that landed on the way out to the event log — and
-#: ``send(shard, rows)`` applies them to one shard and returns its count.
-#: The flag marks the structural ops, which reach every shard (not only
-#: the owners of rows) and publish a structural event (not an edge batch).
+#: row mask (every row when the mask is None) — the rows that landed, on
+#: the way out to the event log — and ``send(shard, payload, mask)``
+#: applies one shard's share (the rows under ``owner == shard``) and
+#: returns its count.  The flag marks the structural ops, which reach
+#: every shard (not only the owners of rows) and publish a structural
+#: event (not an edge batch).
 _MUTATIONS = {
-    "insert_edges": (_edge_rows, lambda shard, rows: shard.insert_edges(*rows), False),
-    "delete_edges": (_edge_rows, lambda shard, rows: shard.delete_edges(*rows[:2]), False),
-    "delete_vertices": (_vertex_rows, lambda shard, vids: shard.delete_vertices(vids), True),
-    "bulk_build": (_coo_rows, lambda shard, coo: shard.bulk_build(coo), True),
+    "insert_edges": (
+        _edge_rows, lambda shard, p, m: shard.insert_edges(*_edge_rows(p, m)), False
+    ),
+    "delete_edges": (
+        _edge_rows, lambda shard, p, m: shard.delete_edges(*_edge_rows(p, m)[:2]), False
+    ),
+    "delete_vertices": (_vertex_rows, _delete_vertices_in, True),
+    "bulk_build": (_coo_rows, lambda shard, p, m: shard.bulk_build(_coo_rows(p, m)), True),
 }
 
 
@@ -320,12 +335,10 @@ class ShardedGraph:
     would scatter a vertex's neighborhood across shards and break both
     routed queries and global snapshot assembly.
 
-    ``partial_dispatch`` picks the mid-dispatch-failure policy:
-    ``"raise"`` (default) raises :class:`PartialDispatchError` carrying
-    the :class:`DispatchReport`; ``"record"`` appends the report to
-    :attr:`pending` and returns the partial result — the scenario
-    engine's choice, so a chaos phase keeps its RNG stream aligned with
-    a fault-free run and re-drives between phases.
+    A mutation that fails on some shards raises
+    :class:`PartialDispatchError` carrying its :class:`DispatchReport`;
+    keep the report and :meth:`redrive` it once the shards are back
+    (after :meth:`rebuild_shard`, for a dead one).
     """
 
     def __init__(
@@ -334,7 +347,6 @@ class ShardedGraph:
         *,
         event_retention: int = DEFAULT_RETENTION_ROWS,
         retry: RetryPolicy | None = None,
-        partial_dispatch: str = "raise",
         shard_factory=None,
     ) -> None:
         shards = list(shards)
@@ -362,10 +374,6 @@ class ShardedGraph:
             raise ValidationError("all shards must share one vertex-id space")
         if any(s.weighted != first.weighted for s in shards):
             raise ValidationError("all shards must agree on weightedness")
-        if partial_dispatch not in ("raise", "record"):
-            raise ValidationError(
-                f"partial_dispatch must be 'raise' or 'record', got {partial_dispatch!r}"
-            )
         _check_packable(first.num_vertices)
         self.shards = shards
         self.partitioner = Partitioner(len(shards))
@@ -378,8 +386,6 @@ class ShardedGraph:
         self.query_costs = ShardCosts(len(shards))
         #: Retry-with-backoff policy for transient shard faults.
         self.retry = retry or RetryPolicy()
-        #: Mid-dispatch-failure policy: ``"raise"`` or ``"record"``.
-        self.partial_dispatch = partial_dispatch
         #: Per-shard health: ``SHARD_HEALTHY`` / ``SHARD_DEGRADED`` /
         #: ``SHARD_DEAD`` (dead shards are skipped by fan-outs and only
         #: return via :meth:`rebuild_shard`).
@@ -395,9 +401,6 @@ class ShardedGraph:
             "degraded_reads": 0,
             "rebuilds": 0,
         }
-        #: Recorded :class:`DispatchReport`\ s awaiting :meth:`redrive_pending`
-        #: (``partial_dispatch="record"`` mode only).
-        self.pending: list = []
         #: Durable per-shard stores (set by :meth:`attach_durability`).
         self.stores = None
         self._shard_factory = shard_factory
@@ -414,7 +417,6 @@ class ShardedGraph:
         weighted: bool = False,
         event_retention: int = DEFAULT_RETENTION_ROWS,
         retry: RetryPolicy | None = None,
-        partial_dispatch: str = "raise",
         **backend_kwargs: Any,
     ) -> "ShardedGraph":
         """Construct ``num_shards`` fresh registry backends and shard them.
@@ -441,7 +443,6 @@ class ShardedGraph:
             shards,
             event_retention=event_retention,
             retry=retry,
-            partial_dispatch=partial_dispatch,
             shard_factory=factory,
         )
 
@@ -611,12 +612,13 @@ class ShardedGraph:
 
     # -- mutation -----------------------------------------------------------------
 
-    def _mutate(self, op: str, payload: dict, rows: int, report: DispatchReport | None = None):
+    def _mutate(self, op: str, payload: dict, report: DispatchReport | None = None):
         """The one mutation pipeline, for first dispatches and redrives.
 
         Applies ``payload`` (see ``_MUTATIONS``) to every shard it has rows
         for — or, redriving ``report``, to ``report.failed_shards`` — prices
-        the call into :attr:`update_costs`, and publishes what landed.  A
+        the call (one routed row per entry of ``payload["owner"]``) into
+        :attr:`update_costs`, and publishes what landed.  A
         fully-applied first dispatch publishes the whole batch.  One that
         failed somewhere publishes only the structural
         ``"partial_dispatch"`` marker, so consumers rebuild cold instead of
@@ -624,19 +626,18 @@ class ShardedGraph:
         the rows of the shards it reached as a fresh, truthful event, then
         the marker again if some shard still failed.
 
-        A first dispatch returns the count the applied shards reported;
-        when some shard failed it first raises :class:`PartialDispatchError`
-        or queues the :class:`DispatchReport` in :attr:`pending`, per the
-        :attr:`partial_dispatch` policy.  A redrive returns the follow-up
-        report, or None once every shard has applied.
+        A first dispatch returns the count the applied shards reported,
+        or raises :class:`PartialDispatchError` when some shard failed.  A
+        redrive returns the follow-up report, or None once every shard has
+        applied.
         """
         rows_of, send, structural = _MUTATIONS[op]
         redrive = report is not None
         before = self.mutation_version
-        router = self._charge_router(rows)
-        owner = payload.get("owner")
+        owner = payload["owner"]
+        router = self._charge_router(owner.shape[0])
         done, failures, shard_times = self._fan_out(
-            lambda shard, mask: send(shard, rows_of(payload, mask)),
+            lambda shard, mask: send(shard, payload, mask),
             owner,
             report.failed_shards if redrive else None,
             broadcast=structural,
@@ -645,7 +646,7 @@ class ShardedGraph:
         applied = tuple(done)
         result = sum(done.values()) + (report.result if redrive else 0)
         if applied and (redrive or not failures):
-            landed = np.isin(owner, applied) if redrive and owner is not None else None
+            landed = np.isin(owner, applied) if redrive else None
             if structural:
                 self._publish_structural(op, before, rows_of(payload, landed))
             else:
@@ -674,9 +675,6 @@ class ShardedGraph:
         )
         if redrive:
             return follow_up
-        if self.partial_dispatch == "record":
-            self.pending.append(follow_up)
-            return result
         first_shard, first_err = failures[0]
         cause = first_err if isinstance(first_err, BaseException) else None
         raise PartialDispatchError(
@@ -691,16 +689,14 @@ class ShardedGraph:
     def insert_edges(self, src, dst, weights=None) -> int:
         """Normalize once, route to owner shards, publish one event.
 
-        On a mid-dispatch failure the partial-dispatch policy applies
-        (see class docstring); the returned count covers the shards that
-        applied."""
+        A mid-dispatch failure raises :class:`PartialDispatchError` (see
+        the class docstring)."""
         return self._mutate_edges("insert_edges", src, dst, weights)
 
     def delete_edges(self, src, dst) -> int:
         """Route a deletion batch to owner shards; returns removed count.
 
-        Partial-dispatch failures follow the same policy as
-        :meth:`insert_edges`."""
+        Partial-dispatch failures raise as in :meth:`insert_edges`."""
         return self._mutate_edges("delete_edges", src, dst, None)
 
     def _check_weights(self, weights) -> None:
@@ -729,34 +725,49 @@ class ShardedGraph:
             return 0
         owner = self.partitioner.shard_of(src)
         payload = {"src": src, "dst": dst, "weights": weights, "owner": owner}
-        return self._mutate(op, payload, src.shape[0])
+        return self._mutate(op, payload)
 
     def delete_vertices(self, vertex_ids) -> int:
         """Delete vertices and all incident edges.
 
         Out-edges live in the owner shard, but *in*-edges live wherever
         their source is owned — so the batch fans out to every shard, and
-        the return value sums per-shard deactivations (a vertex counts
-        once per shard that had activated it)."""
+        the return value sums what the shards removed.  B-tree and
+        faimGraph erase a victim ``v``'s in-edges by walking its own
+        out-list (undirected semantics on a symmetric edge set), and that
+        list lives only in ``owner(v)``; so the router first reads each
+        victim's out-neighbours ``u`` and, inside the same dispatch,
+        deletes ``u -> v`` in ``owner(u)``'s shard.  The pairs ride in
+        the payload, so :meth:`redrive` re-sends them.  Reading them needs
+        every victim's owner: while one cannot serve, this raises
+        :class:`ShardError` before any shard applies anything.
+        """
+        self.shards[0]._require("vertex_dynamic")  # before any reverse pair is deleted
         (vids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
         if vids.size == 0:
             return 0
-        # A copy: the payload outlives the caller's buffer in a report.
-        return self._mutate("delete_vertices", {"vids": vids.copy()}, vids.shape[0])
+        pos, nbrs, _ = self._gather_adjacencies("delete_vertices", vids)
+        payload = {
+            "vids": vids.copy(),  # a copy: the payload outlives the caller's buffer
+            "src": nbrs,
+            "dst": vids[pos],
+            "owner": self.partitioner.shard_of(nbrs),
+        }
+        return self._mutate("delete_vertices", payload)
 
     def bulk_build(self, coo: COO) -> int:
         """One-shot build: split the COO by owner shard, build each.
 
         Every shard is built, including one that owns no rows, so all
-        shards grow to the COO's vertex space together.  Partial-dispatch
-        failures follow the mutation policy; a failed shard is still
+        shards grow to the COO's vertex space together.  A partial
+        dispatch raises as the other mutators do; a failed shard is still
         empty, so a redrive re-attempts its part of the build."""
         _check_packable(int(coo.num_vertices))
         if coo.weights is not None and not self.weighted:
             coo = COO(coo.src, coo.dst, coo.num_vertices, weights=None)
         self._check_weights(coo.weights)
         payload = {"coo": coo, "owner": self.partitioner.shard_of(coo.src)}
-        return self._mutate("bulk_build", payload, coo.num_edges)
+        return self._mutate("bulk_build", payload)
 
     # -- redrive -------------------------------------------------------------------
 
@@ -768,22 +779,7 @@ class ShardedGraph:
         stay in the returned follow-up report.  Returns None once every
         shard has applied.
         """
-        owner = report.payload.get("owner")
-        rows = int(owner.shape[0]) if owner is not None else 1
-        return self._mutate(report.op, report.payload, rows, report)
-
-    def redrive_pending(self) -> int:
-        """Redrive every recorded partial dispatch, in order.
-
-        Reports that still have failing shards stay queued; returns how
-        many remain."""
-        remaining = []
-        for report in self.pending:
-            follow_up = self.redrive(report)
-            if follow_up is not None:
-                remaining.append(follow_up)
-        self.pending = remaining
-        return len(remaining)
+        return self._mutate(report.op, report.payload, report)
 
     # -- queries (scatter-gather) ----------------------------------------------------
 
@@ -872,13 +868,16 @@ class ShardedGraph:
         ``vertex_ids`` (neighbor order within a vertex is shard-native).
         A shard failure surfaces as a typed :class:`ShardError`."""
         (vids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
+        return self._gather_adjacencies("adjacencies", vids)
+
+    def _gather_adjacencies(self, op: str, vids):
         parts: list = []
 
         def gather(shard, mask):
             owner_pos, dsts, ws = shard.adjacencies(vids[mask])
             parts.append((np.flatnonzero(mask)[owner_pos], dsts, ws))
 
-        self._scatter("adjacencies", gather, vids)
+        self._scatter(op, gather, vids)
         if not parts:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.copy(), empty.copy()

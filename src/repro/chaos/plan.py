@@ -29,8 +29,8 @@ Fault kinds:
   (``slow_launches`` kernel launches + ``slow_bytes`` copied bytes), so
   a slow shard stretches modeled latency without breaking determinism.
 
-Every fired fault is journaled (:meth:`FaultPlan.drain_events`), so
-scenario phase records can report exactly which faults a phase absorbed.
+Every fired fault is journaled (:attr:`FaultPlan.fired`), so a run can
+report exactly which faults it absorbed.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class FireRecord:
-    """One journaled fault firing (see :meth:`FaultPlan.drain_events`)."""
+    """One journaled fault firing (see :attr:`FaultPlan.fired`)."""
 
     point: str
     kind: str
@@ -127,7 +127,6 @@ class FaultPlan:
         self.seed = int(seed)
         self._states: list[_SpecState] = []
         self._journal: list[FireRecord] = []
-        self._mark = 0
         self.total_arrivals = 0
         for spec in specs:
             self.add(spec)
@@ -142,28 +141,13 @@ class FaultPlan:
         return self.add(FaultSpec(point, **kwargs))
 
     @property
-    def specs(self) -> tuple:
-        """The armed rules, in arm order."""
-        return tuple(s.spec for s in self._states)
-
-    @property
     def fired(self) -> tuple:
-        """Every journaled fault fired so far (including drained ones)."""
+        """Every journaled fault fired so far, in firing order."""
         return tuple(self._journal)
 
     def fires_at(self, point: str) -> int:
         """Total faults fired at points matching ``point`` so far."""
         return sum(1 for r in self._journal if fnmatchcase(r.point, point))
-
-    def drain_events(self) -> list:
-        """Return and clear the journal of faults fired since last drain.
-
-        The journal of :attr:`fired` is preserved; draining only resets
-        the per-window view scenario phases report.
-        """
-        window = self._journal[self._mark :]
-        self._mark = len(self._journal)
-        return list(window)
 
     def arrive(self, point: str):
         """Record one arrival at ``point``; fire at most one rule.

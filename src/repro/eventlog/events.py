@@ -27,10 +27,6 @@ import numpy as np
 
 __all__ = ["Event", "EdgeBatch", "StructuralEvent", "version_chain_intact"]
 
-#: Reasons a :class:`StructuralEvent` can carry (the facade's structural
-#: mutations; foreign publishers may add their own).
-STRUCTURAL_REASONS = ("delete_vertices", "bulk_build", "rehash", "flush_tombstones")
-
 
 @dataclass(frozen=True)
 class Event:

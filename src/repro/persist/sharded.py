@@ -151,11 +151,6 @@ class ShardStores:
         applied in memory but lost to a failed append."""
         return tuple(durable.durability_gap for durable in self._durable)
 
-    @property
-    def durability_gap(self) -> int:
-        """Total unlogged-but-applied events across all shards."""
-        return sum(self.gaps)
-
     def checkpoint_shard(self, s: int) -> CheckpointManifest:
         """Write an atomic checkpoint of shard ``s``'s live state.
 

@@ -47,6 +47,7 @@ from repro.persist.wal import (
     DEFAULT_SEGMENT_BYTES,
     LogFollower,
     WalWriter,
+    _check_writer_options,
     list_segments,
     repair_wal,
     scan_wal,
@@ -61,13 +62,12 @@ CHECKPOINT_DIR = "checkpoints"
 STORE_KIND = "repro-durable-graph"
 STORE_SCHEMA_VERSION = 2
 
-#: Replayable structural reasons → how :func:`apply_event` re-applies
-#: them.  Maintenance events (rehash, tombstone flush) do not change the
-#: logical edge set, and the router-level fault markers the sharded
-#: service publishes (partial dispatch, shard kill/rebuild) describe
-#: events *about* the log rather than edge mutations, so replay skips
-#: them all.
-_SKIPPED_REASONS = ("rehash", "flush_tombstones", "partial_dispatch", "kill_shard", "rebuild_shard")
+#: Structural reasons replay skips: maintenance events (rehash, tombstone
+#: flush) do not change the logical edge set.  The sharded router's own
+#: markers (``partial_dispatch``, ``kill_shard``, ``rebuild_shard``) reach
+#: only the router's log, which no WAL subscribes to, so a WAL holding
+#: one is a typed "cannot replay" error like any other unknown reason.
+_SKIPPED_REASONS = ("rehash", "flush_tombstones")
 
 
 def apply_event(graph: Graph, event) -> None:
@@ -318,14 +318,16 @@ def open_graph(
     ``"slabhash"``, ``weighted`` and ``backend_kwargs``); the identity is
     persisted to ``store.json`` and later opens recover with it — passing
     a *different* explicit identity raises :class:`ValidationError` (omit
-    an argument to accept the recorded value).
+    an argument to accept the recorded value).  A first open the backend
+    or the WAL writer rejects writes nothing.
     ``fsync``, ``segment_bytes`` and ``checkpoint_every_rows`` are
     per-open operational knobs, not identity.  See the module docstring
     for recovery semantics and ``read_only`` replicas.
     """
     directory = Path(directory)
     store_path = directory / STORE_FILE
-    if store_path.exists():
+    fresh = not store_path.exists()
+    if not fresh:
         requested = {
             "backend": backend,
             "num_vertices": num_vertices,
@@ -341,15 +343,12 @@ def open_graph(
             )
         if num_vertices is None:
             raise ValidationError("creating a new store requires num_vertices")
-        directory.mkdir(parents=True, exist_ok=True)
-        fields = {
+        meta = {
             "backend": backend or "slabhash",
             "num_vertices": int(num_vertices),
             "weighted": bool(weighted),
             "backend_kwargs": dict(backend_kwargs or {}),
-            "environment": env_fingerprint(),
         }
-        meta = _write_identity(store_path, STORE_KIND, STORE_SCHEMA_VERSION, fields)
 
     graph = Graph.create(
         meta["backend"],
@@ -357,6 +356,14 @@ def open_graph(
         weighted=meta["weighted"],
         **meta["backend_kwargs"],
     )
+    if fresh:
+        # Written only once the graph and the writer's knobs are accepted,
+        # so a rejected first open leaves the directory free for a
+        # corrected one.
+        _check_writer_options(fsync, segment_bytes)
+        directory.mkdir(parents=True, exist_ok=True)
+        meta["environment"] = env_fingerprint()
+        _write_identity(store_path, STORE_KIND, STORE_SCHEMA_VERSION, meta)
     return DurableGraph(
         directory,
         graph,

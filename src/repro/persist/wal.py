@@ -383,6 +383,15 @@ def _fsync_file(fh) -> None:
         os.fsync(fh.fileno())
 
 
+def _check_writer_options(fsync: str, segment_bytes: int) -> None:
+    """Validate :class:`WalWriter`'s knobs; callers that create files
+    before the writer exists check them first."""
+    if fsync not in FSYNC_POLICIES:
+        raise ValidationError(f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}")
+    if segment_bytes <= SEGMENT_HEADER.size:
+        raise ValidationError("segment_bytes must exceed the segment header size")
+
+
 class WalWriter:
     """Appends framed events to segment files (see module docstring).
 
@@ -400,10 +409,7 @@ class WalWriter:
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         opener=open,
     ) -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise ValidationError(f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}")
-        if segment_bytes <= SEGMENT_HEADER.size:
-            raise ValidationError("segment_bytes must exceed the segment header size")
+        _check_writer_options(fsync, segment_bytes)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync

@@ -23,25 +23,15 @@ The ``t11`` bench artifact (:mod:`repro.bench.stream_bench`) prices the
 incremental compute phases against the full-recompute baseline the other
 structures model.
 
-:mod:`repro.stream.durable` runs the same schedules against a
-:class:`repro.persist.DurableGraph`, with phase-boundary progress records
-so a paused or crashed run resumes bit-identically.
-
-:mod:`repro.stream.chaos` runs schedules with chaos phases (kill-shard,
-disk-fault, rebuild, checkpoint) against a
-:class:`repro.api.ShardedGraph` under a seeded
-:class:`repro.chaos.FaultPlan` — the fault/failover/degraded-read
-workloads ``docs/robustness.md`` describes and the ``t14`` bench prices.
+A scenario runs one way, on an in-memory :class:`repro.api.Graph`.  A
+stream that must survive a crash drives a durable store directly
+(:func:`repro.persist.open_graph`, with ``sync()`` as the acknowledgement;
+the README's "Durability and recovery" section states the resume
+contract), and a stream over shards
+that fail re-drives each :class:`repro.api.PartialDispatchError`'s report
+after the rebuild (``docs/robustness.md``).
 """
 
-from repro.stream.chaos import (
-    disk_fault_scenario,
-    kill_rebuild_scenario,
-    run_chaos_scenario,
-    thrash_fault_specs,
-    thrash_scenario,
-)
-from repro.stream.durable import run_scenario_durable
 from repro.stream.incremental import (
     IncrementalBFS,
     IncrementalConnectedComponents,
@@ -52,12 +42,8 @@ from repro.stream.incremental import (
 )
 from repro.stream.scenario import (
     ANALYTICS,
-    CHAOS_PHASE_KINDS,
     Phase,
-    PhaseResult,
     Scenario,
-    ScenarioResult,
-    build_dataset,
     insert_heavy_scenario,
     quick_scenarios,
     run_scenario,
@@ -65,7 +51,6 @@ from repro.stream.scenario import (
 
 __all__ = [
     "ANALYTICS",
-    "CHAOS_PHASE_KINDS",
     "IncrementalBFS",
     "IncrementalConnectedComponents",
     "IncrementalKCore",
@@ -73,17 +58,8 @@ __all__ = [
     "IncrementalSSSP",
     "IncrementalTriangleCount",
     "Phase",
-    "PhaseResult",
     "Scenario",
-    "ScenarioResult",
-    "build_dataset",
-    "disk_fault_scenario",
     "insert_heavy_scenario",
-    "kill_rebuild_scenario",
     "quick_scenarios",
-    "run_chaos_scenario",
     "run_scenario",
-    "run_scenario_durable",
-    "thrash_fault_specs",
-    "thrash_scenario",
 ]

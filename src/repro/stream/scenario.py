@@ -59,27 +59,15 @@ from repro.util.errors import ValidationError
 
 __all__ = [
     "ANALYTICS",
-    "CHAOS_PHASE_KINDS",
     "Phase",
     "Scenario",
-    "PhaseResult",
-    "ScenarioResult",
-    "build_dataset",
     "run_scenario",
     "insert_heavy_scenario",
     "quick_scenarios",
 ]
 
-#: Phase kinds that mutate or probe the graph itself.
-DATA_PHASE_KINDS = ("insert", "delete", "vertex_churn", "query", "compute")
-
-#: Chaos phase kinds: fault injection and recovery actions against a
-#: sharded service (executed by :func:`repro.stream.chaos.run_chaos_scenario`;
-#: the plain :func:`run_scenario` rejects them).
-CHAOS_PHASE_KINDS = ("kill_shard", "rebuild_shard", "disk_fault", "checkpoint")
-
 #: Everything a phase can do to the graph.
-PHASE_KINDS = DATA_PHASE_KINDS + CHAOS_PHASE_KINDS
+PHASE_KINDS = ("insert", "delete", "vertex_churn", "query", "compute")
 
 
 def _cold_pagerank(snap, damping, tol, max_iters):
@@ -114,17 +102,14 @@ class Phase:
     """One step of a scenario schedule.
 
     ``kind`` selects the operation; ``size`` is the per-batch item count
-    (edges for insert/delete, vertices for churn, probes for query, WAL
-    appends to fail for disk_fault; ignored for compute and the other
-    chaos kinds) and ``batches`` how many batches the phase applies back
-    to back.  ``target`` names the shard a ``kill_shard`` /
-    ``rebuild_shard`` chaos phase acts on.
+    (edges for insert/delete, vertices for churn, probes for query;
+    ignored for compute) and ``batches`` how many batches the phase
+    applies back to back.
     """
 
     kind: str
     size: int = 0
     batches: int = 1
-    target: int | None = None
 
     def __post_init__(self):
         if self.kind not in PHASE_KINDS:
@@ -133,11 +118,8 @@ class Phase:
             raise ValidationError("phase size must be non-negative")
         if self.batches < 1:
             raise ValidationError("phase batches must be >= 1")
-        if self.kind in ("insert", "delete", "vertex_churn", "query", "disk_fault"):
-            if self.size == 0:
-                raise ValidationError(f"{self.kind!r} phases need size > 0")
-        if self.kind in ("kill_shard", "rebuild_shard") and self.target is None:
-            raise ValidationError(f"{self.kind!r} phases need a target shard")
+        if self.kind != "compute" and self.size == 0:
+            raise ValidationError(f"{self.kind!r} phases need size > 0")
 
 
 @dataclass(frozen=True)
@@ -285,19 +267,14 @@ def run_scenario(
 
 
 def _check_run_params(
-    scenario, num_vertices, *, damping, tol, max_iters,
-    mode="incremental", analytics=(), source=0, kcore_k=3,
+    scenario, num_vertices, *, mode, damping, tol, max_iters, analytics, source, kcore_k
 ) -> None:
     """Reject invalid run parameters with :class:`ValidationError`.
 
-    The one validator of the three runners (:func:`run_scenario`,
-    :func:`repro.stream.durable.run_scenario_durable`,
-    :func:`repro.stream.chaos.run_chaos_scenario`); each calls it with
-    whichever of the parameters it accepts and the seed graph's
-    ``num_vertices`` (the range of ``source``) before it creates a graph,
-    so a rejected call has built no graph and — for the two that take a
-    ``directory`` — written nothing there.  The analytics' own rules
-    apply whether or not the analytic is selected.
+    :func:`run_scenario` calls it with the seed graph's ``num_vertices``
+    (the range of ``source``) before it creates a graph, so a rejected
+    call has built nothing.  The analytics' own rules apply whether or
+    not the analytic is selected.
     """
     if mode not in ("incremental", "full"):
         raise ValidationError(f"mode must be 'incremental' or 'full', got {mode!r}")
@@ -311,15 +288,11 @@ def _check_run_params(
         raise ValidationError("the 'sssp' analytic needs a weighted scenario")
 
 
-def _compute_setup(
-    g, mode, damping, tol, max_iters,
-    *, analytics=("cc", "pagerank"), source=0, kcore_k=3,
-):
+def _compute_setup(g, mode, damping, tol, max_iters, *, analytics, source, kcore_k):
     """``(compute_once, check_exact)`` for one run: the compute-phase
     closure, and a closure asserting that every incremental analytic it
     drives equals cold recomputation right now (a no-op in full mode,
-    which drives none).  Shared with :mod:`repro.stream.durable`; the
-    arguments are :func:`_check_run_params`-valid.
+    which drives none).  The arguments are :func:`_check_run_params`-valid.
 
     ``compute_once`` details carry ``modes`` (per-analytic last_mode),
     ``analytic_model`` (per-analytic modeled seconds), ``snapshot_model``
@@ -380,44 +353,14 @@ def _compute_setup(
     return compute_once, check_exact
 
 
-def _record_phase(index, phase, body, *args) -> PhaseResult:
-    """The envelope every phase kind runs in: ``body(phase, *args)`` does
-    the work and returns ``(applied, skipped, detail)``; the counter
-    delta and its modeled time are taken around it."""
-    before = get_counters().snapshot()
-    applied, skipped, detail = body(phase, *args)
-    delta = get_counters().diff(before)
-    return PhaseResult(
-        index=index,
-        kind=phase.kind,
-        applied=applied,
-        skipped=skipped,
-        model_seconds=simulated_seconds(delta),
-        counters={k: v for k, v in delta.items() if v},
-        detail=detail,
-    )
-
-
 def _execute_phase(index, phase, g, coo, rng, scenario, compute_once) -> PhaseResult:
-    """Run one data phase against ``g``, drawing from ``rng``; shared by
-    all three runners (identical RNG consumption is what makes a
-    paused-then-resumed run bit-identical to an uninterrupted one, and a
-    killed-and-rebuilt service to a never-faulted one)."""
-    if phase.kind in CHAOS_PHASE_KINDS:
-        raise ValidationError(
-            f"chaos phase {phase.kind!r} needs a sharded service — run it "
-            "through repro.stream.chaos.run_chaos_scenario"
-        )
-    return _record_phase(index, phase, _data_phase, g, coo, rng, scenario, compute_once)
-
-
-def _data_phase(phase, g, coo, rng, scenario, compute_once) -> tuple:
-    """``(applied, skipped, detail)`` of one insert / delete /
-    vertex_churn / query / compute phase."""
+    """Run one phase against ``g``, drawing its batches from ``rng``; the
+    counter delta and its modeled time are taken around the work."""
     n = coo.num_vertices
     applied = 0
     skipped = False
     detail: dict = {}
+    before = get_counters().snapshot()
     if phase.kind == "insert":
         for _ in range(phase.batches):
             src = rng.integers(0, n, phase.size, dtype=np.int64)
@@ -452,7 +395,16 @@ def _data_phase(phase, g, coo, rng, scenario, compute_once) -> tuple:
     else:  # compute
         detail = compute_once()
         applied = 1
-    return applied, skipped, detail
+    delta = get_counters().diff(before)
+    return PhaseResult(
+        index=index,
+        kind=phase.kind,
+        applied=applied,
+        skipped=skipped,
+        model_seconds=simulated_seconds(delta),
+        counters={k: v for k, v in delta.items() if v},
+        detail=detail,
+    )
 
 
 # -- scenario catalog -----------------------------------------------------------------

@@ -27,15 +27,9 @@ from repro.api import (
 from repro.api.sharding import SHARD_DEAD, SHARD_DEGRADED, SHARD_HEALTHY
 from repro.chaos import FaultPlan, FaultSpec, FaultyBackend
 from repro.coo import COO
-from repro.stream.chaos import (
-    disk_fault_scenario,
-    kill_rebuild_scenario,
-    run_chaos_scenario,
-    thrash_fault_specs,
-    thrash_scenario,
-)
+from repro.eventlog.events import StructuralEvent
+from repro.persist import apply_event, scan_wal
 from repro.stream.incremental import IncrementalConnectedComponents
-from repro.stream.scenario import Phase, Scenario, run_scenario
 from repro.util.errors import (
     PermanentFault,
     TransientFault,
@@ -43,7 +37,6 @@ from repro.util.errors import (
 )
 
 pytestmark = pytest.mark.chaos
-
 
 
 def schedule(plan):
@@ -134,19 +127,6 @@ class TestFaultPlan:
         assert spec is not None and spec.kind == "slow"
         assert get_counters().kernel_launches - before == 9
 
-    def test_drain_events_windows(self):
-        plan = FaultPlan(0, (FaultSpec("p", max_fires=None),))
-        for _ in range(2):
-            with pytest.raises(TransientFault):
-                plan.arrive("p")
-        first = plan.drain_events()
-        assert len(first) == 2
-        assert plan.drain_events() == []
-        with pytest.raises(TransientFault):
-            plan.arrive("p")
-        assert len(plan.drain_events()) == 1
-        assert len(plan.fired) == 3  # the full journal is preserved
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             FaultSpec("p", kind="nope")
@@ -179,11 +159,8 @@ class TestFaultyBackend:
         assert plan.total_arrivals > 0
 
 
-def service_with_plan(plan, *, n=64, shards=3, partial="raise", retry=None, weighted=False):
-    svc = ShardedGraph.create(
-        "slabhash", n, num_shards=shards, weighted=weighted,
-        partial_dispatch=partial, retry=retry,
-    )
+def service_with_plan(plan, *, n=64, shards=3, retry=None):
+    svc = ShardedGraph.create("slabhash", n, num_shards=shards, retry=retry)
     for s, shard in enumerate(svc.shards):
         shard.backend = FaultyBackend(shard.backend, plan, prefix=f"shard{s}")
     return svc
@@ -216,9 +193,9 @@ class TestHealthAndRetry:
         svc2 = service_with_plan(
             FaultPlan(0, (FaultSpec("shard0.insert_edges", kind="transient", max_fires=2),)),
             retry=RetryPolicy(max_attempts=2),
-            partial="record",
         )
-        svc2.insert_edges(np.arange(12, dtype=np.int64), np.arange(12, dtype=np.int64) + 13)
+        with pytest.raises(PartialDispatchError):
+            svc2.insert_edges(np.arange(12, dtype=np.int64), np.arange(12, dtype=np.int64) + 13)
         assert svc2.shard_health(0) == SHARD_DEGRADED
         svc2.insert_edges(np.arange(12, dtype=np.int64), np.arange(12, dtype=np.int64) + 25)
         assert svc2.shard_health(0) == SHARD_HEALTHY
@@ -239,24 +216,54 @@ class TestHealthAndRetry:
 
     def test_dead_shard_not_reattempted(self):
         plan = FaultPlan(0, (FaultSpec("shard1.insert_edges", kind="permanent"),))
-        svc = service_with_plan(plan, partial="record")
+        svc = service_with_plan(plan)
         rng = np.random.default_rng(2)
+        reports = []
         for _ in range(3):
             src = rng.integers(0, 64, 30, dtype=np.int64)
             dst = rng.integers(0, 64, 30, dtype=np.int64)
-            svc.insert_edges(src, dst)
+            with pytest.raises(PartialDispatchError) as exc:
+                svc.insert_edges(src, dst)
+            reports.append(exc.value.report)
         # One permanent fire; later batches skip the dead shard outright.
         assert svc.fault_stats["permanent_faults"] == 1
-        assert len(svc.pending) >= 2
-        assert all("dead" in reason for _, reason in svc.pending[-1].failed)
+        assert all("dead" in reason for _, reason in reports[-1].failed)
 
     def test_retry_policy_validation(self):
         with pytest.raises(ValidationError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValidationError):
             RetryPolicy(backoff_base=-1.0)
-        with pytest.raises(ValidationError):
-            ShardedGraph.create("slabhash", 16, num_shards=2, partial_dispatch="bogus")
+
+    def test_thrash_is_absorbed_deterministically(self):
+        """Rate-0.3 transient faults on every shard's edge mutations over
+        an insert / delete stream: every fault is retried away, the final
+        graph equals a fault-free service's, and the schedule is a pure
+        function of the plan seed."""
+        specs = (
+            FaultSpec("shard*.insert_edges", kind="transient", rate=0.3, max_fires=None),
+            FaultSpec("shard*.delete_edges", kind="transient", rate=0.3, max_fires=None),
+        )
+
+        def run(plan):
+            svc = service_with_plan(plan, n=256)
+            rng = np.random.default_rng(5)
+            for _ in range(6):
+                src = rng.integers(0, 256, 96, dtype=np.int64)
+                dst = rng.integers(0, 256, 96, dtype=np.int64)
+                svc.insert_edges(src, dst)
+                svc.delete_edges(src[:32], dst[:32])
+            return svc
+
+        plan, replay = FaultPlan(11, specs), FaultPlan(11, specs)
+        faulted = run(plan)
+        run(replay)
+        stats = faulted.fault_stats
+        assert stats["transient_faults"] > 0
+        assert stats["retries"] == stats["transient_faults"]  # none exhausted the policy
+        assert faulted.health == [SHARD_HEALTHY] * 3
+        assert_snaps_identical(faulted.snapshot(), run(FaultPlan(11)).snapshot())
+        assert schedule(plan) == schedule(replay)
 
 
 class TestEveryReadTakesTheRetryPath:
@@ -312,7 +319,7 @@ class TestEveryReadTakesTheRetryPath:
 class TestDegradedReads:
     def build(self):
         plan = FaultPlan(0)
-        svc = service_with_plan(plan, n=96, shards=3, partial="record")
+        svc = service_with_plan(plan, n=96, shards=3)
         rng = np.random.default_rng(3)
         src = rng.integers(0, 96, 200, dtype=np.int64)
         dst = rng.integers(0, 96, 200, dtype=np.int64)
@@ -341,7 +348,8 @@ class TestDegradedReads:
         # Mutations to live shards show up; the dead shard stays pinned.
         src = rng.integers(0, 96, 50, dtype=np.int64)
         dst = rng.integers(0, 96, 50, dtype=np.int64)
-        svc.insert_edges(src, dst)
+        with pytest.raises(PartialDispatchError):
+            svc.insert_edges(src, dst)
         after = svc.degraded_snapshot()
         assert after.snapshot.num_edges > live.num_edges
         (tag,) = after.staleness
@@ -385,34 +393,32 @@ class TestKillRebuildPin:
         n, rounds = 96, 4
         weighted = capabilities(name).weighted
 
-        def workload(svc):
+        def build(directory, chaos):
+            svc = ShardedGraph.create(name, n, num_shards=3, weighted=weighted)
+            svc.attach_durability(directory, fsync="never")
+            reports = []
+
+            def send(op, *args):
+                try:
+                    getattr(svc, op)(*args)
+                except PartialDispatchError as exc:
+                    reports.append(exc.report)  # kept until the shard is back
+
             rng = np.random.default_rng(11)
             for r in range(rounds):
                 src = rng.integers(0, n, 50, dtype=np.int64)
                 dst = rng.integers(0, n, 50, dtype=np.int64)
                 w = rng.integers(1, 9, 50, dtype=np.int64) if weighted else None
-                svc.insert_edges(src, dst, w)
-                if r == 1:
-                    yield svc  # mid-workload hook
+                send("insert_edges", src, dst, w)
+                if r == 1 and chaos:
+                    svc.kill_shard(1)  # mid-workload
                 pick_s = rng.integers(0, n, 10, dtype=np.int64)
                 pick_d = rng.integers(0, n, 10, dtype=np.int64)
-                svc.delete_edges(pick_s, pick_d)
-
-        def build(directory, chaos):
-            svc = ShardedGraph.create(
-                name, n, num_shards=3, weighted=weighted, partial_dispatch="record"
-            )
-            svc.attach_durability(directory, fsync="never")
-            it = workload(svc)
-            next(it)  # run to the mid-workload hook
+                send("delete_edges", pick_s, pick_d)
             if chaos:
-                svc.kill_shard(1)
-            for _ in it:
-                pass
-            if chaos:
-                assert svc.pending  # the dead shard's rows were recorded
+                assert reports  # the dead shard's rows were reported
                 svc.rebuild_shard(1)
-                assert svc.redrive_pending() == 0
+                assert [svc.redrive(report) for report in reports] == [None] * len(reports)
             svc.stores.close()
             return svc
 
@@ -420,6 +426,32 @@ class TestKillRebuildPin:
         faulted = build(tmp_path / "faulted", chaos=True)
         assert faulted.health == [SHARD_HEALTHY] * 3
         assert_snaps_identical(faulted.snapshot(), clean.snapshot())
+
+    def test_router_markers_never_reach_a_shard_wal(self, tmp_path):
+        """``partial_dispatch``, ``kill_shard`` and ``rebuild_shard`` are
+        published to the router's log alone, which no WAL follows; replay
+        therefore treats one as a typed error, not a record to skip."""
+        svc = ShardedGraph.create("slabhash", 64, num_shards=3)
+        stores = svc.attach_durability(tmp_path / "stores", fsync="never")
+        rng = np.random.default_rng(3)
+        batch = rng.integers(0, 64, (2, 80), dtype=np.int64)
+        svc.insert_edges(*batch)
+        svc.kill_shard(1)
+        with pytest.raises(PartialDispatchError) as exc:
+            svc.delete_edges(*batch[:, :40])
+        svc.rebuild_shard(1)
+        assert svc.redrive(exc.value.report) is None
+        stores.sync()
+        markers = {"partial_dispatch", "kill_shard", "rebuild_shard"}
+        published = {getattr(e, "reason", None) for e in svc.events.cursor(0).poll()[0]}
+        assert markers <= published
+        for s in range(svc.num_shards):
+            logged = {getattr(e, "reason", None) for e in scan_wal(stores.wal_dir(s)).events}
+            assert not logged & markers, s
+        stores.close()
+        marker = StructuralEvent(0, 0, 1, reason="partial_dispatch", payload=np.array([1]))
+        with pytest.raises(ValidationError, match="cannot replay structural event"):
+            apply_event(Graph.create("slabhash", 8), marker)
 
 
 class TestRedriveEquivalence:
@@ -429,11 +461,10 @@ class TestRedriveEquivalence:
 
     N = 96
 
-    def run(self, op, directory, *, policy=None):
-        """Apply ``op`` once; under ``policy`` shard 1 is dead when it arrives."""
-        svc = ShardedGraph.create(
-            "slabhash", self.N, num_shards=3, partial_dispatch=policy or "raise"
-        )
+    def run(self, op, directory, *, faulted=False):
+        """Apply ``op`` once; when ``faulted``, shard 1 is dead when it
+        arrives, and the raised report is re-driven after the rebuild."""
+        svc = ShardedGraph.create("slabhash", self.N, num_shards=3)
         svc.attach_durability(directory, fsync="never")
         cc = IncrementalConnectedComponents(svc)
         rng = np.random.default_rng(21)
@@ -443,114 +474,51 @@ class TestRedriveEquivalence:
             svc.insert_edges(src, dst)
         cc.labels()
         more = rng.integers(0, self.N, (2, 60), dtype=np.int64)
+        # Victims the dead shard does not own: deleting a vertex reads its
+        # out-list from its owner first.
+        victims = np.arange(0, self.N, 7)
+        victims = victims[svc.partitioner.shard_of(victims) != 1]
         mutate = {
             "insert_edges": lambda: svc.insert_edges(more[0], more[1]),
             "delete_edges": lambda: svc.delete_edges(src[:60], dst[:60]),
-            "delete_vertices": lambda: svc.delete_vertices(np.arange(0, self.N, 7)),
+            "delete_vertices": lambda: svc.delete_vertices(victims),
             "bulk_build": lambda: svc.bulk_build(COO(src, dst, self.N)),
         }[op]
-        if policy is None:
+        if not faulted:
             mutate()
         else:
             svc.kill_shard(1)
-            if policy == "record":
+            with pytest.raises(PartialDispatchError) as exc:
                 mutate()
-                (report,) = svc.pending
-            else:
-                with pytest.raises(PartialDispatchError) as exc:
-                    mutate()
-                report = exc.value.report
+            report = exc.value.report
             assert report.op == op and report.failed_shards == (1,)
             svc.rebuild_shard(1)
             cc.labels()  # synced before the redrive: its events must fold in
-            if policy == "record":
-                assert svc.redrive_pending() == 0
-            else:
-                assert svc.redrive(report) is None
+            assert svc.redrive(report) is None
         svc.stores.close()
         return svc, cc
 
-    @pytest.mark.parametrize("policy", ["record", "raise"])
     @pytest.mark.parametrize(
         "op", ["insert_edges", "delete_edges", "delete_vertices", "bulk_build"]
     )
-    def test_redriven_op_equals_never_faulted(self, op, policy, tmp_path):
+    def test_redriven_op_equals_never_faulted(self, op, tmp_path):
         clean, _ = self.run(op, tmp_path / "clean")
-        faulted, cc = self.run(op, tmp_path / "faulted", policy=policy)
+        faulted, cc = self.run(op, tmp_path / "faulted", faulted=True)
         assert faulted.health == [SHARD_HEALTHY] * 3
         assert faulted.num_edges() == clean.num_edges() > 0
         assert_snaps_identical(faulted.snapshot(), clean.snapshot())
         assert np.array_equal(cc.labels(), connected_components(faulted.snapshot()))
 
-
-class TestChaosScenarios:
-    def test_plain_runner_rejects_chaos_phases(self):
-        sc = Scenario(
-            name="x", family="rmat", num_vertices=64, avg_degree=2.0,
-            phases=(Phase("kill_shard", target=0),),
-        )
-        with pytest.raises(ValidationError, match="run_chaos_scenario"):
-            run_scenario(sc, "slabhash")
-
-    def test_phase_validation(self):
-        with pytest.raises(ValidationError):
-            Phase("kill_shard")  # no target
-        with pytest.raises(ValidationError):
-            Phase("disk_fault")  # no size
-        sc = kill_rebuild_scenario(64, batch=8, shard=9)
-        with pytest.raises(ValidationError, match="targets shard 9"):
-            run_chaos_scenario(sc, "slabhash", num_shards=4)
-
-    def test_kill_rebuild_scenario_end_to_end(self):
-        sc = kill_rebuild_scenario(1 << 8, batch=64)
-        with run_chaos_scenario(sc, "slabhash", fault_seed=5) as res:
-            kinds = [p.kind for p in res.phases]
-            assert kinds == [p.kind for p in sc.phases]
-            computes = [p for p in res.phases if p.kind == "compute"]
-            assert [p.detail["degraded"] for p in computes] == [False, True, False]
-            assert computes[1].detail["stale_shards"] == [1]
-            rebuild = next(p for p in res.phases if p.kind == "rebuild_shard")
-            assert rebuild.detail["pending_after_redrive"] == 0
-            assert rebuild.detail["replayed_events"] > 0
-            assert all("health" in p.detail and "faults" in p.detail for p in res.phases)
-            assert res.service.health == [SHARD_HEALTHY] * res.num_shards
-
-    def test_disk_fault_scenario_heals_and_recovers(self):
-        sc = disk_fault_scenario(1 << 8, batch=64, fires=2)
-        with run_chaos_scenario(sc, "slabhash", fault_seed=5) as res:
-            faulted_insert = res.phases[2]
-            assert len(faulted_insert.detail["faults"]) == 2
-            checkpoint = next(p for p in res.phases if p.kind == "checkpoint")
-            assert checkpoint.detail["healed_gaps"] == 2
-            assert res.service.stores.durability_gap == 0
-            res.service.snapshot()  # healthy again after rebuild
-
-    def test_thrash_scenario_deterministic_and_transparent(self):
-        sc = thrash_scenario(1 << 8, batch=48)
-
-        def run():
-            with run_chaos_scenario(
-                sc, "slabhash", fault_seed=11, faults=thrash_fault_specs(0.3)
-            ) as res:
-                return schedule(res.plan), res.service.snapshot(), dict(res.service.fault_stats)
-
-        (sched_a, snap_a, stats_a), (sched_b, snap_b, _) = run(), run()
-        assert sched_a == sched_b and sched_a  # faults fired, identically
-        assert_snaps_identical(snap_a, snap_b)
-        assert stats_a["retries"] == stats_a["transient_faults"]  # all absorbed
-
-    def test_chaos_run_matches_plain_data_schedule(self):
-        """Chaos phases consume no workload RNG: the kill/rebuild run's
-        final state equals a run of the same schedule without them."""
-        sc = kill_rebuild_scenario(1 << 8, batch=64)
-        plain = Scenario(
-            name="plain", family=sc.family, num_vertices=sc.num_vertices,
-            avg_degree=sc.avg_degree, seed=sc.seed,
-            phases=tuple(p for p in sc.phases if p.kind in ("insert", "compute")),
-        )
-        with run_chaos_scenario(sc, "slabhash", fault_seed=1) as chaotic:
-            with run_chaos_scenario(plain, "slabhash", fault_seed=1) as clean:
-                assert_snaps_identical(chaotic.service.snapshot(), clean.service.snapshot())
+    def test_deleting_a_vertex_whose_owner_is_dead_applies_nothing(self):
+        svc = ShardedGraph.create("slabhash", self.N, num_shards=3)
+        svc.insert_edges(*np.random.default_rng(2).integers(0, self.N, (2, 150)))
+        victim = int(np.flatnonzero(svc.partitioner.shard_of(np.arange(self.N)) == 1)[0])
+        svc.kill_shard(1)
+        version, events = svc.mutation_version, svc.events.next_seq
+        with pytest.raises(ShardError) as exc:
+            svc.delete_vertices([victim])
+        assert exc.value.shard == 1 and exc.value.op == "delete_vertices"
+        assert (svc.mutation_version, svc.events.next_seq) == (version, events)
 
 
 class TestT14Gates:

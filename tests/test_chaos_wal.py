@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import ShardedGraph
+from repro.api import PartialDispatchError, ShardedGraph
 from repro.chaos import FaultPlan, FaultSpec, FaultyStore
 from repro.chaos.inject import FaultyFile
 from repro.eventlog.events import EdgeBatch
@@ -180,7 +180,7 @@ class TestFollowerUnderFaults:
 
 class TestShardStoresUnderFaults:
     def _service(self, tmp_path, plan):
-        svc = ShardedGraph.create("slabhash", 64, num_shards=2, partial_dispatch="record")
+        svc = ShardedGraph.create("slabhash", 64, num_shards=2)
         store = FaultyStore(plan, prefix="wal")
         svc.attach_durability(tmp_path / "stores", fsync="never", opener=store.opener)
         return svc
@@ -197,31 +197,33 @@ class TestShardStoresUnderFaults:
         plan.arm("wal.write", kind="oserror", max_fires=2)
         src = rng.integers(0, 64, 30, dtype=np.int64)
         dst = rng.integers(0, 64, 30, dtype=np.int64)
-        svc.insert_edges(src, dst)
-        assert svc.stores.durability_gap >= 1
+        with pytest.raises(PartialDispatchError) as exc:
+            svc.insert_edges(src, dst)
+        assert sum(svc.stores.gaps) >= 1
         gapped = next(s for s in range(2) if svc.stores.gaps[s])
         with pytest.raises(PersistError, match="durability gap"):
             svc.stores.rebuild(gapped, None)
         # Healing: a checkpoint captures the full live state.
         svc.stores.checkpoint()
-        assert svc.stores.durability_gap == 0
+        assert sum(svc.stores.gaps) == 0
         live = svc.snapshot()
         svc.kill_shard(gapped)
         svc.rebuild_shard(gapped)
-        assert svc.redrive_pending() == 0
+        assert svc.redrive(exc.value.report) is None
         got = svc.snapshot()
         assert np.array_equal(got.row_ptr, live.row_ptr)
         assert np.array_equal(got.col_idx, live.col_idx)
 
-    def test_partial_dispatch_recorded_on_wal_fault(self, tmp_path):
+    def test_partial_dispatch_raised_on_wal_fault(self, tmp_path):
         plan = FaultPlan(0)
         svc = self._service(tmp_path, plan)
         plan.arm("wal.write", kind="oserror", max_fires=1)
         rng = np.random.default_rng(6)
-        svc.insert_edges(
-            rng.integers(0, 64, 30, dtype=np.int64), rng.integers(0, 64, 30, dtype=np.int64)
-        )
-        assert len(svc.pending) == 1
+        with pytest.raises(PartialDispatchError) as exc:
+            svc.insert_edges(
+                rng.integers(0, 64, 30, dtype=np.int64), rng.integers(0, 64, 30, dtype=np.int64)
+            )
+        assert len(exc.value.report.failed_shards) == 1
         assert svc.fault_stats["partial_dispatches"] == 1
 
     def test_failed_rebuild_keeps_the_old_shard_durable(self, tmp_path):

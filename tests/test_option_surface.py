@@ -27,34 +27,30 @@ from repro.stream import (
     IncrementalPageRank,
     IncrementalSSSP,
     IncrementalTriangleCount,
-    run_chaos_scenario,
+    Phase,
     run_scenario,
-    run_scenario_durable,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-_RUN = "mode damping tol max_iters validate analytics source kcore_k"
 _STORE = "fsync segment_bytes checkpoint_every_rows"
 
 SIGNATURES = {
     Graph.__init__: "self backend event_retention",
     Graph.create: "name num_vertices weighted event_retention backend_kwargs",
     normalize_batch: "src dst weights num_vertices weighted fill_default_weight backend_name",
-    ShardedGraph.__init__: "self shards event_retention retry partial_dispatch shard_factory",
+    ShardedGraph.__init__: "self shards event_retention retry shard_factory",
     ShardedGraph.create: (
-        "name num_vertices num_shards weighted event_retention retry partial_dispatch "
-        "backend_kwargs"
+        "name num_vertices num_shards weighted event_retention retry backend_kwargs"
     ),
     ShardedGraph.attach_durability: f"self directory {_STORE} opener",
     ShardedGraph.rebuild_shard: "self shard_index",
     open_graph: f"directory backend num_vertices weighted backend_kwargs {_STORE} read_only",
     WalWriter.__init__: "self directory start_seq fsync segment_bytes opener",
-    run_scenario: f"scenario backend_name {_RUN}",
-    run_scenario_durable: f"scenario backend_name directory {_RUN} stop_after_phase {_STORE}",
-    run_chaos_scenario: (
-        "scenario backend_name num_shards fault_seed faults directory fsync damping tol max_iters"
+    run_scenario: (
+        "scenario backend_name mode damping tol max_iters validate analytics source kcore_k"
     ),
+    Phase: "kind size batches",
     DynamicGraph.__init__: (
         "self num_vertices weighted directed load_factor hash_seed reuse_vertex_ids"
     ),

@@ -30,9 +30,6 @@ from repro.persist import (
     write_checkpoint,
 )
 from repro.persist.wal import RECORD_HEADER, SEGMENT_HEADER
-import repro.stream.durable as durable
-from repro.stream import run_chaos_scenario, run_scenario, run_scenario_durable
-from repro.stream.scenario import mixed_scenario
 from repro.stream.incremental import IncrementalConnectedComponents
 from repro.util.errors import ValidationError
 
@@ -503,6 +500,94 @@ class TestCrashRecovery(_RecoveryMatrix):
         rec.close()
 
 
+class TestStreamResume:
+    """The streaming resume contract (README, "Durability and recovery"):
+    ``sync()`` acknowledges a batch; after a crash ``open_graph`` recovers
+    every acknowledged batch and possibly some unacknowledged ones, and
+    the caller re-sends from the batch after its last acknowledged one —
+    replace semantics make a re-sent batch the store already holds
+    converge to the uninterrupted run's snapshot.
+
+    Checked at every acknowledged position (the synced seed build
+    included), with 0, 1 or 3 unacknowledged batches applied before the
+    crash, and once more with the final unacknowledged record torn."""
+
+    N = 48
+    BATCHES = 14
+
+    def _stream(self, name):
+        """``(weighted, seed, batches)``, each batch an ``(op, args)`` pair.
+        Every batch carries both orientations of the edges it touches:
+        B-tree and faimGraph delete a vertex's in-edges through its own
+        out-list (``test_backend_contract.py``'s vertex-dynamic case)."""
+        caps = api.capabilities(name)
+        rng = np.random.default_rng(17)
+
+        def symmetric(count):
+            u = rng.integers(0, self.N, count, dtype=np.int64)
+            v = rng.integers(0, self.N, count, dtype=np.int64)
+            u, v = u[u != v], v[u != v]
+            return np.concatenate([u, v]), np.concatenate([v, u])
+
+        def weights(rows):
+            return rng.integers(1, 100, rows, dtype=np.int64) if caps.weighted else None
+
+        src, dst = symmetric(60)
+        seed = COO(src, dst, self.N, weights=weights(src.size))
+        half = src.size // 2
+        batches = []
+        for i in range(self.BATCHES):
+            if caps.vertex_dynamic and i % 5 == 4:
+                victims = rng.choice(self.N, 2, replace=False).astype(np.int64)
+                batches.append(("delete_vertices", (victims,)))
+            elif i % 3 == 2:
+                pick = rng.choice(half, 8, replace=False)  # seed rows, both orientations
+                pick = np.concatenate([pick, pick + half])
+                batches.append(("delete_edges", (src[pick], dst[pick])))
+            else:
+                s, d = symmetric(12)
+                batches.append(("insert_edges", (s, d, weights(s.size))))
+        return caps.weighted, seed, batches
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_resend_after_the_last_acknowledged_batch_converges(self, tmp_path, name):
+        weighted, seed, batches = self._stream(name)
+
+        def send(graph, todo):
+            for op, args in todo:
+                getattr(graph, op)(*args)
+
+        reference = Graph.create(name, self.N, weighted=weighted)
+        reference.bulk_build(seed)
+        send(reference, batches)
+        want = reference.snapshot()
+        states = 0
+        for acked in range(len(batches) + 1):
+            for extra in sorted({min(k, len(batches) - acked) for k in (0, 1, 3)}):
+                for torn in (False, True) if extra else (False,):
+                    directory = tmp_path / f"{acked}-{extra}-{torn}"
+                    dg = open_graph(
+                        directory, name, num_vertices=self.N, weighted=weighted, fsync="never"
+                    )
+                    dg.graph.bulk_build(seed)
+                    dg.sync()  # the stream starts once the seed is acknowledged
+                    for batch in batches[:acked]:
+                        send(dg.graph, [batch])
+                        dg.sync()
+                    send(dg.graph, batches[acked : acked + extra])  # never acknowledged
+                    dg.wal.close()  # the crash: no unsubscribe, no clean close
+                    if torn:
+                        seg = list_segments(directory / "wal")[-1]
+                        with open(seg, "r+b") as fh:
+                            fh.truncate(seg.stat().st_size - 9)
+                    with open_graph(directory, fsync="never") as recovered:
+                        send(recovered.graph, batches[acked:])
+                        ctx = f"{name}: acked={acked} extra={extra} torn={torn}"
+                        assert_snaps_identical(recovered.graph.snapshot(), want, ctx)
+                    states += 1
+        assert states == 69
+
+
 class TestShardCrashRecovery(_RecoveryMatrix):
     subject = _ShardStore
 
@@ -552,15 +637,97 @@ class TestStoreBehavior:
         4 MiB segments."""
         with pytest.raises(ValidationError, match="segment_bytes"):
             open_graph(tmp_path / "g", "slabhash", num_vertices=8, segment_bytes=0)
-        sc = mixed_scenario(1 << 8, batch=48)
-        with pytest.raises(ValidationError, match="segment_bytes"):
-            run_scenario_durable(sc, "slabhash", tmp_path / "s", segment_bytes=0)
         service = ShardedGraph.create("slabhash", 8, num_shards=2)
         with pytest.raises(ValidationError, match="segment_bytes"):
             service.attach_durability(tmp_path / "d", segment_bytes=0)
         assert service.stores is None
         assert [shard.events._subscribers for shard in service.shards] == [[], []]
         service.attach_durability(tmp_path / "d", fsync="never").close()  # corrected call
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"backend": "nosuch"},
+            {"num_vertices": 0},
+            {"num_vertices": -1},
+            {"backend": "gpma", "weighted": True},
+            {"backend": "btree", "num_vertices": 0},
+            {"fsync": "sometimes"},
+            {"segment_bytes": 0},
+            {"segment_bytes": SEGMENT_HEADER.size},
+        ],
+        ids=lambda bad: "+".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_rejected_first_open_leaves_no_store(self, tmp_path, bad):
+        """The identity is written only after the graph and the writer's
+        knobs are accepted: a rejected first open used to leave a
+        ``store.json`` recording the rejected identity, which refused the
+        corrected call as a mismatch."""
+        store = tmp_path / "store"
+        kwargs = {"backend": "slabhash", "num_vertices": 8, "fsync": "never", **bad}
+        with pytest.raises(ValidationError):
+            open_graph(store, **kwargs)
+        assert not store.exists()
+        with open_graph(store, "slabhash", num_vertices=8, fsync="never") as dg:
+            dg.graph.insert_edges([0], [1])
+        with open_graph(store, fsync="never") as dg:
+            assert dg.graph.num_edges() == 1
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_two_runs_write_byte_identical_stores(self, tmp_path, name):
+        """WAL segments, checkpoints and ``store.json`` carry the stream's
+        content and no host state, so the store is a pure function of
+        the stream."""
+        weighted = api.capabilities(name).weighted
+        stores = []
+        for run in ("a", "b"):
+            rng = np.random.default_rng(5)
+            store = tmp_path / run
+            with open_graph(
+                store, name, num_vertices=32, weighted=weighted, fsync="never", segment_bytes=1024
+            ) as dg:
+                src, dst = rng.integers(0, 32, (2, 40), dtype=np.int64)
+                w = rng.integers(1, 9, 40, dtype=np.int64) if weighted else None
+                dg.graph.bulk_build(COO(src, dst, 32, weights=w))
+                mutate(dg.graph, rng, weighted=weighted, batch=20)
+                dg.checkpoint()
+                mutate(dg.graph, rng, weighted=weighted, rounds=2, batch=20)
+            stores.append(
+                {p.relative_to(store): p.read_bytes() for p in store.rglob("*") if p.is_file()}
+            )
+        assert len(list_segments(tmp_path / "a" / "wal")) > 1
+        assert len(list((tmp_path / "a" / "checkpoints").glob("*.npz"))) == 1
+        assert stores[0] == stores[1]
+
+    @pytest.mark.parametrize(
+        "reason, replays",
+        [
+            ("rehash", True),
+            ("flush_tombstones", True),
+            ("partial_dispatch", False),
+            ("kill_shard", False),
+            ("rebuild_shard", False),
+        ],
+    )
+    def test_recovery_skips_maintenance_and_refuses_router_markers(
+        self, tmp_path, reason, replays
+    ):
+        """Maintenance records leave the edge set alone and are skipped.
+        The router's markers never reach a shard WAL
+        (``test_chaos.py::TestKillRebuildPin``), so a WAL holding one is
+        the typed "cannot replay" error, not a record recovery drops."""
+        store = tmp_path / "store"
+        with open_graph(store, "slabhash", num_vertices=8, fsync="never") as dg:
+            dg.graph.insert_edges([0, 1], [1, 2])
+            seq = dg.wal.next_seq
+        with WalWriter(store / "wal", start_seq=seq, fsync="never") as wal:
+            wal.append(StructuralEvent(seq, 1, 2, reason, np.array([1], dtype=np.int64)))
+        if replays:
+            with open_graph(store, fsync="never") as dg:
+                assert dg.graph.num_edges() == 2
+        else:
+            with pytest.raises(ValidationError, match=f"cannot replay structural event '{reason}'"):
+                open_graph(store, fsync="never")
 
     def test_auto_checkpoint_cadence(self, tmp_path):
         store = tmp_path / "store"
@@ -637,140 +804,7 @@ class TestStoreBehavior:
 
 
 # ---------------------------------------------------------------------------
-# Durable scenario runs: pause / crash / resume
-# ---------------------------------------------------------------------------
-
-
-#: One invalid value per run parameter the scenario runners validate
-#: (``sssp`` is invalid here because the scenarios below are unweighted).
-_BAD_RUN_PARAMS = [
-    ("mode", "lazy"),
-    ("damping", 1.5),
-    ("damping", 0.0),
-    ("tol", 0.0),
-    ("tol", -1.0),
-    ("analytics", ("cc", "louvain")),
-    ("analytics", ("sssp",)),
-    ("kcore_k", 0),
-    ("kcore_k", 1.5),
-    ("source", -1),
-    ("source", 1.5),
-    ("max_iters", 0),
-]
-_BAD_RUN_IDS = [f"{k}={'+'.join(v) if isinstance(v, tuple) else v}" for k, v in _BAD_RUN_PARAMS]
-
-
-class TestDurableScenarios:
-    def _final_snapshot(self, directory):
-        dg = open_graph(directory, fsync="never")
-        try:
-            return dg.graph.snapshot()
-        finally:
-            dg.close()
-
-    def test_pause_resume_bit_identical(self, tmp_path):
-        sc = mixed_scenario(1 << 8, batch=48)
-        part = run_scenario_durable(
-            sc, "slabhash", tmp_path / "a", fsync="never", stop_after_phase=2
-        )
-        assert len(part.phases) == 3
-        done = run_scenario_durable(sc, "slabhash", tmp_path / "a", fsync="never")
-        assert len(done.phases) == len(sc.phases)
-        full = run_scenario_durable(sc, "slabhash", tmp_path / "b", fsync="never")
-        assert len(full.phases) == len(sc.phases)
-        assert_snaps_identical(
-            self._final_snapshot(tmp_path / "a"), self._final_snapshot(tmp_path / "b")
-        )
-        # The resumed run applied the same batches the uninterrupted one did.
-        assert [p.applied for p in done.phases] == [p.applied for p in full.phases]
-
-    def test_two_runs_write_byte_identical_progress(self, tmp_path):
-        """Phase records carry modeled time and counters only, so the
-        progress file is a pure function of the scenario."""
-        sc = mixed_scenario(1 << 8, batch=48)
-        for run in ("a", "b"):
-            run_scenario_durable(sc, "slabhash", tmp_path / run, fsync="never")
-        first = (tmp_path / "a" / "scenario.json").read_bytes()
-        assert first == (tmp_path / "b" / "scenario.json").read_bytes()
-        assert b"wall" not in first
-
-    def test_crash_mid_phase_converges(self, tmp_path):
-        sc = mixed_scenario(1 << 8, batch=48)
-        run_scenario_durable(sc, "slabhash", tmp_path / "a", fsync="never", stop_after_phase=1)
-        # Simulate a crash partway into the next phase: duplicate records
-        # land in the WAL (re-inserts of existing edges, exactly what a
-        # replayed partial phase produces) without a progress update.
-        dg = open_graph(tmp_path / "a", fsync="never")
-        snap = dg.graph.snapshot()
-        src = np.repeat(np.arange(snap.num_vertices), np.diff(snap.row_ptr))[:3]
-        dg.graph.insert_edges(src, snap.col_idx[:3])
-        dg.wal.close()
-        done = run_scenario_durable(sc, "slabhash", tmp_path / "a", fsync="never")
-        assert len(done.phases) == len(sc.phases)
-        full = run_scenario_durable(sc, "slabhash", tmp_path / "b", fsync="never")
-        assert_snaps_identical(
-            self._final_snapshot(tmp_path / "a"), self._final_snapshot(tmp_path / "b")
-        )
-        assert [p.index for p in done.phases] == [p.index for p in full.phases]
-
-    def test_kill_after_seeding_resumes_bit_identical(self, tmp_path, monkeypatch):
-        """A run killed between the seed build and the end of phase 0
-        resumes into the seeded store (it used to seed it again and die
-        with "bulk_build requires an empty graph")."""
-
-        class Killed(Exception):
-            pass
-
-        def die(*args, **kwargs):
-            raise Killed
-
-        sc = mixed_scenario(1 << 8, batch=48)
-        with monkeypatch.context() as patch:
-            patch.setattr(durable, "_compute_setup", die)  # first step after seeding
-            with pytest.raises(Killed):
-                run_scenario_durable(sc, "slabhash", tmp_path / "a", fsync="never")
-        done = run_scenario_durable(sc, "slabhash", tmp_path / "a", fsync="never")
-        full = run_scenario_durable(sc, "slabhash", tmp_path / "b", fsync="never")
-        assert_snaps_identical(
-            self._final_snapshot(tmp_path / "a"), self._final_snapshot(tmp_path / "b")
-        )
-        assert [(p.index, p.applied) for p in done.phases] == [
-            (p.index, p.applied) for p in full.phases
-        ]
-
-    @pytest.mark.parametrize("bad", _BAD_RUN_PARAMS, ids=_BAD_RUN_IDS)
-    def test_rejected_call_leaves_directory_reusable(self, tmp_path, bad):
-        """Arguments are validated before the store is created (a call
-        rejected after seeding used to poison the directory for the
-        corrected one)."""
-        sc = mixed_scenario(1 << 8, batch=48)
-        with pytest.raises(ValidationError):
-            run_scenario_durable(sc, "slabhash", tmp_path / "a", fsync="never", **dict([bad]))
-        assert not (tmp_path / "a").exists()
-        done = run_scenario_durable(sc, "slabhash", tmp_path / "a", fsync="never")
-        assert len(done.phases) == len(sc.phases)
-
-    @pytest.mark.parametrize("bad", _BAD_RUN_PARAMS, ids=_BAD_RUN_IDS)
-    def test_every_runner_rejects_the_same_values(self, tmp_path, bad):
-        sc = mixed_scenario(1 << 8, batch=48)
-        kwargs = dict([bad])
-        with pytest.raises(ValidationError):
-            run_scenario(sc, "slabhash", **kwargs)
-        if bad[0] in ("damping", "tol", "max_iters"):  # the three the chaos runner takes
-            with pytest.raises(ValidationError):
-                run_chaos_scenario(sc, "slabhash", directory=tmp_path / "c", **kwargs)
-            assert not (tmp_path / "c").exists()
-
-    def test_resuming_different_scenario_raises(self, tmp_path):
-        sc = mixed_scenario(1 << 8, batch=48)
-        run_scenario_durable(sc, "slabhash", tmp_path / "a", fsync="never", stop_after_phase=0)
-        other = mixed_scenario(1 << 8, batch=48, seed=9)
-        with pytest.raises(ValidationError, match="seed"):
-            run_scenario_durable(other, "slabhash", tmp_path / "a", fsync="never")
-
-
-# ---------------------------------------------------------------------------
-# The four identity documents share one reader
+# The three identity documents share one reader
 # ---------------------------------------------------------------------------
 
 
@@ -790,10 +824,6 @@ def _identity_document(name, tmp_path):
     if name == "shards.json":
         _attach_two_shards(root).close()
         return root / name, lambda: _attach_two_shards(root)
-    if name == "scenario.json":
-        sc = mixed_scenario(1 << 8, batch=48)
-        run_scenario_durable(sc, "slabhash", root, fsync="never", stop_after_phase=0)
-        return root / name, lambda: run_scenario_durable(sc, "slabhash", root, fsync="never")
     snap = Graph.create("slabhash", 8).snapshot()
     manifest = write_checkpoint(root, snap, seq=0, backend="slabhash", weighted=False)
     return manifest.path, lambda: load_checkpoint(manifest.path)
@@ -806,12 +836,13 @@ _BROKEN_DOCUMENTS = [
     ("store.json", "backend", _DROP),
     ("store.json", "backend_kwargs", _DROP),
     ("store.json", "weighted", _DROP),
+    ("store.json", "num_vertices", _DROP),
     ("shards.json", "num_shards", _DROP),
+    ("shards.json", "num_vertices", _DROP),
+    ("shards.json", "weighted", _DROP),
     ("manifest", "crc32", _DROP),
-    ("scenario.json", "rng_state", _DROP),
-    ("scenario.json", "rng_state", {"bit_generator": "MT19937"}),
-    ("scenario.json", "phases", [{"no_such_field": 1}]),
-    ("scenario.json", "next_phase", "soon"),
+    ("manifest", "npz", _DROP),
+    ("manifest", "seq", _DROP),
 ]
 
 
@@ -835,17 +866,14 @@ def test_incomplete_identity_document_is_a_typed_error(tmp_path, name, field, va
     assert path.name in str(exc.value) and field in str(exc.value)
 
 
-@pytest.mark.parametrize("name", ["store.json", "scenario.json"])
-def test_document_of_an_older_schema_is_refused(tmp_path, name):
-    """``store.json`` v1 recorded batch policies that no longer exist and
-    ``scenario.json`` v1 phase records carried host time: either is the
-    typed schema error, never reinterpreted under today's one policy."""
-    path, reread = _identity_document(name, tmp_path)
+def test_document_of_an_older_schema_is_refused(tmp_path):
+    """``store.json`` v1 recorded batch policies that no longer exist: it
+    is the typed schema error, never reinterpreted under today's one
+    policy."""
+    path, reread = _identity_document("store.json", tmp_path)
     doc = json.loads(path.read_text())
     assert doc["schema_version"] == 2
-    doc["schema_version"] = 1
-    if name == "store.json":
-        doc.update(self_loops="error", dedup_batches=True, default_weight=9)
+    doc.update(schema_version=1, self_loops="error", dedup_batches=True, default_weight=9)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match="schema 1, this reader supports 2"):
         reread()

@@ -11,7 +11,15 @@ import pytest
 
 from repro.analytics import connected_components, pagerank
 from repro.analytics.triangle_count import triangle_count_csr
-from repro.api import CSRSnapshot, Graph, Partitioner, ShardedGraph, backend_names, capabilities
+from repro.api import (
+    CSRSnapshot,
+    Graph,
+    PartialDispatchError,
+    Partitioner,
+    ShardedGraph,
+    backend_names,
+    capabilities,
+)
 from repro.coo import COO
 from repro.gpusim.counters import counting
 from repro.stream.incremental import IncrementalConnectedComponents, IncrementalPageRank
@@ -141,20 +149,35 @@ class TestShardedExactness:
         sharded.bulk_build(coo)
         assert_snapshots_identical(single.snapshot(), sharded.snapshot())
 
-    def test_delete_vertices_fans_out_to_all_shards(self, rng):
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_delete_vertices_fans_out_to_all_shards(self, name, rng):
+        """Symmetric edges, as B-tree and faimGraph deletion requires: they
+        erase a victim's in-edges through its own out-list, which lives in
+        the victim's owner shard only — the router carries the reverse
+        pairs to the shards that own them.  A backend without vertex
+        deletion is refused before any shard is touched."""
         n = 80
-        src, dst, _ = workload(rng, n, 600)
-        single = Graph.create("slabhash", num_vertices=n)
-        sharded = ShardedGraph.create("slabhash", n, num_shards=3)
+        src, dst, _ = workload(rng, n, 300)
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        single = Graph.create(name, num_vertices=n)
+        sharded = ShardedGraph.create(name, n, num_shards=3)
         single.insert_edges(src, dst)
         sharded.insert_edges(src, dst)
         victims = [3, 17, 42]
+        if not capabilities(name).vertex_dynamic:
+            for g in (single, sharded):
+                with pytest.raises(ValidationError, match="vertex_dynamic"):
+                    g.delete_vertices(victims)
+            assert sharded.health == ["healthy"] * 3
+            assert_snapshots_identical(single.snapshot(), sharded.snapshot())
+            return
         single.delete_vertices(victims)
         sharded.delete_vertices(victims)
         # post-state is the contract (return counts differ: a vertex can
         # deactivate once per shard)
         assert_snapshots_identical(single.snapshot(), sharded.snapshot())
         assert sharded.degree(victims).tolist() == [0, 0, 0]
+        assert not sharded.edge_exists(src, np.full(src.shape, 17)).any()
 
     def test_export_coo_matches(self, rng):
         n = 90
@@ -262,12 +285,13 @@ class TestAssembly:
         """One stale shard (its rows as of the cached cut), one missing
         shard (nothing), two live ones."""
         n = 512
-        svc = ShardedGraph.create("slabhash", n, num_shards=4, partial_dispatch="record")
+        svc = ShardedGraph.create("slabhash", n, num_shards=4)
         first, second = workload(rng, n, 300)[:2], workload(rng, n, 300)[:2]
         svc.insert_edges(*first)
         svc.kill_shard(3)  # never snapshotted: missing
         assert svc.degraded_snapshot().missing_shards == (3,)  # caches shards 0-2
-        svc.insert_edges(*second)
+        with pytest.raises(PartialDispatchError):  # applied on the live shards
+            svc.insert_edges(*second)
         svc.kill_shard(1)  # cached before the second batch: stale
         degraded = svc.degraded_snapshot()
         assert (degraded.stale_shards, degraded.missing_shards) == ((1,), (3,))

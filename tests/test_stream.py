@@ -21,10 +21,10 @@ from repro.stream import (
     IncrementalPageRank,
     Phase,
     Scenario,
-    build_dataset,
     quick_scenarios,
     run_scenario,
 )
+from repro.stream.scenario import build_dataset
 from repro.util.errors import ValidationError
 
 ALL_BACKENDS = sorted(api.backend_names())
@@ -77,6 +77,31 @@ class TestSpecValidation:
         assert build_dataset(scn).weights is not None
         r = run_scenario(scn, "slabhash", mode="incremental", tol=1e-10, validate=True)
         assert r.phases[0].applied > 0
+
+
+#: One invalid value per run parameter :func:`run_scenario` validates
+#: (``sssp`` is invalid here because the scenario is unweighted).
+_BAD_RUN_PARAMS = [
+    ("mode", "lazy"),
+    ("damping", 1.5),
+    ("damping", 0.0),
+    ("tol", 0.0),
+    ("tol", -1.0),
+    ("analytics", ("cc", "louvain")),
+    ("analytics", ("sssp",)),
+    ("kcore_k", 0),
+    ("kcore_k", 1.5),
+    ("source", -1),
+    ("source", 1.5),
+    ("max_iters", 0),
+]
+_BAD_RUN_IDS = [f"{k}={'+'.join(v) if isinstance(v, tuple) else v}" for k, v in _BAD_RUN_PARAMS]
+
+
+@pytest.mark.parametrize("bad", _BAD_RUN_PARAMS, ids=_BAD_RUN_IDS)
+def test_run_scenario_rejects_each_invalid_value(bad):
+    with pytest.raises(ValidationError):
+        run_scenario(quick_scenarios()[1], "slabhash", **dict([bad]))
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)

@@ -15,8 +15,8 @@ and the hardened :class:`repro.api.ShardedGraph`:
    the batch raises ``PartialDispatchError``, whose report says exactly
    which shards applied, and the caller keeps that report; queries on
    the dead shard raise a typed ShardError, and reads continue through
-   ``degraded_snapshot()`` — the dead shard served from its last cached
-   snapshot, tagged with staleness;
+   ``degraded_snapshot()`` — the dead shard's rows served from the last
+   global snapshot, tagged with its version;
 4. failover: ``rebuild_shard()`` replays the shard's own write-ahead
    log into a fresh backend and ``redrive(report)`` re-applies the kept
    batch on the shard that missed it — the service converges to the
@@ -66,7 +66,7 @@ def main() -> None:
             f"transient faults absorbed: {stats['transient_faults']} "
             f"(retries {stats['retries']}, health {service.health})"
         )
-        healthy_snapshot = service.snapshot()  # also warms the read cache
+        healthy_snapshot = service.snapshot()  # the cut degraded reads serve
 
         # --- 3. a shard dies mid-batch ----------------------------------
         try:
@@ -85,10 +85,10 @@ def main() -> None:
             print(f"typed query failure: shard={exc.shard} op={exc.op}")
 
         degraded = service.degraded_snapshot()
-        (shard, cached_version, live_version) = degraded.staleness[0]
+        (shard, cut_version, _) = degraded.staleness[0]
         print(
             f"degraded read: {degraded.snapshot.num_edges} edges served, "
-            f"shard {shard} stale (cached v{cached_version}, live v{live_version})"
+            f"shard {shard} stale (served from the snapshot at v{cut_version})"
         )
         assert degraded.snapshot.num_edges >= healthy_snapshot.num_edges
 

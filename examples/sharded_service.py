@@ -4,11 +4,11 @@ Run:  python examples/sharded_service.py
 
 A social-network ingest pipeline outgrows a single device-resident
 structure, so the vertex space is hash-partitioned across four per-shard
-graphs behind one :class:`repro.api.ShardedGraph` facade.  The router
-normalizes each batch once, routes edges to their source's owner shard,
-and publishes every batch to its own event log — so the incremental
-analytics attach to the sharded service exactly as they would to a single
-graph, and the assembled global snapshot is bit-identical to one.
+graphs behind one :class:`repro.api.ShardedGraph` facade — a ``Graph``
+whose backend routes edges to their source's owner shard.  Every batch is
+normalized and published by that facade as a single graph's would be, so
+the incremental analytics attach to the sharded service exactly as they
+would to a single graph, and the global snapshot is bit-identical to one.
 """
 
 import numpy as np
@@ -57,7 +57,7 @@ def main() -> None:
     assert np.allclose(pagerank(service), pagerank(reference))
     print(f"global snapshot assembled: |E| = {snap.num_edges}, identical to single graph")
 
-    # Incremental analytics consume the router's event log directly.
+    # Incremental analytics consume the service's event log directly.
     labels = cc.labels()
     assert np.array_equal(labels, connected_components(ref_snap))
     largest = int(np.bincount(labels).max())

@@ -34,7 +34,7 @@ vertex deletion / bulk build / rehash / tombstone flush as
 :class:`~repro.eventlog.StructuralEvent`s, each stamped with the
 backend's ``mutation_version`` before and after the dispatch.  Consumers
 (the snapshot delta-merge below, :mod:`repro.stream.incremental`'s
-analytics, the shard router) read it through cursors; a history whose
+analytics, each shard WAL of :mod:`repro.persist`) read it through cursors; a history whose
 version chain does not connect the consumer's last sync to the live
 version — an out-of-band backend mutation, or events trimmed past the
 log's bounded retention — is detected as a log gap and answered with a
@@ -94,12 +94,11 @@ def normalize_batch(
     fill_default_weight: bool = True,
     backend_name: str = "backend",
 ):
-    """The facade's one batch rule (shared by :class:`Graph` and the shard
-    router): coerce, reject weights on an unweighted graph, drop
-    self-loops (Algorithm 1 line 3), and — for an insert,
-    ``fill_default_weight`` — fill a weighted graph's absent weights with
-    0.  Ids are range-checked by the backend template (or the router,
-    before it routes), except in the dropped rows, which are checked here."""
+    """The facade's one batch rule: coerce, reject weights on an
+    unweighted graph, drop self-loops (Algorithm 1 line 3), and — for an
+    insert, ``fill_default_weight`` — fill a weighted graph's absent
+    weights with 0.  Ids are range-checked by the backend template, except
+    in the dropped rows, which are checked here."""
     src, dst = as_int_array(src, "src"), as_int_array(dst, "dst")
     check_equal_length(("src", src), ("dst", dst))
     if weights is not None:

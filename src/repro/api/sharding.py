@@ -1,4 +1,4 @@
-"""A sharded multi-graph service built on the event log.
+"""The shard router: one :class:`~repro.api.Graph` over N per-shard graphs.
 
 The paper's phase-concurrent model assumes one device-resident structure;
 scaling past one device (or one allocator arena) means partitioning the
@@ -8,44 +8,42 @@ routing work to them.  This module is that layer:
 - :class:`Partitioner` — a deterministic multiplicative-hash partition of
   the vertex-id space (balanced for both random and contiguous id
   populations, unlike a plain modulus);
-- :class:`ShardedGraph` — a facade with the same batch surface as
-  :class:`~repro.api.Graph`.  Batches are range-checked by the router,
-  which routes by id, and normalized **once** (the same
-  :func:`repro.api.facade.normalize_batch` seam the single-graph facade
-  uses), published to the router's own :class:`repro.eventlog.EventLog`,
-  and routed to per-shard facades by the *source* vertex's owner — a cut
+- :class:`ShardRouter` — a :class:`~repro.api.GraphBackend` whose hooks
+  route rows by the *source* vertex's owner to per-shard facades.  A cut
   edge ``(u, v)`` with ``owner(u) != owner(v)`` is stored in ``u``'s
   shard, so every vertex's full out-adjacency lives in exactly one shard.
-  Queries (``degree`` / ``edge_exists`` / ``edge_weights`` /
-  ``adjacencies`` / ``neighbors``) scatter to the owning shards and
-  gather results back into the caller's order.
+  Queries scatter to the owning shards and gather results back into the
+  caller's order;
+- :class:`ShardedGraph` — the :class:`~repro.api.Graph` facade over a
+  router.  It adds construction and one-hop access to the router's fault
+  and durability surface, nothing else.
 
-Because the router publishes the same typed events a single facade does,
-every event-log consumer works unchanged on a sharded service: the
-incremental analytics of :mod:`repro.stream.incremental` attach to
-``ShardedGraph.events`` exactly as they do to ``Graph.events``, and
-:meth:`ShardedGraph.snapshot` assembles a **global** sorted
-:class:`~repro.api.snapshot.CSRSnapshot` from the per-shard cached
-snapshots (each maintained incrementally by its shard's own event-log
-merge), so ``pagerank`` / ``connected_components`` / triangle counting
-run unchanged — and bit-identical to the same workload applied to a
-single ``Graph``.
+So a sharded batch takes the one argument pipeline, the one event log and
+the one snapshot merge a single graph's does: incremental analytics attach
+to :attr:`ShardedGraph.events` unchanged, and the global snapshot is
+bit-identical to a single :class:`Graph`'s given the same workload.  The
+shards stay facades because each shard's WAL follows that shard's own
+event log.  The router's ``snapshot()`` is only the cold path (per-shard
+snapshots placed at their global offsets); warm global snapshots are the
+facade's cursor-window merge.
 
 Robustness (see ``docs/robustness.md``): every shard carries a health
 state (``"healthy"`` / ``"degraded"`` / ``"dead"``), and every shard call
 a routed operation makes — mutation, query, snapshot or export read —
 takes one retry path: transient faults are retried with bounded modeled
 backoff (:class:`RetryPolicy`); a permanent fault marks the shard dead.
-The mutators and :meth:`ShardedGraph.redrive` share one dispatch pipeline:
-a mutation that fails on some shards reports **exactly which shards
-applied** (:class:`DispatchReport`), is re-driveable, and publishes a
-structural ``"partial_dispatch"`` event so snapshot-merge and incremental-
-analytics consumers rebuild cold instead of silently diverging.  Reads
-survive dead shards through :meth:`ShardedGraph.degraded_snapshot`, which
-serves each dead shard's last cached per-shard snapshot tagged with
-staleness, and a dead shard is restored **bit-identically** from its
-durable per-shard WAL by :meth:`ShardedGraph.rebuild_shard` (after
-:meth:`attach_durability`).
+A mutation that fails on some shards raises :class:`PartialDispatchError`,
+whose :class:`DispatchReport` says **exactly which shards applied** and
+can be re-driven (:meth:`ShardedGraph.redrive`).  A change the facade does
+not publish — a partial dispatch, a redrive, a kill or a rebuild — is a
+step of the router's version with no event, so every event-log consumer
+(the snapshot merge, the incremental analytics) rebuilds cold instead of
+silently diverging.  Reads survive dead shards through
+:meth:`ShardedGraph.degraded_snapshot`, which serves a dead shard's rows
+from the last exact global snapshot, tagged with its version; a dead shard
+is restored **bit-identically** from its durable per-shard WAL by
+:meth:`ShardedGraph.rebuild_shard` (after
+:meth:`ShardedGraph.attach_durability`).
 
 Cost accounting: shard dispatches are independent, so the device model
 prices an update batch as *router overhead + the slowest shard*
@@ -59,16 +57,16 @@ count; ``t14/chaos`` prices degraded reads and WAL-replay recovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
-from repro.api.backend import _checked_id, checked_ids
-from repro.api.facade import Graph, _check_packable, normalize_batch
+from repro.api.backend import GraphBackend, _checked_id
+from repro.api.facade import Graph
 from repro.api.snapshot import CSRSnapshot
 from repro.coo import COO
-from repro.eventlog import DEFAULT_RETENTION_ROWS, EventLog
+from repro.eventlog import DEFAULT_RETENTION_ROWS
 from repro.gpusim.counters import counting, get_counters
 from repro.gpusim.model import simulated_seconds
 from repro.persist.wal import DEFAULT_SEGMENT_BYTES
@@ -182,9 +180,10 @@ class DegradedSnapshot:
     """A global snapshot assembled while some shards could not serve.
 
     ``snapshot`` is the assembled :class:`CSRSnapshot`; ``stale_shards``
-    served their last cached per-shard snapshot (``staleness`` pairs each
-    with ``(cached_version, live_version)``); ``missing_shards`` had no
-    cached snapshot at all and contribute no edges.
+    served their rows of the last exact global snapshot (``staleness``
+    holds ``(shard, cut_version, None)`` per stale shard, ``cut_version``
+    being the service's version at that snapshot); ``missing_shards`` had
+    no such snapshot to serve from and contribute no edges.
     """
 
     snapshot: CSRSnapshot
@@ -259,26 +258,14 @@ class ShardCosts:
         self.calls += 1
 
 
-def _shard_snapshot(shard, mask) -> CSRSnapshot:
-    return shard.snapshot()
-
-
 def _edge_rows(payload: dict, mask):
-    columns = payload["src"], payload["dst"], payload["weights"]
-    if mask is None:
-        return columns
-    return tuple(None if c is None else c[mask] for c in columns)
-
-
-def _vertex_rows(payload: dict, mask):
-    # Every shard is handed the whole batch, so whichever shards a redrive
-    # reached, the truthful event is the whole batch too.
-    return payload["vids"]
+    weights = payload["weights"]
+    return payload["src"][mask], payload["dst"][mask], None if weights is None else weights[mask]
 
 
 def _delete_vertices_in(shard, payload: dict, mask) -> int:
     """One shard's share of a vertex deletion: first the reverse pairs
-    ``u -> v`` this shard owns (see :meth:`ShardedGraph.delete_vertices`),
+    ``u -> v`` this shard owns (see :meth:`ShardRouter._delete_vertices`),
     then the whole victim batch."""
     removed = 0
     if mask.any():
@@ -286,69 +273,46 @@ def _delete_vertices_in(shard, payload: dict, mask) -> int:
     return removed + shard.delete_vertices(payload["vids"])
 
 
-def _coo_rows(payload: dict, mask) -> COO:
+def _bulk_build_in(shard, payload: dict, mask) -> int:
     coo = payload["coo"]
-
-    def pick(column):
-        # No mask: the whole COO, copied — the event outlives the caller's.
-        return column.copy() if mask is None else column[mask]
-
-    return COO(
-        pick(coo.src),
-        pick(coo.dst),
-        coo.num_vertices,
-        weights=None if coo.weights is None else pick(coo.weights),
-    )
+    weights = None if coo.weights is None else coo.weights[mask]
+    return shard.bulk_build(COO(coo.src[mask], coo.dst[mask], coo.num_vertices, weights=weights))
 
 
-#: Everything the mutation pipeline (:meth:`ShardedGraph._mutate`) knows
-#: per operation: ``rows(payload, mask)`` selects the payload rows under a
-#: row mask (every row when the mask is None) — the rows that landed, on
-#: the way out to the event log — and ``send(shard, payload, mask)``
-#: applies one shard's share (the rows under ``owner == shard``) and
-#: returns its count.  The flag marks the structural ops, which reach
-#: every shard (not only the owners of rows) and publish a structural
-#: event (not an edge batch).
+#: ``send(shard, payload, mask)`` per mutation: apply one shard's share
+#: (the rows under ``owner == shard``) and return its count.
 _MUTATIONS = {
-    "insert_edges": (
-        _edge_rows, lambda shard, p, m: shard.insert_edges(*_edge_rows(p, m)), False
-    ),
-    "delete_edges": (
-        _edge_rows, lambda shard, p, m: shard.delete_edges(*_edge_rows(p, m)[:2]), False
-    ),
-    "delete_vertices": (_vertex_rows, _delete_vertices_in, True),
-    "bulk_build": (_coo_rows, lambda shard, p, m: shard.bulk_build(_coo_rows(p, m)), True),
+    "insert_edges": lambda shard, p, m: shard.insert_edges(*_edge_rows(p, m)),
+    "delete_edges": lambda shard, p, m: shard.delete_edges(*_edge_rows(p, m)[:2]),
+    "delete_vertices": _delete_vertices_in,
+    "bulk_build": _bulk_build_in,
 }
+#: The mutations that reach every shard, not only the owners of rows: a
+#: victim's in-edges live wherever their source is owned, and every shard
+#: of a bulk build grows to the COO's vertex space.
+_BROADCAST = ("delete_vertices", "bulk_build")
 
 
-class ShardedGraph:
-    """N per-shard :class:`Graph` facades behind one batch surface.
+class ShardRouter(GraphBackend):
+    """A :class:`~repro.api.GraphBackend` whose hooks route rows to N
+    per-shard :class:`Graph` facades (see the module docstring).
 
-    Construct with :meth:`ShardedGraph.create` (fresh shards by registry
-    name) or wrap pre-constructed **empty** shard facades directly — the
-    router's routing invariant (each vertex's out-edges live only in its
-    owner shard) must hold from the first batch, so populated shards are
-    rejected.
+    Wraps pre-constructed **empty** shard facades — the routing invariant
+    (each vertex's out-edges live only in its owner shard) must hold from
+    the first batch, so populated shards are rejected.  Only directed
+    shard backends are supported: an undirected backend mirrors ``(u, v)``
+    into ``v``'s adjacency *inside u's shard*, which would scatter a
+    vertex's neighborhood across shards.
 
-    Only directed shard backends are supported: an undirected backend
-    mirrors ``(u, v)`` into ``v``'s adjacency *inside u's shard*, which
-    would scatter a vertex's neighborhood across shards and break both
-    routed queries and global snapshot assembly.
-
-    A mutation that fails on some shards raises
-    :class:`PartialDispatchError` carrying its :class:`DispatchReport`;
-    keep the report and :meth:`redrive` it once the shards are back
-    (after :meth:`rebuild_shard`, for a dead one).
+    Its capabilities are the shards', with ``rehash``, ``tombstone_flush``
+    and ``range_queries`` switched off: those stay per-shard operations.
+    Its :attr:`mutation_version` is its own monotone counter — the template
+    bumps it per routed mutation, and every change the facade does not
+    publish (:meth:`redrive`, a shard's death, :meth:`rebuild_shard`)
+    bumps it too.
     """
 
-    def __init__(
-        self,
-        shards,
-        *,
-        event_retention: int = DEFAULT_RETENTION_ROWS,
-        retry: RetryPolicy | None = None,
-        shard_factory=None,
-    ) -> None:
+    def __init__(self, shards, *, retry: RetryPolicy | None = None, shard_factory=None) -> None:
         shards = list(shards)
         if not shards:
             raise ValidationError("ShardedGraph needs at least one shard")
@@ -374,14 +338,16 @@ class ShardedGraph:
             raise ValidationError("all shards must share one vertex-id space")
         if any(s.weighted != first.weighted for s in shards):
             raise ValidationError("all shards must agree on weightedness")
-        _check_packable(first.num_vertices)
         self.shards = shards
         self.partitioner = Partitioner(len(shards))
-        #: The router's own event log: normalized *global* batches and
-        #: structural events, version-stamped with the aggregate
-        #: :attr:`mutation_version` — the same contract a single facade
-        #: publishes, so cursor consumers work unchanged.
-        self.events = EventLog(retention_rows=event_retention)
+        self.capabilities = replace(
+            first.capabilities, rehash=False, tombstone_flush=False, range_queries=False
+        )
+        # The weights every shard stores exactly; the template checks them
+        # before any shard applies its share.
+        ranges = {shard.backend._weight_range for shard in shards} - {None}
+        if ranges:
+            self._weight_range = (max(lo for lo, _ in ranges), min(hi for _, hi in ranges))
         self.update_costs = ShardCosts(len(shards))
         self.query_costs = ShardCosts(len(shards))
         #: Retry-with-backoff policy for transient shard faults.
@@ -404,47 +370,6 @@ class ShardedGraph:
         #: Durable per-shard stores (set by :meth:`attach_durability`).
         self.stores = None
         self._shard_factory = shard_factory
-        self._shard_snaps: dict = {}
-        self._snap_cache: tuple | None = None
-
-    @classmethod
-    def create(
-        cls,
-        name: str,
-        num_vertices: int,
-        *,
-        num_shards: int = 4,
-        weighted: bool = False,
-        event_retention: int = DEFAULT_RETENTION_ROWS,
-        retry: RetryPolicy | None = None,
-        **backend_kwargs: Any,
-    ) -> "ShardedGraph":
-        """Construct ``num_shards`` fresh registry backends and shard them.
-
-        Every shard addresses the full global vertex-id space, so global
-        ids route and query without translation; per-shard structures
-        only ever hold the edges they own.  ``event_retention`` bounds
-        the router's event log and every shard's alike.  The construction
-        recipe is kept as the service's shard factory, so
-        :meth:`rebuild_shard` can mint an identical empty replacement.
-        """
-
-        def factory() -> Graph:
-            return Graph.create(
-                name,
-                num_vertices,
-                weighted=weighted,
-                event_retention=event_retention,
-                **backend_kwargs,
-            )
-
-        shards = [factory() for _ in range(num_shards)]
-        return cls(
-            shards,
-            event_retention=event_retention,
-            retry=retry,
-            shard_factory=factory,
-        )
 
     # -- identity ---------------------------------------------------------------
 
@@ -463,32 +388,11 @@ class ShardedGraph:
         """Whether the shards store per-edge weights (uniform)."""
         return self.shards[0].weighted
 
-    @property
-    def directed(self) -> bool:
-        """Sharded services are directed (cut edges are source-owned)."""
-        return True
-
-    @property
-    def capabilities(self):
-        """Capabilities of the shard instances (uniform by construction)."""
-        return self.shards[0].capabilities
-
-    @property
-    def mutation_version(self):
-        """Aggregate monotone version: the sum of shard versions (every
-        shard mutation bumps it, so event-log chain checks work)."""
-        return sum(int(shard.mutation_version) for shard in self.shards)
-
     # -- health -----------------------------------------------------------------
 
     def shard_health(self, shard_index: int) -> str:
         """The health state of one shard."""
         return self.health[self._check_shard(shard_index)]
-
-    @property
-    def dead_shards(self) -> tuple:
-        """Indices of shards currently marked dead."""
-        return tuple(s for s, h in enumerate(self.health) if h == SHARD_DEAD)
 
     def _check_shard(self, shard_index) -> int:
         return _checked_id(shard_index, self.num_shards, "shard_index")
@@ -499,23 +403,18 @@ class ShardedGraph:
         The shard's in-memory structure is treated as lost: fan-outs skip
         it (mutations report it in ``failed``, queries raise
         :class:`ShardError`), :meth:`snapshot` refuses, and
-        :meth:`degraded_snapshot` serves its last cached per-shard
-        snapshot.  Restore it with :meth:`rebuild_shard`.
+        :meth:`degraded_snapshot` serves its rows from the last exact
+        global snapshot.  Restore it with :meth:`rebuild_shard`.
         """
-        s = self._check_shard(shard_index)
-        before = self.mutation_version
+        self._kill(self._check_shard(shard_index))
+
+    def _kill(self, s: int) -> None:
+        # A version step with no event: every window across a death is
+        # broken, so no snapshot is served from a cache while s is dead.
         self.health[s] = SHARD_DEAD
-        self._publish_structural("kill_shard", before, np.array([s], dtype=np.int64))
+        self._bump_version()
 
     # -- routing helpers ----------------------------------------------------------
-
-    def _publish_structural(self, reason: str, before_version, payload) -> None:
-        self.events.publish_structural(
-            reason,
-            before_version=before_version,
-            after_version=self.mutation_version,
-            payload=payload,
-        )
 
     def _charge_router(self, rows: int) -> float:
         """Price the scatter/gather the router performs around a fan-out
@@ -563,7 +462,7 @@ class ShardedGraph:
             except PermanentFault as exc:
                 total += simulated_seconds(delta)
                 self.fault_stats["permanent_faults"] += 1
-                self.health[s] = SHARD_DEAD
+                self._kill(s)
                 return total, None, exc
             except ValidationError:
                 raise  # a caller/router bug, not an environmental fault
@@ -616,63 +515,39 @@ class ShardedGraph:
         """The one mutation pipeline, for first dispatches and redrives.
 
         Applies ``payload`` (see ``_MUTATIONS``) to every shard it has rows
-        for — or, redriving ``report``, to ``report.failed_shards`` — prices
-        the call (one routed row per entry of ``payload["owner"]``) into
-        :attr:`update_costs`, and publishes what landed.  A
-        fully-applied first dispatch publishes the whole batch.  One that
-        failed somewhere publishes only the structural
-        ``"partial_dispatch"`` marker, so consumers rebuild cold instead of
-        trusting a batch that only partially landed.  A redrive publishes
-        the rows of the shards it reached as a fresh, truthful event, then
-        the marker again if some shard still failed.
+        for — or, redriving ``report``, to ``report.failed_shards`` — and
+        prices the call (one routed row per entry of ``payload["owner"]``)
+        into :attr:`update_costs`.  The facade publishes a first dispatch
+        that every shard applied; anything else is the version step the
+        caller already took, with no event.
 
         A first dispatch returns the count the applied shards reported,
         or raises :class:`PartialDispatchError` when some shard failed.  A
         redrive returns the follow-up report, or None once every shard has
         applied.
         """
-        rows_of, send, structural = _MUTATIONS[op]
+        send = _MUTATIONS[op]
         redrive = report is not None
-        before = self.mutation_version
         owner = payload["owner"]
         router = self._charge_router(owner.shape[0])
         done, failures, shard_times = self._fan_out(
             lambda shard, mask: send(shard, payload, mask),
             owner,
             report.failed_shards if redrive else None,
-            broadcast=structural,
+            broadcast=op in _BROADCAST,
         )
         self.update_costs.record(router, shard_times)
-        applied = tuple(done)
         result = sum(done.values()) + (report.result if redrive else 0)
-        if applied and (redrive or not failures):
-            landed = np.isin(owner, applied) if redrive else None
-            if structural:
-                self._publish_structural(op, before, rows_of(payload, landed))
-            else:
-                src, dst, weights = rows_of(payload, landed)
-                self.events.publish_edge_batch(
-                    op == "insert_edges",
-                    src,
-                    dst,
-                    weights,
-                    before_version=before,
-                    after_version=self.mutation_version,
-                    rows=int(src.shape[0]),
-                )
         if not failures:
             return None if redrive else result
         follow_up = DispatchReport(
             op=op,
-            applied=(report.applied if redrive else ()) + applied,
+            applied=(report.applied if redrive else ()) + tuple(done),
             failed=tuple((s, str(e)) for s, e in failures),
             payload=payload,
             result=int(result),
         )
         self.fault_stats["partial_dispatches"] += 1
-        self._publish_structural(
-            "partial_dispatch", before, np.array(follow_up.failed_shards, dtype=np.int64)
-        )
         if redrive:
             return follow_up
         first_shard, first_err = failures[0]
@@ -686,66 +561,27 @@ class ShardedGraph:
             report=follow_up,
         ) from cause
 
-    def insert_edges(self, src, dst, weights=None) -> int:
-        """Normalize once, route to owner shards, publish one event.
-
-        A mid-dispatch failure raises :class:`PartialDispatchError` (see
-        the class docstring)."""
-        return self._mutate_edges("insert_edges", src, dst, weights)
-
-    def delete_edges(self, src, dst) -> int:
-        """Route a deletion batch to owner shards; returns removed count.
-
-        Partial-dispatch failures raise as in :meth:`insert_edges`."""
-        return self._mutate_edges("delete_edges", src, dst, None)
-
-    def _check_weights(self, weights) -> None:
-        """Reject weights some shard cannot store exactly, before any
-        shard applies its share — a shard's own check would leave the
-        shards before it applied."""
-        if weights is not None:
-            for bounds in {shard.backend._weight_range for shard in self.shards} - {None}:
-                check_in_range(weights, *bounds, "weights")
-
-    def _mutate_edges(self, op: str, src, dst, weights) -> int:
-        # The router checks the ids it routes by; each shard's facade then
-        # only coerces, and its backend template checks the shard's share.
-        src, dst = checked_ids(self.num_vertices, src=src, dst=dst)
-        src, dst, weights = normalize_batch(
-            src,
-            dst,
-            weights,
-            num_vertices=self.num_vertices,
-            weighted=self.weighted,
-            fill_default_weight=op == "insert_edges",
-            backend_name=type(self.shards[0].backend).__name__,
-        )
-        self._check_weights(weights)
-        if src.size == 0:
-            return 0
+    def _route_edges(self, op: str, src, dst, weights) -> int:
         owner = self.partitioner.shard_of(src)
-        payload = {"src": src, "dst": dst, "weights": weights, "owner": owner}
-        return self._mutate(op, payload)
+        return self._mutate(op, {"src": src, "dst": dst, "weights": weights, "owner": owner})
 
-    def delete_vertices(self, vertex_ids) -> int:
-        """Delete vertices and all incident edges.
+    def _insert_edges(self, src, dst, weights) -> int:
+        return self._route_edges("insert_edges", src, dst, weights)
 
-        Out-edges live in the owner shard, but *in*-edges live wherever
+    def _delete_edges(self, src, dst) -> int:
+        return self._route_edges("delete_edges", src, dst, None)
+
+    def _delete_vertices(self, vids) -> int:
+        """Out-edges live in the owner shard, but *in*-edges live wherever
         their source is owned — so the batch fans out to every shard, and
-        the return value sums what the shards removed.  B-tree and
-        faimGraph erase a victim ``v``'s in-edges by walking its own
-        out-list (undirected semantics on a symmetric edge set), and that
-        list lives only in ``owner(v)``; so the router first reads each
-        victim's out-neighbours ``u`` and, inside the same dispatch,
-        deletes ``u -> v`` in ``owner(u)``'s shard.  The pairs ride in
-        the payload, so :meth:`redrive` re-sends them.  Reading them needs
+        the count sums what the shards removed.  B-tree and faimGraph
+        erase a victim ``v``'s in-edges by walking its own out-list, and
+        that list lives only in ``owner(v)``; so the router first reads
+        each victim's out-neighbours ``u`` and, inside the same dispatch,
+        deletes ``u -> v`` in ``owner(u)``'s shard.  The pairs ride in the
+        payload, so :meth:`redrive` re-sends them.  Reading them needs
         every victim's owner: while one cannot serve, this raises
-        :class:`ShardError` before any shard applies anything.
-        """
-        self.shards[0]._require("vertex_dynamic")  # before any reverse pair is deleted
-        (vids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
-        if vids.size == 0:
-            return 0
+        :class:`ShardError` before any shard applies anything."""
         pos, nbrs, _ = self._gather_adjacencies("delete_vertices", vids)
         payload = {
             "vids": vids.copy(),  # a copy: the payload outlives the caller's buffer
@@ -758,27 +594,28 @@ class ShardedGraph:
     def bulk_build(self, coo: COO) -> int:
         """One-shot build: split the COO by owner shard, build each.
 
-        Every shard is built, including one that owns no rows, so all
-        shards grow to the COO's vertex space together.  A partial
-        dispatch raises as the other mutators do; a failed shard is still
-        empty, so a redrive re-attempts its part of the build."""
-        _check_packable(int(coo.num_vertices))
-        if coo.weights is not None and not self.weighted:
-            coo = COO(coo.src, coo.dst, coo.num_vertices, weights=None)
-        self._check_weights(coo.weights)
-        payload = {"coo": coo, "owner": self.partitioner.shard_of(coo.src)}
-        return self._mutate("bulk_build", payload)
-
-    # -- redrive -------------------------------------------------------------------
+        The router checks what every shard would — an empty graph, weights
+        it can store — before any shard applies its share.  Every shard is
+        built, including one that owns no rows, so all shards grow to the
+        COO's vertex space together.  A partial dispatch raises as the
+        other mutators do; a failed shard is still empty, so a redrive
+        re-attempts its part of the build."""
+        if self.num_edges() != 0:
+            raise ValidationError("bulk_build requires an empty graph")
+        if coo.weights is not None and self._weight_range is not None:
+            check_in_range(coo.weights, *self._weight_range, "weights")
+        self._bump_version()
+        return self._mutate("bulk_build", {"coo": coo, "owner": self.partitioner.shard_of(coo.src)})
 
     def redrive(self, report: DispatchReport):
         """Re-dispatch a partial mutation's failed shards.
 
-        Rows for shards that are healthy (or degraded) again are applied
-        and published as a fresh event; shards still dead (or failing)
-        stay in the returned follow-up report.  Returns None once every
-        shard has applied.
+        Rows for shards that are healthy (or degraded) again are applied —
+        a version step the facade does not publish, so consumers rebuild
+        cold; shards still dead (or failing) stay in the returned
+        follow-up report.  Returns None once every shard has applied.
         """
+        self._bump_version()
         return self._mutate(report.op, report.payload, report)
 
     # -- queries (scatter-gather) ----------------------------------------------------
@@ -799,12 +636,12 @@ class ShardedGraph:
         ) from cause
 
     def _scatter(self, op: str, gather, keys) -> None:
-        """The one scatter-gather read path: route the caller's clean rows
-        (:func:`~repro.api.backend.checked_ids`) by the owner of ``keys``,
-        run ``gather(shard, row_mask)`` on each owning shard under the
-        retry policy (priced into :attr:`query_costs`), and raise a typed
-        :class:`ShardError` if any shard failed.  An empty batch touches
-        no shard and charges nothing."""
+        """The one scatter-gather read path: route the template's clean
+        rows by the owner of ``keys``, run ``gather(shard, row_mask)`` on
+        each owning shard under the retry policy (priced into
+        :attr:`query_costs`), and raise a typed :class:`ShardError` if any
+        shard failed.  An empty batch touches no shard and charges
+        nothing."""
         if keys.size == 0:
             return
         owner = self.partitioner.shard_of(keys)
@@ -813,12 +650,7 @@ class ShardedGraph:
         self.query_costs.record(router, shard_times)
         self._raise_query_failures(op, failures)
 
-    def edge_exists(self, src, dst) -> np.ndarray:
-        """Boolean membership per pair, scatter-gathered from owners.
-
-        A shard failure surfaces as a typed :class:`ShardError` carrying
-        the shard index and op."""
-        src, dst = checked_ids(self.num_vertices, src=src, dst=dst)
+    def _edge_exists(self, src, dst) -> np.ndarray:
         out = np.zeros(src.shape[0], dtype=bool)
 
         def gather(shard, mask):
@@ -827,11 +659,7 @@ class ShardedGraph:
         self._scatter("edge_exists", gather, src)
         return out
 
-    def edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pair ``(found, weight)``, scatter-gathered from owners.
-
-        A shard failure surfaces as a typed :class:`ShardError`."""
-        src, dst = checked_ids(self.num_vertices, src=src, dst=dst)
+    def _edge_weights(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
         exists = np.zeros(src.shape[0], dtype=bool)
         weights = np.zeros(src.shape[0], dtype=np.int64)
 
@@ -841,11 +669,7 @@ class ShardedGraph:
         self._scatter("edge_weights", gather, src)
         return exists, weights
 
-    def degree(self, vertex_ids) -> np.ndarray:
-        """Out-degree per requested vertex, gathered from owner shards.
-
-        A shard failure surfaces as a typed :class:`ShardError`."""
-        (vids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
+    def _degree(self, vids) -> np.ndarray:
         out = np.zeros(vids.shape[0], dtype=np.int64)
 
         def gather(shard, mask):
@@ -854,20 +678,13 @@ class ShardedGraph:
         self._scatter("degree", gather, vids)
         return out
 
-    def neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
-        """One vertex's adjacency, served by its owner shard alone.
+    def _neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
+        s = int(self.partitioner.shard_of(np.array([vertex]))[0])
+        return self._read_shards("neighbors", lambda shard, _: shard.neighbors(vertex), [s])[s]
 
-        A shard failure surfaces as a typed :class:`ShardError`."""
-        v = _checked_id(vertex, self.num_vertices, "vertex")
-        s = int(self.partitioner.shard_of(np.array([v]))[0])
-        return self._read_shards("neighbors", lambda shard, _: shard.neighbors(v), [s])[s]
-
-    def adjacencies(self, vertex_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched ``(owner_pos, destinations, weights)`` gathered from
-        owner shards; rows are grouped by ascending position in
-        ``vertex_ids`` (neighbor order within a vertex is shard-native).
-        A shard failure surfaces as a typed :class:`ShardError`."""
-        (vids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
+    def _adjacencies(self, vids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Rows grouped by ascending position in vids; neighbor order within
+        # a vertex is shard-native.
         return self._gather_adjacencies("adjacencies", vids)
 
     def _gather_adjacencies(self, op: str, vids):
@@ -897,9 +714,9 @@ class ShardedGraph:
     def _read_shards(self, op: str, read, targets=None) -> dict:
         """``{shard: read(shard, None)}`` over ``targets`` (default: all)
         under the retry policy — the reads that are not row batches
-        (:meth:`neighbors`, :meth:`snapshot`, :meth:`export_coo`).  They
-        price nothing into :attr:`query_costs`; a shard failure surfaces
-        as a typed :class:`ShardError`."""
+        (``neighbors``, :meth:`snapshot`, :meth:`export_coo`).  They price
+        nothing into :attr:`query_costs`; a shard failure surfaces as a
+        typed :class:`ShardError`."""
         done, failures, _ = self._fan_out(read, targets=targets)
         self._raise_query_failures(op, failures)
         return done
@@ -914,6 +731,11 @@ class ShardedGraph:
             weights=np.concatenate([p.weights for p in parts]) if self.weighted else None,
         )
 
+    def sorted_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """The global snapshot's ``(row_ptr, col_idx)``."""
+        snap = self.snapshot()
+        return snap.row_ptr, snap.col_idx
+
     # -- global snapshot ---------------------------------------------------------------
 
     def _assemble(self, shard_snaps) -> CSRSnapshot:
@@ -924,8 +746,8 @@ class ShardedGraph:
         of the shards', and a shard's row ``i`` of source ``v`` lands
         ``row_ptr[v] - shard.row_ptr[v]`` past ``i``."""
         n = self.num_vertices
-        row_ptr = shard_snaps[0].row_ptr.copy()
-        for snap in shard_snaps[1:]:
+        row_ptr = np.zeros(n + 1, dtype=np.int64)
+        for snap in shard_snaps:
             row_ptr += snap.row_ptr
         total = int(row_ptr[-1])
         keys = np.empty(total, dtype=np.int64)
@@ -943,88 +765,80 @@ class ShardedGraph:
                 weights[place] = snap.weights
         return CSRSnapshot(row_ptr, keys & np.int64(0xFFFFFFFF), weights, n, _keys=keys)
 
-    def _empty_shard_snapshot(self) -> CSRSnapshot:
-        return CSRSnapshot(
-            row_ptr=np.zeros(self.num_vertices + 1, dtype=np.int64),
-            col_idx=np.empty(0, dtype=np.int64),
-            weights=np.empty(0, dtype=np.int64) if self.weighted else None,
-            num_vertices=self.num_vertices,
-        )
-
     def snapshot(self) -> CSRSnapshot:
-        """Assemble the global sorted-CSR view from per-shard snapshots.
+        """The cold global snapshot: every shard's snapshot, assembled.
 
-        Each shard serves its snapshot through its own cached /
-        incremental / cold tiers; the assembled result is bit-identical
-        to the snapshot of a single :class:`Graph` given the same
-        workload, and unchanged shards re-serve the same assembled object
-        for free.  Refuses (a typed :class:`ShardError`, like every other
-        read) while any shard is dead or failing — that state cannot
-        serve an exact global view; use :meth:`degraded_snapshot` (tagged
-        staleness) or :meth:`rebuild_shard` (exact recovery) instead.
+        Version-keyed on :attr:`mutation_version` like every backend's;
+        the facade's cursor-window merge serves the warm path.  Refuses (a
+        typed :class:`ShardError`, like every other read) while any shard
+        is dead or failing — that state cannot serve an exact global view;
+        use :meth:`degraded_snapshot` (tagged staleness) or
+        :meth:`rebuild_shard` (exact recovery) instead.
         """
-        versions = tuple(shard.mutation_version for shard in self.shards)
-        cached = self._snap_cache
-        if cached is not None and cached[0] == versions and not self.dead_shards:
+        version = self.mutation_version
+        cached = self._snapshot_cache
+        if cached is not None and cached[0] == version:
             return cached[1]
-        shard_snaps = list(self._read_shards("snapshot", _shard_snapshot).values())
-        for s, snap in enumerate(shard_snaps):
-            self._shard_snaps[s] = (versions[s], snap)
-        assembled = self._assemble(shard_snaps)
-        self._snap_cache = (versions, assembled)
-        return assembled
+        shard_snaps = self._read_shards("snapshot", lambda shard, _: shard.snapshot())
+        snap = self._assemble(list(shard_snaps.values()))
+        self._snapshot_cache = (version, snap)
+        return snap
+
+    def _owned_rows(self, cut: CSRSnapshot, s: int) -> CSRSnapshot:
+        """Shard ``s``'s rows of the global snapshot ``cut`` as a per-shard
+        CSR (charged as one copy of those rows)."""
+        n = self.num_vertices
+        degrees = np.diff(cut.row_ptr)
+        owned = self.partitioner.shard_of(np.arange(n, dtype=np.int64)) == s
+        row_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.where(owned, degrees, 0), out=row_ptr[1:])
+        rows = np.repeat(owned, degrees)
+        keys = cut.keys()[rows]
+        counters = get_counters()
+        counters.kernel_launches += 1
+        counters.bytes_copied += keys.shape[0] * (16 if self.weighted else 8) + (n + 1) * 8
+        weights = None if cut.weights is None else cut.weights[rows]
+        return CSRSnapshot(row_ptr, keys & np.int64(0xFFFFFFFF), weights, n, _keys=keys)
 
     def degraded_snapshot(self) -> DegradedSnapshot:
         """Best-effort global snapshot that survives dead or failing shards.
 
-        Healthy shards serve live; a dead (or currently faulting) shard
-        contributes its last cached per-shard snapshot — tagged in
-        ``stale_shards`` with ``(cached_version, live_version)`` — and a
-        shard with no cached snapshot at all is reported in
-        ``missing_shards`` and contributes nothing.  The extra modeled
-        cost of this path (vs. a healthy :meth:`snapshot`) is priced by
-        the ``t14/chaos`` bench artifact.
+        Live shards serve live.  A dead (or currently faulting) shard
+        contributes its rows of the last exact global snapshot — tagged in
+        ``stale_shards`` with ``(shard, cut_version, None)`` — and is
+        reported in ``missing_shards``, contributing nothing, when no such
+        snapshot exists.  The extra modeled cost of this path (vs. a
+        healthy :meth:`snapshot`) is priced by the ``t14/chaos`` bench
+        artifact.
         """
-        live_snaps, _, _ = self._fan_out(_shard_snapshot)
+        live, _, _ = self._fan_out(lambda shard, _: shard.snapshot())
+        cut = self._snapshot_cache
         shard_snaps = []
         stale = []
         missing = []
-        staleness = []
-        for s, shard in enumerate(self.shards):
-            if s in live_snaps:
-                self._shard_snaps[s] = (shard.mutation_version, live_snaps[s])
-                shard_snaps.append(live_snaps[s])
+        for s in range(self.num_shards):
+            if s in live:
+                shard_snaps.append(live[s])
                 continue
             self.fault_stats["degraded_reads"] += 1
-            cached = self._shard_snaps.get(s)
-            if cached is None:
+            if cut is None:
                 missing.append(s)
-                shard_snaps.append(self._empty_shard_snapshot())
                 continue
             stale.append(s)
-            live = None if self.health[s] == SHARD_DEAD else self.shards[s].mutation_version
-            staleness.append((s, cached[0], live))
-            shard_snaps.append(cached[1])
+            shard_snaps.append(self._owned_rows(cut[1], s))
         return DegradedSnapshot(
             snapshot=self._assemble(shard_snaps),
             stale_shards=tuple(stale),
             missing_shards=tuple(missing),
-            staleness=tuple(staleness),
+            staleness=tuple((s, cut[0], None) for s in stale),
         )
 
     # -- durability and recovery -----------------------------------------------------
 
-    def attach_durability(
-        self,
-        directory,
-        *,
-        fsync: str = "batch",
-        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        checkpoint_every_rows: int | None = None,
-        opener=open,
-    ):
+    def attach_durability(self, directory, **knobs):
         """Attach durable per-shard stores (WAL + checkpoints) under
-        ``directory`` — the recovery source :meth:`rebuild_shard` replays.
+        ``directory`` — the recovery source :meth:`rebuild_shard` replays;
+        ``knobs`` are :class:`repro.persist.sharded.ShardStores`'.
 
         Each shard gets its own segmented WAL subscribed to that shard's
         event log, so per-shard durable order equals per-shard applied
@@ -1040,14 +854,7 @@ class ShardedGraph:
 
         if self.stores is not None:
             raise ValidationError("durability is already attached to this service")
-        self.stores = ShardStores(
-            self,
-            directory,
-            fsync=fsync,
-            segment_bytes=segment_bytes,
-            checkpoint_every_rows=checkpoint_every_rows,
-            opener=opener,
-        )
+        self.stores = ShardStores(self, directory, **knobs)
         return self.stores
 
     def rebuild_shard(self, shard_index: int):
@@ -1055,9 +862,9 @@ class ShardedGraph:
 
         A fresh empty shard (from the service's own shard factory) is
         recovered as checkpoint + WAL-tail replay, swapped in, and marked
-        healthy; a structural ``"rebuild_shard"`` event tells consumers
-        to rebuild cold.  Returns the recovery stats the store reports
-        (events replayed, checkpoint used).
+        healthy — a version step with no event, so consumers rebuild cold.
+        Returns the recovery stats the store reports (events replayed,
+        checkpoint used).
         """
         s = self._check_shard(shard_index)
         if self.stores is None:
@@ -1079,18 +886,130 @@ class ShardedGraph:
                 "weightedness differs from the service)"
             )
         info = self.stores.rebuild(s, fresh)
-        before = self.mutation_version
         self.shards[s] = fresh
         self.health[s] = SHARD_HEALTHY
         self.fault_stats["rebuilds"] += 1
-        self._snap_cache = None
-        self._shard_snaps.pop(s, None)
-        self._publish_structural("rebuild_shard", before, np.array([s], dtype=np.int64))
+        self._bump_version()
         return info
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ShardedGraph({type(self.shards[0].backend).__name__} x "
-            f"{self.num_shards}, |V|={self.num_vertices}, |E|={self.num_edges()}, "
-            f"weighted={self.weighted})"
+
+def _router_attribute(name: str, doc: str) -> property:
+    return property(lambda self: getattr(self.backend, name), doc=doc)
+
+
+class ShardedGraph(Graph):
+    """The :class:`Graph` facade over a :class:`ShardRouter`.
+
+    Construct with :meth:`ShardedGraph.create` (fresh shards by registry
+    name) or wrap pre-constructed **empty** shard facades directly.  Every
+    :class:`Graph` operation works unchanged; the rest is one hop to the
+    router's fault and durability surface.
+
+    A mutation that fails on some shards raises
+    :class:`PartialDispatchError` carrying its :class:`DispatchReport`;
+    keep the report and :meth:`redrive` it once the shards are back
+    (after :meth:`rebuild_shard`, for a dead one).
+    """
+
+    def __init__(
+        self,
+        shards,
+        *,
+        event_retention: int = DEFAULT_RETENTION_ROWS,
+        retry: RetryPolicy | None = None,
+        shard_factory=None,
+    ) -> None:
+        router = ShardRouter(shards, retry=retry, shard_factory=shard_factory)
+        super().__init__(router, event_retention=event_retention)
+
+    @classmethod
+    def create(
+        cls,
+        name: str,
+        num_vertices: int,
+        *,
+        num_shards: int = 4,
+        weighted: bool = False,
+        event_retention: int = DEFAULT_RETENTION_ROWS,
+        retry: RetryPolicy | None = None,
+        **backend_kwargs: Any,
+    ) -> "ShardedGraph":
+        """Construct ``num_shards`` fresh registry backends and shard them.
+
+        Every shard addresses the full global vertex-id space, so global
+        ids route and query without translation; per-shard structures
+        only ever hold the edges they own.  ``event_retention`` bounds
+        the service's event log and every shard's alike.  The construction
+        recipe is kept as the service's shard factory, so
+        :meth:`rebuild_shard` can mint an identical empty replacement.
+        """
+
+        def factory() -> Graph:
+            return Graph.create(
+                name,
+                num_vertices,
+                weighted=weighted,
+                event_retention=event_retention,
+                **backend_kwargs,
+            )
+
+        shards = [factory() for _ in range(num_shards)]
+        return cls(
+            shards,
+            event_retention=event_retention,
+            retry=retry,
+            shard_factory=factory,
         )
+
+    # -- one hop to the router ------------------------------------------------------
+
+    shards = _router_attribute("shards", "The per-shard :class:`Graph` facades.")
+    num_shards = _router_attribute("num_shards", "Number of shards behind the router.")
+    partitioner = _router_attribute("partitioner", "The router's :class:`Partitioner`.")
+    health = _router_attribute("health", "Per-shard health states, by shard index.")
+    fault_stats = _router_attribute("fault_stats", "Faults absorbed, retries, recoveries.")
+    stores = _router_attribute("stores", "Durable per-shard stores, once attached.")
+    update_costs = _router_attribute("update_costs", "Modeled routed-update seconds.")
+    query_costs = _router_attribute("query_costs", "Modeled routed-query seconds.")
+
+    def shard_health(self, shard_index: int) -> str:
+        """The health state of one shard (:meth:`ShardRouter.shard_health`)."""
+        return self.backend.shard_health(shard_index)
+
+    def kill_shard(self, shard_index: int) -> None:
+        """Mark a shard dead (:meth:`ShardRouter.kill_shard`)."""
+        self.backend.kill_shard(shard_index)
+
+    def redrive(self, report: DispatchReport):
+        """Re-dispatch a partial mutation's failed shards
+        (:meth:`ShardRouter.redrive`)."""
+        return self.backend.redrive(report)
+
+    def degraded_snapshot(self) -> DegradedSnapshot:
+        """A global snapshot that survives dead shards
+        (:meth:`ShardRouter.degraded_snapshot`)."""
+        return self.backend.degraded_snapshot()
+
+    def attach_durability(
+        self,
+        directory,
+        *,
+        fsync: str = "batch",
+        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
+        checkpoint_every_rows: int | None = None,
+        opener=open,
+    ):
+        """Attach durable per-shard stores under ``directory``
+        (:meth:`ShardRouter.attach_durability`)."""
+        return self.backend.attach_durability(
+            directory,
+            fsync=fsync,
+            segment_bytes=segment_bytes,
+            checkpoint_every_rows=checkpoint_every_rows,
+            opener=opener,
+        )
+
+    def rebuild_shard(self, shard_index: int):
+        """Restore a dead shard from its durable store
+        (:meth:`ShardRouter.rebuild_shard`)."""
+        return self.backend.rebuild_shard(shard_index)

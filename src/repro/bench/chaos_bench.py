@@ -7,8 +7,8 @@ this artifact prices two of them on an insert-heavy history at
 
 - **Overhead** — with one shard dead,
   :meth:`~repro.api.sharding.ShardedGraph.degraded_snapshot` assembles
-  the global view from the live shards plus the dead shard's last cached
-  snapshot; its modeled cost over a healthy fresh assemble.  The
+  the global view from the live shards plus the dead shard's rows of the
+  last global snapshot; its modeled cost over a healthy fresh assemble.  The
   scorecard's ``t14-degraded-read`` claim keeps it ≤ 2x (a degraded read
   re-pays the global assemble, never a per-shard rebuild);
 - **Speedup** — the modeled cost of re-ingesting the dead shard by
@@ -75,7 +75,7 @@ def _measure(backend: str, seed: int) -> tuple[float, float]:
         insert_rows(TAIL_ROWS)
 
         # Healthy fresh assemble: per-shard snapshots + global placement.
-        # Also populates the per-shard snapshot cache degraded reads serve.
+        # Also cuts the global snapshot the dead shard's rows are served from.
         with counting() as delta:
             live = service.snapshot()
         fresh_model_s = simulated_seconds(delta)

@@ -2,9 +2,8 @@
 
 The :class:`repro.api.Graph` facade publishes every normalized edge batch
 and every structural change through an :class:`EventLog`; the snapshot
-delta-merge, the incremental analytics in :mod:`repro.stream`, and the
-shard router in :mod:`repro.api.sharding` are all cursor consumers of the
-same log.  See :mod:`repro.eventlog.log` for the full contract.
+delta-merge and the incremental analytics in :mod:`repro.stream` are
+cursor consumers of the same log.  See :mod:`repro.eventlog.log` for the full contract.
 """
 
 from repro.eventlog.events import (

@@ -63,9 +63,10 @@ STORE_KIND = "repro-durable-graph"
 STORE_SCHEMA_VERSION = 2
 
 #: Structural reasons replay skips: maintenance events (rehash, tombstone
-#: flush) do not change the logical edge set.  The sharded router's own
-#: markers (``partial_dispatch``, ``kill_shard``, ``rebuild_shard``) reach
-#: only the router's log, which no WAL subscribes to, so a WAL holding
+#: flush) do not change the logical edge set.  A sharded service's partial
+#: dispatch, kill or rebuild is a version step with no event, so no
+#: ``partial_dispatch`` / ``kill_shard`` / ``rebuild_shard`` marker is
+#: published anywhere, and a WAL holding
 #: one is a typed "cannot replay" error like any other unknown reason.
 _SKIPPED_REASONS = ("rehash", "flush_tombstones")
 

@@ -4,8 +4,8 @@ A compute phase in a streaming workload does not need to recompute a
 whole-graph analytic from scratch when only a small batch of edges changed
 since the last phase.  The classes here hold an
 :class:`repro.eventlog.EventCursor` on a facade's event log
-(:attr:`repro.api.Graph.events` — the sharded facade in
-:mod:`repro.api.sharding` publishes the same log) and fold the pending
+(:attr:`repro.api.Graph.events`, a :class:`repro.api.ShardedGraph`'s
+included) and fold the pending
 events into their state at query time:
 
 - :class:`IncrementalConnectedComponents` — a union-find forest updated in
@@ -100,9 +100,7 @@ class IncrementalAnalytic:
         events = getattr(graph, "events", None)
         if not isinstance(events, EventLog):
             raise ValidationError(
-                "incremental analytics consume a facade event log "
-                "(repro.api.Graph or ShardedGraph), got "
-                f"{type(graph).__name__}"
+                f"incremental analytics consume a repro.api.Graph, got {type(graph).__name__}"
             )
         self.graph = graph
         self._cursor = events.cursor()

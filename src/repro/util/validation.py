@@ -3,8 +3,9 @@
 Kernels validate once at the public-API boundary and then assume clean
 inputs internally, so the hot loops carry no checks.  Edge-batch ids are
 range-checked (:func:`repro.api.backend.checked_ids`) by the backend
-template under a :class:`repro.api.Graph`, which only coerces, and by
-the ``ShardedGraph`` router (it routes by id) plus each shard's template.
+template under a :class:`repro.api.Graph`, which only coerces — under a
+``ShardedGraph``, by the router's template (it routes by id) plus each
+shard's.
 """
 
 from __future__ import annotations

@@ -302,11 +302,14 @@ class TestEveryReadTakesTheRetryPath:
     @pytest.mark.parametrize("op", sorted(READS))
     def test_permanent_fault_raises_typed_error_and_kills_shard(self, op):
         svc, victim = self.build(op, "permanent")
+        version = svc.mutation_version
         with pytest.raises(ShardError) as exc:
             self.READS[op](svc, victim)
         assert exc.value.shard == 1 and exc.value.op == op
         assert isinstance(exc.value.__cause__, PermanentFault)
         assert svc.shard_health(1) == SHARD_DEAD
+        # A death is a version step: no cached or merged snapshot spans it.
+        assert svc.mutation_version > version
         assert svc.fault_stats["permanent_faults"] == 1
 
     def test_degraded_snapshot_retries_before_serving_stale(self):
@@ -427,10 +430,44 @@ class TestKillRebuildPin:
         assert faulted.health == [SHARD_HEALTHY] * 3
         assert_snaps_identical(faulted.snapshot(), clean.snapshot())
 
+    def test_mutation_version_strictly_increases_across_failover(self, tmp_path):
+        """kill → partial dispatch → rebuild → redrive each step the
+        service version: a sum of shard versions stood still on the kill
+        and fell on the rebuild, which replays only the WAL tail past
+        the shard's checkpoint."""
+        svc = ShardedGraph.create("slabhash", 64, num_shards=3)
+        stores = svc.attach_durability(tmp_path / "stores", fsync="never")
+        rng = np.random.default_rng(8)
+
+        def batch():
+            return rng.integers(0, 64, (2, 40), dtype=np.int64)
+
+        for _ in range(20):
+            svc.insert_edges(*batch())
+        stores.checkpoint()
+        for _ in range(3):
+            svc.insert_edges(*batch())
+        versions = [svc.mutation_version]
+        svc.kill_shard(1)
+        versions.append(svc.mutation_version)
+        with pytest.raises(PartialDispatchError) as exc:
+            svc.insert_edges(*batch())
+        versions.append(svc.mutation_version)
+        svc.rebuild_shard(1)
+        versions.append(svc.mutation_version)
+        assert svc.redrive(exc.value.report) is None
+        versions.append(svc.mutation_version)
+        svc.insert_edges(*batch())
+        versions.append(svc.mutation_version)
+        assert versions == sorted(set(versions)), versions
+        stores.close()
+
     def test_router_markers_never_reach_a_shard_wal(self, tmp_path):
-        """``partial_dispatch``, ``kill_shard`` and ``rebuild_shard`` are
-        published to the router's log alone, which no WAL follows; replay
-        therefore treats one as a typed error, not a record to skip."""
+        """A partial dispatch, a kill, a rebuild and a redrive are version
+        steps with no event: no ``partial_dispatch`` / ``kill_shard`` /
+        ``rebuild_shard`` marker is published anywhere, so none reaches a
+        shard WAL, and replay still treats one as a typed error, not a
+        record to skip."""
         svc = ShardedGraph.create("slabhash", 64, num_shards=3)
         stores = svc.attach_durability(tmp_path / "stores", fsync="never")
         rng = np.random.default_rng(3)
@@ -444,7 +481,7 @@ class TestKillRebuildPin:
         stores.sync()
         markers = {"partial_dispatch", "kill_shard", "rebuild_shard"}
         published = {getattr(e, "reason", None) for e in svc.events.cursor(0).poll()[0]}
-        assert markers <= published
+        assert not published & markers
         for s in range(svc.num_shards):
             logged = {getattr(e, "reason", None) for e in scan_wal(stores.wal_dir(s)).events}
             assert not logged & markers, s
@@ -456,8 +493,8 @@ class TestKillRebuildPin:
 
 class TestRedriveEquivalence:
     """kill → op → rebuild → redrive lands every mutator on the state of a
-    never-faulted service, and the events it publishes on the way keep an
-    attached incremental analytic exact."""
+    never-faulted service, and an attached incremental analytic stays
+    exact: the steps the facade does not publish answer it cold."""
 
     N = 96
 
@@ -510,15 +547,19 @@ class TestRedriveEquivalence:
         assert np.array_equal(cc.labels(), connected_components(faulted.snapshot()))
 
     def test_deleting_a_vertex_whose_owner_is_dead_applies_nothing(self):
+        """The template may step the version before the reverse-pair read
+        raises; no edge moves and no event is published."""
         svc = ShardedGraph.create("slabhash", self.N, num_shards=3)
         svc.insert_edges(*np.random.default_rng(2).integers(0, self.N, (2, 150)))
         victim = int(np.flatnonzero(svc.partitioner.shard_of(np.arange(self.N)) == 1)[0])
+        before = svc.snapshot()
         svc.kill_shard(1)
-        version, events = svc.mutation_version, svc.events.next_seq
+        edges, events = svc.num_edges(), svc.events.next_seq
         with pytest.raises(ShardError) as exc:
             svc.delete_vertices([victim])
         assert exc.value.shard == 1 and exc.value.op == "delete_vertices"
-        assert (svc.mutation_version, svc.events.next_seq) == (version, events)
+        assert (svc.num_edges(), svc.events.next_seq) == (edges, events)
+        assert_snaps_identical(svc.degraded_snapshot().snapshot, before)
 
 
 class TestT14Gates:

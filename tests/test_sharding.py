@@ -95,11 +95,18 @@ class TestShardedExactness:
         apply_mixed(single, src, dst, w)
         apply_mixed(sharded, src, dst, w)
         assert sharded.num_edges() == single.num_edges()
+        assert sharded.vertex_capacity == single.vertex_capacity == n
         s1, s2 = single.snapshot(), sharded.snapshot()
         assert_snapshots_identical(s1, s2)
+        for a, b in zip(single.sorted_adjacency(), sharded.sorted_adjacency()):
+            assert np.array_equal(a, b)
         assert np.array_equal(connected_components(s1), connected_components(s2))
         assert np.allclose(pagerank(single), pagerank(sharded))
         assert triangle_count_csr(s1) == triangle_count_csr(s2)
+        restored = Graph.create(name, num_vertices=n, weighted=weighted)
+        sharded_restored = ShardedGraph.create(name, n, num_shards=3, weighted=weighted)
+        assert restored.restore_snapshot(s1) == sharded_restored.restore_snapshot(s1)
+        assert_snapshots_identical(restored.snapshot(), sharded_restored.snapshot())
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_point_queries_match_single_graph(self, name, rng):
@@ -201,24 +208,28 @@ class TestShardedService:
         assert sg.snapshot().num_edges == 3
 
     def test_mutation_version_is_monotone_aggregate(self):
+        """The service version is the router's own counter, not a sum of
+        shard versions: one step per routed mutation, however many shards
+        the batch reaches."""
         sg = ShardedGraph.create("slabhash", 64, num_shards=3)
         v0 = sg.mutation_version
         sg.insert_edges([0, 1, 2], [1, 2, 3])
-        v1 = sg.mutation_version
-        assert v1 > v0
+        assert sg.mutation_version == v0 + 1
         sg.delete_edges([0], [1])
-        assert sg.mutation_version > v1
+        assert sg.mutation_version == sg.backend.mutation_version == v0 + 2
 
     def test_events_published_with_aggregate_versions(self):
         sg = ShardedGraph.create("slabhash", 64, num_shards=2)
         cur = sg.events.cursor()
+        v0 = sg.mutation_version
         sg.insert_edges([0, 1, 5], [1, 2, 6])
         sg.delete_vertices([5])
         events, gapped = cur.poll()
         assert not gapped and len(events) == 2
         assert events[0].rows == 3
-        assert events[0].after_version == events[1].before_version
-        assert events[1].after_version == sg.mutation_version
+        assert events[0].before_version == v0
+        assert events[0].after_version == events[1].before_version == v0 + 1
+        assert events[1].after_version == sg.mutation_version == v0 + 2
 
     def test_incremental_analytics_attach_to_sharded_service(self, rng):
         n = 100
@@ -281,23 +292,29 @@ class TestAssembly:
             with pytest.raises(ValueError, match="read-only"):
                 got.keys()[0] = 0
 
-    def test_degraded_view_is_the_rebuild_of_the_contributed_rows(self, rng):
-        """One stale shard (its rows as of the cached cut), one missing
-        shard (nothing), two live ones."""
+    @pytest.mark.parametrize("cut", [True, False], ids=["stale", "missing"])
+    def test_degraded_view_is_the_rebuild_of_the_contributed_rows(self, cut, rng):
+        """Three live shards and a dead one, which serves its rows of the
+        last global snapshot (stale) or, with none cut, nothing (missing)."""
         n = 512
         svc = ShardedGraph.create("slabhash", n, num_shards=4)
         first, second = workload(rng, n, 300)[:2], workload(rng, n, 300)[:2]
         svc.insert_edges(*first)
-        svc.kill_shard(3)  # never snapshotted: missing
-        assert svc.degraded_snapshot().missing_shards == (3,)  # caches shards 0-2
+        if cut:
+            cut_version = svc.mutation_version
+            svc.snapshot()
+        svc.kill_shard(1)
         with pytest.raises(PartialDispatchError):  # applied on the live shards
             svc.insert_edges(*second)
-        svc.kill_shard(1)  # cached before the second batch: stale
         degraded = svc.degraded_snapshot()
-        assert (degraded.stale_shards, degraded.missing_shards) == ((1,), (3,))
+        if cut:
+            assert (degraded.stale_shards, degraded.missing_shards) == ((1,), ())
+            assert degraded.staleness == ((1, cut_version, None),)
+        else:
+            assert (degraded.stale_shards, degraded.missing_shards) == ((), (1,))
         src, dst = np.concatenate([first[0], second[0]]), np.concatenate([first[1], second[1]])
         owner = svc.partitioner.shard_of(src)
-        contributed = np.isin(owner, (0, 2)) | ((owner == 1) & (np.arange(600) < 300))
+        contributed = (owner != 1) | (cut & (np.arange(600) < 300))
         keys = np.unique((src << 32 | dst)[contributed & (src != dst)])
         want = CSRSnapshot.from_coo(COO(keys >> 32, keys & 0xFFFFFFFF, n))
         assert_snapshots_identical(want, degraded.snapshot)
@@ -310,7 +327,7 @@ class TestAssembly:
         svc.insert_edges(src, dst, w if weighted else None)
         shard_snaps = [shard.snapshot() for shard in svc.shards]
         with counting() as charged:
-            assembled = svc._assemble(shard_snaps)
+            assembled = svc.backend._assemble(shard_snaps)
         assert {k: v for k, v in charged.items() if v} == {
             "kernel_launches": 3,
             "bytes_copied": assembled.num_edges * (16 if weighted else 8) + (n + 1) * 8,
@@ -344,10 +361,25 @@ class TestShardedValidation:
             ShardedGraph([])
 
     def test_rejects_negative_event_retention(self):
-        # The router log is built before any facade check runs.
+        # The service's event log is the facade's, and so is the check.
         shards = [Graph.create("slabhash", num_vertices=8) for _ in range(2)]
-        with pytest.raises(ValidationError, match="retention_rows"):
+        with pytest.raises(ValidationError, match="event_retention"):
             ShardedGraph(shards, event_retention=-1)
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_rejected_bulk_build_applies_nothing(self, name):
+        """A bulk build into a populated service is refused before any
+        shard applies its share: the shard owning no row of the graph
+        used to accept its rows before another shard refused."""
+        sg = ShardedGraph.create(name, 64, num_shards=4)
+        sg.insert_edges([1], [2])
+        version, events = sg.mutation_version, sg.events.next_seq
+        per_shard = [shard.num_edges() for shard in sg.shards]
+        coo = COO(np.arange(20, 40), np.arange(21, 41), 64)
+        with pytest.raises(ValidationError, match="requires an empty graph"):
+            sg.bulk_build(coo)
+        assert [shard.num_edges() for shard in sg.shards] == per_shard
+        assert (sg.num_edges(), sg.mutation_version, sg.events.next_seq) == (1, version, events)
 
     @pytest.mark.parametrize("shard", [1.5, True, "1", None, 2, -1])
     def test_non_integral_or_out_of_range_shard_index_rejected(self, shard):
@@ -370,6 +402,15 @@ class TestShardedValidation:
             sg.degree([99])
         with pytest.raises(ValidationError):
             sg.edge_exists([0], [99])
+        # Per-shard operations the router does not route: the facade's
+        # capability refusal, even over a slab-hash shard that has them.
+        for flag, call in [
+            ("rehash", sg.rehash),
+            ("tombstone_flush", sg.flush_tombstones),
+            ("range_queries", lambda: sg.neighbor_range(0, 0, 16)),
+        ]:
+            with pytest.raises(ValidationError, match=f"capability {flag}=False"):
+                call()
 
 
 class TestScatterGatherShardErrors:

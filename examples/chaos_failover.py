@@ -9,8 +9,8 @@ and the hardened :class:`repro.api.ShardedGraph`:
 1. build a 4-shard durable service and wrap every shard in a seeded
    fault plan — the fault schedule is deterministic, so this script
    prints the same story on every run;
-2. transient faults: the router's retry-with-backoff absorbs them
-   transparently (the workload never notices);
+2. transient faults: the router retries them at once, up to three
+   tries, and absorbs them transparently (the workload never notices);
 3. a permanent fault kills a shard mid-batch: the router is strict —
    the batch raises ``PartialDispatchError``, whose report says exactly
    which shards applied, and the caller keeps that report; queries on
@@ -85,10 +85,10 @@ def main() -> None:
             print(f"typed query failure: shard={exc.shard} op={exc.op}")
 
         degraded = service.degraded_snapshot()
-        (shard, cut_version, _) = degraded.staleness[0]
+        (shard,) = degraded.stale_shards
         print(
             f"degraded read: {degraded.snapshot.num_edges} edges served, "
-            f"shard {shard} stale (served from the snapshot at v{cut_version})"
+            f"shard {shard} stale (served from the snapshot at v{degraded.cut_version})"
         )
         assert degraded.snapshot.num_edges >= healthy_snapshot.num_edges
 

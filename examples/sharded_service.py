@@ -9,6 +9,8 @@ whose backend routes edges to their source's owner shard.  Every batch is
 normalized and published by that facade as a single graph's would be, so
 the incremental analytics attach to the sharded service exactly as they
 would to a single graph, and the global snapshot is bit-identical to one.
+The modeled price of the scaling is the ``t12`` bench artifact
+(``python -m repro.bench.runner t12``).
 """
 
 import numpy as np
@@ -39,14 +41,6 @@ def main() -> None:
     cut = float(service.partitioner.cut_mask(live.src, live.dst).mean())
     print(f"ingested {total} edges across {shards} shards: {per_shard}")
     print(f"cut edges (endpoints on different shards): {cut:.0%}")
-
-    # The modeled update cost: shards execute independently, so a batch
-    # costs the slowest shard, not the sum.
-    costs = service.update_costs
-    print(
-        f"modeled update speedup vs one structure: "
-        f"{costs.serial_seconds / costs.parallel_seconds:.1f}x over {costs.calls} batches"
-    )
 
     # Global analytics run unchanged on the assembled snapshot — and
     # match a single graph holding the same edges, bit for bit.

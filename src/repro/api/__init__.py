@@ -48,7 +48,6 @@ from repro.api.sharding import (
     DispatchReport,
     PartialDispatchError,
     Partitioner,
-    RetryPolicy,
     ShardedGraph,
     ShardError,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "GraphBackend",
     "PartialDispatchError",
     "Partitioner",
-    "RetryPolicy",
     "ShardError",
     "ShardedGraph",
     "as_snapshot",

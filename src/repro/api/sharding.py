@@ -30,8 +30,8 @@ facade's cursor-window merge.
 Robustness (see ``docs/robustness.md``): every shard carries a health
 state (``"healthy"`` / ``"degraded"`` / ``"dead"``), and every shard call
 a routed operation makes — mutation, query, snapshot or export read —
-takes one retry path: transient faults are retried with bounded modeled
-backoff (:class:`RetryPolicy`); a permanent fault marks the shard dead.
+takes one retry path: a transient fault is retried at once, up to
+:data:`MAX_ATTEMPTS` tries in all; a permanent fault marks the shard dead.
 A mutation that fails on some shards raises :class:`PartialDispatchError`,
 whose :class:`DispatchReport` says **exactly which shards applied** and
 can be re-driven (:meth:`ShardedGraph.redrive`).  A change the facade does
@@ -45,19 +45,17 @@ is restored **bit-identically** from its durable per-shard WAL by
 :meth:`ShardedGraph.rebuild_shard` (after
 :meth:`ShardedGraph.attach_durability`).
 
-Cost accounting: shard dispatches are independent, so the device model
-prices an update batch as *router overhead + the slowest shard*
-(:attr:`ShardedGraph.update_costs` ``.parallel_seconds``) alongside the
-total work across shards (``.serial_seconds``).  Retry backoff is modeled
-time, charged to the faulting shard — so chaos runs price their own
-recovery overhead deterministically.  The ``t12/shard`` bench artifact
-reports aggregate update throughput under the parallel model vs. shard
-count; ``t14/chaos`` prices degraded reads and WAL-replay recovery.
+The router keeps no clock.  It charges the device counters for the work
+it does itself — one dispatch plus the routed rows per fan-out, and the
+copies of snapshot assembly — and prices nothing.  The ``t12`` bench
+artifact meters the shards from outside to price an update batch as
+*router overhead + the slowest shard*; ``t14`` prices degraded reads and
+WAL-replay recovery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -67,8 +65,7 @@ from repro.api.facade import Graph
 from repro.api.snapshot import CSRSnapshot
 from repro.coo import COO
 from repro.eventlog import DEFAULT_RETENTION_ROWS
-from repro.gpusim.counters import counting, get_counters
-from repro.gpusim.model import simulated_seconds
+from repro.gpusim.counters import get_counters
 from repro.persist.wal import DEFAULT_SEGMENT_BYTES
 from repro.util.errors import (
     PermanentFault,
@@ -85,7 +82,6 @@ __all__ = [
     "ShardError",
     "PartialDispatchError",
     "DispatchReport",
-    "RetryPolicy",
 ]
 
 #: Fibonacci multiplier (golden-ratio reciprocal in 64 bits) — spreads
@@ -96,6 +92,10 @@ _FIB = np.uint64(0x9E3779B97F4A7C15)
 SHARD_HEALTHY = "healthy"
 SHARD_DEGRADED = "degraded"
 SHARD_DEAD = "dead"
+
+#: Tries per shard call, the first included: a transient fault is retried
+#: at once until this many have failed, and then degrades the shard.
+MAX_ATTEMPTS = 3
 
 
 class ShardError(ReproError, RuntimeError):
@@ -148,31 +148,8 @@ class PartialDispatchError(ShardError):
 
     def __init__(self, message: str, *, shard: int, op: str, report: DispatchReport) -> None:
         super().__init__(message, shard=shard, op=op)
-        #: Full accounting of the partial dispatch.
+        #: Which shards the partial dispatch reached, and which it missed.
         self.report = report
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry-with-backoff for transient shard faults.
-
-    ``max_attempts`` counts the first try; backoff between attempts is
-    *modeled* device time (``backoff_base`` seconds, multiplied by
-    ``multiplier`` each retry) charged to the faulting shard — so chaos
-    runs stay deterministic while still pricing their recovery overhead.
-    """
-
-    max_attempts: int = 3
-    backoff_base: float = 100e-6
-    multiplier: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValidationError("max_attempts must be >= 1")
-        if self.backoff_base < 0:
-            raise ValidationError("backoff_base must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValidationError("multiplier must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -180,16 +157,16 @@ class DegradedSnapshot:
     """A global snapshot assembled while some shards could not serve.
 
     ``snapshot`` is the assembled :class:`CSRSnapshot`; ``stale_shards``
-    served their rows of the last exact global snapshot (``staleness``
-    holds ``(shard, cut_version, None)`` per stale shard, ``cut_version``
-    being the service's version at that snapshot); ``missing_shards`` had
-    no such snapshot to serve from and contribute no edges.
+    served their rows of the last exact global snapshot, taken at the
+    service version ``cut_version`` (None when no shard is stale);
+    ``missing_shards`` had no such snapshot to serve from and contribute
+    no edges.
     """
 
     snapshot: CSRSnapshot
     stale_shards: tuple
     missing_shards: tuple
-    staleness: tuple
+    cut_version: int | None
 
     @property
     def fresh(self) -> bool:
@@ -224,40 +201,6 @@ class Partitioner:
         return f"Partitioner(num_shards={self.num_shards})"
 
 
-@dataclass
-class ShardCosts:
-    """Modeled device seconds accumulated by the router for one class of
-    operations (updates or queries).
-
-    ``parallel_seconds`` prices each call as router overhead plus the
-    slowest shard (shards execute independently); ``serial_seconds`` is
-    router overhead plus the *sum* over shards — the aggregate device
-    work burned, whose ratio to a single-shard run is the fan-out tax.
-    """
-
-    num_shards: int
-    parallel_seconds: float = 0.0
-    serial_seconds: float = 0.0
-    per_shard_seconds: list = field(default_factory=list)
-    calls: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.per_shard_seconds:
-            self.per_shard_seconds = [0.0] * self.num_shards
-
-    def record(self, router_seconds: float, shard_times) -> None:
-        """Fold one routed call: ``shard_times`` is ``[(shard, secs), ...]``."""
-        slowest = 0.0
-        total = 0.0
-        for shard, secs in shard_times:
-            self.per_shard_seconds[shard] += secs
-            slowest = max(slowest, secs)
-            total += secs
-        self.parallel_seconds += router_seconds + slowest
-        self.serial_seconds += router_seconds + total
-        self.calls += 1
-
-
 def _edge_rows(payload: dict, mask):
     weights = payload["weights"]
     return payload["src"][mask], payload["dst"][mask], None if weights is None else weights[mask]
@@ -266,11 +209,13 @@ def _edge_rows(payload: dict, mask):
 def _delete_vertices_in(shard, payload: dict, mask) -> int:
     """One shard's share of a vertex deletion: first the reverse pairs
     ``u -> v`` this shard owns (see :meth:`ShardRouter._delete_vertices`),
-    then the whole victim batch."""
-    removed = 0
-    if mask.any():
-        removed = shard.delete_edges(payload["src"][mask], payload["dst"][mask])
-    return removed + shard.delete_vertices(payload["vids"])
+    then the whole victim batch.  What the pairs removed is kept in the
+    payload per shard, so a retry after the victims' delete faulted
+    neither re-sends them nor loses their count."""
+    pairs = payload["pairs_removed"]
+    if mask.any() and shard not in pairs:
+        pairs[shard] = shard.delete_edges(payload["src"][mask], payload["dst"][mask])
+    return pairs.get(shard, 0) + shard.delete_vertices(payload["vids"])
 
 
 def _bulk_build_in(shard, payload: dict, mask) -> int:
@@ -312,7 +257,7 @@ class ShardRouter(GraphBackend):
     bumps it too.
     """
 
-    def __init__(self, shards, *, retry: RetryPolicy | None = None, shard_factory=None) -> None:
+    def __init__(self, shards, *, shard_factory=None) -> None:
         shards = list(shards)
         if not shards:
             raise ValidationError("ShardedGraph needs at least one shard")
@@ -348,10 +293,6 @@ class ShardRouter(GraphBackend):
         ranges = {shard.backend._weight_range for shard in shards} - {None}
         if ranges:
             self._weight_range = (max(lo for lo, _ in ranges), min(hi for _, hi in ranges))
-        self.update_costs = ShardCosts(len(shards))
-        self.query_costs = ShardCosts(len(shards))
-        #: Retry-with-backoff policy for transient shard faults.
-        self.retry = retry or RetryPolicy()
         #: Per-shard health: ``SHARD_HEALTHY`` / ``SHARD_DEGRADED`` /
         #: ``SHARD_DEAD`` (dead shards are skipped by fan-outs and only
         #: return via :meth:`rebuild_shard`).
@@ -362,7 +303,6 @@ class ShardRouter(GraphBackend):
             "permanent_faults": 0,
             "shard_errors": 0,
             "retries": 0,
-            "backoff_seconds": 0.0,
             "partial_dispatches": 0,
             "degraded_reads": 0,
             "rebuilds": 0,
@@ -416,84 +356,67 @@ class ShardRouter(GraphBackend):
 
     # -- routing helpers ----------------------------------------------------------
 
-    def _charge_router(self, rows: int) -> float:
-        """Price the scatter/gather the router performs around a fan-out
-        (one dispatch plus moving the routed rows), and return it."""
-        delta = {"kernel_launches": 1, "bytes_copied": int(rows) * 16}
+    def _charge_router(self, rows: int) -> None:
+        """Charge the scatter/gather the router performs around a fan-out:
+        one dispatch plus moving the routed rows."""
         counters = get_counters()
         counters.kernel_launches += 1
         counters.bytes_copied += int(rows) * 16
-        return simulated_seconds(delta)
 
     def _attempt(self, s: int, call, mask):
-        """Run ``call(shard, mask)`` on shard ``s`` under the retry policy.
+        """Run ``call(shard, mask)`` on shard ``s``, retrying a transient
+        fault up to :data:`MAX_ATTEMPTS` tries in all.
 
         Every routed shard call — mutation, scatter-gather query,
         ``neighbors``, per-shard snapshot or export read — comes through
         here, so faults are classified, counted, retried and reflected in
         shard health one way.
 
-        Returns ``(modeled_seconds, value, failure)`` — ``failure`` is
-        None on success, else the exception that exhausted the policy.
-        Health transitions: a transient-fault exhaustion or unexpected
-        error degrades the shard, a permanent fault kills it, and a
-        success restores a degraded shard to healthy.
+        Returns ``(value, failure)`` — ``failure`` is None on success,
+        else the exception that ended the tries.  Health transitions: a
+        transient-fault exhaustion or unexpected error degrades the shard,
+        a permanent fault kills it, and a success restores a degraded
+        shard to healthy.
         """
-        backoff = self.retry.backoff_base
-        total = 0.0
         last: Exception | None = None
-        for attempt in range(self.retry.max_attempts):
-            delta: dict = {}
+        for attempt in range(MAX_ATTEMPTS):
             try:
-                with counting() as delta:
-                    value = call(self.shards[s], mask)
+                value = call(self.shards[s], mask)
             except TransientFault as exc:
-                total += simulated_seconds(delta)
                 self.fault_stats["transient_faults"] += 1
                 last = exc
-                if attempt + 1 < self.retry.max_attempts:
-                    # Modeled backoff: charged to the faulting shard so
-                    # retried batches price their own recovery latency.
-                    total += backoff
+                if attempt + 1 < MAX_ATTEMPTS:
                     self.fault_stats["retries"] += 1
-                    self.fault_stats["backoff_seconds"] += backoff
-                    backoff *= self.retry.multiplier
                 continue
             except PermanentFault as exc:
-                total += simulated_seconds(delta)
                 self.fault_stats["permanent_faults"] += 1
                 self._kill(s)
-                return total, None, exc
+                return None, exc
             except ValidationError:
                 raise  # a caller/router bug, not an environmental fault
             except Exception as exc:
-                total += simulated_seconds(delta)
                 self.fault_stats["shard_errors"] += 1
                 self.health[s] = SHARD_DEGRADED
-                return total, None, exc
+                return None, exc
             else:
-                total += simulated_seconds(delta)
                 if self.health[s] == SHARD_DEGRADED:
                     self.health[s] = SHARD_HEALTHY
-                return total, value, None
+                return value, None
         self.health[s] = SHARD_DEGRADED
-        return total, None, last
+        return None, last
 
     def _fan_out(self, call, owner=None, targets=None, *, broadcast: bool = False):
-        """The one per-shard loop: run ``call(shard, row_mask)`` under the
-        retry policy on each shard of ``targets`` (default: all) that owns
-        rows of ``owner`` (on every target when ``owner`` is None or
+        """The one per-shard loop: run ``call(shard, row_mask)`` through
+        :meth:`_attempt` on each shard of ``targets`` (default: all) that
+        owns rows of ``owner`` (on every target when ``owner`` is None or
         ``broadcast`` is set); dead shards are failed without an attempt.
 
-        Returns ``(done, failures, shard_times)``: ``done`` maps each
-        shard that succeeded to what its call returned, in dispatch
-        order; ``failures`` pairs shard indices with the exception (or
-        the reason string, for dead shards); ``shard_times`` is the
-        ``[(shard, modeled_seconds), ...]`` list :meth:`ShardCosts.record`
-        folds."""
+        Returns ``(done, failures)``: ``done`` maps each shard that
+        succeeded to what its call returned, in dispatch order;
+        ``failures`` pairs shard indices with the exception (or the reason
+        string, for dead shards)."""
         done: dict = {}
         failures = []
-        shard_times = []
         for s in range(self.num_shards) if targets is None else targets:
             mask = None if owner is None else owner == s
             if not (broadcast or mask is None or mask.any()):
@@ -501,13 +424,12 @@ class ShardRouter(GraphBackend):
             if self.health[s] == SHARD_DEAD:
                 failures.append((s, f"shard {s} is dead (not attempted)"))
                 continue
-            secs, value, err = self._attempt(s, call, mask)
-            shard_times.append((s, secs))
+            value, err = self._attempt(s, call, mask)
             if err is None:
                 done[s] = value
             else:
                 failures.append((s, err))
-        return done, failures, shard_times
+        return done, failures
 
     # -- mutation -----------------------------------------------------------------
 
@@ -516,8 +438,8 @@ class ShardRouter(GraphBackend):
 
         Applies ``payload`` (see ``_MUTATIONS``) to every shard it has rows
         for — or, redriving ``report``, to ``report.failed_shards`` — and
-        prices the call (one routed row per entry of ``payload["owner"]``)
-        into :attr:`update_costs`.  The facade publishes a first dispatch
+        charges the router's share (one routed row per entry of
+        ``payload["owner"]``).  The facade publishes a first dispatch
         that every shard applied; anything else is the version step the
         caller already took, with no event.
 
@@ -529,14 +451,13 @@ class ShardRouter(GraphBackend):
         send = _MUTATIONS[op]
         redrive = report is not None
         owner = payload["owner"]
-        router = self._charge_router(owner.shape[0])
-        done, failures, shard_times = self._fan_out(
+        self._charge_router(owner.shape[0])
+        done, failures = self._fan_out(
             lambda shard, mask: send(shard, payload, mask),
             owner,
             report.failed_shards if redrive else None,
             broadcast=op in _BROADCAST,
         )
-        self.update_costs.record(router, shard_times)
         result = sum(done.values()) + (report.result if redrive else 0)
         if not failures:
             return None if redrive else result
@@ -579,15 +500,17 @@ class ShardRouter(GraphBackend):
         that list lives only in ``owner(v)``; so the router first reads
         each victim's out-neighbours ``u`` and, inside the same dispatch,
         deletes ``u -> v`` in ``owner(u)``'s shard.  The pairs ride in the
-        payload, so :meth:`redrive` re-sends them.  Reading them needs
-        every victim's owner: while one cannot serve, this raises
-        :class:`ShardError` before any shard applies anything."""
+        payload, so :meth:`redrive` re-sends them to a shard that has not
+        applied them.  Reading them needs every victim's owner: while one
+        cannot serve, this raises :class:`ShardError` before any shard
+        applies anything."""
         pos, nbrs, _ = self._gather_adjacencies("delete_vertices", vids)
         payload = {
             "vids": vids.copy(),  # a copy: the payload outlives the caller's buffer
             "src": nbrs,
             "dst": vids[pos],
             "owner": self.partitioner.shard_of(nbrs),
+            "pairs_removed": {},
         }
         return self._mutate("delete_vertices", payload)
 
@@ -638,16 +561,14 @@ class ShardRouter(GraphBackend):
     def _scatter(self, op: str, gather, keys) -> None:
         """The one scatter-gather read path: route the template's clean
         rows by the owner of ``keys``, run ``gather(shard, row_mask)`` on
-        each owning shard under the retry policy (priced into
-        :attr:`query_costs`), and raise a typed :class:`ShardError` if any
-        shard failed.  An empty batch touches no shard and charges
-        nothing."""
+        each owning shard through :meth:`_attempt`, and raise a typed
+        :class:`ShardError` if any shard failed.  An empty batch touches
+        no shard and charges nothing."""
         if keys.size == 0:
             return
         owner = self.partitioner.shard_of(keys)
-        router = self._charge_router(keys.shape[0])
-        _, failures, shard_times = self._fan_out(gather, owner)
-        self.query_costs.record(router, shard_times)
+        self._charge_router(keys.shape[0])
+        _, failures = self._fan_out(gather, owner)
         self._raise_query_failures(op, failures)
 
     def _edge_exists(self, src, dst) -> np.ndarray:
@@ -713,11 +634,11 @@ class ShardRouter(GraphBackend):
 
     def _read_shards(self, op: str, read, targets=None) -> dict:
         """``{shard: read(shard, None)}`` over ``targets`` (default: all)
-        under the retry policy — the reads that are not row batches
-        (``neighbors``, :meth:`snapshot`, :meth:`export_coo`).  They price
-        nothing into :attr:`query_costs`; a shard failure surfaces as a
-        typed :class:`ShardError`."""
-        done, failures, _ = self._fan_out(read, targets=targets)
+        through :meth:`_attempt` — the reads that are not row batches
+        (``neighbors``, :meth:`snapshot`, :meth:`export_coo`).  They charge
+        no router share; a shard failure surfaces as a typed
+        :class:`ShardError`."""
+        done, failures = self._fan_out(read, targets=targets)
         self._raise_query_failures(op, failures)
         return done
 
@@ -772,7 +693,7 @@ class ShardRouter(GraphBackend):
         the facade's cursor-window merge serves the warm path.  Refuses (a
         typed :class:`ShardError`, like every other read) while any shard
         is dead or failing — that state cannot serve an exact global view;
-        use :meth:`degraded_snapshot` (tagged staleness) or
+        use :meth:`degraded_snapshot` (tagged with its cut version) or
         :meth:`rebuild_shard` (exact recovery) instead.
         """
         version = self.mutation_version
@@ -804,14 +725,14 @@ class ShardRouter(GraphBackend):
         """Best-effort global snapshot that survives dead or failing shards.
 
         Live shards serve live.  A dead (or currently faulting) shard
-        contributes its rows of the last exact global snapshot — tagged in
-        ``stale_shards`` with ``(shard, cut_version, None)`` — and is
-        reported in ``missing_shards``, contributing nothing, when no such
-        snapshot exists.  The extra modeled cost of this path (vs. a
+        contributes its rows of the last exact global snapshot — listed in
+        ``stale_shards``, with that snapshot's version in ``cut_version`` —
+        and is reported in ``missing_shards``, contributing nothing, when
+        no such snapshot exists.  The extra modeled cost of this path (vs. a
         healthy :meth:`snapshot`) is priced by the ``t14/chaos`` bench
         artifact.
         """
-        live, _, _ = self._fan_out(lambda shard, _: shard.snapshot())
+        live, _ = self._fan_out(lambda shard, _: shard.snapshot())
         cut = self._snapshot_cache
         shard_snaps = []
         stale = []
@@ -830,7 +751,7 @@ class ShardRouter(GraphBackend):
             snapshot=self._assemble(shard_snaps),
             stale_shards=tuple(stale),
             missing_shards=tuple(missing),
-            staleness=tuple((s, cut[0], None) for s in stale),
+            cut_version=cut[0] if stale else None,
         )
 
     # -- durability and recovery -----------------------------------------------------
@@ -916,10 +837,9 @@ class ShardedGraph(Graph):
         shards,
         *,
         event_retention: int = DEFAULT_RETENTION_ROWS,
-        retry: RetryPolicy | None = None,
         shard_factory=None,
     ) -> None:
-        router = ShardRouter(shards, retry=retry, shard_factory=shard_factory)
+        router = ShardRouter(shards, shard_factory=shard_factory)
         super().__init__(router, event_retention=event_retention)
 
     @classmethod
@@ -931,7 +851,6 @@ class ShardedGraph(Graph):
         num_shards: int = 4,
         weighted: bool = False,
         event_retention: int = DEFAULT_RETENTION_ROWS,
-        retry: RetryPolicy | None = None,
         **backend_kwargs: Any,
     ) -> "ShardedGraph":
         """Construct ``num_shards`` fresh registry backends and shard them.
@@ -954,12 +873,7 @@ class ShardedGraph(Graph):
             )
 
         shards = [factory() for _ in range(num_shards)]
-        return cls(
-            shards,
-            event_retention=event_retention,
-            retry=retry,
-            shard_factory=factory,
-        )
+        return cls(shards, event_retention=event_retention, shard_factory=factory)
 
     # -- one hop to the router ------------------------------------------------------
 
@@ -969,8 +883,6 @@ class ShardedGraph(Graph):
     health = _router_attribute("health", "Per-shard health states, by shard index.")
     fault_stats = _router_attribute("fault_stats", "Faults absorbed, retries, recoveries.")
     stores = _router_attribute("stores", "Durable per-shard stores, once attached.")
-    update_costs = _router_attribute("update_costs", "Modeled routed-update seconds.")
-    query_costs = _router_attribute("query_costs", "Modeled routed-query seconds.")
 
     def shard_health(self, shard_index: int) -> str:
         """The health state of one shard (:meth:`ShardRouter.shard_health`)."""
@@ -996,17 +908,12 @@ class ShardedGraph(Graph):
         *,
         fsync: str = "batch",
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        checkpoint_every_rows: int | None = None,
         opener=open,
     ):
         """Attach durable per-shard stores under ``directory``
         (:meth:`ShardRouter.attach_durability`)."""
         return self.backend.attach_durability(
-            directory,
-            fsync=fsync,
-            segment_bytes=segment_bytes,
-            checkpoint_every_rows=checkpoint_every_rows,
-            opener=opener,
+            directory, fsync=fsync, segment_bytes=segment_bytes, opener=opener
         )
 
     def rebuild_shard(self, shard_index: int):

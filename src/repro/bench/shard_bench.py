@@ -5,10 +5,15 @@ The paper's structure saturates one device; the
 hash-partitioning the vertex space across N independent per-shard
 structures.  This artifact prices that trade on an insert-heavy streaming
 workload under the device model: **Speedup** is the aggregate modeled
-insert throughput of the 4-shard service (shards executing independently:
-router overhead + slowest shard per batch) over the 1-shard service, whose
-router overhead is included so the comparison is apples-to-apples.  The scorecard's
-``t12-shard-scaling`` claim keeps it ≥ 2x.
+insert throughput of the 4-shard service over the 1-shard service.
+
+The router prices nothing itself, so the bench meters it from outside:
+every shard facade's ``insert_edges`` is wrapped in a ``counting()``
+block, and each service batch is priced as *router overhead + the slowest
+shard* (shards execute independently).  The router's share is the batch's
+counter delta minus the shards' deltas; the 1-shard service pays it too,
+so the comparison is apples-to-apples.  The scorecard's
+``t12-shard-scaling`` claim keeps the speedup ≥ 2x.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import numpy as np
 
 from repro.api.sharding import ShardedGraph
 from repro.bench.results import ArtifactBuilder, ArtifactResult
+from repro.gpusim.counters import counting
+from repro.gpusim.model import simulated_seconds
 
 __all__ = ["shard_artifact"]
 
@@ -42,12 +49,35 @@ def _insert_workload(num_vertices: int, batch_rows: int, batches: int, seed: int
     return out
 
 
+def _meter(shard, deltas: list) -> None:
+    """Wrap ``shard.insert_edges`` so each call appends its counter delta
+    to ``deltas``."""
+    insert_edges = shard.insert_edges
+
+    def metered(*args):
+        with counting() as delta:
+            count = insert_edges(*args)
+        deltas.append(delta)
+        return count
+
+    shard.insert_edges = metered
+
+
 def _insert_seconds(name: str, num_vertices: int, shards: int, inserts) -> float:
-    """Modeled parallel insert time of the whole stream on ``shards`` shards."""
+    """Modeled parallel insert time of the whole stream on ``shards`` shards:
+    per batch, the router's share plus the slowest shard's."""
     service = ShardedGraph.create(name, num_vertices, num_shards=shards)
+    deltas: list = []
+    for shard in service.shards:
+        _meter(shard, deltas)
+    seconds = 0.0
     for src, dst in inserts:
-        service.insert_edges(src, dst)
-    return service.update_costs.parallel_seconds
+        deltas.clear()
+        with counting() as batch:
+            service.insert_edges(src, dst)
+        router = {k: v - sum(d.get(k, 0) for d in deltas) for k, v in batch.items()}
+        seconds += simulated_seconds(router) + max(map(simulated_seconds, deltas), default=0.0)
+    return seconds
 
 
 def shard_artifact(seed: int = 0, quick: bool = False) -> ArtifactResult:

@@ -69,7 +69,7 @@ class KernelCounters:
 
 
 #: The declared counters, in declaration order — computed once, because
-#: ``counting()`` snapshots the bag twice per shard attempt.
+#: every ``counting()`` block snapshots the bag twice.
 _COUNTER_NAMES = tuple(f.name for f in fields(KernelCounters) if f.name != "_extra")
 
 _GLOBAL = KernelCounters()

@@ -38,7 +38,7 @@ from pathlib import Path
 from repro.persist.checkpoint import CheckpointManifest, _read_identity, _write_identity
 from repro.persist.store import CHECKPOINT_DIR, WAL_DIR, DurableGraph, _recover, _scan
 from repro.persist.wal import DEFAULT_SEGMENT_BYTES
-from repro.util.errors import PersistError
+from repro.util.errors import PersistError, ValidationError
 
 __all__ = ["ShardStores"]
 
@@ -75,14 +75,12 @@ class ShardStores:
         *,
         fsync: str = "batch",
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        checkpoint_every_rows: int | None = None,
         opener=open,
     ) -> None:
         self.service = service
         self.directory = Path(directory)
         self.fsync = fsync
         self.segment_bytes = segment_bytes
-        self.checkpoint_every_rows = checkpoint_every_rows
         self._opener = opener
         self.directory.mkdir(parents=True, exist_ok=True)
         identity = {
@@ -99,17 +97,23 @@ class ShardStores:
         #: One :class:`DurableGraph` per shard, index-aligned with
         #: ``service.shards``.
         self._durable: list = []
-        for s, shard in enumerate(self.service.shards):
-            # The live shard, not the directory, is the truth here: old
-            # history is only scanned for the seq to continue from.
-            scan, _repaired = _scan(self.wal_dir(s), repair=True)
-            durable = self._bind(s, shard, next_seq=scan.next_seq)
-            self._durable.append(durable)
-            if shard.num_edges() > 0 or scan.next_seq > 0:
-                # Anchor: the WAL from here on is a complete history only
-                # relative to the shard's state at attach time, so recovery
-                # must never need records that predate the attach.
-                durable.checkpoint()
+        try:
+            for s, shard in enumerate(self.service.shards):
+                # The live shard, not the directory, is the truth here: old
+                # history is only scanned for the seq to continue from.
+                scan, _repaired = _scan(self.wal_dir(s), repair=True)
+                durable = self._bind(s, shard, next_seq=scan.next_seq)
+                self._durable.append(durable)
+                if shard.num_edges() > 0 or scan.next_seq > 0:
+                    # Anchor: the WAL from here on is a complete history
+                    # only relative to the shard's state at attach time, so
+                    # recovery must never need records that predate it.
+                    durable.checkpoint()
+        except BaseException:
+            # A half-attached service keeps no writer: a later attach
+            # would bind a second one to the same WAL.
+            self.close()
+            raise
 
     def _bind(self, s: int, shard, **recovery) -> DurableGraph:
         return DurableGraph(
@@ -119,7 +123,6 @@ class ShardStores:
             fsync=self.fsync,
             segment_bytes=self.segment_bytes,
             opener=self._opener,
-            checkpoint_every_rows=self.checkpoint_every_rows,
             **recovery,
         )
 
@@ -184,8 +187,14 @@ class ShardStores:
         Refuses (:class:`PersistError`) while the shard has a durability
         gap — the log is missing applied events, so a rebuild would
         silently lose them; :meth:`checkpoint_shard` heals the gap first.
+        Refuses (:class:`ValidationError`) once :meth:`close` has run.
         """
         old = self._durable[s]
+        if old.wal is None:
+            raise ValidationError(
+                f"shard {s}'s store at {str(self.shard_dir(s))!r} is closed — "
+                "rebuilding needs the stores attached"
+            )
         if old.durability_gap > 0:
             raise PersistError(
                 f"shard {s} has {old.durability_gap} durability gap(s): events "

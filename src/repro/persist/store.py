@@ -111,9 +111,9 @@ class DurableGraph:
     Mutate through :attr:`graph` exactly as usual — a WAL writer
     (``writer_knobs`` are :class:`WalWriter`'s fsync / segment_bytes /
     opener) positioned at ``next_seq`` observes the event log, so
-    durability is transparent.  Call :meth:`checkpoint` (or set
-    ``checkpoint_every_rows``) to bound recovery's replay length,
-    :meth:`sync` to force the WAL to disk, and :meth:`close` when done.
+    durability is transparent.  Call :meth:`checkpoint` to bound
+    recovery's replay length, :meth:`sync` to force the WAL to disk, and
+    :meth:`close` when done.
     Read replicas (``read_only=True``) expose :meth:`tail` instead of a
     writer.
     """
@@ -126,7 +126,6 @@ class DurableGraph:
         backend_name: str,
         next_seq: int,
         read_only: bool = False,
-        checkpoint_every_rows: int | None = None,
         recovered_checkpoint: CheckpointManifest | None = None,
         replayed_events: int = 0,
         repaired_torn_tail: bool = False,
@@ -136,7 +135,6 @@ class DurableGraph:
         self.graph = graph
         #: Stamped into this store's checkpoint manifests.
         self.backend_name = backend_name
-        self.checkpoint_every_rows = checkpoint_every_rows
         #: Manifest recovery started from (None → replayed from empty).
         self.recovered_checkpoint = recovered_checkpoint
         #: WAL records replayed during recovery.
@@ -144,8 +142,6 @@ class DurableGraph:
         #: True when recovery truncated a torn tail / dropped segments.
         self.repaired_torn_tail = repaired_torn_tail
         self.last_checkpoint = recovered_checkpoint
-        #: Edge rows logged since the last checkpoint (recovery's replay).
-        self._replay_rows = 0
         #: Events applied in memory but lost to a failed WAL append (a
         #: crash now would recover to a state missing them).  Healed by
         #: :meth:`checkpoint`, which captures the full live state.
@@ -173,10 +169,6 @@ class DurableGraph:
             # error reach the caller via the event log's re-raise.
             self.durability_gap += 1
             raise
-        if isinstance(event, EdgeBatch):
-            self._replay_rows += event.rows
-        if self.checkpoint_every_rows and self._replay_rows >= self.checkpoint_every_rows:
-            self.checkpoint()
 
     # -- durability operations ---------------------------------------------------
 
@@ -200,7 +192,6 @@ class DurableGraph:
             mutation_version=self.graph.mutation_version,
         )
         self.last_checkpoint = manifest
-        self._replay_rows = 0
         # The snapshot captures the full live state, including any
         # events a failed append never logged — the gap is healed.
         self.durability_gap = 0
@@ -310,7 +301,6 @@ def open_graph(
     backend_kwargs: dict | None = None,
     fsync: str = "batch",
     segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-    checkpoint_every_rows: int | None = None,
     read_only: bool = False,
 ) -> DurableGraph:
     """Open (creating or recovering) a durable graph store at ``directory``.
@@ -321,9 +311,9 @@ def open_graph(
     a *different* explicit identity raises :class:`ValidationError` (omit
     an argument to accept the recorded value).  A first open the backend
     or the WAL writer rejects writes nothing.
-    ``fsync``, ``segment_bytes`` and ``checkpoint_every_rows`` are
-    per-open operational knobs, not identity.  See the module docstring
-    for recovery semantics and ``read_only`` replicas.
+    ``fsync`` and ``segment_bytes`` are per-open operational knobs, not
+    identity.  See the module docstring for recovery semantics and
+    ``read_only`` replicas.
     """
     directory = Path(directory)
     store_path = directory / STORE_FILE
@@ -372,6 +362,5 @@ def open_graph(
         read_only=read_only,
         fsync=fsync,
         segment_bytes=segment_bytes,
-        checkpoint_every_rows=checkpoint_every_rows,
         **_recover(graph, directory, repair=not read_only),
     )

@@ -19,12 +19,11 @@ from repro.analytics import connected_components
 from repro.api import (
     Graph,
     PartialDispatchError,
-    RetryPolicy,
     ShardedGraph,
     ShardError,
     backend_names,
 )
-from repro.api.sharding import SHARD_DEAD, SHARD_DEGRADED, SHARD_HEALTHY
+from repro.api.sharding import MAX_ATTEMPTS, SHARD_DEAD, SHARD_DEGRADED, SHARD_HEALTHY
 from repro.chaos import FaultPlan, FaultSpec, FaultyBackend
 from repro.coo import COO
 from repro.eventlog.events import StructuralEvent
@@ -159,8 +158,8 @@ class TestFaultyBackend:
         assert plan.total_arrivals > 0
 
 
-def service_with_plan(plan, *, n=64, shards=3, retry=None):
-    svc = ShardedGraph.create("slabhash", n, num_shards=shards, retry=retry)
+def service_with_plan(plan, *, n=64, shards=3):
+    svc = ShardedGraph.create("slabhash", n, num_shards=shards)
     for s, shard in enumerate(svc.shards):
         shard.backend = FaultyBackend(shard.backend, plan, prefix=f"shard{s}")
     return svc
@@ -178,21 +177,22 @@ class TestHealthAndRetry:
         assert svc.health == [SHARD_HEALTHY] * 3
         assert svc.fault_stats["transient_faults"] == 1
         assert svc.fault_stats["retries"] == 1
-        assert svc.fault_stats["backoff_seconds"] > 0
 
     def test_retry_exhaustion_marks_degraded(self):
         plan = FaultPlan(
             0, (FaultSpec("shard0.insert_edges", kind="transient", max_fires=None),)
         )
-        svc = service_with_plan(plan, retry=RetryPolicy(max_attempts=2))
+        svc = service_with_plan(plan)
         with pytest.raises(PartialDispatchError) as exc:
             svc.insert_edges(np.arange(12, dtype=np.int64), np.arange(12, dtype=np.int64) + 13)
         assert svc.shard_health(0) == SHARD_DEGRADED
         assert 0 in exc.value.report.failed_shards
         # A later fault-free batch restores the shard to healthy.
         svc2 = service_with_plan(
-            FaultPlan(0, (FaultSpec("shard0.insert_edges", kind="transient", max_fires=2),)),
-            retry=RetryPolicy(max_attempts=2),
+            FaultPlan(
+                0,
+                (FaultSpec("shard0.insert_edges", kind="transient", max_fires=MAX_ATTEMPTS),),
+            )
         )
         with pytest.raises(PartialDispatchError):
             svc2.insert_edges(np.arange(12, dtype=np.int64), np.arange(12, dtype=np.int64) + 13)
@@ -228,12 +228,6 @@ class TestHealthAndRetry:
         # One permanent fire; later batches skip the dead shard outright.
         assert svc.fault_stats["permanent_faults"] == 1
         assert all("dead" in reason for _, reason in reports[-1].failed)
-
-    def test_retry_policy_validation(self):
-        with pytest.raises(ValidationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValidationError):
-            RetryPolicy(backoff_base=-1.0)
 
     def test_thrash_is_absorbed_deterministically(self):
         """Rate-0.3 transient faults on every shard's edge mutations over
@@ -291,13 +285,10 @@ class TestEveryReadTakesTheRetryPath:
     @pytest.mark.parametrize("op", sorted(READS))
     def test_transient_fault_absorbed_by_retry(self, op):
         svc, victim = self.build(op, "transient")
-        costs = (svc.query_costs.calls, svc.update_costs.calls)
         self.READS[op](svc, victim)  # the retry served it
         assert svc.health == [SHARD_HEALTHY] * 3
         assert svc.fault_stats["transient_faults"] == 1
         assert svc.fault_stats["retries"] == 1
-        # These reads price nothing into the router's cost model.
-        assert (svc.query_costs.calls, svc.update_costs.calls) == costs
 
     @pytest.mark.parametrize("op", sorted(READS))
     def test_permanent_fault_raises_typed_error_and_kills_shard(self, op):
@@ -355,8 +346,7 @@ class TestDegradedReads:
             svc.insert_edges(src, dst)
         after = svc.degraded_snapshot()
         assert after.snapshot.num_edges > live.num_edges
-        (tag,) = after.staleness
-        assert tag[0] == 1 and tag[1] >= 0
+        assert after.stale_shards == (1,) and after.cut_version >= 0
         assert svc.fault_stats["degraded_reads"] == 2
 
     def test_degraded_read_without_cache_serves_empty_shard(self):
@@ -545,6 +535,35 @@ class TestRedriveEquivalence:
         assert faulted.num_edges() == clean.num_edges() > 0
         assert_snaps_identical(faulted.snapshot(), clean.snapshot())
         assert np.array_equal(cc.labels(), connected_components(faulted.snapshot()))
+
+    @pytest.mark.parametrize("faulted_shard", [0, 1])
+    @pytest.mark.parametrize("name", ["btree", "faimgraph", "slabhash"])
+    def test_retried_vertex_delete_returns_the_full_count(self, name, faulted_shard):
+        """A shard's share of a vertex delete is the reverse pairs, then
+        the victims.  A transient fault on the victims used to re-send the
+        pairs on retry; they then removed 0, and the first try's count
+        was lost (61 or 55 of 78 on slabhash)."""
+
+        pairs = np.random.default_rng(3).integers(0, 64, (2, 300), dtype=np.int64)
+        src, dst = np.concatenate(pairs), np.concatenate(pairs[::-1])
+        victims = [5, 9, 17, 33]
+
+        def run(plan):
+            svc = ShardedGraph.create(name, 64, num_shards=2)
+            for s, shard in enumerate(svc.shards):
+                shard.backend = FaultyBackend(shard.backend, plan, prefix=f"shard{s}")
+            svc.insert_edges(src, dst)
+            return svc, svc.delete_vertices(victims)
+
+        single = Graph.create(name, num_vertices=64)
+        single.insert_edges(src, dst)
+        want = single.delete_vertices(victims)
+        clean, clean_count = run(FaultPlan(0))
+        spec = FaultSpec(f"shard{faulted_shard}.delete_vertices", kind="transient")
+        faulted, count = run(FaultPlan(0, (spec,)))
+        assert faulted.fault_stats["retries"] == 1
+        assert count == clean_count == want
+        assert_snaps_identical(faulted.snapshot(), clean.snapshot())
 
     def test_deleting_a_vertex_whose_owner_is_dead_applies_nothing(self):
         """The template may step the version before the reverse-pair read

@@ -9,6 +9,7 @@ weighted and unweighted.
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from repro.persist import (
 )
 from repro.persist.wal import RECORD_HEADER, SEGMENT_HEADER
 from repro.stream.incremental import IncrementalConnectedComponents
-from repro.util.errors import ValidationError
+from repro.util.errors import PersistError, ValidationError
 
 ALL_BACKENDS = sorted(api.backend_names())
 
@@ -644,6 +645,51 @@ class TestStoreBehavior:
         assert [shard.events._subscribers for shard in service.shards] == [[], []]
         service.attach_durability(tmp_path / "d", fsync="never").close()  # corrected call
 
+    def test_failed_attach_leaves_no_writer_bound(self, tmp_path):
+        """An attach that fails on shard 1 used to leave shard 0's writer
+        open and subscribed; a retried attach bound a second writer to
+        ``shard-0/wal``, both stamped the same seqs, and a rebuild came
+        back with 3 of shard 0's 5 edges."""
+        d = tmp_path / "d"
+        seed = ShardedGraph.create("slabhash", 64, num_shards=2)
+        stores = seed.attach_durability(d, fsync="always")
+        seed.insert_edges(np.arange(20), np.arange(1, 21))
+        stores.close()
+
+        def refuse_shard_1(path, *args, **kwargs):
+            if "shard-1" in Path(path).parts:
+                raise OSError("injected open failure")
+            return open(path, *args, **kwargs)
+
+        service = ShardedGraph.create("slabhash", 64, num_shards=2)
+        with pytest.raises(PersistError):
+            service.attach_durability(d, fsync="always", opener=refuse_shard_1)
+        assert service.stores is None
+        assert [shard.events._subscribers for shard in service.shards] == [[], []]
+        service.attach_durability(d, fsync="always")
+        service.insert_edges([2, 4, 6, 8, 3, 5], np.arange(30, 36))
+        service.insert_edges([10, 12, 14, 16], np.arange(40, 44))
+        want = [shard.num_edges() for shard in service.shards]
+        for s in range(2):
+            service.kill_shard(s)
+            service.rebuild_shard(s)
+        assert [shard.num_edges() for shard in service.shards] == want
+        service.stores.close()
+
+    def test_rebuild_after_close_is_a_typed_error(self, tmp_path):
+        """It used to raise a raw ``AttributeError`` from the closed
+        writer; the shard stays dead and nothing on disk changes."""
+        service = ShardedGraph.create("slabhash", 64, num_shards=2)
+        stores = service.attach_durability(tmp_path / "d", fsync="never")
+        service.insert_edges(np.arange(20), np.arange(1, 21))
+        stores.close()
+        service.kill_shard(1)
+        on_disk = {p: p.read_bytes() for p in (tmp_path / "d").rglob("*") if p.is_file()}
+        with pytest.raises(ValidationError, match="shard-1.*closed"):
+            service.rebuild_shard(1)
+        assert service.shard_health(1) == "dead"
+        assert {p: p.read_bytes() for p in (tmp_path / "d").rglob("*") if p.is_file()} == on_disk
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -728,21 +774,6 @@ class TestStoreBehavior:
         else:
             with pytest.raises(ValidationError, match=f"cannot replay structural event '{reason}'"):
                 open_graph(store, fsync="never")
-
-    def test_auto_checkpoint_cadence(self, tmp_path):
-        store = tmp_path / "store"
-        dg = open_graph(
-            store, "slabhash", num_vertices=64, fsync="never", checkpoint_every_rows=100
-        )
-        rng = np.random.default_rng(0)
-        for _ in range(6):
-            dg.graph.insert_edges(rng.integers(0, 64, 40), rng.integers(0, 64, 40))
-        manifests = list((store / "checkpoints").glob("*.json"))
-        assert len(manifests) >= 2  # 240 rows at a 100-row cadence
-        dg.close()
-        rec = open_graph(store, fsync="never")
-        assert rec.recovered_checkpoint is not None
-        rec.close()
 
     def test_replica_is_read_only_and_tails(self, tmp_path):
         store = tmp_path / "store"

@@ -246,16 +246,6 @@ class TestShardedService:
         assert cc.last_mode == "incremental"
         assert pr.last_mode in ("incremental", "cached")
 
-    def test_update_costs_model_parallel_speedup(self, rng):
-        """The modeled parallel time of a balanced batch beats the serial
-        aggregate — the scaling story t12 prices."""
-        sg = ShardedGraph.create("slabhash", 1 << 12, num_shards=4)
-        src, dst, _ = workload(rng, 1 << 12, 1 << 13)
-        sg.insert_edges(src, dst)
-        assert sg.update_costs.calls == 1
-        assert sg.update_costs.parallel_seconds < 0.5 * sg.update_costs.serial_seconds
-        assert len([s for s in sg.update_costs.per_shard_seconds if s > 0]) == 4
-
     def test_normalization_happens_once_globally(self):
         """The router applies the one batch rule: the self-loop is dropped,
         in-batch duplicates resolve by replace semantics in the owner shard."""
@@ -309,9 +299,10 @@ class TestAssembly:
         degraded = svc.degraded_snapshot()
         if cut:
             assert (degraded.stale_shards, degraded.missing_shards) == ((1,), ())
-            assert degraded.staleness == ((1, cut_version, None),)
+            assert degraded.cut_version == cut_version
         else:
             assert (degraded.stale_shards, degraded.missing_shards) == ((), (1,))
+            assert degraded.cut_version is None
         src, dst = np.concatenate([first[0], second[0]]), np.concatenate([first[1], second[1]])
         owner = svc.partitioner.shard_of(src)
         contributed = (owner != 1) | (cut & (np.arange(600) < 300))

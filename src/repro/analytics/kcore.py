@@ -58,7 +58,7 @@ def kcore(graph, k: int, max_rounds: int = 10_000) -> int:
             # Degrees only.  A fresh cached snapshot serves them without
             # touching the structure; otherwise bincount over the unordered
             # export — building a sorted snapshot here would pay an
-            # O(E log E) lexsort per peeling round.
+            # O(E log E) sort per peeling round.
             snap = cached_snapshot(backend)
             if snap is not None:
                 degrees = snap.out_degrees()

@@ -14,7 +14,10 @@ Two implementations mirror the paper's comparison:
   separately!), after which each probe is a binary search in the sorted
   edge set.
 
-Both count each triangle exactly three times (once per edge) and divide.
+The hash path finds each triangle three times (once per edge) and
+divides; the list path orients edges by degree and finds each triangle
+once (:func:`repro.analytics.wedges.oriented_triangles`), while the
+device model still prices every wedge of the smaller endpoint.
 
 :func:`dynamic_triangle_count` is the Table IX workload: insert a batch,
 re-count, repeat — the list path must re-sort after every batch while the
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analytics.frontier import adjacencies_of, vertex_space
-from repro.analytics.wedges import canonical_edge_keys, closing_wedges, split_keys, symmetric_csr
+from repro.analytics.wedges import canonical_edge_keys, oriented_triangles, symmetric_csr
 from repro.util.errors import ValidationError
 from repro.util.groupby import group_starts, ragged_arange, sorted_unique, stable_argsort
 
@@ -133,30 +136,16 @@ def triangle_count_hash(graph, chunk_size: int = 1 << 22) -> int:
 
 
 def triangle_count_sorted(row_ptr: np.ndarray, col_idx: np.ndarray) -> int:
-    """Static TC over a *sorted* CSR view (the Hornet/faimGraph path).
+    """Static TC over a *sorted* symmetric CSR view (the Hornet/faimGraph path).
 
-    For each undirected edge (u, v) with deg(u) <= deg(v), every neighbor
-    of u is binary-searched in the globally sorted edge list — the
-    vectorized equivalent of walking two sorted lists.  The probe step is
-    the shared :func:`repro.analytics.wedges.closing_wedges` kernel (also
-    driven by the incremental stream TC), which charges one
-    ``sorted_probes`` per probe.
+    The count is the shared whole-graph kernel
+    :func:`repro.analytics.wedges.oriented_triangles` (also the cold
+    build of the incremental stream TC): degree-ordered forward lists
+    intersected by binary search, each triangle found once.  The device
+    model is charged one ``sorted_probes`` per neighbor of each edge's
+    smaller-degree endpoint — the paper's sorted-list probe count.
     """
-    n = row_ptr.shape[0] - 1
-    deg = np.diff(row_ptr)
-    src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    comp = (src << np.int64(32)) | col_idx.astype(np.int64)
-    # comp is globally sorted because CSR rows are sorted and row-major.
-    u = np.minimum(src, col_idx)
-    v = np.maximum(src, col_idx)
-    keep = u < v  # each undirected edge twice in a symmetric CSR; keep one
-    # Keep only the (u < v) orientation rows (drop duplicates via src side).
-    keep &= src == u
-    u, v = u[keep], v[keep]
-    if u.size == 0:
-        return 0
-    triangles = closing_wedges(row_ptr, col_idx, comp, u, v)
-    return triangles // 3
+    return oriented_triangles(row_ptr, col_idx)
 
 
 def undirected_triangles(graph) -> int:
@@ -165,9 +154,9 @@ def undirected_triangles(graph) -> int:
     The cold reference kernel for streaming scenarios: directed edge sets
     (the scenario graphs) are first reduced to canonical undirected edges
     and symmetrized — paying the O(2E log 2E) sort the incremental stream
-    TC avoids via snapshot delta-merge — then counted through the shared
-    wedge-closure kernel.  On an already-symmetric simple graph this
-    equals :func:`triangle_count_csr`.
+    TC avoids via snapshot delta-merge — then counted by the shared
+    whole-graph kernel.  On an already-symmetric simple graph this equals
+    :func:`triangle_count_csr`.
     """
     from repro.api.snapshot import as_snapshot
 
@@ -175,9 +164,8 @@ def undirected_triangles(graph) -> int:
     canonical = canonical_edge_keys(snap.sources(), snap.col_idx)
     if canonical.size == 0:
         return 0
-    row_ptr, col_idx, comp = symmetric_csr(canonical, snap.num_vertices)
-    u, v = split_keys(canonical)
-    return closing_wedges(row_ptr, col_idx, comp, u, v) // 3
+    row_ptr, col_idx, _ = symmetric_csr(canonical, snap.num_vertices)
+    return oriented_triangles(row_ptr, col_idx)
 
 
 def triangle_count_csr(graph) -> int:

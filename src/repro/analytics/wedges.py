@@ -1,19 +1,29 @@
-"""The shared wedge-closure kernel behind every sorted triangle count.
+"""The sorted triangle-count kernels: one whole-graph count, one delta probe.
 
 Triangle counting — static (Table VII), dynamic (Table IX), and the
 delta-aware :class:`repro.stream.incremental.IncrementalTriangleCount` —
-reduces to one primitive: for a set of undirected edges (u, v), enumerate
-every neighbor w of the smaller-degree endpoint and binary-search the
-closing edge (other_endpoint, w) in a globally sorted composite edge
-list.  This module is that primitive, factored out of
-``triangle_count_sorted`` so the static, dynamic, and incremental paths
-charge the device model identically (``sorted_probes``) and can never
-fork.
+rests on two primitives over a symmetric sorted CSR:
+
+- :func:`oriented_triangles` counts every triangle of the whole graph
+  exactly once.  Vertices are ranked by (degree, id), each undirected
+  edge keeps its forward orientation (low rank → high rank), and every
+  forward edge intersects the smaller of its two forward lists with the
+  sorted forward keys (Chiba & Nishizeki 1985; Schank & Wagner 2005).  A
+  triangle is found only from its two lowest-ranked corners.
+- :func:`closing_wedges` enumerates, for a *given* set of undirected
+  edges (u, v), every neighbor w of the smaller-degree endpoint whose
+  closing edge (other_endpoint, w) exists — the hits the incremental
+  fold credits to the triangles through its delta edges.
+
+Both charge the device model the same ``sorted_probes`` for the same
+edges: the model prices the paper's sorted-list kernel, which probes
+every wedge of the smaller endpoint, so the static, dynamic and
+incremental paths stay priced identically however the host closes them.
 
 Helpers for the *undirected view* of an arbitrary directed edge set ride
 along: :func:`canonical_edge_keys` reduces an edge list to unique
 ``(min << 32) | max`` keys and :func:`symmetric_csr` expands those keys
-into the symmetric CSR the kernel probes.
+into the symmetric CSR the kernels probe.
 """
 
 from __future__ import annotations
@@ -23,7 +33,13 @@ import numpy as np
 from repro.gpusim.counters import get_counters
 from repro.util.groupby import ragged_arange, sorted_unique
 
-__all__ = ["closing_wedges", "canonical_edge_keys", "symmetric_csr", "split_keys"]
+__all__ = [
+    "closing_wedges",
+    "oriented_triangles",
+    "canonical_edge_keys",
+    "symmetric_csr",
+    "split_keys",
+]
 
 _MASK32 = np.int64(0xFFFFFFFF)
 
@@ -69,16 +85,58 @@ def symmetric_csr(
     return row_ptr, (comp & _MASK32).astype(np.int64), comp
 
 
+def oriented_triangles(row_ptr: np.ndarray, col_idx: np.ndarray) -> int:
+    """Triangles of a symmetric simple CSR with sorted rows, each found once.
+
+    An edge is *forward* from its (degree, id)-lower endpoint, so every
+    undirected edge appears once among the forward edges and every vertex
+    keeps at most O(sqrt E) forward neighbors.  A triangle ``a < b < c``
+    in that order is closed exactly once: on forward edge (a, b), by
+    ``c`` in both forward lists.  Each forward edge enumerates the shorter
+    forward list as probes ``(other, w)``; the probes are value-sorted and
+    every sorted forward key counts its equal run among them, so the
+    binary searches walk both arrays in order.
+
+    The device model is charged what :func:`closing_wedges` charges for
+    the same canonical edges — one ``sorted_probes`` per neighbor of the
+    smaller-degree endpoint, ``sum(min(deg u, deg v))`` — and nothing
+    when that sum is 0.
+    """
+    n = row_ptr.shape[0] - 1
+    deg = np.diff(row_ptr)
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    dst = col_idx.astype(np.int64, copy=False)
+    dsrc, ddst = deg[src], deg[dst]
+    forward = (dsrc < ddst) | ((dsrc == ddst) & (src < dst))
+    charge = int(np.minimum(dsrc[forward], ddst[forward]).sum())
+    if charge == 0:
+        return 0
+    get_counters().add("sorted_probes", charge)
+    # CSR order is (src, dst) order, and the mask keeps it: the forward
+    # keys are globally sorted, and each forward list is one sorted run.
+    fu, fv = src[forward], dst[forward]
+    fkeys = (fu << np.int64(32)) | fv
+    fdeg = np.bincount(fu, minlength=n)
+    fptr = np.concatenate([[0], np.cumsum(fdeg)])
+    swap = fdeg[fu] > fdeg[fv]
+    small = np.where(swap, fv, fu)
+    other = np.where(swap, fu, fv)
+    lens = fdeg[small]
+    flat = ragged_arange(lens) + np.repeat(fptr[small], lens)
+    probe = (np.repeat(other, lens) << np.int64(32)) | fv[flat]
+    probe.sort()
+    hits = np.searchsorted(probe, fkeys, side="right") - np.searchsorted(probe, fkeys)
+    return int(hits.sum())
+
+
 def closing_wedges(
     row_ptr: np.ndarray,
     col_idx: np.ndarray,
     comp: np.ndarray,
     u: np.ndarray,
     v: np.ndarray,
-    *,
-    return_hits: bool = False,
-):
-    """Count (or enumerate) the wedges closing each undirected edge (u, v).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Enumerate the wedges closing each undirected edge (u, v).
 
     For every edge ``(u[i], v[i])`` the smaller-degree endpoint's full
     adjacency is enumerated and each neighbor ``w`` is binary-searched as
@@ -88,39 +146,27 @@ def closing_wedges(
     *symmetric* simple graph and ``comp`` its composite expansion
     (``symmetric_csr`` produces all three).
 
-    Charges one ``sorted_probes`` kernel counter per probe, identically
-    for every caller (static Table VII, dynamic Table IX, incremental
-    stream TC).
+    Charges one ``sorted_probes`` kernel counter per probe, the same
+    price :func:`oriented_triangles` charges for the same edges.
 
-    Returns the total closed-wedge count, or — with ``return_hits`` —
-    ``(edge_index, w)`` arrays naming, for each closed wedge, the input
-    edge position it closes and the closing corner vertex.
+    Returns ``(edge_index, w)`` arrays naming, for each closed wedge, the
+    input edge position it closes and the closing corner vertex.
     """
     deg = np.diff(row_ptr)
-    if u.shape[0] == 0:
-        if return_hits:
-            e = np.empty(0, dtype=np.int64)
-            return e, e.copy()
-        return 0
     swap = deg[u] > deg[v]
     small = np.where(swap, v, u)
     big = np.where(swap, u, v)
     lens = deg[small]
-    starts = row_ptr[small]
     m = int(lens.sum())
     if m == 0:
-        if return_hits:
-            e = np.empty(0, dtype=np.int64)
-            return e, e.copy()
-        return 0
-    flat = ragged_arange(lens) + np.repeat(starts, lens)
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    flat = ragged_arange(lens) + np.repeat(row_ptr[small], lens)
     w = col_idx[flat].astype(np.int64)
     probe = (np.repeat(big, lens).astype(np.int64) << np.int64(32)) | w
-    get_counters().add("sorted_probes", int(probe.size))
+    get_counters().add("sorted_probes", m)
     loc = np.searchsorted(comp, probe)
     safe = np.minimum(loc, comp.shape[0] - 1)
     found = (loc < comp.shape[0]) & (comp[safe] == probe)
-    if return_hits:
-        edge_of = np.repeat(np.arange(u.shape[0], dtype=np.int64), lens)
-        return edge_of[found], w[found]
-    return int(found.sum())
+    edge_of = np.repeat(np.arange(u.shape[0], dtype=np.int64), lens)
+    return edge_of[found], w[found]

@@ -58,9 +58,10 @@ class CSRSnapshot:
     @classmethod
     def from_coo(cls, coo: COO) -> "CSRSnapshot":
         """Cold-build a sorted CSR from COO (charges the O(E log E) sort)."""
-        # The cold-build lexsort is the whole-edge-set sort whose absence
-        # the cached/incremental paths are measured against; charge it so
-        # the device model prices cold vs. cached snapshots honestly.
+        # The cold build's (src, dst) ordering (COO.csr_order, one packed
+        # value sort) is the whole-edge-set sort whose absence the
+        # cached/incremental paths are measured against; charge it so the
+        # device model prices cold vs. cached snapshots honestly.
         counters = get_counters()
         counters.kernel_launches += 1
         counters.sorted_elements += coo.num_edges

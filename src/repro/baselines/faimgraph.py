@@ -168,7 +168,7 @@ class FaimGraph(GraphBackend):
             raise ValidationError("bulk_build requires an empty graph")
         self._bump_version()
         work = coo.without_self_loops().deduplicated()
-        order = np.lexsort((work.dst, work.src))
+        order = work.csr_order()
         s, d = work.src[order], work.dst[order]
         w = work.weights_or_zeros()[order]
 

@@ -61,8 +61,8 @@ def segmented_sort_adjacency(graph) -> tuple[np.ndarray, np.ndarray]:
     """Materialize a sorted CSR view of any structure exposing
     ``export_coo`` (used by Hornet, which has no native sort)."""
     coo = graph.export_coo()
-    row_ptr, col_idx, _ = coo.to_csr()  # the lexsort is the CSR gather
-    # Charge the segmented sort itself (to_csr's lexsort stands in for the
+    row_ptr, col_idx, _ = coo.to_csr()  # the (src, dst) ordering is the CSR gather
+    # Charge the segmented sort itself (to_csr's ordering stands in for the
     # gather; the per-segment kernel model is what Table VIII prices).
     col_sorted = segmented_sort_csr(row_ptr, col_idx)
     return row_ptr, col_sorted

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.util.errors import ValidationError
-from repro.util.groupby import last_occurrence_mask
+from repro.util.groupby import last_occurrence_mask, stable_argsort
 from repro.util.validation import as_int_array, check_equal_length
 
 __all__ = ["COO"]
@@ -130,6 +130,20 @@ class COO:
 
     # -- conversions -----------------------------------------------------------
 
+    def csr_order(self) -> np.ndarray:
+        """The stable permutation sorting the edges by ``(src, dst)``.
+
+        Bit-identical to ``np.lexsort((dst, src))`` — equal pairs keep
+        input order, so duplicate weights do too — at value-sort speed:
+        one packed key ``src * num_vertices + dst``.  When that key could
+        overflow int64, two stable passes, minor key first.
+        """
+        n = self.num_vertices
+        if n * n <= 1 << 63:  # the largest key, n * n - 1, fits in int64
+            return stable_argsort(self.src * np.int64(n) + self.dst)
+        by_dst = stable_argsort(self.dst)
+        return by_dst[stable_argsort(self.src[by_dst])]
+
     def to_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(row_ptr, col_idx, weights)`` sorted by (src, dst).
 
@@ -146,7 +160,7 @@ class COO:
                     f"{label} contains ids outside [0, {self.num_vertices}); "
                     "the arrays were mutated after construction"
                 )
-        order = np.lexsort((self.dst, self.src))
+        order = self.csr_order()
         col = self.dst[order]
         w = self.weights_or_zeros()[order]
         counts = np.bincount(self.src, minlength=self.num_vertices)

@@ -141,7 +141,6 @@ class DurableGraph:
         self.replayed_events = replayed_events
         #: True when recovery truncated a torn tail / dropped segments.
         self.repaired_torn_tail = repaired_torn_tail
-        self.last_checkpoint = recovered_checkpoint
         #: Events applied in memory but lost to a failed WAL append (a
         #: crash now would recover to a state missing them).  Healed by
         #: :meth:`checkpoint`, which captures the full live state.
@@ -191,7 +190,6 @@ class DurableGraph:
             weighted=self.graph.weighted,
             mutation_version=self.graph.mutation_version,
         )
-        self.last_checkpoint = manifest
         # The snapshot captures the full live state, including any
         # events a failed append never logged — the gap is healed.
         self.durability_gap = 0

@@ -21,9 +21,9 @@ events into their state at query time:
 - :class:`IncrementalTriangleCount` — the undirected triangle count
   maintained by a net-window fold: the pending insert *and* delete
   batches reduce to the undirected edges that genuinely left or arrived,
-  the triangles through them are closed through the *same*
-  :func:`repro.analytics.wedges.closing_wedges` kernel the Table VII/IX
-  paths use (``T' = T - D + A``), and the cached symmetric CSR absorbs
+  the triangles through them are closed by
+  :func:`repro.analytics.wedges.closing_wedges`, priced like the Table
+  VII/IX count (``T' = T - D + A``), and the cached symmetric CSR absorbs
   both sets in one :func:`repro.api.snapshot.merge_csr_delta`.  Always
   exactly equal to :func:`repro.analytics.undirected_triangles` on the
   live snapshot.
@@ -64,7 +64,13 @@ from repro.analytics.connected_components import connected_components
 from repro.analytics.kcore import _checked_k, kcore_membership
 from repro.analytics.pagerank import _checked_params, power_iteration
 from repro.analytics.sssp import sssp
-from repro.analytics.wedges import canonical_edge_keys, closing_wedges, split_keys, symmetric_csr
+from repro.analytics.wedges import (
+    canonical_edge_keys,
+    closing_wedges,
+    oriented_triangles,
+    split_keys,
+    symmetric_csr,
+)
 from repro.api.backend import _checked_id
 from repro.api.snapshot import CSRSnapshot, merge_csr_delta, window_rows
 from repro.eventlog import EdgeBatch, EventLog
@@ -316,7 +322,7 @@ def _triangles_through(sym: CSRSnapshot, comp: np.ndarray, keys: np.ndarray) -> 
     if keys.shape[0] == 0:
         return 0
     ku, kv = split_keys(keys)
-    edge_of, w = closing_wedges(sym.row_ptr, sym.col_idx, comp, ku, kv, return_hits=True)
+    edge_of, w = closing_wedges(sym.row_ptr, sym.col_idx, comp, ku, kv)
     if edge_of.shape[0] == 0:
         return 0
     hu, hv, key_uv = ku[edge_of], kv[edge_of], keys[edge_of]
@@ -344,11 +350,11 @@ class IncrementalTriangleCount(IncrementalAnalytic):
     ``T' = T - D + A``: ``D`` the triangles of the old CSR through a
     removed edge, ``A`` the triangles of the merged CSR
     (:func:`repro.api.snapshot.merge_csr_delta`) through an added edge,
-    both closed through the shared Table VII/IX wedge kernel
-    (:func:`repro.analytics.wedges.closing_wedges`).
+    both closed by :func:`repro.analytics.wedges.closing_wedges`.
 
     Structural events, retention gaps, and version-chain breaks rebuild
-    cold — the same symmetrize-and-close pass as
+    cold — the same symmetrize-and-count pass (the whole-graph
+    :func:`repro.analytics.wedges.oriented_triangles`) as
     :func:`repro.analytics.undirected_triangles`, to which the result is
     always exactly equal on the live snapshot.
     """
@@ -387,8 +393,7 @@ class IncrementalTriangleCount(IncrementalAnalytic):
         canonical = canonical_edge_keys(snap.sources(), snap.col_idx)
         if canonical.shape[0]:
             row_ptr, col_idx, comp = symmetric_csr(canonical, n)
-            u, v = split_keys(canonical)
-            count = closing_wedges(row_ptr, col_idx, comp, u, v) // 3
+            count = oriented_triangles(row_ptr, col_idx)
         else:
             row_ptr, col_idx = np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
             comp, count = np.empty(0, dtype=np.int64), 0

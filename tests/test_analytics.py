@@ -3,6 +3,8 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import DynamicGraph
 from repro.analytics import (
@@ -17,9 +19,14 @@ from repro.analytics import (
     sssp,
     triangle_count_hash,
     triangle_count_sorted,
+    undirected_triangles,
 )
+from repro.analytics.wedges import oriented_triangles
+from repro.api import Graph
 from repro.baselines import HornetGraph
 from repro.datasets import powerlaw_graph, rgg_graph
+from repro.gpusim.counters import counting, get_counters
+from repro.stream import IncrementalTriangleCount
 from repro.util.errors import ValidationError
 
 
@@ -89,6 +96,64 @@ class TestTriangleCounting:
     def test_dynamic_tc_bad_mode(self):
         with pytest.raises(ValidationError):
             dynamic_triangle_count(DynamicGraph(4, weighted=False), [], mode="nope")
+
+
+@st.composite
+def simple_graphs(draw):
+    """``(num_vertices, canonical u < v edges)``: random edges, a star hub
+    and a clique over the same ids, and isolated ids past every edge."""
+    n = draw(st.integers(1, 30))
+    ids = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=60))
+    hub = draw(ids)
+    pairs += [(hub, leaf) for leaf in draw(st.lists(ids, max_size=n))]
+    clique = draw(st.lists(ids, unique=True, max_size=7))
+    pairs += [(a, b) for a in clique for b in clique]
+    edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+    return n + draw(st.integers(0, 4)), edges
+
+
+def _sorted_symmetric_csr(n, edges):
+    both = sorted(edges + [(v, u) for u, v in edges])
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount([u for u, _ in both], minlength=n), out=row_ptr[1:])
+    return row_ptr, np.array([v for _, v in both], dtype=np.int64)
+
+
+class TestOrientedTriangles:
+    """The whole-graph count finds each triangle once, yet charges the model
+    one ``sorted_probes`` per neighbor of each edge's smaller-degree
+    endpoint, as the sorted-list kernel it prices always has."""
+
+    @given(simple_graphs())
+    @example((1, []))  # no edges
+    @example((6, []))  # isolated ids only
+    @example((3, [(0, 2)]))  # a single edge
+    @example((9, [(0, leaf) for leaf in range(1, 9)]))  # a star hub
+    @example((7, [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]))  # a clique
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_counts_and_charges(self, case):
+        n, edges = case
+        get_counters().reset()
+        G = nx.Graph(edges)
+        expected = sum(nx.triangles(G).values()) // 3
+        deg = np.bincount(np.array(edges, dtype=np.int64).reshape(-1), minlength=n)
+        probes = sum(min(deg[u], deg[v]) for u, v in edges)
+        row_ptr, col = _sorted_symmetric_csr(n, edges)
+
+        g = Graph.create("slabhash", n)
+        g.insert_edges([u for u, _ in edges], [v for _, v in edges])  # one orientation
+        for count in (
+            lambda: oriented_triangles(row_ptr, col),
+            lambda: triangle_count_sorted(row_ptr, col),
+            lambda: undirected_triangles(g),
+            lambda: IncrementalTriangleCount(g).count(),
+        ):
+            with counting() as delta:
+                assert count() == expected
+            assert delta.get("sorted_probes", 0) == probes
+        if probes == 0:  # Counters.add(name, 0) would have created the key
+            assert "sorted_probes" not in get_counters().snapshot()
 
 
 class TestTraversal:

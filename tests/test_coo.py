@@ -85,6 +85,29 @@ class TestConversions:
         assert col[:2].tolist() == [3, 5]  # row 0 sorted
         assert w[:2].tolist() == [7, 8]
 
+    @pytest.mark.parametrize(
+        "num_vertices",
+        [
+            9,  # small: one packed key, value-sorted with its index
+            1 << 31,  # key plus index needs > 63 bits: stable_argsort's own fallback
+            1 << 32,  # src * num_vertices + dst would overflow int64: two stable passes
+        ],
+    )
+    def test_csr_order_is_lexsort(self, num_vertices):
+        """Duplicate (src, dst) pairs keep input order, so their weights do."""
+        rng = np.random.default_rng(7)
+        ids = np.array([0, 1, 2, 5, num_vertices - 2, num_vertices - 1], dtype=np.int64)
+        src, dst = rng.choice(ids, 300), rng.choice(ids, 300)
+        coo = COO(src, dst, num_vertices=num_vertices, weights=rng.permutation(300))
+        expected = np.lexsort((dst, src))
+        order = coo.csr_order()
+        assert np.array_equal(coo.dst[order], dst[expected])
+        assert np.array_equal(coo.weights[order], coo.weights[expected])
+        if num_vertices < 1 << 16:  # to_csr's row_ptr holds num_vertices + 1 entries
+            _, col, w = coo.to_csr()
+            assert np.array_equal(col, dst[expected])
+            assert np.array_equal(w, coo.weights[expected])
+
     def test_to_csr_rejects_mutated_out_of_range_src(self):
         coo = COO([0, 1], [1, 0], num_vertices=2)
         coo.src = np.array([0, 5], dtype=np.int64)  # mutate behind the back

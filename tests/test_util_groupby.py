@@ -238,8 +238,19 @@ class TestSortedUnique:
 # -- the update path orders through these primitives and nothing else ----------------
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-#: The layers the wall-clock ledger traces on the update path.
-GUARDED = ("core", "slabhash", "api", "stream", "eventlog", "kernels/reference.py")
+#: The layers the wall-clock ledger traces on the update path, and the cold
+#: whole-graph passes (``COO.to_csr`` behind every cold snapshot, the
+#: analytics' cold counts).
+GUARDED = (
+    "core",
+    "slabhash",
+    "api",
+    "stream",
+    "eventlog",
+    "kernels/reference.py",
+    "coo.py",
+    "analytics",
+)
 #: (file, enclosing function) pairs that may keep the slow forms: debug-only
 #: O(pool) structural checks that never run in a timed path.
 ALLOWED = {("slabhash/arena.py", "check_invariants")}
@@ -251,9 +262,10 @@ DRAINERS = ("slabhash/iterate.py", "core/rehash.py", "core/vertex_ops.py")
 
 
 def _slow_orderings(path: Path) -> list:
-    """``np.unique(...)`` calls and ``kind="stable"`` arguments in one file —
-    and, in a :data:`DRAINERS` file, calls of ``insert`` / ``insert_batch`` —
-    as ``(relative file, enclosing function, line, what)``."""
+    """``np.unique(...)`` / ``np.lexsort(...)`` calls and ``kind="stable"``
+    arguments in one file — and, in a :data:`DRAINERS` file, calls of
+    ``insert`` / ``insert_batch`` — as ``(relative file, enclosing function,
+    line, what)``."""
     rel = path.relative_to(SRC).as_posix()
     found = []
 
@@ -264,8 +276,9 @@ def _slow_orderings(path: Path) -> list:
                 inside = child.name
             if isinstance(child, ast.Call):
                 f = child.func
-                if isinstance(f, ast.Attribute) and f.attr == "unique" and ast.unparse(f.value) == "np":
-                    found.append((rel, function, child.lineno, "np.unique"))
+                if isinstance(f, ast.Attribute) and f.attr in ("unique", "lexsort"):
+                    if ast.unparse(f.value) == "np":
+                        found.append((rel, function, child.lineno, f"np.{f.attr}"))
                 name = getattr(f, "attr", getattr(f, "id", None))
                 if rel in DRAINERS and name in ("insert", "insert_batch"):
                     found.append((rel, function, child.lineno, f"{name}() of drained entries"))
@@ -281,15 +294,24 @@ def _slow_orderings(path: Path) -> list:
 def test_update_path_orders_only_through_groupby():
     """``np.unique`` and NumPy's stable argsort cost 4-14x the packed value sort on
     this NumPy (docs/performance.md, "Ordering primitives"); a new call in
-    a traced layer would give the gain back without failing anything else."""
+    a traced layer would give the gain back without failing anything else.
+    ``np.lexsort`` is refused everywhere: ``COO.csr_order`` is the one
+    ``(src, dst)`` ordering ("Cold passes")."""
     files = []
     for entry in GUARDED:
         target = SRC / entry
         files.extend(sorted(target.rglob("*.py")) if target.is_dir() else [target])
     assert len(files) > 20  # the scan really sees the packages
     found = [hit for path in files for hit in _slow_orderings(path)]
+    found += [
+        hit
+        for path in sorted(SRC.rglob("*.py"))
+        if path not in files
+        for hit in _slow_orderings(path)
+        if hit[3] == "np.lexsort"
+    ]
     offenders = [
-        f"{rel}:{line}: {what} in {function}() — use repro.util.groupby / refill_chains"
+        f"{rel}:{line}: {what} in {function}() — use repro.util.groupby, COO.csr_order or refill_chains"
         for rel, function, line, what in found
         if (rel, function) not in ALLOWED
     ]

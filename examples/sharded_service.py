@@ -9,8 +9,9 @@ whose backend routes edges to their source's owner shard.  Every batch is
 normalized and published by that facade as a single graph's would be, so
 the incremental analytics attach to the sharded service exactly as they
 would to a single graph, and the global snapshot is bit-identical to one.
-The modeled price of the scaling is the ``t12`` bench artifact
-(``python -m repro.bench.runner t12``).
+The router runs the shards one after another on the host, so the split
+partitions state but does not speed inserts up; ``docs/performance.md``
+gives the host-time numbers.
 """
 
 import numpy as np

@@ -45,12 +45,9 @@ is restored **bit-identically** from its durable per-shard WAL by
 :meth:`ShardedGraph.rebuild_shard` (after
 :meth:`ShardedGraph.attach_durability`).
 
-The router keeps no clock.  It charges the device counters for the work
-it does itself — one dispatch plus the routed rows per fan-out, and the
-copies of snapshot assembly — and prices nothing.  The ``t12`` bench
-artifact meters the shards from outside to price an update batch as
-*router overhead + the slowest shard*; ``t14`` prices degraded reads and
-WAL-replay recovery.
+The router keeps no clock and charges the device counters nothing: its
+routing, gathers and snapshot assembly are host work, which the device
+model does not describe.  Only the shards' own structures charge it.
 """
 
 from __future__ import annotations
@@ -65,7 +62,6 @@ from repro.api.facade import Graph
 from repro.api.snapshot import CSRSnapshot
 from repro.coo import COO
 from repro.eventlog import DEFAULT_RETENTION_ROWS
-from repro.gpusim.counters import get_counters
 from repro.persist.wal import DEFAULT_SEGMENT_BYTES
 from repro.util.errors import (
     PermanentFault,
@@ -356,13 +352,6 @@ class ShardRouter(GraphBackend):
 
     # -- routing helpers ----------------------------------------------------------
 
-    def _charge_router(self, rows: int) -> None:
-        """Charge the scatter/gather the router performs around a fan-out:
-        one dispatch plus moving the routed rows."""
-        counters = get_counters()
-        counters.kernel_launches += 1
-        counters.bytes_copied += int(rows) * 16
-
     def _attempt(self, s: int, call, mask):
         """Run ``call(shard, mask)`` on shard ``s``, retrying a transient
         fault up to :data:`MAX_ATTEMPTS` tries in all.
@@ -437,11 +426,10 @@ class ShardRouter(GraphBackend):
         """The one mutation pipeline, for first dispatches and redrives.
 
         Applies ``payload`` (see ``_MUTATIONS``) to every shard it has rows
-        for — or, redriving ``report``, to ``report.failed_shards`` — and
-        charges the router's share (one routed row per entry of
-        ``payload["owner"]``).  The facade publishes a first dispatch
-        that every shard applied; anything else is the version step the
-        caller already took, with no event.
+        for — or, redriving ``report``, to ``report.failed_shards``.  The
+        facade publishes a first dispatch that every shard applied;
+        anything else is the version step the caller already took, with no
+        event.
 
         A first dispatch returns the count the applied shards reported,
         or raises :class:`PartialDispatchError` when some shard failed.  A
@@ -450,11 +438,9 @@ class ShardRouter(GraphBackend):
         """
         send = _MUTATIONS[op]
         redrive = report is not None
-        owner = payload["owner"]
-        self._charge_router(owner.shape[0])
         done, failures = self._fan_out(
             lambda shard, mask: send(shard, payload, mask),
-            owner,
+            payload["owner"],
             report.failed_shards if redrive else None,
             broadcast=op in _BROADCAST,
         )
@@ -563,12 +549,10 @@ class ShardRouter(GraphBackend):
         rows by the owner of ``keys``, run ``gather(shard, row_mask)`` on
         each owning shard through :meth:`_attempt`, and raise a typed
         :class:`ShardError` if any shard failed.  An empty batch touches
-        no shard and charges nothing."""
+        no shard."""
         if keys.size == 0:
             return
-        owner = self.partitioner.shard_of(keys)
-        self._charge_router(keys.shape[0])
-        _, failures = self._fan_out(gather, owner)
+        _, failures = self._fan_out(gather, self.partitioner.shard_of(keys))
         self._raise_query_failures(op, failures)
 
     def _edge_exists(self, src, dst) -> np.ndarray:
@@ -621,7 +605,6 @@ class ShardRouter(GraphBackend):
             return empty, empty.copy(), empty.copy()
         pos, dsts, ws = (np.concatenate(column) for column in zip(*parts))
         order = stable_argsort(pos)
-        get_counters().bytes_copied += int(pos.shape[0]) * 24
         return pos[order], dsts[order], ws[order]
 
     def num_edges(self) -> int:
@@ -635,9 +618,8 @@ class ShardRouter(GraphBackend):
     def _read_shards(self, op: str, read, targets=None) -> dict:
         """``{shard: read(shard, None)}`` over ``targets`` (default: all)
         through :meth:`_attempt` — the reads that are not row batches
-        (``neighbors``, :meth:`snapshot`, :meth:`export_coo`).  They charge
-        no router share; a shard failure surfaces as a typed
-        :class:`ShardError`."""
+        (``neighbors``, :meth:`snapshot`, :meth:`export_coo`).  A shard
+        failure surfaces as a typed :class:`ShardError`."""
         done, failures = self._fan_out(read, targets=targets)
         self._raise_query_failures(op, failures)
         return done
@@ -661,11 +643,11 @@ class ShardRouter(GraphBackend):
 
     def _assemble(self, shard_snaps) -> CSRSnapshot:
         """Place per-shard sorted CSRs at their global offsets — O(E)
-        stream work, charged as copy traffic.  Correct because a vertex's
-        out-edges live in exactly one shard and each shard's CSR is
-        destination-sorted per vertex: the global ``row_ptr`` is the sum
-        of the shards', and a shard's row ``i`` of source ``v`` lands
-        ``row_ptr[v] - shard.row_ptr[v]`` past ``i``."""
+        stream work.  Correct because a vertex's out-edges live in exactly
+        one shard and each shard's CSR is destination-sorted per vertex:
+        the global ``row_ptr`` is the sum of the shards', and a shard's row
+        ``i`` of source ``v`` lands ``row_ptr[v] - shard.row_ptr[v]`` past
+        ``i``."""
         n = self.num_vertices
         row_ptr = np.zeros(n + 1, dtype=np.int64)
         for snap in shard_snaps:
@@ -673,9 +655,6 @@ class ShardRouter(GraphBackend):
         total = int(row_ptr[-1])
         keys = np.empty(total, dtype=np.int64)
         weights = np.empty(total, dtype=np.int64) if self.weighted else None
-        counters = get_counters()
-        counters.kernel_launches += len(shard_snaps)
-        counters.bytes_copied += total * (16 if self.weighted else 8) + (n + 1) * 8
         for snap in shard_snaps:
             if snap.num_edges == 0:
                 continue
@@ -706,8 +685,7 @@ class ShardRouter(GraphBackend):
         return snap
 
     def _owned_rows(self, cut: CSRSnapshot, s: int) -> CSRSnapshot:
-        """Shard ``s``'s rows of the global snapshot ``cut`` as a per-shard
-        CSR (charged as one copy of those rows)."""
+        """Shard ``s``'s rows of the global snapshot ``cut`` as a per-shard CSR."""
         n = self.num_vertices
         degrees = np.diff(cut.row_ptr)
         owned = self.partitioner.shard_of(np.arange(n, dtype=np.int64)) == s
@@ -715,9 +693,6 @@ class ShardRouter(GraphBackend):
         np.cumsum(np.where(owned, degrees, 0), out=row_ptr[1:])
         rows = np.repeat(owned, degrees)
         keys = cut.keys()[rows]
-        counters = get_counters()
-        counters.kernel_launches += 1
-        counters.bytes_copied += keys.shape[0] * (16 if self.weighted else 8) + (n + 1) * 8
         weights = None if cut.weights is None else cut.weights[rows]
         return CSRSnapshot(row_ptr, keys & np.int64(0xFFFFFFFF), weights, n, _keys=keys)
 
@@ -728,9 +703,7 @@ class ShardRouter(GraphBackend):
         contributes its rows of the last exact global snapshot — listed in
         ``stale_shards``, with that snapshot's version in ``cut_version`` —
         and is reported in ``missing_shards``, contributing nothing, when
-        no such snapshot exists.  The extra modeled cost of this path (vs. a
-        healthy :meth:`snapshot`) is priced by the ``t14/chaos`` bench
-        artifact.
+        no such snapshot exists.
         """
         live, _ = self._fan_out(lambda shard, _: shard.snapshot())
         cut = self._snapshot_cache

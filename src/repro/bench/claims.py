@@ -56,12 +56,12 @@ def above(num: str, den: str, k: float = 1.0, only: tuple = ()):
     return tuple(p.replace("*", n, 1) for n in only or ("*",) for p in (num, den)), check
 
 
-def bounded(pattern: str, lo: float = float("-inf"), hi: float = float("inf")):
-    """``lo ≤ value ≤ hi`` for every key matching ``pattern``."""
+def bounded(pattern: str, lo: float):
+    """``value ≥ lo`` for every key matching ``pattern``."""
 
     def check(m):
         v = _panel(m, pattern).values()
-        return lo <= min(v) and max(v) <= hi, f"{min(v):.2f}..{max(v):.2f}"
+        return lo <= min(v), f"{min(v):.2f}..{max(v):.2f}"
 
     return (pattern,), check
 
@@ -119,7 +119,7 @@ def _f3_optimum(m):
 
 
 _ROADS, _HEAVY = ("luxembourg_osm", "germany_osm", "road_usa"), ("soc-orkut", "hollywood-2009")
-_T3, _T11, _T14 = "t3/batch=2^10/", "t11/insert-heavy-2^18/*/", "t14/E=2^18/shards=4/*/"
+_T3, _T11 = "t3/batch=2^10/", "t11/insert-heavy-2^18/*/"
 # fmt: off
 #: Every claim the suite makes, in artifact order.
 CLAIMS = (
@@ -171,14 +171,6 @@ CLAIMS = (
           "than full recompute, in aggregate and for tc / bfs / kcore / sssp alone", "",
           *both(*(bounded(_T11 + a + "speedup", lo=3) for a in ("", "tc_", "bfs_", "kcore_")),
                 bounded("t11/insert-heavy-w-2^18/*/sssp_speedup", lo=3))),
-    Claim("t12-shard-scaling", "repo t12", "4 shards: modeled insert throughput ≥ 2x one shard", "",
-          *bounded("t12/*/shards=4/insert_speedup", lo=2)),
-    Claim("t13-recovery", "repo t13", "checkpoint + 2^12-row tail recovery ≥ 3x cheaper than cold "
-          "WAL replay", "", *bounded("t13/E=2^18/tail=2^12/*/recovery_speedup", lo=3)),
-    Claim("t14-rebuild", "repo t14", "shard rebuild from its WAL ≥ 2x cheaper than cold re-ingest",
-          "", *bounded(_T14 + "recovery_speedup", lo=2)),
-    Claim("t14-degraded-read", "repo t14", "a degraded read costs ≤ 2x a healthy assemble", "",
-          *bounded(_T14 + "degraded_read_overhead", hi=2)),
 )
 # fmt: on
 

@@ -1,12 +1,10 @@
 """Regenerate every paper artifact: ``python -m repro.bench.runner``.
 
-Runs Tables II-IX, the streaming scenario artifact (``t11``), the
-sharded-service artifact (``t12``), the durability artifact (``t13``),
-the chaos/failover artifact (``t14``) and the Figure 2/3 sweeps in paper
-order, prints each as a fixed-width table, then checks
-every claim of :mod:`repro.bench.claims` that the run's metrics can decide
-and prints the scorecard.  Optionally persists/compares machine-readable
-results:
+Runs Tables II-IX, the streaming scenario artifact (``t11``) and the
+Figure 2/3 sweeps in paper order, prints each as a fixed-width table, then
+checks every claim of :mod:`repro.bench.claims` that the run's metrics can
+decide and prints the scorecard.  Optionally persists/compares
+machine-readable results:
 
 - ``--quick``                  shrink every sweep to CI size;
 - ``--json OUT.json``          write the run as a versioned SuiteResult;
@@ -30,13 +28,10 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.bench import tables as T
-from repro.bench.chaos_bench import chaos_artifact
 from repro.bench.claims import evaluate
 from repro.bench.compare import compare_suites
 from repro.bench.figures import figure2_artifact, figure3_artifact
 from repro.bench.harness import format_table
-from repro.bench.persist_bench import persist_artifact
-from repro.bench.shard_bench import shard_artifact
 from repro.bench.stream_bench import stream_artifact
 from repro.bench.results import (
     SchemaError,
@@ -56,9 +51,6 @@ _ARTIFACTS = {
     "t8": T.table8_sort_cost,
     "t9": T.table9_dynamic_triangle_counting,
     "t11": stream_artifact,
-    "t12": shard_artifact,
-    "t13": persist_artifact,
-    "t14": chaos_artifact,
     "f2": figure2_artifact,
     "f3": figure3_artifact,
 }

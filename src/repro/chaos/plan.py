@@ -24,10 +24,7 @@ Fault kinds:
 - ``"oserror"`` — raise a plain :class:`OSError` (what a disk returns;
   the WAL wraps it into :class:`~repro.util.errors.PersistError`);
 - ``"torn"`` — for file fault points: write only a prefix of the buffer,
-  then raise :class:`OSError` (a torn write);
-- ``"slow"`` — do not raise; charge the device model extra work
-  (``slow_launches`` kernel launches + ``slow_bytes`` copied bytes), so
-  a slow shard stretches modeled latency without breaking determinism.
+  then raise :class:`OSError` (a torn write).
 
 Every fired fault is journaled (:attr:`FaultPlan.fired`), so a run can
 report exactly which faults it absorbed.
@@ -40,13 +37,12 @@ from fnmatch import fnmatchcase
 
 import numpy as np
 
-from repro.gpusim.counters import get_counters
 from repro.util.errors import PermanentFault, TransientFault, ValidationError
 
 __all__ = ["FaultSpec", "FaultPlan"]
 
 #: Every fault kind a spec may inject.
-FaultKinds = ("transient", "permanent", "oserror", "torn", "slow")
+FaultKinds = ("transient", "permanent", "oserror", "torn")
 
 
 @dataclass(frozen=True)
@@ -64,9 +60,6 @@ class FaultSpec:
     rate: float = 1.0
     after: int = 0
     max_fires: int | None = 1
-    #: Extra modeled work charged by a ``"slow"`` fire.
-    slow_launches: int = 64
-    slow_bytes: int = 1 << 20
     #: Fraction of the buffer a ``"torn"`` fire lets through.
     torn_fraction: float = 0.5
 
@@ -154,8 +147,7 @@ class FaultPlan:
 
         Returns None (no fault) or the matching :class:`FaultSpec` after
         journaling the fire.  ``"transient"`` / ``"permanent"`` specs
-        raise immediately; ``"slow"`` charges the device model and
-        returns the spec; ``"oserror"`` / ``"torn"`` return the spec so
+        raise immediately; ``"oserror"`` / ``"torn"`` return the spec so
         file wrappers can shape the failure themselves.
         """
         self.total_arrivals += 1
@@ -177,10 +169,6 @@ class FaultPlan:
                 raise TransientFault(f"injected transient fault at {point}", point=point)
             if spec.kind == "permanent":
                 raise PermanentFault(f"injected permanent fault at {point}", point=point)
-            if spec.kind == "slow":
-                counters = get_counters()
-                counters.kernel_launches += spec.slow_launches
-                counters.bytes_copied += spec.slow_bytes
             return spec
         return None
 

@@ -908,17 +908,3 @@ def test_document_of_an_older_schema_is_refused(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match="schema 1, this reader supports 2"):
         reread()
-
-
-# ---------------------------------------------------------------------------
-# The t13 bench artifact (its ≥ 3x gate is the scorecard's `t13-recovery` row)
-# ---------------------------------------------------------------------------
-
-
-def test_persist_artifact_quick_structure():
-    from repro.bench.persist_bench import persist_artifact
-
-    art = persist_artifact(seed=0, quick=True)
-    keys = {r.metric for r in art.results}
-    assert keys == {"t13/E=2^18/tail=2^12/slabhash/recovery_speedup"}
-    assert len(art.rows) == 1

@@ -139,11 +139,14 @@ class TestScorecardExitCodes:
     """``main`` evaluates the claims on whatever it ran: 1 on a violation."""
 
     @staticmethod
-    def shard_artifact(speedup):
+    def incremental_artifact(lead):
+        """A two-series ``t6`` stub: ours ``lead`` times Hornet's rate."""
+
         def build(seed=0, quick=False):
-            b = ArtifactBuilder("t12", "Stub t12", ["Backend", "Speedup"])
-            b.add_row(["slabhash", speedup])
-            b.metric(speedup, "x", "slabhash", "shards=4", "insert_speedup")
+            b = ArtifactBuilder("t6", "Stub t6", ["Batch", "Hornet", "Ours"])
+            b.add_row(["2^12", 1.0, lead])
+            b.metric(1.0, "MEdge/s", "batch=2^12", "hornet")
+            b.metric(lead, "MEdge/s", "batch=2^12", "ours")
             return b.build()
 
         return build
@@ -151,26 +154,26 @@ class TestScorecardExitCodes:
     def test_no_claim_decidable_is_success(self, stub, capsys):
         assert runner.main(["tstub"]) == 0
         out = capsys.readouterr().out
-        assert "scorecard: OK" in out and "t12-shard-scaling" in out
+        assert "scorecard: OK" in out and "t6-incremental" in out
 
     def test_held_claim_is_success(self, monkeypatch, capsys):
-        monkeypatch.setitem(runner._ARTIFACTS, "t12", self.shard_artifact(2.5))
-        assert runner.main(["t12"]) == 0
-        assert "PASS    t12-shard-scaling" in capsys.readouterr().out
+        monkeypatch.setitem(runner._ARTIFACTS, "t6", self.incremental_artifact(2.5))
+        assert runner.main(["t6"]) == 0
+        assert "PASS    t6-incremental" in capsys.readouterr().out
 
     def test_violated_claim_exits_1(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setitem(runner._ARTIFACTS, "t12", self.shard_artifact(1.5))
+        monkeypatch.setitem(runner._ARTIFACTS, "t6", self.incremental_artifact(1.5))
         out_json = tmp_path / "r.json"
-        assert runner.main(["t12", "--json", str(out_json)]) == 1
+        assert runner.main(["t6", "--json", str(out_json)]) == 1
         out = capsys.readouterr().out
-        assert "scorecard: VIOLATED" in out and "FAIL    t12-shard-scaling" in out
+        assert "scorecard: VIOLATED" in out and "FAIL    t6-incremental" in out
         assert out_json.exists()  # the run is still persisted for inspection
 
     def test_violated_claim_fails_even_when_the_baseline_agrees(self, monkeypatch, tmp_path):
-        monkeypatch.setitem(runner._ARTIFACTS, "t12", self.shard_artifact(1.5))
+        monkeypatch.setitem(runner._ARTIFACTS, "t6", self.incremental_artifact(1.5))
         baseline = tmp_path / "baseline.json"
-        runner.run_suite(["t12"], echo=lambda *_: None).save(baseline)
-        assert runner.main(["t12", "--compare", str(baseline)]) == 1
+        runner.run_suite(["t6"], echo=lambda *_: None).save(baseline)
+        assert runner.main(["t6", "--compare", str(baseline)]) == 1
 
 
 class TestRealArtifact:

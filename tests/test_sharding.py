@@ -21,7 +21,6 @@ from repro.api import (
     capabilities,
 )
 from repro.coo import COO
-from repro.gpusim.counters import counting
 from repro.stream.incremental import IncrementalConnectedComponents, IncrementalPageRank
 from repro.util.errors import ValidationError
 
@@ -310,20 +309,6 @@ class TestAssembly:
         want = CSRSnapshot.from_coo(COO(keys >> 32, keys & 0xFFFFFFFF, n))
         assert_snapshots_identical(want, degraded.snapshot)
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_charge_is_one_launch_per_shard_plus_the_copied_rows(self, weighted, rng):
-        n = 300
-        svc = ShardedGraph.create("slabhash", n, num_shards=3, weighted=weighted)
-        src, dst, w = workload(rng, n, 500)
-        svc.insert_edges(src, dst, w if weighted else None)
-        shard_snaps = [shard.snapshot() for shard in svc.shards]
-        with counting() as charged:
-            assembled = svc.backend._assemble(shard_snaps)
-        assert {k: v for k, v in charged.items() if v} == {
-            "kernel_launches": 3,
-            "bytes_copied": assembled.num_edges * (16 if weighted else 8) + (n + 1) * 8,
-        }
-
 
 class TestShardedValidation:
     def test_rejects_undirected_shards(self):
@@ -476,13 +461,3 @@ class TestScatterGatherShardErrors:
         err = ShardError("boom", shard=3, op="degree")
         assert isinstance(err, ReproError) and isinstance(err, RuntimeError)
         assert err.shard == 3 and err.op == "degree"
-
-
-def test_shard_artifact_quick_structure():
-    from repro.bench.shard_bench import shard_artifact
-
-    art = shard_artifact(seed=0, quick=True)
-    by_key = {r.metric: r.value for r in art.results}
-    assert by_key.keys() == {"t12/slabhash/shards=4/insert_speedup"}
-    assert by_key["t12/slabhash/shards=4/insert_speedup"] >= 2.0
-    assert len(art.rows) == 1

@@ -165,9 +165,27 @@ class TestPersistenceRule:
         assert [p for p, why in UNCLAIMED.items() if not rx.match(why)] == []
 
 
+def scorecard_rows(text: str) -> list:
+    """The claim ids of the scorecard table in ``text``, in row order."""
+    table = text[text.index("| Claim | Source |") :].split("\n\n")[0]
+    return re.findall(r"^\| `([^`]+)` \|", table, flags=re.M)
+
+
 def test_every_claim_is_documented():
     """The scorecard table of ``docs/benchmarks.md`` lists exactly ``CLAIMS``."""
+    assert scorecard_rows(DOCS.read_text()) == [c.id for c in CLAIMS]
+
+
+@pytest.mark.parametrize(
+    "stale", ["t12-shard-scaling", "t13-recovery", "t14-rebuild", "t14-degraded-read"]
+)
+def test_a_row_of_a_deleted_claim_fails_the_doc_check(stale):
+    """The check runs both ways: a row for a claim ``CLAIMS`` no longer
+    holds (one of the retired repo-grown claims) is caught."""
     text = DOCS.read_text()
-    table = text[text.index("| Claim | Source |") :].split("\n\n")[0]
-    rows = re.findall(r"^\| `([^`]+)` \|", table, flags=re.M)
-    assert rows == [c.id for c in CLAIMS]
+    last = [line for line in text.splitlines() if line.startswith(f"| `{CLAIMS[-1].id}` |")]
+    assert len(last) == 1
+    row = f"| `{stale}` | repo-grown | retired | - |"
+    rows = scorecard_rows(text.replace(last[0], f"{last[0]}\n{row}"))
+    assert stale not in {c.id for c in CLAIMS}
+    assert rows != [c.id for c in CLAIMS] and rows[-1] == stale

@@ -25,8 +25,10 @@ from repro.api import (
 )
 from repro.api.sharding import MAX_ATTEMPTS, SHARD_DEAD, SHARD_DEGRADED, SHARD_HEALTHY
 from repro.chaos import FaultPlan, FaultSpec, FaultyBackend
+from repro.chaos.plan import FaultKinds
 from repro.coo import COO
 from repro.eventlog.events import StructuralEvent
+from repro.gpusim.counters import counting
 from repro.persist import apply_event, scan_wal
 from repro.stream.incremental import IncrementalConnectedComponents
 from repro.util.errors import (
@@ -116,6 +118,26 @@ class TestFaultPlan:
         plan = FaultPlan(0, (FaultSpec("gone", kind="permanent"),))
         with pytest.raises(PermanentFault):
             plan.arrive("gone")
+
+    @pytest.mark.parametrize("kind", FaultKinds)
+    def test_arrivals_charge_no_device_counters(self, kind):
+        """A plan shapes failures; it never stretches modeled time."""
+        plan = FaultPlan(0, (FaultSpec("p", kind=kind, after=1),))
+        raises = {"transient": TransientFault, "permanent": PermanentFault}
+        with counting() as charged:
+            assert plan.arrive("p") is None
+            if kind in raises:
+                with pytest.raises(raises[kind]):
+                    plan.arrive("p")
+            else:
+                assert plan.arrive("p").kind == kind
+        assert len(plan.fired) == 1
+        assert {k: v for k, v in charged.items() if v} == {}
+
+    def test_slow_kind_is_refused(self):
+        assert "slow" not in FaultKinds
+        with pytest.raises(ValidationError, match="fault kind"):
+            FaultSpec("s", kind="slow")
 
     def test_validation(self):
         with pytest.raises(ValidationError):

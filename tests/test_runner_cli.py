@@ -47,6 +47,15 @@ class TestArgumentValidation:
         err = capsys.readouterr().err
         assert "'t99'" in err and "'f9'" in err
 
+    @pytest.mark.parametrize("retired", ["t12", "t13", "t14"])
+    def test_retired_repo_grown_ids_are_unknown(self, retired, capsys):
+        """The sharded-service, durable-store and chaos artifacts are gone:
+        their ids are refused like any other unknown id."""
+        assert retired not in runner.ARTIFACT_IDS
+        assert runner.main([retired]) == 2
+        captured = capsys.readouterr()
+        assert repr(retired) in captured.err and captured.out == ""
+
     def test_known_ids_accepted(self, stub, capsys):
         assert runner.main(["tstub"]) == 0
         assert "Stub table" in capsys.readouterr().out

@@ -21,6 +21,7 @@ from repro.api import (
     capabilities,
 )
 from repro.coo import COO
+from repro.gpusim.counters import counting
 from repro.stream.incremental import IncrementalConnectedComponents, IncrementalPageRank
 from repro.util.errors import ValidationError
 
@@ -308,6 +309,53 @@ class TestAssembly:
         keys = np.unique((src << 32 | dst)[contributed & (src != dst)])
         want = CSRSnapshot.from_coo(COO(keys >> 32, keys & 0xFFFFFFFF, n))
         assert_snapshots_identical(want, degraded.snapshot)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_assembly_charges_no_device_counters(self, weighted, rng):
+        """Placing shard CSRs, and cutting a shard's rows back out of the
+        global one, is host work: the device model is charged nothing."""
+        n = 300
+        svc = ShardedGraph.create("slabhash", n, num_shards=3, weighted=weighted)
+        src, dst, w = workload(rng, n, 500)
+        svc.insert_edges(src, dst, w if weighted else None)
+        shard_snaps = [shard.snapshot() for shard in svc.shards]
+        with counting() as charged:
+            assembled = svc.backend._assemble(shard_snaps)
+            rows = [svc.backend._owned_rows(assembled, s) for s in range(3)]
+        assert {k: v for k, v in charged.items() if v} == {}
+        for want, got in zip(shard_snaps, rows):
+            assert_snapshots_identical(want, got)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_router_charges_only_what_its_shards_charge(self, weighted, rng):
+        """A global snapshot, a degraded one past a dead shard and a
+        scattered adjacency read each charge exactly their shards' reads."""
+        n = 300
+        src, dst, w = workload(rng, n, 500)
+        vids = np.arange(0, n, 7, dtype=np.int64)
+
+        def build():
+            svc = ShardedGraph.create("slabhash", n, num_shards=3, weighted=weighted)
+            svc.insert_edges(src, dst, w if weighted else None)
+            return svc
+
+        routed, direct = build(), build()
+        with counting() as via_router:
+            routed.snapshot()
+            routed.adjacencies(vids)
+        owner = routed.partitioner.shard_of(vids)
+        with counting() as via_shards:
+            for s, shard in enumerate(direct.shards):
+                shard.snapshot()
+                shard.adjacencies(vids[owner == s])
+        assert via_router == via_shards
+        routed.kill_shard(1)
+        with counting() as degraded:
+            routed.degraded_snapshot()
+        with counting() as live:
+            for s in (0, 2):
+                direct.shards[s].snapshot()
+        assert degraded == live
 
 
 class TestShardedValidation:

@@ -1,24 +1,37 @@
-"""Atomic graph checkpoints: an NPZ snapshot + a JSON manifest.
+"""Atomic graph checkpoints: an NPZ of sorted edge keys + a JSON manifest.
 
 A checkpoint materializes one :class:`repro.api.CSRSnapshot` so recovery
 can start from it instead of replaying the whole WAL.  Two files per
 checkpoint, both written atomically (tmp file + rename, see
 :func:`repro.io.atomic_write`):
 
-- ``ckpt-<seq, 20 digits>.npz`` — the snapshot arrays (``numpy.savez``);
-- ``ckpt-<seq, 20 digits>.json`` — the manifest: the WAL seq the
-  snapshot covers (recovery replays records at or after it), the
+- ``ckpt-<seq, 20 digits>.npz`` — the snapshot as ``numpy.savez``
+  members: ``keys``, the sorted unique ``(src << 32) | dst`` edge keys
+  (int64, :meth:`CSRSnapshot.keys`); ``weights``, one int64 per key, only
+  for a weighted graph; and ``num_vertices``.  The bytes are O(E): no
+  member spans the vertex-id space, so a shard of a 2^18-vertex service
+  stores its own edges and nothing else;
+- ``ckpt-<seq, 20 digits>.json`` — the manifest (schema 2): the WAL seq
+  the snapshot covers (recovery replays records at or after it), the
   publisher's ``mutation_version`` as provenance, the backend identity,
   edge/vertex counts, a CRC32 of the NPZ bytes, and an environment
   fingerprint.
+
+Loading checks the CRC32, then the keys themselves — a 1-D int64 array,
+strictly increasing, every source and destination in
+``[0, num_vertices)``, one weight per key — and derives ``row_ptr`` (one
+counting pass) and ``col_idx`` (one mask).  The snapshot it returns
+carries the keys it was read from, bit-identical to the one written.
+Schema 1 (a ``row_ptr`` over all of ``|V|`` plus ``col_idx``) has no
+reader: its manifest is refused like any other invalid checkpoint.
 
 The manifest is written *after* the NPZ and is the commit point: a crash
 between the two leaves an orphaned NPZ that no manifest references, and
 recovery never sees it.  :func:`latest_valid_checkpoint` walks manifests
 newest-first and skips any that fail to load — missing or truncated NPZ,
-CRC mismatch, unparseable JSON — so deleting or corrupting the newest
-checkpoint merely falls back to the previous one (plus a longer WAL
-replay).
+CRC mismatch, malformed keys, unparseable JSON, an older schema — so
+deleting or corrupting the newest checkpoint merely falls back to the
+previous one (plus a longer WAL replay).
 """
 
 from __future__ import annotations
@@ -45,8 +58,9 @@ __all__ = [
 ]
 
 MANIFEST_KIND = "repro-graph-checkpoint"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _PREFIX = "ckpt-"
+_MASK32 = np.int64(0xFFFFFFFF)
 
 
 def env_fingerprint() -> dict:
@@ -154,11 +168,7 @@ def write_checkpoint(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     stem = f"{_PREFIX}{int(seq):020d}"
-    payload = {
-        "row_ptr": snap.row_ptr,
-        "col_idx": snap.col_idx,
-        "num_vertices": np.int64(snap.num_vertices),
-    }
+    payload = {"keys": snap.keys(), "num_vertices": np.int64(snap.num_vertices)}
     if snap.weights is not None:
         payload["weights"] = snap.weights
     buf = BytesIO()
@@ -184,7 +194,7 @@ def write_checkpoint(
 
 def load_checkpoint(manifest_path) -> tuple:
     """``(CSRSnapshot, CheckpointManifest)`` for one manifest, verifying
-    the NPZ's CRC32.  Raises :class:`ValidationError` on any integrity
+    the NPZ's CRC32 and then its keys.  Raises :class:`ValidationError` on any integrity
     failure (callers treat that checkpoint as nonexistent)."""
     manifest_path = Path(manifest_path)
     data = _read_identity(manifest_path, MANIFEST_KIND, SCHEMA_VERSION, _MANIFEST_FIELDS)
@@ -199,20 +209,46 @@ def load_checkpoint(manifest_path) -> tuple:
         )
     try:
         with np.load(BytesIO(blob)) as arrays:
-            snap = CSRSnapshot(
-                row_ptr=arrays["row_ptr"],
-                col_idx=arrays["col_idx"],
-                weights=arrays["weights"] if "weights" in arrays else None,
-                num_vertices=int(arrays["num_vertices"]),
-            )
-    except (OSError, ValueError, KeyError) as exc:
+            keys = arrays["keys"]
+            weights = arrays["weights"] if "weights" in arrays else None
+            num_vertices = int(arrays["num_vertices"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"checkpoint data {manifest.npz} undecodable: {exc}")
+    if num_vertices != manifest.num_vertices or num_vertices < 0:
+        raise ValidationError(
+            f"checkpoint {manifest.npz} holds {num_vertices} vertices, "
+            f"manifest claims {manifest.num_vertices}"
+        )
+    snap = _snapshot_from_keys(keys, weights, num_vertices, manifest.npz)
     if snap.num_edges != manifest.num_edges:
         raise ValidationError(
             f"checkpoint {manifest.npz} holds {snap.num_edges} edges, "
             f"manifest claims {manifest.num_edges}"
         )
     return snap, manifest
+
+
+def _snapshot_from_keys(keys, weights, num_vertices: int, name: str) -> CSRSnapshot:
+    """The :class:`CSRSnapshot` whose :meth:`~CSRSnapshot.keys` are
+    ``keys``, or :class:`ValidationError` when the arrays cannot be one."""
+    if keys.ndim != 1 or keys.dtype != np.int64:
+        raise ValidationError(f"checkpoint {name}: keys must be a 1-D int64 array")
+    if keys.size > 1 and not bool(np.all(keys[1:] > keys[:-1])):
+        raise ValidationError(f"checkpoint {name}: keys are not strictly increasing")
+    if weights is not None and weights.shape != keys.shape:
+        raise ValidationError(
+            f"checkpoint {name} holds {weights.shape} weights for {keys.shape[0]} keys"
+        )
+    src = keys >> np.int64(32)
+    col_idx = keys & _MASK32
+    # Sorted keys put the smallest source first and the largest last.
+    if keys.size and (keys[0] < 0 or src[-1] >= num_vertices or col_idx.max() >= num_vertices):
+        raise ValidationError(
+            f"checkpoint {name} holds an edge endpoint outside [0, {num_vertices})"
+        )
+    row_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_vertices), out=row_ptr[1:])
+    return CSRSnapshot(row_ptr, col_idx, weights, num_vertices, _keys=keys)
 
 
 def latest_valid_checkpoint(directory, *, min_seq: int = 0):

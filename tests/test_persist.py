@@ -9,6 +9,7 @@ weighted and unweighted.
 
 import json
 import shutil
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,8 @@ from repro.persist import (
     scan_wal,
     write_checkpoint,
 )
-from repro.persist.wal import RECORD_HEADER, SEGMENT_HEADER
+from repro.persist.checkpoint import SCHEMA_VERSION
+from repro.persist.wal import RECORD_HEADER, RECORD_MAGIC, SEGMENT_HEADER, encode_record
 from repro.stream.incremental import IncrementalConnectedComponents
 from repro.util.errors import PersistError, ValidationError
 
@@ -155,6 +157,54 @@ class TestWalFraming:
         assert len(scan_wal(tmp_path / "wal").events) == 1
         w.close()
 
+    def test_broken_writer_refuses_append(self, tmp_path):
+        batch = EdgeBatch(0, 0, 1, True, np.array([1]), np.array([2]), None, rows=1)
+        w = WalWriter(tmp_path / "wal", fsync="never")
+        w.append(batch)
+        w.broken = True
+        with pytest.raises(PersistError) as exc:
+            w.append(batch)
+        assert exc.value.broken
+        assert w.next_seq == 1 and w.records_written == 1
+        w.close()
+        assert len(scan_wal(tmp_path / "wal").events) == 1
+
+    # (fsyncs at segment open, per append, at flush, at close) per policy.
+    _FSYNCS = {"never": (0, 0, 0, 0), "batch": (1, 0, 1, 1), "always": (1, 1, 1, 1)}
+
+    @pytest.mark.parametrize("policy", sorted(_FSYNCS))
+    def test_fsync_policy_counts(self, tmp_path, policy):
+        """An ``opener=`` whose files count ``fsync()`` tells the three
+        policies apart: ``never`` never syncs, ``batch`` syncs a new
+        segment's header, a flush and a close, ``always`` also each
+        append."""
+        synced = []
+
+        class CountingFile:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def fsync(self):
+                synced.append(self._fh.name)
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+        at_open, per_append, at_flush, at_close = self._FSYNCS[policy]
+        batch = EdgeBatch(0, 0, 1, True, np.array([1]), np.array([2]), None, rows=1)
+        w = WalWriter(
+            tmp_path / "wal", fsync=policy, opener=lambda path, mode: CountingFile(open(path, mode))
+        )
+        assert len(synced) == 0
+        for _ in range(3):
+            w.append(batch)
+        assert len(synced) == at_open + 3 * per_append
+        w.flush()
+        assert len(synced) == at_open + 3 * per_append + at_flush
+        w.close()
+        assert len(synced) == at_open + 3 * per_append + at_flush + at_close
+        assert len(scan_wal(tmp_path / "wal").events) == 3
+
 
 # ---------------------------------------------------------------------------
 # Scan + repair of torn and corrupt logs
@@ -241,6 +291,40 @@ class TestScanAndRepair:
         scan = scan_wal(tmp_path / "missing")
         assert not scan.torn and scan.next_seq == 0 and not scan.events
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            EdgeBatch(0, 0, 1, True, np.array([1, 2]), np.array([3, 4]), None, rows=2),
+            StructuralEvent(0, 0, 1, "delete_vertices", np.array([5, 6])),
+        ],
+        ids=["edge-batch", "structural"],
+    )
+    def test_payload_with_trailing_bytes_ends_the_scan(self, tmp_path, event):
+        """A record whose CRC is right but whose payload runs past its
+        fields is corrupt, not a record with padding."""
+        wal_dir = tmp_path / "wal"
+        _write_batches(wal_dir, 2)
+        record = encode_record(event, 2)
+        payload = record[RECORD_HEADER.size :] + b"\0"
+        seg = list_segments(wal_dir)[-1]
+        with open(seg, "ab") as fh:
+            fh.write(RECORD_HEADER.pack(RECORD_MAGIC, len(payload), zlib.crc32(payload)))
+            fh.write(payload)
+        scan = scan_wal(wal_dir)
+        assert scan.torn and "1 trailing bytes" in scan.torn_detail
+        assert [e.seq for e in scan.events] == [0, 1]
+
+    def test_list_segments_ignores_other_files(self, tmp_path):
+        wal_dir = tmp_path / "wal"
+        _write_batches(wal_dir, 12, rows=32, segment_bytes=1024)
+        segments = list_segments(wal_dir)
+        assert len(segments) >= 3
+        (wal_dir / "seg-00000000000000000099.tmp").write_bytes(b"partial")
+        (wal_dir / "notes.wal").write_bytes(b"not a segment")
+        assert list_segments(wal_dir) == segments
+        scan = scan_wal(wal_dir)
+        assert not scan.torn and len(scan.events) == 12
+
 
 # ---------------------------------------------------------------------------
 # Checkpoints
@@ -264,7 +348,31 @@ class TestCheckpoints:
         assert manifest.seq == 17 and manifest.mutation_version == 5
         back, loaded = load_checkpoint(manifest.path)
         assert_snaps_identical(back, snap)
+        assert back.row_ptr.dtype == snap.row_ptr.dtype
+        assert back.col_idx.dtype == snap.col_idx.dtype
+        assert back._keys is not None and np.array_equal(back._keys, snap.keys())
         assert loaded.backend == "slabhash"
+        with np.load(manifest.npz_path) as arrays:
+            want = {"keys", "num_vertices"} | ({"weights"} if weighted else set())
+            assert set(arrays.files) == want
+
+    def test_npz_bytes_do_not_grow_with_the_vertex_space(self, tmp_path):
+        """The same 64 edges make the same NPZ at |V| = 2^10 and 2^18:
+        a checkpoint stores edges, not a ``row_ptr`` over every id."""
+        rng = np.random.default_rng(7)
+        src, dst = rng.integers(0, 1 << 10, 64), rng.integers(0, 1 << 10, 64)
+        sizes = []
+        for n in (1 << 10, 1 << 18):
+            g = Graph.create("slabhash", n)
+            g.insert_edges(src, dst)
+            snap = g.snapshot()
+            assert snap.num_edges == 64
+            manifest = write_checkpoint(
+                tmp_path / str(n), snap, seq=1, backend="slabhash", weighted=False
+            )
+            sizes.append(manifest.npz_path.stat().st_size)
+            assert_snaps_identical(load_checkpoint(manifest.path)[0], snap)
+        assert sizes[0] == sizes[1]
 
     def test_crc_mismatch_rejected_and_skipped(self, tmp_path):
         snap = self._snap(False)
@@ -278,6 +386,133 @@ class TestCheckpoints:
             load_checkpoint(tmp_path / "ckpt-00000000000000000009.json")
         found = latest_valid_checkpoint(tmp_path)
         assert found is not None and found[1].seq == m.seq  # fell back to seq 3
+
+    @staticmethod
+    def _replace_npz(manifest, schema=SCHEMA_VERSION, **members):
+        """Rewrite ``manifest``'s NPZ with ``members`` and re-stamp its
+        CRC32 (and ``schema``), so only a check past the CRC can reject it."""
+        np.savez(manifest.npz_path, **members)
+        doc = json.loads(manifest.path.read_text())
+        doc.update(crc32=zlib.crc32(manifest.npz_path.read_bytes()), schema_version=schema)
+        manifest.path.write_text(json.dumps(doc))
+
+    @staticmethod
+    def _malformed(case, keys, weights, n):
+        """``(members, message)``: the checkpoint's NPZ members with the
+        one defect ``case`` names, and the error it must raise."""
+        members = {"keys": keys.copy(), "weights": weights, "num_vertices": np.int64(n)}
+        bad = members["keys"]
+        if case == "no-keys":
+            del members["keys"]
+            return members, "undecodable"
+        if case == "keys-2d":
+            members["keys"] = bad[None, :]
+            return members, "1-D int64"
+        if case in ("keys-float", "keys-int32"):
+            members["keys"] = bad.astype(np.float64 if case == "keys-float" else np.int32)
+            return members, "1-D int64"
+        if case == "unsorted":
+            bad[[0, 1]] = bad[[1, 0]]
+            return members, "strictly increasing"
+        if case == "repeated":
+            bad[1] = bad[0]
+            return members, "strictly increasing"
+        if case == "negative":
+            bad[0] = (-1 << 32) | 1  # source -1, destination 1
+        elif case == "src-out-of-range":
+            bad[-1] = (n << 32) | 1
+        elif case == "dst-out-of-range":
+            bad[-1] = ((int(bad[-1]) >> 32) << 32) | n
+        elif case == "short-weights":
+            members["weights"] = weights[:-1]
+            return members, "weights for"
+        elif case == "vertex-count":
+            members["num_vertices"] = np.int64(n + 1)
+            return members, "vertices"
+        return members, "outside"
+
+    _MALFORMED = (
+        "no-keys",
+        "keys-2d",
+        "keys-float",
+        "keys-int32",
+        "unsorted",
+        "repeated",
+        "negative",
+        "src-out-of-range",
+        "dst-out-of-range",
+        "short-weights",
+        "vertex-count",
+    )
+
+    @pytest.mark.parametrize("case", _MALFORMED)
+    def test_malformed_keys_rejected_and_skipped(self, tmp_path, case):
+        """The CRC covers the bytes, not their meaning: keys that are not
+        a strictly increasing int64 vector of in-range edges are a typed
+        error, and recovery falls back to the older checkpoint."""
+        snap = self._snap(True)
+        write_checkpoint(tmp_path, snap, seq=3, backend="slabhash", weighted=True)
+        newest = write_checkpoint(tmp_path, snap, seq=9, backend="slabhash", weighted=True)
+        members, message = self._malformed(case, snap.keys(), snap.weights, snap.num_vertices)
+        self._replace_npz(newest, **members)
+        with pytest.raises(ValidationError, match=message):
+            load_checkpoint(newest.path)
+        found = latest_valid_checkpoint(tmp_path)
+        assert found is not None and found[1].seq == 3
+        assert_snaps_identical(found[0], snap)
+
+    @staticmethod
+    def _as_schema_1(manifest):
+        """Rewrite a checkpoint the way the schema-1 writer stored it: a
+        ``row_ptr`` over all of |V| plus ``col_idx``."""
+        snap, _ = load_checkpoint(manifest.path)
+        members = {
+            "row_ptr": snap.row_ptr,
+            "col_idx": snap.col_idx,
+            "num_vertices": np.int64(snap.num_vertices),
+        }
+        if snap.weights is not None:
+            members["weights"] = snap.weights
+        TestCheckpoints._replace_npz(manifest, schema=1, **members)
+
+    def test_schema_1_refused_and_skipped(self, tmp_path):
+        snap = self._snap(False)
+        write_checkpoint(tmp_path, snap, seq=3, backend="slabhash", weighted=False)
+        old = write_checkpoint(tmp_path, snap, seq=9, backend="slabhash", weighted=False)
+        self._as_schema_1(old)
+        with pytest.raises(ValidationError, match="schema 1, this reader supports 2"):
+            load_checkpoint(old.path)
+        assert latest_valid_checkpoint(tmp_path)[1].seq == 3
+
+    def test_store_anchored_only_by_schema_1_is_refused(self, tmp_path):
+        """A WAL that starts after seq 0 needs its checkpoint; a schema-1
+        one cannot anchor it, so the open fails typed instead of
+        recovering a graph that lacks the checkpointed edges."""
+        root = tmp_path / "store"
+        dg = open_graph(root, "slabhash", num_vertices=32, fsync="never", segment_bytes=256)
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            dg.graph.insert_edges(rng.integers(0, 32, 8), rng.integers(0, 32, 8))
+        manifest = dg.checkpoint()
+        for _ in range(3):
+            dg.graph.insert_edges(rng.integers(0, 32, 8), rng.integers(0, 32, 8))
+        live = dg.graph.snapshot()
+        dg.close()
+        # Keep the log from the segment holding the checkpoint's seq on.
+        segments = list_segments(root / "wal")
+        first_kept = max(i for i, p in enumerate(segments) if int(p.stem[4:]) <= manifest.seq)
+        assert first_kept > 0
+        for seg in segments[:first_kept]:
+            seg.unlink()
+        copy = tmp_path / "copy"
+        shutil.copytree(root, copy)
+        rec = open_graph(copy, fsync="never")  # schema 2 anchors the cut log
+        assert rec.recovered_checkpoint.seq == manifest.seq
+        assert_snaps_identical(rec.graph.snapshot(), live)
+        rec.close()
+        self._as_schema_1(manifest)
+        with pytest.raises(ValidationError, match="no valid checkpoint covers"):
+            open_graph(root, fsync="never")
 
     def test_deleted_npz_skipped(self, tmp_path):
         snap = self._snap(False)

@@ -87,7 +87,7 @@ def main() -> None:
     )
     print("all six incremental analytics verified exact after every phase\n")
 
-    # --- The subscriber API directly -------------------------------------
+    # --- The cursor-driven classes directly ------------------------------
     from repro.api import Graph
 
     g = Graph.create("hornet", num_vertices=512, weighted=True)

@@ -7,7 +7,7 @@ interleaved with query and compute phases.  This example declares one
 seeded :class:`repro.stream.Scenario` (insert bursts + queries + compute
 probes over an RMAT seed graph), runs it twice against the paper's
 structure — once recomputing every compute phase from scratch, once with
-the delta-subscribed incremental analytics — and prices the two against
+the cursor-driven incremental analytics — and prices the two against
 each other with the calibrated device model.  A final pass with
 ``validate=True`` re-derives the cold references after every phase to
 prove the incremental answers are exact.
@@ -53,13 +53,13 @@ def main() -> None:
     )
     print("incremental analytics verified exact after every phase")
 
-    # --- The subscriber API directly --------------------------------------
+    # --- The cursor-driven classes directly -------------------------------
     from repro.api import Graph
 
     g = Graph.create("hornet", num_vertices=512)
     rng = np.random.default_rng(7)
     g.insert_edges(rng.integers(0, 512, 2000), rng.integers(0, 512, 2000))
-    cc = IncrementalConnectedComponents(g)   # subscribes to g's deltas
+    cc = IncrementalConnectedComponents(g)   # reads g's deltas via a cursor
     pr = IncrementalPageRank(g, tol=TOL)     # both build their state cold here
     g.insert_edges(rng.integers(0, 512, 64), rng.integers(0, 512, 64))
     touched = pr.touched_count

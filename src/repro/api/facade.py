@@ -34,11 +34,11 @@ vertex deletion / bulk build / rehash / tombstone flush as
 :class:`~repro.eventlog.StructuralEvent`s, each stamped with the
 backend's ``mutation_version`` before and after the dispatch.  Consumers
 (the snapshot delta-merge below, :mod:`repro.stream.incremental`'s
-analytics, each shard WAL of :mod:`repro.persist`) read it through cursors; a history whose
-version chain does not connect the consumer's last sync to the live
-version — an out-of-band backend mutation, or events trimmed past the
-log's bounded retention — is detected as a log gap and answered with a
-cold rebuild.
+analytics) read it through cursors, and a :mod:`repro.persist` WAL is its
+one synchronous sink; a history whose version chain does not connect the
+consumer's last sync to the live version — an out-of-band backend
+mutation, or events trimmed past the log's bounded retention — is
+detected as a log gap and answered with a cold rebuild.
 
 Snapshot maintenance rides the same log: when :meth:`Graph.snapshot`
 finds the cached snapshot stale but the event window since it complete
@@ -282,8 +282,22 @@ class Graph:
         graph — the restore half of the durability layer in
         :mod:`repro.persist`.  Equivalent to ``bulk_build(snap.to_coo())``;
         a later :meth:`snapshot` is bit-identical to ``snap``.
+
+        When the build stores exactly ``snap``'s edge set — the same
+        vertex space, weightedness and edge count: no self-loop or repeat
+        dropped, no orientation mirrored in — ``snap`` becomes the
+        snapshot cache, so the next :meth:`snapshot` merges what was
+        published since instead of exporting and sorting cold.
         """
-        return self.bulk_build(snap.to_coo())
+        built = self.bulk_build(snap.to_coo())
+        if (
+            snap.num_vertices == self.num_vertices
+            and snap.weighted == self.weighted
+            and snap.num_edges == self.num_edges()
+        ):
+            self.backend._snapshot_cache = (self.mutation_version, snap)
+            self._snap_cursor = self.events.cursor()
+        return built
 
     # -- queries --------------------------------------------------------------------
 
@@ -365,7 +379,7 @@ class Graph:
     def rehash(self, vertex_ids=None, load_factor: float | None = None) -> int:
         """Rebuild hash structures toward ``load_factor``; returns the
         number of rebuilt vertices (capability-gated; publishes a
-        structural event, so subscribers rebuild cold)."""
+        structural event, so cursor consumers rebuild cold)."""
         self._require("rehash")
         before = self.mutation_version
         rebuilt = int(self.backend.rehash(vertex_ids, load_factor))
@@ -374,7 +388,7 @@ class Graph:
 
     def flush_tombstones(self, vertex_ids=None) -> None:
         """Compact deletion tombstones (capability-gated; publishes a
-        structural event, so subscribers rebuild cold)."""
+        structural event, so cursor consumers rebuild cold)."""
         self._require("tombstone_flush")
         before = self.mutation_version
         self.backend.flush_tombstones(vertex_ids)

@@ -734,7 +734,7 @@ class ShardRouter(GraphBackend):
         ``directory`` — the recovery source :meth:`rebuild_shard` replays;
         ``knobs`` are :class:`repro.persist.sharded.ShardStores`'.
 
-        Each shard gets its own segmented WAL subscribed to that shard's
+        Each shard gets its own segmented WAL as the sink of that shard's
         event log, so per-shard durable order equals per-shard applied
         order (the facade publishes only after the backend succeeds);
         since every vertex's out-edges live in exactly one shard, that is

@@ -2,8 +2,8 @@
 
 :class:`EventLog` is the spine the :class:`repro.api.Graph` facade, the
 shard router, and the incremental analytics all share.  It replaces the
-facade's former private ``_delta_log`` list, subscriber list, and ad-hoc
-row accounting with one first-class object:
+facade's former private ``_delta_log`` list and ad-hoc row accounting
+with one first-class object:
 
 - **append-only, sequence-numbered** — every published event gets the
   next ``seq``; history is never rewritten;
@@ -19,13 +19,12 @@ row accounting with one first-class object:
   :meth:`EventCursor.window` is that decision, stated once with the
   version-chain check: the facade's snapshot merge and every incremental
   analytic fold what it returns or rebuild cold;
-- **push subscribers** — live observers (``on_event(event)`` objects or
-  plain callables) notified after each append.  Notification iterates a
-  snapshot copy of the subscriber list, so a subscriber unsubscribing
-  (itself or a peer) from inside its callback never skips another
-  subscriber, and a subscriber raising mid-batch neither corrupts the log
-  nor starves the remaining subscribers (the first exception is re-raised
-  after all have been notified).
+- **one durable sink** — :attr:`EventLog.sink` is ``None`` or one
+  callable that each append hands its event to, synchronously, once the
+  event is in the log and retention has trimmed.  A raising sink leaves
+  the event logged and its exception reaches the publisher.  The one
+  binding is :class:`repro.persist.store.DurableGraph`'s WAL append;
+  every other consumer reads through a cursor.
 """
 
 from __future__ import annotations
@@ -54,7 +53,9 @@ class EventLog:
         self._next_seq = 0
         self._horizon = 0  # seq of the oldest retained event
         self._retained_rows = 0
-        self._subscribers: list = []
+        #: ``None``, or the callable every append hands its event to (see
+        #: the module docstring).
+        self.sink = None
 
     # -- introspection -----------------------------------------------------------
 
@@ -89,7 +90,7 @@ class EventLog:
         after_version,
         rows: int | None = None,
     ) -> EdgeBatch:
-        """Append one normalized edge batch and notify subscribers.
+        """Append one normalized edge batch and hand it to the sink.
 
         The arrays are copied: publishers fast-path clean caller buffers
         through normalization, so without a copy a logged batch could
@@ -138,7 +139,8 @@ class EventLog:
             self._horizon = old.seq + 1
         if not self._events:
             self._horizon = self._next_seq
-        self._notify(event)
+        if self.sink is not None:
+            self.sink(event)
 
     # -- cursor reads ------------------------------------------------------------
 
@@ -180,35 +182,6 @@ class EventLog:
                 "a position the log has actually reached"
             )
         return seq
-
-    # -- push subscribers --------------------------------------------------------
-
-    def subscribe(self, subscriber) -> None:
-        """Register a live observer: an ``on_event(event)`` object or a
-        plain callable.  Double subscription is idempotent."""
-        if subscriber not in self._subscribers:
-            self._subscribers.append(subscriber)
-
-    def unsubscribe(self, subscriber) -> None:
-        """Remove a subscriber; removing an unknown one is a no-op."""
-        if subscriber in self._subscribers:
-            self._subscribers.remove(subscriber)
-
-    def _notify(self, event: Event) -> None:
-        # Iterate a snapshot copy: a subscriber unsubscribing from inside
-        # its own callback must not skip the next subscriber.  A raising
-        # subscriber neither corrupts the (already appended) log nor
-        # starves its peers; the first exception surfaces at the end.
-        first_exc: BaseException | None = None
-        for sub in tuple(self._subscribers):
-            try:
-                handler = getattr(sub, "on_event", sub)
-                handler(event)
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if first_exc is None:
-                    first_exc = exc
-        if first_exc is not None:
-            raise first_exc
 
 
 class EventCursor:

@@ -13,8 +13,9 @@ survive the process.  Four modules, each built on the ones before it:
 - :mod:`repro.persist.store` — the one owner of crash recovery (latest
   valid checkpoint + WAL-tail replay) and of the graph↔WAL binding:
   :func:`~repro.persist.store.open_graph` recovers a
-  :class:`~repro.persist.store.DurableGraph`, which subscribes to
-  ``graph.events`` and logs every event it sees;
+  :class:`~repro.persist.store.DurableGraph`, the one sink of
+  ``graph.events``, which appends every event to the WAL as it is
+  published;
 - :mod:`repro.persist.sharded` — :class:`~repro.persist.sharded.ShardStores`,
   one such store per shard of a :class:`~repro.api.sharding.ShardedGraph`
   (attach via ``attach_durability()``), recovered by the same routine

@@ -11,8 +11,8 @@ segmented WAL and checkpoint directory::
 
 Each ``shard-<i>/`` is a single-graph store (what
 :func:`repro.persist.store.open_graph` reads, minus ``store.json``), bound
-to its shard by one :class:`~repro.persist.store.DurableGraph` subscribed
-to that shard's *own* facade event log.  The shard facade publishes only
+to its shard by one :class:`~repro.persist.store.DurableGraph`, the sink
+of that shard's *own* facade event log.  The shard facade publishes only
 after its backend succeeds, so each shard's durable order equals its
 applied order.  The router partitions edges by source vertex, so per-shard
 order is the *only* order a bit-identical rebuild needs:
@@ -217,7 +217,7 @@ class ShardStores:
     # -- teardown -----------------------------------------------------------------
 
     def close(self) -> None:
-        """Detach every shard's subscriber and close its writer (idempotent)."""
+        """Release every shard's event-log sink and close its writer (idempotent)."""
         for durable in self._durable:
             durable.close()
 

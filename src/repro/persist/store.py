@@ -10,11 +10,12 @@
 Opening recovers: load the latest valid checkpoint into a fresh backend
 (:meth:`repro.api.Graph.restore_snapshot`), replay the WAL records at or
 after the checkpoint's seq through the facade (:func:`apply_event`), then
-bind a :class:`~repro.persist.wal.WalWriter` to the event log
-(:class:`DurableGraph` is the subscriber) so every subsequent mutation is
-logged before control returns to the caller.  A torn final record — the
-partial write of a crash — is detected by the scan's CRC/length framing
-and truncated away (writer mode only).
+bind a :class:`~repro.persist.wal.WalWriter` as the event log's one
+:attr:`~repro.eventlog.EventLog.sink` (:meth:`DurableGraph.on_event`), so
+every subsequent mutation is appended inside the facade call that
+published it, before control returns to the caller.  A torn final
+record — the partial write of a crash — is detected by the scan's
+CRC/length framing and truncated away (writer mode only).
 Replay re-applies the *normalized* batches the backend originally saw,
 so the recovered graph's :meth:`~repro.api.Graph.snapshot` is
 bit-identical to the lost instance's (pinned by the contract tests).
@@ -25,8 +26,11 @@ applies whatever records another process has appended since the last
 call — the replica's ``graph.events`` republishes them, so cursor-based
 incremental analytics (:mod:`repro.stream.incremental`) work unchanged.
 
-Single-writer discipline is assumed, not enforced: one process owns a
-store directory for writing; any number may follow it read-only.
+Single-writer discipline is assumed across processes: one process owns
+a store directory for writing; any number may follow it read-only.
+Within a process a graph takes one writer: binding a second
+:class:`DurableGraph` to a graph whose log already has a sink is a
+:class:`ValidationError`, raised before any WAL file is created.
 """
 
 from __future__ import annotations
@@ -110,10 +114,11 @@ class DurableGraph:
 
     Mutate through :attr:`graph` exactly as usual — a WAL writer
     (``writer_knobs`` are :class:`WalWriter`'s fsync / segment_bytes /
-    opener) positioned at ``next_seq`` observes the event log, so
-    durability is transparent.  Call :meth:`checkpoint` to bound
-    recovery's replay length, :meth:`sync` to force the WAL to disk, and
-    :meth:`close` when done.
+    opener) positioned at ``next_seq`` is the event log's sink, so
+    durability is transparent.  A graph takes one writer at a time
+    (:class:`ValidationError` otherwise).  Call :meth:`checkpoint` to
+    bound recovery's replay length, :meth:`sync` to force the WAL to
+    disk, and :meth:`close` when done: it releases the graph.
     Read replicas (``read_only=True``) expose :meth:`tail` instead of a
     writer.
     """
@@ -150,14 +155,22 @@ class DurableGraph:
         if read_only:
             self.follower = LogFollower(wal_dir, start_seq=next_seq)
         else:
+            if graph.events.sink is not None:
+                # A second writer would stamp the same seqs as the first.
+                raise ValidationError(
+                    "this graph's event log already has a sink (a store bound "
+                    f"to it is still open) — close it before binding {str(wal_dir)!r}"
+                )
             self.wal = WalWriter(wal_dir, start_seq=next_seq, **writer_knobs)
-            graph.events.subscribe(self)
+            graph.events.sink = self.on_event
 
     @property
     def read_only(self) -> bool:
-        return self.wal is None
+        """True for a replica: how the store was opened, not whether it
+        is still open."""
+        return self.follower is not None
 
-    # -- event-log subscriber (writer mode) --------------------------------------
+    # -- the event log's sink (writer mode) ---------------------------------------
 
     def on_event(self, event) -> None:
         try:
@@ -165,7 +178,7 @@ class DurableGraph:
         except PersistError:
             # The mutation already applied in memory; the WAL missed it.
             # Record the gap (checkpoint() heals it) and let the typed
-            # error reach the caller via the event log's re-raise.
+            # error reach the caller through the publishing facade call.
             self.durability_gap += 1
             raise
 
@@ -178,8 +191,13 @@ class DurableGraph:
         durable seq, so recovery replays exactly the records this
         snapshot does not already contain.
         """
-        if self.wal is None:
+        if self.read_only:
             raise ValidationError("read-only replicas cannot write checkpoints")
+        if self.wal is None:
+            raise ValidationError(
+                f"the store at {str(self.directory)!r} is closed — checkpoints "
+                "need an open writer"
+            )
         self.wal.flush()
         snap = self.graph.snapshot()
         manifest = write_checkpoint(
@@ -211,9 +229,9 @@ class DurableGraph:
             self.wal.flush()
 
     def close(self) -> None:
-        """Detach from the event log and close the WAL."""
+        """Release the event log's sink and close the WAL."""
         if self.wal is not None:
-            self.graph.events.unsubscribe(self)
+            self.graph.events.sink = None
             self.wal.close()
             self.wal = None
 
@@ -243,7 +261,7 @@ def _recover(graph: Graph, directory: Path, *, repair: bool) -> dict:
 
     Returns the recovery half of :class:`DurableGraph`'s arguments;
     nothing is bound yet, so a failure leaves no writer open and no
-    subscriber attached.
+    sink set.
     """
     wal_dir = directory / WAL_DIR
     scan, repaired = _scan(wal_dir, repair)

@@ -13,8 +13,7 @@ chains; each chain is a singly linked list of slabs.  Two variants exist
 This subpackage implements a *multi-table arena*: all hash tables of a
 graph live in one structure-of-arrays slab pool so batched operations
 spanning thousands of per-vertex tables run as single vectorized kernels.
-:class:`SlabHashMap` / :class:`SlabHashSet` wrap a one-table arena for
-standalone use.
+A standalone map or set is a one-table :class:`SlabArena`.
 """
 
 from repro.slabhash.arena import SlabArena, SlabPool
@@ -25,7 +24,6 @@ from repro.slabhash.constants import (
     SLAB_KV_CAPACITY,
     TOMBSTONE_KEY,
 )
-from repro.slabhash.table import SlabHashMap, SlabHashSet
 
 __all__ = [
     "EMPTY_KEY",
@@ -33,8 +31,6 @@ __all__ = [
     "SLAB_KEY_CAPACITY",
     "SLAB_KV_CAPACITY",
     "SlabArena",
-    "SlabHashMap",
-    "SlabHashSet",
     "SlabPool",
     "TOMBSTONE_KEY",
 ]

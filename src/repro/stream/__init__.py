@@ -8,9 +8,9 @@ package makes that workload a first-class object:
   phase schedules over the Table I dataset generators) runnable against
   any registered backend through the :class:`repro.api.Graph` facade,
   with per-phase model/counter records;
-- :mod:`repro.stream.incremental` — analytics that subscribe to the
-  facade's per-batch edge deltas and update in O(batch) instead of
-  recomputing from scratch: :class:`IncrementalConnectedComponents`
+- :mod:`repro.stream.incremental` — analytics that read the facade's
+  per-batch edge deltas through an event-log cursor and update in
+  O(batch) instead of recomputing from scratch: :class:`IncrementalConnectedComponents`
   (union-find, cold re-label on deletions/vertex ops),
   :class:`IncrementalPageRank` (warm-start power iteration),
   :class:`IncrementalTriangleCount` (net-window wedge closure — inserts

@@ -228,7 +228,7 @@ class TestShardStoresUnderFaults:
 
     def test_failed_rebuild_keeps_the_old_shard_durable(self, tmp_path):
         """A rebuild that raises must not leave the still-live shard with
-        no WAL subscriber: its later events still reach its log (or would
+        no WAL sink: its later events still reach its log (or would
         count as a durability gap) — never silence."""
         plan = FaultPlan(0)
         svc = self._service(tmp_path, plan)

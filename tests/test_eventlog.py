@@ -1,4 +1,4 @@
-"""Tests for the first-class event log: cursors, retention, subscribers."""
+"""Tests for the first-class event log: cursors, retention, the sink."""
 
 import numpy as np
 import pytest
@@ -85,72 +85,27 @@ class TestCursorsAndRetention:
         assert cc.last_mode == "incremental"
 
 
-class TestSubscribers:
-    def test_unsubscribe_during_notification_does_not_skip_peers(self):
-        """Regression: a subscriber removing itself (or a peer) from
-        inside its callback must not starve the next subscriber."""
-        log = EventLog()
-        seen = []
-
-        def self_removing(event):
-            seen.append("first")
-            log.unsubscribe(self_removing)
-
-        log.subscribe(self_removing)
-        log.subscribe(lambda event: seen.append("second"))
-        batch(log, True, [(0, 1)], 0, 1)
-        assert seen == ["first", "second"]
-        seen.clear()
-        batch(log, True, [(1, 2)], 1, 2)
-        assert seen == ["second"]  # first really is gone
-
-    def test_peer_unsubscribing_another_defers_to_next_event(self):
-        log = EventLog()
-        seen = []
-
-        def second(event):
-            seen.append("second")
-
-        def first(event):
-            seen.append("first")
-            log.unsubscribe(second)
-
-        log.subscribe(first)
-        log.subscribe(second)
-        batch(log, True, [(0, 1)], 0, 1)
-        # the snapshot taken at notification time still includes second
-        assert seen == ["first", "second"]
-        seen.clear()
-        batch(log, True, [(1, 2)], 1, 2)
-        assert seen == ["first"]
-
-    def test_raising_subscriber_does_not_corrupt_log_or_starve_peers(self):
-        log = EventLog()
+class TestSink:
+    def test_raising_sink_leaves_the_event_appended_and_raises(self):
+        """The sink runs once the event is logged and trimmed; its
+        exception reaches the publisher with the log intact."""
+        log = EventLog(retention_rows=2)
+        batch(log, True, [(0, 1), (1, 2)], 0, 1)
         seen = []
 
         def bad(event):
-            raise RuntimeError("subscriber bug")
+            seen.append((event.seq, log.next_seq, log.horizon))
+            raise RuntimeError("sink failed")
 
-        log.subscribe(bad)
-        log.subscribe(lambda event: seen.append(event.seq))
-        with pytest.raises(RuntimeError, match="subscriber bug"):
-            batch(log, True, [(0, 1)], 0, 1)
-        # peer was still notified, and the event is durably in the log
-        assert seen == [0]
-        assert len(log) == 1 and log.next_seq == 1
-        events, gapped = log.events_since(0)
-        assert not gapped and events[0].rows == 1
-
-    def test_subscribe_is_idempotent(self):
-        log = EventLog()
-        seen = []
-        sub = seen.append
-        log.subscribe(sub)
-        log.subscribe(sub)
-        batch(log, True, [(0, 1)], 0, 1)
-        assert len(seen) == 1
-        log.unsubscribe(sub)
-        log.unsubscribe(sub)  # no-op
+        log.sink = bad
+        with pytest.raises(RuntimeError, match="sink failed"):
+            batch(log, True, [(2, 3)], 1, 2)
+        assert seen == [(1, 2, 1)]  # already appended, already trimmed
+        events, gapped = log.events_since(1)
+        assert not gapped and [e.seq for e in events] == [1]
+        log.sink = None
+        batch(log, True, [(3, 4)], 2, 3)
+        assert log.next_seq == 3 and seen == [(1, 2, 1)]
 
 
 class TestOrderingAndChain:

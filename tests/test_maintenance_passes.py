@@ -22,7 +22,6 @@ from repro.core.rehash import rehash_vertices
 from repro.gpusim.counters import counting, get_counters
 from repro.slabhash.arena import SlabArena
 from repro.slabhash.constants import EMPTY_KEY, TOMBSTONE_KEY
-from repro.slabhash.table import SlabHashMap
 
 NUM_TABLES = 7
 LOAD_FACTORS = (0.3, 0.7, 1.0)
@@ -312,17 +311,20 @@ class TestRepeatedIdsFreeOnce:
         assert sorted(arena.pool._free.tolist()) == [1, 2, 3]
 
     def test_slab_hash_map_flush(self):
-        m = SlabHashMap(expected_size=1)
-        m.insert_batch(np.arange(60), np.arange(60) * 2)
-        m.delete_batch(np.arange(0, 60, 2))
-        m._arena.flush_tombstones(np.array([0, 0]))
-        assert_free_once(m._arena)
-        m._arena.check_invariants(dense=[0])
-        m.flush()
-        m._arena.check_invariants(dense=[0])
-        m.insert_batch(np.arange(100, 160), np.arange(60))
-        assert len(m) == 90
-        assert dict(zip(*[x.tolist() for x in m.items()])) == {
+        """A standalone map: a one-table, one-bucket weighted arena."""
+        arena = SlabArena(1, weighted=True)
+        arena.create_tables(np.array([0]), np.array([1]))
+        table = np.zeros(60, dtype=np.int64)
+        arena.insert(table, np.arange(60), np.arange(60) * 2)
+        arena.delete(table[:30], np.arange(0, 60, 2))
+        arena.flush_tombstones(np.array([0, 0]))
+        assert_free_once(arena)
+        arena.check_invariants(dense=[0])
+        arena.flush_tombstones(np.array([0]))
+        arena.check_invariants(dense=[0])
+        arena.insert(table, np.arange(100, 160), np.arange(60))
+        _, keys, values = arena.iterate(np.array([0]))
+        assert dict(zip(keys.tolist(), values.tolist())) == {
             **{k: 2 * k for k in range(1, 60, 2)},
             **{100 + k: k for k in range(60)},
         }

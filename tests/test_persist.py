@@ -17,9 +17,13 @@ import pytest
 
 import repro.api as api
 from repro.api import Graph, ShardedGraph
+from repro.api.snapshot import CSRSnapshot, merge_event_window
 from repro.coo import COO
+from repro.core import DynamicGraph
 from repro.eventlog.events import EdgeBatch, StructuralEvent
+from repro.gpusim.counters import counting
 from repro.persist import (
+    DurableGraph,
     LogFollower,
     WalWriter,
     apply_event,
@@ -49,7 +53,7 @@ def assert_snaps_identical(got, want, ctx=""):
         assert np.array_equal(got.weights, want.weights), ctx
 
 
-def mutate(g, rng, *, weighted, rounds=4, batch=48):
+def mutate(g, rng, *, weighted, rounds=4, batch=48, vertex_ops=True):
     """A deterministic mixed workload (inserts + deletes + vertex ops)."""
     n = g.num_vertices
     for _ in range(rounds):
@@ -58,7 +62,7 @@ def mutate(g, rng, *, weighted, rounds=4, batch=48):
         w = rng.integers(1, 100, batch, dtype=np.int64) if weighted else None
         g.insert_edges(src, dst, w)
         g.delete_edges(src[: batch // 4], dst[: batch // 4])
-    if g.capabilities.vertex_dynamic:
+    if vertex_ops and g.capabilities.vertex_dynamic:
         g.delete_vertices(rng.choice(n, size=3, replace=False).astype(np.int64))
 
 
@@ -561,7 +565,7 @@ class _SingleStore:
         return self.dg.checkpoint()
 
     def crash(self):
-        self.dg.wal.close()  # flush buffers only — no unsubscribe, no clean close
+        self.dg.wal.close()  # flush buffers only — the sink stays set, no clean close
 
     def recover(self):
         self.dg = open_graph(self.dir, fsync="never")
@@ -632,6 +636,22 @@ class _RecoveryMatrix:
         assert info.recovered_checkpoint is not None
         assert info.replayed_events > 0
         assert_snaps_identical(h.snapshot(), live, f"{name} weighted={weighted}")
+        # Over an edge-batch tail the first snapshot after recovery folds
+        # the replayed records onto the checkpoint's snapshot: it charges
+        # exactly that merge, and no slab is read.
+        manifest = h.checkpoint()
+        mutate(h.graph, np.random.default_rng(1), weighted=weighted, rounds=2, vertex_ops=False)
+        live = h.snapshot()
+        h.crash()
+        base, _ = load_checkpoint(manifest.path)
+        tail = [e for e in scan_wal(h.dir / "wal").events if e.seq >= manifest.seq]
+        with counting() as want:
+            merge_event_window(base, tail)
+        h.recover()
+        with counting() as got:
+            first = h.snapshot()
+        assert got == want and got["slab_reads"] == 0 and got["sorted_elements"] > 0
+        assert_snaps_identical(first, live, f"{name} weighted={weighted}")
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_full_replay_without_any_checkpoint(self, tmp_path, name):
@@ -735,6 +755,76 @@ class TestCrashRecovery(_RecoveryMatrix):
         assert_snaps_identical(rec.graph.snapshot(), live)
         rec.close()
 
+    def test_checkpoint_only_store_first_snapshot_charges_nothing(self, tmp_path):
+        """With no WAL tail to replay, the recovered graph's snapshot is
+        the checkpoint's own: a cache hit."""
+        store = tmp_path / "store"
+        with open_graph(store, "slabhash", num_vertices=32, weighted=True, fsync="never") as dg:
+            mutate(dg.graph, np.random.default_rng(2), weighted=True)
+            dg.checkpoint()
+            live = dg.graph.snapshot()
+        with open_graph(store, fsync="never") as rec:
+            assert rec.replayed_events == 0
+            with counting() as charged:
+                first = rec.graph.snapshot()
+            assert not any(charged.values()), charged
+            assert first is rec.graph.snapshot()
+            assert_snaps_identical(first, live)
+
+
+class TestRestoreSnapshot:
+    """``restore_snapshot`` caches the snapshot only when the build stores
+    exactly its edge set; otherwise the next snapshot is a cold rebuild."""
+
+    @staticmethod
+    def cold(g):
+        return CSRSnapshot.from_coo(g.export_coo())
+
+    def test_weighted_snapshot_into_an_unweighted_graph(self):
+        source = Graph.create("slabhash", 16, weighted=True)
+        source.insert_edges([0, 1, 2], [1, 2, 3], [5, 6, 7])
+        snap = source.snapshot()
+        g = Graph.create("slabhash", 16)
+        g.restore_snapshot(snap)
+        g.insert_edges([3], [4])
+        got = g.snapshot()
+        assert got.weights is None and got.num_edges == 4
+        assert_snaps_identical(got, self.cold(g))
+
+    def test_a_snapshot_of_a_smaller_vertex_space(self):
+        source = Graph.create("slabhash", 8)
+        source.insert_edges([0, 1], [1, 7])
+        g = Graph.create("slabhash", 16)
+        g.restore_snapshot(source.snapshot())
+        got = g.snapshot()
+        assert got.num_vertices == 16
+        assert_snaps_identical(got, self.cold(g))
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_a_snapshot_the_build_does_not_store_verbatim(self, name):
+        """A self-loop and a repeated edge are dropped by the build, so
+        the snapshot is not the graph's and must not be cached."""
+        snap = CSRSnapshot.from_coo(COO([0, 1, 1], [0, 2, 2], 4))
+        g = Graph.create(name, 4)
+        g.restore_snapshot(snap)
+        got = g.snapshot()
+        assert got.num_edges == 1
+        assert_snaps_identical(got, self.cold(g))
+
+    @pytest.mark.parametrize("source_directed", [False, True])
+    def test_undirected_weighted_slabhash(self, source_directed):
+        """An undirected backend stores both orientations of what it
+        builds: a directed snapshot's lone ``(5, 4)`` gains ``(4, 5)``,
+        and its ``(0, 1)`` / ``(1, 0)`` keep their weights 5 and 6."""
+        source = Graph(DynamicGraph(16, weighted=True, directed=source_directed))
+        source.insert_edges([0, 1, 2, 3, 5], [1, 0, 3, 2, 4], [5, 6, 7, 7, 9])
+        g = Graph(DynamicGraph(16, weighted=True, directed=False))
+        g.restore_snapshot(source.snapshot())
+        g.insert_edges([6], [7], [8])
+        got = g.snapshot()
+        assert got.num_edges == 8
+        assert_snaps_identical(got, self.cold(g))
+
 
 class TestStreamResume:
     """The streaming resume contract (README, "Durability and recovery"):
@@ -811,7 +901,7 @@ class TestStreamResume:
                         send(dg.graph, [batch])
                         dg.sync()
                     send(dg.graph, batches[acked : acked + extra])  # never acknowledged
-                    dg.wal.close()  # the crash: no unsubscribe, no clean close
+                    dg.wal.close()  # the crash: the sink stays set, no clean close
                     if torn:
                         seg = list_segments(directory / "wal")[-1]
                         with open(seg, "r+b") as fh:
@@ -826,6 +916,27 @@ class TestStreamResume:
 
 class TestShardCrashRecovery(_RecoveryMatrix):
     subject = _ShardStore
+
+    def test_rebuilt_shard_first_snapshot_is_a_merge(self, tmp_path):
+        """After a kill and a rebuild, the service's next snapshot folds
+        the rebuilt shard's WAL tail onto its checkpoint, reads no slab,
+        and equals the snapshot taken before the kill."""
+        service = ShardedGraph.create("slabhash", 64, num_shards=2, weighted=True)
+        stores = service.attach_durability(tmp_path / "d", fsync="never")
+        rng = np.random.default_rng(9)
+        mutate(service, rng, weighted=True, vertex_ops=False)
+        stores.checkpoint()
+        mutate(service, rng, weighted=True, rounds=2, vertex_ops=False)
+        before = service.snapshot()
+        stores.sync()
+        service.kill_shard(1)
+        service.rebuild_shard(1)
+        with counting() as charged:
+            after = service.snapshot()
+        assert charged["slab_reads"] == 0 and charged["sorted_elements"] > 0
+        assert np.array_equal(after.keys(), before.keys())
+        assert_snaps_identical(after, before)
+        stores.close()
 
     def test_shard_directory_is_a_single_graph_store(self, tmp_path):
         """``shard-<i>/`` is what ``open_graph`` reads (the wall-clock
@@ -877,12 +988,12 @@ class TestStoreBehavior:
         with pytest.raises(ValidationError, match="segment_bytes"):
             service.attach_durability(tmp_path / "d", segment_bytes=0)
         assert service.stores is None
-        assert [shard.events._subscribers for shard in service.shards] == [[], []]
+        assert [shard.events.sink for shard in service.shards] == [None, None]
         service.attach_durability(tmp_path / "d", fsync="never").close()  # corrected call
 
     def test_failed_attach_leaves_no_writer_bound(self, tmp_path):
         """An attach that fails on shard 1 used to leave shard 0's writer
-        open and subscribed; a retried attach bound a second writer to
+        open and bound as the sink; a retried attach bound a second writer to
         ``shard-0/wal``, both stamped the same seqs, and a rebuild came
         back with 3 of shard 0's 5 edges."""
         d = tmp_path / "d"
@@ -900,7 +1011,7 @@ class TestStoreBehavior:
         with pytest.raises(PersistError):
             service.attach_durability(d, fsync="always", opener=refuse_shard_1)
         assert service.stores is None
-        assert [shard.events._subscribers for shard in service.shards] == [[], []]
+        assert [shard.events.sink for shard in service.shards] == [None, None]
         service.attach_durability(d, fsync="always")
         service.insert_edges([2, 4, 6, 8, 3, 5], np.arange(30, 36))
         service.insert_edges([10, 12, 14, 16], np.arange(40, 44))
@@ -1063,10 +1174,50 @@ class TestStoreBehavior:
         with open_graph(tmp_path / "store", "slabhash", num_vertices=8, fsync="never") as dg:
             dg.graph.insert_edges([0, 2], [1, 3])
             live = dg.graph.snapshot()
-        assert dg.read_only  # wal detached by close()
+        assert dg.wal is None and dg.graph.events.sink is None
         rec = open_graph(tmp_path / "store", fsync="never")
         assert_snaps_identical(rec.graph.snapshot(), live)
         rec.close()
+
+    def test_a_second_store_on_a_bound_graph_is_refused(self, tmp_path):
+        """Two writers on one graph used to both append, stamping the same
+        seqs; the second is now refused before it creates any file."""
+        first = open_graph(tmp_path / "a", "slabhash", num_vertices=8, fsync="never")
+        first.graph.insert_edges([0], [1])
+        on_disk = sorted(tmp_path.rglob("*"))
+        for directory in (tmp_path / "a", tmp_path / "b"):
+            with pytest.raises(ValidationError, match="already has a sink"):
+                DurableGraph(
+                    directory, first.graph, backend_name="slabhash", next_seq=first.wal.next_seq
+                )
+        assert sorted(tmp_path.rglob("*")) == on_disk
+        first.graph.insert_edges([1], [2])
+        first.close()
+        assert [e.seq for e in scan_wal(tmp_path / "a" / "wal").events] == [0, 1]
+
+    def test_a_closed_store_releases_the_graph(self, tmp_path):
+        old = open_graph(tmp_path / "a", "slabhash", num_vertices=8, fsync="never")
+        old.graph.insert_edges([0], [1])
+        old.close()
+        assert old.graph.events.sink is None
+        new = DurableGraph(tmp_path / "b", old.graph, backend_name="slabhash", next_seq=0)
+        old.graph.insert_edges([1], [2])
+        new.close()
+        assert len(scan_wal(tmp_path / "a" / "wal").events) == 1  # the old writer logged nothing
+        assert [e.seq for e in scan_wal(tmp_path / "b" / "wal").events] == [0]
+
+    def test_a_closed_writer_is_not_a_replica(self, tmp_path):
+        """``read_only`` read ``wal is None``, so a closed writer reported
+        True and ``checkpoint()`` blamed a replica."""
+        dg = open_graph(tmp_path / "store", "slabhash", num_vertices=8, fsync="never")
+        dg.close()
+        assert not dg.read_only
+        with pytest.raises(ValidationError, match="store.*closed"):
+            dg.checkpoint()
+        replica = open_graph(tmp_path / "store", read_only=True)
+        assert replica.read_only
+        replica.close()
+        assert replica.read_only
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ scenario, on every registered backend, `IncrementalConnectedComponents`
 labels equal a cold `connected_components` on the live snapshot and
 `IncrementalPageRank` matches a cold `pagerank` within tol (the
 `validate=True` runner re-derives the cold references after each phase).
-The rest pins the subscriber wiring (delete → cold re-label, structural →
-stale, out-of-band mutation detection, unsubscribe) and the t11 artifact.
+The rest pins the cursor wiring (delete → cold re-label, structural →
+stale, out-of-band mutation detection, close) and the t11 artifact.
 """
 
 import numpy as np
@@ -314,17 +314,18 @@ class TestIncrementalPageRank:
         assert np.allclose(ranks, pagerank(g, tol=1e-12, max_iters=1000), atol=1e-10)
 
 
-class TestFacadeSubscriberHook:
-    """The facade publishes to ``g.events``; a push subscriber sees the
-    normalized batches and structural events as they are applied."""
+class TestFacadeEventDelivery:
+    """The facade publishes to ``g.events``; a cursor reads the
+    normalized batches and structural events in the order applied."""
 
     def test_edge_batches_and_structural_events_delivered(self):
         g = Graph.create("slabhash", num_vertices=16)
-        events = []
-        g.events.subscribe(events.append)
+        cursor = g.events.cursor()
         g.insert_edges([0, 1, 2], [1, 2, 2])  # self-loop (2,2) normalized away
         g.delete_edges([0], [1])
         g.delete_vertices([3])
+        events, gapped = cursor.poll()
+        assert not gapped
         assert [type(e) for e in events] == [EdgeBatch, EdgeBatch, StructuralEvent]
         assert events[0].is_insert is True
         assert events[0].src.tolist() == [0, 1]  # normalized batch
@@ -333,11 +334,10 @@ class TestFacadeSubscriberHook:
 
     def test_empty_batches_not_delivered(self):
         g = Graph.create("slabhash", num_vertices=16)
-        events = []
-        g.events.subscribe(events.append)
+        cursor = g.events.cursor()
         g.insert_edges([], [])
         g.insert_edges([5], [5])  # pure self-loop batch drops to empty
-        assert events == []
+        assert cursor.poll() == ([], False)
 
 
 class TestCompositeKeyGuard:

@@ -138,7 +138,7 @@ def test_family_exact_through_all_window_kinds(name):
 @pytest.mark.parametrize("name", ALL_BACKENDS)
 def test_family_exact_after_every_phase_every_quick_scenario(name):
     """Scenario-level contract: validate=True re-derives the cold
-    references after every phase with the whole family subscribed."""
+    references after every phase with the whole family attached."""
     for scn in quick_scenarios():
         run_scenario(
             scn,

@@ -50,12 +50,6 @@ ALLOWED = {
     "repro.gpusim.wcws.delete_vertices_reference": (
         "executable specification of Algorithm 2 (same two test files)"
     ),
-    "repro.slabhash.table.SlabHashMap": (
-        "single-table harness of tests/test_slabhash_tables.py, the paper's concurrent map"
-    ),
-    "repro.slabhash.table.SlabHashSet": (
-        "single-table harness of tests/test_slabhash_tables.py, the paper's concurrent set"
-    ),
     "repro.slabhash.stats.chain_lengths": "ROADMAP item 6 (stats surface) reads it",
     "repro.slabhash.stats.live_counts": "ROADMAP item 6 (stats surface) reads it",
     "repro.stream.scenario.quick_scenarios": (

@@ -11,6 +11,12 @@ of 512 edges, wall-clock insert throughput at |V| = 1e6 must stay within
 ``num_edges()`` / ``num_active_vertices()`` each batch, so an O(|V|)
 aggregate scan re-entering those reads trips the guard too.
 
+The snapshot delta merge sits under the same rule: a merge of a fixed
+16,384-edge snapshot with a 256-upsert / 64-delete delta must take within
+2x as long at |V| = 1e6 as at |V| = 1e3 (the same edges, only the vertex
+space differs), so a ``row_ptr`` over every id re-entering the merge trips
+it.
+
 This is an assertion, not a measurement: nothing is recorded (host-time
 numbers are ``benchmarks/wallclock/``'s job).  The capacities are
 interleaved inside each repeat so one noisy second on a shared host
@@ -24,6 +30,8 @@ from time import perf_counter
 import numpy as np
 
 from repro.api import create
+from repro.api.snapshot import CSRSnapshot, merge_csr_delta
+from repro.coo import COO
 
 BATCH_SIZE = 512
 NUM_BATCHES = 16
@@ -31,6 +39,9 @@ CAPACITIES = (1_000, 100_000, 1_000_000)
 REPEATS = 5
 MAX_RATIO = 2.0
 SEED = 0x5CA1E
+MERGE_EDGES, MERGE_UPSERTS, MERGE_DELETES = 16_384, 256, 64
+MERGE_CAPACITIES = (1_000, 1_000_000)
+MERGES_PER_RUN = 8
 
 
 def _batches(capacity, count, seed):
@@ -80,4 +91,40 @@ def test_update_throughput_independent_of_capacity():
     assert ratio <= MAX_RATIO, (
         f"small/large throughput ratio {ratio:.2f} exceeds {MAX_RATIO} ({detail}); "
         "an O(|V|) term has re-entered the per-batch update path"
+    )
+
+
+def _merge_inputs(capacity, seed):
+    """A cold base snapshot and a sorted upsert / delete delta; the edges
+    have sources and destinations below ``MERGE_CAPACITIES[0]`` whatever
+    ``capacity`` is."""
+    rng = np.random.default_rng(seed)
+    side = MERGE_CAPACITIES[0]
+    cells = rng.choice(side * side, MERGE_EDGES + MERGE_UPSERTS, replace=False)
+    src, dst = np.divmod(cells, side)
+    base = CSRSnapshot.from_coo(COO(src[:MERGE_EDGES], dst[:MERGE_EDGES], capacity))
+    upserts = np.sort((src[MERGE_EDGES:] << 32) | dst[MERGE_EDGES:])
+    deletes = np.sort(rng.choice(base.keys(), MERGE_DELETES, replace=False))
+    return base, upserts, deletes
+
+
+def _timed_merges(capacity, seed):
+    """Seconds for ``MERGES_PER_RUN`` merges of one delta into one base."""
+    base, upserts, deletes = _merge_inputs(capacity, seed)
+    t0 = perf_counter()
+    for _ in range(MERGES_PER_RUN):
+        merge_csr_delta(base, upserts, None, deletes)
+    return perf_counter() - t0
+
+
+def test_snapshot_merge_time_independent_of_capacity():
+    best = dict.fromkeys(MERGE_CAPACITIES, float("inf"))
+    for repeat in range(REPEATS):
+        for capacity in MERGE_CAPACITIES:
+            best[capacity] = min(best[capacity], _timed_merges(capacity, SEED + repeat))
+    ratio = best[MERGE_CAPACITIES[-1]] / best[MERGE_CAPACITIES[0]]
+    detail = ", ".join(f"|V|={c:,}: {s * 1e3:.2f} ms" for c, s in best.items())
+    assert ratio <= MAX_RATIO, (
+        f"merge time ratio {ratio:.2f} exceeds {MAX_RATIO} ({detail}); "
+        "an O(|V|) term has re-entered the snapshot merge"
     )

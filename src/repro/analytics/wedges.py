@@ -129,22 +129,23 @@ def oriented_triangles(row_ptr: np.ndarray, col_idx: np.ndarray) -> int:
     return int(hits.sum())
 
 
-def closing_wedges(
-    row_ptr: np.ndarray,
-    col_idx: np.ndarray,
-    comp: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _rows(comp: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(start, degree)`` of each id's run of keys in the sorted ``comp``."""
+    ids = ids.astype(np.int64, copy=False)
+    start = np.searchsorted(comp, ids << np.int64(32))
+    return start, np.searchsorted(comp, (ids + 1) << np.int64(32)) - start
+
+
+def closing_wedges(comp: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Enumerate the wedges closing each undirected edge (u, v).
 
     For every edge ``(u[i], v[i])`` the smaller-degree endpoint's full
     adjacency is enumerated and each neighbor ``w`` is binary-searched as
     ``(other_endpoint, w)`` in the globally sorted composite edge list
     ``comp`` — the vectorized sorted-list intersection of the Hornet/
-    faimGraph triangle path.  ``row_ptr``/``col_idx`` must describe a
-    *symmetric* simple graph and ``comp`` its composite expansion
-    (``symmetric_csr`` produces all three).
+    faimGraph triangle path.  ``comp`` must be the composite keys of a
+    *symmetric* simple graph (``symmetric_csr`` produces them); each
+    endpoint's row is its run of keys, found by binary search.
 
     Charges one ``sorted_probes`` kernel counter per probe, the same
     price :func:`oriented_triangles` charges for the same edges.
@@ -152,17 +153,17 @@ def closing_wedges(
     Returns ``(edge_index, w)`` arrays naming, for each closed wedge, the
     input edge position it closes and the closing corner vertex.
     """
-    deg = np.diff(row_ptr)
-    swap = deg[u] > deg[v]
-    small = np.where(swap, v, u)
+    u_start, u_deg = _rows(comp, u)
+    v_start, v_deg = _rows(comp, v)
+    swap = u_deg > v_deg
     big = np.where(swap, u, v)
-    lens = deg[small]
+    lens = np.where(swap, v_deg, u_deg)
     m = int(lens.sum())
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    flat = ragged_arange(lens) + np.repeat(row_ptr[small], lens)
-    w = col_idx[flat].astype(np.int64)
+    flat = ragged_arange(lens) + np.repeat(np.where(swap, v_start, u_start), lens)
+    w = comp[flat] & _MASK32
     probe = (np.repeat(big, lens).astype(np.int64) << np.int64(32)) | w
     get_counters().add("sorted_probes", m)
     loc = np.searchsorted(comp, probe)

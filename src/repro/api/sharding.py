@@ -24,7 +24,7 @@ to :attr:`ShardedGraph.events` unchanged, and the global snapshot is
 bit-identical to a single :class:`Graph`'s given the same workload.  The
 shards stay facades because each shard's WAL follows that shard's own
 event log.  The router's ``snapshot()`` is only the cold path (per-shard
-snapshots placed at their global offsets); warm global snapshots are the
+snapshots' sorted key runs merged); warm global snapshots are the
 facade's cursor-window merge.
 
 Robustness (see ``docs/robustness.md``): every shard carries a health
@@ -642,28 +642,17 @@ class ShardRouter(GraphBackend):
     # -- global snapshot ---------------------------------------------------------------
 
     def _assemble(self, shard_snaps) -> CSRSnapshot:
-        """Place per-shard sorted CSRs at their global offsets — O(E)
-        stream work.  Correct because a vertex's out-edges live in exactly
-        one shard and each shard's CSR is destination-sorted per vertex:
-        the global ``row_ptr`` is the sum of the shards', and a shard's row
-        ``i`` of source ``v`` lands ``row_ptr[v] - shard.row_ptr[v]`` past
-        ``i``."""
-        n = self.num_vertices
-        row_ptr = np.zeros(n + 1, dtype=np.int64)
-        for snap in shard_snaps:
-            row_ptr += snap.row_ptr
-        total = int(row_ptr[-1])
-        keys = np.empty(total, dtype=np.int64)
-        weights = np.empty(total, dtype=np.int64) if self.weighted else None
-        for snap in shard_snaps:
-            if snap.num_edges == 0:
-                continue
-            src = snap.keys() >> np.int64(32)
-            place = np.arange(snap.num_edges, dtype=np.int64) + (row_ptr[src] - snap.row_ptr[src])
-            keys[place] = snap.keys()
-            if weights is not None:
-                weights[place] = snap.weights
-        return CSRSnapshot(row_ptr, keys & np.int64(0xFFFFFFFF), weights, n, _keys=keys)
+        """Merge per-shard sorted key runs into the global snapshot — one
+        stable sort of their concatenation, no work over the vertex space.
+        Correct because a vertex's out-edges live in exactly one shard: the
+        runs are disjoint, so their sorted union is the global key order."""
+        empty = [np.empty(0, dtype=np.int64)]  # a degraded read may have no shard
+        keys = np.concatenate(empty + [snap.keys() for snap in shard_snaps])
+        order = stable_argsort(keys)
+        weights = None
+        if self.weighted:
+            weights = np.concatenate(empty + [snap.weights for snap in shard_snaps])[order]
+        return CSRSnapshot(keys[order], weights, self.num_vertices)
 
     def snapshot(self) -> CSRSnapshot:
         """The cold global snapshot: every shard's snapshot, assembled.
@@ -686,15 +675,9 @@ class ShardRouter(GraphBackend):
 
     def _owned_rows(self, cut: CSRSnapshot, s: int) -> CSRSnapshot:
         """Shard ``s``'s rows of the global snapshot ``cut`` as a per-shard CSR."""
-        n = self.num_vertices
-        degrees = np.diff(cut.row_ptr)
-        owned = self.partitioner.shard_of(np.arange(n, dtype=np.int64)) == s
-        row_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.where(owned, degrees, 0), out=row_ptr[1:])
-        rows = np.repeat(owned, degrees)
-        keys = cut.keys()[rows]
+        rows = self.partitioner.shard_of(cut.sources()) == s
         weights = None if cut.weights is None else cut.weights[rows]
-        return CSRSnapshot(row_ptr, keys & np.int64(0xFFFFFFFF), weights, n, _keys=keys)
+        return CSRSnapshot(cut.keys()[rows], weights, self.num_vertices)
 
     def degraded_snapshot(self) -> DegradedSnapshot:
         """Best-effort global snapshot that survives dead or failing shards.
@@ -740,13 +723,18 @@ class ShardRouter(GraphBackend):
         since every vertex's out-edges live in exactly one shard, that is
         all the ordering a bit-identical rebuild needs.  Returns the
         :class:`repro.persist.sharded.ShardStores`.
+
+        Refused while an attached store still holds an open writer; after
+        :meth:`~repro.persist.sharded.ShardStores.close` the service may
+        attach again — the live shards hold its history, and attaching
+        anchors each shard's WAL with a checkpoint of them.
         """
         # Imported lazily: repro.persist.store imports the facade module,
         # so a top-level import here would be circular (repro.persist.wal,
         # imported above, depends on nothing under repro.api).
         from repro.persist.sharded import ShardStores
 
-        if self.stores is not None:
+        if self.stores is not None and any(w is not None for w in self.stores.writers):
             raise ValidationError("durability is already attached to this service")
         self.stores = ShardStores(self, directory, **knobs)
         return self.stores

@@ -20,7 +20,8 @@ rebuilds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from repro.coo import COO
 from repro.gpusim.counters import get_counters
 from repro.kernels import reference as kern
 from repro.util.errors import ValidationError
+from repro.util.validation import check_in_range
 
 __all__ = [
     "CSRSnapshot",
@@ -37,23 +39,27 @@ __all__ = [
     "merge_event_window",
 ]
 
+_MASK32 = np.int64(0xFFFFFFFF)
+
+
 @dataclass(frozen=True)
 class CSRSnapshot:
     """An immutable sorted-CSR view of a graph's live edge set.
 
-    Rows are sorted by destination (so ``col_idx`` is globally sorted under
-    the ``(src << 32) | dst`` composite order), which sorted-intersection
-    kernels rely on.  ``weights`` is None for unweighted snapshots.
-    :meth:`keys` is that order as an array: derived on first use, or
-    installed (``_keys``) by a builder that already held it — a delta
-    merge, shard assembly — so a chain of merges never re-derives it.
+    The state is the edge set's sorted ``(src << 32) | dst`` keys (read-only)
+    and their per-edge ``weights`` (None for an unweighted snapshot): the
+    currency of :func:`merge_csr_delta`, shard assembly and checkpoints.
+    ``row_ptr`` and ``col_idx`` are derived from the keys on first read —
+    rows are sorted by destination, so ``col_idx`` is globally sorted under
+    the composite order, which sorted-intersection kernels rely on.
     """
 
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
+    edge_keys: np.ndarray
     weights: np.ndarray | None
     num_vertices: int
-    _keys: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.edge_keys.flags.writeable = False
 
     @classmethod
     def from_coo(cls, coo: COO) -> "CSRSnapshot":
@@ -65,12 +71,13 @@ class CSRSnapshot:
         counters = get_counters()
         counters.kernel_launches += 1
         counters.sorted_elements += coo.num_edges
-        row_ptr, col_idx, w = coo.to_csr()
+        for label, ids in (("src", coo.src), ("dst", coo.dst)):
+            check_in_range(ids, 0, coo.num_vertices, label)
+        order = coo.csr_order()
         return cls(
-            row_ptr=row_ptr,
-            col_idx=col_idx,
-            weights=w if coo.weights is not None else None,
-            num_vertices=coo.num_vertices,
+            (coo.src[order] << np.int64(32)) | coo.dst[order],
+            None if coo.weights is None else coo.weights[order],
+            coo.num_vertices,
         )
 
     # -- shape -----------------------------------------------------------------
@@ -78,7 +85,7 @@ class CSRSnapshot:
     @property
     def num_edges(self) -> int:
         """Edge (CSR row) count."""
-        return int(self.col_idx.shape[0])
+        return int(self.edge_keys.shape[0])
 
     @property
     def weighted(self) -> bool:
@@ -92,18 +99,26 @@ class CSRSnapshot:
 
     # -- flat-array access -------------------------------------------------------
 
+    @cached_property
+    def row_ptr(self) -> np.ndarray:
+        """CSR row offsets over every vertex id (derived once, on first read)."""
+        row_ptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.sources(), minlength=self.num_vertices), out=row_ptr[1:])
+        return row_ptr
+
+    @cached_property
+    def col_idx(self) -> np.ndarray:
+        """Destination id per edge (the low half of each key)."""
+        return self.edge_keys & _MASK32
+
     def sources(self) -> np.ndarray:
-        """Source id per edge (the COO expansion of ``row_ptr``)."""
-        return np.repeat(np.arange(self.num_vertices, dtype=np.int64), np.diff(self.row_ptr))
+        """Source id per edge (the high half of each key)."""
+        return self.edge_keys >> np.int64(32)
 
     def keys(self) -> np.ndarray:
-        """Sorted unique ``(src << 32) | dst`` key per edge — read-only,
-        memoised, the currency of :func:`merge_csr_delta` and shard
-        assembly."""
-        if self._keys is None:
-            object.__setattr__(self, "_keys", (self.sources() << np.int64(32)) | self.col_idx)
-        self._keys.flags.writeable = False  # also freezes keys a builder installed
-        return self._keys
+        """Sorted ``(src << 32) | dst`` key per edge — read-only, the
+        currency of :func:`merge_csr_delta` and shard assembly."""
+        return self.edge_keys
 
     def weights_or_zeros(self) -> np.ndarray:
         """Weights array, or zeros for an unweighted snapshot."""
@@ -123,6 +138,7 @@ class CSRSnapshot:
         making snapshot traversals priceable by the stream bench.
         """
         vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
+        check_in_range(vertex_ids, 0, self.num_vertices, "vertex_ids")
         starts = self.row_ptr[vertex_ids]
         lens = self.row_ptr[vertex_ids + 1] - starts
         m = int(lens.sum())
@@ -143,6 +159,7 @@ class CSRSnapshot:
     def neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted (destinations, weights) slice for one vertex (views)."""
         v = int(vertex)
+        check_in_range(np.array([v]), 0, self.num_vertices, "vertex")
         lo, hi = int(self.row_ptr[v]), int(self.row_ptr[v + 1])
         if self.weights is not None:
             return self.col_idx[lo:hi], self.weights[lo:hi]
@@ -254,9 +271,8 @@ def merge_csr_delta(
     present.  Cost is **O(E + B log E)** stream work — no whole-edge-set
     sort — and the result is bit-identical to a cold
     :meth:`CSRSnapshot.from_coo` rebuild of the same live set (both orders
-    are the unique-key composite order).  The merge reads ``base.keys()``
-    and installs the merged keys on the result, so a chain of merges
-    derives them once.
+    are the unique-key composite order).  Keys in, keys out: no step
+    touches the vertex space.
 
     Charges the device model for the merge stream (``bytes_copied``) so
     benches price the incremental path against the cold rebuild's
@@ -267,14 +283,14 @@ def merge_csr_delta(
     counters = get_counters()
     counters.kernel_launches += 1
     merged = kern.merge_sorted_csr(
-        base.keys(), base.row_ptr, base.weights, upsert_comp, upsert_weights, delete_comp
+        base.keys(), base.weights, upsert_comp, upsert_weights, delete_comp
     )
     if merged is None:
         # Backends export unique live sets — a duplicate composite key in
         # the base means a broken export_coo; fail loudly instead of
         # letting searchsorted pair it with a single position.
         raise ValidationError("merge base contains duplicate (src, dst) keys")
-    keys, row_ptr, col_idx, weights = merged
+    keys, weights = merged
     width = 16 if base.weights is not None else 8
-    counters.bytes_copied += (base.num_edges + int(col_idx.shape[0])) * width
-    return CSRSnapshot(row_ptr, col_idx, weights, base.num_vertices, _keys=keys)
+    counters.bytes_copied += (base.num_edges + int(keys.shape[0])) * width
+    return CSRSnapshot(keys, weights, base.num_vertices)

@@ -62,7 +62,6 @@ PAIR_LANE_BUDGET = 1 << 21
 
 _EMPTY32 = KEY_DTYPE(EMPTY_KEY)
 _TOMBSTONE32 = KEY_DTYPE(TOMBSTONE_KEY)
-_MASK32 = np.int64(0xFFFFFFFF)
 
 
 def _replace_hits(pool_keys, pool_values, slabs, items, k, v):
@@ -245,30 +244,14 @@ def sort_window_last(comp, w, is_ins):
     return sc[last], w[idx], is_ins[idx]
 
 
-def _moved_row_ptr(row_ptr, arrived, left):
-    """``row_ptr`` after the sorted keys ``arrived`` joined and ``left``
-    departed: every entry past source ``s`` moves by the running net
-    change of the delta rows up to ``s`` — O(B log B) bookkeeping and one
-    add over |V|, instead of recounting every edge."""
-    src = np.concatenate([arrived, left]) >> np.int64(32)
-    order = stable_argsort(src)
-    src = src[order]
-    running = np.cumsum(np.repeat([1, -1], [arrived.shape[0], left.shape[0]])[order])
-    last = np.flatnonzero(np.diff(src, append=-1))  # last delta row of each source
-    bounds = np.concatenate([[0], src[last] + 1, [row_ptr.shape[0]]])
-    moved = np.repeat(np.concatenate([[0], running[last]]), np.diff(bounds))
-    return np.add(moved, row_ptr, out=moved)
+def merge_sorted_csr(base_keys, weights, upsert_comp, upsert_weights, delete_comp):
+    """Stream-merge a sorted, disjoint upsert/delete delta into sorted keys.
 
-
-def merge_sorted_csr(base_keys, row_ptr, weights, upsert_comp, upsert_weights, delete_comp):
-    """Stream-merge a sorted, disjoint upsert/delete delta into a sorted CSR.
-
-    The base is its sorted keys (``CSRSnapshot.keys()``), ``row_ptr`` and
-    ``weights``.  Returns ``(keys, row_ptr, col_idx, weights)`` for the
-    merged edge set — the keys feed the next merge — or ``None`` when the
-    base keys are not strictly increasing (the driver raises — a duplicate
-    means a broken ``export_coo``).  Pure stream work: O(E + B log E), no
-    whole-edge-set sort, no recount of ``row_ptr``.
+    The base is its sorted keys (``CSRSnapshot.keys()``) and ``weights``.
+    Returns ``(keys, weights)`` for the merged edge set, or ``None`` when
+    the base keys are not strictly increasing (the driver raises — a
+    duplicate means a broken ``export_coo``).  Pure stream work:
+    O(E + B log E), no whole-edge-set sort, nothing over the vertex space.
     """
     if base_keys.size > 1 and not bool(np.all(base_keys[1:] > base_keys[:-1])):
         # searchsorted pairs each touched key with one position, so a
@@ -296,5 +279,4 @@ def merge_sorted_csr(base_keys, row_ptr, weights, upsert_comp, upsert_weights, d
         new_weights = np.empty(total, dtype=np.int64)
         new_weights[ins_at] = 0 if upsert_weights is None else upsert_weights
         new_weights[~ins_mask] = weights[keep]
-    new_row_ptr = _moved_row_ptr(row_ptr, upsert_comp[~hit[:n_ups]], delete_comp[hit[n_ups:]])
-    return new_keys, new_row_ptr, new_keys & _MASK32, new_weights
+    return new_keys, new_weights

@@ -19,9 +19,9 @@ checkpoint, both written atomically (tmp file + rename, see
 
 Loading checks the CRC32, then the keys themselves — a 1-D int64 array,
 strictly increasing, every source and destination in
-``[0, num_vertices)``, one weight per key — and derives ``row_ptr`` (one
-counting pass) and ``col_idx`` (one mask).  The snapshot it returns
-carries the keys it was read from, bit-identical to the one written.
+``[0, num_vertices)``, one weight per key.  The snapshot it returns *is*
+the keys it was read from, bit-identical to the one written; its
+``row_ptr`` is derived on first read, never on load.
 Schema 1 (a ``row_ptr`` over all of ``|V|`` plus ``col_idx``) has no
 reader: its manifest is refused like any other invalid checkpoint.
 
@@ -60,7 +60,6 @@ __all__ = [
 MANIFEST_KIND = "repro-graph-checkpoint"
 SCHEMA_VERSION = 2
 _PREFIX = "ckpt-"
-_MASK32 = np.int64(0xFFFFFFFF)
 
 
 def env_fingerprint() -> dict:
@@ -239,16 +238,15 @@ def _snapshot_from_keys(keys, weights, num_vertices: int, name: str) -> CSRSnaps
         raise ValidationError(
             f"checkpoint {name} holds {weights.shape} weights for {keys.shape[0]} keys"
         )
-    src = keys >> np.int64(32)
-    col_idx = keys & _MASK32
+    snap = CSRSnapshot(keys, weights, num_vertices)
     # Sorted keys put the smallest source first and the largest last.
-    if keys.size and (keys[0] < 0 or src[-1] >= num_vertices or col_idx.max() >= num_vertices):
+    if keys.size and (
+        keys[0] < 0 or keys[-1] >> 32 >= num_vertices or snap.col_idx.max() >= num_vertices
+    ):
         raise ValidationError(
             f"checkpoint {name} holds an edge endpoint outside [0, {num_vertices})"
         )
-    row_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=num_vertices), out=row_ptr[1:])
-    return CSRSnapshot(row_ptr, col_idx, weights, num_vertices, _keys=keys)
+    return snap
 
 
 def latest_valid_checkpoint(directory, *, min_seq: int = 0):

@@ -315,14 +315,14 @@ def _mirrored(keys: np.ndarray) -> np.ndarray:
     return both
 
 
-def _triangles_through(sym: CSRSnapshot, comp: np.ndarray, keys: np.ndarray) -> int:
-    """Triangles of the symmetric CSR ``sym`` (composite ``comp``) with at
+def _triangles_through(comp: np.ndarray, keys: np.ndarray) -> int:
+    """Triangles of the symmetric graph with composite keys ``comp`` with at
     least one edge among the sorted canonical ``keys``, each counted once:
     a closed wedge is credited to the triangle's *largest* key in ``keys``."""
     if keys.shape[0] == 0:
         return 0
     ku, kv = split_keys(keys)
-    edge_of, w = closing_wedges(sym.row_ptr, sym.col_idx, comp, ku, kv)
+    edge_of, w = closing_wedges(comp, ku, kv)
     if edge_of.shape[0] == 0:
         return 0
     hu, hv, key_uv = ku[edge_of], kv[edge_of], keys[edge_of]
@@ -381,9 +381,9 @@ class IncrementalTriangleCount(IncrementalAnalytic):
             now = _sorted_member(live, touched) | _sorted_member(live, (v << np.int64(32)) | u)
         removed, added = touched[was & ~now], touched[~was & now]
         if removed.shape[0] or added.shape[0]:
-            count = self._count - _triangles_through(self._sym, self._sym.keys(), removed)
+            count = self._count - _triangles_through(self._sym.keys(), removed)
             merged = merge_csr_delta(self._sym, _mirrored(added), None, _mirrored(removed))
-            count += _triangles_through(merged, _composite(merged), added)
+            count += _triangles_through(_composite(merged), added)
             self._sym, self._count = merged, count
         return True
 
@@ -395,9 +395,8 @@ class IncrementalTriangleCount(IncrementalAnalytic):
             row_ptr, col_idx, comp = symmetric_csr(canonical, n)
             count = oriented_triangles(row_ptr, col_idx)
         else:
-            row_ptr, col_idx = np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
             comp, count = np.empty(0, dtype=np.int64), 0
-        self._sym, self._count = CSRSnapshot(row_ptr, col_idx, None, n, _keys=comp), count
+        self._sym, self._count = CSRSnapshot(comp, None, n), count
 
 
 class _IncrementalDistances(IncrementalAnalytic):

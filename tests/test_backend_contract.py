@@ -998,3 +998,33 @@ class TestOneIdCheckPerBoundary:
         reached = np.unique(routed.partitioner.shard_of(np.array(self.SRC))).size
         routed.edge_exists(self.SRC, self.DST)
         assert id_checks == [("src", "dst")] * (1 + reached), name
+
+
+def test_a_snapshot_applies_the_one_id_rule(tmp_path):
+    """``adjacencies([-2])`` and ``neighbors(-2)`` used to index ``row_ptr``
+    from its end and answer with vertex 3's row; ``neighbors(-1)`` raised a
+    bare ``ValueError``.  Every way a snapshot is built refuses both."""
+    from repro.api import ShardedGraph
+    from repro.persist import load_checkpoint, write_checkpoint
+
+    g = Graph.create("slabhash", 4)
+    g.insert_edges([3, 3], [0, 2])
+    cold = g.snapshot()
+    g.insert_edges([1], [2])
+    merged = g.snapshot()
+    sharded = ShardedGraph.create("slabhash", 4, num_shards=2)
+    sharded.insert_edges([3, 3], [0, 2])
+    manifest = write_checkpoint(tmp_path, cold, seq=0, backend="slabhash", weighted=False)
+    snaps = {
+        "cold": cold,
+        "merged": merged,
+        "assembled": sharded.snapshot(),
+        "loaded": load_checkpoint(manifest.path)[0],
+    }
+    for kind, snap in snaps.items():
+        assert snap.neighbors(3)[0].tolist() == [0, 2], kind
+        for bad in (-1, -2, 4):
+            with pytest.raises(ValidationError, match="must be in"):
+                snap.adjacencies([bad])
+            with pytest.raises(ValidationError, match="must be in"):
+                snap.neighbors(bad)

@@ -8,9 +8,13 @@ semantics are pinned elsewhere by independent oracles (the scalar
 - the seam itself: what the package exports, and that every driver looks
   its kernels up on the module at call time (the wall-clock tracer times
   them by patching those attributes);
-- ``merge_csr_delta`` chains: every link equals the cold rebuild, carries
-  its sorted keys, and rejects duplicate base keys wherever they came from.
+- ``merge_csr_delta`` chains: every link equals the cold rebuild, never
+  derives ``row_ptr``, and rejects duplicate base keys wherever they came
+  from;
+- the merge's memory does not grow with the vertex space.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,11 +101,10 @@ def _merge_chain(n, weighted, base, steps):
         snap = merge_csr_delta(
             snap, up_keys, up_w if weighted else None, np.array(sorted(gone), dtype=np.int64)
         )
-        installed = snap._keys  # set by the merge, before anything could derive it
         want = _cold(oracle, n, weighted)
         assert_state_equal(
-            (snap.row_ptr, snap.col_idx, snap.weights, installed, snap.keys()),
-            (want.row_ptr, want.col_idx, want.weights, want.keys(), want.keys()),
+            (snap.keys(), snap.row_ptr, snap.col_idx, snap.weights),
+            (want.keys(), want.row_ptr, want.col_idx, want.weights),
         )
         assert snap.row_ptr.dtype == snap.col_idx.dtype == snap.keys().dtype == np.int64
 
@@ -132,14 +135,13 @@ class TestMergeChain:
     def test_chain_equals_cold_rebuild(self, chain):
         _merge_chain(*chain)
 
-    def test_merged_keys_are_not_rederived(self, monkeypatch):
+    def test_a_merge_chain_never_derives_row_ptr(self):
         base = _cold({(1 << 32) | 2: 0, (3 << 32) | 0: 0}, 4, False)
         up = np.array([(0 << 32) | 3], dtype=np.int64)
         merged = merge_csr_delta(base, up, None, np.empty(0, dtype=np.int64))
-        monkeypatch.setattr(
-            CSRSnapshot, "sources", lambda self: pytest.fail("keys re-derived from row_ptr")
-        )
         again = merge_csr_delta(merged, up + 1, None, up)
+        for snap in (base, merged, again):
+            assert "row_ptr" not in snap.__dict__
         assert again.keys().tolist() == [4, (1 << 32) | 2, (3 << 32) | 0]
         assert again.row_ptr.tolist() == [0, 1, 2, 2, 3]
 
@@ -152,19 +154,38 @@ class TestMergeChain:
         assert merged.keys().tolist() == [7, 9]
 
     def test_duplicate_base_keys_raise(self):
-        """The kernel validates the base keys it is handed, wherever the
-        snapshot got them: derived by the merge, memoised earlier, or
-        installed by a builder."""
+        """The kernel validates the base keys it is handed, whoever built
+        the snapshot: the constructor, or a cold build of a COO that keeps
+        its duplicate rows."""
         empty = np.empty(0, dtype=np.int64)
-        for keys in ("derived", "memoised", "installed"):
-            bad = CSRSnapshot(
-                row_ptr=np.array([0, 2], dtype=np.int64),
-                col_idx=np.array([5, 5], dtype=np.int64),
-                weights=None,
-                num_vertices=1,
-                _keys=np.array([5, 5], dtype=np.int64) if keys == "installed" else None,
-            )
-            if keys == "memoised":
-                bad.keys()
+        for bad in (
+            CSRSnapshot(np.array([5, 5], dtype=np.int64), None, 6),
+            CSRSnapshot.from_coo(COO([0, 0], [5, 5], 6)),
+        ):
+            assert bad.keys().tolist() == [5, 5]
             with pytest.raises(ValidationError, match="duplicate"):
                 merge_csr_delta(bad, empty, None, empty)
+
+
+def _merge_peak(num_vertices):
+    """``tracemalloc`` peak of one merge of a 16,384-edge snapshot with a
+    256-upsert / 64-delete delta; the edges are the same at every
+    ``num_vertices`` (ids below 2^10)."""
+    rng = np.random.default_rng(5)
+    cells = rng.choice(1 << 20, 16384 + 256, replace=False)
+    src, dst = cells >> 10, cells & 1023
+    base = CSRSnapshot.from_coo(COO(src[:16384], dst[:16384], num_vertices))
+    upserts = np.sort((src[16384:] << 32) | dst[16384:])
+    deletes = np.sort(rng.choice(base.keys(), 64, replace=False))
+    tracemalloc.start()
+    try:
+        merge_csr_delta(base, upserts, None, deletes)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_merge_memory_does_not_grow_with_the_vertex_space():
+    """A merge is keys in, keys out: nothing it allocates is sized by |V|."""
+    small, large = _merge_peak(1 << 10), _merge_peak(1 << 20)
+    assert large <= 1.25 * small, (small, large)

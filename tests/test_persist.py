@@ -351,10 +351,11 @@ class TestCheckpoints:
         )
         assert manifest.seq == 17 and manifest.mutation_version == 5
         back, loaded = load_checkpoint(manifest.path)
+        assert "row_ptr" not in back.__dict__  # derived on first read, not on load
+        assert np.array_equal(back.keys(), snap.keys())
         assert_snaps_identical(back, snap)
         assert back.row_ptr.dtype == snap.row_ptr.dtype
         assert back.col_idx.dtype == snap.col_idx.dtype
-        assert back._keys is not None and np.array_equal(back._keys, snap.keys())
         assert loaded.backend == "slabhash"
         with np.load(manifest.npz_path) as arrays:
             want = {"keys", "num_vertices"} | ({"weights"} if weighted else set())
@@ -1035,6 +1036,26 @@ class TestStoreBehavior:
             service.rebuild_shard(1)
         assert service.shard_health(1) == "dead"
         assert {p: p.read_bytes() for p in (tmp_path / "d").rglob("*") if p.is_file()} == on_disk
+
+    def test_a_closed_service_store_can_be_attached_again(self, tmp_path):
+        """``close()`` left ``stores`` set, so a second attach raised
+        "already attached" and every later batch went unlogged.  The live
+        shards hold the history, so re-attaching to the same directory
+        anchors each WAL with a checkpoint and a rebuild is exact."""
+        service = ShardedGraph.create("slabhash", 64, num_shards=2)
+        service.attach_durability(tmp_path / "d", fsync="never")
+        service.insert_edges(np.arange(20), np.arange(1, 21))
+        service.stores.close()
+        stores = service.attach_durability(tmp_path / "d", fsync="never")
+        with pytest.raises(ValidationError, match="already attached"):
+            service.attach_durability(tmp_path / "d", fsync="never")  # its writers are open
+        service.insert_edges(np.arange(30, 50), np.arange(1, 21))
+        want = [shard.snapshot() for shard in service.shards]
+        for s in range(2):
+            service.kill_shard(s)
+            service.rebuild_shard(s)
+            assert_snaps_identical(service.shards[s].snapshot(), want[s], f"shard {s}")
+        stores.close()
 
     @pytest.mark.parametrize(
         "bad",

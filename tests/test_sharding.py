@@ -256,7 +256,7 @@ class TestShardedService:
 
 
 class TestAssembly:
-    """Shard assembly places each shard's keys at its global offsets."""
+    """Shard assembly merges the shards' sorted key runs."""
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("shards", [1, 2, 3, 5])
@@ -323,6 +323,8 @@ class TestAssembly:
             assembled = svc.backend._assemble(shard_snaps)
             rows = [svc.backend._owned_rows(assembled, s) for s in range(3)]
         assert {k: v for k, v in charged.items() if v} == {}
+        for snap in [assembled, *rows]:
+            assert "row_ptr" not in snap.__dict__  # nothing over the vertex space
         for want, got in zip(shard_snaps, rows):
             assert_snapshots_identical(want, got)
 

@@ -17,6 +17,12 @@ The snapshot delta merge sits under the same rule: a merge of a fixed
 space differs), so a ``row_ptr`` over every id re-entering the merge trips
 it.
 
+Creating a graph writes one |V|-sized array (the table handles), so the
+best of five ``Graph.create("slabhash", 2**22)`` must stay within 3x of
+the best of five ``np.full(2**22, -1)``: a per-vertex draw or pass
+re-entering creation (such as drawing every table's hash coefficients up
+front) trips it.
+
 This is an assertion, not a measurement: nothing is recorded (host-time
 numbers are ``benchmarks/wallclock/``'s job).  The capacities are
 interleaved inside each repeat so one noisy second on a shared host
@@ -29,6 +35,7 @@ from time import perf_counter
 
 import numpy as np
 
+from repro import Graph
 from repro.api import create
 from repro.api.snapshot import CSRSnapshot, merge_csr_delta
 from repro.coo import COO
@@ -42,6 +49,8 @@ SEED = 0x5CA1E
 MERGE_EDGES, MERGE_UPSERTS, MERGE_DELETES = 16_384, 256, 64
 MERGE_CAPACITIES = (1_000, 1_000_000)
 MERGES_PER_RUN = 8
+CREATE_VERTICES = 1 << 22
+MAX_CREATE_RATIO = 3.0
 
 
 def _batches(capacity, count, seed):
@@ -127,4 +136,29 @@ def test_snapshot_merge_time_independent_of_capacity():
     assert ratio <= MAX_RATIO, (
         f"merge time ratio {ratio:.2f} exceeds {MAX_RATIO} ({detail}); "
         "an O(|V|) term has re-entered the snapshot merge"
+    )
+
+
+def _seconds(make):
+    t0 = perf_counter()
+    made = make()
+    elapsed = perf_counter() - t0
+    del made  # freed outside the timed region
+    return elapsed
+
+
+def test_graph_create_pays_no_per_vertex_draw():
+    best_create = best_write = float("inf")
+    for _ in range(REPEATS):
+        best_create = min(
+            best_create, _seconds(lambda: Graph.create("slabhash", CREATE_VERTICES))
+        )
+        best_write = min(
+            best_write, _seconds(lambda: np.full(CREATE_VERTICES, -1, np.int64))
+        )
+    ratio = best_create / best_write
+    assert ratio <= MAX_CREATE_RATIO, (
+        f"Graph.create at |V| = 2^22 took {best_create * 1e3:.1f} ms, {ratio:.1f}x one "
+        f"|V|-sized write ({best_write * 1e3:.1f} ms; limit {MAX_CREATE_RATIO}x); "
+        "a per-vertex pass has re-entered graph creation"
     )

@@ -58,7 +58,9 @@ class DynamicGraph(GraphBackend):
         Target hash-table load factor used whenever connectivity
         information is available to size buckets (paper default 0.7).
     hash_seed:
-        Seed for the per-vertex universal hash coefficients.
+        Seed of each table's universal hash coefficients, derived from
+        ``(hash_seed, vertex id)`` when the table is created with more
+        than one bucket (:class:`repro.util.hashing.UniversalHashFamily`).
 
     Examples
     --------

@@ -37,7 +37,7 @@ from repro.slabhash.constants import (
 )
 from repro.util.errors import ValidationError
 from repro.util.groupby import ragged_arange
-from repro.util.hashing import UniversalHashFamily
+from repro.util.hashing import PRIME, UniversalHashFamily
 from repro.util.validation import as_int_array, check_in_range
 
 __all__ = ["SlabPool", "SlabArena"]
@@ -174,7 +174,9 @@ class SlabArena:
 
     - ``table_base[t]``  — first base-slab id (buckets are contiguous), or
       ``NULL_SLAB`` if the table was never created;
-    - ``table_buckets[t]`` — bucket count.
+    - ``table_buckets[t]`` — bucket count;
+    - ``hash_family`` — ``(a, b)`` per table, set when ``t`` is created with
+      more than one bucket (a one-bucket table never hashes).
 
     All operations are *batched*: they take parallel arrays of table ids and
     keys and run as vectorized passes over the touched chains (see
@@ -215,7 +217,9 @@ class SlabArena:
 
         Base slabs for *all* requested tables are carved from one contiguous
         reservation — the paper's bulk static allocation that avoids
-        per-table ``cudaMalloc`` calls.
+        per-table ``cudaMalloc`` calls.  Only the tables given more than one
+        bucket get hash coefficients; a batch of one-bucket tables pays no
+        pass for them.
         """
         table_ids = as_int_array(table_ids, "table_ids")
         num_buckets = as_int_array(num_buckets, "num_buckets")
@@ -233,6 +237,8 @@ class SlabArena:
         offsets = np.concatenate([[0], np.cumsum(num_buckets)[:-1]]) + start
         self.table_base[table_ids] = offsets
         self.table_buckets[table_ids] = num_buckets
+        if total > table_ids.size:  # some table hashes: give it its (a, b)
+            self.hash_family.assign(table_ids[num_buckets > 1])
 
     def has_table(self, table_ids: np.ndarray) -> np.ndarray:
         table_ids = as_int_array(table_ids, "table_ids")
@@ -333,6 +339,8 @@ class SlabArena:
           what lets searches stop at an empty lane and inserts place
           misses arithmetically behind the tail's occupied lanes;
         - the free list holds no slab twice and none that a table owns;
+        - every table with more than one bucket has its hash coefficients,
+          ``a`` in ``[1, p)`` and ``b`` in ``[0, p)``;
         - with ``dense`` (table ids, e.g. the ones just flushed or rehashed):
           those tables hold no tombstone and no wholly empty overflow slab,
           so every bucket chain is exactly ``max(1, ceil(live / Bc))`` slabs.
@@ -346,6 +354,10 @@ class SlabArena:
         bump = pool._bump
         tables = np.flatnonzero(self.table_base != NULL_SLAB)
         buckets = self.table_buckets[tables]
+        hashed = tables[buckets > 1]
+        a, b = self.hash_family._a[hashed], self.hash_family._b[hashed]
+        if ((a < 1) | (a >= PRIME) | (b < 0) | (b >= PRIME)).any():
+            raise AssertionError("a table with several buckets has no hash coefficients")
         frontier = np.repeat(self.table_base[tables], buckets) + ragged_arange(buckets)
         owner = np.repeat(tables, buckets)
         levels, owners = [], []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import DynamicGraph
 from repro.core.vertex_dict import VertexDictionary
 from repro.gpusim.counters import counting
 from repro.slabhash.arena import SlabArena
@@ -331,6 +332,30 @@ class TestArenaInvariants:
         arena.pool._free = np.append(arena.pool._free, arena.pool.next_slab[arena.table_base[0]])
         with pytest.raises(AssertionError, match="free list"):
             arena.check_invariants()
+
+    def test_hashed_table_without_coefficients_trips(self):
+        arena = SlabArena(4, weighted=False)
+        arena.create_tables(np.arange(3), np.array([1, 3, 2]))
+        arena.check_invariants()
+        assert arena.hash_family._a[0] == 0  # one bucket: never hashes
+        arena.hash_family._a[1] = 0
+        with pytest.raises(AssertionError, match="hash coefficients"):
+            arena.check_invariants()
+
+    def test_table_rehashed_from_one_bucket_gets_coefficients(self):
+        g = DynamicGraph(num_vertices=64, weighted=False)
+        g.insert_edges(np.zeros(60, np.int64), np.arange(1, 61))
+        arena = g._dict.arena
+        assert arena.table_buckets[0] == 1 and arena.hash_family._a[0] == 0
+        g.rehash([0])
+        assert arena.table_buckets[0] > 1 and arena.hash_family._a[0] >= 1
+        arena.check_invariants(dense=[0])
+        heads = arena.bucket_heads(np.zeros(60, np.int64), np.arange(1, 61))
+        assert np.unique(heads).size > 1  # the keys spread over the new buckets
+        t = np.zeros(60, np.int64)
+        vec = arena.hash_family.bucket(t, np.arange(1, 61), arena.table_buckets)
+        nb = int(arena.table_buckets[0])
+        assert [arena.hash_family.bucket_single(0, k, nb) for k in range(1, 61)] == vec.tolist()
 
     def test_vertex_dictionary_debug_switch_runs_it(self):
         vd = VertexDictionary(4, weighted=False)

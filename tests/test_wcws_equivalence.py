@@ -94,6 +94,34 @@ def test_same_source_warp_grouping():
     assert int(ref._dict.edge_count[0]) == added
 
 
+def test_grown_and_rehashed_tables_agree():
+    """The reference engine's scalar hash (``bucket_single``) and the
+    vectorized one agree on a table rehashed from one bucket to several and
+    on a many-bucket table created past the initial capacity."""
+    grown = 3 * N
+
+    def build():
+        g = DynamicGraph(num_vertices=N, hash_seed=13)
+        g.insert_edges(np.zeros(N - 1, np.int64), np.arange(1, N), np.arange(1, N))
+        g.rehash([0])
+        g.insert_vertices([grown], expected_degree=[300])
+        return g
+
+    fast, ref = build(), build()
+    assert (fast._dict.arena.table_buckets[[0, grown]] > 1).all()
+    rng = np.random.default_rng(4)
+    src = np.repeat(np.array([0, grown]), 150)
+    dst = rng.integers(0, fast.vertex_capacity, src.size)
+    w = rng.integers(0, 50, src.size)
+    assert fast.insert_edges(src, dst, w) == insert_edges_reference(ref, src, dst, w)
+    assert structure_state(fast) == structure_state(ref)
+    kept = src != dst  # self-loops are dropped
+    assert ref.edge_exists(src[kept], dst[kept]).all()  # the vector probe finds each key
+    assert fast.delete_edges(src[::3], dst[::3]) == delete_edges_reference(ref, src[::3], dst[::3])
+    assert structure_state(fast) == structure_state(ref)
+    assert np.array_equal(fast._dict.edge_count, ref._dict.edge_count)
+
+
 @given(
     edge_batches,
     st.lists(st.integers(0, N - 1), min_size=1, max_size=8),

@@ -726,8 +726,11 @@ class ShardRouter(GraphBackend):
 
         Refused while an attached store still holds an open writer; after
         :meth:`~repro.persist.sharded.ShardStores.close` the service may
-        attach again — the live shards hold its history, and attaching
-        anchors each shard's WAL with a checkpoint of them.
+        attach again to the same directory — the live shards hold its
+        history, and attaching anchors each shard's WAL with a checkpoint
+        of them.  Refused (:class:`ValidationError`, nothing written) when
+        any ``shard-<i>/`` holds WAL records or checkpoints that this
+        service did not write: the live shards do not hold that history.
         """
         # Imported lazily: repro.persist.store imports the facade module,
         # so a top-level import here would be circular (repro.persist.wal,

@@ -35,9 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.persist.checkpoint import CheckpointManifest, _read_identity, _write_identity
+from repro.persist.checkpoint import (
+    CheckpointManifest,
+    _read_identity,
+    _write_identity,
+    checkpoint_manifests,
+)
 from repro.persist.store import CHECKPOINT_DIR, WAL_DIR, DurableGraph, _recover, _scan
-from repro.persist.wal import DEFAULT_SEGMENT_BYTES
+from repro.persist.wal import DEFAULT_SEGMENT_BYTES, list_segments
 from repro.util.errors import PersistError, ValidationError
 
 __all__ = ["ShardStores"]
@@ -66,6 +71,8 @@ class ShardStores:
     Construct via :meth:`repro.api.sharding.ShardedGraph.attach_durability`
     — attaching binds a :class:`~repro.persist.store.DurableGraph` to every
     shard, scanning (and repairing) any existing per-shard history first.
+    History this service did not write is refused, before anything is
+    written (:meth:`_refuse_foreign_history`).
     """
 
     def __init__(
@@ -82,7 +89,6 @@ class ShardStores:
         self.fsync = fsync
         self.segment_bytes = segment_bytes
         self._opener = opener
-        self.directory.mkdir(parents=True, exist_ok=True)
         identity = {
             "num_shards": service.num_shards,
             "num_vertices": service.num_vertices,
@@ -92,7 +98,9 @@ class ShardStores:
         if meta_path.exists():
             # Per-shard logs cannot be reinterpreted under another layout.
             _read_identity(meta_path, SHARDS_KIND, SHARDS_SCHEMA_VERSION, expected=identity)
-        else:
+        self._refuse_foreign_history()
+        self.directory.mkdir(parents=True, exist_ok=True)
+        if not meta_path.exists():
             _write_identity(meta_path, SHARDS_KIND, SHARDS_SCHEMA_VERSION, identity)
         #: One :class:`DurableGraph` per shard, index-aligned with
         #: ``service.shards``.
@@ -114,6 +122,29 @@ class ShardStores:
             # would bind a second one to the same WAL.
             self.close()
             raise
+
+    def _refuse_foreign_history(self) -> None:
+        """Raise :class:`ValidationError` if a ``shard-<i>/`` holds WAL
+        segments or checkpoints that this service did not write.
+
+        Attaching anchors each WAL with a checkpoint of the *live* shard,
+        which is right only when the live shard holds that history: the
+        service's own directory, re-attached after :meth:`close`.  Over
+        another service's history (say, after a process restart) the
+        anchor would make every acknowledged edge unrecoverable.  Runs
+        before anything is written, so a refusal leaves the directory
+        byte-identical.
+        """
+        previous = self.service.stores
+        if previous is not None and previous.directory.resolve() == self.directory.resolve():
+            return
+        for s in range(self.service.num_shards):
+            if list_segments(self.wal_dir(s)) or checkpoint_manifests(self.checkpoint_dir(s)):
+                raise ValidationError(
+                    f"{str(self.shard_dir(s))!r} holds WAL records or checkpoints this "
+                    "service did not write; attaching would anchor the live (empty or "
+                    "different) shard over that history — use a fresh directory"
+                )
 
     def _bind(self, s: int, shard, **recovery) -> DurableGraph:
         return DurableGraph(

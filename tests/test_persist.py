@@ -36,6 +36,7 @@ from repro.persist import (
     write_checkpoint,
 )
 from repro.persist.checkpoint import SCHEMA_VERSION
+from repro.persist.store import _recover
 from repro.persist.wal import RECORD_HEADER, RECORD_MAGIC, SEGMENT_HEADER, encode_record
 from repro.stream.incremental import IncrementalConnectedComponents
 from repro.util.errors import PersistError, ValidationError
@@ -996,11 +997,12 @@ class TestStoreBehavior:
         """An attach that fails on shard 1 used to leave shard 0's writer
         open and bound as the sink; a retried attach bound a second writer to
         ``shard-0/wal``, both stamped the same seqs, and a rebuild came
-        back with 3 of shard 0's 5 edges."""
+        back with 3 of shard 0's 5 edges.  (The service re-attaches its own
+        directory: another service's history is refused before any open.)"""
         d = tmp_path / "d"
-        seed = ShardedGraph.create("slabhash", 64, num_shards=2)
-        stores = seed.attach_durability(d, fsync="always")
-        seed.insert_edges(np.arange(20), np.arange(1, 21))
+        service = ShardedGraph.create("slabhash", 64, num_shards=2)
+        stores = service.attach_durability(d, fsync="always")
+        service.insert_edges(np.arange(20), np.arange(1, 21))
         stores.close()
 
         def refuse_shard_1(path, *args, **kwargs):
@@ -1008,10 +1010,9 @@ class TestStoreBehavior:
                 raise OSError("injected open failure")
             return open(path, *args, **kwargs)
 
-        service = ShardedGraph.create("slabhash", 64, num_shards=2)
         with pytest.raises(PersistError):
             service.attach_durability(d, fsync="always", opener=refuse_shard_1)
-        assert service.stores is None
+        assert service.stores is stores  # the failed attach installed nothing
         assert [shard.events.sink for shard in service.shards] == [None, None]
         service.attach_durability(d, fsync="always")
         service.insert_edges([2, 4, 6, 8, 3, 5], np.arange(30, 36))
@@ -1056,6 +1057,34 @@ class TestStoreBehavior:
             service.rebuild_shard(s)
             assert_snaps_identical(service.shards[s].snapshot(), want[s], f"shard {s}")
         stores.close()
+
+    def test_a_new_service_refuses_another_services_history(self, tmp_path):
+        """A fresh service attached to an old directory used to succeed
+        with 0 edges and anchor an empty checkpoint over each shard's
+        history, so a later rebuild recovered none of the acknowledged
+        edges.  It must refuse before writing anything."""
+        old = ShardedGraph.create("slabhash", 64, num_shards=2)
+        stores = old.attach_durability(tmp_path / "d", fsync="always")
+        rng = np.random.default_rng(16)
+        old.insert_edges(rng.integers(0, 64, 200), rng.integers(0, 64, 200))
+        acknowledged = old.num_edges()
+        stores.sync()
+        stores.close()
+        with open(list_segments(tmp_path / "d" / "shard-0" / "wal")[-1], "ab") as tail:
+            tail.write(b"torn")  # a repairing scan would truncate this
+        on_disk = {p: p.read_bytes() for p in (tmp_path / "d").rglob("*") if p.is_file()}
+
+        fresh = ShardedGraph.create("slabhash", 64, num_shards=2)
+        with pytest.raises(ValidationError, match="did not write"):
+            fresh.attach_durability(tmp_path / "d")
+        assert fresh.stores is None
+        assert {p: p.read_bytes() for p in (tmp_path / "d").rglob("*") if p.is_file()} == on_disk
+        recovered = 0  # the history is intact: shard by shard, every edge recovers
+        for s in range(2):
+            shard = Graph.create("slabhash", 64)
+            _recover(shard, tmp_path / "d" / f"shard-{s}", repair=False)
+            recovered += shard.num_edges()
+        assert recovered == acknowledged > 0
 
     @pytest.mark.parametrize(
         "bad",

@@ -150,12 +150,8 @@ def _seconds(make):
 def test_graph_create_pays_no_per_vertex_draw():
     best_create = best_write = float("inf")
     for _ in range(REPEATS):
-        best_create = min(
-            best_create, _seconds(lambda: Graph.create("slabhash", CREATE_VERTICES))
-        )
-        best_write = min(
-            best_write, _seconds(lambda: np.full(CREATE_VERTICES, -1, np.int64))
-        )
+        best_create = min(best_create, _seconds(lambda: Graph.create("slabhash", CREATE_VERTICES)))
+        best_write = min(best_write, _seconds(lambda: np.full(CREATE_VERTICES, -1, np.int64)))
     ratio = best_create / best_write
     assert ratio <= MAX_CREATE_RATIO, (
         f"Graph.create at |V| = 2^22 took {best_create * 1e3:.1f} ms, {ratio:.1f}x one "

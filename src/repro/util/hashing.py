@@ -78,8 +78,8 @@ class UniversalHashFamily:
         Idempotent: a table gets the same pair each time, so a rehashed
         table keeps its hash function.
         """
-        pos = np.asarray(table_ids, dtype=np.int64).astype(np.uint64) * np.uint64(2)
-        state = np.uint64(self.seed & _U64) + (pos + np.uint64(1)) * _GOLDEN_GAMMA
+        ids = np.asarray(table_ids).astype(np.uint64)
+        state = np.uint64(self.seed & _U64) + (ids * np.uint64(2) + np.uint64(1)) * _GOLDEN_GAMMA
         self._a[table_ids] = (_splitmix64(state) % np.uint64(PRIME - 1)).astype(np.int64) + 1
         state += _GOLDEN_GAMMA
         self._b[table_ids] = (_splitmix64(state) % np.uint64(PRIME)).astype(np.int64)

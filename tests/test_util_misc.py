@@ -52,7 +52,7 @@ class TestUniversalHashFamily:
         fam.assign(np.arange(1 << 12))
         assert fam._a.min() >= 1 and fam._a.max() < PRIME
         assert fam._b.min() >= 0 and fam._b.max() < PRIME
-        assert np.unique(fam._a).size == fam._a.size
+        assert np.unique(np.stack([fam._a, fam._b]), axis=1).shape[1] == fam.num_tables
 
     def test_scalar_matches_vector(self):
         fam = UniversalHashFamily(3)

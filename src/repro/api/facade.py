@@ -61,7 +61,7 @@ from repro.api.capabilities import Capabilities
 from repro.api.registry import create as _create_backend
 from repro.api.snapshot import CSRSnapshot, as_snapshot, merge_event_window
 from repro.coo import COO
-from repro.eventlog import DEFAULT_RETENTION_ROWS, EdgeBatch, EventLog
+from repro.eventlog import EdgeBatch, EventLog
 from repro.util.errors import ValidationError
 from repro.util.validation import as_int_array, check_equal_length, check_in_range
 
@@ -130,12 +130,7 @@ class Graph:
     ``AttributeError`` from a missing method.
     """
 
-    def __init__(
-        self,
-        backend: GraphBackend,
-        *,
-        event_retention: int = DEFAULT_RETENTION_ROWS,
-    ) -> None:
+    def __init__(self, backend: GraphBackend) -> None:
         if isinstance(backend, str):
             raise ValidationError(
                 "Graph() wraps a backend instance; use "
@@ -143,11 +138,9 @@ class Graph:
             )
         _check_packable(int(backend.num_vertices))
         self.backend = backend
-        if event_retention < 0:
-            raise ValidationError("event_retention must be non-negative")
         #: The first-class event log every facade mutation publishes to;
-        #: it retains at most ``event_retention`` rows.
-        self.events = EventLog(retention_rows=int(event_retention))
+        #: it retains the log's default 2^16 edge-batch rows.
+        self.events = EventLog()
         self._snap_cursor = self.events.cursor()
 
     @classmethod
@@ -157,12 +150,10 @@ class Graph:
         num_vertices: int,
         *,
         weighted: bool = False,
-        event_retention: int = DEFAULT_RETENTION_ROWS,
         **backend_kwargs: Any,
     ) -> "Graph":
         """Construct a registered backend by name and wrap it."""
-        backend = _create_backend(name, num_vertices, weighted=weighted, **backend_kwargs)
-        return cls(backend, event_retention=event_retention)
+        return cls(_create_backend(name, num_vertices, weighted=weighted, **backend_kwargs))
 
     # -- identity ---------------------------------------------------------------
 

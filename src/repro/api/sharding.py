@@ -61,7 +61,6 @@ from repro.api.backend import GraphBackend, _checked_id
 from repro.api.facade import Graph
 from repro.api.snapshot import CSRSnapshot
 from repro.coo import COO
-from repro.eventlog import DEFAULT_RETENTION_ROWS
 from repro.persist.wal import DEFAULT_SEGMENT_BYTES
 from repro.util.errors import (
     PermanentFault,
@@ -796,15 +795,8 @@ class ShardedGraph(Graph):
     (after :meth:`rebuild_shard`, for a dead one).
     """
 
-    def __init__(
-        self,
-        shards,
-        *,
-        event_retention: int = DEFAULT_RETENTION_ROWS,
-        shard_factory=None,
-    ) -> None:
-        router = ShardRouter(shards, shard_factory=shard_factory)
-        super().__init__(router, event_retention=event_retention)
+    def __init__(self, shards, *, shard_factory=None) -> None:
+        super().__init__(ShardRouter(shards, shard_factory=shard_factory))
 
     @classmethod
     def create(
@@ -814,30 +806,22 @@ class ShardedGraph(Graph):
         *,
         num_shards: int = 4,
         weighted: bool = False,
-        event_retention: int = DEFAULT_RETENTION_ROWS,
         **backend_kwargs: Any,
     ) -> "ShardedGraph":
         """Construct ``num_shards`` fresh registry backends and shard them.
 
         Every shard addresses the full global vertex-id space, so global
         ids route and query without translation; per-shard structures
-        only ever hold the edges they own.  ``event_retention`` bounds
-        the service's event log and every shard's alike.  The construction
+        only ever hold the edges they own.  The construction
         recipe is kept as the service's shard factory, so
         :meth:`rebuild_shard` can mint an identical empty replacement.
         """
 
         def factory() -> Graph:
-            return Graph.create(
-                name,
-                num_vertices,
-                weighted=weighted,
-                event_retention=event_retention,
-                **backend_kwargs,
-            )
+            return Graph.create(name, num_vertices, weighted=weighted, **backend_kwargs)
 
         shards = [factory() for _ in range(num_shards)]
-        return cls(shards, event_retention=event_retention, shard_factory=factory)
+        return cls(shards, shard_factory=factory)
 
     # -- one hop to the router ------------------------------------------------------
 

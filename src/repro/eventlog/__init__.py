@@ -12,10 +12,9 @@ from repro.eventlog.events import (
     StructuralEvent,
     version_chain_intact,
 )
-from repro.eventlog.log import DEFAULT_RETENTION_ROWS, EventCursor, EventLog
+from repro.eventlog.log import EventCursor, EventLog
 
 __all__ = [
-    "DEFAULT_RETENTION_ROWS",
     "EdgeBatch",
     "Event",
     "EventCursor",

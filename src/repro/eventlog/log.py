@@ -14,8 +14,8 @@ with one first-class object:
 - **bounded retention** — the log retains at most ``retention_rows``
   edge-batch rows.  Older events are trimmed; a cursor that has fallen
   behind the retention horizon observes a *gap* on its next read and must
-  fall back to a cold rebuild of whatever it was maintaining (the facade
-  and the shard router size it with their ``event_retention`` argument).
+  fall back to a cold rebuild of whatever it was maintaining (every
+  facade log keeps the default :data:`DEFAULT_RETENTION_ROWS`).
   :meth:`EventCursor.window` is that decision, stated once with the
   version-chain check: the facade's snapshot merge and every incremental
   analytic fold what it returns or rebuild cold;
@@ -34,7 +34,7 @@ from collections import deque
 from repro.eventlog.events import EdgeBatch, Event, StructuralEvent, version_chain_intact
 from repro.util.errors import ValidationError
 
-__all__ = ["EventLog", "EventCursor", "DEFAULT_RETENTION_ROWS"]
+__all__ = ["EventLog", "EventCursor"]
 
 #: Default bound on retained edge-batch rows.  Past ~|E| retained rows an
 #: incremental consumer stops beating a cold rebuild anyway; 2^16 keeps

@@ -403,7 +403,8 @@ class TestSnapshotCache:
         assert g.edge_exists([9], [10])[0], name
 
     def test_delta_overflow_falls_back(self, name):
-        g = Graph.create(name, num_vertices=N, event_retention=4)
+        g = Graph.create(name, num_vertices=N)
+        g.events.retention_rows = 4
         g.insert_edges(SRC, DST)
         g.snapshot()
         g.insert_edges([1, 2, 3, 4, 5], [2, 3, 4, 5, 6])  # 5 rows > limit 4

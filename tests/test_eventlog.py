@@ -70,7 +70,8 @@ class TestCursorsAndRetention:
 
     def test_gap_forces_cold_relabel_downstream(self):
         """A consumer lagging past the horizon rebuilds cold (exactly)."""
-        g = Graph.create("slabhash", num_vertices=32, event_retention=4)
+        g = Graph.create("slabhash", num_vertices=32)
+        g.events.retention_rows = 4
         cc = IncrementalConnectedComponents(g)
         # One batch bigger than the retention bound: trimmed immediately,
         # so the analytic's cursor observes a gap, not the events.

@@ -36,11 +36,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 _STORE = "fsync segment_bytes"
 
 SIGNATURES = {
-    Graph.__init__: "self backend event_retention",
-    Graph.create: "name num_vertices weighted event_retention backend_kwargs",
+    Graph.__init__: "self backend",
+    Graph.create: "name num_vertices weighted backend_kwargs",
     normalize_batch: "src dst weights num_vertices weighted fill_default_weight backend_name",
-    ShardedGraph.__init__: "self shards event_retention shard_factory",
-    ShardedGraph.create: "name num_vertices num_shards weighted event_retention backend_kwargs",
+    ShardedGraph.__init__: "self shards shard_factory",
+    ShardedGraph.create: "name num_vertices num_shards weighted backend_kwargs",
     ShardedGraph.attach_durability: f"self directory {_STORE} opener",
     ShardedGraph.rebuild_shard: "self shard_index",
     open_graph: f"directory backend num_vertices weighted backend_kwargs {_STORE} read_only",

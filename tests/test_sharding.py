@@ -386,12 +386,6 @@ class TestShardedValidation:
         with pytest.raises(ValidationError):
             ShardedGraph([])
 
-    def test_rejects_negative_event_retention(self):
-        # The service's event log is the facade's, and so is the check.
-        shards = [Graph.create("slabhash", num_vertices=8) for _ in range(2)]
-        with pytest.raises(ValidationError, match="event_retention"):
-            ShardedGraph(shards, event_retention=-1)
-
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_rejected_bulk_build_applies_nothing(self, name):
         """A bulk build into a populated service is refused before any

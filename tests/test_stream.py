@@ -302,7 +302,8 @@ class TestIncrementalPageRank:
     def test_gap_and_out_of_band_mutation_start_cold(self):
         """Warm-starting across a retention gap or a backend mutation the
         log never saw used to report ``"warm"``."""
-        g = Graph.create("slabhash", num_vertices=32, event_retention=4)
+        g = Graph.create("slabhash", num_vertices=32)
+        g.events.retention_rows = 4
         g.insert_edges([0, 1, 2], [1, 2, 3])
         pr = IncrementalPageRank(g, tol=1e-12, max_iters=1000)
         g.insert_edges(np.arange(10), np.arange(10) + 1)  # trimmed at once: a gap

@@ -270,7 +270,8 @@ class TestIncrementalTriangleCount:
             assert tc.last_mode == "incremental"
 
     def test_retention_gap_forces_cold(self):
-        g = Graph.create("slabhash", num_vertices=32, event_retention=4)
+        g = Graph.create("slabhash", num_vertices=32)
+        g.events.retention_rows = 4
         g.insert_edges([0, 1], [1, 2])
         tc = IncrementalTriangleCount(g)
         tc.count()
@@ -617,10 +618,8 @@ PR_TOL = 1e-12
 def protocol_graph(directed, event_retention=1 << 16):
     """Two triangles joined through vertex 2, a tail 4-5-8-9-10, and
     isolated 6, 7, 11; weights 3."""
-    g = Graph.create(
-        "slabhash", num_vertices=12, weighted=True, directed=directed,
-        event_retention=event_retention,
-    )
+    g = Graph.create("slabhash", num_vertices=12, weighted=True, directed=directed)
+    g.events.retention_rows = event_retention
     src, dst = [0, 1, 2, 2, 3, 4, 4, 5, 8, 9], [1, 2, 0, 3, 4, 2, 5, 8, 9, 10]
     g.insert_edges(src, dst, [3] * len(src))
     return g

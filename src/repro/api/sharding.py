@@ -237,12 +237,14 @@ class ShardRouter(GraphBackend):
     """A :class:`~repro.api.GraphBackend` whose hooks route rows to N
     per-shard :class:`Graph` facades (see the module docstring).
 
-    Wraps pre-constructed **empty** shard facades — the routing invariant
-    (each vertex's out-edges live only in its owner shard) must hold from
-    the first batch, so populated shards are rejected.  Only directed
-    shard backends are supported: an undirected backend mirrors ``(u, v)``
-    into ``v``'s adjacency *inside u's shard*, which would scatter a
-    vertex's neighborhood across shards.
+    Builds its shards itself, each ``Graph.create(name, num_vertices,
+    weighted=weighted, **backend_kwargs)`` — empty, so the routing
+    invariant (each vertex's out-edges live only in its owner shard)
+    holds from the first batch — and keeps that recipe, so
+    :meth:`rebuild_shard` mints an identical empty replacement.  Only
+    directed shard backends are supported: an undirected backend mirrors
+    ``(u, v)`` into ``v``'s adjacency *inside u's shard*, which would
+    scatter a vertex's neighborhood across shards.
 
     Its capabilities are the shards', with ``rehash``, ``tombstone_flush``
     and ``range_queries`` switched off: those stay per-shard operations.
@@ -252,46 +254,31 @@ class ShardRouter(GraphBackend):
     bumps it too.
     """
 
-    def __init__(self, shards, *, shard_factory=None) -> None:
-        shards = list(shards)
-        if not shards:
-            raise ValidationError("ShardedGraph needs at least one shard")
-        for shard in shards:
-            if not isinstance(shard, Graph):
-                raise ValidationError(
-                    f"shards must be repro.api.Graph facades, got {type(shard).__name__}"
-                )
-            if not shard.directed:
-                raise ValidationError(
-                    "ShardedGraph requires directed shard backends (an "
-                    "undirected backend would mirror cut edges inside the "
-                    "wrong shard); symmetric edge sets work fine — insert "
-                    "both orientations, as the dataset generators do"
-                )
-            if shard.num_edges() != 0:
-                raise ValidationError(
-                    "ShardedGraph shards must start empty so the routing "
-                    "invariant (out-edges live in the owner shard) holds"
-                )
-        first = shards[0]
-        if any(s.num_vertices != first.num_vertices for s in shards):
-            raise ValidationError("all shards must share one vertex-id space")
-        if any(s.weighted != first.weighted for s in shards):
-            raise ValidationError("all shards must agree on weightedness")
-        self.shards = shards
-        self.partitioner = Partitioner(len(shards))
+    def __init__(
+        self, name: str, num_vertices: int, num_shards: int, weighted: bool, backend_kwargs: dict
+    ) -> None:
+        num_shards = _checked_id(num_shards, None, "num_shards", lo=1)
+        self._recipe = (name, num_vertices, weighted, backend_kwargs)
+        first = self._new_shard()
+        if not first.directed:
+            raise ValidationError(
+                "ShardedGraph requires directed shard backends (an "
+                "undirected backend would mirror cut edges inside the "
+                "wrong shard); symmetric edge sets work fine — insert "
+                "both orientations, as the dataset generators do"
+            )
+        self.shards = [first] + [self._new_shard() for _ in range(num_shards - 1)]
+        self.partitioner = Partitioner(num_shards)
         self.capabilities = replace(
             first.capabilities, rehash=False, tombstone_flush=False, range_queries=False
         )
         # The weights every shard stores exactly; the template checks them
         # before any shard applies its share.
-        ranges = {shard.backend._weight_range for shard in shards} - {None}
-        if ranges:
-            self._weight_range = (max(lo for lo, _ in ranges), min(hi for _, hi in ranges))
+        self._weight_range = first.backend._weight_range
         #: Per-shard health: ``SHARD_HEALTHY`` / ``SHARD_DEGRADED`` /
         #: ``SHARD_DEAD`` (dead shards are skipped by fan-outs and only
         #: return via :meth:`rebuild_shard`).
-        self.health = [SHARD_HEALTHY] * len(shards)
+        self.health = [SHARD_HEALTHY] * num_shards
         #: Counters of faults absorbed, retries spent, and recoveries.
         self.fault_stats = {
             "transient_faults": 0,
@@ -304,7 +291,11 @@ class ShardRouter(GraphBackend):
         }
         #: Durable per-shard stores (set by :meth:`attach_durability`).
         self.stores = None
-        self._shard_factory = shard_factory
+
+    def _new_shard(self) -> Graph:
+        """An empty shard from the service's construction recipe."""
+        name, num_vertices, weighted, backend_kwargs = self._recipe
+        return Graph.create(name, num_vertices, weighted=weighted, **backend_kwargs)
 
     # -- identity ---------------------------------------------------------------
 
@@ -744,7 +735,7 @@ class ShardRouter(GraphBackend):
     def rebuild_shard(self, shard_index: int):
         """Restore a dead shard bit-identically from its durable store.
 
-        A fresh empty shard (from the service's own shard factory) is
+        A fresh empty shard (from the service's construction recipe) is
         recovered as checkpoint + WAL-tail replay, swapped in, and marked
         healthy — a version step with no event, so consumers rebuild cold.
         Returns the recovery stats the store reports (events replayed,
@@ -756,19 +747,7 @@ class ShardRouter(GraphBackend):
                 "rebuild_shard() needs durable per-shard stores — call "
                 "attach_durability(directory) before faults strike"
             )
-        if self._shard_factory is None:
-            raise ValidationError(
-                "no shard factory available — construct the service via "
-                "ShardedGraph.create()"
-            )
-        fresh = self._shard_factory()
-        if not isinstance(fresh, Graph) or fresh.num_edges() != 0:
-            raise ValidationError("shard factory must produce an empty Graph facade")
-        if fresh.num_vertices != self.num_vertices or fresh.weighted != self.weighted:
-            raise ValidationError(
-                "shard factory produced a mismatched shard (vertex space or "
-                "weightedness differs from the service)"
-            )
+        fresh = self._new_shard()
         info = self.stores.rebuild(s, fresh)
         self.shards[s] = fresh
         self.health[s] = SHARD_HEALTHY
@@ -785,18 +764,14 @@ class ShardedGraph(Graph):
     """The :class:`Graph` facade over a :class:`ShardRouter`.
 
     Construct with :meth:`ShardedGraph.create` (fresh shards by registry
-    name) or wrap pre-constructed **empty** shard facades directly.  Every
-    :class:`Graph` operation works unchanged; the rest is one hop to the
-    router's fault and durability surface.
+    name).  Every :class:`Graph` operation works unchanged; the rest is
+    one hop to the router's fault and durability surface.
 
     A mutation that fails on some shards raises
     :class:`PartialDispatchError` carrying its :class:`DispatchReport`;
     keep the report and :meth:`redrive` it once the shards are back
     (after :meth:`rebuild_shard`, for a dead one).
     """
-
-    def __init__(self, shards, *, shard_factory=None) -> None:
-        super().__init__(ShardRouter(shards, shard_factory=shard_factory))
 
     @classmethod
     def create(
@@ -812,16 +787,12 @@ class ShardedGraph(Graph):
 
         Every shard addresses the full global vertex-id space, so global
         ids route and query without translation; per-shard structures
-        only ever hold the edges they own.  The construction
-        recipe is kept as the service's shard factory, so
-        :meth:`rebuild_shard` can mint an identical empty replacement.
+        only ever hold the edges they own.  ``num_shards`` follows the
+        id rule (one integral value >= 1) and is checked before any shard
+        is built.  The router keeps this recipe, so :meth:`rebuild_shard`
+        mints an identical empty replacement.
         """
-
-        def factory() -> Graph:
-            return Graph.create(name, num_vertices, weighted=weighted, **backend_kwargs)
-
-        shards = [factory() for _ in range(num_shards)]
-        return cls(shards, shard_factory=factory)
+        return cls(ShardRouter(name, num_vertices, num_shards, weighted, backend_kwargs))
 
     # -- one hop to the router ------------------------------------------------------
 

@@ -39,7 +39,6 @@ SIGNATURES = {
     Graph.__init__: "self backend",
     Graph.create: "name num_vertices weighted backend_kwargs",
     normalize_batch: "src dst weights num_vertices weighted fill_default_weight backend_name",
-    ShardedGraph.__init__: "self shards shard_factory",
     ShardedGraph.create: "name num_vertices num_shards weighted backend_kwargs",
     ShardedGraph.attach_durability: f"self directory {_STORE} opener",
     ShardedGraph.rebuild_shard: "self shard_index",

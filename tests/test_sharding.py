@@ -362,29 +362,22 @@ class TestAssembly:
 
 class TestShardedValidation:
     def test_rejects_undirected_shards(self):
-        g = Graph.create("slabhash", num_vertices=8, directed=False)
         with pytest.raises(ValidationError, match="directed"):
-            ShardedGraph([g])
+            ShardedGraph.create("slabhash", 8, directed=False)
 
-    def test_rejects_populated_shards(self):
-        g = Graph.create("slabhash", num_vertices=8)
-        g.insert_edges([0], [1])
-        with pytest.raises(ValidationError, match="empty"):
-            ShardedGraph([g])
-
-    def test_rejects_mismatched_vertex_spaces(self):
-        a = Graph.create("slabhash", num_vertices=8)
-        b = Graph.create("slabhash", num_vertices=16)
-        with pytest.raises(ValidationError, match="vertex-id space"):
-            ShardedGraph([a, b])
-
-    def test_rejects_raw_backends_and_empty_lists(self):
-        from repro.api import create
-
-        with pytest.raises(ValidationError):
-            ShardedGraph([create("slabhash", num_vertices=8)])
-        with pytest.raises(ValidationError):
-            ShardedGraph([])
+    @pytest.mark.parametrize("num_shards", [0, -1, 2.5, "2", True, None], ids=repr)
+    def test_rejects_bad_num_shards_before_building_a_shard(self, num_shards, monkeypatch):
+        """``num_shards`` takes the one id rule: a float, a string or None
+        used to raise a raw TypeError from range(), and True built a
+        one-shard service."""
+        built = []
+        create = Graph.create.__func__
+        monkeypatch.setattr(
+            Graph, "create", classmethod(lambda cls, *a, **kw: built.append(1) or create(cls, *a, **kw))
+        )
+        with pytest.raises(ValidationError, match="num_shards"):
+            ShardedGraph.create("slabhash", 8, num_shards=num_shards)
+        assert built == []
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_rejected_bulk_build_applies_nothing(self, name):

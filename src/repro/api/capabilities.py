@@ -48,9 +48,6 @@ class Capabilities:
     tombstone_flush:
         Implements ``flush_tombstones`` (lazy-deletion compaction,
         Section IV-C2).
-    vertex_id_reuse:
-        Can recycle deleted vertex ids (the faimGraph feature, Section
-        VI-A3).
     """
 
     weighted: bool = False
@@ -59,7 +56,6 @@ class Capabilities:
     range_queries: bool = False
     rehash: bool = False
     tombstone_flush: bool = False
-    vertex_id_reuse: bool = False
 
     def narrowed(self, *, weighted: bool | None = None) -> "Capabilities":
         """This record with flags switched off by instance configuration."""

@@ -12,14 +12,15 @@ the *entire* list on every insertion — the O(n) cost the paper's
 introduction assigns to unsorted lists.  We charge it to
 ``counters.scanned_elements``.
 
-Memory management is fully "on-GPU": a page free queue recycles pages and a
-vertex queue recycles deleted vertex ids (the feature the paper credits
-faimGraph with and its own structure lacks).
+Memory management is fully "on-GPU": a page free queue recycles pages.
+faimGraph also pushes deleted vertex ids onto a vertex queue for reuse (the
+feature the paper credits faimGraph with and its own structure lacks);
+vertex deletion charges those pushes as atomics, the cost the Table IV
+comparison prices, but no id is handed out again here.
 
 As the paper observes (Section II-B), with a single bucket our slab-hash
 graph degenerates into this structure; keeping faimGraph separate keeps the
-deletion semantics (compaction vs. tombstones) and the id-reuse queue
-faithful.
+deletion semantics (compaction vs. tombstones) faithful.
 """
 
 from __future__ import annotations
@@ -43,13 +44,9 @@ PAGE_CAP_WEIGHTED = 15
 
 
 class FaimGraph(GraphBackend):
-    """faimGraph-like paged dynamic graph with page/id reuse queues."""
+    """faimGraph-like paged dynamic graph with a page reuse queue."""
 
-    capabilities = Capabilities(
-        weighted=True,
-        vertex_dynamic=True,
-        vertex_id_reuse=True,
-    )
+    capabilities = Capabilities(weighted=True, vertex_dynamic=True)
 
     def __init__(self, num_vertices: int, weighted: bool = False) -> None:
         if num_vertices < 1:
@@ -66,7 +63,6 @@ class FaimGraph(GraphBackend):
         self._next = GrowableArray(64, np.int64, fill_value=-1)
         self._bump = 0
         self._page_queue = np.empty(0, dtype=np.int64)  # recycled pages
-        self._vertex_queue: list[int] = []  # recycled vertex ids
 
     # -- page allocator ----------------------------------------------------------
 
@@ -338,7 +334,7 @@ class FaimGraph(GraphBackend):
 
     def _delete_vertices(self, vertex_ids) -> int:
         """Delete vertices, erase reverse edges (full scans), recycle pages
-        and ids — the Table IV workload.  Undirected semantics."""
+        — the Table IV workload.  Undirected semantics."""
         vertex_ids = np.unique(vertex_ids)
         counters = get_counters()
         counters.atomics += int(vertex_ids.size)  # vertex-queue pushes
@@ -358,16 +354,7 @@ class FaimGraph(GraphBackend):
         self._free_pages(pages)
         self.head_page[vertex_ids] = -1
         self._deg[vertex_ids] = 0
-        self._vertex_queue.extend(vertex_ids.tolist())
         return removed + own
-
-    def reusable_vertex_ids(self, n: int) -> np.ndarray:
-        """Pop up to ``n`` recycled vertex ids (faimGraph's memory-efficiency
-        feature the paper contrasts with its own structure)."""
-        take = min(int(n), len(self._vertex_queue))
-        out = np.array([self._vertex_queue.pop() for _ in range(take)], dtype=np.int64)
-        get_counters().atomics += take
-        return out
 
     # -- queries -------------------------------------------------------------------------
 

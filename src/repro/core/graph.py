@@ -28,7 +28,6 @@ from repro.core import vertex_ops as _vertex_ops
 from repro.core.vertex_dict import VertexDictionary
 from repro.slabhash.stats import ArenaStats, compute_stats
 from repro.util.errors import ValidationError
-from repro.util.validation import as_int_array
 
 __all__ = ["DynamicGraph"]
 
@@ -76,7 +75,6 @@ class DynamicGraph(GraphBackend):
         vertex_dynamic=True,
         rehash=True,
         tombstone_flush=True,
-        vertex_id_reuse=True,
     )
 
     # The map variant's value lanes are 32-bit words (VALUE_DTYPE).
@@ -89,19 +87,11 @@ class DynamicGraph(GraphBackend):
         directed: bool = True,
         load_factor: float = 0.7,
         hash_seed: int = 0x5AB0,
-        reuse_vertex_ids: bool = False,
     ) -> None:
         self.weighted = bool(weighted)
         self.directed = bool(directed)
         self.load_factor = _checked_load_factor(load_factor)
         self._dict = VertexDictionary(num_vertices, weighted=self.weighted, hash_seed=hash_seed)
-        # Optional deleted-id recycling (the faimGraph feature the paper
-        # names as straightforward future work; see core/id_reuse.py).
-        self._recycler = None
-        if reuse_vertex_ids:
-            from repro.core.id_reuse import VertexIdRecycler
-
-            self._recycler = VertexIdRecycler()
 
     # -- capacity / size -------------------------------------------------------
 
@@ -149,35 +139,8 @@ class DynamicGraph(GraphBackend):
         _vertex_ops.insert_vertices(self, vertex_ids, expected_degree)
 
     def _delete_vertices(self, vertex_ids) -> int:
-        """Delete vertices and all incident edges (Algorithm 2).
-
-        With ``reuse_vertex_ids=True`` the deleted ids enter a recycling
-        queue served by :meth:`allocate_vertex_ids`.  Only ids the deletion
-        actually deactivated are queued: never-active ids and repeat
-        deletions of an already-dead id vend nothing to the recycler.
-        """
-        removed, deactivated = _vertex_ops.delete_vertices(self, vertex_ids)
-        if self._recycler is not None and deactivated.size:
-            self._recycler.push(deactivated)
-        return removed
-
-    def allocate_vertex_ids(self, n: int) -> np.ndarray:
-        """Vend ``n`` usable vertex ids, preferring recycled ones.
-
-        Requires ``reuse_vertex_ids=True``; implements the memory-
-        efficiency strategy the paper credits to faimGraph (Section
-        VI-A3).  Returned ids are registered (tables created lazily on
-        first insertion).
-        """
-        if self._recycler is None:
-            raise ValidationError("construct the graph with reuse_vertex_ids=True to recycle ids")
-        (n,) = as_int_array(n, "n").tolist()
-        if n < 0:
-            raise ValidationError(f"cannot allocate {n} vertex ids")
-        self._bump_version()
-        ids = self._recycler.allocate_ids(self, n)
-        self._dict.activate(ids)
-        return ids
+        """Delete vertices and all incident edges (Algorithm 2)."""
+        return _vertex_ops.delete_vertices(self, vertex_ids)
 
     def bulk_build(self, coo: COO) -> int:
         """One-shot build with a-priori bucket sizing (Table V workload)."""

@@ -162,12 +162,8 @@ class VertexDictionary:
         self._check()
 
     def deactivate(self, vertex_ids: np.ndarray) -> np.ndarray:
-        """Mark vertices inactive; returns the unique ids actually flipped.
-
-        Ids that were never active are ignored (and not returned), which is
-        what lets the caller feed *only* real deactivations to the id
-        recycler.
-        """
+        """Mark vertices inactive; returns the unique ids actually flipped
+        (ids that were never active are ignored and not returned)."""
         live = vertex_ids[self.active[vertex_ids]]
         uniq = sorted_unique(live)
         if uniq.size:

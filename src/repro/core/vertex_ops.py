@@ -55,12 +55,9 @@ def insert_vertices(graph, vertex_ids, expected_degree=None) -> None:
     graph._dict.activate(vertex_ids)
 
 
-def delete_vertices(graph, vertex_ids) -> tuple[int, np.ndarray]:
-    """Delete a clean, non-empty batch of vertices and every edge touching them.
-
-    Returns ``(edges_removed, deactivated)`` where ``deactivated`` holds the
-    unique ids that were actually active before this call — the only ids a
-    recycler may legitimately reuse.
+def delete_vertices(graph, vertex_ids) -> int:
+    """Delete a clean, non-empty batch of vertices and every edge touching
+    them; returns the edges removed.
 
     Follows Algorithm 2 for undirected graphs (erase the vertex from each
     neighbour's table via the adjacency iterator).  For directed graphs the
@@ -86,8 +83,8 @@ def delete_vertices(graph, vertex_ids) -> tuple[int, np.ndarray]:
     # (lines 18-22).
     vd.arena.clear_tables(vertex_ids)
     removed_total += vd.zero_edge_counts(vertex_ids)
-    deactivated = vd.deactivate(vertex_ids)
-    return removed_total, deactivated
+    vd.deactivate(vertex_ids)
+    return removed_total
 
 
 def _cleanup_references(graph, doomed: np.ndarray) -> int:

@@ -94,7 +94,7 @@ class TestUpdates:
 
 
 class TestVertexOps:
-    def test_delete_vertices_and_id_reuse(self, rng):
+    def test_delete_vertices_erases_incident_edges(self, rng):
         n = 50
         g = FaimGraph(n)
         src = rng.integers(0, n, 400)
@@ -106,11 +106,6 @@ class TestVertexOps:
         assert g.degree([4])[0] == 0 and g.degree([9])[0] == 0
         edges = structure_edges(g)
         assert not any(4 in e or 9 in e for e in edges)
-        # The id-reuse queue vends the freed ids (the faimGraph feature the
-        # paper notes its own structure lacks).
-        reused = set(g.reusable_vertex_ids(5).tolist())
-        assert reused == {4, 9}
-        assert g.reusable_vertex_ids(1).size == 0
 
     def test_vertex_queue_atomics_charged(self, rng):
         g = FaimGraph(20)

@@ -1,5 +1,4 @@
-"""Tests for the paper's future-work extensions: vertex-id recycling,
-SSSP, and k-core."""
+"""Tests for the paper's future-work extensions: SSSP and k-core."""
 
 import networkx as nx
 import numpy as np
@@ -7,116 +6,8 @@ import pytest
 
 from repro.core import DynamicGraph
 from repro.analytics import kcore, sssp
-from repro.core.id_reuse import VertexIdRecycler
 from repro.datasets import rgg_graph
 from repro.util.errors import ValidationError
-
-
-class TestVertexIdRecycling:
-    def test_requires_opt_in(self):
-        g = DynamicGraph(8, weighted=False)
-        with pytest.raises(ValidationError):
-            g.allocate_vertex_ids(1)
-
-    @pytest.mark.parametrize("n", [-1, 1.5, True, None])
-    def test_bad_count_vends_and_activates_nothing(self, n):
-        g = DynamicGraph(16, weighted=False, reuse_vertex_ids=True)
-        g.insert_edges([1], [2])
-        g.delete_vertices([2])
-        version = g.mutation_version
-        with pytest.raises(ValidationError):
-            g.allocate_vertex_ids(n)
-        assert g.num_active_vertices() == 1
-        assert g.mutation_version == version
-        g._dict.check_invariants()
-        assert g.allocate_vertex_ids(0).size == 0
-        assert g.allocate_vertex_ids(2.0).tolist() == [2, 0]  # queue intact, then fresh
-
-    def test_deleted_ids_recycled(self):
-        g = DynamicGraph(32, weighted=False, directed=False, reuse_vertex_ids=True)
-        g.insert_edges([1, 2, 3], [4, 5, 6])
-        g.delete_vertices([2, 3])
-        ids = g.allocate_vertex_ids(2)
-        assert set(ids.tolist()) == {2, 3}
-
-    def test_lifo_order(self):
-        g = DynamicGraph(32, weighted=False, directed=False, reuse_vertex_ids=True)
-        g.insert_edges([1, 2], [5, 6])
-        g.delete_vertices([1])
-        g.delete_vertices([2])
-        assert g.allocate_vertex_ids(1).tolist() == [2]  # most recent first
-
-    def test_never_active_ids_not_recycled(self):
-        """Deleting an id that never participated must not feed the queue."""
-        g = DynamicGraph(32, weighted=False, directed=False, reuse_vertex_ids=True)
-        g.insert_edges([1], [2])
-        g.delete_vertices([7, 9])  # 7 and 9 were never active
-        assert len(g._recycler) == 0
-        ids = g.allocate_vertex_ids(1)
-        assert ids.tolist() != [9] and ids.tolist() != [7]
-
-    def test_double_delete_queues_id_once(self):
-        g = DynamicGraph(32, weighted=False, directed=False, reuse_vertex_ids=True)
-        g.insert_edges([1, 2], [5, 6])
-        g.delete_vertices([1])
-        g.delete_vertices([1])  # second delete of a dead id is a no-op
-        assert len(g._recycler) == 1
-        g.delete_vertices([1, 1, 2])  # intra-batch duplicate of a dead id
-        assert len(g._recycler) == 2
-
-    def test_mixed_batch_queues_only_deactivated(self):
-        g = DynamicGraph(32, weighted=False, directed=False, reuse_vertex_ids=True)
-        g.insert_edges([1, 2], [5, 6])
-        g.delete_vertices([1, 20])  # 1 active, 20 never active
-        assert len(g._recycler) == 1
-        assert g.allocate_vertex_ids(1).tolist() == [1]
-
-    def test_fresh_ids_when_queue_empty(self):
-        g = DynamicGraph(4, weighted=False, reuse_vertex_ids=True)
-        g.insert_edges([0, 1], [1, 2])
-        ids = g.allocate_vertex_ids(2)
-        assert len(set(ids.tolist())) == 2
-        assert not any(i in (0, 1, 2) for i in ids.tolist())
-
-    def test_capacity_grows_when_exhausted(self):
-        g = DynamicGraph(2, weighted=False, reuse_vertex_ids=True)
-        g.insert_edges([0], [1])
-        ids = g.allocate_vertex_ids(5)
-        assert len(set(ids.tolist())) == 5
-        assert g.vertex_capacity >= int(ids.max()) + 1
-
-    def test_reactivated_id_not_vended(self):
-        g = DynamicGraph(16, weighted=False, directed=False, reuse_vertex_ids=True)
-        g.insert_edges([3], [4])
-        g.delete_vertices([3])
-        # Id 3 comes back into use directly before allocation.
-        g.insert_edges([3], [5])
-        ids = g.allocate_vertex_ids(1)
-        assert 3 not in ids.tolist()
-
-    def test_recycled_id_memory_reused(self):
-        """Reusing an id reuses its retained base slabs: allocator traffic
-        stays flat (faimGraph's memory-efficiency argument)."""
-        g = DynamicGraph(16, weighted=False, directed=False, reuse_vertex_ids=True)
-        g.insert_edges([2], [3])
-        slabs_before = g._dict.arena.pool.num_allocated
-        g.delete_vertices([2])
-        vid = int(g.allocate_vertex_ids(1)[0])
-        assert vid == 2
-        # Reconnect the recycled id to an existing vertex: both tables'
-        # base slabs already exist, so no new allocation happens.
-        g.insert_edges([vid], [3])
-        assert g._dict.arena.pool.num_allocated == slabs_before
-
-    def test_recycler_unit(self):
-        r = VertexIdRecycler()
-        assert r.push(np.array([1, 2, 2])) == 2  # duplicate ignored
-        assert len(r) == 2
-        assert r.pop(5).size == 2
-        assert r.pop(1).size == 0
-        r.push(np.array([7]))
-        r.discard(np.array([7]))
-        assert len(r) == 0
 
 
 @pytest.fixture

@@ -4,18 +4,22 @@ Every parameter of the constructors, runners and analytics below is one more
 configuration the tests and benchmarks must cover, so each signature
 equals a committed list of names — adding (or renaming) a parameter
 fails here and has to say, in review, which two callers outside
-``tests/`` need different values.  The same goes for the two ambient
+``tests/`` need different values.  The capability flags are pinned the
+same way: a new flag has to name the consumer that branches on it.  The
+same goes for the two ambient
 inputs ``src/`` no longer has: no module reads an environment variable,
 and only the bench runner's progress echo reads a host clock.
 """
 
 import ast
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.analytics import bfs, kcore, kcore_membership, pagerank, power_iteration, sssp
+from repro.api.capabilities import Capabilities
 from repro.api.facade import Graph, normalize_batch
 from repro.api.sharding import ShardedGraph
 from repro.core.graph import DynamicGraph
@@ -48,9 +52,7 @@ SIGNATURES = {
         "scenario backend_name mode damping tol max_iters validate analytics source kcore_k"
     ),
     Phase: "kind size batches",
-    DynamicGraph.__init__: (
-        "self num_vertices weighted directed load_factor hash_seed reuse_vertex_ids"
-    ),
+    DynamicGraph.__init__: "self num_vertices weighted directed load_factor hash_seed",
     # The analytics: a class stands for its constructor.
     IncrementalConnectedComponents: "graph",
     IncrementalPageRank: "graph damping tol max_iters",
@@ -70,6 +72,14 @@ SIGNATURES = {
 @pytest.mark.parametrize("func", SIGNATURES, ids=lambda func: func.__qualname__)
 def test_signature_equals_the_committed_names(func):
     assert list(inspect.signature(func).parameters) == SIGNATURES[func].split()
+
+
+#: The flags every backend declares, in declaration order.
+CAPABILITY_FLAGS = "weighted vertex_dynamic sorted_neighbors range_queries rehash tombstone_flush"
+
+
+def test_capability_flags_equal_the_committed_names():
+    assert [field.name for field in fields(Capabilities)] == CAPABILITY_FLAGS.split()
 
 
 def _modules():

@@ -11,9 +11,8 @@ counting; this subpackage provides the equivalent algorithm layer:
 - :mod:`repro.analytics.bfs`, :mod:`repro.analytics.pagerank`,
   :mod:`repro.analytics.connected_components`,
   :mod:`repro.analytics.sssp` — classic primitives exercising queries and
-  iteration; :mod:`repro.analytics.kcore` peels through in-algorithm
-  dynamic vertex deletion, the truly-dynamic usage pattern the paper's
-  introduction motivates.
+  iteration; :mod:`repro.analytics.kcore` peels a snapshot to k-core
+  membership, the cold kernel the incremental k-core repairs around.
 
 Every algorithm is backend-agnostic: traversal kernels drive the
 :class:`repro.api.GraphBackend` adjacency iterator, whole-graph kernels
@@ -26,7 +25,7 @@ faimGraph, GPMA, or any other :class:`repro.api.GraphBackend`.
 from repro.analytics.bfs import bfs
 from repro.analytics.connected_components import connected_components
 from repro.analytics.frontier import advance, filter_frontier, vertex_space
-from repro.analytics.kcore import kcore, kcore_membership
+from repro.analytics.kcore import kcore_membership
 from repro.analytics.pagerank import pagerank, power_iteration
 from repro.analytics.sssp import sssp
 from repro.analytics.triangle_count import (
@@ -45,7 +44,6 @@ __all__ = [
     "connected_components",
     "dynamic_triangle_count",
     "filter_frontier",
-    "kcore",
     "kcore_membership",
     "pagerank",
     "power_iteration",

@@ -13,7 +13,6 @@ from repro.analytics import (
     connected_components,
     dynamic_triangle_count,
     filter_frontier,
-    kcore,
     kcore_membership,
     pagerank,
     sssp,
@@ -289,6 +288,4 @@ class TestScalarArguments:
         g.insert_edges([0, 1, 2, 3], [1, 2, 0, 0])  # a triangle plus a pendant
         with pytest.raises(ValidationError):
             kcore_membership(g, k)
-        with pytest.raises(ValidationError):
-            kcore(g, k)
         assert kcore_membership(g, 2).tolist() == [True, True, True, False]

@@ -18,6 +18,7 @@ import repro.api as api
 from repro.analytics import (
     bfs,
     connected_components,
+    kcore_membership,
     pagerank,
     triangle_count_csr,
 )
@@ -510,16 +511,19 @@ class TestAnalyticsAcrossBackends:
         for d in dists[1:]:
             assert np.array_equal(d, dists[0])
 
-    def test_kcore_counts_agree(self, symmetric_batch):
-        from repro.analytics import kcore
-
+    def test_deleting_the_non_core_vertices_agrees(self, symmetric_batch):
+        """Every vertex-dynamic backend removes the same edges when the
+        vertices outside the 3-core that have edges are deleted."""
         results = {}
         for name in ALL_BACKENDS:
             if not api.capabilities(name).vertex_dynamic:
                 continue
             g = Graph.create(name, num_vertices=N)
             g.insert_edges(*symmetric_batch)
-            results[name] = (kcore(g.backend, 3), g.num_edges())
+            outside = ~kcore_membership(g, 3) & (g.degree(np.arange(N)) > 0)
+            victims = np.flatnonzero(outside)
+            assert victims.size
+            results[name] = (g.delete_vertices(victims), g.num_edges())
         assert len(results) >= 3  # slabhash, btree, faimgraph
         assert len(set(results.values())) == 1, results
 

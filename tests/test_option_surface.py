@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analytics import bfs, kcore, kcore_membership, pagerank, power_iteration, sssp
+from repro.analytics import bfs, kcore_membership, pagerank, power_iteration, sssp
 from repro.api.capabilities import Capabilities
 from repro.api.facade import Graph, normalize_batch
 from repro.api.sharding import ShardedGraph
@@ -65,7 +65,6 @@ SIGNATURES = {
     bfs: "graph source max_depth",
     sssp: "graph source max_rounds",
     kcore_membership: "graph k",
-    kcore: "graph k max_rounds",
 }
 
 

@@ -14,7 +14,7 @@ from repro.api.backend import _checked_id
 __all__ = ["bfs"]
 
 
-def bfs(graph, source: int, max_depth: int | None = None) -> np.ndarray:
+def bfs(graph, source: int) -> np.ndarray:
     """Hop distances from ``source``; unreachable vertices get -1.
 
     Works on any :class:`repro.api.GraphBackend`, the ``Graph`` facade, or
@@ -30,8 +30,6 @@ def bfs(graph, source: int, max_depth: int | None = None) -> np.ndarray:
     frontier = np.array([source], dtype=np.int64)
     depth = 0
     while frontier.size:
-        if max_depth is not None and depth >= max_depth:
-            break
         _, dsts = advance(graph, frontier)
         frontier = filter_frontier(dsts, visited)
         depth += 1

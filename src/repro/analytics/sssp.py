@@ -26,16 +26,14 @@ from repro.util.errors import ValidationError
 __all__ = ["sssp"]
 
 
-def sssp(graph, source: int, max_rounds: int | None = None) -> np.ndarray:
+def sssp(graph, source: int) -> np.ndarray:
     """Shortest-path distances from ``source``; unreachable = -1.
 
     Requires a weighted graph (``graph.weighted``); weights are read
     through the batched adjacency iterator.  Works on any weighted
     :class:`repro.api.GraphBackend` or the ``Graph`` facade.
 
-    ``max_rounds`` truncates relaxation early (distances are then lower
-    bounds over paths of that edge length).  Left at the default, the
-    full |V| rounds run and a still-improving frontier at round |V|
+    At most |V| rounds run; a still-improving frontier at round |V|
     raises ``ValidationError("negative cycle ...")``.
     """
     if not getattr(graph, "weighted", False):
@@ -47,9 +45,8 @@ def sssp(graph, source: int, max_rounds: int | None = None) -> np.ndarray:
     dist = np.full(n, INF, dtype=np.int64)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
-    rounds = max_rounds if max_rounds is not None else n
 
-    for _ in range(rounds):
+    for _ in range(n):
         if frontier.size == 0:
             break
         owner_pos, dst, w = adjacencies_of(graph, frontier)
@@ -64,7 +61,7 @@ def sssp(graph, source: int, max_rounds: int | None = None) -> np.ndarray:
         dist = proposed
         frontier = np.flatnonzero(improved)
 
-    if frontier.size and rounds >= n:
+    if frontier.size:
         # Shortest simple paths have <= n-1 edges; an improvement during
         # round n can only come from revisiting a vertex at a net gain.
         raise ValidationError(

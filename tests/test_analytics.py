@@ -164,12 +164,6 @@ class TestTraversal:
         for v in range(coo.num_vertices):
             assert dist[v] == ref.get(v, -1)
 
-    def test_bfs_max_depth(self, undirected_case):
-        coo, _, g = undirected_case
-        src = int(coo.src[0])
-        dist = bfs(g, src, max_depth=2)
-        assert dist.max() <= 2
-
     def test_bfs_source_out_of_range(self):
         with pytest.raises(ValidationError):
             bfs(DynamicGraph(4, weighted=False), 9)

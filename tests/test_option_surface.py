@@ -62,8 +62,8 @@ SIGNATURES = {
     IncrementalKCore: "graph k",
     pagerank: "graph damping tol max_iters",
     power_iteration: "snap rank damping tol max_iters",
-    bfs: "graph source max_depth",
-    sssp: "graph source max_rounds",
+    bfs: "graph source",
+    sssp: "graph source",
     kcore_membership: "graph k",
 }
 

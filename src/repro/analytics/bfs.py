@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analytics.frontier import advance, filter_frontier, vertex_space
+from repro.analytics.frontier import advance, filter_frontier
 from repro.api.backend import _checked_id
 
 __all__ = ["bfs"]
@@ -18,9 +18,9 @@ def bfs(graph, source: int) -> np.ndarray:
     """Hop distances from ``source``; unreachable vertices get -1.
 
     Works on any :class:`repro.api.GraphBackend`, the ``Graph`` facade, or
-    any structure with ``adjacencies``/``neighbors``.
+    a :class:`repro.api.CSRSnapshot`.
     """
-    n = vertex_space(graph)
+    n = graph.num_vertices
     source = _checked_id(source, n, "source")
 
     dist = np.full(n, -1, dtype=np.int64)

@@ -2,50 +2,20 @@
 
 Gunrock expresses graph algorithms as bulk operations on *frontiers* —
 arrays of active vertices.  ``advance`` expands a frontier through the
-adjacency iterator of any structure implementing ``adjacencies`` (our
-graph) or ``neighbors`` (baselines, adapted per vertex); ``filter_frontier``
-deduplicates and masks.  These two are all the traversal algorithms in
-this package need.
+batched ``adjacencies`` iterator that every :class:`repro.api.Graph`,
+:class:`repro.api.GraphBackend` and :class:`repro.api.CSRSnapshot`
+exposes; ``filter_frontier`` deduplicates and masks.  These two are all
+the traversal algorithms in this package need.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.util.errors import ValidationError
 from repro.util.groupby import sorted_unique
 from repro.util.validation import as_int_array, check_in_range
 
-__all__ = ["advance", "filter_frontier", "vertex_space", "adjacencies_of"]
-
-
-def vertex_space(graph) -> int:
-    """Vertex-id space of any graph-like object.
-
-    Every :class:`repro.api.GraphBackend` (and the ``Graph`` facade)
-    exposes ``num_vertices``; the slab-hash structure also calls it
-    ``vertex_capacity``.  Raises for objects exposing neither.
-    """
-    n = getattr(graph, "num_vertices", None)
-    if n is None:
-        n = getattr(graph, "vertex_capacity", None)
-    if n is None:
-        raise ValidationError("graph exposes neither num_vertices nor vertex_capacity")
-    return int(n)
-
-
-def adjacencies_of(graph, vertex_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched adjacency iterator over any graph-like object.
-
-    Uses the protocol's ``adjacencies`` when available (all registered
-    backends inherit one), falling back to per-vertex ``neighbors`` calls
-    for foreign objects (e.g. a bare :class:`repro.api.CSRSnapshot`).
-    """
-    if hasattr(graph, "adjacencies"):
-        return graph.adjacencies(vertex_ids)
-    from repro.api.backend import gather_adjacencies
-
-    return gather_adjacencies(graph.neighbors, vertex_ids)
+__all__ = ["advance", "filter_frontier"]
 
 
 def advance(graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,7 +28,7 @@ def advance(graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if frontier.size == 0:
         e = np.empty(0, dtype=np.int64)
         return e, e.copy()
-    owner_pos, dst, _ = adjacencies_of(graph, frontier)
+    owner_pos, dst, _ = graph.adjacencies(frontier)
     return frontier[owner_pos], dst
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analytics.frontier import adjacencies_of, vertex_space
 from repro.api.backend import _checked_id
 from repro.util.errors import ValidationError
 
@@ -31,14 +30,15 @@ def sssp(graph, source: int) -> np.ndarray:
 
     Requires a weighted graph (``graph.weighted``); weights are read
     through the batched adjacency iterator.  Works on any weighted
-    :class:`repro.api.GraphBackend` or the ``Graph`` facade.
+    :class:`repro.api.GraphBackend`, the ``Graph`` facade, or a
+    :class:`repro.api.CSRSnapshot`.
 
     At most |V| rounds run; a still-improving frontier at round |V|
     raises ``ValidationError("negative cycle ...")``.
     """
-    if not getattr(graph, "weighted", False):
+    if not graph.weighted:
         raise ValidationError("sssp requires a weighted graph (map variant)")
-    n = vertex_space(graph)
+    n = graph.num_vertices
     source = _checked_id(source, n, "source")
 
     INF = np.iinfo(np.int64).max // 4
@@ -49,7 +49,7 @@ def sssp(graph, source: int) -> np.ndarray:
     for _ in range(n):
         if frontier.size == 0:
             break
-        owner_pos, dst, w = adjacencies_of(graph, frontier)
+        owner_pos, dst, w = graph.adjacencies(frontier)
         if dst.size == 0:
             frontier = np.empty(0, dtype=np.int64)
             break

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analytics.frontier import adjacencies_of, vertex_space
 from repro.analytics.wedges import canonical_edge_keys, oriented_triangles, symmetric_csr
 from repro.util.errors import ValidationError
 from repro.util.groupby import group_starts, ragged_arange, sorted_unique, stable_argsort
@@ -72,7 +71,7 @@ def triangle_count_hash(graph, chunk_size: int = 1 << 22) -> int:
     u, v = _oriented_edges(coo)
     if u.size == 0:
         return 0
-    deg = np.bincount(coo.src, minlength=vertex_space(graph))
+    deg = np.bincount(coo.src, minlength=graph.num_vertices)
     # Probe from the smaller endpoint into the larger endpoint's table.
     swap = deg[u] > deg[v]
     small = np.where(swap, v, u)
@@ -84,7 +83,7 @@ def triangle_count_hash(graph, chunk_size: int = 1 << 22) -> int:
     order = stable_argsort(small)
     small_s, big_s = small[order], big[order]
     uniq = small_s[group_starts(small_s)]
-    owner_pos, nbrs, _ = adjacencies_of(graph, uniq)
+    owner_pos, nbrs, _ = graph.adjacencies(uniq)
     # Sort the iterator output by owner so each vertex's neighbors are a
     # contiguous run, then replicate runs per referencing edge.
     run_order = stable_argsort(owner_pos)

@@ -53,7 +53,6 @@ from repro.util.validation import as_int_array, check_equal_length, check_in_ran
 __all__ = [
     "GraphBackend",
     "checked_ids",
-    "gather_adjacencies",
     "scan_edge_weights",
 ]
 
@@ -118,10 +117,8 @@ def scan_edge_weights(src, dst, gather) -> tuple[np.ndarray, np.ndarray]:
 
 def gather_adjacencies(neighbors, vertex_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched ``(owner_pos, destinations, weights)`` via one
-    ``neighbors(vertex)`` call per id — the generic adjacency sweep shared
-    by the :meth:`GraphBackend._adjacencies` default and the analytics
-    fallback for foreign graph objects.  ``owner_pos[i]`` indexes
-    ``vertex_ids``.
+    ``neighbors(vertex)`` call per id — the :meth:`GraphBackend._adjacencies`
+    default.  ``owner_pos[i]`` indexes ``vertex_ids``.
     """
     vids = as_int_array(vertex_ids, "vertex_ids")
     owner_parts, dst_parts, w_parts = [], [], []

@@ -354,8 +354,7 @@ class Graph:
             backend._snapshot_cache = (version, snap)
         else:
             # Cache hit or cold rebuild — both version-keyed by the
-            # backend's own snapshot() (as_snapshot also admits foreign
-            # graph objects that only expose export_coo).
+            # backend's own snapshot().
             snap = as_snapshot(backend)
         return snap
 

@@ -180,18 +180,12 @@ class CSRSnapshot:
 
 
 def as_snapshot(graph) -> CSRSnapshot:
-    """Coerce a graph-like object into a :class:`CSRSnapshot`.
-
-    Accepts (in priority order) an existing snapshot, anything exposing a
-    ``snapshot()`` method (the :class:`repro.api.Graph` facade and every
-    :class:`repro.api.GraphBackend`), or anything exposing ``export_coo``.
-    """
+    """The :class:`CSRSnapshot` of a :class:`repro.api.Graph`, a
+    :class:`repro.api.GraphBackend` (its ``snapshot()``) or a snapshot
+    (itself)."""
     if isinstance(graph, CSRSnapshot):
         return graph
-    snap = getattr(graph, "snapshot", None)
-    if callable(snap):
-        return snap()
-    return CSRSnapshot.from_coo(graph.export_coo())
+    return graph.snapshot()
 
 
 def cached_snapshot(graph) -> CSRSnapshot | None:

@@ -36,7 +36,7 @@ from repro.slabhash.constants import (
     VALUE_DTYPE,
 )
 from repro.util.errors import ValidationError
-from repro.util.groupby import ragged_arange
+from repro.util.groupby import ragged_arange, sorted_unique
 from repro.util.hashing import PRIME, UniversalHashFamily
 from repro.util.validation import as_int_array, check_in_range
 
@@ -219,7 +219,8 @@ class SlabArena:
         reservation — the paper's bulk static allocation that avoids
         per-table ``cudaMalloc`` calls.  Only the tables given more than one
         bucket get hash coefficients; a batch of one-bucket tables pays no
-        pass for them.
+        pass for them.  A table id requested twice is refused before any
+        slab is carved: the second run's bases would orphan the first's.
         """
         table_ids = as_int_array(table_ids, "table_ids")
         num_buckets = as_int_array(num_buckets, "num_buckets")
@@ -232,6 +233,10 @@ class SlabArena:
             raise ValidationError("every table needs at least one bucket")
         if np.any(self.table_base[table_ids] != NULL_SLAB):
             raise ValidationError("a requested table already exists")
+        # Both graph paths pass ascending ids, which pay one comparison.
+        increasing = (table_ids[1:] > table_ids[:-1]).all()
+        if not increasing and sorted_unique(table_ids).size != table_ids.size:
+            raise ValidationError("a table id is requested more than once")
         total = int(num_buckets.sum())
         start = self.pool.allocate_contiguous(total)
         offsets = np.concatenate([[0], np.cumsum(num_buckets)[:-1]]) + start
@@ -339,6 +344,8 @@ class SlabArena:
           what lets searches stop at an empty lane and inserts place
           misses arithmetically behind the tail's occupied lanes;
         - the free list holds no slab twice and none that a table owns;
+        - no slab is lost: the slabs the tables reach plus the free list
+          are every slab the bump pointer has handed out;
         - every table with more than one bucket has its hash coefficients,
           ``a`` in ``[1, p)`` and ``b`` in ``[0, p)``;
         - with ``dense`` (table ids, e.g. the ones just flushed or rehashed):
@@ -396,6 +403,9 @@ class SlabArena:
         free = pool._free
         if np.unique(free).size != free.size or np.isin(free, slabs).any():
             raise AssertionError("free list holds a slab twice or one a table still owns")
+        lost = bump - slabs.size - free.size
+        if lost:
+            raise AssertionError(f"{lost} slabs owned by no table and not free")
 
     # -- scalar reference implementations (the executable specification) ------
 

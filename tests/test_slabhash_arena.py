@@ -38,6 +38,20 @@ class TestLifecycle:
         with pytest.raises(ValidationError):
             arena.create_tables(np.array([0]), np.array([1]))
 
+    def test_repeated_id_rejected_before_any_slab_is_carved(self):
+        """A repeated id used to carve both runs and keep the second,
+        orphaning the first run's slabs."""
+        arena = SlabArena(8, weighted=False)
+        with pytest.raises(ValidationError, match="more than once"):
+            arena.create_tables(np.array([1, 1]), np.array([2, 3]))
+        assert arena.pool._bump == 0
+        assert not arena.has_table(np.array([1]))[0]
+        with pytest.raises(ValidationError, match="more than once"):
+            arena.create_tables(np.array([5, 2, 5]), np.array([1, 1, 1]))
+        assert arena.pool._bump == 0
+        arena.create_tables(np.array([5, 2]), np.array([1, 2]))  # unsorted, distinct
+        arena.check_invariants()
+
     def test_zero_buckets_rejected(self):
         arena = SlabArena(2, weighted=True)
         with pytest.raises(ValidationError):
@@ -331,6 +345,12 @@ class TestArenaInvariants:
         arena = break_arena()
         arena.pool._free = np.append(arena.pool._free, arena.pool.next_slab[arena.table_base[0]])
         with pytest.raises(AssertionError, match="free list"):
+            arena.check_invariants()
+
+    def test_slab_owned_by_no_table_and_not_free_trips(self):
+        arena = break_arena()
+        arena.pool.allocate(2)  # handed out, attached to no chain
+        with pytest.raises(AssertionError, match="2 slabs owned by no table and not free"):
             arena.check_invariants()
 
     def test_hashed_table_without_coefficients_trips(self):

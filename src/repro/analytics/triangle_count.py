@@ -30,7 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analytics.wedges import canonical_edge_keys, oriented_triangles, symmetric_csr
+from repro.analytics.wedges import (
+    canonical_edge_keys,
+    oriented_triangles,
+    split_keys,
+    symmetric_csr,
+)
 from repro.util.errors import ValidationError
 from repro.util.groupby import group_starts, ragged_arange, sorted_unique, stable_argsort
 
@@ -41,15 +46,6 @@ __all__ = [
     "undirected_triangles",
     "dynamic_triangle_count",
 ]
-
-
-def _oriented_edges(coo) -> tuple[np.ndarray, np.ndarray]:
-    """Unique undirected edges as (u < v) pairs."""
-    u = np.minimum(coo.src, coo.dst)
-    v = np.maximum(coo.src, coo.dst)
-    keep = u != v
-    comp = sorted_unique((u[keep] << np.int64(32)) | v[keep])
-    return (comp >> 32).astype(np.int64), (comp & np.int64(0xFFFFFFFF)).astype(np.int64)
 
 
 def triangle_count_hash(graph, chunk_size: int = 1 << 22) -> int:
@@ -68,7 +64,7 @@ def triangle_count_hash(graph, chunk_size: int = 1 << 22) -> int:
 
     snap = cached_snapshot(graph)
     coo = snap.to_coo() if snap is not None else graph.export_coo()
-    u, v = _oriented_edges(coo)
+    u, v = split_keys(canonical_edge_keys(coo.src, coo.dst))
     if u.size == 0:
         return 0
     deg = np.bincount(coo.src, minlength=graph.num_vertices)

@@ -259,7 +259,8 @@ class ShardRouter(GraphBackend):
     ) -> None:
         num_shards = _checked_id(num_shards, None, "num_shards", lo=1)
         self._recipe = (name, num_vertices, weighted, backend_kwargs)
-        first = self._new_shard()
+        self.shards = [self._new_shard() for _ in range(num_shards)]
+        first = self.shards[0]
         if not first.directed:
             raise ValidationError(
                 "ShardedGraph requires directed shard backends (an "
@@ -267,7 +268,6 @@ class ShardRouter(GraphBackend):
                 "wrong shard); symmetric edge sets work fine — insert "
                 "both orientations, as the dataset generators do"
             )
-        self.shards = [first] + [self._new_shard() for _ in range(num_shards - 1)]
         self.partitioner = Partitioner(num_shards)
         self.capabilities = replace(
             first.capabilities, rehash=False, tombstone_flush=False, range_queries=False

@@ -178,9 +178,7 @@ class Partitioner:
     """
 
     def __init__(self, num_shards: int) -> None:
-        if num_shards < 1:
-            raise ValidationError("num_shards must be >= 1")
-        self.num_shards = int(num_shards)
+        self.num_shards = _checked_id(num_shards, None, "num_shards", lo=1)
 
     def shard_of(self, vertex_ids) -> np.ndarray:
         """Owner shard per vertex id (vectorized, int64 in [0, N))."""
@@ -257,9 +255,9 @@ class ShardRouter(GraphBackend):
     def __init__(
         self, name: str, num_vertices: int, num_shards: int, weighted: bool, backend_kwargs: dict
     ) -> None:
-        num_shards = _checked_id(num_shards, None, "num_shards", lo=1)
+        self.partitioner = Partitioner(num_shards)  # checks num_shards first
         self._recipe = (name, num_vertices, weighted, backend_kwargs)
-        self.shards = [self._new_shard() for _ in range(num_shards)]
+        self.shards = [self._new_shard() for _ in range(self.partitioner.num_shards)]
         first = self.shards[0]
         if not first.directed:
             raise ValidationError(
@@ -268,7 +266,6 @@ class ShardRouter(GraphBackend):
                 "wrong shard); symmetric edge sets work fine — insert "
                 "both orientations, as the dataset generators do"
             )
-        self.partitioner = Partitioner(num_shards)
         self.capabilities = replace(
             first.capabilities, rehash=False, tombstone_flush=False, range_queries=False
         )
@@ -278,7 +275,7 @@ class ShardRouter(GraphBackend):
         #: Per-shard health: ``SHARD_HEALTHY`` / ``SHARD_DEGRADED`` /
         #: ``SHARD_DEAD`` (dead shards are skipped by fan-outs and only
         #: return via :meth:`rebuild_shard`).
-        self.health = [SHARD_HEALTHY] * num_shards
+        self.health = [SHARD_HEALTHY] * self.num_shards
         #: Counters of faults absorbed, retries spent, and recoveries.
         self.fault_stats = {
             "transient_faults": 0,

@@ -77,8 +77,11 @@ class TestPartitioner:
         assert not p.cut_mask(src, dst).any()  # self-pairs are never cut
 
     def test_rejects_zero_shards(self):
-        with pytest.raises(ValidationError):
-            Partitioner(0)
+        # And every other count the id rule refuses: 2.5 used to truncate
+        # to 2, True to 1, and "2" raised a raw TypeError.
+        for bad in (0, -1, 2.5, "2", True, None):
+            with pytest.raises(ValidationError, match="num_shards"):
+                Partitioner(bad)
 
 
 class TestShardedExactness:

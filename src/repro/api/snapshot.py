@@ -189,17 +189,17 @@ def as_snapshot(graph) -> CSRSnapshot:
 
 
 def cached_snapshot(graph) -> CSRSnapshot | None:
-    """The graph's cached snapshot iff it is still fresh, else None.
+    """The cached snapshot of a :class:`repro.api.Graph` or a
+    :class:`repro.api.GraphBackend` iff it is still fresh, else None.
 
-    Never builds anything: analytics that merely *prefer* flat arrays (the
-    k-core degree pass, hash triangle counting) use this to skip the slab
-    walk when some earlier phase already snapshotted the unchanged graph,
-    without forcing a sort on graphs that were never snapshotted.
+    Never builds anything: an analytic that merely *prefers* flat arrays
+    (hash triangle counting) uses this to skip the slab walk when some
+    earlier phase already snapshotted the unchanged graph, without forcing
+    a sort on graphs that were never snapshotted.
     """
     backend = getattr(graph, "backend", graph)  # unwrap a Graph facade
-    cache = getattr(backend, "_snapshot_cache", None)
-    version = getattr(backend, "mutation_version", None)
-    if cache is not None and version is not None and cache[0] == version:
+    cache = backend._snapshot_cache
+    if cache is not None and cache[0] == backend.mutation_version:
         return cache[1]
     return None
 

@@ -6,9 +6,9 @@ equals a committed list of names — adding (or renaming) a parameter
 fails here and has to say, in review, which two callers outside
 ``tests/`` need different values.  The capability flags are pinned the
 same way: a new flag has to name the consumer that branches on it.  The
-same goes for the two ambient
-inputs ``src/`` no longer has: no module reads an environment variable,
-and only the bench runner's progress echo reads a host clock.
+same goes for the two ambient inputs ``src/`` no longer has: no module
+reads an environment variable, and only the bench runner's progress echo
+reads a host clock.
 """
 
 import ast

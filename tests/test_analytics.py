@@ -164,12 +164,22 @@ class TestTraversal:
         for v in range(coo.num_vertices):
             assert dist[v] == ref.get(v, -1)
 
+    def test_bfs_agrees_on_facade_backend_and_snapshot(self, undirected_case):
+        """The three kinds of graph an analytic accepts give one answer."""
+        coo, _, g = undirected_case
+        facade = Graph.create("slabhash", num_vertices=coo.num_vertices, weighted=False)
+        facade.bulk_build(coo)
+        src = int(coo.src[0])
+        want = bfs(g, src)
+        assert np.array_equal(bfs(facade, src), want)
+        assert np.array_equal(bfs(facade.snapshot(), src), want)
+
     def test_bfs_source_out_of_range(self):
         with pytest.raises(ValidationError):
             bfs(DynamicGraph(4, weighted=False), 9)
 
     def test_bfs_on_baseline_structure(self, rng):
-        """BFS works through the neighbors() fallback too."""
+        """BFS over Hornet's adjacencies agrees with the slab hash's."""
         n = 40
         coo = rgg_graph(n, 6.0, seed=1)
         h = HornetGraph(n, weighted=False)

@@ -169,3 +169,82 @@ class TestVertexDeletionDirected:
         assert g.num_active_vertices() == 4
         g.delete_vertices([0])
         assert g.num_active_vertices() == 3
+
+
+class TestVertexDeletionBatches:
+    """What a deletion batch does with bad, dead, never-active or repeated
+    ids, and what re-inserting a deleted id costs."""
+
+    @staticmethod
+    def build():
+        g = DynamicGraph(num_vertices=32, directed=False, weighted=False)
+        g.insert_edges([1, 2], [5, 6])
+        return g
+
+    @pytest.mark.parametrize(
+        "batch",
+        [[1, -1], [1, 1.5], [True], [1, None]],
+        ids=["negative", "fractional", "bool", "none"],
+    )
+    def test_bad_id_deletes_nothing(self, batch):
+        g = self.build()
+        before = structure_edges(g)
+        version = g.mutation_version
+        with pytest.raises(ValidationError, match="vertex_ids"):
+            g.delete_vertices(batch)
+        # Refused whole: the live id 1 beside the bad one keeps its edges.
+        assert structure_edges(g) == before
+        assert g.num_active_vertices() == 4
+        assert g.mutation_version == version
+        g._dict.check_invariants()
+
+    def test_second_delete_of_a_dead_id_removes_nothing(self):
+        g = self.build()
+        assert g.delete_vertices([1]) == 2  # undirected: both directions
+        edges, active = structure_edges(g), g.num_active_vertices()
+        assert g.delete_vertices([1]) == 0
+        assert structure_edges(g) == edges
+        assert g.num_active_vertices() == active
+        g._dict.check_invariants()
+
+    def test_never_active_ids_remove_nothing_and_build_no_table(self):
+        g = self.build()
+        before = structure_edges(g)
+        assert g.delete_vertices([7, 9]) == 0
+        assert structure_edges(g) == before
+        assert g.num_active_vertices() == 4
+        assert not g._dict.arena.has_table(np.array([7, 9])).any()
+
+    def test_repeated_id_in_a_batch_counts_once(self):
+        once, twice = self.build(), self.build()
+        assert twice.delete_vertices([1, 1, 2, 1]) == once.delete_vertices([1, 2]) == 4
+        assert structure_edges(twice) == structure_edges(once) == set()
+        assert twice.num_active_vertices() == once.num_active_vertices()
+        twice._dict.check_invariants()
+
+    def test_mixed_batch_deactivates_only_the_live_id(self):
+        g = self.build()
+        assert g.delete_vertices([1, 20]) == 2  # 1 is live, 20 never was
+        assert g.num_active_vertices() == 3
+        assert structure_edges(g) == {(2, 6), (6, 2)}
+
+    def test_reinserted_id_is_active_again(self):
+        g = self.build()
+        g.delete_vertices([1])
+        active = g.num_active_vertices()
+        assert g.insert_edges([1], [6]) == 2
+        assert g.num_active_vertices() == active + 1
+        assert g.degree([1, 6]).tolist() == [1, 2]
+        assert structure_edges(g) == {(1, 6), (6, 1), (2, 6), (6, 2)}
+
+    def test_reinsertion_reuses_the_retained_base_slabs(self):
+        """Deletion keeps a table's base slabs, so reconnecting the id to a
+        vertex that still has its table allocates nothing."""
+        g = DynamicGraph(num_vertices=16, directed=False, weighted=False)
+        g.insert_edges([2], [3])
+        slabs = g._dict.arena.pool.num_allocated
+        g.delete_vertices([2])
+        assert g._dict.arena.pool.num_allocated == slabs
+        g.insert_edges([2], [3])
+        assert g._dict.arena.pool.num_allocated == slabs
+        assert g.edge_exists([2, 3], [3, 2]).all()

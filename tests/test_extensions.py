@@ -77,6 +77,24 @@ class TestSSSP:
         g = self.negative_weight_graph(5, [0, 2, 3], [1, 3, 2], [7, -2, -2])
         assert sssp(g, 0).tolist() == [0, 7, -1, -1, -1]
 
+    def test_path_needing_every_round_does_not_raise(self):
+        # 0 -> 1 -> ... -> n-1: the last vertex settles in round n-1, so a
+        # cycle check that fired a round early would refuse this graph.
+        n = 12
+        ids = np.arange(n - 1)
+        g = self.negative_weight_graph(n, ids, ids + 1, np.full(n - 1, -1))
+        assert sssp(g, 0).tolist() == [-v for v in range(n)]
+
+    def test_negative_cycle_at_the_end_of_a_long_chain_raises(self):
+        # The cycle n-3 <-> n-2 is first reached in round n-3: detection
+        # has to keep relaxing for the full |V| rounds to see it.
+        n = 40
+        src = list(range(n - 3)) + [n - 3, n - 2]
+        dst = list(range(1, n - 2)) + [n - 2, n - 3]
+        g = self.negative_weight_graph(n, src, dst, [1] * (n - 3) + [-2, -2])
+        with pytest.raises(ValidationError, match="negative cycle"):
+            sssp(g, 0)
+
 
 class TestKCore:
     def build(self, seed=6):
@@ -94,6 +112,12 @@ class TestKCore:
         k = 4
         members = kcore_membership(g, k)
         assert set(np.flatnonzero(members).tolist()) == set(nx.k_core(G, k).nodes())
+
+    def test_k1_keeps_exactly_the_non_isolated(self):
+        g = DynamicGraph(5, weighted=False, directed=False)
+        g.insert_edges([0], [1])
+        assert kcore_membership(g, 1).tolist() == [True, True, False, False, False]
+        assert g.num_edges() == 2  # membership never mutates the graph
 
     def test_bad_k(self):
         g, _ = self.build()

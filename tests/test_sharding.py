@@ -21,6 +21,7 @@ from repro.api import (
     capabilities,
 )
 from repro.coo import COO
+from repro.eventlog.log import DEFAULT_RETENTION_ROWS
 from repro.gpusim.counters import counting
 from repro.stream.incremental import IncrementalConnectedComponents, IncrementalPageRank
 from repro.util.errors import ValidationError
@@ -367,6 +368,28 @@ class TestShardedValidation:
     def test_rejects_undirected_shards(self):
         with pytest.raises(ValidationError, match="directed"):
             ShardedGraph.create("slabhash", 8, directed=False)
+
+    def test_every_shard_is_built_from_the_recipe(self):
+        """One vertex-id space, one weightedness, one set of backend
+        options: the router builds every shard from the create recipe."""
+        sg = ShardedGraph.create("slabhash", 40, num_shards=3, weighted=True, load_factor=0.5)
+        assert sg.num_shards == len(sg.shards) == 3
+        for shard in sg.shards:
+            assert shard.num_vertices == 40 and shard.num_edges() == 0
+            assert shard.backend.weighted and shard.backend.load_factor == 0.5
+        assert len({id(shard) for shard in sg.shards}) == 3
+
+    def test_rejects_unknown_backends_and_bad_vertex_counts(self):
+        with pytest.raises(ValidationError, match="unknown graph backend"):
+            ShardedGraph.create("nope", 8)
+        for bad in (-1, 2.5, None, "8"):
+            with pytest.raises(ValidationError):
+                ShardedGraph.create("slabhash", bad, num_shards=2)
+
+    def test_event_logs_keep_the_default_retention(self):
+        sg = ShardedGraph.create("slabhash", 8, num_shards=2)
+        assert sg.events.retention_rows == DEFAULT_RETENTION_ROWS
+        assert all(shard.events.retention_rows == DEFAULT_RETENTION_ROWS for shard in sg.shards)
 
     @pytest.mark.parametrize("num_shards", [0, -1, 2.5, "2", True, None], ids=repr)
     def test_rejects_bad_num_shards_before_building_a_shard(self, num_shards, monkeypatch):

@@ -48,44 +48,19 @@ from repro.api.snapshot import CSRSnapshot
 from repro.coo import COO
 from repro.util.errors import ValidationError
 from repro.util.groupby import sorted_unique
-from repro.util.validation import as_int_array, check_equal_length, check_in_range
+from repro.util.validation import (
+    _checked_id,
+    as_int_array,
+    check_equal_length,
+    check_in_range,
+    checked_ids,
+)
 
 __all__ = [
     "GraphBackend",
     "checked_ids",
     "scan_edge_weights",
 ]
-
-
-def checked_ids(num_vertices: int, **columns) -> tuple[np.ndarray, ...]:
-    """The id rule of every batched operation, stated once.
-
-    Each named column (``src=`` / ``dst=`` for a pair batch, ``vertex_ids=``
-    for a vertex batch) is coerced to a contiguous 1-D int64 array
-    (non-integral, boolean and non-numeric values are rejected, never
-    truncated), all columns must share one length, and every id must lie
-    in ``[0, num_vertices)``.  Returns the clean arrays in argument order.
-    """
-    arrays = tuple(as_int_array(column, name) for name, column in columns.items())
-    check_equal_length(*zip(columns, arrays))
-    for name, array in zip(columns, arrays):
-        check_in_range(array, 0, num_vertices, name)
-    return arrays
-
-
-def _checked_id(value, bound: int | None, name: str, lo: int = 0) -> int:
-    """The scalar form of :func:`checked_ids`: exactly one integral value
-    in ``[lo, bound)`` — ``bound=None`` for a count such as k-core's ``k``
-    — with fractional, boolean and non-numeric values rejected, never
-    truncated."""
-    ids = as_int_array(value, name)
-    if ids.shape[0] != 1:
-        raise ValidationError(f"{name} must be a single value, got {ids.shape[0]} values")
-    checked = int(ids[0])
-    if checked < lo or (bound is not None and checked >= bound):
-        upper = "inf" if bound is None else bound
-        raise ValidationError(f"{name} must be in [{lo}, {upper}), got {checked}")
-    return checked
 
 
 def scan_edge_weights(src, dst, gather) -> tuple[np.ndarray, np.ndarray]:

@@ -54,14 +54,15 @@ def insert_edges(graph, src, dst, w) -> int:
     if graph.weighted and w is None:
         w = np.zeros(src.shape[0], dtype=np.int64)
     added = vd.arena.insert(src, dst, w if graph.weighted else None)
-    if added.any():
+    count = int(np.count_nonzero(added))
+    if count:
         vd.add_edge_counts(src[added])
     if graph.directed:
         vd.activate(np.concatenate([src, dst]))
     else:
         # The mirrored batch makes dst a permutation of src: one pass covers both.
         vd.activate(src)
-    return int(added.sum())
+    return count
 
 
 def delete_edges(graph, src, dst) -> int:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.slabhash.arena import SlabArena
+from repro.slabhash.constants import NULL_SLAB
 from repro.util.errors import ValidationError
 from repro.util.groupby import group_starts, sorted_unique, stable_argsort
 
@@ -91,7 +92,7 @@ class VertexDictionary:
         without it each new table gets a single bucket (Section III-b).
         """
         vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
-        missing = ~self.arena.has_table(vertex_ids)
+        missing = self.arena.table_base[vertex_ids] == NULL_SLAB
         if not missing.any():
             return
         if expected_degree is None:

@@ -3,10 +3,11 @@
 Each function is one *fused* pass over the structure-of-arrays slab arena
 or a sorted CSR, with no per-item Python: a probe round for search and
 delete (a single gather feeds hit detection and the empty-lane scan), a
-level-order walk of whole chains, and for insert one hit/replace pass over
-every (item, chain-slab) pair of the launch plus the two small passes its
-tail placement needs (:func:`tail_empties`, :func:`fill_lanes`) — see
-:mod:`repro.slabhash.insert` for the schedule.
+level-order walk of whole chains, and for insert one read of every chain's
+tail (:func:`read_tails`), one hit/replace pass over the (item,
+chain-slab) pairs of the launch that can hold a key, and the lane fill of
+its tail placement (:func:`fill_lanes`) — see :mod:`repro.slabhash.insert`
+for the schedule.
 
 Kernels here are **pure with respect to the device model**: they never
 touch :mod:`repro.gpusim` counters.  Drivers charge the model from the
@@ -39,10 +40,10 @@ __all__ = [
     "insert_round_map",
     "insert_round_set",
     "merge_sorted_csr",
+    "read_tails",
     "search_round_map",
     "search_round_set",
     "sort_window_last",
-    "tail_empties",
     "walk_chains",
 ]
 
@@ -71,7 +72,7 @@ def _replace_hits(pool_keys, pool_values, slabs, items, k, v):
     Returns ``(hit_items, hit_pairs)``: each item holding a key already
     stored in its chain, and the pair (= first chain slab) that has it.
     """
-    matches = np.flatnonzero(pool_keys[slabs] == k[items][:, None])
+    matches = np.flatnonzero(np.take(pool_keys, slabs, axis=0) == k[items][:, None])
     pairs, lanes = np.divmod(matches, pool_keys.shape[1])
     hit_items = items[pairs]
     if hit_items.shape[0] > 1:
@@ -85,22 +86,38 @@ def _replace_hits(pool_keys, pool_values, slabs, items, k, v):
     return hit_items, pairs
 
 
-def _insert_round(pool_keys, pool_values, chain_slabs, chain_ptr, group, k, v):
+def _match_tails(pool_values, tails, tail_rows, occupied, group, k, v, depth, max_pairs):
+    """The hit pass when every chain is one slab: match each item against
+    the occupied lane prefix of its tail row, already read.  Empty lanes
+    are the suffix of a tail, so an item whose tail holds no key compares
+    none but empty lanes and misses; a launch whose tails all hold none
+    (every item aimed at a fresh table) skips the pass."""
+    width = int(occupied.max())
+    if width == 0:
+        return
+    prefix = tail_rows[:, :width]
+    for lo in range(0, k.shape[0], max_pairs):
+        hi = lo + max_pairs
+        rows = np.take(prefix, group[lo:hi], axis=0)
+        hits, lanes = np.divmod(np.flatnonzero(rows == k[lo:hi, None]), width)
+        hits += lo
+        if pool_values is not None and hits.shape[0]:
+            pool_values[tails[group[hits]], lanes] = v[hits]
+        depth[hits] = 1
+
+
+def _insert_round(pool_keys, pool_values, chain_slabs, chain_ptr, tail_rows, occupied, group, k, v):
     """Shared map/set hit pass over every (item, chain-slab) pair."""
     m = k.shape[0]
     depth = np.zeros(m, dtype=np.int64)
     max_pairs = max(PAIR_LANE_BUDGET // pool_keys.shape[1], 1)
     if chain_slabs.shape[0] == chain_ptr.shape[0] - 1:
-        # No chain has a second slab: every item is its own single pair.
-        for lo in range(0, m, max_pairs):
-            items = np.arange(lo, min(lo + max_pairs, m), dtype=np.int64)
-            hit_items, _ = _replace_hits(
-                pool_keys, pool_values, chain_slabs[group[items]], items, k, v
-            )
-            depth[hit_items] = 1
+        _match_tails(pool_values, chain_slabs, tail_rows, occupied, group, k, v, depth, max_pairs)
         return depth
+    # A chain's slabs hold keys up to its tail, which holds none when empty.
+    scanned = np.diff(chain_ptr) - (occupied == 0)
     first_slot = chain_ptr[group]
-    pairs_through = np.cumsum(chain_ptr[group + 1] - first_slot)
+    pairs_through = np.cumsum(scanned[group])
     lo = 0
     while lo < m:
         done = int(pairs_through[lo - 1]) if lo else 0
@@ -119,32 +136,43 @@ def _insert_round(pool_keys, pool_values, chain_slabs, chain_ptr, group, k, v):
     return depth
 
 
-def insert_round_map(pool_keys, pool_values, chain_slabs, chain_ptr, group, k, v):
+def insert_round_map(
+    pool_keys, pool_values, chain_slabs, chain_ptr, tail_rows, occupied, group, k, v
+):
     """The insert hit/replace pass (map variant); one call spans the chains.
 
     A "round" here is the whole launch's walk, not one chain step:
     ``chain_slabs[chain_ptr[g]:chain_ptr[g + 1]]`` is group ``g``'s chain
-    in order, and ``group`` / ``k`` / ``v`` are the items' group, key, and
-    value.  Each item is matched against every slab of its chain; where
+    in order, ``tail_rows[g]`` / ``occupied[g]`` its tail row and
+    occupied-lane count (:func:`read_tails`), and ``group`` / ``k`` /
+    ``v`` are the items' group, key, and value.  Each item is matched
+    against every slab of its chain that holds a key — where every chain
+    is one slab, against the occupied lane prefix of its tail row; where
     its key is already stored the value lane is overwritten.  Returns the
     per-item resolve depth of the hits — chain position + 1 of the first
     slab holding the key — and 0 for the misses the driver places at the
     tail.  Temporaries are bounded by :data:`PAIR_LANE_BUDGET`.
     """
-    return _insert_round(pool_keys, pool_values, chain_slabs, chain_ptr, group, k, v)
+    return _insert_round(
+        pool_keys, pool_values, chain_slabs, chain_ptr, tail_rows, occupied, group, k, v
+    )
 
 
-def insert_round_set(pool_keys, chain_slabs, chain_ptr, group, k):
+def insert_round_set(pool_keys, chain_slabs, chain_ptr, tail_rows, occupied, group, k):
     """The insert hit pass (set variant): like the map but with no values."""
-    return _insert_round(pool_keys, None, chain_slabs, chain_ptr, group, k, None)
+    return _insert_round(
+        pool_keys, None, chain_slabs, chain_ptr, tail_rows, occupied, group, k, None
+    )
 
 
-def tail_empties(pool_keys, tails):
-    """Empty-lane count of each chain's tail slab, for insert placement:
-    ``Bc`` minus the first empty lane, as empty lanes are a suffix of the
-    tail (``SlabArena.check_invariants``) — none if the last lane is full."""
-    empty = pool_keys[tails] == _EMPTY32
-    return np.where(empty[:, -1], empty.shape[1] - empty.argmax(axis=1), 0)
+def read_tails(pool_keys, tails):
+    """Each chain's tail row, read once per insert launch, and its
+    occupied-lane count: the first empty lane, as empty lanes are a suffix
+    of the tail (``SlabArena.check_invariants``) — ``Bc`` if the last lane
+    is full.  The hit pass and the tail placement both read these."""
+    rows = np.take(pool_keys, tails, axis=0)
+    empty = rows == _EMPTY32
+    return rows, np.where(empty[:, -1], empty.argmax(axis=1), empty.shape[1])
 
 
 def fill_lanes(lane_matrix, slabs, lanes, vals):

@@ -229,9 +229,10 @@ class SlabArena:
         if table_ids.size == 0:
             return
         check_in_range(table_ids, 0, self.num_tables, "table_ids")
-        if np.any(num_buckets < 1):
+        if int(num_buckets.min()) < 1:
             raise ValidationError("every table needs at least one bucket")
-        if np.any(self.table_base[table_ids] != NULL_SLAB):
+        # A base is a slab id or NULL_SLAB (-1): all are NULL iff the max is.
+        if int(self.table_base[table_ids].max()) != NULL_SLAB:
             raise ValidationError("a requested table already exists")
         # Both graph paths pass ascending ids, which pay one comparison.
         increasing = (table_ids[1:] > table_ids[:-1]).all()
@@ -239,15 +240,14 @@ class SlabArena:
             raise ValidationError("a table id is requested more than once")
         total = int(num_buckets.sum())
         start = self.pool.allocate_contiguous(total)
-        offsets = np.concatenate([[0], np.cumsum(num_buckets)[:-1]]) + start
+        if total == table_ids.size:  # one bucket each: consecutive bases
+            offsets = np.arange(start, start + total, dtype=np.int64)
+        else:
+            offsets = np.concatenate([[0], np.cumsum(num_buckets)[:-1]]) + start
         self.table_base[table_ids] = offsets
         self.table_buckets[table_ids] = num_buckets
         if total > table_ids.size:  # some table hashes: give it its (a, b)
             self.hash_family.assign(table_ids[num_buckets > 1])
-
-    def has_table(self, table_ids: np.ndarray) -> np.ndarray:
-        table_ids = as_int_array(table_ids, "table_ids")
-        return self.table_base[table_ids] != NULL_SLAB
 
     @staticmethod
     def buckets_for(expected_size, load_factor: float, lane_capacity: int) -> np.ndarray:
@@ -312,15 +312,22 @@ class SlabArena:
     def bucket_heads(self, table_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Head slab id for each (table, key) pair; a one-bucket table's
         (Section III-b) only bucket is 0, so its pairs skip the hash."""
-        heads = self.table_base[table_ids]
-        hashed = np.flatnonzero(self.table_buckets[table_ids] != 1)
-        if hashed.shape[0] == heads.shape[0]:
-            heads += self.hash_family.bucket(table_ids, keys, self.table_buckets)
-        elif hashed.size:
-            heads[hashed] += self.hash_family.bucket(
+        return self._heads_at(self.table_base[table_ids], table_ids, keys)
+
+    def _heads_at(self, bases: np.ndarray, table_ids: np.ndarray, keys: np.ndarray):
+        """:meth:`bucket_heads` from the tables' gathered ``bases`` (an
+        array the caller owns: the bucket offsets are added in place)."""
+        buckets = self.table_buckets[table_ids]
+        if not buckets.size or int(buckets.max()) == 1:  # no pair hashes
+            return bases
+        hashed = np.flatnonzero(buckets != 1)
+        if hashed.shape[0] == bases.shape[0]:
+            bases += self.hash_family.bucket(table_ids, keys, self.table_buckets)
+        else:
+            bases[hashed] += self.hash_family.bucket(
                 table_ids[hashed], keys[hashed], self.table_buckets
             )
-        return heads
+        return bases
 
     def table_slabs(self, table_ids: np.ndarray):
         """All slab ids belonging to the given tables.

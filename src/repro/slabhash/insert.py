@@ -20,21 +20,28 @@ The host does not replay those rounds.  Items sharing a head slab form a
 *group* that stays together for the whole walk (chains from different
 buckets never share slabs), and empty lanes exist only in a chain's last
 slab, so where every item ends up follows from one look at each chain.
-A launch is three steps:
+A launch is four steps:
 
 1. **walk once** — enumerate the chain behind every group's head slab
    (``walk_chains`` over the unique heads, regrouped chain by chain);
-2. **hit pass** — match every item against every slab of its chain in one
-   kernel call (``insert_round_map`` / ``insert_round_set``); a hit at
-   chain position ``p`` is what the device resolves in round ``p + 1``;
-3. **tail placement** (:func:`_place_at_tails`) — rank each group's misses
-   in launch order.  A tail's occupied lanes are a prefix (claims take the
-   lowest empty lane and nothing ever empties one), so with ``used`` of its
-   ``Bc`` lanes occupied, miss ``rank`` lands ``(used + rank) // Bc`` slabs
-   past the tail, in lane ``(used + rank) % Bc`` — the tail itself, or new
-   slab ``q`` = that quotient - 1.  Flush and rehash, whose entries are
-   distinct and whose chains were just emptied, run this step alone as
-   their launch (:func:`refill_chains`).
+2. **read every tail once** (``read_tails``) — one gather of each chain's
+   last slab.  A tail's occupied lanes are a prefix (claims take the
+   lowest empty lane and nothing ever empties one), so the row also
+   gives ``used``, its occupied-lane count;
+3. **hit pass** — match every item against every slab of its chain that
+   holds a key in one kernel call (``insert_round_map`` /
+   ``insert_round_set``); where every chain is one slab, that is the
+   first ``used`` lanes of the tail row already read, and a launch whose
+   tails are all empty (every item aimed at a fresh table) skips it.  A
+   hit at chain position ``p`` is what the device resolves in round
+   ``p + 1``;
+4. **tail placement** (:func:`_place_at_tails`) — rank each group's misses
+   in launch order.  With ``used`` of its tail's ``Bc`` lanes occupied,
+   miss ``rank`` lands ``(used + rank) // Bc`` slabs past the tail, in
+   lane ``(used + rank) % Bc`` — the tail itself, or new slab ``q`` = that
+   quotient - 1.  Flush and rehash, whose entries are distinct and whose
+   chains were just emptied, run this step alone as their launch
+   (:func:`refill_chains`).
 
 The device model is charged from each item's *resolve depth* ``d`` — hit
 position + 1, chain length ``L`` for a miss placed in the tail, ``L + q +
@@ -49,7 +56,9 @@ scheduling, chain extension, and all :mod:`repro.gpusim` charging.
 
 Intra-batch duplicates of the same (table, key) are resolved *before* the
 walk by keeping the last occurrence — the serialization the paper specifies
-("only the most recent edge and its weight will be stored").  Dropped
+("only the most recent edge and its weight will be stored").  The group
+sort finds them: a repeat shares its occurrence's head, so only groups of
+several items are searched (:func:`_last_occurrences`).  Dropped
 duplicates report "not newly added", so edge-count accounting stays exact.
 
 Tombstones are treated as occupied (Section IV-C2: faster inserts, empties
@@ -77,9 +86,23 @@ from repro.util.validation import as_int_array, check_equal_length, check_in_ran
 __all__ = ["insert_batch", "refill_chains"]
 
 
-def _composite(table_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Pack (table, key) into one int64 for dedup sorts (key < 2**32)."""
-    return (table_ids.astype(np.int64) << 32) | keys.astype(np.int64)
+def _last_occurrences(order, group, keys):
+    """Drop every in-batch repeat of a (table, key) but its last
+    occurrence from the group-major items (``order`` / ``group``).
+
+    A repeat has its occurrence's head, so it sits in the same group,
+    later in launch order: only groups of several items are searched, and
+    ``(group, key)`` names a (table, key) there.
+    """
+    pos = np.flatnonzero(np.bincount(group)[group] > 1)
+    comp = group[pos] << 32  # key < 2**32
+    comp |= keys[order[pos]]
+    keep = last_occurrence_mask(comp)
+    if keep.all():
+        return order, group
+    alive = np.ones(order.shape[0], dtype=bool)
+    alive[pos[~keep]] = False
+    return order[alive], group[alive]
 
 
 def _extend_chains(pool, tails, lengths, n_new) -> np.ndarray:
@@ -110,7 +133,7 @@ def _extend_chains(pool, tails, lengths, n_new) -> np.ndarray:
 
 
 def _place_at_tails(pool, tails, lengths, occupied, group, k, v):
-    """Step 3.  Chain ``g`` is ``lengths[g]`` slabs long with ``occupied[g]``
+    """Step 4.  Chain ``g`` is ``lengths[g]`` slabs long with ``occupied[g]``
     lanes of its tail ``tails[g]`` in use; ``group`` / ``k`` / ``v`` are the
     group-major items' chain, key and value (``None`` for a set pool).
     Returns how many slabs past its tail each item went and the number of
@@ -118,10 +141,11 @@ def _place_at_tails(pool, tails, lengths, occupied, group, k, v):
     lane_capacity = pool.lane_capacity
     count, rank = _ranks(group, tails.shape[0])
     beyond, lanes = np.divmod(occupied[group] + rank, lane_capacity)
-    n_new = np.maximum(occupied + count - 1, 0) // lane_capacity
     slabs = tails[group]
     links = 0
-    if n_new.any():
+    # A chain links a slab iff its last miss lands past the tail.
+    if beyond.any():
+        n_new = np.maximum(occupied + count - 1, 0) // lane_capacity
         new_ids = _extend_chains(pool, tails, lengths, n_new)
         links = int(new_ids.shape[0])
         first_new = np.cumsum(n_new) - n_new
@@ -203,7 +227,10 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
     check_in_range(keys, 0, MAX_KEY + 1, "keys")
     if values is not None and arena.pool.weighted:
         check_in_range(values, 0, 1 << 32, "values")  # the 32-bit lanes must not wrap
-    if np.any(arena.table_base[table_ids] == NULL_SLAB):
+    # The launch's one gather of the table bases: the existence check here,
+    # the head slabs below.  A base is a slab id or NULL_SLAB (-1).
+    bases = arena.table_base[table_ids]
+    if int(bases.min()) == NULL_SLAB:
         raise ValidationError("insert targets a table that was never created")
 
     counters = get_counters()
@@ -211,51 +238,60 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
     pool = arena.pool
     weighted = pool.weighted
 
-    # Intra-batch replace semantics: keep the last occurrence per (table, key).
-    live_idx = np.flatnonzero(last_occurrence_mask(_composite(table_ids, keys)))
-    keys_live = keys[live_idx]
-    heads = arena.bucket_heads(table_ids[live_idx], keys_live)
-
-    # Group-major item order; the stable sort keeps launch order in a group.
+    # Group-major item order; the stable sort keeps launch order in a
+    # group.  Intra-batch replace semantics keep the last occurrence per
+    # (table, key), which only a group of several items can repeat.
+    heads = arena._heads_at(bases, table_ids, keys)
     order = stable_argsort(heads)
-    heads = heads[order]
-    k = keys_live[order].astype(KEY_DTYPE)
+    group_heads, group = _groups(heads[order])
+    num_groups = group_heads.shape[0]
+    if num_groups < n:
+        order, group = _last_occurrences(order, group, keys)
+    k = keys[order].astype(KEY_DTYPE)
     if not weighted:
         v = None
     elif values is None:
         v = np.zeros(k.shape[0], dtype=VALUE_DTYPE)
     else:
-        v = values[live_idx[order]].astype(VALUE_DTYPE)
-    group_heads, group = _groups(heads)
-    num_groups = group_heads.shape[0]
+        v = values[order].astype(VALUE_DTYPE)
 
     # (1) Walk every touched chain once and regroup it chain by chain.
     chain_slabs, owner, _, _, _ = kern.walk_chains(pool.next_slab, group_heads)
     if chain_slabs.shape[0] == num_groups:
         lengths = np.ones(num_groups, dtype=np.int64)
+        chain_ptr = np.arange(num_groups + 1, dtype=np.int64)
+        tails = chain_slabs
     else:
         chain_slabs = chain_slabs[stable_argsort(owner)]
         lengths = np.bincount(owner, minlength=num_groups)
-    chain_ptr = np.concatenate([[0], np.cumsum(lengths)])
+        chain_ptr = np.concatenate([[0], np.cumsum(lengths)])
+        tails = chain_slabs[chain_ptr[1:] - 1]
 
-    # (2) One hit/replace pass over the (item, chain-slab) pairs.
+    # (2) Read every tail once: its rows feed the hit pass, its occupied
+    # count the placement.
+    tail_rows, occupied = kern.read_tails(pool.keys, tails)
+
+    # (3) One hit/replace pass over the (item, chain-slab) pairs.
     if weighted:
-        depth = kern.insert_round_map(pool.keys, pool.values, chain_slabs, chain_ptr, group, k, v)
+        depth = kern.insert_round_map(
+            pool.keys, pool.values, chain_slabs, chain_ptr, tail_rows, occupied, group, k, v
+        )
     else:
-        depth = kern.insert_round_set(pool.keys, chain_slabs, chain_ptr, group, k)
+        depth = kern.insert_round_set(
+            pool.keys, chain_slabs, chain_ptr, tail_rows, occupied, group, k
+        )
     misses = np.flatnonzero(depth == 0)
     writes = int(misses.shape[0])
     if weighted:
         writes += int(depth.shape[0] - misses.shape[0])
 
-    # (3) Place the misses behind each tail's occupied lanes.
+    # (4) Place the misses behind each tail's occupied lanes.
     if misses.size:
-        tails = chain_slabs[chain_ptr[1:] - 1]
-        occupied = pool.lane_capacity - kern.tail_empties(pool.keys, tails)
-        miss_group = group[misses]
-        beyond, links = _place_at_tails(
-            pool, tails, lengths, occupied, miss_group, k[misses], v[misses] if weighted else None
-        )
+        if misses.shape[0] < depth.shape[0]:
+            miss_group, k, v = group[misses], k[misses], v[misses] if weighted else None
+        else:
+            miss_group = group
+        beyond, links = _place_at_tails(pool, tails, lengths, occupied, miss_group, k, v)
         depth[misses] = lengths[miss_group] + beyond
         writes += links
 
@@ -263,5 +299,5 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
     counters.slab_reads += int(depth.sum())
     counters.slab_writes += writes
     added = np.zeros(n, dtype=bool)
-    added[live_idx[order[misses]]] = True
+    added[order[misses] if misses.shape[0] < order.shape[0] else order] = True
     return added

@@ -9,12 +9,19 @@ is the round-by-round schedule's, bit for bit:
   with the round-loop driver of the parent commit (293969f);
 - a hypothesis property against the scalar ``reference_insert_one`` spec;
 - a chunked hit pass (tiny pair budget) equal to the unchunked one;
-- each launch shortcut (the one-gather walk, the tail read off the first
-  empty lane, the unhashed one-bucket heads, the group numbering and
-  ranks) equal to the form it replaced, on churned arenas.
+- each launch shortcut (the one-gather walk, the tail-first read with its
+  occupied count off the first empty lane, the hit pass over occupied
+  lane prefixes that skips empty chains, the one bases gather with the
+  unhashed one-bucket heads, the group numbering and ranks) equal to the
+  form it replaced, on churned arenas;
+- a launch budget: the calls one small insert makes to the named
+  ordering, checking and kernel functions.
 """
 
+import copy
+import cProfile
 import hashlib
+import pstats
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,12 +30,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.rehash import rehash_vertices
+from repro.api import Graph
 from repro.gpusim.counters import get_counters
 from repro.kernels import reference
 from repro.slabhash.arena import SlabArena
 from repro.slabhash.constants import EMPTY_KEY, MAX_KEY, NULL_SLAB
-from repro.slabhash.insert import _groups, _ranks
-from repro.util.groupby import group_starts, ragged_arange
+from repro.slabhash.insert import _groups, _last_occurrences, _ranks
+from repro.util.groupby import group_starts, last_occurrence_mask, ragged_arange, stable_argsort
 
 
 def counters_dict():
@@ -278,6 +286,52 @@ def bucket_head_slabs(arena):
     return np.repeat(arena.table_base[tables], buckets) + ragged_arange(buckets)
 
 
+def launch_inputs(arena, t, k):
+    """The arrays ``insert_batch`` hands its hit pass for items ``(t, k)``:
+    last occurrences, group-major, each group's chain and its tail read."""
+    live = np.flatnonzero(last_occurrence_mask((t << 32) | k))
+    heads = arena.bucket_heads(t[live], k[live])
+    order = stable_argsort(heads)
+    group_heads, group = _groups(heads[order])
+    slabs, owner, _, _, _ = reference.walk_chains(arena.pool.next_slab, group_heads)
+    lengths = np.bincount(owner, minlength=group_heads.shape[0])
+    chain_slabs = slabs[stable_argsort(owner)]
+    chain_ptr = np.concatenate([[0], np.cumsum(lengths)])
+    tail_rows, occupied = reference.read_tails(arena.pool.keys, chain_slabs[chain_ptr[1:] - 1])
+    return {
+        "chain_slabs": chain_slabs,
+        "chain_ptr": chain_ptr,
+        "tail_rows": tail_rows,
+        "occupied": occupied,
+        "group": group,
+        "k": k[live][order].astype(np.uint32),
+    }
+
+
+def hit_pass(pool_keys, pool_values, launch, values):
+    args = [launch[name] for name in ("chain_slabs", "chain_ptr", "tail_rows", "occupied")]
+    group, k = launch["group"], launch["k"]
+    if pool_values is None:
+        return reference.insert_round_set(pool_keys, *args, group, k)
+    return reference.insert_round_map(pool_keys, pool_values, *args, group, k, values)
+
+
+def full_width_hit_pass(pool_keys, pool_values, launch, values):
+    """The form the hit pass replaced: every item against every lane of
+    every slab of its chain, tail and empty chains included."""
+    chain_slabs, chain_ptr = launch["chain_slabs"], launch["chain_ptr"]
+    depth = np.zeros(launch["k"].shape[0], dtype=np.int64)
+    for i, (g, key) in enumerate(zip(launch["group"].tolist(), launch["k"].tolist())):
+        for pos, slab in enumerate(chain_slabs[chain_ptr[g] : chain_ptr[g + 1]].tolist()):
+            lanes = np.flatnonzero(pool_keys[slab] == key)
+            if lanes.size:
+                if pool_values is not None:
+                    pool_values[slab, lanes[0]] = values[i]
+                depth[i] = pos + 1
+                break
+    return depth
+
+
 class TestLaunchShortcuts:
     @given(churned_arenas())
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -296,11 +350,55 @@ class TestLaunchShortcuts:
         for slab, chain in zip(slabs.tolist(), owner.tolist()):
             tails[chain] = slab
         for probe in (tails, slabs):
-            counted = np.count_nonzero(pool.keys[probe] == np.uint32(EMPTY_KEY), axis=1)
-            assert np.array_equal(reference.tail_empties(pool.keys, probe), counted)
+            rows, occupied = reference.read_tails(pool.keys, probe)
+            assert np.array_equal(rows, pool.keys[probe])
+            empties = np.count_nonzero(pool.keys[probe] == np.uint32(EMPTY_KEY), axis=1)
+            assert np.array_equal(occupied, pool.lane_capacity - empties)
 
+        # One bases gather: the heads from the gathered bases are the hashed form.
         hashed = arena.table_base[t] + arena.hash_family.bucket(t, k, arena.table_buckets)
         assert np.array_equal(arena.bucket_heads(t, k), hashed)
+        assert np.array_equal(arena._heads_at(arena.table_base[t], t, k), hashed)
+
+        # Tail-first read, occupied-prefix hit pass, empty-chain skip: the
+        # kernel's depths and value writes are the full-width pair pass's.
+        if t.size:
+            # In-batch repeats dropped after the group sort, only in groups
+            # of several items: the order of a dedup sort, then a group sort.
+            order = stable_argsort(hashed)
+            group_heads, group = _groups(hashed[order])
+            if group_heads.shape[0] < t.shape[0]:
+                order, group = _last_occurrences(order, group, k)
+            live = np.flatnonzero(last_occurrence_mask((t << 32) | k))
+            want = live[stable_argsort(hashed[live])]
+            assert np.array_equal(order, want)
+            assert np.array_equal(group, _groups(hashed[want])[1])
+
+            launch = launch_inputs(arena, t, k)
+            values = np.arange(1, launch["k"].shape[0] + 1, dtype=np.uint32)
+            got_values = pool.values.copy() if pool.weighted else None
+            want_values = pool.values.copy() if pool.weighted else None
+            assert np.array_equal(
+                hit_pass(pool.keys, got_values, launch, values),
+                full_width_hit_pass(pool.keys, want_values, launch, values),
+            )
+            if pool.weighted:
+                assert np.array_equal(got_values, want_values)
+
+        # The whole launch, duplicates and replaces included, against the
+        # scalar chain walk fed each item's surviving occurrence.
+        batched, scalar = copy.deepcopy(arena), copy.deepcopy(arena)
+        v = np.arange(1, t.shape[0] + 1, dtype=np.int64)
+        added = batched.insert(t, k, v if pool.weighted else None)
+        last = {(ti, ki): i for i, (ti, ki) in enumerate(zip(t.tolist(), k.tolist()))}
+        want = np.zeros(t.shape[0], dtype=bool)
+        for i, (ti, ki) in enumerate(zip(t.tolist(), k.tolist())):
+            if last[(ti, ki)] == i:
+                want[i] = scalar.reference_insert_one(ti, ki, int(v[i]))
+        assert np.array_equal(added, want)
+        tables = arena.num_tables
+        assert table_content(batched, tables) == table_content(scalar, tables)
+        batched.check_invariants()
 
         ordered = np.sort(hashed)
         starts = group_starts(ordered)
@@ -312,3 +410,72 @@ class TestLaunchShortcuts:
         count, rank = _ranks(misses, starts.shape[0])
         assert np.array_equal(count, np.bincount(misses, minlength=starts.shape[0]))
         assert np.array_equal(rank, ragged_arange(count))
+
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_one_key_tails_and_fresh_tables(self, weighted):
+        """The narrowest prefix (one occupied lane) still matches, and a
+        launch aimed only at fresh tables skips the pass: every item misses."""
+        arena = SlabArena(4, weighted=weighted)
+        arena.create_tables(np.arange(4), np.ones(4, dtype=np.int64))
+        values = np.array([10, 20]) if weighted else None
+        assert arena.insert(np.array([0, 1]), np.array([7, 9]), values).all()
+        get_counters().reset()
+        again = np.array([30, 40]) if weighted else None
+        assert not arena.insert(np.array([0, 1]), np.array([7, 9]), again).any()
+        assert counters_dict()["slab_reads"] == 2  # both hit in the head slab
+        if weighted:
+            assert table_content(arena, 2) == [(0, 7, 30), (1, 9, 40)]
+        fresh = reference.insert_round_set(
+            arena.pool.keys,
+            arena.table_base[2:],
+            np.arange(3),
+            None,  # never read: no tail holds a key
+            np.zeros(2, dtype=np.int64),
+            np.array([0, 1]),
+            np.array([7, 9], dtype=np.uint32),
+        )
+        assert fresh.tolist() == [0, 0]
+
+
+# -- the launch budget --------------------------------------------------------------------
+
+#: Calls one 8-row ``Graph.insert_edges`` makes, counted at the ``repro``
+#: function level (so NumPy's own internals never enter the count): the
+#: ids are range-checked by the backend template (2), by
+#: ``SlabArena.insert`` (2) and by ``create_tables`` (1); one group sort,
+#: which also finds in-batch repeats (none sort again here: every source
+#: is its own group); one unique sort each for the new tables and the
+#: newly active vertices; one call of each kernel.  A re-added pass
+#: changes a count here, visibly.
+LAUNCH_BUDGET = {
+    ("util/validation.py", "check_in_range"): 5,
+    ("util/validation.py", "checked_ids"): 1,
+    ("util/groupby.py", "stable_argsort"): 1,
+    ("util/groupby.py", "sorted_unique"): 2,
+    ("kernels/reference.py", "walk_chains"): 1,
+    ("kernels/reference.py", "read_tails"): 1,
+    ("kernels/reference.py", "insert_round_set"): 1,
+    ("kernels/reference.py", "fill_lanes"): 1,
+    ("slabhash/arena.py", "insert"): 1,
+    ("slabhash/arena.py", "create_tables"): 1,
+}
+
+
+class TestLaunchBudget:
+    def test_a_small_insert_makes_the_budgeted_calls(self):
+        g = Graph.create("slabhash", 1024)
+        for shift in (100, 300):  # warm: sources 0..99 own two-key one-slab tables
+            g.insert_edges(np.arange(100), np.arange(100) + shift)
+        src = np.array([0, 1, 2, 3, 4, 5, 500, 501])  # two sources have no table yet
+        dst = np.array([7, 8, 9, 10, 11, 12, 13, 14])
+        profile = cProfile.Profile()
+        profile.runcall(g.insert_edges, src, dst)
+        calls = {}
+        for (filename, _, name), (_, ncalls, _, _, _) in pstats.Stats(profile).stats.items():
+            path = filename.replace("\\", "/")
+            for file, func in LAUNCH_BUDGET:
+                if name == func and path.endswith("repro/" + file):
+                    calls[(file, func)] = calls.get((file, func), 0) + ncalls
+        assert calls == LAUNCH_BUDGET
+        assert g.num_edges() == 208

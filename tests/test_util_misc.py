@@ -189,3 +189,44 @@ class TestValidation:
         with pytest.raises(ValidationError):
             check_in_range(np.array([-1]), 0, 5)
         check_in_range(np.array([], dtype=np.int64), 0, 5)  # empty ok
+
+    @pytest.mark.parametrize(
+        "values, lo, hi, observed",
+        [
+            (np.array([3, -2, 4]), 0, 5, "[-2, 4]"),  # negative: huge when viewed unsigned
+            (np.array([-(2**63), 1]), 0, 5, "[-9223372036854775808, 1]"),
+            (np.array([0, 5]), 0, 5, "[0, 5]"),  # == hi
+            (np.array([2**40]), 0, 2**32, "[1099511627776, 1099511627776]"),
+            (np.array([-1]), 0, 2**64, "[-1, -1]"),  # a bound the unsigned view cannot use
+            (np.array([1, 7], dtype=np.int32), 0, 5, "[1, 7]"),
+            (np.array([-3], dtype=np.int32), 0, 5, "[-3, -3]"),
+            (np.array([6], dtype=np.uint64), 0, 5, "[6, 6]"),
+            (np.array([2**63 + 1], dtype=np.uint64), 0, 2**63, f"[{2**63 + 1}, {2**63 + 1}]"),
+            (np.array([1.0, 9.0]), 0, 5, "[1, 9]"),
+            (np.array([2, 3]), 3, 5, "[2, 3]"),  # lo > 0 keeps min and max
+        ],
+        ids=repr,
+    )
+    def test_check_in_range_rejects_with_the_observed_range(self, values, lo, hi, observed):
+        with pytest.raises(ValidationError) as info:
+            check_in_range(values, lo, hi, "ids")
+        assert str(info.value) == f"ids values must be in [{lo}, {hi}); observed range {observed}"
+
+    @pytest.mark.parametrize(
+        "values, lo, hi",
+        [
+            (np.array([0, 4]), 0, 5),
+            (np.array([2**63 - 1]), 0, 2**63),
+            (np.array([0, 4], dtype=np.int32), 0, 5),
+            (np.array([4], dtype=np.uint64), 0, 5),
+            (np.array([3, 4]), 3, 5),
+            (np.array([-1, 0]), -1, 1),
+        ],
+        ids=repr,
+    )
+    def test_check_in_range_accepts_every_in_range_array(self, values, lo, hi):
+        check_in_range(values, lo, hi, "ids")
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, np.float64])
+    def test_check_in_range_accepts_an_empty_array_of_any_dtype(self, dtype):
+        check_in_range(np.array([], dtype=dtype), 0, 0, "ids")

@@ -18,6 +18,8 @@ warm restarts honestly.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.api.backend import _checked_id
@@ -28,17 +30,30 @@ from repro.util.errors import ValidationError
 __all__ = ["pagerank", "power_iteration"]
 
 
+def _checked_float(value, name: str) -> float:
+    """One real number: a Python or NumPy int or float that is not NaN.
+    A bool, ``None``, a string or an array (of any size) is refused."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {type(value).__name__}")
+    checked = float(value)
+    if checked != checked:
+        raise ValidationError(f"{name} must be a real number, got nan")
+    return checked
+
+
 def _checked_params(damping, tol, max_iters) -> tuple[float, float, int]:
     """The one parameter rule of :func:`pagerank`,
     :class:`repro.stream.IncrementalPageRank` and the scenario runners:
-    ``damping`` in (0, 1), ``tol`` > 0 and ``max_iters`` an integer >= 1
-    — a zero sweep budget returns the start vector and a NaN ``tol`` never
+    ``damping`` in (0, 1), ``tol`` > 0 (each a real number, see
+    :func:`_checked_float`) and ``max_iters`` an integer >= 1 — a zero
+    sweep budget returns the start vector and a NaN ``tol`` never
     converges, neither of which is an answer."""
+    damping, tol = _checked_float(damping, "damping"), _checked_float(tol, "tol")
     if not (0.0 < damping < 1.0):
         raise ValidationError("damping must be in (0, 1)")
-    if not tol > 0:  # also rejects NaN
+    if not tol > 0:
         raise ValidationError("tol must be positive")
-    return float(damping), float(tol), _checked_id(max_iters, None, "max_iters", lo=1)
+    return damping, tol, _checked_id(max_iters, None, "max_iters", lo=1)
 
 
 def power_iteration(

@@ -770,6 +770,17 @@ class ShardedGraph(Graph):
     (after :meth:`rebuild_shard`, for a dead one).
     """
 
+    def __init__(self, backend: ShardRouter) -> None:
+        # Every method below is one hop to the router: over any other
+        # backend the facade would build and then fail on first use.
+        if not isinstance(backend, ShardRouter):
+            raise ValidationError(
+                f"ShardedGraph() wraps a ShardRouter, got {type(backend).__name__}; "
+                "use ShardedGraph.create(name, num_vertices, num_shards=...) "
+                "or Graph(backend) for a single backend"
+            )
+        super().__init__(backend)
+
     @classmethod
     def create(
         cls,

@@ -29,7 +29,7 @@ from repro.coo import COO
 from repro.gpusim.counters import get_counters
 from repro.kernels import reference as kern
 from repro.util.errors import ValidationError
-from repro.util.validation import check_in_range
+from repro.util.validation import _checked_id, check_in_range, checked_ids
 
 __all__ = [
     "CSRSnapshot",
@@ -137,8 +137,7 @@ class CSRSnapshot:
         the device model for the gather (one launch + the copied rows),
         making snapshot traversals priceable by the stream bench.
         """
-        vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
-        check_in_range(vertex_ids, 0, self.num_vertices, "vertex_ids")
+        (vertex_ids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
         starts = self.row_ptr[vertex_ids]
         lens = self.row_ptr[vertex_ids + 1] - starts
         m = int(lens.sum())
@@ -158,8 +157,7 @@ class CSRSnapshot:
 
     def neighbors(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted (destinations, weights) slice for one vertex (views)."""
-        v = int(vertex)
-        check_in_range(np.array([v]), 0, self.num_vertices, "vertex")
+        v = _checked_id(vertex, self.num_vertices, "vertex")
         lo, hi = int(self.row_ptr[v]), int(self.row_ptr[v + 1])
         if self.weights is not None:
             return self.col_idx[lo:hi], self.weights[lo:hi]

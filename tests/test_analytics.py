@@ -269,6 +269,45 @@ class TestTraversal:
             pagerank(DynamicGraph(4, weighted=False), **params)
 
 
+_NOT_A_REAL = ["0.5", None, np.array([0.5, 0.5]), float("nan"), True, np.bool_(False)]
+
+
+class TestPageRankFloatRule:
+    """``damping`` and ``tol`` are one real number each: a str or ``None``
+    used to raise a raw ``TypeError``, a 2-element array NumPy's "truth
+    value ... is ambiguous" ``ValueError``, and a bool passed as 0 or 1."""
+
+    @pytest.mark.parametrize("name", ["damping", "tol"])
+    @pytest.mark.parametrize("bad", _NOT_A_REAL, ids=repr)
+    def test_pagerank_and_incremental_pagerank_refuse(self, name, bad):
+        from repro.stream import IncrementalPageRank
+
+        g = Graph.create("slabhash", 4)
+        g.insert_edges([0, 1], [1, 2])
+        with pytest.raises(ValidationError):
+            pagerank(g, **{name: bad})
+        with pytest.raises(ValidationError):
+            IncrementalPageRank(g, **{name: bad})
+
+    @pytest.mark.parametrize("name", ["damping", "tol"])
+    @pytest.mark.parametrize("bad", _NOT_A_REAL, ids=repr)
+    def test_run_scenario_refuses(self, name, bad):
+        from repro.stream import quick_scenarios, run_scenario
+
+        with pytest.raises(ValidationError):
+            run_scenario(quick_scenarios()[1], "slabhash", **{name: bad})
+
+    @pytest.mark.parametrize(
+        "damping, tol",
+        [(0.85, 1e-8), (np.float64(0.85), np.float32(1e-6)), (0.5, 1), (0.5, np.int64(1))],
+        ids=repr,
+    )
+    def test_numpy_scalars_and_ints_are_real_numbers(self, damping, tol):
+        g = Graph.create("slabhash", 4)
+        g.insert_edges([0, 1], [1, 2])
+        assert pagerank(g, damping=damping, tol=tol).sum() == pytest.approx(1.0)
+
+
 class TestScalarArguments:
     """The scalar id rule of ``GraphBackend`` for every analytic's source
     and ``k``: integral, never a bool or a string, in range — a

@@ -1033,3 +1033,40 @@ def test_a_snapshot_applies_the_one_id_rule(tmp_path):
                 snap.adjacencies([bad])
             with pytest.raises(ValidationError, match="must be in"):
                 snap.neighbors(bad)
+
+
+class TestSnapshotIdRule:
+    """``CSRSnapshot.adjacencies`` / ``neighbors`` apply the facade's id
+    rule (``checked_ids`` / the scalar ``_checked_id``): a scalar id used
+    to raise a raw ``IndexError``, ``None`` and ``"x"`` a raw ``TypeError``
+    / ``ValueError``, and a 2-D id array answered with empty arrays."""
+
+    @pytest.fixture
+    def graph_and_snapshot(self):
+        g = Graph.create("slabhash", 6, weighted=True)
+        g.insert_edges([3, 3, 1], [0, 2, 4], weights=[5, 6, 7])
+        return g, g.snapshot()
+
+    def test_a_scalar_id_answers_like_the_facade(self, graph_and_snapshot):
+        g, snap = graph_and_snapshot
+        for got, want in zip(snap.adjacencies(3), g.adjacencies(3)):
+            assert sorted(got.tolist()) == sorted(want.tolist())
+        assert snap.adjacencies(3)[1].tolist() == [0, 2]
+
+    @pytest.mark.parametrize(
+        "bad", [None, "x", np.array([[1, 3]]), [1.5], [True], np.array([3], dtype=object)], ids=repr
+    )
+    def test_a_malformed_id_batch_is_a_validation_error(self, graph_and_snapshot, bad):
+        g, snap = graph_and_snapshot
+        with pytest.raises(ValidationError):
+            g.adjacencies(bad)
+        with pytest.raises(ValidationError):
+            snap.adjacencies(bad)
+
+    @pytest.mark.parametrize("bad", [None, "x", 1.5, True, [1, 3], -1, 6], ids=repr)
+    def test_a_malformed_vertex_is_a_validation_error(self, graph_and_snapshot, bad):
+        g, snap = graph_and_snapshot
+        with pytest.raises(ValidationError):
+            g.neighbors(bad)
+        with pytest.raises(ValidationError):
+            snap.neighbors(bad)

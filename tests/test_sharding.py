@@ -19,6 +19,7 @@ from repro.api import (
     ShardedGraph,
     backend_names,
     capabilities,
+    create,
 )
 from repro.coo import COO
 from repro.eventlog.log import DEFAULT_RETENTION_ROWS
@@ -385,6 +386,18 @@ class TestShardedValidation:
         for bad in (-1, 2.5, None, "8"):
             with pytest.raises(ValidationError):
                 ShardedGraph.create("slabhash", bad, num_shards=2)
+
+    @pytest.mark.parametrize("name", ["slabhash", "hornet"])
+    def test_wraps_only_a_shard_router(self, name):
+        """``ShardedGraph(backend)`` over any other backend used to build a
+        facade whose ``shards`` / ``fault_stats`` raised ``AttributeError``."""
+        with pytest.raises(ValidationError, match="ShardRouter"):
+            ShardedGraph(create(name, 8))
+        with pytest.raises(ValidationError, match="ShardRouter"):
+            ShardedGraph(Graph.create(name, 8))
+        router = ShardedGraph.create(name, 8, num_shards=2).backend
+        sg = ShardedGraph(router)
+        assert sg.num_shards == len(sg.shards) == 2 and sg.fault_stats is router.fault_stats
 
     def test_event_logs_keep_the_default_retention(self):
         sg = ShardedGraph.create("slabhash", 8, num_shards=2)

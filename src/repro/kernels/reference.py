@@ -86,15 +86,16 @@ def _replace_hits(pool_keys, pool_values, slabs, items, k, v):
     return hit_items, pairs
 
 
-def _match_tails(pool_values, tails, tail_rows, occupied, group, k, v, depth, max_pairs):
+def _match_tails(pool_values, tails, tail_rows, occupied, group, k, v, max_pairs):
     """The hit pass when every chain is one slab: match each item against
     the occupied lane prefix of its tail row, already read.  Empty lanes
     are the suffix of a tail, so an item whose tail holds no key compares
     none but empty lanes and misses; a launch whose tails all hold none
     (every item aimed at a fresh table) skips the pass."""
+    depth = np.zeros(k.shape[0], dtype=np.int64)
     width = int(occupied.max())
     if width == 0:
-        return
+        return depth
     prefix = tail_rows[:, :width]
     for lo in range(0, k.shape[0], max_pairs):
         hi = lo + max_pairs
@@ -104,16 +105,16 @@ def _match_tails(pool_values, tails, tail_rows, occupied, group, k, v, depth, ma
         if pool_values is not None and hits.shape[0]:
             pool_values[tails[group[hits]], lanes] = v[hits]
         depth[hits] = 1
+    return depth
 
 
 def _insert_round(pool_keys, pool_values, chain_slabs, chain_ptr, tail_rows, occupied, group, k, v):
     """Shared map/set hit pass over every (item, chain-slab) pair."""
-    m = k.shape[0]
-    depth = np.zeros(m, dtype=np.int64)
     max_pairs = max(PAIR_LANE_BUDGET // pool_keys.shape[1], 1)
     if chain_slabs.shape[0] == chain_ptr.shape[0] - 1:
-        _match_tails(pool_values, chain_slabs, tail_rows, occupied, group, k, v, depth, max_pairs)
-        return depth
+        return _match_tails(pool_values, chain_slabs, tail_rows, occupied, group, k, v, max_pairs)
+    m = k.shape[0]
+    depth = np.zeros(m, dtype=np.int64)
     # A chain's slabs hold keys up to its tail, which holds none when empty.
     scanned = np.diff(chain_ptr) - (occupied == 0)
     first_slot = chain_ptr[group]

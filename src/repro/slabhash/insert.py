@@ -281,23 +281,22 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
             pool.keys, chain_slabs, chain_ptr, tail_rows, occupied, group, k
         )
     misses = np.flatnonzero(depth == 0)
+    all_missed = misses.shape[0] == depth.shape[0]
     writes = int(misses.shape[0])
     if weighted:
         writes += int(depth.shape[0] - misses.shape[0])
 
     # (4) Place the misses behind each tail's occupied lanes.
     if misses.size:
-        if misses.shape[0] < depth.shape[0]:
-            miss_group, k, v = group[misses], k[misses], v[misses] if weighted else None
-        else:
-            miss_group = group
-        beyond, links = _place_at_tails(pool, tails, lengths, occupied, miss_group, k, v)
-        depth[misses] = lengths[miss_group] + beyond
+        if not all_missed:
+            group, k, v = group[misses], k[misses], v[misses] if weighted else None
+        beyond, links = _place_at_tails(pool, tails, lengths, occupied, group, k, v)
+        depth[misses] = lengths[group] + beyond
         writes += links
 
     counters.probe_rounds += int(depth.max())
     counters.slab_reads += int(depth.sum())
     counters.slab_writes += writes
     added = np.zeros(n, dtype=bool)
-    added[order[misses] if misses.shape[0] < order.shape[0] else order] = True
+    added[order if all_missed else order[misses]] = True
     return added

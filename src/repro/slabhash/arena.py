@@ -249,6 +249,10 @@ class SlabArena:
         if total > table_ids.size:  # some table hashes: give it its (a, b)
             self.hash_family.assign(table_ids[num_buckets > 1])
 
+    def has_table(self, table_ids: np.ndarray) -> np.ndarray:
+        table_ids = as_int_array(table_ids, "table_ids")
+        return self.table_base[table_ids] != NULL_SLAB
+
     @staticmethod
     def buckets_for(expected_size, load_factor: float, lane_capacity: int) -> np.ndarray:
         """Bucket count for an expected entry count and load factor.

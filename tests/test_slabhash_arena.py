@@ -45,7 +45,7 @@ class TestLifecycle:
         with pytest.raises(ValidationError, match="more than once"):
             arena.create_tables(np.array([1, 1]), np.array([2, 3]))
         assert arena.pool._bump == 0
-        assert arena.table_base[1] == NULL_SLAB
+        assert not arena.has_table(np.array([1]))[0]
         with pytest.raises(ValidationError, match="more than once"):
             arena.create_tables(np.array([5, 2, 5]), np.array([1, 1, 1]))
         assert arena.pool._bump == 0
@@ -64,7 +64,7 @@ class TestLifecycle:
         assert arena.num_tables == 16
         found, vals = arena.search(np.array([1]), np.array([77]))
         assert found[0] and vals[0] == 5
-        assert arena.table_base[12] == NULL_SLAB
+        assert not arena.has_table(np.array([12]))[0]
 
     def test_buckets_for(self):
         out = SlabArena.buckets_for([0, 1, 15, 16, 150], 0.7, 15)

@@ -2,12 +2,13 @@
 
 Each function is one *fused* pass over the structure-of-arrays slab arena
 or a sorted CSR, with no per-item Python: a probe round for search and
-delete (a single gather feeds hit detection and the empty-lane scan), a
-level-order walk of whole chains, and for insert one read of every chain's
-tail (:func:`read_tails`), one hit/replace pass over the (item,
-chain-slab) pairs of the launch that can hold a key, and the lane fill of
-its tail placement (:func:`fill_lanes`) — see :mod:`repro.slabhash.insert`
-for the schedule.
+delete (a single gather feeds hit detection and the empty-lane scan: one
+compare finds each hit's lane, and the scan reads only a slab's last
+lane), a level-order walk of whole chains, and for insert one read of
+every chain's tail (:func:`read_tails`), one hit/replace pass over the
+(item, chain-slab) pairs of the launch that can hold a key, and the lane
+fill of its tail placement (:func:`fill_lanes`) — see
+:mod:`repro.slabhash.insert` for the schedule.
 
 Kernels here are **pure with respect to the device model**: they never
 touch :mod:`repro.gpusim` counters.  Drivers charge the model from the
@@ -182,47 +183,46 @@ def fill_lanes(lane_matrix, slabs, lanes, vals):
 
 
 def _probe_round(pool_keys, cur, k):
-    """Shared hit / empty-terminated probe for search and delete rounds."""
-    rows = pool_keys[cur]
-    hit = rows == k[:, None]
-    hit_any = hit.any(axis=1)
-    status = np.full(cur.shape[0], STATUS_ADVANCE, dtype=np.uint8)
-    rest = np.flatnonzero(~hit_any)
-    if rest.size:
-        # A slab with an empty lane terminates the chain's data region:
-        # the key is provably absent (empties exist only at chain tails).
-        has_empty = (rows[rest] == _EMPTY32).any(axis=1)
-        status[rest[has_empty]] = STATUS_DONE
-    return status, hit, hit_any
+    """Shared hit / empty-terminated probe for search and delete rounds.
+
+    One gather of the rows and one compare of every lane against the
+    probe's key; a row's first matching lane is its hit.  Returns
+    ``(status, hits, lanes)``: the per-probe status and each hit's probe
+    index and lane.  A probe that misses is done when its slab's *last*
+    lane is empty: empty lanes are the suffix of a chain's last slab
+    (``SlabArena.check_invariants``), so a slab has an empty lane iff its
+    last one is, and the key is provably absent.
+    """
+    rows = np.take(pool_keys, cur, axis=0)
+    hits, lanes = np.divmod(np.flatnonzero(rows == k[:, None]), rows.shape[1])
+    if hits.shape[0] > 1:
+        # Matches run row-major: a row's first one is its lowest lane.
+        first = np.empty(hits.shape[0], dtype=bool)
+        first[0] = True
+        np.not_equal(hits[1:], hits[:-1], out=first[1:])
+        hits, lanes = hits[first], lanes[first]
+    status = np.where(rows[:, -1] == _EMPTY32, np.uint8(STATUS_DONE), np.uint8(STATUS_ADVANCE))
+    status[hits] = STATUS_HIT
+    return status, hits, lanes
 
 
 def search_round_map(pool_keys, pool_values, cur, k):
     """One search round (map variant); returns ``(status, values)``."""
-    status, hit, hit_any = _probe_round(pool_keys, cur, k)
+    status, hits, lanes = _probe_round(pool_keys, cur, k)
     vals = np.zeros(cur.shape[0], dtype=np.int64)
-    got = np.flatnonzero(hit_any)
-    if got.size:
-        status[got] = STATUS_HIT
-        lanes = hit[got].argmax(axis=1)
-        vals[got] = pool_values[cur[got], lanes]
+    vals[hits] = pool_values[cur[hits], lanes]
     return status, vals
 
 
 def search_round_set(pool_keys, cur, k):
     """One search round (set variant); returns the status array only."""
-    status, _, hit_any = _probe_round(pool_keys, cur, k)
-    status[hit_any] = STATUS_HIT
-    return status
+    return _probe_round(pool_keys, cur, k)[0]
 
 
 def delete_round(pool_keys, cur, k):
     """One tombstone-delete round; mutates hit lanes, returns statuses."""
-    status, hit, hit_any = _probe_round(pool_keys, cur, k)
-    found = np.flatnonzero(hit_any)
-    if found.size:
-        status[found] = STATUS_HIT
-        lanes = hit[found].argmax(axis=1)
-        pool_keys[cur[found], lanes] = _TOMBSTONE32
+    status, hits, lanes = _probe_round(pool_keys, cur, k)
+    pool_keys[cur[hits], lanes] = _TOMBSTONE32
     return status
 
 

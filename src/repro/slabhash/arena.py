@@ -352,8 +352,11 @@ class SlabArena:
           slab is reachable from two buckets;
         - empty lanes are the *end* of a chain: only its last slab has
           any, and there they sit above every occupied lane — which is
-          what lets searches stop at an empty lane and inserts place
-          misses arithmetically behind the tail's occupied lanes;
+          what lets a search or delete round test a slab for an empty
+          lane by reading its last lane alone and stop the walk there
+          (``kernels.reference._probe_round``), ``read_tails`` take a
+          tail's occupied-lane count from its first empty lane, and
+          inserts place misses arithmetically behind those lanes;
         - the free list holds no slab twice and none that a table owns;
         - no slab is lost: the slabs the tables reach plus the free list
           are every slab the bump pointer has handed out;

@@ -69,7 +69,7 @@ def live_lanes(pool, slab_ids, only=None):
     those holding one of its keys, found through a flag table ``max(only)
     + 2`` long — meant for vertex ids, not any 32-bit key.
     """
-    rows = pool.keys[slab_ids]
+    rows = np.take(pool.keys, slab_ids, axis=0)
     get_counters().slab_reads += int(slab_ids.size)
     if only is None:
         keep = rows < KEY_DTYPE(TOMBSTONE_KEY)  # both sentinels sit above MAX_KEY
@@ -80,7 +80,7 @@ def live_lanes(pool, slab_ids, only=None):
         keep = wanted.take(rows, mode="clip")
     kept = np.flatnonzero(keep)
     lanes = np.bincount(kept // pool.lane_capacity, minlength=slab_ids.size)
-    values = pool.values[slab_ids].ravel()[kept] if pool.weighted else None
+    values = np.take(pool.values, slab_ids, axis=0).ravel()[kept] if pool.weighted else None
     return lanes, rows.ravel()[kept], values
 
 

@@ -14,8 +14,12 @@ is the round-by-round schedule's, bit for bit:
   lane prefixes that skips empty chains, the one bases gather with the
   unhashed one-bucket heads, the group numbering and ranks) equal to the
   form it replaced, on churned arenas;
-- a launch budget: the calls one small insert makes to the named
-  ordering, checking and kernel functions.
+- the search / delete probe round (one gather, one compare, the empty
+  test on the last lane, the first hit per row) equal to the ``any`` /
+  ``argmax`` round it replaced, and whole search and delete launches
+  equal to scalar chain walks;
+- a launch budget: the calls one small insert, search and delete make to
+  the named ordering, checking and kernel functions.
 """
 
 import copy
@@ -34,7 +38,7 @@ from repro.api import Graph
 from repro.gpusim.counters import get_counters
 from repro.kernels import reference
 from repro.slabhash.arena import SlabArena
-from repro.slabhash.constants import EMPTY_KEY, MAX_KEY, NULL_SLAB
+from repro.slabhash.constants import EMPTY_KEY, MAX_KEY, NULL_SLAB, TOMBSTONE_KEY
 from repro.slabhash.insert import _groups, _last_occurrences, _ranks
 from repro.util.groupby import group_starts, last_occurrence_mask, ragged_arange, stable_argsort
 
@@ -438,6 +442,100 @@ class TestLaunchShortcuts:
         assert fresh.tolist() == [0, 0]
 
 
+# -- the search / delete probe round equals the form it replaced ---------------------------
+
+
+def any_argmax_round(pool_keys, pool_values, cur, k):
+    """The probe round before its one-compare form: a full hit matrix
+    reduced with ``any``, a second full-width scan of the missed rows for
+    an empty lane, and ``argmax`` over each hit row for its lane.  Returns
+    ``(status, hits, lanes, values)``."""
+    rows = pool_keys[cur]
+    hit = rows == k[:, None]
+    hit_any = hit.any(axis=1)
+    status = np.full(cur.shape[0], reference.STATUS_ADVANCE, dtype=np.uint8)
+    rest = np.flatnonzero(~hit_any)
+    status[rest[(rows[rest] == np.uint32(EMPTY_KEY)).any(axis=1)]] = reference.STATUS_DONE
+    hits = np.flatnonzero(hit_any)
+    status[hits] = reference.STATUS_HIT
+    lanes = hit[hits].argmax(axis=1)
+    values = np.zeros(cur.shape[0], dtype=np.int64)
+    if pool_values is not None:
+        values[hits] = pool_values[cur[hits], lanes]
+    return status, hits, lanes, values
+
+
+def scalar_search(arena, table, key):
+    """Chain-walking scalar search: ``(found, value, slabs read)``."""
+    buckets = int(arena.table_buckets[table])
+    slab = int(arena.table_base[table]) + arena.hash_family.bucket_single(table, key, buckets)
+    pool, depth = arena.pool, 0
+    while slab != NULL_SLAB:
+        depth += 1
+        row = pool.keys[slab]
+        lanes = np.flatnonzero(row == np.uint32(key))
+        if lanes.size:
+            return True, int(pool.values[slab, lanes[0]]) if pool.weighted else 0, depth
+        if (row == np.uint32(EMPTY_KEY)).any():
+            break
+        slab = int(pool.next_slab[slab])
+    return False, 0, depth
+
+
+class TestProbeShortcuts:
+    @given(churned_arenas())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_each_shortcut_equals_the_form_it_replaced(self, case):
+        arena, t, k, _ = case
+        pool = arena.pool
+        slabs = level_walk(pool.next_slab, bucket_head_slabs(arena))[0]
+        rows = pool.keys[slabs]
+
+        # The last-lane empty test is the full-row one on every live slab.
+        empty = np.uint32(EMPTY_KEY)
+        assert np.array_equal(rows[:, -1] == empty, (rows == empty).any(axis=1))
+
+        # Every live slab probed for each key it holds — the sentinels,
+        # repeated across its lanes, included — and for three more keys.
+        extra = np.array([EMPTY_KEY, TOMBSTONE_KEY, MAX_KEY], dtype=np.uint32)
+        k_probe = np.concatenate([rows, np.tile(extra, (slabs.shape[0], 1))], axis=1)
+        cur = np.repeat(slabs, k_probe.shape[1])
+        k_probe = k_probe.ravel()
+        values = pool.values if pool.weighted else None
+        status, hits, lanes, vals = any_argmax_round(pool.keys, values, cur, k_probe)
+        got = reference._probe_round(pool.keys, cur, k_probe)
+        for a, b in zip(got, (status, hits, lanes)):
+            assert np.array_equal(a, b)
+        assert got[0].dtype == np.uint8
+        assert np.array_equal(reference.search_round_set(pool.keys, cur, k_probe), status)
+        if pool.weighted:
+            got_status, got_vals = reference.search_round_map(pool.keys, pool.values, cur, k_probe)
+            assert np.array_equal(got_status, status) and np.array_equal(got_vals, vals)
+        deleted, want = pool.keys.copy(), pool.keys.copy()
+        assert np.array_equal(reference.delete_round(deleted, cur, k_probe), status)
+        want[cur[hits], lanes] = np.uint32(TOMBSTONE_KEY)
+        assert np.array_equal(deleted, want)
+
+        # Whole launches, every item repeated, against scalar chain walks.
+        t, k = np.concatenate([t, t[::-1]]), np.concatenate([k, k[::-1]])
+        get_counters().reset()
+        found, got_vals = arena.search(t, k)
+        searched = counters_dict()
+        walks = [scalar_search(arena, ti, ki) for ti, ki in zip(t.tolist(), k.tolist())]
+        assert found.tolist() == [w[0] for w in walks]
+        assert got_vals.tolist() == [w[1] for w in walks]
+        depths = [w[2] for w in walks]
+        assert searched["kernel_launches"] == int(t.size > 0)
+        assert searched["slab_reads"] == sum(depths)
+        assert searched["probe_rounds"] == max(depths, default=0)
+        batched, scalar = copy.deepcopy(arena), copy.deepcopy(arena)
+        removed = batched.delete(t, k)
+        want = [scalar.reference_delete_one(ti, ki) for ti, ki in zip(t.tolist(), k.tolist())]
+        assert removed.tolist() == want
+        assert pool_digest(batched) == pool_digest(scalar)
+        batched.check_invariants()
+
+
 # -- the launch budget --------------------------------------------------------------------
 
 #: Calls one 8-row ``Graph.insert_edges`` makes, counted at the ``repro``
@@ -461,21 +559,80 @@ LAUNCH_BUDGET = {
     ("slabhash/arena.py", "create_tables"): 1,
 }
 
+#: Calls one 8-row ``Graph.edge_exists`` makes on the same graph: the ids
+#: are range-checked by the backend template (2) and once by the launch
+#: (2); the table bases are gathered once and the heads derived from that
+#: gather (``_heads_at``, never ``bucket_heads``' second gather); every
+#: chain is one slab, so the walk is one round: one probe, one kernel call.
+SEARCH_BUDGET = {
+    ("util/validation.py", "check_in_range"): 4,
+    ("util/validation.py", "checked_ids"): 1,
+    ("slabhash/arena.py", "bucket_heads"): 0,
+    ("slabhash/arena.py", "_heads_at"): 1,
+    ("slabhash/search.py", "probe_chains"): 1,
+    ("kernels/reference.py", "_probe_round"): 1,
+    ("kernels/reference.py", "search_round_set"): 1,
+}
+
+#: Calls one 8-row ``Graph.delete_edges`` makes on the same graph: the
+#: search's checks, gather and round, plus the facade's normalisation
+#: checks and the launch's one dedup sort of (table, key) pairs.
+DELETE_BUDGET = {
+    ("util/validation.py", "check_in_range"): 4,
+    ("util/validation.py", "checked_ids"): 1,
+    ("util/groupby.py", "first_occurrence_mask"): 1,
+    ("slabhash/arena.py", "bucket_heads"): 0,
+    ("slabhash/arena.py", "_heads_at"): 1,
+    ("slabhash/search.py", "probe_chains"): 1,
+    ("kernels/reference.py", "_probe_round"): 1,
+    ("kernels/reference.py", "delete_round"): 1,
+}
+
+
+def budgeted_calls(budget, call, *args):
+    """Run ``call(*args)`` under cProfile; count its calls of the
+    functions ``budget`` names (0 for one never called)."""
+    profile = cProfile.Profile()
+    profile.runcall(call, *args)
+    calls = dict.fromkeys(budget, 0)
+    for (filename, _, name), (_, ncalls, _, _, _) in pstats.Stats(profile).stats.items():
+        path = filename.replace("\\", "/")
+        for file, func in budget:
+            if name == func and path.endswith("repro/" + file):
+                calls[(file, func)] += ncalls
+    return calls
+
+
+def warmed_graph():
+    g = Graph.create("slabhash", 1024)
+    for shift in (100, 300):  # warm: sources 0..99 own two-key one-slab tables
+        g.insert_edges(np.arange(100), np.arange(100) + shift)
+    return g
+
 
 class TestLaunchBudget:
     def test_a_small_insert_makes_the_budgeted_calls(self):
-        g = Graph.create("slabhash", 1024)
-        for shift in (100, 300):  # warm: sources 0..99 own two-key one-slab tables
-            g.insert_edges(np.arange(100), np.arange(100) + shift)
+        g = warmed_graph()
         src = np.array([0, 1, 2, 3, 4, 5, 500, 501])  # two sources have no table yet
         dst = np.array([7, 8, 9, 10, 11, 12, 13, 14])
-        profile = cProfile.Profile()
-        profile.runcall(g.insert_edges, src, dst)
-        calls = {}
-        for (filename, _, name), (_, ncalls, _, _, _) in pstats.Stats(profile).stats.items():
-            path = filename.replace("\\", "/")
-            for file, func in LAUNCH_BUDGET:
-                if name == func and path.endswith("repro/" + file):
-                    calls[(file, func)] = calls.get((file, func), 0) + ncalls
-        assert calls == LAUNCH_BUDGET
+        assert budgeted_calls(LAUNCH_BUDGET, g.insert_edges, src, dst) == LAUNCH_BUDGET
         assert g.num_edges() == 208
+
+    # Two hits, three misses in a table, one repeat, two sources without a table.
+    QUERY = (np.array([0, 1, 2, 3, 4, 0, 500, 501]), np.array([100, 301, 9, 10, 11, 100, 13, 14]))
+
+    def test_a_small_search_makes_the_budgeted_calls(self):
+        g = warmed_graph()
+        get_counters().reset()
+        calls = budgeted_calls(SEARCH_BUDGET, g.edge_exists, *self.QUERY)
+        assert calls == SEARCH_BUDGET
+        assert counters_dict()["probe_rounds"] == calls[("kernels/reference.py", "_probe_round")]
+        assert np.flatnonzero(g.edge_exists(*self.QUERY)).tolist() == [0, 1, 5]
+
+    def test_a_small_delete_makes_the_budgeted_calls(self):
+        g = warmed_graph()
+        get_counters().reset()
+        calls = budgeted_calls(DELETE_BUDGET, g.delete_edges, *self.QUERY)
+        assert calls == DELETE_BUDGET
+        assert counters_dict()["probe_rounds"] == calls[("kernels/reference.py", "_probe_round")]
+        assert g.num_edges() == 198

@@ -8,10 +8,10 @@ capacity-sized scan sneaking into the per-batch path (a
 small-batch streaming regime of Tables VI and IX.  So: with a fixed batch
 of 512 edges, wall-clock insert throughput at |V| = 1e6 must stay within
 2x of the throughput at |V| = 1e3.  The timed loop also polls
-``num_edges()`` / ``num_active_vertices()`` and queries the batch back
-with one ``edge_exists`` each batch, so an O(|V|) aggregate scan
-re-entering those reads, or an O(|V|) term in the search driver, trips
-the guard the same way one in insert or delete does.
+``num_edges()`` and queries the batch back with one ``edge_exists`` each
+batch, so an O(|V|) aggregate scan re-entering that read, or an O(|V|)
+term in the search driver, trips the guard the same way one in insert or
+delete does.
 
 The snapshot delta merge sits under the same rule: a merge of a fixed
 16,384-edge snapshot with a 256-upsert / 64-delete delta must take within
@@ -76,7 +76,6 @@ def _timed_run(capacity, seed):
     # per-batch cost), and two throwaway batches warm the insert path.
     vd = graph._dict
     vd.edge_count.fill(0)
-    vd.active.fill(False)
     vd.arena.table_buckets.fill(0)
     graph.insert_vertices(np.unique(np.concatenate([src for src, _ in batches])))
     for src, dst in _batches(capacity, 2, seed ^ 0xBEEF):
@@ -86,7 +85,6 @@ def _timed_run(capacity, seed):
     for src, dst in batches:
         graph.insert_edges(src, dst)
         graph.num_edges()
-        graph.num_active_vertices()
         graph.edge_exists(src, dst)  # the search path sits under the same guard
     graph.delete_edges(*batches[0])  # the deletion path sits under the same guard
     return perf_counter() - t0

@@ -169,11 +169,6 @@ class Graph:
         return int(self.backend.num_vertices)
 
     @property
-    def vertex_capacity(self) -> int:
-        """Alias of :attr:`num_vertices` (the slab-hash structure's name)."""
-        return self.num_vertices
-
-    @property
     def weighted(self) -> bool:
         """Whether this instance stores per-edge weights."""
         return bool(self.backend.weighted)

@@ -260,20 +260,12 @@ def table6_incremental_build(seed: int = 0, quick: bool = False) -> ArtifactResu
             shuffled = coo.permuted(seed)
             for structure in ("hornet", "ours"):
                 g = make_structure(structure, coo.num_vertices)
-                if structure == "ours":
-                    rec, _ = time_call(
-                        "inc",
-                        g.incremental_build,
-                        shuffled,
-                        batch,
-                        items=shuffled.num_edges,
-                    )
-                else:
-                    def run_hornet(g=g, shuffled=shuffled, batch=batch):
-                        for piece in shuffled.batches(batch):
-                            g.insert_edges(piece.src, piece.dst)
 
-                    rec, _ = time_call("inc", run_hornet, items=shuffled.num_edges)
+                def stream(g=g, shuffled=shuffled, batch=batch):
+                    for piece in shuffled.batches(batch):
+                        g.insert_edges(piece.src, piece.dst)
+
+                rec, _ = time_call("inc", stream, items=shuffled.num_edges)
                 rates[structure].append(rec.throughput_m)
                 records[structure].append(rec)
         label = _batch_label(batch)

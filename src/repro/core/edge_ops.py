@@ -22,9 +22,10 @@ proportional to the batch, not the graph.  Counter updates are scatter-adds
 over the batch's sources (via
 :meth:`repro.core.vertex_dict.VertexDictionary.add_edge_counts` /
 ``sub_edge_counts``), which also keep the dictionary's aggregate
-``total_edges`` / ``num_active`` counters current so size queries stay
-O(1).  ``benchmarks/bench_regression_scaling.py`` locks this in by asserting
-that small-batch throughput does not degrade as vertex capacity grows.
+``total_edges`` counter current so ``num_edges()`` stays O(1); no other
+per-vertex state is written.  ``benchmarks/bench_regression_scaling.py``
+locks this in by asserting that small-batch throughput does not degrade as
+vertex capacity grows.
 
 Weights: the public API accepts integer weights in ``[0, 2**32)``, stored
 exactly in the 32-bit value lanes; the template method rejects any other
@@ -57,11 +58,6 @@ def insert_edges(graph, src, dst, w) -> int:
     count = int(np.count_nonzero(added))
     if count:
         vd.add_edge_counts(src[added])
-    if graph.directed:
-        vd.activate(np.concatenate([src, dst]))
-    else:
-        # The mirrored batch makes dst a permutation of src: one pass covers both.
-        vd.activate(src)
     return count
 
 

@@ -7,6 +7,12 @@ flag selects the slab-hash variant — concurrent map (15 KV lanes/slab)
 when True, concurrent set (30 key lanes/slab) when False — exactly the two
 variants the paper offers.
 
+The vertex dictionary holds, per vertex, only what the paper's "simple
+fixed-size array" holds: the table handle and the exact edge count.  Table
+V's bulk build has its own entry point (:meth:`DynamicGraph.bulk_build`);
+Table VI's incremental build is plain :meth:`~DynamicGraph.insert_edges`
+batches into an empty graph.
+
 The class also implements the scalar :class:`repro.gpusim.wcws.WCWSTarget`
 protocol so the literal Algorithm 1/2 reference engine can drive it; tests
 use that to certify that the vectorized kernels and the paper's pseudocode
@@ -96,13 +102,8 @@ class DynamicGraph(GraphBackend):
     # -- capacity / size -------------------------------------------------------
 
     @property
-    def vertex_capacity(self) -> int:
-        """Current dictionary capacity (ids addressable without growth)."""
-        return self._dict.capacity
-
-    @property
     def num_vertices(self) -> int:
-        """Protocol name for :attr:`vertex_capacity` (GraphBackend)."""
+        """Current dictionary capacity (ids addressable without growth)."""
         return self._dict.capacity
 
     def num_edges(self) -> int:
@@ -111,14 +112,6 @@ class DynamicGraph(GraphBackend):
         O(1): reads the incrementally maintained aggregate counter.
         """
         return self._dict.total_edges()
-
-    def num_active_vertices(self) -> int:
-        """Vertices that currently participate in at least one edge ever
-        inserted and were not deleted.
-
-        O(1): reads the incrementally maintained aggregate counter.
-        """
-        return self._dict.num_active()
 
     def _degree(self, vertex_ids) -> np.ndarray:
         """Exact out-degree per requested vertex (maintained counters)."""
@@ -143,12 +136,9 @@ class DynamicGraph(GraphBackend):
         return _vertex_ops.delete_vertices(self, vertex_ids)
 
     def bulk_build(self, coo: COO) -> int:
-        """One-shot build with a-priori bucket sizing (Table V workload)."""
+        """One-shot build with a-priori bucket sizing (Table V workload);
+        Table VI streams :meth:`insert_edges` batches instead."""
         return _bulk.bulk_build(self, coo)
-
-    def incremental_build(self, coo: COO, batch_size: int, on_batch=None) -> int:
-        """Streamed build with single-bucket tables (Table VI workload)."""
-        return _bulk.incremental_build(self, coo, batch_size, on_batch)
 
     # -- queries ------------------------------------------------------------------
 
@@ -184,9 +174,9 @@ class DynamicGraph(GraphBackend):
 
     # -- maintenance -----------------------------------------------------------------
 
-    def rehash_candidates(self, max_chain_slabs: float = 2.0) -> np.ndarray:
+    def rehash_candidates(self) -> np.ndarray:
         """Vertices whose chains exceed the threshold (Section III)."""
-        return _rehash.rehash_candidates(self, max_chain_slabs)
+        return _rehash.rehash_candidates(self)
 
     def rehash(self, vertex_ids=None, load_factor: float | None = None) -> int:
         """Rebuild overloaded (or given) tables at the target load factor;
@@ -224,7 +214,6 @@ class DynamicGraph(GraphBackend):
         if src == dst:
             return False
         self._dict.ensure_tables(np.array([src], dtype=np.int64))
-        self._dict.activate(np.array([src, dst], dtype=np.int64))
         self._bump_version()
         return self._dict.arena.reference_insert_one(src, dst, weight)
 
@@ -239,6 +228,6 @@ class DynamicGraph(GraphBackend):
         kind = "map" if self.weighted else "set"
         direction = "directed" if self.directed else "undirected"
         return (
-            f"DynamicGraph({direction}, {kind}, |V|cap={self.vertex_capacity}, "
+            f"DynamicGraph({direction}, {kind}, |V|cap={self.num_vertices}, "
             f"|E|={self.num_edges()}, lf={self.load_factor})"
         )

@@ -29,6 +29,6 @@ def export_coo(graph) -> COO:
     return COO(
         src,
         dst,
-        graph.vertex_capacity,
+        graph.num_vertices,
         weights=w if graph.weighted else None,
     )

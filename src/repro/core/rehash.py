@@ -4,8 +4,8 @@
 chain-length and periodically perform rehashing if it exceeds a given
 threshold."  The low-cost metric here is the exact edge count the kernels
 already maintain: a vertex whose count implies more than
-``max_chain_slabs`` slabs per bucket at the current bucket count is due for
-a rebuild with buckets resized for the *current* degree.
+:data:`MAX_CHAIN_SLABS` slabs per bucket at the current bucket count is due
+for a rebuild with buckets resized for the *current* degree.
 
 Rehashing a table destroys it entirely (base slabs included — they return
 to the allocator) and rebuilds at the target load factor, so it also
@@ -23,8 +23,11 @@ from repro.util.groupby import stable_argsort
 
 __all__ = ["rehash_candidates", "rehash_vertices"]
 
+#: Implied slabs per bucket above which a table is due for a rehash.
+MAX_CHAIN_SLABS = 2.0
 
-def rehash_candidates(graph, max_chain_slabs: float = 2.0) -> np.ndarray:
+
+def rehash_candidates(graph) -> np.ndarray:
     """Vertex ids whose implied chain length exceeds the threshold.
 
     Implied chain length = entries / (buckets * lane_capacity), computed
@@ -41,7 +44,7 @@ def rehash_candidates(graph, max_chain_slabs: float = 2.0) -> np.ndarray:
         out=implied,
         where=has_table,
     )
-    return np.flatnonzero(has_table & (implied > float(max_chain_slabs)))
+    return np.flatnonzero(has_table & (implied > MAX_CHAIN_SLABS))
 
 
 def rehash_vertices(graph, vertex_ids, load_factor: float | None = None) -> int:

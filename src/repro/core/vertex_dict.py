@@ -9,20 +9,18 @@ cheap to recover from; :class:`repro.gpusim.memory.GrowableArray` charges
 exactly those copied bytes to the performance model.
 
 The dictionary also owns the *exact* per-vertex edge counters maintained by
-the popc-of-ballot accounting in the edge kernels, and the aggregate
-counters derived from them.
+the popc-of-ballot accounting in the edge kernels, and their aggregate.
 
 Complexity contract (the paper's central claim, Section IV-C): every
 mutation here costs **O(batch)** — proportional to the items touched, never
 to the vertex capacity.  Per-vertex counters are updated by scatter-adds
 over the batch's sources (:meth:`add_edge_counts` / :meth:`sub_edge_counts`)
-and the aggregate ``total_edges`` / ``num_active`` counters are maintained
-incrementally by the same calls, so :meth:`total_edges` and
-:meth:`num_active` are **O(1)** reads.  All counter mutations must go
-through the methods below; writing ``edge_count`` / ``active`` directly
-desynchronizes the aggregates.  Setting :attr:`debug_invariants` on an
-instance (it defaults to ``False``) re-verifies the aggregates against
-the full-array sums, and the arena's structural invariants
+and the aggregate ``total_edges`` counter is maintained incrementally by
+the same calls, so :meth:`total_edges` is an **O(1)** read.  All counter
+mutations must go through the methods below; writing ``edge_count``
+directly desynchronizes the aggregate.  Setting :attr:`debug_invariants`
+on an instance (it defaults to ``False``) re-verifies the aggregate
+against the full-array sum, and the arena's structural invariants
 (:meth:`repro.slabhash.arena.SlabArena.check_invariants`), after every
 mutation — O(capacity + pool) checks reserved for tests and debugging.
 """
@@ -44,8 +42,8 @@ class VertexDictionary:
 
     The arena holds ``table_base`` / ``table_buckets`` (the "pointers to the
     hash table associated with each vertex"); this class adds the edge
-    counters, the active-vertex mask, the incrementally maintained
-    aggregates over both, and coordinates growth of all of them together.
+    counters and their incrementally maintained total, and coordinates
+    growth of both together.
     """
 
     def __init__(self, capacity: int, weighted: bool, hash_seed: int = 0x5AB0) -> None:
@@ -53,11 +51,9 @@ class VertexDictionary:
             raise ValidationError("vertex capacity must be at least 1")
         self.arena = SlabArena(int(capacity), weighted=weighted, hash_seed=hash_seed)
         self.edge_count = np.zeros(int(capacity), dtype=np.int64)
-        self.active = np.zeros(int(capacity), dtype=bool)
-        # Aggregates maintained incrementally by the mutators below so the
-        # num_active()/total_edges() reads never scan capacity-sized arrays.
+        # Maintained incrementally by the mutators below so the
+        # total_edges() read never scans a capacity-sized array.
         self._total_edges = 0
-        self._num_active = 0
         self.debug_invariants = False
 
     @property
@@ -68,7 +64,7 @@ class VertexDictionary:
         """Grow (by doubling) so ids < ``needed`` are addressable.
 
         This is the paper's dictionary reallocation: only handles move, and
-        the aggregates are unaffected (new slots are empty and inactive).
+        the aggregate is unaffected (new slots are empty).
         """
         if needed <= self.capacity:
             return
@@ -79,9 +75,6 @@ class VertexDictionary:
         grown_counts = np.zeros(new_cap, dtype=np.int64)
         grown_counts[: self.edge_count.shape[0]] = self.edge_count
         self.edge_count = grown_counts
-        grown_active = np.zeros(new_cap, dtype=bool)
-        grown_active[: self.active.shape[0]] = self.active
-        self.active = grown_active
         self._check()
 
     def ensure_tables(self, vertex_ids: np.ndarray, expected_degree=None, load_factor=0.7):
@@ -109,6 +102,13 @@ class VertexDictionary:
             expected = np.asarray(expected_degree, dtype=np.int64)[missing][order[first]]
             buckets = SlabArena.buckets_for(expected, load_factor, self.arena.pool.lane_capacity)
         self.arena.create_tables(new_ids, buckets)
+
+    def activate(self, vertex_ids: np.ndarray, expected_degree=None, load_factor=0.7) -> None:
+        """Register a non-empty batch of non-negative ``vertex_ids``
+        (Section IV-D1): grow the dictionary to address them, then give
+        each id lacking one a table sized as :meth:`ensure_tables` does."""
+        self.ensure_capacity(int(vertex_ids.max()) + 1)
+        self.ensure_tables(vertex_ids, expected_degree, load_factor)
 
     # -- counter mutation (O(batch) scatter updates) ---------------------------
 
@@ -152,31 +152,7 @@ class VertexDictionary:
         self._check()
         return dropped
 
-    def activate(self, vertex_ids: np.ndarray) -> None:
-        """Mark vertices active, counting only genuinely new activations."""
-        fresh = vertex_ids[~self.active[vertex_ids]]
-        if fresh.size == 0:
-            return
-        uniq = sorted_unique(fresh)
-        self.active[uniq] = True
-        self._num_active += int(uniq.size)
-        self._check()
-
-    def deactivate(self, vertex_ids: np.ndarray) -> np.ndarray:
-        """Mark vertices inactive; returns the unique ids actually flipped
-        (ids that were never active are ignored and not returned)."""
-        live = vertex_ids[self.active[vertex_ids]]
-        uniq = sorted_unique(live)
-        if uniq.size:
-            self.active[uniq] = False
-            self._num_active -= int(uniq.size)
-        self._check()
-        return uniq
-
-    # -- aggregate reads (O(1)) ------------------------------------------------
-
-    def num_active(self) -> int:
-        return self._num_active
+    # -- aggregate read (O(1)) -------------------------------------------------
 
     def total_edges(self) -> int:
         return self._total_edges
@@ -184,20 +160,15 @@ class VertexDictionary:
     # -- debug invariants ------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Verify the incremental aggregates against the full-array sums.
+        """Verify the incremental aggregate against the full-array sum.
 
         O(capacity); run automatically after each mutation only when
         :attr:`debug_invariants` is set.
         """
         actual_edges = int(self.edge_count.sum())
-        actual_active = int(np.count_nonzero(self.active))
         if self._total_edges != actual_edges:
             raise AssertionError(
                 f"total_edges counter {self._total_edges} != array sum {actual_edges}"
-            )
-        if self._num_active != actual_active:
-            raise AssertionError(
-                f"num_active counter {self._num_active} != array count {actual_active}"
             )
 
     def _check(self) -> None:

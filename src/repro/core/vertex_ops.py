@@ -2,8 +2,9 @@
 
 Vertex insertion is "inserting edges connected to a vertex that has an
 empty adjacency list": grow the dictionary if the ids exceed capacity
-(shallow pointer copy), create appropriately sized tables, then run the
-ordinary edge-insertion kernel.
+(shallow pointer copy) and create appropriately sized tables — one
+:meth:`repro.core.vertex_dict.VertexDictionary.activate` call — then run
+the ordinary edge-insertion kernel.
 
 Vertex deletion follows Algorithm 2.  On hardware each warp drains an
 atomic work queue of doomed vertices and, per vertex, iterates its
@@ -12,11 +13,11 @@ adjacencies are gathered in one iterator sweep and all reverse deletions
 run as one delete kernel — the same slab traffic without the queue (the
 queue exists to load-balance warps, which a batch kernel gets for free).
 Overflow slabs are freed, base slabs retained, and edge counts zeroed
-(Algorithm 2 lines 18-22).
+(Algorithm 2 lines 18-22); the dictionary keeps no other per-vertex state.
 
 Like the edge kernels, counter maintenance here is O(batch + touched
 slabs): per-vertex deltas are scatter-adds over the affected sources and
-the dictionary's aggregate counters ride along incrementally (see
+the dictionary's aggregate edge counter rides along incrementally (see
 :mod:`repro.core.vertex_dict`).
 """
 
@@ -50,9 +51,7 @@ def insert_vertices(graph, vertex_ids, expected_degree=None) -> None:
     if vertex_ids.min() < 0:
         raise ValidationError("vertex_ids must be non-negative")
     graph._bump_version()
-    graph._dict.ensure_capacity(int(vertex_ids.max()) + 1)
-    graph._dict.ensure_tables(vertex_ids, expected_degree, graph.load_factor)
-    graph._dict.activate(vertex_ids)
+    graph._dict.activate(vertex_ids, expected_degree, graph.load_factor)
 
 
 def delete_vertices(graph, vertex_ids) -> int:
@@ -83,7 +82,6 @@ def delete_vertices(graph, vertex_ids) -> int:
     # (lines 18-22).
     vd.arena.clear_tables(vertex_ids)
     removed_total += vd.zero_edge_counts(vertex_ids)
-    vd.deactivate(vertex_ids)
     return removed_total
 
 

@@ -196,5 +196,4 @@ def delete_vertices_reference(graph, vertex_ids: np.ndarray) -> int:
         doomed = np.array([warp_vertex], dtype=np.int64)
         arena.clear_tables(doomed)
         removed_total += vd.zero_edge_counts(doomed)
-        vd.deactivate(doomed)
     return removed_total

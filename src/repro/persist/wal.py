@@ -422,7 +422,6 @@ class WalWriter:
         #: True when a failed append could not be cleaned up and the tail
         #: segment may hold a partial record (see :class:`PersistError`).
         self.broken = False
-        self.bytes_written = 0
         self.records_written = 0
         self.rows_written = 0
         self._fh = None
@@ -475,7 +474,6 @@ class WalWriter:
                 _fsync_file(self._fh)
         except OSError as exc:
             self._rewind_tail(start, exc)  # always raises PersistError
-        self.bytes_written += len(record)
         self.records_written += 1
         if isinstance(event, EdgeBatch):
             self.rows_written += event.rows

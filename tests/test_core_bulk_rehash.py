@@ -1,10 +1,12 @@
-"""Tests for bulk/incremental build equivalence and rehashing."""
+"""Tests for bulk build, its equivalence with streamed inserts (Table VI's
+incremental build), and rehashing."""
 
 import numpy as np
 import pytest
 
 from repro import COO
 from repro.core import DynamicGraph
+from repro.core.rehash import MAX_CHAIN_SLABS
 from repro.util.errors import ValidationError
 from tests.conftest import structure_state
 
@@ -29,7 +31,7 @@ class TestBulkBuild:
         coo = random_coo(rng, 100, 200)
         g = DynamicGraph(num_vertices=4)
         g.bulk_build(coo)
-        assert g.vertex_capacity >= 100
+        assert g.num_vertices >= 100
 
     def test_equals_streamed_inserts(self, rng):
         coo = random_coo(rng)
@@ -47,7 +49,8 @@ class TestBulkBuild:
         bulk = DynamicGraph(num_vertices=coo.num_vertices)
         bulk.bulk_build(coo)
         inc = DynamicGraph(num_vertices=coo.num_vertices)
-        inc.incremental_build(coo, batch_size=100)
+        for batch in coo.batches(100):
+            inc.insert_edges(batch.src, batch.dst, batch.weights)
         assert structure_state(bulk) == structure_state(inc)
 
     def test_undirected_bulk(self, rng):
@@ -76,19 +79,12 @@ class TestBulkBuild:
         dst = rng.integers(0, 500, 3000)
         coo = COO(src, dst, 500)
         g = DynamicGraph(num_vertices=500, weighted=False)
-        g.incremental_build(coo, batch_size=500)
+        for batch in coo.batches(500):
+            g.insert_edges(batch.src, batch.dst)
         arena = g._dict.arena
         created = arena.table_buckets[arena.table_base != -1]
         assert (created == 1).all()
         assert g.stats().mean_chain_length > 1.5
-
-    def test_on_batch_callback(self, rng):
-        coo = random_coo(rng, 30, 450)
-        calls = []
-        g = DynamicGraph(num_vertices=30)
-        g.incremental_build(coo, 100, on_batch=lambda i, n, a: calls.append((i, n)))
-        assert [c[0] for c in calls] == list(range(5))
-        assert sum(c[1] for c in calls) == 450
 
 
 class TestRehash:
@@ -101,8 +97,16 @@ class TestRehash:
     def test_candidates_detects_overload(self):
         g = DynamicGraph(num_vertices=600, weighted=False)
         g.insert_edges(np.zeros(400, np.int64), np.arange(1, 401))
-        cands = g.rehash_candidates(max_chain_slabs=2.0)
+        cands = g.rehash_candidates()
         assert 0 in cands.tolist()
+
+    def test_candidates_exceed_the_chain_threshold_strictly(self):
+        g = DynamicGraph(num_vertices=600, weighted=False)
+        at_limit = int(MAX_CHAIN_SLABS * g._dict.arena.pool.lane_capacity)
+        g.insert_edges(np.zeros(at_limit, np.int64), np.arange(1, at_limit + 1))
+        assert g.rehash_candidates().size == 0  # exactly at the limit
+        g.insert_edges([0], [at_limit + 1])
+        assert g.rehash_candidates().tolist() == [0]
 
     def test_rehash_preserves_state(self):
         g = DynamicGraph(num_vertices=600, weighted=False)
@@ -120,7 +124,7 @@ class TestRehash:
         chains_before = g.stats().mean_chain_length
         g.rehash([0])
         assert g.stats().mean_chain_length < chains_before
-        assert g.rehash_candidates(2.0).size == 0
+        assert g.rehash_candidates().size == 0
 
     def test_rehash_auto_selects_candidates(self):
         g = DynamicGraph(num_vertices=600, weighted=False)

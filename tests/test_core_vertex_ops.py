@@ -13,7 +13,7 @@ class TestVertexInsertion:
     def test_grows_dictionary(self):
         g = DynamicGraph(num_vertices=4)
         g.insert_vertices([10, 11])
-        assert g.vertex_capacity >= 12
+        assert g.num_vertices >= 12
         g.insert_edges([10], [11], weights=[1])
         assert g.edge_exists([10], [11])[0]
 
@@ -49,9 +49,8 @@ class TestVertexInsertion:
             g.insert_vertices([1, 2, 9], expected_degree=[4, 4])
         with pytest.raises(ValidationError, match="expected_degree"):
             g.insert_vertices([1], expected_degree=[4, 4])
-        # Rejected before any mutation: no growth, no table, nothing active.
-        assert g.vertex_capacity == 4
-        assert g.num_active_vertices() == 0
+        # Rejected before any mutation: no growth, no table.
+        assert g.num_vertices == 4
         assert not g._dict.arena.has_table(np.array([1, 2])).any()
 
     def test_expected_degree_is_validated_like_every_other_id_array(self):
@@ -62,7 +61,6 @@ class TestVertexInsertion:
             g.insert_vertices([1], expected_degree=[1.5])
         with pytest.raises(ValidationError, match=r"'vertex_ids': 0.*'expected_degree': 1"):
             g.insert_vertices([], expected_degree=[1])
-        assert g.num_active_vertices() == 0
         g.insert_vertices([1], expected_degree=[300.0])  # integral floats still pass
         assert int(g._dict.arena.table_buckets[1]) > 1
 
@@ -99,7 +97,7 @@ class TestVertexDeletionUndirected:
         positive result'."""
         g = self.build(rng)
         g.delete_vertices([5])
-        n = g.vertex_capacity
+        n = g.num_vertices
         qs = np.concatenate([np.full(n, 5), np.arange(n)])
         qd = np.concatenate([np.arange(n), np.full(n, 5)])
         assert not g.edge_exists(qs, qd).any()
@@ -163,13 +161,6 @@ class TestVertexDeletionDirected:
         g = DynamicGraph(num_vertices=4)
         assert g.delete_vertices([]) == 0
 
-    def test_active_vertex_tracking(self, rng):
-        g = DynamicGraph(num_vertices=10, weighted=False)
-        g.insert_edges([0, 2], [1, 3])
-        assert g.num_active_vertices() == 4
-        g.delete_vertices([0])
-        assert g.num_active_vertices() == 3
-
 
 class TestVertexDeletionBatches:
     """What a deletion batch does with bad, dead, never-active or repeated
@@ -194,17 +185,15 @@ class TestVertexDeletionBatches:
             g.delete_vertices(batch)
         # Refused whole: the live id 1 beside the bad one keeps its edges.
         assert structure_edges(g) == before
-        assert g.num_active_vertices() == 4
         assert g.mutation_version == version
         g._dict.check_invariants()
 
     def test_second_delete_of_a_dead_id_removes_nothing(self):
         g = self.build()
         assert g.delete_vertices([1]) == 2  # undirected: both directions
-        edges, active = structure_edges(g), g.num_active_vertices()
+        edges = structure_edges(g)
         assert g.delete_vertices([1]) == 0
         assert structure_edges(g) == edges
-        assert g.num_active_vertices() == active
         g._dict.check_invariants()
 
     def test_never_active_ids_remove_nothing_and_build_no_table(self):
@@ -212,28 +201,23 @@ class TestVertexDeletionBatches:
         before = structure_edges(g)
         assert g.delete_vertices([7, 9]) == 0
         assert structure_edges(g) == before
-        assert g.num_active_vertices() == 4
         assert not g._dict.arena.has_table(np.array([7, 9])).any()
 
     def test_repeated_id_in_a_batch_counts_once(self):
         once, twice = self.build(), self.build()
         assert twice.delete_vertices([1, 1, 2, 1]) == once.delete_vertices([1, 2]) == 4
         assert structure_edges(twice) == structure_edges(once) == set()
-        assert twice.num_active_vertices() == once.num_active_vertices()
         twice._dict.check_invariants()
 
-    def test_mixed_batch_deactivates_only_the_live_id(self):
+    def test_mixed_batch_deletes_only_the_live_id(self):
         g = self.build()
         assert g.delete_vertices([1, 20]) == 2  # 1 is live, 20 never was
-        assert g.num_active_vertices() == 3
         assert structure_edges(g) == {(2, 6), (6, 2)}
 
-    def test_reinserted_id_is_active_again(self):
+    def test_reinserted_id_regains_its_edges(self):
         g = self.build()
         g.delete_vertices([1])
-        active = g.num_active_vertices()
         assert g.insert_edges([1], [6]) == 2
-        assert g.num_active_vertices() == active + 1
         assert g.degree([1, 6]).tolist() == [1, 2]
         assert structure_edges(g) == {(1, 6), (6, 1), (2, 6), (6, 2)}
 

@@ -1,10 +1,10 @@
 """Invariant tests for the incrementally maintained aggregate counters.
 
-The hot-path rework made ``num_edges()`` / ``num_active_vertices()`` O(1)
-reads of counters that every mutation updates incrementally (scatter-adds
-over the batch, never a capacity-sized scan).  These tests hammer the
-mutation API with randomized workloads and verify the incremental
-aggregates always equal the ground-truth full-array sums.
+The hot-path rework made ``num_edges()`` an O(1) read of a counter that
+every mutation updates incrementally (scatter-adds over the batch, never a
+capacity-sized scan).  These tests hammer the mutation API with randomized
+workloads and verify the incremental aggregate always equals the
+ground-truth full-array sum.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ def assert_aggregates_exact(g: DynamicGraph):
     """The incremental counters must equal the full-array ground truth."""
     vd = g._dict
     assert g.num_edges() == int(vd.edge_count.sum())
-    assert g.num_active_vertices() == int(np.count_nonzero(vd.active))
     vd.check_invariants()  # the library's own debug check agrees
 
 
@@ -43,11 +42,10 @@ def test_randomized_workload_keeps_aggregates_exact(rng, directed):
 def test_aggregates_survive_capacity_growth(rng):
     g = DynamicGraph(num_vertices=8, weighted=False)
     g.insert_edges([0, 1, 2], [1, 2, 3])
-    before_edges, before_active = g.num_edges(), g.num_active_vertices()
+    before_edges = g.num_edges()
     g.insert_vertices([500])  # forces dictionary doubling
-    assert g.vertex_capacity >= 501
+    assert g.num_vertices >= 501
     assert g.num_edges() == before_edges
-    assert g.num_active_vertices() == before_active + 1
     assert_aggregates_exact(g)
 
 
@@ -91,16 +89,20 @@ def test_zero_edge_counts_collapses_duplicates():
     vd.check_invariants()
 
 
-def test_activate_deactivate_count_unique_flips():
-    vd = VertexDictionary(8, weighted=False)
-    vd.activate(np.array([1, 1, 2, 2, 3]))
-    assert vd.num_active() == 3
-    vd.activate(np.array([2, 3]))  # already active: no change
-    assert vd.num_active() == 3
-    flipped = vd.deactivate(np.array([2, 2, 7]))
-    assert flipped.tolist() == [2]  # 7 was never active
-    assert vd.num_active() == 2
-    vd.check_invariants()
+def test_activate_grows_and_registers_each_id_once():
+    """``activate`` is vertex registration (Section IV-D1): grow the
+    dictionary, then one table per id lacking one; counters untouched."""
+    vd = VertexDictionary(4, weighted=False)
+    vd.debug_invariants = True
+    vd.activate(np.array([9, 2, 9]))
+    assert vd.capacity == 16
+    assert vd.arena.table_buckets[[2, 9]].tolist() == [1, 1]
+    assert np.flatnonzero(vd.arena.table_base != -1).tolist() == [2, 9]
+    vd.activate(np.array([2, 5]), expected_degree=np.array([900, 900]))
+    assert vd.arena.table_buckets[2] == 1  # already had a table: not resized
+    assert vd.arena.table_buckets[5] > 1
+    assert vd.capacity == 16
+    assert vd.total_edges() == 0
 
 
 def test_debug_mode_catches_desync():

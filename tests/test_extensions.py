@@ -29,7 +29,7 @@ class TestSSSP:
         g, G = weighted_case
         dist = sssp(g, 0)
         ref = nx.single_source_dijkstra_path_length(G, 0, weight="weight")
-        for v in range(g.vertex_capacity):
+        for v in range(g.num_vertices):
             assert dist[v] == ref.get(v, -1), v
 
     def test_source_distance_zero(self, weighted_case):

@@ -543,14 +543,13 @@ class TestProbeShortcuts:
 #: ids are range-checked by the backend template (2), by
 #: ``SlabArena.insert`` (2) and by ``create_tables`` (1); one group sort,
 #: which also finds in-batch repeats (none sort again here: every source
-#: is its own group); one unique sort each for the new tables and the
-#: newly active vertices; one call of each kernel.  A re-added pass
-#: changes a count here, visibly.
+#: is its own group); one unique sort, for the new tables; one call of
+#: each kernel.  A re-added pass changes a count here, visibly.
 LAUNCH_BUDGET = {
     ("util/validation.py", "check_in_range"): 5,
     ("util/validation.py", "checked_ids"): 1,
     ("util/groupby.py", "stable_argsort"): 1,
-    ("util/groupby.py", "sorted_unique"): 2,
+    ("util/groupby.py", "sorted_unique"): 1,
     ("kernels/reference.py", "walk_chains"): 1,
     ("kernels/reference.py", "read_tails"): 1,
     ("kernels/reference.py", "insert_round_set"): 1,
@@ -586,6 +585,31 @@ DELETE_BUDGET = {
     ("slabhash/search.py", "probe_chains"): 1,
     ("kernels/reference.py", "_probe_round"): 1,
     ("kernels/reference.py", "delete_round"): 1,
+}
+
+#: Calls one ``Graph.delete_vertices`` of four ids (one repeat, one with a
+#: table, one only a destination, one never used) makes on the same
+#: directed graph: the facade and the backend template each check the ids
+#: (2); one unique sort of the doomed ids and one in ``zero_edge_counts``;
+#: one sweep of every other table for references (a chain walk, a lane
+#: read) and one walk to clear the doomed tables; one delete launch for
+#: the reference found, and one scatter each into the edge counters.  A
+#: re-added per-vertex pass changes a count here.
+DELETE_VERTICES_BUDGET = {
+    ("util/validation.py", "check_in_range"): 6,
+    ("util/validation.py", "checked_ids"): 2,
+    ("util/groupby.py", "sorted_unique"): 2,
+    ("util/groupby.py", "first_occurrence_mask"): 2,
+    ("slabhash/iterate.py", "iterate_tables"): 1,
+    ("slabhash/iterate.py", "collect_table_slabs"): 2,
+    ("slabhash/iterate.py", "live_lanes"): 1,
+    ("kernels/reference.py", "walk_chains"): 2,
+    ("slabhash/arena.py", "clear_tables"): 1,
+    ("slabhash/arena.py", "delete"): 1,
+    ("kernels/reference.py", "_probe_round"): 1,
+    ("kernels/reference.py", "delete_round"): 1,
+    ("core/vertex_dict.py", "sub_edge_counts"): 1,
+    ("core/vertex_dict.py", "zero_edge_counts"): 1,
 }
 
 
@@ -636,3 +660,11 @@ class TestLaunchBudget:
         assert calls == DELETE_BUDGET
         assert counters_dict()["probe_rounds"] == calls[("kernels/reference.py", "_probe_round")]
         assert g.num_edges() == 198
+
+    def test_a_small_vertex_delete_makes_the_budgeted_calls(self):
+        g = warmed_graph()
+        doomed = np.array([3, 150, 3, 500])  # 3 owns two edges; 50 -> 150 is one
+        calls = budgeted_calls(DELETE_VERTICES_BUDGET, g.delete_vertices, doomed)
+        assert calls == DELETE_VERTICES_BUDGET
+        assert g.num_edges() == 197
+        assert not g.edge_exists([3, 50], [103, 150]).any()

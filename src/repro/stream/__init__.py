@@ -4,10 +4,10 @@ The paper's workload is phase-concurrent streams: batches of edge
 insertions and deletions interleaved with query and compute phases.  This
 package makes that workload a first-class object:
 
-- :mod:`repro.stream.scenario` — seeded :class:`Scenario` specs (mixed
-  phase schedules over the Table I dataset generators) runnable against
-  any registered backend through the :class:`repro.api.Graph` facade,
-  with per-phase model/counter records;
+- :mod:`repro.stream.scenario` — the ``t11`` schedule: seeded
+  :class:`Scenario` specs (insert, query and compute phases over an R-MAT
+  seed graph) runnable against any registered backend through the
+  :class:`repro.api.Graph` facade, with per-phase model/counter records;
 - :mod:`repro.stream.incremental` — analytics that read the facade's
   per-batch edge deltas through an event-log cursor and update in
   O(batch) instead of recomputing from scratch: :class:`IncrementalConnectedComponents`
@@ -45,7 +45,6 @@ from repro.stream.scenario import (
     Phase,
     Scenario,
     insert_heavy_scenario,
-    quick_scenarios,
     run_scenario,
 )
 
@@ -60,6 +59,5 @@ __all__ = [
     "Phase",
     "Scenario",
     "insert_heavy_scenario",
-    "quick_scenarios",
     "run_scenario",
 ]

@@ -243,11 +243,10 @@ class IncrementalPageRank(IncrementalAnalytic):
     def __init__(
         self,
         graph,
-        damping: float = 0.85,
         tol: float = 1e-8,
         max_iters: int = 100,
     ) -> None:
-        self.damping, self.tol, self.max_iters = _checked_params(damping, tol, max_iters)
+        self.tol, self.max_iters = _checked_params(tol, max_iters)
         #: Sweeps the last compute() needed (0 when served from cache).
         self.last_sweeps = 0
         super().__init__(graph)
@@ -263,7 +262,8 @@ class IncrementalPageRank(IncrementalAnalytic):
         return int(sorted_unique(np.concatenate(ends)).shape[0]) if ends else 0
 
     def compute(self) -> np.ndarray:
-        """Current PageRank scores (within ``tol`` of a cold computation)."""
+        """Current PageRank scores, converged to ``tol`` as a cold computation
+        is (docs/analytics.md bounds the distance between the two)."""
         self.last_sweeps = 0
         self._refresh()
         return self._ranks.copy()
@@ -283,9 +283,7 @@ class IncrementalPageRank(IncrementalAnalytic):
         self._iterate(snap, np.full(n, 1.0 / n, dtype=np.float64))
 
     def _iterate(self, snap, rank) -> None:
-        self._ranks, self.last_sweeps = power_iteration(
-            snap, rank, damping=self.damping, tol=self.tol, max_iters=self.max_iters
-        )
+        self._ranks, self.last_sweeps = power_iteration(snap, rank, self.tol, self.max_iters)
 
 
 def _sorted_member(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:

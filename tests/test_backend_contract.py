@@ -28,6 +28,7 @@ from repro.gpusim.counters import counting
 from repro.util.errors import ValidationError
 
 ALL_BACKENDS = sorted(api.backend_names())
+VERTEX_DYNAMIC = [name for name in ALL_BACKENDS if api.capabilities(name).vertex_dynamic]
 N = 32
 
 #: A fixed scenario batch: duplicates (0,1), one self-loop (2,2).
@@ -967,6 +968,7 @@ class TestOneIdCheckPerBoundary:
     # Sources on two of four shards; the self-loop's source alone owns a third.
     SRC = [0, 1, 3, 5, 7, 8, 2]
     DST = [1, 2, 4, 6, 8, 9, 2]
+    VICTIMS = [1, 8]
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_graph_mutations_check_once(self, name, id_checks):
@@ -989,6 +991,29 @@ class TestOneIdCheckPerBoundary:
             id_checks.clear()
             getattr(g, op)(src, dst)
             assert id_checks == [("src", "dst")] * (1 + reached), (name, op)
+
+    @pytest.mark.parametrize("name", VERTEX_DYNAMIC)
+    def test_vertex_deletion_checks_once(self, name, id_checks):
+        g = Graph.create(name, 16)
+        g.insert_edges(self.SRC, self.DST)
+        id_checks.clear()
+        g.delete_vertices(self.VICTIMS)
+        assert id_checks == [("vertex_ids",)], name
+
+    @pytest.mark.parametrize("name", VERTEX_DYNAMIC)
+    def test_routed_vertex_deletion_checks_once_per_template(self, name, id_checks):
+        """The router's template, each owner shard's ``adjacencies`` (the
+        router reads the victims' out-neighbours), and every shard's
+        ``delete_vertices`` template — the shards' facades check nothing."""
+        from repro.api import ShardedGraph
+
+        g = ShardedGraph.create(name, 16, num_shards=4)
+        g.insert_edges(self.SRC, self.DST)
+        owners = np.unique(g.partitioner.shard_of(np.array(self.VICTIMS))).size
+        id_checks.clear()
+        g.delete_vertices(self.VICTIMS)
+        vertex_checks = [c for c in id_checks if c == ("vertex_ids",)]
+        assert len(vertex_checks) == 1 + owners + g.num_shards, name
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_queries_keep_their_checks(self, name, id_checks):

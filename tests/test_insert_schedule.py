@@ -596,8 +596,8 @@ DELETE_BUDGET = {
 #: the reference found, and one scatter each into the edge counters.  A
 #: re-added per-vertex pass changes a count here.
 DELETE_VERTICES_BUDGET = {
-    ("util/validation.py", "check_in_range"): 6,
-    ("util/validation.py", "checked_ids"): 2,
+    ("util/validation.py", "check_in_range"): 5,
+    ("util/validation.py", "checked_ids"): 1,
     ("util/groupby.py", "sorted_unique"): 2,
     ("util/groupby.py", "first_occurrence_mask"): 2,
     ("slabhash/iterate.py", "iterate_tables"): 1,

@@ -48,20 +48,18 @@ SIGNATURES = {
     ShardedGraph.rebuild_shard: "self shard_index",
     open_graph: f"directory backend num_vertices weighted backend_kwargs {_STORE} read_only",
     WalWriter.__init__: "self directory start_seq fsync segment_bytes opener",
-    run_scenario: (
-        "scenario backend_name mode damping tol max_iters validate analytics source kcore_k"
-    ),
+    run_scenario: "scenario backend_name mode tol analytics",
     Phase: "kind size batches",
     DynamicGraph.__init__: "self num_vertices weighted directed load_factor hash_seed",
     # The analytics: a class stands for its constructor.
     IncrementalConnectedComponents: "graph",
-    IncrementalPageRank: "graph damping tol max_iters",
+    IncrementalPageRank: "graph tol max_iters",
     IncrementalTriangleCount: "graph",
     IncrementalBFS: "graph source",
     IncrementalSSSP: "graph source",
     IncrementalKCore: "graph k",
-    pagerank: "graph damping tol max_iters",
-    power_iteration: "snap rank damping tol max_iters",
+    pagerank: "graph tol max_iters",
+    power_iteration: "snap rank tol max_iters",
     bfs: "graph source",
     sssp: "graph source",
     kcore_membership: "graph k",

@@ -52,10 +52,6 @@ ALLOWED = {
     ),
     "repro.slabhash.stats.chain_lengths": "ROADMAP item 6 (stats surface) reads it",
     "repro.slabhash.stats.live_counts": "ROADMAP item 6 (stats surface) reads it",
-    "repro.stream.scenario.quick_scenarios": (
-        "the test-sized scenario set covering every family and phase kind that "
-        "tests/test_stream.py and tests/test_stream_family.py iterate"
-    ),
 }
 
 #: Directories whose ``*.py`` files count as callers, and those whose

@@ -20,12 +20,13 @@ from repro.analytics import (
     triangle_count_sorted,
     undirected_triangles,
 )
+from repro.analytics.pagerank import DAMPING, power_iteration
 from repro.analytics.wedges import oriented_triangles
 from repro.api import Graph
 from repro.baselines import HornetGraph
 from repro.datasets import powerlaw_graph, rgg_graph
 from repro.gpusim.counters import counting, get_counters
-from repro.stream import IncrementalTriangleCount
+from repro.stream import IncrementalPageRank, IncrementalTriangleCount
 from repro.util.errors import ValidationError
 
 
@@ -245,6 +246,39 @@ class TestTraversal:
         _, _, g = undirected_case
         assert pagerank(g).sum() == pytest.approx(1.0)
 
+    def test_pagerank_is_the_damped_fixed_point(self):
+        """The ranks solve ``r = (1 - d) / n + d (Aᵀ D⁻¹ r + m / n)``, ``m``
+        the dangling vertices' mass, at the one damping factor
+        ``DAMPING = 0.85``."""
+        assert DAMPING == 0.85
+        g = DynamicGraph(5, weighted=False)
+        src, dst = [0, 0, 1, 2, 3], [1, 2, 2, 0, 0]  # 4 has no out-edges
+        g.insert_edges(src, dst)
+        r = pagerank(g, tol=1e-14, max_iters=1000)
+        out_deg = np.bincount(src, minlength=5).astype(np.float64)
+        step = np.zeros((5, 5))
+        for s, d in zip(src, dst):
+            step[d, s] += 1.0 / out_deg[s]
+        dangling_mass = r[out_deg == 0].sum() / 5
+        expected = (1.0 - 0.85) / 5 + 0.85 * (step @ r + dangling_mass)
+        assert np.allclose(r, expected, atol=1e-12, rtol=0.0)
+
+    @pytest.mark.parametrize("entry", ["pagerank", "power_iteration", "IncrementalPageRank"])
+    def test_damping_is_not_a_parameter(self, entry):
+        """The damping factor is the constant ``DAMPING``: no PageRank entry
+        point takes it as a keyword."""
+        g = Graph.create("slabhash", 4)
+        g.insert_edges([0, 1], [1, 2])
+        calls = {
+            "pagerank": lambda: pagerank(g, damping=0.5),
+            "power_iteration": lambda: power_iteration(
+                g.snapshot(), np.full(4, 0.25), damping=0.5
+            ),
+            "IncrementalPageRank": lambda: IncrementalPageRank(g, damping=0.5),
+        }
+        with pytest.raises(TypeError):
+            calls[entry]()
+
     @pytest.mark.parametrize(
         "params",
         [
@@ -270,18 +304,18 @@ _NOT_A_REAL = ["0.5", None, np.array([0.5, 0.5]), float("nan"), True, np.bool_(F
 class TestPageRankFloatRule:
     """``tol`` is one real number: a str or ``None`` used to raise a raw
     ``TypeError``, a 2-element array NumPy's "truth value ... is ambiguous"
-    ``ValueError``, and a bool passed as 0 or 1."""
+    ``ValueError``, and a bool passed as 0 or 1.  ``max_iters`` refuses the
+    same values under the integer rule."""
 
+    @pytest.mark.parametrize("name", ["max_iters", "tol"])
     @pytest.mark.parametrize("bad", _NOT_A_REAL, ids=repr)
-    def test_pagerank_and_incremental_pagerank_refuse(self, bad):
-        from repro.stream import IncrementalPageRank
-
+    def test_pagerank_and_incremental_pagerank_refuse(self, name, bad):
         g = Graph.create("slabhash", 4)
         g.insert_edges([0, 1], [1, 2])
         with pytest.raises(ValidationError):
-            pagerank(g, tol=bad)
+            pagerank(g, **{name: bad})
         with pytest.raises(ValidationError):
-            IncrementalPageRank(g, tol=bad)
+            IncrementalPageRank(g, **{name: bad})
 
     @pytest.mark.parametrize("bad", _NOT_A_REAL, ids=repr)
     def test_run_scenario_refuses(self, bad):

@@ -15,6 +15,7 @@ from repro.analytics import connected_components, pagerank
 from repro.api import Graph
 from repro.eventlog import EdgeBatch, StructuralEvent
 from repro.stream import (
+    ANALYTICS,
     IncrementalConnectedComponents,
     IncrementalPageRank,
     Phase,
@@ -51,6 +52,22 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             Scenario("s", 64, 4.0, ())
 
+    def test_negative_phase_size(self):
+        with pytest.raises(ValidationError):
+            Phase("compute", size=-1)
+
+    def test_scenario_needs_two_vertices(self):
+        with pytest.raises(ValidationError):
+            Scenario("s", 1, 4.0, (Phase("compute"),))
+
+    def test_scenario_needs_positive_avg_degree(self):
+        with pytest.raises(ValidationError):
+            Scenario("s", 64, 0.0, (Phase("compute"),))
+
+    def test_phases_must_be_phase_instances(self):
+        with pytest.raises(ValidationError):
+            Scenario("s", 64, 4.0, ("compute",))
+
     def test_bad_mode(self):
         with pytest.raises(ValidationError):
             run_scenario(small_scenario(), "slabhash", mode="sideways")
@@ -59,6 +76,35 @@ class TestSpecValidation:
         for mode in ("incremental", "full"):
             with pytest.raises(ValidationError):
                 run_scenario(small_scenario(), "slabhash", mode=mode, tol=0.0)
+
+    def test_build_dataset_is_seeded(self):
+        a, b = build_dataset(small_scenario()), build_dataset(small_scenario())
+        assert a.num_edges > 0
+        assert np.array_equal(a.src, b.src) and np.array_equal(a.dst, b.dst)
+        other = build_dataset(insert_heavy_scenario(1 << 10, batch=64, rounds=2, seed=1))
+        assert not (np.array_equal(a.src, other.src) and np.array_equal(a.dst, other.dst))
+
+    def test_unweighted_scenario_has_no_weights(self):
+        assert build_dataset(small_scenario()).weights is None
+
+    def test_insert_heavy_schedule(self):
+        """Per round: two insert batches, a query probe, a compute phase."""
+        scn = small_scenario()
+        assert scn.phases == (
+            Phase("insert", size=64, batches=2),
+            Phase("query", size=32),
+            Phase("compute"),
+        ) * 2
+        assert scn.num_vertices == (1 << 10) // 4 and not scn.weighted
+        assert scn.name == "insert-heavy-2^10"
+        weighted = insert_heavy_scenario(1 << 10, batch=64, rounds=2, weighted=True)
+        assert weighted.weighted and weighted.name == "insert-heavy-w-2^10"
+
+    def test_mean_compute_model_seconds_without_compute_phases(self):
+        scn = Scenario("s", 64, 4.0, (Phase("insert", size=8),))
+        result = run_scenario(scn, "slabhash")
+        assert result.compute_phases() == []
+        assert result.mean_compute_model_seconds() == 0.0
 
     def test_weighted_scenario_carries_weights(self):
         scn = Scenario("w", 128, 6.0, (Phase("insert", size=16), Phase("compute")), weighted=True)
@@ -91,6 +137,64 @@ def test_scenario_is_deterministic_for_fixed_seed():
     b = run_scenario(scn, "slabhash", mode="incremental")
     assert [p.counters for p in a.phases] == [p.counters for p in b.phases]
     assert [p.applied for p in a.phases] == [p.applied for p in b.phases]
+
+
+UNWEIGHTED_ANALYTICS = tuple(a for a in ANALYTICS if a != "sssp")
+WEIGHTED_BACKENDS = [n for n in ALL_BACKENDS if api.capabilities(n).weighted]
+
+
+def run_both_modes(name, weighted=False):
+    """``(incremental, full)`` runs of the small ``t11`` schedule with every
+    analytic the scenario allows."""
+    scn = insert_heavy_scenario(1 << 10, batch=64, rounds=2, weighted=weighted)
+    analytics = ANALYTICS if weighted else UNWEIGHTED_ANALYTICS
+    return tuple(
+        run_scenario(scn, name, mode=mode, analytics=analytics)
+        for mode in ("incremental", "full")
+    )
+
+
+def update_stream(result):
+    """What the non-compute phases applied and found."""
+    return [(p.kind, p.applied, p.detail.get("hits")) for p in result.phases if p.kind != "compute"]
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_both_modes_apply_the_same_stream(name):
+    """The compute mode changes only what a compute phase does: both
+    modes run the whole schedule and apply the same batches and probes."""
+    inc, full = run_both_modes(name)
+    for result in (inc, full):
+        assert [p.kind for p in result.phases] == [p.kind for p in small_scenario().phases]
+        assert all(p.applied > 0 and p.model_seconds >= 0 for p in result.phases)
+    assert update_stream(inc) == update_stream(full)
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_incremental_compute_phases_take_the_delta_path(name):
+    """After insert-only windows every analytic folds the delta (PageRank
+    warm-starts in fewer sweeps), where the full mode recomputes each one
+    cold behind a cold snapshot sort; each analytic is priced on its own."""
+    inc, full = run_both_modes(name)
+    for p_inc, p_full in zip(inc.compute_phases(), full.compute_phases()):
+        assert p_inc.detail["modes"] == dict.fromkeys(UNWEIGHTED_ANALYTICS, "incremental")
+        assert p_full.detail["modes"] == dict.fromkeys(UNWEIGHTED_ANALYTICS, "cold")
+        assert 0 < p_inc.detail["pr_sweeps"] < p_full.detail["pr_sweeps"]
+        assert p_inc.detail["snapshot_model"] < p_full.detail["snapshot_model"]
+        for p in (p_inc, p_full):
+            assert set(p.detail["analytic_model"]) == set(UNWEIGHTED_ANALYTICS)
+    assert 0 < inc.mean_compute_model_seconds() < full.mean_compute_model_seconds()
+
+
+@pytest.mark.parametrize("name", WEIGHTED_BACKENDS)
+def test_weighted_scenario_runs_the_whole_family(name):
+    inc, full = run_both_modes(name, weighted=True)
+    assert update_stream(inc) == update_stream(full)
+    for p_inc, p_full in zip(inc.compute_phases(), full.compute_phases()):
+        assert set(p_inc.detail["modes"]) == set(p_full.detail["modes"]) == set(ANALYTICS)
+        assert set(p_inc.detail["analytic_model"]) == set(ANALYTICS)
+        assert set(p_full.detail["modes"].values()) == {"cold"}
+        assert p_inc.detail["modes"]["sssp"] in ("incremental", "cold")
 
 
 class TestIncrementalConnectedComponents:

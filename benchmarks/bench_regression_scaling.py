@@ -19,6 +19,12 @@ The snapshot delta merge sits under the same rule: a merge of a fixed
 space differs), so a ``row_ptr`` over every id re-entering the merge trips
 it.
 
+The bulk build (and so a snapshot restore) sits under it too: the best of
+five ``bulk_build`` calls of one fixed 16,384-row COO, each into an empty
+graph created outside the timed region, must take within 2x as long at
+|V| = 1e6 as at |V| = 1e3, so a degree ``bincount`` over every id or any
+other vertex-space pass re-entering the build trips it.
+
 Creating a graph writes one |V|-sized array (the table handles), so the
 best of five ``Graph.create("slabhash", 2**22)`` must stay within 3x of
 the best of five ``np.full(2**22, -1)``: a per-vertex draw or pass
@@ -51,6 +57,8 @@ SEED = 0x5CA1E
 MERGE_EDGES, MERGE_UPSERTS, MERGE_DELETES = 16_384, 256, 64
 MERGE_CAPACITIES = (1_000, 1_000_000)
 MERGES_PER_RUN = 8
+BULK_ROWS = 16_384
+BULK_CAPACITIES = (1_000, 1_000_000)
 CREATE_VERTICES = 1 << 22
 MAX_CREATE_RATIO = 3.0
 
@@ -138,6 +146,31 @@ def test_snapshot_merge_time_independent_of_capacity():
     assert ratio <= MAX_RATIO, (
         f"merge time ratio {ratio:.2f} exceeds {MAX_RATIO} ({detail}); "
         "an O(|V|) term has re-entered the snapshot merge"
+    )
+
+
+def _timed_bulk_build(capacity, seed):
+    """Seconds for one ``bulk_build`` of a fixed COO whose ids lie below
+    ``BULK_CAPACITIES[0]`` whatever ``capacity`` is."""
+    rng = np.random.default_rng(seed)
+    side = BULK_CAPACITIES[0]
+    coo = COO(rng.integers(0, side, BULK_ROWS), rng.integers(0, side, BULK_ROWS), capacity)
+    graph = Graph.create("slabhash", capacity)
+    t0 = perf_counter()
+    graph.bulk_build(coo)
+    return perf_counter() - t0
+
+
+def test_bulk_build_time_independent_of_capacity():
+    best = dict.fromkeys(BULK_CAPACITIES, float("inf"))
+    for _ in range(REPEATS):
+        for capacity in BULK_CAPACITIES:
+            best[capacity] = min(best[capacity], _timed_bulk_build(capacity, SEED))
+    ratio = best[BULK_CAPACITIES[-1]] / best[BULK_CAPACITIES[0]]
+    detail = ", ".join(f"|V|={c:,}: {s * 1e3:.2f} ms" for c, s in best.items())
+    assert ratio <= MAX_RATIO, (
+        f"bulk build time ratio {ratio:.2f} exceeds {MAX_RATIO} ({detail}); "
+        "an O(|V|) term has re-entered the bulk build"
     )
 
 

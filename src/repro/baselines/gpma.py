@@ -274,11 +274,20 @@ class GPMAGraph(GraphBackend):
     # -- queries ---------------------------------------------------------------------------
 
     def _edge_exists(self, src, dst) -> np.ndarray:
-        """Binary search over the sorted live keys — PMA's query strength."""
+        """Binary search over the sorted live keys — PMA's query strength.
+
+        Charged as one batched launch of ``ceil(log2 E)`` (at least one)
+        ``sorted_probes`` per probe over ``E`` live keys; the degree read
+        stays free, like every backend's maintained counters.
+        """
         comp = self._composite(src, dst)
         live = self._live()
+        counters = get_counters()
+        counters.kernel_launches += 1
         if live.size == 0:
             return np.zeros(src.shape[0], dtype=bool)
+        steps = max((int(live.size) - 1).bit_length(), 1)
+        counters.add("sorted_probes", int(comp.shape[0]) * steps)
         loc = np.searchsorted(live, comp)
         safe = np.minimum(loc, live.shape[0] - 1)
         return (loc < live.shape[0]) & (live[safe] == comp)

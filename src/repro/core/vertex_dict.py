@@ -125,6 +125,14 @@ class VertexDictionary:
         self._total_edges += int(sources.size)
         self._check()
 
+    def credit_edge_counts(self, vertex_ids: np.ndarray, counts: np.ndarray) -> None:
+        """Credit ``counts[i]`` edges to each of the *distinct*
+        ``vertex_ids`` — :meth:`add_edge_counts` for a batch already
+        counted per source (the bulk build's runs)."""
+        self.edge_count[vertex_ids] += counts
+        self._total_edges += int(counts.sum())
+        self._check()
+
     def sub_edge_counts(self, sources: np.ndarray) -> None:
         """Debit one edge per occurrence of ``sources`` (dups allowed)."""
         if sources.size == 0:

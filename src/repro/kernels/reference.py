@@ -7,7 +7,8 @@ compare finds each hit's lane, and the scan reads only a slab's last
 lane), a level-order walk of whole chains, and for insert one read of
 every chain's tail (:func:`read_tails`), one hit/replace pass over the
 (item, chain-slab) pairs of the launch that can hold a key, and the lane
-fill of its tail placement (:func:`fill_lanes`) — see
+fill of its tail placement (:func:`fill_lanes`); the whole-row write of a
+refill of empty chains (:func:`fill_rows`) — see
 :mod:`repro.slabhash.insert` for the schedule.
 
 Kernels here are **pure with respect to the device model**: they never
@@ -38,6 +39,7 @@ __all__ = [
     "PAIR_LANE_BUDGET",
     "delete_round",
     "fill_lanes",
+    "fill_rows",
     "insert_round_map",
     "insert_round_set",
     "merge_sorted_csr",
@@ -180,6 +182,15 @@ def read_tails(pool_keys, tails):
 def fill_lanes(lane_matrix, slabs, lanes, vals):
     """Scatter ``vals`` into ``lane_matrix[slabs, lanes]`` (distinct lanes)."""
     lane_matrix[slabs, lanes] = vals
+
+
+def fill_rows(lane_matrix, rows, lanes, vals, fill):
+    """Write whole rows: ``vals`` at flat lanes ``lanes`` of a dense block
+    of ``len(rows)`` rows, every other lane ``fill``, copied into
+    ``lane_matrix[rows]`` (distinct rows)."""
+    block = np.full((rows.shape[0], lane_matrix.shape[1]), fill, dtype=lane_matrix.dtype)
+    block.ravel()[lanes] = vals
+    lane_matrix[rows] = block
 
 
 def _probe_round(pool_keys, cur, k):

@@ -39,9 +39,12 @@ A launch is four steps:
    in launch order.  With ``used`` of its tail's ``Bc`` lanes occupied,
    miss ``rank`` lands ``(used + rank) // Bc`` slabs past the tail, in
    lane ``(used + rank) % Bc`` — the tail itself, or new slab ``q`` = that
-   quotient - 1.  Flush and rehash, whose entries are distinct and whose
-   chains were just emptied, run this step alone as their launch
-   (:func:`refill_chains`).
+   quotient - 1.
+
+The bulk build, the tombstone flush and the rehash place distinct keys
+into empty one-slab chains, where steps 1-3 find nothing: their launch is
+:func:`refill_chains`, which writes each chain as whole rows of one dense
+block, with the same slab ids, lanes and charges as this placement.
 
 The device model is charged from each item's *resolve depth* ``d`` — hit
 position + 1, chain length ``L`` for a miss placed in the tail, ``L + q +
@@ -72,7 +75,7 @@ import numpy as np
 
 from repro.gpusim.counters import get_counters
 from repro.kernels import reference as kern
-from repro.slabhash.constants import KEY_DTYPE, MAX_KEY, NULL_SLAB, VALUE_DTYPE
+from repro.slabhash.constants import EMPTY_KEY, KEY_DTYPE, MAX_KEY, NULL_SLAB, VALUE_DTYPE
 from repro.util.errors import ValidationError
 from repro.util.groupby import (
     _run_starts,
@@ -177,23 +180,50 @@ def _ranks(group, num_groups):
 
 
 def refill_chains(pool, heads, k, v) -> None:
-    """Place distinct keys into emptied one-slab chains, as one launch.
+    """Place distinct keys into empty one-slab chains, as one launch.
 
     ``heads[i]`` is item ``i``'s head slab, sorted (a chain's items in the
-    order they are to be stored); ``k`` / ``v`` as for :func:`_place_at_tails`,
-    in the pool's dtypes.  Slab ids, lanes and every charge are those of
-    :func:`insert_batch` on the same items.
+    order they are to be stored); ``k`` / ``v`` are the keys and values in
+    the pool's dtypes (``v`` is ``None`` for a set pool).  A chain of
+    ``c`` items fills ``ceil(c / Bc)`` whole rows — its head, then the
+    slabs :func:`_extend_chains` links in the device's round order — so
+    the items are laid out as one dense block of rows, each chain's last
+    row padded with empty lanes, and written row by row
+    (``kern.fill_rows``).  This is the one row writer of the bulk build,
+    the tombstone flush and the rehash.  Slab ids, lanes and every charge
+    are those of :func:`insert_batch` on the same items: the item of rank
+    ``r`` in its chain resolves at depth ``1 + r // Bc``.
     """
-    group_heads, group = _groups(heads)
-    lengths = np.ones(group_heads.shape[0], dtype=np.int64)
-    occupied = np.zeros_like(lengths)
-    beyond, links = _place_at_tails(pool, group_heads, lengths, occupied, group, k, v)
+    lane_capacity = pool.lane_capacity
+    m = heads.shape[0]
+    start = np.flatnonzero(_run_starts(heads))
+    chain_heads = heads[start]
+    count = np.diff(start, append=m)
+    spill = (count - 1) // lane_capacity  # slabs linked behind each head
+    new_ids = _extend_chains(pool, chain_heads, np.ones_like(count), spill)
+    links = int(new_ids.shape[0])
+    # Chain g's rows start after every earlier chain's head and links.
+    row_first = np.cumsum(spill) - spill
+    row_first += np.arange(start.shape[0], dtype=np.int64)
+    rows = np.empty(start.shape[0] + links, dtype=np.int64)
+    is_head = np.zeros(rows.shape[0], dtype=bool)
+    is_head[row_first] = True
+    rows[is_head] = chain_heads
+    rows[~is_head] = new_ids  # chain by chain, each in link order
+    # Item i of a chain whose first row is block row r sits at flat lane
+    # i + (r * Bc - the chain's first item).
+    lane = np.repeat(row_first * lane_capacity - start, count)
+    lane += np.arange(m, dtype=np.int64)
+    kern.fill_rows(pool.keys, rows, lane, k, EMPTY_KEY)
+    if v is not None:
+        kern.fill_rows(pool.values, rows, lane, v, 0)
     counters = get_counters()
     counters.kernel_launches += 1
-    # Every chain has length 1, so an item resolves at depth 1 + beyond.
-    counters.probe_rounds += 1 + int(beyond.max())
-    counters.slab_reads += int(k.shape[0]) + int(beyond.sum())
-    counters.slab_writes += int(k.shape[0]) + links
+    counters.probe_rounds += 1 + int(spill.max())
+    # Ranks [j * Bc, (j + 1) * Bc) of a chain resolve j slabs past its head.
+    full, rest = np.divmod(count, lane_capacity)
+    counters.slab_reads += m + int((lane_capacity * full * (full - 1) // 2 + rest * full).sum())
+    counters.slab_writes += m + links
 
 
 def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:

@@ -10,7 +10,8 @@ the device model from the level/read totals the kernel reports.
 
 Every pass is one walk plus array passes over the slabs it found: a gather
 keeps the live (or wanted) lanes, a clear resets bases and frees overflow,
-a flush is both plus the insert's tail placement (``refill_chains``).
+a flush is both plus one dense row write of the emptied chains
+(``refill_chains``).
 """
 
 from __future__ import annotations
@@ -132,8 +133,10 @@ def flush_tombstones(arena, table_ids) -> None:
     The optional cleanup pass the paper mentions for reclaiming
     tombstone-occupied lanes.  Live lanes are gathered with their chain's
     head slab (the bucket count is unchanged, so an entry cannot change
-    bucket: no hash), the tables cleared and each bucket's entries placed
-    back in chain order.  Charged as iterate, clear and one insert launch.
+    bucket: no hash), the tables cleared and each bucket's entries written
+    back in chain order as whole rows by one ``refill_chains`` launch —
+    no chain walk, tail read or hit pass.  Charged as iterate, clear and
+    one insert launch.
     """
     slab_ids, _, is_base, heads = collect_table_slabs(arena, distinct_ids(table_ids), walks=2)
     by_chain = stable_argsort(heads)  # the walk reports slabs level by level

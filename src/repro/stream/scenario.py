@@ -129,8 +129,15 @@ class Scenario:
     weighted: bool = False
 
     def __post_init__(self):
-        if self.num_vertices < 2:
+        n = self.num_vertices
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise ValidationError(f"num_vertices must be an integer power of two, got {n!r}")
+        if n < 2:
             raise ValidationError("scenarios need at least 2 vertices")
+        if n & (n - 1):
+            # R-MAT's vertex space is 2**scale: any other count would run
+            # the scenario on a graph of another size.
+            raise ValidationError(f"num_vertices must be a power of two, got {n}")
         if self.avg_degree <= 0:
             raise ValidationError("avg_degree must be positive")
         if not self.phases:
@@ -143,7 +150,7 @@ class Scenario:
 
 def build_dataset(scenario: Scenario) -> COO:
     """Generate the scenario's R-MAT seed graph (weights attached if requested)."""
-    scale = max(1, int(round(np.log2(scenario.num_vertices))))
+    scale = int(scenario.num_vertices).bit_length() - 1
     coo = rmat_graph(scale, edge_factor=scenario.avg_degree, seed=scenario.seed)
     if scenario.weighted:
         rng = np.random.default_rng(scenario.seed ^ 0x3E1647)

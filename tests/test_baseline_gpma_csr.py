@@ -74,6 +74,24 @@ class TestGPMA:
         d, _ = g.neighbors(2)
         assert d.tolist() == [1, 5, 9]
 
+    def test_queries_charge_a_binary_search(self):
+        g = GPMAGraph(16)
+        g.insert_edges(np.arange(10), np.arange(10) + 5)  # 10 live keys: 4 steps
+        with counting() as charges:
+            g.edge_exists([0, 1, 2], [5, 6, 0])
+        charged = {name: n for name, n in charges.items() if n}
+        assert charged == {"kernel_launches": 1, "sorted_probes": 3 * 4}
+        with counting() as charges:
+            g.degree([0, 1])
+        assert not any(charges.values())
+
+    def test_a_scenario_query_phase_models_time(self):
+        from repro.stream import insert_heavy_scenario, run_scenario
+
+        result = run_scenario(insert_heavy_scenario(1 << 10, batch=64, rounds=2), "gpma")
+        queries = [p for p in result.phases if p.kind == "query"]
+        assert queries and all(p.model_seconds > 0 for p in queries)
+
     def test_sorted_adjacency_free(self):
         g = GPMAGraph(16)
         g.insert_edges([0, 1, 0], [1, 2, 3])

@@ -18,8 +18,8 @@ is the round-by-round schedule's, bit for bit:
   test on the last lane, the first hit per row) equal to the ``any`` /
   ``argmax`` round it replaced, and whole search and delete launches
   equal to scalar chain walks;
-- a launch budget: the calls one small insert, search and delete make to
-  the named ordering, checking and kernel functions.
+- a launch budget: the calls one small insert, search, delete and bulk
+  build make to the named ordering, checking and kernel functions.
 """
 
 import copy
@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.core.rehash import rehash_vertices
 from repro.api import Graph
+from repro.coo import COO
 from repro.gpusim.counters import get_counters
 from repro.kernels import reference
 from repro.slabhash.arena import SlabArena
@@ -613,6 +614,20 @@ DELETE_VERTICES_BUDGET = {
 }
 
 
+#: Calls one small ``Graph.bulk_build`` makes: one placement pass — no
+#: insert launch, no chain walk, no tail read, no hit pass — whose one
+#: ``refill_chains`` writes every chain as whole rows.
+BULK_BUILD_BUDGET = {
+    ("slabhash/insert.py", "refill_chains"): 1,
+    ("slabhash/insert.py", "insert_batch"): 0,
+    ("kernels/reference.py", "walk_chains"): 0,
+    ("kernels/reference.py", "read_tails"): 0,
+    ("kernels/reference.py", "insert_round_map"): 0,
+    ("kernels/reference.py", "insert_round_set"): 0,
+    ("kernels/reference.py", "fill_rows"): 1,
+}
+
+
 def budgeted_calls(budget, call, *args):
     """Run ``call(*args)`` under cProfile; count its calls of the
     functions ``budget`` names (0 for one never called)."""
@@ -660,6 +675,19 @@ class TestLaunchBudget:
         assert calls == DELETE_BUDGET
         assert counters_dict()["probe_rounds"] == calls[("kernels/reference.py", "_probe_round")]
         assert g.num_edges() == 198
+
+    def test_a_small_bulk_build_places_once(self):
+        g = Graph.create("slabhash", 1024, load_factor=4.0)
+        # A repeat, a self-loop, and a hub whose 40 keys spill past its one
+        # bucket's slab (sized for 120 at this load factor).
+        src = np.concatenate([[0, 1, 1, 2, 3], np.full(40, 4)])
+        dst = np.concatenate([[7, 8, 8, 2, 9], np.arange(100, 140)])
+        calls = budgeted_calls(BULK_BUILD_BUDGET, g.bulk_build, COO(src, dst, 1024))
+        assert calls == BULK_BUILD_BUDGET
+        assert g.num_edges() == 43
+        assert g.degree([4]).tolist() == [40]
+        stats = g.backend.stats()
+        assert (stats.num_buckets, stats.num_slabs) == (4, 5)  # one slab linked
 
     def test_a_small_vertex_delete_makes_the_budgeted_calls(self):
         g = warmed_graph()

@@ -60,6 +60,16 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             Scenario("s", 1, 4.0, (Phase("compute"),))
 
+    @pytest.mark.parametrize("num_vertices", [3000, 100, 3, 1024.0, True, "1024"])
+    def test_scenario_needs_a_power_of_two_vertex_count(self, num_vertices):
+        with pytest.raises(ValidationError, match="power of two"):
+            Scenario("s", num_vertices, 4.0, (Phase("compute"),))
+
+    @pytest.mark.parametrize("num_vertices", [2, 64, 4096, np.int64(64)])
+    def test_power_of_two_vertex_counts_build_that_graph(self, num_vertices):
+        scn = Scenario("s", num_vertices, 2.0, (Phase("compute"),))
+        assert build_dataset(scn).num_vertices == num_vertices
+
     def test_scenario_needs_positive_avg_degree(self):
         with pytest.raises(ValidationError):
             Scenario("s", 64, 0.0, (Phase("compute"),))

@@ -13,6 +13,12 @@ batch, so an O(|V|) aggregate scan re-entering that read, or an O(|V|)
 term in the search driver, trips the guard the same way one in insert or
 delete does.
 
+Table creation sits under it too.  ``_timed_run`` registers every source
+before timing, so a second guard times the same batches of rows whose
+sources all lack a table — batch ``i`` draws them from its own slice of
+the ids below ``CREATE_CAPACITIES[0]`` — into a graph of 1e3 and of 1e6
+ids: an O(|V|) term in the insert launch's table creation trips it.
+
 The snapshot delta merge sits under the same rule: a merge of a fixed
 16,384-edge snapshot with a 256-upsert / 64-delete delta must take within
 2x as long at |V| = 1e6 as at |V| = 1e3 (the same edges, only the vertex
@@ -59,6 +65,8 @@ MERGE_CAPACITIES = (1_000, 1_000_000)
 MERGES_PER_RUN = 8
 BULK_ROWS = 16_384
 BULK_CAPACITIES = (1_000, 1_000_000)
+CREATE_BATCHES = 8
+CREATE_CAPACITIES = (1_000, 1_000_000)
 CREATE_VERTICES = 1 << 22
 MAX_CREATE_RATIO = 3.0
 
@@ -110,6 +118,39 @@ def test_update_throughput_independent_of_capacity():
     assert ratio <= MAX_RATIO, (
         f"small/large throughput ratio {ratio:.2f} exceeds {MAX_RATIO} ({detail}); "
         "an O(|V|) term has re-entered the per-batch update or query path"
+    )
+
+
+def _timed_creating_run(capacity, seed):
+    """Seconds for ``CREATE_BATCHES`` inserts whose every source lacks a
+    table; the rows are the same whatever ``capacity`` is."""
+    rng = np.random.default_rng(seed)
+    side = CREATE_CAPACITIES[0] // CREATE_BATCHES
+    batches = [
+        (i * side + rng.integers(0, side, BATCH_SIZE), rng.integers(0, side, BATCH_SIZE))
+        for i in range(CREATE_BATCHES)
+    ]
+    graph = create("slabhash", capacity, weighted=False)
+    # Write the dictionary's np.zeros arrays once, as _timed_run does:
+    # first-touch page faults are not per-batch cost.
+    graph._dict.edge_count.fill(0)
+    graph._dict.arena.table_buckets.fill(0)
+    t0 = perf_counter()
+    for src, dst in batches:
+        graph.insert_edges(src, dst)
+    return perf_counter() - t0
+
+
+def test_table_creating_insert_time_independent_of_capacity():
+    best = dict.fromkeys(CREATE_CAPACITIES, float("inf"))
+    for repeat in range(REPEATS):
+        for capacity in CREATE_CAPACITIES:
+            best[capacity] = min(best[capacity], _timed_creating_run(capacity, SEED + repeat))
+    ratio = best[CREATE_CAPACITIES[-1]] / best[CREATE_CAPACITIES[0]]
+    detail = ", ".join(f"|V|={c:,}: {s * 1e3:.2f} ms" for c, s in best.items())
+    assert ratio <= MAX_RATIO, (
+        f"table-creating insert time ratio {ratio:.2f} exceeds {MAX_RATIO} ({detail}); "
+        "an O(|V|) term has re-entered table creation"
     )
 
 

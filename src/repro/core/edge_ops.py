@@ -8,11 +8,11 @@ The vectorized pipeline per batch:
 2. for an undirected graph, mirror the batch (Section IV-C: "inserting an
    edge ... also requires an operation on the edge in the other
    direction");
-3. create single-bucket tables for sources seen for the first time
+3. run the slab-hash replace/delete kernel (intra-batch duplicates resolve
+   to the paper's "most recent wins" / "only one delete succeeds"); an
+   insert launch gives each first-seen source a single-bucket table
    (Section III-b: no connectivity information available);
-4. run the slab-hash replace/delete kernel (intra-batch duplicates resolve
-   to the paper's "most recent wins" / "only one delete succeeds");
-5. update exact per-vertex edge counts from the success mask — the
+4. update exact per-vertex edge counts from the success mask — the
    vectorized equivalent of ``popc(ballot(success))`` in Algorithm 1 lines
    9-10.
 
@@ -51,10 +51,7 @@ def insert_edges(graph, src, dst, w) -> int:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
         w = np.concatenate([w, w]) if w is not None else None
     vd = graph._dict
-    vd.ensure_tables(src)
-    if graph.weighted and w is None:
-        w = np.zeros(src.shape[0], dtype=np.int64)
-    added = vd.arena.insert(src, dst, w if graph.weighted else None)
+    added = vd.arena.insert(src, dst, w)  # absent weights on a map are stored as 0
     count = int(np.count_nonzero(added))
     if count:
         vd.add_edge_counts(src[added])

@@ -213,7 +213,6 @@ class DynamicGraph(GraphBackend):
     def reference_replace(self, src: int, dst: int, weight: int) -> bool:
         if src == dst:
             return False
-        self._dict.ensure_tables(np.array([src], dtype=np.int64))
         self._bump_version()
         return self._dict.arena.reference_insert_one(src, dst, weight)
 

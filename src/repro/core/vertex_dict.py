@@ -88,20 +88,16 @@ class VertexDictionary:
         missing = self.arena.table_base[vertex_ids] == NULL_SLAB
         if not missing.any():
             return
+        # Each new id is sized by its first occurrence: the stable sort
+        # puts that one at the start of the id's run.
+        missing_ids = vertex_ids[missing]
+        order = stable_argsort(missing_ids)
+        first = order[group_starts(missing_ids[order])]
         if expected_degree is None:
-            new_ids = sorted_unique(vertex_ids[missing])
-            buckets = np.ones(new_ids.shape[0], dtype=np.int64)
-        else:
-            # Each new id is sized by its first occurrence: the stable sort
-            # puts that one at the start of the id's run.
-            missing_ids = vertex_ids[missing]
-            order = stable_argsort(missing_ids)
-            missing_ids = missing_ids[order]
-            first = group_starts(missing_ids)
-            new_ids = missing_ids[first]
-            expected = np.asarray(expected_degree, dtype=np.int64)[missing][order[first]]
-            buckets = SlabArena.buckets_for(expected, load_factor, self.arena.pool.lane_capacity)
-        self.arena.create_tables(new_ids, buckets)
+            expected_degree = np.zeros(vertex_ids.shape[0], dtype=np.int64)
+        expected = np.asarray(expected_degree, dtype=np.int64)[missing][first]
+        buckets = SlabArena.buckets_for(expected, load_factor, self.arena.pool.lane_capacity)
+        self.arena.create_tables(missing_ids[first], buckets)
 
     def activate(self, vertex_ids: np.ndarray, expected_degree=None, load_factor=0.7) -> None:
         """Register a non-empty batch of non-negative ``vertex_ids``

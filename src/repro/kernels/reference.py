@@ -147,13 +147,13 @@ def insert_round_map(
 
     A "round" here is the whole launch's walk, not one chain step:
     ``chain_slabs[chain_ptr[g]:chain_ptr[g + 1]]`` is group ``g``'s chain
-    in order, ``tail_rows[g]`` / ``occupied[g]`` its tail row and
-    occupied-lane count (:func:`read_tails`), and ``group`` / ``k`` /
-    ``v`` are the items' group, key, and value.  Each item is matched
-    against every slab of its chain that holds a key — where every chain
-    is one slab, against the occupied lane prefix of its tail row; where
-    its key is already stored the value lane is overwritten.  Returns the
-    per-item resolve depth of the hits — chain position + 1 of the first
+    in order, ``occupied[g]`` / ``tail_rows[g]`` its tail's occupied-lane
+    count and row (:func:`read_tails`; rows of the items' groups only), and
+    ``group`` / ``k`` / ``v`` the items' group, key and value.  Each item is
+    matched against every slab of its chain that holds a key — where every
+    chain is one slab, against the occupied lane prefix of its tail row;
+    where its key is already stored the value lane is overwritten.  Returns
+    the per-item resolve depth of the hits — chain position + 1 of the first
     slab holding the key — and 0 for the misses the driver places at the
     tail.  Temporaries are bounded by :data:`PAIR_LANE_BUDGET`.
     """

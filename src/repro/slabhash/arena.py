@@ -197,6 +197,7 @@ class SlabArena:
         self.table_base = np.full(max(num_tables, 1), NULL_SLAB, dtype=np.int64)[:num_tables]
         self.table_buckets = np.zeros(num_tables, dtype=np.int64)
         self.hash_family = UniversalHashFamily(num_tables, seed=hash_seed)
+        self._hashes = False  # until a table has several buckets, no pair hashes
 
     # -- table lifecycle -----------------------------------------------------
 
@@ -213,14 +214,10 @@ class SlabArena:
         self.num_tables = int(new_num_tables)
 
     def create_tables(self, table_ids: np.ndarray, num_buckets: np.ndarray) -> None:
-        """Create tables with the given bucket counts (bulk base allocation).
+        """Create tables with the given bucket counts (:meth:`_carve`).
 
-        Base slabs for *all* requested tables are carved from one contiguous
-        reservation — the paper's bulk static allocation that avoids
-        per-table ``cudaMalloc`` calls.  Only the tables given more than one
-        bucket get hash coefficients; a batch of one-bucket tables pays no
-        pass for them.  A table id requested twice is refused before any
-        slab is carved: the second run's bases would orphan the first's.
+        A table id requested twice is refused before any slab is carved:
+        the second run's bases would orphan the first's.
         """
         table_ids = as_int_array(table_ids, "table_ids")
         num_buckets = as_int_array(num_buckets, "num_buckets")
@@ -238,6 +235,13 @@ class SlabArena:
         increasing = (table_ids[1:] > table_ids[:-1]).all()
         if not increasing and sorted_unique(table_ids).size != table_ids.size:
             raise ValidationError("a table id is requested more than once")
+        self._carve(table_ids, num_buckets)
+
+    def _carve(self, table_ids: np.ndarray, num_buckets: np.ndarray) -> np.ndarray:
+        """Carve the bases of ``table_ids`` (distinct, without tables, as the
+        caller checked) from one contiguous reservation — the paper's bulk
+        static allocation, no per-table ``cudaMalloc`` — and return them;
+        only a table of several buckets gets hash coefficients."""
         total = int(num_buckets.sum())
         start = self.pool.allocate_contiguous(total)
         if total == table_ids.size:  # one bucket each: consecutive bases
@@ -248,6 +252,8 @@ class SlabArena:
         self.table_buckets[table_ids] = num_buckets
         if total > table_ids.size:  # some table hashes: give it its (a, b)
             self.hash_family.assign(table_ids[num_buckets > 1])
+            self._hashes = True
+        return offsets
 
     def has_table(self, table_ids: np.ndarray) -> np.ndarray:
         table_ids = as_int_array(table_ids, "table_ids")
@@ -266,7 +272,8 @@ class SlabArena:
     # -- batched kernels (implemented in sibling modules) ---------------------
 
     def insert(self, table_ids, keys, values=None) -> np.ndarray:
-        """Batched insert-with-replace; see :func:`repro.slabhash.insert.insert_batch`."""
+        """Batched insert-with-replace, one-bucket tables created where
+        missing; see :func:`repro.slabhash.insert.insert_batch`."""
         from repro.slabhash.insert import insert_batch
 
         return insert_batch(self, table_ids, keys, values)
@@ -320,16 +327,19 @@ class SlabArena:
 
     def _heads_at(self, bases: np.ndarray, table_ids: np.ndarray, keys: np.ndarray):
         """:meth:`bucket_heads` from the tables' gathered ``bases`` (an
-        array the caller owns: the bucket offsets are added in place)."""
-        buckets = self.table_buckets[table_ids]
-        if not buckets.size or int(buckets.max()) == 1:  # no pair hashes
+        array the caller owns: the bucket offsets are added in place); a
+        table of one bucket, or of none (not carved yet), does not hash."""
+        if not self._hashes:
             return bases
-        hashed = np.flatnonzero(buckets != 1)
+        buckets = self.table_buckets[table_ids]
+        if not buckets.size or int(buckets.max()) <= 1:  # no pair hashes
+            return bases
+        hashed = np.flatnonzero(buckets > 1)
         if hashed.shape[0] == bases.shape[0]:
-            bases += self.hash_family.bucket(table_ids, keys, self.table_buckets)
+            bases += self.hash_family.bucket(table_ids, keys, buckets)
         else:
             bases[hashed] += self.hash_family.bucket(
-                table_ids[hashed], keys[hashed], self.table_buckets
+                table_ids[hashed], keys[hashed], buckets[hashed]
             )
         return bases
 
@@ -427,9 +437,9 @@ class SlabArena:
         """Chain-walking scalar insert-with-replace; True iff newly added."""
         if key > MAX_KEY:
             raise ValidationError(f"key {key} exceeds MAX_KEY")
+        if self.table_base[table] == NULL_SLAB:  # a one-bucket table, as a launch gives
+            self._carve(np.array([table]), np.ones(1, dtype=np.int64))
         head = int(self.table_base[table])
-        if head == NULL_SLAB:
-            raise ValidationError(f"table {table} does not exist")
         slab = head + self.hash_family.bucket_single(table, key, int(self.table_buckets[table]))
         pool = self.pool
         while True:

@@ -41,6 +41,12 @@ A launch is four steps:
    lane ``(used + rank) % Bc`` — the tail itself, or new slab ``q`` = that
    quotient - 1.
 
+A table id without a table gets a one-bucket table (Section III-b): its
+items sort under the provisional head ``bump + id`` (``bump`` the pool's
+first unused slab), above every existing head and in the order of the
+bases ``bump + rank`` one contiguous carve then gives the new tables, whose
+empty chains steps 2 and 3 skip.
+
 The bulk build, the tombstone flush and the rehash place distinct keys
 into empty one-slab chains, where steps 1-3 find nothing: their launch is
 :func:`refill_chains`, which writes each chain as whole rows of one dense
@@ -75,8 +81,8 @@ import numpy as np
 
 from repro.gpusim.counters import get_counters
 from repro.kernels import reference as kern
-from repro.slabhash.constants import EMPTY_KEY, KEY_DTYPE, MAX_KEY, NULL_SLAB, VALUE_DTYPE
-from repro.util.errors import ValidationError
+from repro.slabhash.constants import EMPTY_KEY, KEY_DTYPE, NULL_SLAB, VALUE_DTYPE
+from repro.slabhash.search import checked_items
 from repro.util.groupby import (
     _run_starts,
     group_starts,
@@ -235,7 +241,8 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
         A :class:`repro.slabhash.arena.SlabArena`.
     table_ids, keys, values:
         Parallel arrays.  ``values`` is required for weighted (map) arenas
-        and ignored for set arenas.
+        and ignored for set arenas.  A table id without a table gets a
+        one-bucket table, with no hash coefficients.
 
     Returns
     -------
@@ -245,28 +252,26 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
         occurrence of that (table, key).  Summing per table therefore gives
         the exact edge-count delta (popc-of-ballot semantics).
     """
-    table_ids = as_int_array(table_ids, "table_ids")
-    keys = as_int_array(keys, "keys")
-    n = check_equal_length(("table_ids", table_ids), ("keys", keys))
+    table_ids, keys = checked_items(arena, table_ids, keys)
+    n = keys.shape[0]
     if values is not None:
         values = as_int_array(values, "values")
         check_equal_length(("keys", keys), ("values", values))
+        if arena.pool.weighted:
+            check_in_range(values, 0, 1 << 32, "values")  # the 32-bit lanes must not wrap
     if n == 0:
         return np.empty(0, dtype=bool)
-    check_in_range(table_ids, 0, arena.num_tables, "table_ids")
-    check_in_range(keys, 0, MAX_KEY + 1, "keys")
-    if values is not None and arena.pool.weighted:
-        check_in_range(values, 0, 1 << 32, "values")  # the 32-bit lanes must not wrap
-    # The launch's one gather of the table bases: the existence check here,
-    # the head slabs below.  A base is a slab id or NULL_SLAB (-1).
-    bases = arena.table_base[table_ids]
-    if int(bases.min()) == NULL_SLAB:
-        raise ValidationError("insert targets a table that was never created")
-
     counters = get_counters()
     counters.kernel_launches += 1
     pool = arena.pool
     weighted = pool.weighted
+
+    # The launch's one gather of the table bases.  A base is a slab id or
+    # NULL_SLAB (-1); an item without a table takes its provisional head.
+    bases = arena.table_base[table_ids]
+    if creates := int(bases.min()) == NULL_SLAB:
+        missing = bases == NULL_SLAB
+        bases[missing] = table_ids[missing] + pool._bump
 
     # Group-major item order; the stable sort keeps launch order in a
     # group.  Intra-batch replace semantics keep the last occurrence per
@@ -274,7 +279,11 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
     heads = arena._heads_at(bases, table_ids, keys)
     order = stable_argsort(heads)
     group_heads, group = _groups(heads[order])
-    num_groups = group_heads.shape[0]
+    num_groups = old = group_heads.shape[0]
+    if creates:  # the new tables' groups close the order; carve their bases
+        old = int(np.searchsorted(group_heads, pool._bump))
+        new_ids = group_heads[old:] - pool._bump
+        group_heads[old:] = arena._carve(new_ids, np.ones_like(new_ids))
     if num_groups < n:
         order, group = _last_occurrences(order, group, keys)
     k = keys[order].astype(KEY_DTYPE)
@@ -298,23 +307,22 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
         tails = chain_slabs[chain_ptr[1:] - 1]
 
     # (2) Read every tail once: its rows feed the hit pass, its occupied
-    # count the placement.
-    tail_rows, occupied = kern.read_tails(pool.keys, tails)
+    # count the placement.  A new table's tail is its empty base slab.
+    occupied = np.zeros(num_groups, dtype=np.int64)
+    tail_rows, occupied[:old] = kern.read_tails(pool.keys, tails[:old])
 
-    # (3) One hit/replace pass over the (item, chain-slab) pairs.
+    # (3) One hit/replace pass over the (item, chain-slab) pairs; a new
+    # table's items, which close the order, have nothing to hit.
+    m = int(np.searchsorted(group, old)) if creates else group.shape[0]
+    chains = (chain_slabs, chain_ptr, tail_rows, occupied, group[:m], k[:m])
+    depth = np.zeros(group.shape[0], dtype=np.int64)
     if weighted:
-        depth = kern.insert_round_map(
-            pool.keys, pool.values, chain_slabs, chain_ptr, tail_rows, occupied, group, k, v
-        )
+        depth[:m] = kern.insert_round_map(pool.keys, pool.values, *chains, v[:m])
     else:
-        depth = kern.insert_round_set(
-            pool.keys, chain_slabs, chain_ptr, tail_rows, occupied, group, k
-        )
+        depth[:m] = kern.insert_round_set(pool.keys, *chains)
     misses = np.flatnonzero(depth == 0)
     all_missed = misses.shape[0] == depth.shape[0]
-    writes = int(misses.shape[0])
-    if weighted:
-        writes += int(depth.shape[0] - misses.shape[0])
+    writes = int(depth.shape[0] if weighted else misses.shape[0])  # a hit rewrites a value
 
     # (4) Place the misses behind each tail's occupied lanes.
     if misses.size:

@@ -90,15 +90,11 @@ class UniversalHashFamily:
         keys: np.ndarray,
         num_buckets: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized bucket index for each (table, key) pair.
-
-        ``num_buckets`` is indexed by ``table_ids`` (i.e. it is the
-        per-*table* bucket-count array, not per-item).
+        """Vectorized bucket index for each (table, key) pair; ``keys``
+        (int64, or a narrower integer type) and ``num_buckets`` are per
+        item, as the caller has them gathered already.
         """
-        a = self._a[table_ids]
-        b = self._b[table_ids]
-        h = (a * keys.astype(np.int64) + b) % PRIME
-        return h % num_buckets[table_ids]
+        return (self._a[table_ids] * keys + self._b[table_ids]) % PRIME % num_buckets
 
     def bucket_single(self, table_id: int, key: int, num_buckets: int) -> int:
         """Scalar bucket index (used by the WCWS reference engine)."""

@@ -15,13 +15,10 @@ Where each check of one slab-hash ``Graph.insert_edges`` lives:
 - **backend template** (``GraphBackend.insert_edges``): :func:`checked_ids`
   on ``src`` / ``dst``, weights against ``_weight_range``, self-loops
   dropped for a direct caller;
-- **vertex dictionary** (``ensure_tables``): which sources lack a table,
-  one gather of the table bases;
-- **arena** (``SlabArena.create_tables``): table ids in range, at least one
-  bucket each, none existing, none repeated;
 - **arena** (``SlabArena.insert``): equal lengths, table ids and keys in
-  range, values in the 32-bit lanes, every table created — the last from
-  the one gather of the table bases its head slabs are computed from.
+  range, values in the 32-bit lanes; the launch carves the tables its one
+  gather of the table bases finds missing, past ``create_tables``' checks,
+  which hold there by construction.
 
 Each range check on an int64 array from 0 is one reduction
 (:func:`check_in_range`).

@@ -18,8 +18,12 @@ is the round-by-round schedule's, bit for bit:
   test on the last lane, the first hit per row) equal to the ``any`` /
   ``argmax`` round it replaced, and whole search and delete launches
   equal to scalar chain walks;
+- the launch's own table creation equal to creating the tables first
+  (``ensure_tables``, then the checked ``arena.insert``) on graphs of
+  every kind;
 - a launch budget: the calls one small insert, search, delete and bulk
-  build make to the named ordering, checking and kernel functions.
+  build make to the named ordering, checking and kernel functions, and
+  the pinned number of ``repro`` calls of one 512-row insert.
 """
 
 import copy
@@ -33,6 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import DynamicGraph, edge_ops
 from repro.core.rehash import rehash_vertices
 from repro.api import Graph
 from repro.coo import COO
@@ -361,7 +366,7 @@ class TestLaunchShortcuts:
             assert np.array_equal(occupied, pool.lane_capacity - empties)
 
         # One bases gather: the heads from the gathered bases are the hashed form.
-        hashed = arena.table_base[t] + arena.hash_family.bucket(t, k, arena.table_buckets)
+        hashed = arena.table_base[t] + arena.hash_family.bucket(t, k, arena.table_buckets[t])
         assert np.array_equal(arena.bucket_heads(t, k), hashed)
         assert np.array_equal(arena._heads_at(arena.table_base[t], t, k), hashed)
 
@@ -441,6 +446,113 @@ class TestLaunchShortcuts:
             np.array([7, 9], dtype=np.uint32),
         )
         assert fresh.tolist() == [0, 0]
+
+
+# -- the launch creates its tables as creating them first would --------------------------
+
+
+def composed_insert(graph, src, dst, w):
+    """The insert path with table creation as a pass of its own before
+    the launch: ``ensure_tables``, then the checked ``arena.insert``, then
+    the edge counts.  Returns the launch's ``added`` mask."""
+    if not graph.directed:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        w = None if w is None else np.concatenate([w, w])
+    vd = graph._dict
+    vd.ensure_tables(src)
+    added = vd.arena.insert(src, dst, w)
+    vd.add_edge_counts(src[added])
+    return added
+
+
+def folded_insert(graph, src, dst, w):
+    """``edge_ops.insert_edges`` as it runs, its launch's ``added`` mask
+    recorded."""
+    arena, masks = graph._dict.arena, []
+    launch = arena.insert
+
+    def record(*args):
+        masks.append(launch(*args))
+        return masks[-1]
+
+    arena.insert = record
+    try:
+        edge_ops.insert_edges(graph, src, dst, w)
+    finally:
+        del arena.insert
+    (added,) = masks
+    return added
+
+
+def creation_state(graph):
+    """Pool digest (free list included), table handles, hash
+    coefficients and edge counts."""
+    vd = graph._dict
+    arena = vd.arena
+    return (
+        pool_digest(arena, arena.pool._free),
+        arena.table_base.tolist(),
+        arena.table_buckets.tolist(),
+        arena.hash_family._a.tolist(),
+        arena.hash_family._b.tolist(),
+        vd.edge_count.tolist(),
+        vd.total_edges(),
+    )
+
+
+@st.composite
+def creation_cases(draw):
+    """A directed or undirected, set or map graph of 48 ids after a bulk
+    build (hubs 0 and 1 of twelve edges get several buckets at load
+    factor 0.1) and vertex deletion (hub 1 and drawn ids keep empty
+    tables), ids 40-47 untouched, and batches over it: a fixed one
+    mixing kept, emptied and absent tables with in-batch repeats, drawn
+    ones, and a last one whose every source lacks a table (offsets into
+    the table-less ids, resolved when it runs)."""
+    n = 48
+    weighted, directed = draw(st.booleans()), draw(st.booleans())
+    graph = DynamicGraph(n, weighted=weighted, directed=directed, load_factor=0.1)
+    extra = draw(st.lists(st.tuples(st.integers(2, 15), st.integers(0, 23)), max_size=40))
+    src = np.array([0] * 12 + [1] * 12 + [s for s, _ in extra], dtype=np.int64)
+    dst = np.array(list(range(2, 26)) + [d for _, d in extra], dtype=np.int64)
+    keep = src != dst
+    graph.bulk_build(COO(src[keep], dst[keep], n, weights=np.arange(int(keep.sum()))))
+    doomed = draw(st.lists(st.integers(2, 15), max_size=3))
+    graph.delete_vertices([1] + doomed)
+    rows = st.tuples(st.integers(0, 39), st.integers(0, 39), st.integers(0, 9))
+    fixed = [(0, 5, 1), (0, 5, 2), (1, 6, 3), (30, 8, 4), (31, 9, 5), (30, 8, 6), (5, 2, 7)]
+    batches = [fixed] + draw(st.lists(st.lists(rows, min_size=1, max_size=40), max_size=3))
+    new = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=1, max_size=30))
+    return graph, batches, new
+
+
+class TestLaunchCreatesTables:
+    @given(creation_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_folded_creation_equals_creating_first(self, case):
+        graph, batches, new = case
+        arena = graph._dict.arena
+        free = np.flatnonzero(arena.table_base == NULL_SLAB)
+        assert free.size >= 8 and (arena.table_buckets[:2] > 1).all()
+        for step, items in enumerate(batches + [None]):
+            if items is None:  # every source without a table: the all-new launch
+                free = np.flatnonzero(arena.table_base == NULL_SLAB)
+                items = [(free[i % free.size], free[j % free.size], i) for i, j in new]
+            s, d, w = (np.array(col, dtype=np.int64) for col in zip(*items))
+            keep = s != d
+            s, d, w = s[keep], d[keep], w[keep] if graph.weighted else None
+            if not s.size:
+                continue
+            composed = copy.deepcopy(graph)
+            get_counters().reset()
+            want = composed_insert(composed, s, d, w)
+            want_counters = counters_dict()
+            get_counters().reset()
+            got = folded_insert(graph, s, d, w)
+            assert np.array_equal(got, want), step
+            assert counters_dict() == want_counters, step
+            assert creation_state(graph) == creation_state(composed), step
+            arena.check_invariants()
 
 
 # -- the search / delete probe round equals the form it replaced ---------------------------
@@ -541,22 +653,25 @@ class TestProbeShortcuts:
 
 #: Calls one 8-row ``Graph.insert_edges`` makes, counted at the ``repro``
 #: function level (so NumPy's own internals never enter the count): the
-#: ids are range-checked by the backend template (2), by
-#: ``SlabArena.insert`` (2) and by ``create_tables`` (1); one group sort,
-#: which also finds in-batch repeats (none sort again here: every source
-#: is its own group); one unique sort, for the new tables; one call of
-#: each kernel.  A re-added pass changes a count here, visibly.
+#: ids are range-checked by the backend template (2) and by
+#: ``SlabArena.insert`` (2); one group sort, which also finds in-batch
+#: repeats (none sort again here: every source is its own group) and the
+#: two sources without a table, whose tables the launch carves — no
+#: ``create_tables``, no unique sort; one call of each kernel.  A
+#: re-added pass changes a count here, visibly.
 LAUNCH_BUDGET = {
-    ("util/validation.py", "check_in_range"): 5,
+    ("util/validation.py", "check_in_range"): 4,
     ("util/validation.py", "checked_ids"): 1,
     ("util/groupby.py", "stable_argsort"): 1,
-    ("util/groupby.py", "sorted_unique"): 1,
+    ("util/groupby.py", "sorted_unique"): 0,
     ("kernels/reference.py", "walk_chains"): 1,
     ("kernels/reference.py", "read_tails"): 1,
     ("kernels/reference.py", "insert_round_set"): 1,
     ("kernels/reference.py", "fill_lanes"): 1,
     ("slabhash/arena.py", "insert"): 1,
-    ("slabhash/arena.py", "create_tables"): 1,
+    ("slabhash/arena.py", "_carve"): 1,
+    ("slabhash/arena.py", "create_tables"): 0,
+    ("core/vertex_dict.py", "ensure_tables"): 0,
 }
 
 #: Calls one 8-row ``Graph.edge_exists`` makes on the same graph: the ids
@@ -642,6 +757,24 @@ def budgeted_calls(budget, call, *args):
     return calls
 
 
+def repro_calls(call, *args):
+    """Python-level calls ``call(*args)`` makes into functions under
+    ``repro`` (itself included), counted by cProfile."""
+    profile = cProfile.Profile()
+    profile.runcall(call, *args)
+    calls = 0
+    for (filename, _, _), (_, ncalls, _, _, _) in pstats.Stats(profile).stats.items():
+        if "/repro/" in filename.replace("\\", "/"):
+            calls += ncalls
+    return calls
+
+
+#: Calls into ``repro`` functions one 512-row insert on the warmed graph
+#: makes — NumPy's own Python functions are not counted, so the pin does
+#: not move with its version.  A re-added helper, check or pass moves it.
+INSERT_512_CALLS = 81
+
+
 def warmed_graph():
     g = Graph.create("slabhash", 1024)
     for shift in (100, 300):  # warm: sources 0..99 own two-key one-slab tables
@@ -656,6 +789,14 @@ class TestLaunchBudget:
         dst = np.array([7, 8, 9, 10, 11, 12, 13, 14])
         assert budgeted_calls(LAUNCH_BUDGET, g.insert_edges, src, dst) == LAUNCH_BUDGET
         assert g.num_edges() == 208
+
+    def test_a_512_row_insert_makes_the_pinned_number_of_repro_calls(self):
+        g = warmed_graph()
+        rng = np.random.default_rng(512)
+        src, dst = rng.integers(0, 200, 512), rng.integers(0, 1024, 512)  # half have tables
+        assert repro_calls(g.insert_edges, src, dst) == INSERT_512_CALLS
+        warm = [np.arange(100) << 32 | np.arange(100) + shift for shift in (100, 300)]
+        assert g.num_edges() == np.union1d(np.concatenate(warm), (src << 32 | dst)[src != dst]).size
 
     # Two hits, three misses in a table, one repeat, two sources without a table.
     QUERY = (np.array([0, 1, 2, 3, 4, 0, 500, 501]), np.array([100, 301, 9, 10, 11, 100, 13, 14]))

@@ -1,5 +1,7 @@
 """Tests for the multi-table slab arena: lifecycle, kernels, memory."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -89,10 +91,30 @@ class TestKernels:
         found, _ = arena.search(np.array([3]), np.array([1]))
         assert not found[0]
 
-    def test_insert_missing_table_rejected(self):
-        arena = SlabArena(4, weighted=True)
-        with pytest.raises(ValidationError):
-            arena.insert(np.array([2]), np.array([1]), np.array([0]))
+    def test_insert_creates_missing_table(self):
+        """A table id without a table gets a one-bucket table (Section
+        III-b) and no hash coefficients, on the slab ids that creating it
+        first and then inserting gives."""
+        folded = SlabArena(8, weighted=True)
+        folded.create_tables(np.array([1, 4]), np.array([3, 1]))
+        folded.insert(np.array([1, 4]), np.array([5, 6]), np.array([1, 2]))
+        composed = copy.deepcopy(folded)
+        t = np.array([6, 1, 2, 6, 4, 2])
+        k, v = np.array([9, 7, 9, 8, 6, 9]), np.arange(6)
+        added = folded.insert(t, k, v)
+        assert folded.table_buckets[[2, 6]].tolist() == [1, 1]
+        assert not folded.hash_family._a[[2, 6]].any() and not folded.hash_family._b[[2, 6]].any()
+        composed.create_tables(np.array([2, 6]), np.ones(2, dtype=np.int64))
+        assert np.array_equal(added, composed.insert(t, k, v))
+        assert added.tolist() == [True, True, False, True, False, True]
+        for arena in (folded, composed):
+            arena.check_invariants()
+        assert np.array_equal(folded.table_base, composed.table_base)
+        assert np.array_equal(folded.pool.next_slab, composed.pool.next_slab)
+        assert np.array_equal(folded.pool.keys, composed.pool.keys)
+        assert np.array_equal(folded.pool.values, composed.pool.values)
+        _, vals = folded.search(np.array([2, 4]), np.array([9, 6]))
+        assert vals.tolist() == [5, 4]
 
     def test_delete_missing_table_is_noop(self):
         arena = SlabArena(4, weighted=True)
@@ -373,7 +395,7 @@ class TestArenaInvariants:
         heads = arena.bucket_heads(np.zeros(60, np.int64), np.arange(1, 61))
         assert np.unique(heads).size > 1  # the keys spread over the new buckets
         t = np.zeros(60, np.int64)
-        vec = arena.hash_family.bucket(t, np.arange(1, 61), arena.table_buckets)
+        vec = arena.hash_family.bucket(t, np.arange(1, 61), arena.table_buckets[t])
         nb = int(arena.table_buckets[0])
         assert [arena.hash_family.bucket_single(0, k, nb) for k in range(1, 61)] == vec.tolist()
 

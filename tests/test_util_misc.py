@@ -42,7 +42,7 @@ class TestUniversalHashFamily:
         fam.assign(np.arange(5))
         t = np.zeros(1000, dtype=np.int64)
         k = np.arange(1000)
-        nb = np.full(5, 7)
+        nb = np.full(1000, 7)  # per item
         buckets = fam.bucket(t, k, nb)
         assert buckets.min() >= 0 and buckets.max() < 7
 
@@ -60,7 +60,7 @@ class TestUniversalHashFamily:
         nb = np.array([4, 9, 16])
         for table in range(3):
             for key in [0, 1, 99, 12345]:
-                vec = fam.bucket(np.array([table]), np.array([key]), nb)[0]
+                vec = fam.bucket(np.array([table]), np.array([key]), nb[[table]])[0]
                 assert fam.bucket_single(table, key, int(nb[table])) == vec
 
     def test_scalar_matches_vector_after_grow(self):
@@ -70,7 +70,7 @@ class TestUniversalHashFamily:
         nb = np.arange(40) + 2
         keys = np.array([0, 1, 99, 12345, (1 << 32) - 3])
         for table in (0, 1, 38, 39):
-            vec = fam.bucket(np.full(keys.size, table), keys, nb)
+            vec = fam.bucket(np.full(keys.size, table), keys, np.full(keys.size, nb[table]))
             assert [fam.bucket_single(table, int(k), int(nb[table])) for k in keys] == vec.tolist()
 
     def test_grow_preserves_existing(self):
@@ -79,7 +79,7 @@ class TestUniversalHashFamily:
         before = fam.bucket(np.arange(4), np.arange(4) * 3, np.full(4, 11)).copy()
         fam.grow(16)
         fam.assign(np.arange(4, 16))
-        after = fam.bucket(np.arange(4), np.arange(4) * 3, np.full(16, 11)[:16])
+        after = fam.bucket(np.arange(4), np.arange(4) * 3, np.full(4, 11))
         assert np.array_equal(before, after)
         assert fam.num_tables == 16
 

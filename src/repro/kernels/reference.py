@@ -75,7 +75,7 @@ def _replace_hits(pool_keys, pool_values, slabs, items, k, v):
     Returns ``(hit_items, hit_pairs)``: each item holding a key already
     stored in its chain, and the pair (= first chain slab) that has it.
     """
-    matches = np.flatnonzero(np.take(pool_keys, slabs, axis=0) == k[items][:, None])
+    matches = (pool_keys.take(slabs, axis=0) == k[items][:, None]).ravel().nonzero()[0]
     pairs, lanes = np.divmod(matches, pool_keys.shape[1])
     hit_items = items[pairs]
     if hit_items.shape[0] > 1:
@@ -102,8 +102,8 @@ def _match_tails(pool_values, tails, tail_rows, occupied, group, k, v, max_pairs
     prefix = tail_rows[:, :width]
     for lo in range(0, k.shape[0], max_pairs):
         hi = lo + max_pairs
-        rows = np.take(prefix, group[lo:hi], axis=0)
-        hits, lanes = np.divmod(np.flatnonzero(rows == k[lo:hi, None]), width)
+        rows = prefix.take(group[lo:hi], axis=0)
+        hits, lanes = np.divmod((rows == k[lo:hi, None]).ravel().nonzero()[0], width)
         hits += lo
         if pool_values is not None and hits.shape[0]:
             pool_values[tails[group[hits]], lanes] = v[hits]
@@ -121,13 +121,13 @@ def _insert_round(pool_keys, pool_values, chain_slabs, chain_ptr, tail_rows, occ
     # A chain's slabs hold keys up to its tail, which holds none when empty.
     scanned = np.diff(chain_ptr) - (occupied == 0)
     first_slot = chain_ptr[group]
-    pairs_through = np.cumsum(scanned[group])
+    pairs_through = scanned[group].cumsum()
     lo = 0
     while lo < m:
         done = int(pairs_through[lo - 1]) if lo else 0
         # Whole items per chunk; one item alone may exceed the budget, but
         # only by its own chain length.
-        hi = max(int(np.searchsorted(pairs_through, done + max_pairs, side="right")), lo + 1)
+        hi = max(int(pairs_through.searchsorted(done + max_pairs, side="right")), lo + 1)
         ends = pairs_through[lo:hi] - done
         counts = np.diff(ends, prepend=0)
         items = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
@@ -174,14 +174,14 @@ def read_tails(pool_keys, tails):
     occupied-lane count: the first empty lane, as empty lanes are a suffix
     of the tail (``SlabArena.check_invariants``) — ``Bc`` if the last lane
     is full.  The hit pass and the tail placement both read these."""
-    rows = np.take(pool_keys, tails, axis=0)
+    rows = pool_keys.take(tails, axis=0)
     empty = rows == _EMPTY32
     return rows, np.where(empty[:, -1], empty.argmax(axis=1), empty.shape[1])
 
 
 def fill_lanes(lane_matrix, slabs, lanes, vals):
-    """Scatter ``vals`` into ``lane_matrix[slabs, lanes]`` (distinct lanes)."""
-    lane_matrix[slabs, lanes] = vals
+    """Scatter ``vals`` into ``lane_matrix[slabs, lanes]`` (distinct lanes, C-contiguous)."""
+    lane_matrix.ravel()[slabs * lane_matrix.shape[1] + lanes] = vals
 
 
 def fill_rows(lane_matrix, rows, lanes, vals, fill):
@@ -204,8 +204,8 @@ def _probe_round(pool_keys, cur, k):
     (``SlabArena.check_invariants``), so a slab has an empty lane iff its
     last one is, and the key is provably absent.
     """
-    rows = np.take(pool_keys, cur, axis=0)
-    hits, lanes = np.divmod(np.flatnonzero(rows == k[:, None]), rows.shape[1])
+    rows = pool_keys.take(cur, axis=0)
+    hits, lanes = np.divmod((rows == k[:, None]).ravel().nonzero()[0], rows.shape[1])
     if hits.shape[0] > 1:
         # Matches run row-major: a row's first one is its lowest lane.
         first = np.empty(hits.shape[0], dtype=bool)

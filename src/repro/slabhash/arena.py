@@ -197,7 +197,6 @@ class SlabArena:
         self.table_base = np.full(max(num_tables, 1), NULL_SLAB, dtype=np.int64)[:num_tables]
         self.table_buckets = np.zeros(num_tables, dtype=np.int64)
         self.hash_family = UniversalHashFamily(num_tables, seed=hash_seed)
-        self._hashes = False  # until a table has several buckets, no pair hashes
 
     # -- table lifecycle -----------------------------------------------------
 
@@ -252,7 +251,6 @@ class SlabArena:
         self.table_buckets[table_ids] = num_buckets
         if total > table_ids.size:  # some table hashes: give it its (a, b)
             self.hash_family.assign(table_ids[num_buckets > 1])
-            self._hashes = True
         return offsets
 
     def has_table(self, table_ids: np.ndarray) -> np.ndarray:
@@ -329,8 +327,6 @@ class SlabArena:
         """:meth:`bucket_heads` from the tables' gathered ``bases`` (an
         array the caller owns: the bucket offsets are added in place); a
         table of one bucket, or of none (not carved yet), does not hash."""
-        if not self._hashes:
-            return bases
         buckets = self.table_buckets[table_ids]
         if not buckets.size or int(buckets.max()) <= 1:  # no pair hashes
             return bases
@@ -437,6 +433,7 @@ class SlabArena:
         """Chain-walking scalar insert-with-replace; True iff newly added."""
         if key > MAX_KEY:
             raise ValidationError(f"key {key} exceeds MAX_KEY")
+        check_in_range(np.array([table], dtype=np.int64), 0, self.num_tables, "table_ids")
         if self.table_base[table] == NULL_SLAB:  # a one-bucket table, as a launch gives
             self._carve(np.array([table]), np.ones(1, dtype=np.int64))
         head = int(self.table_base[table])

@@ -103,12 +103,13 @@ def _last_occurrences(order, group, keys):
     later in launch order: only groups of several items are searched, and
     ``(group, key)`` names a (table, key) there.
     """
-    pos = np.flatnonzero(np.bincount(group)[group] > 1)
+    pos = (np.bincount(group)[group] > 1).nonzero()[0]
     comp = group[pos] << 32  # key < 2**32
     comp |= keys[order[pos]]
-    keep = last_occurrence_mask(comp)
-    if keep.all():
+    ordered = np.sort(comp)
+    if (ordered[1:] != ordered[:-1]).all():  # distinct keys: nothing to drop
         return order, group
+    keep = last_occurrence_mask(comp)
     alive = np.ones(order.shape[0], dtype=bool)
     alive[pos[~keep]] = False
     return order[alive], group[alive]
@@ -158,7 +159,7 @@ def _place_at_tails(pool, tails, lengths, occupied, group, k, v):
         new_ids = _extend_chains(pool, tails, lengths, n_new)
         links = int(new_ids.shape[0])
         first_new = np.cumsum(n_new) - n_new
-        spilled = np.flatnonzero(beyond)
+        spilled = beyond.nonzero()[0]
         slabs[spilled] = new_ids[first_new[group[spilled]] + beyond[spilled] - 1]
     kern.fill_lanes(pool.keys, slabs, lanes, k)
     if v is not None:
@@ -170,7 +171,7 @@ def _groups(heads):
     """Sorted head slabs -> (each group's head, each item's group index):
     one run-start mask, and its running count numbers the groups."""
     start = _run_starts(heads)
-    group = np.cumsum(start)
+    group = start.cumsum()
     group -= 1
     return heads[start], group
 
@@ -180,7 +181,7 @@ def _ranks(group, num_groups):
     group): an item's distance from its group's first item, whose index
     is the running size of the groups before it."""
     count = np.bincount(group, minlength=num_groups)
-    first = np.cumsum(count)
+    first = count.cumsum()
     first -= count
     return count, np.arange(group.shape[0], dtype=np.int64) - first[group]
 
@@ -270,8 +271,7 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
     # NULL_SLAB (-1); an item without a table takes its provisional head.
     bases = arena.table_base[table_ids]
     if creates := int(bases.min()) == NULL_SLAB:
-        missing = bases == NULL_SLAB
-        bases[missing] = table_ids[missing] + pool._bump
+        np.putmask(bases, bases == NULL_SLAB, table_ids + pool._bump)
 
     # Group-major item order; the stable sort keeps launch order in a
     # group.  Intra-batch replace semantics keep the last occurrence per
@@ -281,7 +281,7 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
     group_heads, group = _groups(heads[order])
     num_groups = old = group_heads.shape[0]
     if creates:  # the new tables' groups close the order; carve their bases
-        old = int(np.searchsorted(group_heads, pool._bump))
+        old = int(group_heads.searchsorted(pool._bump))
         new_ids = group_heads[old:] - pool._bump
         group_heads[old:] = arena._carve(new_ids, np.ones_like(new_ids))
     if num_groups < n:
@@ -313,14 +313,14 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
 
     # (3) One hit/replace pass over the (item, chain-slab) pairs; a new
     # table's items, which close the order, have nothing to hit.
-    m = int(np.searchsorted(group, old)) if creates else group.shape[0]
+    m = int(group.searchsorted(old)) if creates else group.shape[0]
     chains = (chain_slabs, chain_ptr, tail_rows, occupied, group[:m], k[:m])
     depth = np.zeros(group.shape[0], dtype=np.int64)
     if weighted:
         depth[:m] = kern.insert_round_map(pool.keys, pool.values, *chains, v[:m])
     else:
         depth[:m] = kern.insert_round_set(pool.keys, *chains)
-    misses = np.flatnonzero(depth == 0)
+    misses = (depth == 0).nonzero()[0]
     all_missed = misses.shape[0] == depth.shape[0]
     writes = int(depth.shape[0] if weighted else misses.shape[0])  # a hit rewrites a value
 

@@ -53,7 +53,7 @@ def stable_argsort(keys: np.ndarray) -> np.ndarray:
     packed; those take NumPy's stable argsort directly.
     """
     n = keys.shape[0]
-    if n == 0 or not np.issubdtype(keys.dtype, np.integer):
+    if n == 0 or keys.dtype.kind not in "iu":  # not an integer type
         return np.argsort(keys, kind="stable")
     b = (n - 1).bit_length()
     packed = keys.astype(np.int64)  # the one copy; every step below is in place

@@ -772,7 +772,7 @@ def repro_calls(call, *args):
 #: Calls into ``repro`` functions one 512-row insert on the warmed graph
 #: makes — NumPy's own Python functions are not counted, so the pin does
 #: not move with its version.  A re-added helper, check or pass moves it.
-INSERT_512_CALLS = 81
+INSERT_512_CALLS = 77
 
 
 def warmed_graph():

@@ -116,6 +116,19 @@ class TestKernels:
         _, vals = folded.search(np.array([2, 4]), np.array([9, 6]))
         assert vals.tolist() == [5, 4]
 
+    @pytest.mark.parametrize("table", [-1, 8])
+    def test_reference_insert_refuses_out_of_range_table(self, table):
+        """The scalar spec creates a missing table only for an id in range:
+        a negative id must not wrap to the last table."""
+        arena = SlabArena(8, weighted=True)
+        with pytest.raises(ValidationError):
+            arena.reference_insert_one(table, 3, 1)
+        assert (arena.table_base == NULL_SLAB).all() and arena.pool._bump == 0
+        g = DynamicGraph(8, weighted=True)
+        with pytest.raises(ValidationError):
+            g.reference_replace(table, 3, 1)
+        assert (g._dict.arena.table_base == NULL_SLAB).all()
+
     def test_delete_missing_table_is_noop(self):
         arena = SlabArena(4, weighted=True)
         removed = arena.delete(np.array([2]), np.array([1]))

@@ -7,13 +7,13 @@ analytics, bench harness, examples) backend-agnostic:
 - **public batched surface** (concrete template methods, never
   overridden): ``insert_edges``, ``delete_edges``, ``edge_exists``,
   ``edge_weights``, ``neighbors``, ``adjacencies``, ``degree``,
-  ``delete_vertices``.  Each checks its arguments here, once, and calls
-  one private hook with clean arrays;
+  ``delete_vertices`` and ``bulk_build``.  Each checks its arguments
+  here, once, and calls one private hook with clean arrays;
 - **hooks a structure implements**: ``_insert_edges``, ``_delete_edges``,
-  ``_edge_exists``, ``_neighbors``, ``_degree`` (abstract),
-  ``_edge_weights`` / ``_adjacencies`` (derived defaults) and
+  ``_edge_exists``, ``_neighbors``, ``_degree``, ``_bulk_build``
+  (abstract), ``_edge_weights`` / ``_adjacencies`` (derived defaults) and
   ``_delete_vertices`` (only with the ``vertex_dynamic`` capability),
-  beside the abstract ``num_edges``, ``bulk_build``, ``export_coo`` and
+  beside the abstract ``num_edges``, ``export_coo`` and
   ``sorted_adjacency``;
 - a class-level :class:`~repro.api.capabilities.Capabilities` declaration,
   narrowed per instance by :meth:`instance_capabilities`;
@@ -27,9 +27,10 @@ analytics, bench harness, examples) backend-agnostic:
 One argument rule, stated here and applied at each public boundary:
 :func:`checked_ids` coerces every id column to a contiguous int64 array,
 requires equal lengths and requires every id in ``[0, num_vertices)`` — on
-*both* columns of a pair batch, for mutations and queries alike.  The
-template methods apply it once per call, driven directly or under the
-:class:`repro.api.Graph` facade (which only coerces); the shard router
+*both* columns of a pair batch, for mutations (a bulk build's COO
+included) and queries alike.  The template methods apply it once per
+call, driven directly or under the :class:`repro.api.Graph` facade (which
+only coerces); the shard router
 applies it before routing rows by id, then each shard's template again.
 Weights must also lie in :attr:`GraphBackend._weight_range`.  A hook
 never validates: it receives contiguous, in-range int64 arrays (or one
@@ -255,6 +256,30 @@ class GraphBackend(abc.ABC):
         self._bump_version()
         return self._delete_vertices(vids)
 
+    def bulk_build(self, coo: COO) -> int:
+        """One-shot build from a COO (Section V-B, Table V) into an empty
+        structure; returns edges added.
+
+        The COO's ids must lie in this graph's ``[0, num_vertices)``,
+        whatever vertex space it declares.  Its weights are dropped on an
+        unweighted instance (a snapshot restore, unlike ``insert_edges``)
+        and must lie in :attr:`_weight_range` on a weighted one.  An
+        accepted build is one version step, even when it stores nothing;
+        self-loops are dropped and repeats resolve by replace semantics.
+        """
+        if self.num_edges() != 0:
+            raise ValidationError("bulk_build requires an empty graph")
+        src, dst = checked_ids(self.num_vertices, src=coo.src, dst=coo.dst)
+        weights = coo.weights if self.weighted else None
+        if weights is not None and self._weight_range is not None:
+            check_in_range(weights, *self._weight_range, "weights")
+        self._bump_version()
+        keep = src != dst
+        if not keep.all():
+            src, dst = src[keep], dst[keep]
+            weights = None if weights is None else weights[keep]
+        return self._bulk_build(src, dst, weights) if src.size else 0
+
     def _checked_vertex(self, vertex) -> int:
         """One caller-supplied vertex id as an in-range ``int``."""
         return _checked_id(vertex, self.num_vertices, "vertex")
@@ -265,6 +290,12 @@ class GraphBackend(abc.ABC):
     def _insert_edges(self, src, dst, weights) -> int:
         """Insert a non-empty, self-loop-free batch (``weights`` may be
         ``None``); returns edges newly added."""
+
+    @abc.abstractmethod
+    def _bulk_build(self, src, dst, weights) -> int:
+        """Build an empty structure from a non-empty, self-loop-free batch
+        that may repeat pairs (``weights`` may be ``None``); returns edges
+        stored."""
 
     @abc.abstractmethod
     def _delete_edges(self, src, dst) -> int:
@@ -298,10 +329,6 @@ class GraphBackend(abc.ABC):
     @abc.abstractmethod
     def num_edges(self) -> int:
         """Exact directed-slot edge count."""
-
-    @abc.abstractmethod
-    def bulk_build(self, coo: COO) -> int:
-        """One-shot build from a COO snapshot; requires an empty structure."""
 
     @abc.abstractmethod
     def export_coo(self) -> COO:

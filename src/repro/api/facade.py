@@ -74,16 +74,6 @@ __all__ = ["Graph", "normalize_batch"]
 MAX_PACKABLE_VERTICES = 1 << 31
 
 
-def _check_packable(num_vertices: int) -> None:
-    if num_vertices > MAX_PACKABLE_VERTICES:
-        raise ValidationError(
-            f"vertex space of {num_vertices} exceeds the facade's "
-            "(src << 32) | dst composite-key packing (snapshot delta-merge, "
-            f"shard assembly), which supports up to {MAX_PACKABLE_VERTICES} — "
-            "larger id spaces would silently collide or overflow int64"
-        )
-
-
 def normalize_batch(
     src,
     dst,
@@ -136,7 +126,13 @@ class Graph:
                 "Graph() wraps a backend instance; use "
                 "Graph.create(name, num_vertices=...) to construct by name"
             )
-        _check_packable(int(backend.num_vertices))
+        if int(backend.num_vertices) > MAX_PACKABLE_VERTICES:
+            raise ValidationError(
+                f"vertex space of {backend.num_vertices} exceeds the facade's "
+                "(src << 32) | dst composite-key packing (snapshot delta-merge, "
+                f"shard assembly), which supports up to {MAX_PACKABLE_VERTICES} — "
+                "larger id spaces would silently collide or overflow int64"
+            )
         self.backend = backend
         #: The first-class event log every facade mutation publishes to;
         #: it retains the log's default 2^16 edge-batch rows.
@@ -238,15 +234,15 @@ class Graph:
         return removed
 
     def bulk_build(self, coo: COO) -> int:
-        """One-shot build from a COO snapshot (requires an empty graph).
+        """One-shot build from a COO snapshot into an empty graph.
 
-        A weighted COO loads into an unweighted graph by *dropping* weights
-        — a snapshot restore, unlike :meth:`insert_edges`, which rejects
-        explicit weights on unweighted instances.
+        The backend's template checks the COO — ids inside this graph's
+        vertex space, which a build never grows — and takes one version
+        step.  A weighted COO loads into an unweighted graph by *dropping*
+        weights (a snapshot restore, unlike :meth:`insert_edges`, which
+        rejects explicit weights on unweighted instances); the published
+        payload drops them too.
         """
-        # Backends grow their vertex space to fit the COO, so the
-        # construction-time packing guard must be re-checked here.
-        _check_packable(int(coo.num_vertices))
         if coo.weights is not None and not self.weighted:
             coo = COO(coo.src, coo.dst, coo.num_vertices, weights=None)
         before = self.mutation_version

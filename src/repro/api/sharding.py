@@ -69,7 +69,6 @@ from repro.util.errors import (
     ValidationError,
 )
 from repro.util.groupby import stable_argsort
-from repro.util.validation import check_in_range
 
 __all__ = [
     "Partitioner",
@@ -212,9 +211,8 @@ def _delete_vertices_in(shard, payload: dict, mask) -> int:
 
 
 def _bulk_build_in(shard, payload: dict, mask) -> int:
-    coo = payload["coo"]
-    weights = None if coo.weights is None else coo.weights[mask]
-    return shard.bulk_build(COO(coo.src[mask], coo.dst[mask], coo.num_vertices, weights=weights))
+    src, dst, weights = _edge_rows(payload, mask)
+    return shard.bulk_build(COO(src, dst, shard.num_vertices, weights=weights))
 
 
 #: ``send(shard, payload, mask)`` per mutation: apply one shard's share
@@ -226,8 +224,10 @@ _MUTATIONS = {
     "bulk_build": _bulk_build_in,
 }
 #: The mutations that reach every shard, not only the owners of rows: a
-#: victim's in-edges live wherever their source is owned, and every shard
-#: of a bulk build grows to the COO's vertex space.
+#: victim's in-edges live wherever their source is owned, and a build is
+#: of the whole service, so a shard that is dead when it arrives fails it
+#: (and takes it on redrive, its own template checking it is empty) even
+#: when that shard owns no row.
 _BROADCAST = ("delete_vertices", "bulk_build")
 
 
@@ -487,21 +487,13 @@ class ShardRouter(GraphBackend):
         }
         return self._mutate("delete_vertices", payload)
 
-    def bulk_build(self, coo: COO) -> int:
-        """One-shot build: split the COO by owner shard, build each.
-
-        The router checks what every shard would — an empty graph, weights
-        it can store — before any shard applies its share.  Every shard is
-        built, including one that owns no rows, so all shards grow to the
-        COO's vertex space together.  A partial dispatch raises as the
-        other mutators do; a failed shard is still empty, so a redrive
-        re-attempts its part of the build."""
-        if self.num_edges() != 0:
-            raise ValidationError("bulk_build requires an empty graph")
-        if coo.weights is not None and self._weight_range is not None:
-            check_in_range(coo.weights, *self._weight_range, "weights")
-        self._bump_version()
-        return self._mutate("bulk_build", {"coo": coo, "owner": self.partitioner.shard_of(coo.src)})
+    def _bulk_build(self, src, dst, weights) -> int:
+        """Split the rows by owner shard and build every shard, one that
+        owns no row included (see ``_BROADCAST``).  The template has
+        checked the whole COO, so a caller's error reaches no shard.  A
+        partial dispatch raises as the other mutators do; a failed shard
+        is still empty, so a redrive re-attempts its part of the build."""
+        return self._route_edges("bulk_build", src, dst, weights)
 
     def redrive(self, report: DispatchReport):
         """Re-dispatch a partial mutation's failed shards.

@@ -33,7 +33,12 @@ from repro.coo import COO
 from repro.gpusim.counters import get_counters
 from repro.gpusim.memory import GrowableArray
 from repro.util.errors import ValidationError
-from repro.util.groupby import last_occurrence_mask, ragged_arange, rank_within_group
+from repro.util.groupby import (
+    last_occurrence_mask,
+    last_occurrence_order,
+    ragged_arange,
+    rank_within_group,
+)
 
 __all__ = ["FaimGraph"]
 
@@ -158,15 +163,10 @@ class FaimGraph(GraphBackend):
 
     # -- construction -----------------------------------------------------------------
 
-    def bulk_build(self, coo: COO) -> int:
+    def _bulk_build(self, src, dst, weights) -> int:
         """Initialize from a COO snapshot (deduplicated setup path)."""
-        if int(self._deg.sum()) != 0:
-            raise ValidationError("bulk_build requires an empty graph")
-        self._bump_version()
-        work = coo.without_self_loops().deduplicated()
-        order = work.csr_order()
-        s, d = work.src[order], work.dst[order]
-        w = work.weights_or_zeros()[order]
+        keep = last_occurrence_order(self._composite(src, dst))
+        s, d = src[keep], dst[keep]
 
         degs = np.bincount(s, minlength=self.num_vertices).astype(np.int64)
         verts = np.flatnonzero(degs)
@@ -186,7 +186,7 @@ class FaimGraph(GraphBackend):
         lane = rank % self.page_cap
         self._dst.data[page_of_entry, lane] = d
         if self._wt is not None:
-            self._wt.data[page_of_entry, lane] = w
+            self._wt.data[page_of_entry, lane] = 0 if weights is None else weights[keep]
         get_counters().bytes_copied += int(s.size) * 8
         return int(s.size)
 

@@ -135,22 +135,15 @@ class GPMAGraph(GraphBackend):
 
     # -- construction ------------------------------------------------------------------
 
-    def bulk_build(self, coo: COO) -> int:
-        if self._count:
-            raise ValidationError("bulk_build requires an empty graph")
-        self._bump_version()
-        work = coo.without_self_loops().deduplicated()
-        keys = np.unique(self._composite(work.src, work.dst))
+    def _bulk_build(self, src, dst, weights) -> int:
+        keys = np.unique(self._composite(src, dst))
         get_counters().sorted_elements += int(keys.size)
         cap = self.capacity
         while keys.shape[0] > _ROOT_UPPER * cap:
             cap *= 2
         self._data = np.full(cap, _EMPTY, dtype=np.int64)
-        if keys.size:
-            slots = np.floor(
-                np.arange(keys.shape[0], dtype=np.float64) * cap / keys.shape[0]
-            ).astype(np.int64)
-            self._data[slots] = keys
+        slots = np.floor(np.arange(keys.shape[0], dtype=np.float64) * cap / keys.shape[0])
+        self._data[slots.astype(np.int64)] = keys
         self._count = int(keys.size)
         self._deg = np.bincount(
             (keys >> 32).astype(np.int64), minlength=self.num_vertices

@@ -34,8 +34,8 @@ from repro.gpusim.counters import get_counters
 from repro.gpusim.memory import GrowableArray
 from repro.util.errors import ValidationError
 from repro.util.groupby import (
-    group_starts,
     last_occurrence_mask,
+    last_occurrence_order,
     ragged_arange,
     rank_within_group,
 )
@@ -134,31 +134,20 @@ class HornetGraph(GraphBackend):
 
     # -- construction ---------------------------------------------------------------
 
-    def bulk_build(self, coo: COO) -> int:
+    def _bulk_build(self, src, dst, weights) -> int:
         """One-shot build: global sort + dedup, then block placement.
 
         This is the Table V workload; the whole COO goes through a sort
         (Hornet's documented dedup step) before any block is written.
         """
-        if int(self._deg.sum()) != 0:
-            raise ValidationError("bulk_build requires an empty graph")
-        self._bump_version()
         counters = get_counters()
         counters.kernel_launches += 1
         counters.add("host_syncs", 1)
-        work = coo.without_self_loops()
         # Build-time sort plus the sort-based duplicate check (the paper
         # measures the dedup pass alone at 45% of Hornet's insertion time).
-        counters.sorted_elements += 2 * work.num_edges
-        order = work.csr_order()
-        s, d = work.src[order], work.dst[order]
-        w = work.weights_or_zeros()[order]
-        comp = self._composite(s, d)
-        keep = np.empty(comp.shape[0], dtype=bool)
-        if comp.size:
-            keep[-1] = True
-            np.not_equal(comp[1:], comp[:-1], out=keep[:-1])  # last wins
-        s, d, w = s[keep], d[keep], w[keep]
+        counters.sorted_elements += 2 * int(src.size)
+        keep = last_occurrence_order(self._composite(src, dst))  # last wins
+        s, d = src[keep], dst[keep]
 
         degs = np.bincount(s, minlength=self.num_vertices).astype(np.int64)
         verts = np.flatnonzero(degs)
@@ -168,12 +157,10 @@ class HornetGraph(GraphBackend):
         self.block_cap[verts] = caps
         self._deg[:] = degs
 
-        starts = group_starts(s)
-        rank = rank_within_group(s)
-        pos = self.block_off[s] + rank
+        pos = self.block_off[s] + rank_within_group(s)
         self._dst.data[pos] = d
         if self._wt is not None:
-            self._wt.data[pos] = w
+            self._wt.data[pos] = 0 if weights is None else weights[keep]
         counters.bytes_copied += int(s.size) * 8
         return int(s.size)
 

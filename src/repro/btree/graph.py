@@ -118,10 +118,8 @@ class BTreeGraph(GraphBackend):
 
     # -- construction / export -------------------------------------------------------
 
-    def bulk_build(self, coo: COO) -> int:
-        if self.num_edges():
-            raise ValidationError("bulk_build requires an empty graph")
-        return self.insert_edges(coo.src, coo.dst, coo.weights if self.weighted else None)
+    def _bulk_build(self, src, dst, weights) -> int:
+        return self._insert_edges(src, dst, weights)
 
     def export_coo(self) -> COO:
         srcs, dsts, ws = [], [], []

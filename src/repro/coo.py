@@ -3,8 +3,8 @@
 The paper's bulk-build workload assumes "the input is given in a COO format
 (i.e., a list of edges each defined by source vertex, destination vertex,
 and edge value)" — this class is that list, with the handful of
-vectorized normalizations every structure needs (self-loop removal,
-deduplication, symmetrization, CSR conversion).
+vectorized normalizations the datasets and structures need
+(deduplication, symmetrization, CSR conversion).
 
 Instances are lightweight views over three parallel arrays; all transforms
 return new instances and never mutate in place.
@@ -71,10 +71,6 @@ class COO:
 
     # -- normalizations ---------------------------------------------------------
 
-    def without_self_loops(self) -> "COO":
-        keep = self.src != self.dst
-        return self._select(keep)
-
     def deduplicated(self) -> "COO":
         """Keep the *last* occurrence of each (src, dst) pair.
 
@@ -82,7 +78,7 @@ class COO:
         the identical structure its duplicated original would.
         """
         composite = (self.src << np.int64(32)) | self.dst
-        return self._select(last_occurrence_mask(composite))
+        return self._select_indices(np.flatnonzero(last_occurrence_mask(composite)))
 
     def symmetrized(self) -> "COO":
         """Union with the reversed edge list (does not deduplicate)."""
@@ -98,9 +94,6 @@ class COO:
         rng = np.random.default_rng(seed)
         order = rng.permutation(self.num_edges)
         return self._select_indices(order)
-
-    def _select(self, mask: np.ndarray) -> "COO":
-        return self._select_indices(np.flatnonzero(mask))
 
     def _select_indices(self, idx: np.ndarray) -> "COO":
         return COO(

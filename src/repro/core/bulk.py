@@ -20,9 +20,11 @@ Every table the rows reach is fresh, so no chain is walked, no tail read
 and no key matched.  A source whose table outlived earlier mutations (an
 empty graph may still hold tables with tombstones) makes the survivors
 take the general insert launch instead, which places them behind what
-those tables hold.  Pool bits, slab ids, edge counts, version steps and
-device charges are those of sizing the tables and inserting the rows in
-one ``insert_edges`` batch.
+those tables hold.  Pool bits, slab ids, edge counts and device charges
+are those of sizing the tables and inserting the rows in one
+``insert_edges`` batch.  The vertex space never grows here: the
+:meth:`~repro.api.GraphBackend.bulk_build` template refuses ids outside
+the graph and takes the build's one version step.
 
 Table VI's *incremental* build is a workload, not a second build path:
 batches streamed through :meth:`repro.core.DynamicGraph.insert_edges` into
@@ -34,35 +36,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coo import COO
 from repro.slabhash.constants import KEY_DTYPE, NULL_SLAB, VALUE_DTYPE
 from repro.slabhash.insert import refill_chains
-from repro.util.errors import ValidationError
 from repro.util.groupby import _run_starts, stable_argsort
-from repro.util.validation import check_in_range, checked_ids
 
-__all__ = ["bulk_build"]
+__all__ = ["place_rows"]
 
 
-def bulk_build(graph, coo: COO) -> int:
-    """Build from a COO snapshot with a-priori sizing; returns edges added.
+def place_rows(graph, src, dst, w) -> int:
+    """Place a non-empty, self-loop-free batch into an empty graph with
+    a-priori sizing; returns edges added.
 
-    Duplicates within the COO are allowed (replace semantics applies); the
-    graph must be empty.  The input is checked whole — an empty graph,
-    in-range ids, storable weights — before the first version bump.
+    Duplicates resolve by replace semantics; the template has checked
+    the rest.
     """
-    if graph.num_edges() != 0:
-        raise ValidationError("bulk_build requires an empty graph")
-    src, dst = checked_ids(coo.num_vertices, src=coo.src, dst=coo.dst)
-    w = coo.weights if graph.weighted else None
-    if w is not None:
-        check_in_range(w, *graph._weight_range, "weights")
-    graph._bump_version()
-    vd = graph._dict
-    vd.ensure_capacity(coo.num_vertices)
-    keep = src != dst
-    if not keep.all():
-        src, dst, w = src[keep], dst[keep], None if w is None else w[keep]
     if not graph.directed:
         # Both orientations are stored as a launch of rows, reversed,
         # reversed, rows would store them: the first half repeats in the
@@ -70,9 +57,7 @@ def bulk_build(graph, coo: COO) -> int:
         src, dst = np.concatenate([dst, src]), np.concatenate([src, dst])
         w = None if w is None else np.concatenate([w, w])
     m = src.shape[0]
-    if m == 0:
-        return 0
-    graph._bump_version()  # placing the rows is a second step, after the sizing
+    vd = graph._dict
 
     # (1) One packed sort by (src, dst); a pair's run ends at its last row.
     bits = (graph.num_vertices - 1).bit_length()

@@ -9,7 +9,7 @@ variants the paper offers.
 
 The vertex dictionary holds, per vertex, only what the paper's "simple
 fixed-size array" holds: the table handle and the exact edge count.  Table
-V's bulk build has its own entry point (:meth:`DynamicGraph.bulk_build`);
+V's bulk build has its own hook (``_bulk_build``, :mod:`repro.core.bulk`);
 Table VI's incremental build is plain :meth:`~DynamicGraph.insert_edges`
 batches into an empty graph.
 
@@ -135,10 +135,10 @@ class DynamicGraph(GraphBackend):
         """Delete vertices and all incident edges (Algorithm 2)."""
         return _vertex_ops.delete_vertices(self, vertex_ids)
 
-    def bulk_build(self, coo: COO) -> int:
+    def _bulk_build(self, src, dst, weights) -> int:
         """One-shot build with a-priori bucket sizing (Table V workload);
         Table VI streams :meth:`insert_edges` batches instead."""
-        return _bulk.bulk_build(self, coo)
+        return _bulk.place_rows(self, src, dst, weights)
 
     # -- queries ------------------------------------------------------------------
 

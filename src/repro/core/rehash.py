@@ -56,7 +56,7 @@ def rehash_vertices(graph, vertex_ids, load_factor: float | None = None) -> int:
     arena = graph._dict.arena
     lf = graph.load_factor if load_factor is None else float(load_factor)
     # One walk on the host, charged as the iterator's and the teardown's.
-    slab_ids, owner_pos, _, _ = collect_table_slabs(arena, vertex_ids, walks=2)
+    slab_ids, owner_pos, _ = collect_table_slabs(arena, vertex_ids, walks=2)
     lanes, dst, w = live_lanes(arena.pool, slab_ids)
     owners = np.repeat(owner_pos, lanes)
 

@@ -240,12 +240,11 @@ def delete_round(pool_keys, cur, k):
 def walk_chains(next_slab, heads):
     """Level-order walk of every chain rooted at ``heads``.
 
-    Returns ``(slabs, head_idx, is_base, levels, reads)``: all reachable
-    slab ids in level order (heads first, then each chain's next slab in
+    Returns ``(slabs, head_idx, levels)``: all reachable slab ids in
+    level order (the heads first, then each chain's next slab in
     surviving-head order, and so on), the owning index into ``heads`` per
-    slab, a base-slab mask, and the walk's cost quantities — ``levels``
-    pointer-gather rounds touching ``reads`` slabs in total — which the
-    driver charges to the device model.
+    slab, and the number of pointer-gather rounds, which the driver
+    charges to the device model with ``slabs.size`` slab reads.
     """
     n = heads.shape[0]
     slabs, owners = [heads], [np.arange(n, dtype=np.int64)]
@@ -256,11 +255,8 @@ def walk_chains(next_slab, heads):
         nxt = next_slab[slabs[-1]]
     if len(slabs) == 1:
         # No head has a second slab (every fresh table): one gather was the walk.
-        return heads, owners[0], np.ones(n, dtype=bool), int(n > 0), n
-    slabs = np.concatenate(slabs)
-    is_base = np.zeros(slabs.shape[0], dtype=bool)
-    is_base[:n] = True
-    return slabs, np.concatenate(owners), is_base, len(owners), slabs.shape[0]
+        return heads, owners[0], int(n > 0)
+    return np.concatenate(slabs), np.concatenate(owners), len(owners)
 
 
 def sort_window_last(comp, w, is_ins):

@@ -342,12 +342,12 @@ class SlabArena:
     def table_slabs(self, table_ids: np.ndarray):
         """All slab ids belonging to the given tables.
 
-        Returns ``(slab_ids, owner_pos, is_base)`` where ``owner_pos[i]``
-        indexes into ``table_ids`` and ``is_base`` marks base slabs.
+        Returns ``(slab_ids, owner_pos)`` where ``owner_pos[i]`` indexes
+        into ``table_ids``; the base slabs come first, one per bucket.
         """
         from repro.slabhash.iterate import collect_table_slabs
 
-        return collect_table_slabs(self, table_ids)[:3]
+        return collect_table_slabs(self, table_ids)[:2]
 
     # -- debug invariants ------------------------------------------------------
 

@@ -295,7 +295,7 @@ def insert_batch(arena, table_ids, keys, values=None) -> np.ndarray:
         v = values[order].astype(VALUE_DTYPE)
 
     # (1) Walk every touched chain once and regroup it chain by chain.
-    chain_slabs, owner, _, _, _ = kern.walk_chains(pool.next_slab, group_heads)
+    chain_slabs, owner, _ = kern.walk_chains(pool.next_slab, group_heads)
     if chain_slabs.shape[0] == num_groups:
         lengths = np.ones(num_groups, dtype=np.int64)
         chain_ptr = np.arange(num_groups + 1, dtype=np.int64)

@@ -6,7 +6,8 @@ requested table one slab-level at a time, so a table whose chains have
 length L costs exactly L gather rounds — the same traffic the warp
 iterator generates on the device.  The walk itself is a kernel
 (``walk_chains`` in :mod:`repro.kernels.reference`); this driver charges
-the device model from the level/read totals the kernel reports.
+the device model one round per level the kernel reports and one read per
+slab it found.
 
 Every pass is one walk plus array passes over the slabs it found: a gather
 keeps the live (or wanted) lanes, a clear resets bases and frees overflow,
@@ -38,11 +39,11 @@ __all__ = [
 def collect_table_slabs(arena, table_ids, walks: int = 1):
     """All slab ids owned by the given tables, level by level.
 
-    Returns ``(slab_ids, owner_pos, is_base, heads)``: every slab (base +
-    overflow) reachable from the tables' buckets and, per slab, the
-    position *within table_ids* of its table, whether it is a base slab
-    (never freed) and its chain's head slab.  The model is charged
-    ``walks`` walks.
+    Returns ``(slab_ids, owner_pos, heads)``: every slab reachable from
+    the tables' buckets — the base slabs first, one per bucket, then the
+    overflow — and, per slab, the position *within table_ids* of its
+    table and its chain's head slab.  The model is charged ``walks``
+    walks.
     """
     table_ids = as_int_array(table_ids, "table_ids")
     if table_ids.size:
@@ -55,10 +56,10 @@ def collect_table_slabs(arena, table_ids, walks: int = 1):
     head_slabs = np.repeat(bases, buckets) + ragged_arange(buckets)
 
     counters = get_counters()
-    slabs, head_idx, is_base, levels, reads = kern.walk_chains(arena.pool.next_slab, head_slabs)
+    slabs, head_idx, levels = kern.walk_chains(arena.pool.next_slab, head_slabs)
     counters.probe_rounds += walks * int(levels)
-    counters.slab_reads += walks * int(reads)
-    return slabs, owner0[head_idx], is_base, head_slabs[head_idx]
+    counters.slab_reads += walks * int(slabs.size)
+    return slabs, owner0[head_idx], head_slabs[head_idx]
 
 
 def live_lanes(pool, slab_ids, only=None):
@@ -93,7 +94,7 @@ def iterate_tables(arena, table_ids, only=None):
     value (zeros for set arenas).  ``only`` restricts the sweep to entries
     holding one of the given keys without materialising the rest.
     """
-    slab_ids, owner_pos, _, _ = collect_table_slabs(arena, table_ids)
+    slab_ids, owner_pos, _ = collect_table_slabs(arena, table_ids)
     lanes, keys, values = live_lanes(arena.pool, slab_ids, only)
     values = np.zeros(keys.shape[0], dtype=np.int64) if values is None else values.astype(np.int64)
     return np.repeat(owner_pos, lanes), keys.astype(np.int64), values
@@ -106,15 +107,17 @@ def distinct_ids(table_ids) -> np.ndarray:
     return table_ids[first_occurrence_mask(table_ids)]
 
 
-def _release(pool, slab_ids, is_base) -> None:
-    """Reset the base slabs to empty one-slab chains; free the overflow."""
-    base = slab_ids[is_base]
+def _release(arena, table_ids, slab_ids) -> None:
+    """Reset the tables' base slabs — the first of ``slab_ids``, one per
+    bucket — to empty one-slab chains; free the overflow after them."""
+    pool = arena.pool
+    base = slab_ids[: int(arena.table_buckets[table_ids].sum())]
     pool.keys[base] = KEY_DTYPE(EMPTY_KEY)
     pool.next_slab[base] = NULL_SLAB
     if pool.weighted:
         pool.values[base] = 0
     get_counters().slab_writes += int(base.size)
-    pool.free(slab_ids[~is_base])
+    pool.free(slab_ids[base.size :])
 
 
 def clear_tables(arena, table_ids) -> None:
@@ -123,8 +126,8 @@ def clear_tables(arena, table_ids) -> None:
     Implements the memory side of vertex deletion (Algorithm 2, lines
     18-20 plus the edge-count reset handled by the caller).
     """
-    slab_ids, _, is_base, _ = collect_table_slabs(arena, distinct_ids(table_ids))
-    _release(arena.pool, slab_ids, is_base)
+    table_ids = distinct_ids(table_ids)
+    _release(arena, table_ids, collect_table_slabs(arena, table_ids)[0])
 
 
 def flush_tombstones(arena, table_ids) -> None:
@@ -138,9 +141,10 @@ def flush_tombstones(arena, table_ids) -> None:
     no chain walk, tail read or hit pass.  Charged as iterate, clear and
     one insert launch.
     """
-    slab_ids, _, is_base, heads = collect_table_slabs(arena, distinct_ids(table_ids), walks=2)
+    table_ids = distinct_ids(table_ids)
+    slab_ids, _, heads = collect_table_slabs(arena, table_ids, walks=2)
     by_chain = stable_argsort(heads)  # the walk reports slabs level by level
     lanes, keys, values = live_lanes(arena.pool, slab_ids[by_chain])
-    _release(arena.pool, slab_ids, is_base)
+    _release(arena, table_ids, slab_ids)
     if keys.size:
         refill_chains(arena.pool, np.repeat(heads[by_chain], lanes), keys, values)

@@ -62,7 +62,7 @@ class ArenaStats:
 def compute_stats(arena, table_ids) -> ArenaStats:
     """Measure the given tables (vectorized, read-only)."""
     table_ids = as_int_array(table_ids, "table_ids")
-    slab_ids, _, _ = arena.table_slabs(table_ids)
+    slab_ids, _ = arena.table_slabs(table_ids)
     num_slabs = int(slab_ids.shape[0])
     num_buckets = int(arena.table_buckets[table_ids].sum())
     if num_slabs == 0:
@@ -90,7 +90,7 @@ def chain_lengths(arena, table_ids) -> np.ndarray:
     The per-vertex "chain length" metric a rehashing policy watches.
     """
     table_ids = as_int_array(table_ids, "table_ids")
-    _, owner_pos, _ = arena.table_slabs(table_ids)
+    _, owner_pos = arena.table_slabs(table_ids)
     counts = np.bincount(owner_pos, minlength=table_ids.size)
     return counts.astype(np.int64)
 

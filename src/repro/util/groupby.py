@@ -34,6 +34,7 @@ __all__ = [
     "first_occurrence_mask",
     "group_starts",
     "last_occurrence_mask",
+    "last_occurrence_order",
     "ragged_arange",
     "rank_within_group",
     "segmented_sum",
@@ -145,6 +146,16 @@ def last_occurrence_mask(keys: np.ndarray) -> np.ndarray:
     Implemented with a stable sort so ties preserve input order.
     """
     return _occurrence_mask(keys, last=True)
+
+
+def last_occurrence_order(keys: np.ndarray) -> np.ndarray:
+    """Index of each distinct key's *last* occurrence, in ascending key
+    order: the rows a replace-semantics batch keeps, sorted (one sort)."""
+    order = stable_argsort(keys)
+    end = _run_starts(keys[order])
+    end[:-1] = end[1:]
+    end[-1:] = True
+    return order[end]
 
 
 def first_occurrence_mask(keys: np.ndarray) -> np.ndarray:

@@ -20,6 +20,12 @@ Where each check of one slab-hash ``Graph.insert_edges`` lives:
   gather of the table bases finds missing, past ``create_tables``' checks,
   which hold there by construction.
 
+A ``Graph.bulk_build`` on any backend is checked whole by the template
+(``GraphBackend.bulk_build``): an empty graph, :func:`checked_ids` against
+the graph's own vertex space (a build never grows it) and the weights,
+before its one version step; under a ``ShardedGraph``, by the router's
+template before any shard applies its share.
+
 Each range check on an int64 array from 0 is one reduction
 (:func:`check_in_range`).
 """

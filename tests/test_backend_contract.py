@@ -739,15 +739,38 @@ class TestNoSixthPipeline:
         "adjacencies",
         "degree",
         "delete_vertices",
+        "bulk_build",
     )
 
     def test_no_registry_class_overrides_a_template_method(self):
-        for name in ALL_BACKENDS:
-            cls = type(make(name))
+        from repro.api.sharding import ShardRouter
+
+        for cls in [type(make(name)) for name in ALL_BACKENDS] + [ShardRouter]:
             shadowed = [m for m in self.TEMPLATE_METHODS if m in vars(cls)]
             assert not shadowed, f"{cls.__name__} overrides template method(s) {shadowed}"
             for method in self.TEMPLATE_METHODS:
                 assert getattr(cls, method) is getattr(GraphBackend, method)
+
+    def test_one_bulk_build_and_one_empty_check(self):
+        """``GraphBackend.bulk_build`` is the one backend build; the
+        ``Graph`` facade's is the publishing wrapper over it."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        defined, refusing = [], []
+        for path in sorted(root.rglob("*.py")):
+            text = path.read_text()
+            rel = path.relative_to(root).as_posix()
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.FunctionDef) and node.name == "bulk_build":
+                    defined.append(rel)
+            if "requires an empty graph" in text:
+                refusing.append(rel)
+        assert defined == ["api/backend.py", "api/facade.py"]
+        assert refusing == ["api/backend.py"]
 
     def test_structures_do_not_import_the_validators(self):
         import ast
@@ -769,6 +792,88 @@ class TestNoSixthPipeline:
                     f"{path.relative_to(root)} imports repro.util.validation: argument "
                     "checks belong to the GraphBackend template methods"
                 )
+
+
+# -- bulk_build: the template's one check and one version step ------------------------
+
+BULK_KINDS = ["graph", pytest.param("sharded", marks=pytest.mark.chaos)]
+
+
+def _bulk_subject(kind, name):
+    """A 10-vertex ``Graph``, or a ``ShardedGraph`` of two shards."""
+    from repro.api import ShardedGraph
+
+    weighted = api.capabilities(name).weighted
+    if kind == "graph":
+        return Graph.create(name, 10, weighted=weighted)
+    return ShardedGraph.create(name, 10, num_shards=2, weighted=weighted)
+
+
+def _refused_builds(name):
+    """``label -> (coo, populate first)`` for each build the template refuses."""
+    negative = COO([1, 2], [2, 3], 10)
+    negative.src[0] = -1  # a COO checks its ids when made; its arrays stay writable
+    cases = {
+        "ids past the graph": (COO([1, 15, 3], [2, 3, 3], 20), False),
+        "a dst past the graph": (COO([1, 2], [2, 12], 20), False),
+        "a negative id": (negative, False),
+        "a non-empty graph": (COO([1], [2], 10), True),
+    }
+    if name == "slabhash":  # 32-bit value lanes; the others store any int64
+        for w in (-1, 2**32):
+            cases[f"weight {w}"] = (COO([1, 2], [2, 3], 10, weights=[5, w]), False)
+    return cases
+
+
+def _bulk_trace(g):
+    """Everything a refused build must leave as it was."""
+    shards = getattr(g, "shards", [])
+    return (
+        g.num_edges(),
+        g.mutation_version,
+        len(g.events),
+        [(s.num_edges(), s.mutation_version, len(s.events)) for s in shards],
+        dict(getattr(g, "fault_stats", {})),
+    )
+
+
+@pytest.mark.parametrize("kind", BULK_KINDS)
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_a_refused_bulk_build_changes_nothing(kind, name):
+    """Ids outside the graph, a negative id, an unstorable weight or a
+    populated graph are one ``ValidationError`` on every backend, before
+    any step: the slab hash used to grow its vertex space, Hornet and
+    faimGraph raised ``IndexError`` (which degraded a shard), GPMA stored
+    an edge outside its graph, and a shard applied its share before
+    another refused.  A caller's error is never a shard fault."""
+    for label, (coo, populate) in _refused_builds(name).items():
+        g = _bulk_subject(kind, name)
+        if populate:
+            g.insert_edges([4], [5])
+        before = _bulk_trace(g)
+        with pytest.raises(ValidationError):
+            g.bulk_build(coo)
+        assert _bulk_trace(g) == before, (name, label)
+        assert g.num_vertices == 10, (name, label)
+        assert all(h == "healthy" for h in getattr(g, "health", [])), (name, label)
+
+
+@pytest.mark.parametrize("kind", ["graph", "sharded"])
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_an_accepted_bulk_build_is_one_version_step(kind, name):
+    """One step and one event whatever the build stores: the B-tree took
+    none on an empty COO and the slab hash two on a non-empty one."""
+    builds = {
+        "empty": (COO([], [], 10), 0),
+        "all self-loops": (COO([3, 7], [3, 7], 10), 0),
+        "rows": (COO([1, 2, 2, 5, 5], [2, 3, 3, 5, 9], 10), 3),
+    }
+    for label, (coo, stored) in builds.items():
+        g = _bulk_subject(kind, name)
+        version, events = g.mutation_version, len(g.events)
+        assert g.bulk_build(coo) == stored, (name, label)
+        assert g.num_edges() == stored, (name, label)
+        assert (g.mutation_version, len(g.events)) == (version + 1, events + 1), (name, label)
 
 
 # -- the same rule through the facade, the router and a durable service ----------------

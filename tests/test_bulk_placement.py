@@ -1,11 +1,13 @@
 """The bulk build's one placement pass against the composition it replaced.
 
-``core.bulk.bulk_build`` used to size the tables (``ensure_tables`` with
+``DynamicGraph.bulk_build`` used to size the tables (``ensure_tables`` with
 each source's repeat-counting degree) and then send the rows through one
 ``insert_edges`` batch.  That composition lives on here as the oracle: the
 placement pass must leave the same pool bits, free list, bump pointer,
-table metadata, hash coefficients, edge counts, ``mutation_version`` and
-``gpusim`` charges, and return the same count.
+table metadata, hash coefficients, edge counts and ``gpusim`` charges,
+and return the same count.  The build is one version step, whatever it
+stores, and never grows the vertex space: a COO may declare a wider one,
+but its ids lie in the graph's.
 """
 
 import numpy as np
@@ -20,10 +22,10 @@ N = 48
 
 
 def oracle_bulk_build(graph, coo):
-    """The parent's ``bulk_build``: size the tables, insert the rows."""
-    graph._bump_version()
-    graph._dict.ensure_capacity(coo.num_vertices)
-    work = coo.without_self_loops()
+    """The old ``bulk_build``: size the tables, insert the rows."""
+    keep = coo.src != coo.dst
+    weights = None if coo.weights is None else coo.weights[keep]
+    work = COO(coo.src[keep], coo.dst[keep], graph.num_vertices, weights=weights)
     if not graph.directed:
         work = work.symmetrized()
     degrees = work.out_degrees()
@@ -45,7 +47,7 @@ def graph_state(g):
         "a": arena.hash_family._a,
         "b": arena.hash_family._b,
         "edge_count": vd.edge_count,
-        "totals": np.array([vd.total_edges(), g.mutation_version]),
+        "totals": np.array([vd.total_edges()]),
     }
     if pool.weighted:
         state["values"] = pool.values
@@ -99,6 +101,7 @@ def test_bulk_build_equals_the_old_composition(
     assert built == built_before
     assert new_charges == old_charges
     assert_same_graph(got, expected)
+    assert (got.num_vertices, got.mutation_version) == (N, 1)
     got._dict.arena.check_invariants()
 
 
@@ -121,6 +124,7 @@ def test_tables_left_by_earlier_mutations(directed, weighted, seed):
 
     (got, rng), (expected, _) = graph(), graph()
     coo = COO(*hub_rows(rng, 400), N, weights=rng.integers(0, 99, 400))
+    version = got.mutation_version
     with counting() as new_charges:
         built = got.bulk_build(coo)
     with counting() as old_charges:
@@ -128,3 +132,4 @@ def test_tables_left_by_earlier_mutations(directed, weighted, seed):
     assert built == built_before
     assert new_charges == old_charges
     assert_same_graph(got, expected)
+    assert got.mutation_version == version + 1

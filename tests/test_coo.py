@@ -38,10 +38,6 @@ class TestConstruction:
 
 
 class TestTransforms:
-    def test_without_self_loops(self):
-        coo = COO([0, 1, 2], [0, 2, 2]).without_self_loops()
-        assert list(zip(coo.src.tolist(), coo.dst.tolist())) == [(1, 2)]
-
     def test_deduplicated_keeps_last_weight(self):
         coo = COO([0, 0, 0], [1, 1, 2], weights=[10, 20, 30]).deduplicated()
         pairs = dict(zip(zip(coo.src.tolist(), coo.dst.tolist()), coo.weights.tolist()))

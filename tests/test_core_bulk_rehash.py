@@ -27,11 +27,14 @@ class TestBulkBuild:
         with pytest.raises(ValidationError):
             g.bulk_build(random_coo(rng, 10, 5))
 
-    def test_grows_capacity_if_needed(self, rng):
+    def test_refuses_ids_outside_the_graph(self, rng):
+        """A build never grows the vertex space (only insert_vertices
+        does): a COO reaching past the graph is refused before any step."""
         coo = random_coo(rng, 100, 200)
         g = DynamicGraph(num_vertices=4)
-        g.bulk_build(coo)
-        assert g.num_vertices >= 100
+        with pytest.raises(ValidationError):
+            g.bulk_build(coo)
+        assert (g.num_vertices, g.num_edges(), g.mutation_version) == (4, 0, 0)
 
     def test_equals_streamed_inserts(self, rng):
         coo = random_coo(rng)

@@ -102,7 +102,6 @@ class TestRmat:
 
     def test_deduplicate_option(self):
         coo = rmat_graph(6, 32.0, seed=0, deduplicate=True)
-        assert no_dups_no_loops(coo.without_self_loops()) or True
         pairs = set(zip(coo.src.tolist(), coo.dst.tolist()))
         assert len(pairs) == coo.num_edges
 

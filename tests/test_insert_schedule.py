@@ -238,19 +238,16 @@ class TestChunkedHitPass:
 
 def level_walk(next_slab, heads):
     """``walk_chains`` before its one-gather exit: the plain level loop."""
-    n = heads.shape[0]
-    slabs, owners, base = [heads], [np.arange(n, dtype=np.int64)], [np.ones(n, dtype=bool)]
-    frontier, owner, levels, reads = heads, owners[0], 0, 0
+    slabs, owners = [heads], [np.arange(heads.shape[0], dtype=np.int64)]
+    frontier, owner, levels = heads, owners[0], 0
     while frontier.size:
         levels += 1
-        reads += int(frontier.shape[0])
         nxt = next_slab[frontier]
         frontier, owner = nxt[nxt != NULL_SLAB], owner[nxt != NULL_SLAB]
         if frontier.size:
             slabs.append(frontier)
             owners.append(owner)
-            base.append(np.zeros(frontier.shape[0], dtype=bool))
-    return np.concatenate(slabs), np.concatenate(owners), np.concatenate(base), levels, reads
+    return np.concatenate(slabs), np.concatenate(owners), levels
 
 
 @st.composite
@@ -303,7 +300,7 @@ def launch_inputs(arena, t, k):
     heads = arena.bucket_heads(t[live], k[live])
     order = stable_argsort(heads)
     group_heads, group = _groups(heads[order])
-    slabs, owner, _, _, _ = reference.walk_chains(arena.pool.next_slab, group_heads)
+    slabs, owner, _ = reference.walk_chains(arena.pool.next_slab, group_heads)
     lengths = np.bincount(owner, minlength=group_heads.shape[0])
     chain_slabs = slabs[stable_argsort(owner)]
     chain_ptr = np.concatenate([[0], np.cumsum(lengths)])
@@ -355,7 +352,7 @@ class TestLaunchShortcuts:
                 assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b)
 
         # Every chain's tail (its last slab in level order), and every slab.
-        slabs, owner, _, _, _ = level_walk(pool.next_slab, heads)
+        slabs, owner, _ = level_walk(pool.next_slab, heads)
         tails = np.full(heads.shape[0], NULL_SLAB, dtype=np.int64)
         for slab, chain in zip(slabs.tolist(), owner.tolist()):
             tails[chain] = slab

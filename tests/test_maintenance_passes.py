@@ -48,7 +48,7 @@ def oracle_rehash(arena, ids, load_factor):
     if ids.size == 0:
         return
     owners, keys, values = arena.iterate(ids)
-    slab_ids, _, _ = arena.table_slabs(ids)
+    slab_ids, _ = arena.table_slabs(ids)
     arena.pool.free(slab_ids)
     arena.table_base[ids] = -1
     arena.table_buckets[ids] = 0
@@ -61,7 +61,7 @@ def oracle_rehash(arena, ids, load_factor):
 
 def oracle_iterate(arena, ids):
     """The parent's iterator: two compares and a slabs x lanes owner matrix."""
-    slab_ids, owner_pos, _ = arena.table_slabs(ids)
+    slab_ids, owner_pos = arena.table_slabs(ids)
     get_counters().slab_reads += int(slab_ids.size)
     pool = arena.pool
     rows = pool.keys[slab_ids]

@@ -277,7 +277,7 @@ class TestTombstoneSemantics:
 def check_tail_invariant(arena, table_ids):
     """Assert 'empties only at chain tails': a slab containing an EMPTY lane
     terminates its chain's data, and empty lanes form a suffix of it."""
-    slab_ids, _, _ = arena.table_slabs(np.asarray(table_ids))
+    slab_ids, _ = arena.table_slabs(np.asarray(table_ids))
     for slab in slab_ids.tolist():
         row = arena.pool.keys[slab]
         empty = row == np.uint32(EMPTY_KEY)

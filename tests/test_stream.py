@@ -339,13 +339,11 @@ class TestIncrementalPageRank:
         warm = pr.compute()
         assert np.allclose(warm, pagerank(g, tol=1e-12, max_iters=1000), atol=1e-10)
 
-    def test_bulk_build_growth_does_not_crash_touched_mask(self):
-        from repro.coo import COO
-
+    def test_vertex_space_growth_does_not_crash_touched_mask(self):
         g = Graph.create("slabhash", num_vertices=4)
         pr = IncrementalPageRank(g)
         pr.compute()  # ranks over 4 vertices
-        g.bulk_build(COO([0, 1], [1, 2], 100))  # grows the vertex space
+        g.backend.insert_vertices([99])  # grows the vertex space (no event)
         g.insert_edges([50], [60])  # ids beyond the old space
         assert pr.touched_count == 2
         ranks = pr.compute()
@@ -426,13 +424,16 @@ class TestCompositeKeyGuard:
     def test_boundary_accepted(self):
         Graph(self.HugeStub(1 << 31))  # ids fit in 31 bits: packable
 
-    def test_bulk_build_growth_rechecks_guard(self):
+    def test_wide_coo_builds_into_the_graphs_own_space(self):
+        """A COO declaring more vertices than the packing bound, whose ids
+        fit, builds into the graph's own space: a build never grows it."""
         from repro.coo import COO
 
         g = Graph.create("slabhash", num_vertices=64)
         huge = COO(np.array([0]), np.array([1]), (1 << 31) + 10)
-        with pytest.raises(ValidationError, match="composite-key"):
-            g.bulk_build(huge)  # would grow the backend past the bound
+        assert g.bulk_build(huge) == 1
+        assert (g.num_vertices, g.num_edges()) == (64, 1)
+        assert g.snapshot().num_vertices == 64
 
 
 def test_stream_artifact_quick_structure():
